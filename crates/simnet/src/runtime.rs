@@ -3,8 +3,9 @@
 //! Two kinds of logical process share one virtual clock and one scheduler:
 //!
 //! * **Thread procs** — the original direct-style closures. Each owns an OS
-//!   thread; only one runs at a time, handing over via condvar at every
-//!   simulator call. Natural for code that blocks mid-request.
+//!   thread; only one runs at a time, handing over at every simulator call
+//!   by signalling the one condvar the next proc parks on. Natural for code
+//!   that blocks mid-request.
 //! * **Steppable agents** — explicit state machines implementing [`Proc`].
 //!   They own *no* thread: whichever OS thread currently drives the
 //!   scheduler steps them inline (one message delivery or timer expiry per
@@ -141,8 +142,9 @@ struct AgentState {
 }
 
 enum Engine {
-    /// Direct-style closure on its own OS thread.
-    Thread,
+    /// Direct-style closure on its own OS thread, which parks on this condvar
+    /// (paired with the one state lock) until it is handed the turn.
+    Thread(Arc<Condvar>),
     /// Steppable agent driven inline by the scheduler.
     Agent(Box<AgentState>),
 }
@@ -160,7 +162,7 @@ struct ProcState {
 }
 
 impl ProcState {
-    fn new(name: String, daemon: bool, clock: SimTime) -> ProcState {
+    fn new(name: String, daemon: bool, clock: SimTime, engine: Engine) -> ProcState {
         ProcState {
             stats: ProcStats::new(name.clone(), daemon),
             name,
@@ -168,8 +170,17 @@ impl ProcState {
             killed: false,
             clock,
             status: Status::Runnable,
-            engine: Engine::Thread,
+            engine,
             mailbox: BTreeMap::new(),
+        }
+    }
+
+    /// Signal this proc's parked thread, if it has one (agents never park).
+    /// Callers hold the state lock, so the wake-up cannot slip between the
+    /// thread's check of `running`/`killed`/`shutdown` and its wait.
+    fn wake(&self) {
+        if let Engine::Thread(turn) = &self.engine {
+            turn.notify_all();
         }
     }
 
@@ -261,6 +272,10 @@ pub(crate) struct State {
     /// All its hooks run inside this lock and are non-yielding, so traced
     /// runs stay byte-identical to untraced same-seed runs.
     req: Option<ReqRecorder>,
+    /// Times a parked thread woke to find it was neither its turn nor a
+    /// shutdown/kill: the waste targeted hand-off exists to remove.
+    #[cfg(test)]
+    stale_wakes: u64,
 }
 
 impl State {
@@ -430,6 +445,7 @@ fn describe_blocked(st: &State) -> String {
 pub(crate) struct Shared {
     pub(crate) cfg: SimConfig,
     state: Mutex<State>,
+    /// Parks the `run()` thread only; signalled on shutdown.
     cv: Condvar,
 }
 
@@ -447,6 +463,10 @@ impl Shared {
         // scope's self time (the guard also records during Interrupt
         // unwinds, so killed procs account their final park).
         let _prof = hostprof::scope(ProfScope::SchedPark);
+        let Engine::Thread(turn) = &st.procs[me].engine else {
+            unreachable!("agents own no thread to park")
+        };
+        let turn = Arc::clone(turn);
         loop {
             if st.shutdown || st.procs[me].killed {
                 panic::panic_any(Interrupt);
@@ -454,8 +474,27 @@ impl Shared {
             if st.running == Some(me) {
                 return;
             }
-            self.cv.wait(st);
+            turn.wait(st);
+            #[cfg(test)]
+            if !(st.shutdown || st.procs[me].killed || st.running == Some(me)) {
+                st.stale_wakes += 1;
+            }
         }
+    }
+
+    /// Give the turn to thread proc `next` and wake it — and only it.
+    fn hand_to(&self, st: &mut State, next: usize) {
+        st.running = Some(next);
+        st.procs[next].wake();
+    }
+
+    /// Wake every parked thread proc and the `run()` thread. Only for state
+    /// changes all of them must see: shutdown, failure, end of run.
+    fn wake_all(&self, st: &State) {
+        for p in &st.procs {
+            p.wake();
+        }
+        self.cv.notify_all();
     }
 
     /// After any operation that may have advanced `me`'s clock: hand off to
@@ -484,8 +523,7 @@ impl Shared {
                     self.interrupt_check(st, me);
                     continue;
                 }
-                st.running = Some(next);
-                self.cv.notify_all();
+                self.hand_to(st, next);
                 break;
             }
         }
@@ -498,7 +536,7 @@ impl Shared {
         }
         st.shutdown = true;
         st.running = None;
-        self.cv.notify_all();
+        self.wake_all(st);
     }
 
     // ---- operations invoked through SimCtx ------------------------------
@@ -626,8 +664,7 @@ impl Shared {
                     self.step_agent(&mut st, next);
                 }
                 Some(next) => {
-                    st.running = Some(next);
-                    self.cv.notify_all();
+                    self.hand_to(&mut st, next);
                     self.wait_for_turn(&mut st, me);
                     // Loop re-checks the mailbox.
                 }
@@ -637,7 +674,7 @@ impl Shared {
                         // simulation is simply over.
                         st.shutdown = true;
                         st.running = None;
-                        self.cv.notify_all();
+                        self.wake_all(&st);
                     } else {
                         let live = st.live;
                         let desc = format!("{} live non-daemons; {}", live, describe_blocked(&st));
@@ -739,10 +776,10 @@ impl Shared {
         self.interrupt_check(&st, me);
         if !matches!(st.procs[target.0].status, Status::Finished) {
             st.procs[target.0].killed = true;
+            // A parked victim wakes on this signal, sees `killed`, and
+            // unwinds; an agent victim is retired at its next turn.
+            st.procs[target.0].wake();
         }
-        // The victim gets reaped when the scheduler next selects it; parked
-        // victims wake on this notify, see `killed`, and unwind.
-        self.cv.notify_all();
         self.reschedule(&mut st, me);
     }
 
@@ -909,7 +946,7 @@ impl Shared {
         if st.live == 0 {
             st.shutdown = true;
             st.running = None;
-            self.cv.notify_all();
+            self.wake_all(st);
         }
     }
 
@@ -927,8 +964,7 @@ impl Shared {
             .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(id as u64 + 1);
-        let mut p = ProcState::new(name.to_string(), daemon, start_clock);
-        p.engine = Engine::Agent(Box::new(AgentState {
+        let engine = Engine::Agent(Box::new(AgentState {
             agent: Some(agent),
             started: false,
             timers: BTreeMap::new(),
@@ -936,7 +972,12 @@ impl Shared {
             rng: StdRng::seed_from_u64(seed),
             finish: false,
         }));
-        st.procs.push(p);
+        st.procs.push(ProcState::new(
+            name.to_string(),
+            daemon,
+            start_clock,
+            engine,
+        ));
         st.nic_out_free.push(SimTime::ZERO);
         st.nic_in_free.push(SimTime::ZERO);
         st.op_labels.push(None);
@@ -955,8 +996,12 @@ impl Shared {
     ) -> ProcId {
         let mut st = self.state.lock();
         let id = st.procs.len();
-        st.procs
-            .push(ProcState::new(name.to_string(), daemon, start_clock));
+        st.procs.push(ProcState::new(
+            name.to_string(),
+            daemon,
+            start_clock,
+            Engine::Thread(Arc::new(Condvar::new())),
+        ));
         st.nic_out_free.push(SimTime::ZERO);
         st.nic_in_free.push(SimTime::ZERO);
         st.op_labels.push(None);
@@ -1005,14 +1050,14 @@ impl Shared {
         }
         if st.shutdown {
             st.running = None;
-            self.cv.notify_all();
+            self.wake_all(&st);
             return;
         }
         if st.running == Some(me) {
             loop {
                 if st.shutdown {
                     st.running = None;
-                    self.cv.notify_all();
+                    self.wake_all(&st);
                     break;
                 }
                 match pick(&st) {
@@ -1022,8 +1067,7 @@ impl Shared {
                         self.step_agent(&mut st, next);
                     }
                     Some(next) => {
-                        st.running = Some(next);
-                        self.cv.notify_all();
+                        self.hand_to(&mut st, next);
                         break;
                     }
                     None => {
@@ -1448,6 +1492,8 @@ impl SimBuilder {
                     op_labels: Vec::new(),
                     ts: self.ts.map(|(w, c)| TsRecorder::new(w, c)),
                     req: self.reqtrace.then(ReqRecorder::new),
+                    #[cfg(test)]
+                    stale_wakes: 0,
                 }),
                 cv: Condvar::new(),
             }),
@@ -1535,8 +1581,7 @@ impl SimRuntime {
                         self.shared.step_agent(&mut st, next);
                     }
                     Some(next) => {
-                        st.running = Some(next);
-                        self.shared.cv.notify_all();
+                        self.shared.hand_to(&mut st, next);
                         break;
                     }
                     None => {
@@ -1545,7 +1590,7 @@ impl SimRuntime {
                             st.error = Some(SimError::Deadlock(desc));
                         }
                         st.shutdown = true;
-                        self.shared.cv.notify_all();
+                        self.shared.wake_all(&st);
                         break;
                     }
                 }
@@ -1554,7 +1599,7 @@ impl SimRuntime {
                 self.shared.cv.wait(&mut st);
             }
             st.running = None;
-            self.shared.cv.notify_all();
+            self.shared.wake_all(&st);
         }
         // All threads unwind on shutdown; join them before reading stats.
         loop {
@@ -1639,5 +1684,51 @@ impl SimRuntime {
             reqs,
             host,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// The mechanism itself, by count: a hand-off wakes the proc it picked
+    /// and nobody else, so bystanders parked in `recv` never wake to find it
+    /// is not their turn. A broadcast would wake all 32 on each of the 2 000
+    /// hand-offs below.
+    #[test]
+    fn handoff_does_not_wake_bystanders() {
+        let mut sim = SimBuilder::new().build();
+        for i in 0..32 {
+            sim.spawn_daemon(&format!("parked-{i}"), |ctx| loop {
+                let _ = ctx.recv();
+            });
+        }
+        let pong = sim.spawn_daemon("pong", |ctx| loop {
+            let env = ctx.recv();
+            ctx.reply(&env, (), 8);
+        });
+        sim.spawn("ping", move |ctx| {
+            for _ in 0..1000 {
+                let _ = ctx.call(pong, 0, (), 8);
+            }
+        });
+        let shared = Arc::clone(&sim.shared);
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(sim.run());
+        });
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("simulation did not finish within 30 s")
+            .unwrap();
+        let st = shared.state.lock();
+        // The OS may wake a condvar waiter spuriously; allow one per proc.
+        assert!(
+            st.stale_wakes <= st.procs.len() as u64,
+            "{} stale wake-ups across {} procs",
+            st.stale_wakes,
+            st.procs.len()
+        );
     }
 }

@@ -1,7 +1,45 @@
 //! Behavioural tests for the discrete-event runtime: determinism, NIC
 //! serialization, RPC, deadlines, failures.
 
-use ps2_simnet::{NetConfig, ProcId, SimBuilder, SimReport, SimTime};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
+
+use ps2_simnet::{NetConfig, ProcId, SimBuilder, SimError, SimReport, SimRuntime, SimTime};
+
+/// Run the simulation on a helper thread and fail, instead of hanging the
+/// suite, if a missed wake-up leaves it parked forever.
+fn run_bounded(sim: SimRuntime) -> Result<SimReport, SimError> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(sim.run());
+    });
+    rx.recv_timeout(Duration::from_secs(30))
+        .expect("simulation did not finish within 30 s")
+}
+
+/// Counts proc closures that have returned or unwound. `run()` joins every
+/// proc thread before it returns, so afterwards the count is exact.
+struct Exited(Arc<AtomicUsize>);
+
+impl Drop for Exited {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// Spawn `n` daemons that park in `recv` forever.
+fn park_daemons(sim: &mut SimRuntime, n: usize, exited: &Arc<AtomicUsize>) {
+    for i in 0..n {
+        let guard = Exited(Arc::clone(exited));
+        sim.spawn_daemon(&format!("parked-{i}"), move |ctx| {
+            let _guard = guard;
+            loop {
+                let _ = ctx.recv();
+            }
+        });
+    }
+}
 
 fn net(bw_gbps: f64, latency_us: u64) -> NetConfig {
     NetConfig {
@@ -183,33 +221,56 @@ fn recv_deadline_prefers_earlier_mail() {
 #[test]
 fn deadlock_is_reported() {
     let mut sim = SimBuilder::new().build();
-    sim.spawn("stuck", |ctx| {
-        let _ = ctx.recv(); // nobody ever sends
-    });
-    let err = sim.run().unwrap_err();
+    let exited = Arc::new(AtomicUsize::new(0));
+    for i in 0..8 {
+        let guard = Exited(Arc::clone(&exited));
+        sim.spawn(&format!("stuck-{i}"), move |ctx| {
+            let _guard = guard;
+            let _ = ctx.recv(); // nobody ever sends
+        });
+    }
+    // Seven procs are parked when the eighth finds the deadlock; the shutdown
+    // broadcast must reach every one of them.
+    let err = run_bounded(sim).unwrap_err();
+    assert!(matches!(err, SimError::Deadlock(_)), "{err}");
     let msg = err.to_string();
     assert!(msg.contains("deadlock"), "unexpected error: {msg}");
-    assert!(msg.contains("stuck"), "missing process name: {msg}");
+    assert!(msg.contains("stuck-0"), "missing process name: {msg}");
+    assert_eq!(exited.load(Ordering::SeqCst), 8, "run() joins every thread");
 }
 
 #[test]
 fn real_panic_is_reported_with_process_name() {
     let mut sim = SimBuilder::new().build();
-    sim.spawn("bad", |_ctx| panic!("kaboom"));
-    let err = sim.run().unwrap_err();
+    let exited = Arc::new(AtomicUsize::new(0));
+    park_daemons(&mut sim, 8, &exited);
+    sim.spawn("bad", |ctx| {
+        // Let every daemon park in `recv` first.
+        ctx.advance(SimTime::from_micros(1));
+        panic!("kaboom")
+    });
+    let err = run_bounded(sim).unwrap_err();
+    assert!(matches!(err, SimError::ProcPanic { .. }), "{err}");
     let msg = err.to_string();
     assert!(msg.contains("bad") && msg.contains("kaboom"), "{msg}");
+    assert_eq!(exited.load(Ordering::SeqCst), 8, "run() joins every thread");
 }
 
 #[test]
 fn killed_process_unwinds_and_messages_are_dropped() {
     let mut sim = SimBuilder::new().build();
-    let victim = sim.spawn_daemon("victim", |ctx| loop {
-        let env = ctx.recv();
-        ctx.reply(&env, (), 0);
+    let exited = Arc::new(AtomicUsize::new(0));
+    let guard = Exited(Arc::clone(&exited));
+    let victim = sim.spawn_daemon("victim", move |ctx| {
+        let _guard = guard;
+        loop {
+            let env = ctx.recv();
+            ctx.reply(&env, (), 0);
+        }
     });
     let out = sim.spawn_collect("killer", move |ctx| {
-        // One successful round trip first.
+        // One successful round trip first; the victim is then parked in
+        // `recv` with an empty mailbox.
         let _ = ctx.call(victim, 0, (), 8);
         ctx.kill(victim);
         ctx.advance(SimTime::from_millis(1));
@@ -218,27 +279,36 @@ fn killed_process_unwinds_and_messages_are_dropped() {
         ctx.send(victim, 0, (), 8);
         alive
     });
-    let report = sim.run().unwrap();
+    let report = run_bounded(sim).unwrap();
     assert!(!out.take());
     assert!(report.dropped_msgs >= 1);
+    assert_eq!(exited.load(Ordering::SeqCst), 1, "the victim unwound");
 }
 
 #[test]
 fn daemons_do_not_keep_simulation_alive() {
     let mut sim = SimBuilder::new().build();
-    sim.spawn_daemon("forever", |ctx| loop {
-        let _ = ctx.recv();
-    });
+    let exited = Arc::new(AtomicUsize::new(0));
+    park_daemons(&mut sim, 64, &exited);
     sim.spawn("quick", |ctx| {
         ctx.advance(SimTime::from_micros(1));
     });
-    let report = sim.run().unwrap();
+    let report = run_bounded(sim).unwrap();
     assert_eq!(report.virtual_time, SimTime::from_micros(1));
+    assert_eq!(
+        exited.load(Ordering::SeqCst),
+        64,
+        "run() joins every thread"
+    );
 }
 
 #[test]
 fn dynamic_spawn_inherits_clock() {
     let mut sim = SimBuilder::new().build();
+    // Bystanders parked in `recv`: the child's first turn must be handed to
+    // the child, a proc that did not exist when they parked.
+    let exited = Arc::new(AtomicUsize::new(0));
+    park_daemons(&mut sim, 4, &exited);
     let out = sim.spawn_collect("parent", |ctx| {
         ctx.advance(SimTime::from_millis(3));
         let me = ctx.id();
@@ -249,8 +319,9 @@ fn dynamic_spawn_inherits_clock() {
         let env = ctx.recv();
         *env.downcast_ref::<SimTime>()
     });
-    sim.run().unwrap();
+    run_bounded(sim).unwrap();
     assert_eq!(out.take(), SimTime::from_millis(3));
+    assert_eq!(exited.load(Ordering::SeqCst), 4, "run() joins every thread");
 }
 
 fn run_pipeline(seed: u64) -> SimReport {

@@ -194,3 +194,64 @@ fn duplicate_object_keys_are_preserved_in_order() {
     assert_eq!(back, v);
     assert_eq!(back.get("k"), Some(&JsonValue::Num(1.0)));
 }
+
+#[test]
+fn multibyte_runs_meet_escapes_and_run_boundaries() {
+    // The string reader copies raw runs between escapes; multi-byte
+    // characters sit directly against every kind of run boundary here.
+    for (text, want) in [
+        (r#""é\"ü\\n€""#, "é\"ü\\n€"),
+        (r#""é\nü\t€""#, "é\nü\t€"),
+        (r#""日\u00e9🦀""#, "日é🦀"),
+        (r#""\u00e9日\u00e9""#, "é日é"),
+        (r#""€""#, "€"),
+    ] {
+        let v = parse_json(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+        assert_eq!(v, JsonValue::Str(want.to_string()), "{text}");
+        assert_eq!(parse_json(&v.render()).unwrap(), v, "{text}");
+    }
+}
+
+#[test]
+fn unterminated_string_after_multibyte_char_is_an_error() {
+    for text in ["\"abc€", "\"€", "[\"日\\u00e9🦀"] {
+        let err = parse_json(text).unwrap_err();
+        assert_eq!(err.at, text.len(), "{text}: {err}");
+        assert!(err.msg.contains("unterminated string"), "{text}: {err}");
+    }
+}
+
+#[test]
+fn eight_megabyte_string_heavy_document_parses_in_linear_time() {
+    // Trace files are mostly strings, so string reading must be linear: a
+    // reader that re-validates the remaining input per character needs
+    // minutes for a document this size. The limit is generous so a slow host
+    // cannot trip it.
+    let mut state = 7u64;
+    let mut items = Vec::new();
+    let mut bytes = 0usize;
+    while bytes < 8 << 20 {
+        let s: String = (0..200)
+            .map(|_| PALETTE[splitmix(&mut state) as usize % PALETTE.len()])
+            .collect();
+        bytes += s.len();
+        items.push(JsonValue::Obj(vec![(
+            "name".to_string(),
+            JsonValue::Str(s),
+        )]));
+    }
+    let v = JsonValue::Arr(items);
+    let text = v.render();
+    assert!(text.len() >= 8 << 20);
+
+    let start = std::time::Instant::now();
+    let back = parse_json(&text).unwrap();
+    let took = start.elapsed();
+    assert!(
+        took.as_secs() < 10,
+        "parsing {} bytes took {took:?}",
+        text.len()
+    );
+    assert_eq!(back, v);
+    assert_eq!(back.render(), text);
+}
