@@ -10,7 +10,8 @@ use std::io::Write;
 
 use ps2_bench::{banner, csv, paper_says};
 use ps2_data::SparseDatasetGen;
-use ps2_ml::ssp::{run_lr_ssp, SspConfig};
+use ps2_ml::modes::{run_mode, ModeAlgo, ModeConfig};
+use ps2_ps::ConsistencyMode;
 use ps2_simnet::SimTime;
 
 fn main() {
@@ -25,11 +26,18 @@ fn main() {
         "staleness", "mean iter time", "final loss"
     );
     for staleness in [0u32, 1, 2, 4, 8] {
-        let mut cfg = SspConfig::new(SparseDatasetGen::new(8_000, 20_000, 15, 8, 7), 8, 8);
-        cfg.staleness = staleness;
-        cfg.iterations = 25;
-        cfg.straggler_slowdown = SimTime::from_millis(40);
-        let (trace, _) = run_lr_ssp(&cfg);
+        let cfg = ModeConfig {
+            dataset: SparseDatasetGen::new(8_000, 20_000, 15, 8, 7),
+            workers: 8,
+            servers: 8,
+            mode: ConsistencyMode::Ssp { bound: staleness },
+            iterations: 25,
+            learning_rate: 2.0,
+            mini_batch: 64,
+            straggler_slowdown: SimTime::from_millis(40),
+            seed: 11,
+        };
+        let (trace, _) = run_mode(&cfg, ModeAlgo::Lr);
         let mean_iter = trace.total_time() / trace.points.len().max(1) as f64;
         println!(
             "  {:>10} {:>15.4}s {:>12.5}",

@@ -31,7 +31,6 @@ mod metrics;
 pub mod modes;
 pub mod optim;
 pub mod serve;
-pub mod ssp;
 pub mod svm;
 
 pub use metrics::{auc, StepBreakdown, TrainingTrace};

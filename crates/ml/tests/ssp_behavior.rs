@@ -1,19 +1,31 @@
 //! Tests for the SSP training mode.
 
+use ps2_core::SimReport;
 use ps2_data::SparseDatasetGen;
-use ps2_ml::ssp::{run_lr_ssp, SspConfig};
+use ps2_ml::modes::{run_mode, ModeAlgo, ModeConfig};
+use ps2_ml::TrainingTrace;
+use ps2_ps::ConsistencyMode;
 use ps2_simnet::SimTime;
 
-fn base_cfg() -> SspConfig {
-    SspConfig::new(SparseDatasetGen::new(2_000, 3_000, 12, 4, 7), 4, 3)
+/// LR under `ssp:<staleness>` (0 paces like BSP) on a small 4 × 3 cluster.
+fn run_lr_ssp(staleness: u32, iterations: u32, straggler_ms: u64) -> (TrainingTrace, SimReport) {
+    let cfg = ModeConfig {
+        dataset: SparseDatasetGen::new(2_000, 3_000, 12, 4, 7),
+        workers: 4,
+        servers: 3,
+        mode: ConsistencyMode::Ssp { bound: staleness },
+        iterations,
+        learning_rate: 2.0,
+        mini_batch: 64,
+        straggler_slowdown: SimTime::from_millis(straggler_ms),
+        seed: 11,
+    };
+    run_mode(&cfg, ModeAlgo::Lr)
 }
 
 #[test]
 fn bsp_mode_converges() {
-    let mut cfg = base_cfg();
-    cfg.staleness = 0;
-    cfg.iterations = 25;
-    let (trace, report) = run_lr_ssp(&cfg);
+    let (trace, report) = run_lr_ssp(0, 25, 0);
     assert!(trace.is_sane());
     assert_eq!(trace.points.len(), 25);
     assert!(
@@ -31,11 +43,7 @@ fn staleness_bound_is_respected_by_the_clock_daemon() {
     // iterations ahead at any point. We verify via the merged trace's
     // per-iteration spread: the run completes (no deadlock) and the total
     // time is governed by the straggler under BSP.
-    let mut bsp = base_cfg();
-    bsp.staleness = 0;
-    bsp.iterations = 10;
-    bsp.straggler_slowdown = SimTime::from_millis(50);
-    let (bsp_trace, _) = run_lr_ssp(&bsp);
+    let (bsp_trace, _) = run_lr_ssp(0, 10, 50);
     // Every BSP iteration waits for the straggler: ≥ 50ms apart.
     for w in bsp_trace.points.windows(2) {
         assert!(
@@ -48,14 +56,7 @@ fn staleness_bound_is_respected_by_the_clock_daemon() {
 
 #[test]
 fn ssp_outpaces_bsp_under_stragglers() {
-    let run = |staleness: u32| {
-        let mut cfg = base_cfg();
-        cfg.staleness = staleness;
-        cfg.iterations = 20;
-        cfg.straggler_slowdown = SimTime::from_millis(40);
-        let (trace, _) = run_lr_ssp(&cfg);
-        trace
-    };
+    let run = |staleness: u32| run_lr_ssp(staleness, 20, 40).0;
     let bsp = run(0);
     let ssp = run(4);
     // The non-straggler workers finish their 20 iterations much earlier
@@ -75,10 +76,7 @@ fn ssp_outpaces_bsp_under_stragglers() {
 #[test]
 fn ssp_runs_are_deterministic() {
     let run = || {
-        let mut cfg = base_cfg();
-        cfg.staleness = 2;
-        cfg.iterations = 8;
-        let (trace, report) = run_lr_ssp(&cfg);
+        let (trace, report) = run_lr_ssp(2, 8, 0);
         (trace.points, report.total_bytes)
     };
     assert_eq!(run(), run());

@@ -371,9 +371,11 @@ pub fn parse_spec(dag: &CausalDag, spec: &str) -> Result<Vec<Edit>, String> {
                     }
                 }
             }
-            other => return Err(format!(
+            other => {
+                return Err(format!(
                 "unknown category \"{other}\" in \"{part}\": expected compute, network, or queue"
-            )),
+            ))
+            }
         }
     }
     if edits.is_empty() {
@@ -459,7 +461,10 @@ impl OpTails {
         let total = self.compute_ns + self.network_ns + self.queue_ns;
         let scaled =
             scale(self.compute_ns, cm) + scale(self.network_ns, nm) + scale(self.queue_ns, qm);
-        let factor_milli = scaled.saturating_mul(1000).checked_div(total).unwrap_or(1000);
+        let factor_milli = scaled
+            .saturating_mul(1000)
+            .checked_div(total)
+            .unwrap_or(1000);
         TailEst {
             op: self.op.clone(),
             p99_ns: scale(self.p99_ns, factor_milli),

@@ -1,82 +1,23 @@
-//! `ps2-bench` — a deterministic sweep harness with a regression gate.
+//! What `ps2-run` and `ps2-trace` share beyond the simulator itself: the
+//! per-preset service-level objectives, and the host-cost sidecar
+//! (`ps2-hostprof-v1`) with its soft wall-clock gate.
 //!
-//! A *sweep* runs {preset × algorithm × seed} simulations, splits each run
-//! into a setup and a training phase, aggregates min/median/max across
-//! seeds, and serializes the result as JSON (hand-rolled, integers only, so
-//! the file is byte-identical across runs and platforms — the same property
-//! the flight-recorder report relies on). The *gate* compares a fresh sweep
-//! (or a second file) against a committed baseline such as `BENCH_pr5.json`
-//! and reports every median that regressed beyond a relative tolerance; CI
-//! turns a non-empty report into a failing job.
+//! * [`preset_slos`] — the objectives `ps2-run --slo-json` holds a run to.
+//! * [`HostReport`] — what `ps2-run --host-prof-json` writes and `ps2-trace
+//!   host` reads: wall seconds plus the per-scope cost table of running the
+//!   simulator itself. Wall time is host noise, so these files are never
+//!   byte-compared; [`compare_host`] (`ps2-trace host diff`) flags only a
+//!   median wall regression beyond a generous tolerance.
 //!
-//! All times are virtual nanoseconds from the simulator, so the gate is
-//! immune to host speed: a regression means the *modeled* cost changed, not
-//! that the runner was busy.
-//!
-//! Committed baselines and the CI job that consumes each (the README's
-//! "Committed baselines" table is the user-facing copy of this list):
-//!
-//! * `BENCH_pr4.json` — one `ps2-run lr --optimizer adam` report; the
-//!   `metrics-smoke` job byte-compares it and checks envelope coalescing.
-//! * `BENCH_pr5.json` — `sweep --out`; the `bench-gate` job runs the median
-//!   regression gate plus byte-identity (`wall_seconds` stripped).
-//! * `BENCH_pr6.json` — `modes --out`; `bench-gate` gates the consistency-
-//!   mode sweep including final loss, plus byte-identity.
-//! * `HOST_pr7.json` — `sweep --host-out`; `bench-gate` applies the
-//!   wall-seconds soft gate via `ps2-trace host diff` (default +300%).
-//! * `BENCH_pr9.json` — `serve --out`; the `serve-smoke` job gates the
-//!   serving sweep plus byte-identity (`wall_seconds` stripped).
+//! Cross-commit exactness of *virtual-time* results is not this module's job:
+//! `tests/golden_runs.rs` pins it, and `benchmark/` measures performance.
 
 use std::fmt::Write as _;
 
-use crate::data::presets;
-use crate::ml::lbfgs::{train_lbfgs, LbfgsConfig};
-use crate::ml::lr::{train_lr, LrBackend, LrConfig};
-use crate::ml::modes::{run_mode, ModeAlgo, ModeConfig};
-use crate::ml::optim::Optimizer;
-use crate::ml::serve::{run_serve, serve_spec, SERVE_PRESETS};
-use crate::ml::svm::{train_svm, SvmConfig};
-use crate::ps::ConsistencyMode;
-use crate::simnet::hostprof::{self, HostProfile};
-use crate::simnet::{slo_json, SloObjective, Watchdog};
+use crate::simnet::hostprof::HostProfile;
+use crate::simnet::SloObjective;
 use crate::tracefile::{parse_json, render_json_string, JsonValue};
-use crate::{run_ps2_with, ClusterSpec, SimBuilder, SimTime};
-
-/// One cell of the sweep grid: a dataset preset trained by one algorithm.
-#[derive(Clone, Debug)]
-pub struct BenchCase {
-    /// Stable identifier, e.g. `kddb-lr` — the gate joins baseline and
-    /// candidate on this.
-    pub name: String,
-    pub preset: String,
-    pub algorithm: String,
-    pub workers: usize,
-    pub servers: usize,
-    pub iters: usize,
-}
-
-/// Seeds every case is run under by default.
-pub const DEFAULT_SEEDS: &[u64] = &[1, 2, 3];
-
-/// The small grid CI sweeps: two sparse presets × three algorithms, sized
-/// to finish in seconds per run. (CTR is deliberately absent — its 5.6M-nnz
-/// generator is an interactive-scale dataset, not a gate-scale one.)
-pub fn small_cases(workers: usize, servers: usize, iters: usize) -> Vec<BenchCase> {
-    let case = |preset: &str, algorithm: &str| BenchCase {
-        name: format!("{preset}-{algorithm}"),
-        preset: preset.to_string(),
-        algorithm: algorithm.to_string(),
-        workers,
-        servers,
-        iters,
-    };
-    vec![
-        case("kddb", "lr"),
-        case("kddb", "svm"),
-        case("kdd12", "lr"),
-        case("kdd12", "lbfgs"),
-    ]
-}
+use crate::SimTime;
 
 /// The service-level objectives a preset's PS traffic is held to, evaluated
 /// by [`Watchdog::evaluate_slo`](crate::simnet::Watchdog::evaluate_slo) over
@@ -142,189 +83,7 @@ pub fn preset_slos(preset: Option<&str>) -> Vec<SloObjective> {
     ]
 }
 
-/// Measurements from a single seeded run of a case.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CaseRun {
-    pub seed: u64,
-    /// Makespan of the whole simulation.
-    pub virtual_ns: u64,
-    /// Makespan minus the summed training-iteration spans: data generation,
-    /// caching, DCV creation, and scheduling tails.
-    pub setup_ns: u64,
-    /// Sum of the `ml.iteration` histogram — time inside training
-    /// iterations.
-    pub train_ns: u64,
-    pub iterations: u64,
-    pub total_msgs: u64,
-    pub total_bytes: u64,
-    /// Host wall-clock nanoseconds the run took. Unlike every other field
-    /// this is *not* deterministic; it is serialized on its own strippable
-    /// line and gated only against order-of-magnitude blowups.
-    pub wall_ns: u64,
-}
-
-/// Run one case under one seed and split its phases.
-pub fn run_case(case: &BenchCase, seed: u64) -> Result<CaseRun, String> {
-    run_case_profiled(case, seed, false).map(|(run, _)| run)
-}
-
-/// [`run_case`] with an optional host-profile capture. With `host` true the
-/// builder also enables windowed telemetry (proven non-perturbing) so the
-/// `scrape.roll` scope is represented, and the run's [`HostProfile`] is
-/// returned alongside the virtual measurements. The caller owns the global
-/// [`hostprof::set_enabled`] switch (see [`sweep_with_host`]); the *virtual*
-/// numbers are identical either way — that is the profiler's contract.
-pub fn run_case_profiled(
-    case: &BenchCase,
-    seed: u64,
-    host: bool,
-) -> Result<(CaseRun, Option<HostProfile>), String> {
-    let builder = SimBuilder::new().seed(seed);
-    // Profiled runs also scrape 1 ms telemetry windows, so the `scrape.roll`
-    // scope is represented in the host sidecar. Scraping is non-yielding
-    // (proven by the timeseries determinism tests), so the virtual-time
-    // numbers stay identical to the unprofiled sweep's. The cases finish in
-    // a few virtual ms, hence the small window.
-    let builder = if host {
-        builder.timeseries(SimTime::from_millis(1))
-    } else {
-        builder
-    };
-    let t0 = std::time::Instant::now();
-    let report = run_case_report(case, seed, builder)?;
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    let virtual_ns = report.virtual_time.as_nanos();
-    let train_ns = report
-        .metrics
-        .hist("ml.iteration")
-        .map(|h| h.sum_ns())
-        .unwrap_or(0);
-    Ok((
-        CaseRun {
-            seed,
-            virtual_ns,
-            setup_ns: virtual_ns.saturating_sub(train_ns),
-            train_ns,
-            iterations: report.metrics.counter("ml.iterations"),
-            total_msgs: report.total_msgs,
-            total_bytes: report.total_bytes,
-            wall_ns,
-        },
-        report.host,
-    ))
-}
-
-/// Run one case under one seed on the given builder and return the full
-/// [`SimReport`] — the shared core of [`run_case_profiled`] and
-/// [`run_case_slo`].
-fn run_case_report(
-    case: &BenchCase,
-    seed: u64,
-    builder: SimBuilder,
-) -> Result<crate::SimReport, String> {
-    let spec = ClusterSpec {
-        workers: case.workers,
-        servers: case.servers,
-        ..ClusterSpec::default()
-    };
-    let workers = case.workers;
-    let iters = case.iters;
-    let gen = match case.preset.as_str() {
-        "kddb" => presets::kddb(workers, seed).gen,
-        "kdd12" => presets::kdd12(workers, seed).gen,
-        "ctr" => presets::ctr(workers, seed).gen,
-        other => return Err(format!("unknown bench preset '{other}'")),
-    };
-    let (_, report) = match case.algorithm.as_str() {
-        "lr" => run_ps2_with(builder, spec, move |ctx, ps2| {
-            train_lr(
-                ctx,
-                ps2,
-                &LrConfig::new(gen, Optimizer::Sgd, iters),
-                LrBackend::Ps2Dcv,
-            );
-        }),
-        "svm" => run_ps2_with(builder, spec, move |ctx, ps2| {
-            train_svm(ctx, ps2, &SvmConfig::new(gen, iters));
-        }),
-        "lbfgs" => run_ps2_with(builder, spec, move |ctx, ps2| {
-            let mut cfg = LbfgsConfig::new(gen, iters);
-            // Full-batch gradients would dominate the sweep's wall time;
-            // a fixed fraction keeps the case cheap and still exercises
-            // the server-side two-loop recursion.
-            cfg.batch_fraction = 0.25;
-            train_lbfgs(ctx, ps2, &cfg);
-        }),
-        other => return Err(format!("unknown bench algorithm '{other}'")),
-    };
-    Ok(report)
-}
-
-/// Headline numbers from one SLO-traced run of a case.
-#[derive(Clone, Debug)]
-pub struct SloCaseRun {
-    pub name: String,
-    pub seed: u64,
-    /// `(op, p999_ns)` per PS op, in op order.
-    pub p999_by_op: Vec<(String, u64)>,
-    /// SLO burn alerts the run fired.
-    pub burn_alerts: usize,
-    /// The full `ps2-slo-v1` sidecar for this run.
-    pub sidecar: String,
-}
-
-/// Run one case with request tracing and 1 ms telemetry windows and hold it
-/// to [`preset_slos`]. Request tracing is non-yielding, so the virtual-time
-/// numbers match the plain sweep's exactly.
-pub fn run_case_slo(case: &BenchCase, seed: u64) -> Result<SloCaseRun, String> {
-    let builder = SimBuilder::new()
-        .seed(seed)
-        .reqtrace(true)
-        .timeseries(SimTime::from_millis(1));
-    let report = run_case_report(case, seed, builder)?;
-    let objectives = preset_slos(Some(case.preset.as_str()));
-    let alerts = Watchdog::default().evaluate_slo(&report, &objectives);
-    let reqs = report.reqs.as_ref().expect("request tracing was enabled");
-    Ok(SloCaseRun {
-        name: case.name.clone(),
-        seed,
-        p999_by_op: reqs
-            .ops
-            .iter()
-            .filter(|o| o.completed > 0)
-            .map(|o| (o.op.clone(), o.hist.quantile_ns(0.999)))
-            .collect(),
-        burn_alerts: alerts.len(),
-        sidecar: slo_json(reqs, &objectives, &alerts),
-    })
-}
-
-/// Run every case's SLO pass (first seed only — the tail profile is
-/// seed-stable enough for surfacing) and render the combined
-/// `ps2-slo-sweep-v1` document: `{"schema", "cases": [{"name", "seed",
-/// "slo": <ps2-slo-v1>}]}`. Each embedded sidecar is the same document
-/// `ps2-trace slo` reads.
-pub fn slo_sweep(cases: &[BenchCase], seed: u64) -> Result<(Vec<SloCaseRun>, String), String> {
-    let runs: Vec<SloCaseRun> = cases
-        .iter()
-        .map(|c| run_case_slo(c, seed))
-        .collect::<Result<_, _>>()?;
-    let mut s = String::from("{\n  \"schema\": \"ps2-slo-sweep-v1\",\n  \"cases\": [");
-    for (i, r) in runs.iter().enumerate() {
-        let _ = write!(
-            s,
-            "{}\n    {{\"name\": \"{}\", \"seed\": {}, \"slo\": {}}}",
-            if i == 0 { "" } else { "," },
-            r.name,
-            r.seed,
-            r.sidecar.trim_end()
-        );
-    }
-    s.push_str("\n  ]\n}\n");
-    Ok((runs, s))
-}
-
-/// min/median/max of one measurement across seeds.
+/// min/median/max of one measurement across runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Stat {
     pub min: u64,
@@ -352,244 +111,6 @@ impl Stat {
     }
 }
 
-/// Append the strippable per-case wall-time line: `"wall_seconds": [..],`
-/// on its own full line (one value per run, seconds at µs precision), so
-/// `grep -v '"wall_seconds"'` restores the deterministic document byte for
-/// byte. Shared by the training and serving sweep serializers.
-fn push_wall_seconds_line(out: &mut String, walls: impl Iterator<Item = u64>) {
-    out.push_str("\n      \"wall_seconds\": [");
-    for (j, w) in walls.enumerate() {
-        let _ = write!(
-            out,
-            "{}{:.6}",
-            if j > 0 { ", " } else { "" },
-            w as f64 / 1e9
-        );
-    }
-    out.push_str("],");
-}
-
-/// Read a case's optional `wall_seconds` array back into per-run
-/// nanoseconds. Reports written before the field existed (or hand-stripped
-/// ones) parse as empty — callers default each run's wall to 0, which
-/// disables the wall gate for that case.
-fn parse_wall_seconds(case: &JsonValue) -> Vec<u64> {
-    case.get("wall_seconds")
-        .and_then(JsonValue::as_arr)
-        .map(|a| {
-            a.iter()
-                .map(|v| match v {
-                    JsonValue::Num(n) => (n * 1e9).round() as u64,
-                    _ => 0,
-                })
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-/// A case plus its per-seed runs and cross-seed aggregates.
-#[derive(Clone, Debug)]
-pub struct CaseSummary {
-    pub case: BenchCase,
-    pub runs: Vec<CaseRun>,
-    pub virtual_ns: Stat,
-    pub setup_ns: Stat,
-    pub train_ns: Stat,
-    pub total_msgs: Stat,
-    pub total_bytes: Stat,
-    /// Host wall time across seeds — noise, kept out of the summary block
-    /// in the JSON and out of the hard gate.
-    pub wall_ns: Stat,
-}
-
-impl CaseSummary {
-    fn of(case: BenchCase, runs: Vec<CaseRun>) -> CaseSummary {
-        let pick = |f: fn(&CaseRun) -> u64| Stat::of(runs.iter().map(f).collect());
-        CaseSummary {
-            virtual_ns: pick(|r| r.virtual_ns),
-            setup_ns: pick(|r| r.setup_ns),
-            train_ns: pick(|r| r.train_ns),
-            total_msgs: pick(|r| r.total_msgs),
-            total_bytes: pick(|r| r.total_bytes),
-            wall_ns: pick(|r| r.wall_ns),
-            case,
-            runs,
-        }
-    }
-}
-
-/// A full sweep result — what `BENCH_pr5.json` holds.
-#[derive(Clone, Debug, Default)]
-pub struct BenchReport {
-    pub cases: Vec<CaseSummary>,
-}
-
-/// Run every case under every seed. Fails fast on an unknown preset or
-/// algorithm so a typo cannot silently shrink coverage.
-pub fn sweep(cases: &[BenchCase], seeds: &[u64]) -> Result<BenchReport, String> {
-    let mut out = BenchReport::default();
-    for case in cases {
-        let mut runs = Vec::with_capacity(seeds.len());
-        for &seed in seeds {
-            runs.push(run_case(case, seed)?);
-        }
-        out.cases.push(CaseSummary::of(case.clone(), runs));
-    }
-    Ok(out)
-}
-
-impl BenchReport {
-    /// Serialize deterministically: cases in sweep order, integers only.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"ps2-bench-v1\",\n  \"cases\": [");
-        for (i, c) in self.cases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n      \"name\": ");
-            render_json_string(&c.case.name, &mut out);
-            out.push_str(", \"preset\": ");
-            render_json_string(&c.case.preset, &mut out);
-            out.push_str(", \"algorithm\": ");
-            render_json_string(&c.case.algorithm, &mut out);
-            let _ = write!(
-                out,
-                ",\n      \"workers\": {}, \"servers\": {}, \"iters\": {},",
-                c.case.workers, c.case.servers, c.case.iters
-            );
-            // Wall time is host noise, so it lives alone on one full line:
-            // `grep -v '"wall_seconds"'` recovers the byte-exact deterministic
-            // document (that is how CI diffs a fresh sweep against a baseline
-            // written before this field existed).
-            push_wall_seconds_line(&mut out, c.runs.iter().map(|r| r.wall_ns));
-            out.push_str("\n      \"runs\": [");
-            for (j, r) in c.runs.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "\n        {{\"seed\": {}, \"virtual_ns\": {}, \"setup_ns\": {}, \
-                     \"train_ns\": {}, \"iterations\": {}, \"total_msgs\": {}, \
-                     \"total_bytes\": {}}}",
-                    r.seed,
-                    r.virtual_ns,
-                    r.setup_ns,
-                    r.train_ns,
-                    r.iterations,
-                    r.total_msgs,
-                    r.total_bytes
-                );
-            }
-            out.push_str("\n      ],\n      \"summary\": {");
-            let stat = |out: &mut String, name: &str, s: Stat, last: bool| {
-                let _ = write!(
-                    out,
-                    "\n        \"{name}\": {{\"min\": {}, \"median\": {}, \"max\": {}}}{}",
-                    s.min,
-                    s.median,
-                    s.max,
-                    if last { "" } else { "," }
-                );
-            };
-            stat(&mut out, "virtual_ns", c.virtual_ns, false);
-            stat(&mut out, "setup_ns", c.setup_ns, false);
-            stat(&mut out, "train_ns", c.train_ns, false);
-            stat(&mut out, "total_msgs", c.total_msgs, false);
-            stat(&mut out, "total_bytes", c.total_bytes, true);
-            out.push_str("\n      }\n    }");
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Parse a report written by [`BenchReport::to_json`] (via the same
-    /// dependency-free parser `ps2-trace` uses).
-    pub fn from_json(text: &str) -> Result<BenchReport, String> {
-        let doc = parse_json(text).map_err(|e| e.to_string())?;
-        match doc.get("schema").and_then(JsonValue::as_str) {
-            Some("ps2-bench-v1") => {}
-            other => return Err(format!("unsupported bench schema {other:?}")),
-        }
-        let u64_field = |obj: &JsonValue, key: &str| -> Result<u64, String> {
-            obj.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("bench report: missing/invalid \"{key}\""))
-        };
-        let str_field = |obj: &JsonValue, key: &str| -> Result<String, String> {
-            obj.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("bench report: missing/invalid \"{key}\""))
-        };
-        let mut out = BenchReport::default();
-        for c in doc
-            .get("cases")
-            .and_then(JsonValue::as_arr)
-            .ok_or("bench report: missing \"cases\"")?
-        {
-            let case = BenchCase {
-                name: str_field(c, "name")?,
-                preset: str_field(c, "preset")?,
-                algorithm: str_field(c, "algorithm")?,
-                workers: u64_field(c, "workers")? as usize,
-                servers: u64_field(c, "servers")? as usize,
-                iters: u64_field(c, "iters")? as usize,
-            };
-            let walls = parse_wall_seconds(c);
-            let runs = c
-                .get("runs")
-                .and_then(JsonValue::as_arr)
-                .ok_or("bench report: case missing \"runs\"")?
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    Ok(CaseRun {
-                        seed: u64_field(r, "seed")?,
-                        virtual_ns: u64_field(r, "virtual_ns")?,
-                        setup_ns: u64_field(r, "setup_ns")?,
-                        train_ns: u64_field(r, "train_ns")?,
-                        iterations: u64_field(r, "iterations")?,
-                        total_msgs: u64_field(r, "total_msgs")?,
-                        total_bytes: u64_field(r, "total_bytes")?,
-                        wall_ns: walls.get(i).copied().unwrap_or(0),
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            if runs.is_empty() {
-                return Err(format!("bench report: case {} has no runs", case.name));
-            }
-            // Aggregates are recomputed, not trusted: a hand-edited summary
-            // cannot loosen the gate.
-            out.cases.push(CaseSummary::of(case, runs));
-        }
-        Ok(out)
-    }
-
-    /// Human-readable sweep table (virtual seconds, median [min..max]).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let secs = |ns: u64| ns as f64 / 1e9;
-        out.push_str(
-            "case            virtual median [min..max]        setup      train       msgs\n",
-        );
-        for c in &self.cases {
-            let _ = writeln!(
-                out,
-                "{:<15} {:>9.4}s [{:.4}..{:.4}] {:>9.4}s {:>9.4}s {:>10}",
-                c.case.name,
-                secs(c.virtual_ns.median),
-                secs(c.virtual_ns.min),
-                secs(c.virtual_ns.max),
-                secs(c.setup_ns.median),
-                secs(c.train_ns.median),
-                c.total_msgs.median
-            );
-        }
-        out
-    }
-}
-
 /// True when `cand` exceeds `base` by more than `tolerance_milli`
 /// parts-per-thousand (integer arithmetic; a zero baseline tolerates
 /// nothing).
@@ -598,712 +119,8 @@ fn exceeds(base: u64, cand: u64, tolerance_milli: u64) -> bool {
     cand > limit
 }
 
-/// The regression gate: compare a candidate sweep against a baseline. A
-/// violation is (a) a baseline case missing from the candidate — coverage
-/// must not silently shrink — or (b) a median metric that grew beyond
-/// `tolerance_milli` parts-per-thousand (50 = 5%). Returns one line per
-/// violation; empty means the gate passes. Improvements never fail the
-/// gate (regenerate the baseline to bank them).
-pub fn compare(base: &BenchReport, cand: &BenchReport, tolerance_milli: u64) -> Vec<String> {
-    let mut out = Vec::new();
-    for b in &base.cases {
-        let Some(c) = cand.cases.iter().find(|c| c.case.name == b.case.name) else {
-            out.push(format!("case {} missing from candidate", b.case.name));
-            continue;
-        };
-        let mut check = |metric: &str, a: Stat, v: Stat| {
-            if exceeds(a.median, v.median, tolerance_milli) {
-                let pct = if a.median == 0 {
-                    f64::INFINITY
-                } else {
-                    100.0 * (v.median as f64 - a.median as f64) / a.median as f64
-                };
-                out.push(format!(
-                    "{} {metric}: median {} -> {} (+{pct:.1}%, tolerance {:.1}%)",
-                    b.case.name,
-                    a.median,
-                    v.median,
-                    tolerance_milli as f64 / 10.0
-                ));
-            }
-        };
-        check("virtual_ns", b.virtual_ns, c.virtual_ns);
-        check("setup_ns", b.setup_ns, c.setup_ns);
-        check("train_ns", b.train_ns, c.train_ns);
-        check("total_msgs", b.total_msgs, c.total_msgs);
-        check("total_bytes", b.total_bytes, c.total_bytes);
-        check_wall(&mut out, &b.case.name, b.wall_ns, c.wall_ns);
-    }
-    out
-}
-
-/// The *soft* wall-clock gate shared by the training and serving sweeps:
-/// wall time is host noise (different runners, caches, thermal state), so
-/// only a >4× median blowup — the signature of an accidentally quadratic
-/// host-side path, not of a busy machine — is a violation. A zero baseline
-/// median (a report written before `wall_seconds` existed, or a stripped
-/// one) disables the check for that case.
-fn check_wall(out: &mut Vec<String>, name: &str, base: Stat, cand: Stat) {
-    if base.median > 0 && cand.median > base.median.saturating_mul(4) {
-        out.push(format!(
-            "{name} wall_ns: median {} -> {} (more than 4x; host-side blowup)",
-            base.median, cand.median
-        ));
-    }
-}
-
-// ---- the serving sweep ------------------------------------------------------
-
-/// Seeds for the serve sweep. Two: each serve case is already 10k–20k
-/// endpoints and a few hundred thousand pulls, and the runs are
-/// deterministic — the second seed exists so one lucky arrival interleaving
-/// cannot hide a tail regression.
-pub const SERVE_SEEDS: &[u64] = &[1, 2];
-
-/// Measurements from a single seeded run of a serving scenario. Everything
-/// but `wall_ns` is virtual and deterministic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ServeCaseRun {
-    pub seed: u64,
-    /// Makespan: model load + generation window + reply drain.
-    pub virtual_ns: u64,
-    /// Pulls completed (replies gathered) — the open-loop schedule fixes
-    /// issues, so this equals issues in any healthy run.
-    pub pulls: u64,
-    /// Pull-latency tail, virtual nanoseconds.
-    pub p99_ns: u64,
-    pub p999_ns: u64,
-    pub total_msgs: u64,
-    pub total_bytes: u64,
-    /// Host wall-clock nanoseconds — noise; strippable line, soft gate.
-    pub wall_ns: u64,
-}
-
-/// Run one serving preset under one seed.
-pub fn run_serve_case(preset: &str, seed: u64) -> Result<ServeCaseRun, String> {
-    let spec = serve_spec(preset).ok_or_else(|| {
-        format!(
-            "unknown serve preset '{preset}' (want {})",
-            SERVE_PRESETS.join("|")
-        )
-    })?;
-    let t0 = std::time::Instant::now();
-    let (summary, report) = run_serve(SimBuilder::new().seed(seed), &spec);
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    if summary.completed != summary.issued {
-        return Err(format!(
-            "serve case {preset} seed {seed}: {} of {} pulls unanswered",
-            summary.issued - summary.completed,
-            summary.issued
-        ));
-    }
-    Ok(ServeCaseRun {
-        seed,
-        virtual_ns: summary.virtual_ns,
-        pulls: summary.completed,
-        p99_ns: summary.p99_ns,
-        p999_ns: summary.p999_ns,
-        total_msgs: report.total_msgs,
-        total_bytes: report.total_bytes,
-        wall_ns,
-    })
-}
-
-/// A serving preset plus its per-seed runs and cross-seed aggregates.
-#[derive(Clone, Debug)]
-pub struct ServeCaseSummary {
-    pub preset: String,
-    pub endpoints: u64,
-    pub runs: Vec<ServeCaseRun>,
-    pub virtual_ns: Stat,
-    pub pulls: Stat,
-    pub p99_ns: Stat,
-    pub p999_ns: Stat,
-    pub total_msgs: Stat,
-    pub total_bytes: Stat,
-    pub wall_ns: Stat,
-}
-
-impl ServeCaseSummary {
-    fn of(preset: String, endpoints: u64, runs: Vec<ServeCaseRun>) -> ServeCaseSummary {
-        let pick = |f: fn(&ServeCaseRun) -> u64| Stat::of(runs.iter().map(f).collect());
-        ServeCaseSummary {
-            virtual_ns: pick(|r| r.virtual_ns),
-            pulls: pick(|r| r.pulls),
-            p99_ns: pick(|r| r.p99_ns),
-            p999_ns: pick(|r| r.p999_ns),
-            total_msgs: pick(|r| r.total_msgs),
-            total_bytes: pick(|r| r.total_bytes),
-            wall_ns: pick(|r| r.wall_ns),
-            preset,
-            endpoints,
-            runs,
-        }
-    }
-}
-
-/// A full serving sweep — what `BENCH_pr9.json` holds.
-#[derive(Clone, Debug, Default)]
-pub struct ServeBenchReport {
-    pub cases: Vec<ServeCaseSummary>,
-}
-
-/// Run every serving preset under every seed; fails fast on a typo'd preset
-/// or an unhealthy run (unanswered pulls).
-pub fn serve_sweep(presets: &[&str], seeds: &[u64]) -> Result<ServeBenchReport, String> {
-    let mut out = ServeBenchReport::default();
-    for &preset in presets {
-        let endpoints = serve_spec(preset)
-            .ok_or_else(|| format!("unknown serve preset '{preset}'"))?
-            .endpoints();
-        let mut runs = Vec::with_capacity(seeds.len());
-        for &seed in seeds {
-            runs.push(run_serve_case(preset, seed)?);
-        }
-        out.cases
-            .push(ServeCaseSummary::of(preset.to_string(), endpoints, runs));
-    }
-    Ok(out)
-}
-
-impl ServeBenchReport {
-    /// Serialize deterministically, mirroring [`BenchReport::to_json`]:
-    /// integers only, except the strippable per-case `wall_seconds` line.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"ps2-bench-serve-v1\",\n  \"cases\": [");
-        for (i, c) in self.cases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n      \"preset\": ");
-            render_json_string(&c.preset, &mut out);
-            let _ = write!(out, ",\n      \"endpoints\": {},", c.endpoints);
-            push_wall_seconds_line(&mut out, c.runs.iter().map(|r| r.wall_ns));
-            out.push_str("\n      \"runs\": [");
-            for (j, r) in c.runs.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "\n        {{\"seed\": {}, \"virtual_ns\": {}, \"pulls\": {}, \
-                     \"p99_ns\": {}, \"p999_ns\": {}, \"total_msgs\": {}, \
-                     \"total_bytes\": {}}}",
-                    r.seed, r.virtual_ns, r.pulls, r.p99_ns, r.p999_ns, r.total_msgs, r.total_bytes
-                );
-            }
-            out.push_str("\n      ],\n      \"summary\": {");
-            let stat = |out: &mut String, name: &str, s: Stat, last: bool| {
-                let _ = write!(
-                    out,
-                    "\n        \"{name}\": {{\"min\": {}, \"median\": {}, \"max\": {}}}{}",
-                    s.min,
-                    s.median,
-                    s.max,
-                    if last { "" } else { "," }
-                );
-            };
-            stat(&mut out, "virtual_ns", c.virtual_ns, false);
-            stat(&mut out, "pulls", c.pulls, false);
-            stat(&mut out, "p99_ns", c.p99_ns, false);
-            stat(&mut out, "p999_ns", c.p999_ns, false);
-            stat(&mut out, "total_msgs", c.total_msgs, false);
-            stat(&mut out, "total_bytes", c.total_bytes, true);
-            out.push_str("\n      }\n    }");
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Parse a report written by [`ServeBenchReport::to_json`]; aggregates
-    /// are recomputed, not trusted.
-    pub fn from_json(text: &str) -> Result<ServeBenchReport, String> {
-        let doc = parse_json(text).map_err(|e| e.to_string())?;
-        match doc.get("schema").and_then(JsonValue::as_str) {
-            Some("ps2-bench-serve-v1") => {}
-            other => return Err(format!("unsupported serve bench schema {other:?}")),
-        }
-        let u64_field = |obj: &JsonValue, key: &str| -> Result<u64, String> {
-            obj.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("serve bench report: missing/invalid \"{key}\""))
-        };
-        let mut out = ServeBenchReport::default();
-        for c in doc
-            .get("cases")
-            .and_then(JsonValue::as_arr)
-            .ok_or("serve bench report: missing \"cases\"")?
-        {
-            let preset = c
-                .get("preset")
-                .and_then(JsonValue::as_str)
-                .ok_or("serve bench report: case missing \"preset\"")?
-                .to_string();
-            let endpoints = u64_field(c, "endpoints")?;
-            let walls = parse_wall_seconds(c);
-            let runs = c
-                .get("runs")
-                .and_then(JsonValue::as_arr)
-                .ok_or("serve bench report: case missing \"runs\"")?
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    Ok(ServeCaseRun {
-                        seed: u64_field(r, "seed")?,
-                        virtual_ns: u64_field(r, "virtual_ns")?,
-                        pulls: u64_field(r, "pulls")?,
-                        p99_ns: u64_field(r, "p99_ns")?,
-                        p999_ns: u64_field(r, "p999_ns")?,
-                        total_msgs: u64_field(r, "total_msgs")?,
-                        total_bytes: u64_field(r, "total_bytes")?,
-                        wall_ns: walls.get(i).copied().unwrap_or(0),
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            if runs.is_empty() {
-                return Err(format!("serve bench report: case {preset} has no runs"));
-            }
-            out.cases
-                .push(ServeCaseSummary::of(preset, endpoints, runs));
-        }
-        Ok(out)
-    }
-
-    /// Human-readable sweep table: tail latency in virtual microseconds.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
-            "case          endpoints     pulls   p99 median [min..max] µs     p999 µs    virtual\n",
-        );
-        for c in &self.cases {
-            let us = |ns: u64| ns as f64 / 1e3;
-            let _ = writeln!(
-                out,
-                "{:<13} {:>9} {:>9} {:>9.1} [{:.1}..{:.1}] {:>12.1} {:>9.4}s",
-                c.preset,
-                c.endpoints,
-                c.pulls.median,
-                us(c.p99_ns.median),
-                us(c.p99_ns.min),
-                us(c.p99_ns.max),
-                us(c.p999_ns.median),
-                c.virtual_ns.median as f64 / 1e9
-            );
-        }
-        out
-    }
-}
-
-/// The serving regression gate, mirroring [`compare`]: missing cases and
-/// median growth beyond tolerance fail; `pulls` additionally fails on *any*
-/// change (the open-loop schedule fixes the count — a different number means
-/// the generator itself changed); wall time gets the soft 4× gate.
-pub fn compare_serve(
-    base: &ServeBenchReport,
-    cand: &ServeBenchReport,
-    tolerance_milli: u64,
-) -> Vec<String> {
-    let mut out = Vec::new();
-    for b in &base.cases {
-        let Some(c) = cand.cases.iter().find(|c| c.preset == b.preset) else {
-            out.push(format!("serve case {} missing from candidate", b.preset));
-            continue;
-        };
-        if c.pulls != b.pulls {
-            out.push(format!(
-                "{} pulls: {} -> {} (open-loop count must not change)",
-                b.preset, b.pulls.median, c.pulls.median
-            ));
-        }
-        let mut check = |metric: &str, a: Stat, v: Stat| {
-            if exceeds(a.median, v.median, tolerance_milli) {
-                let pct = if a.median == 0 {
-                    f64::INFINITY
-                } else {
-                    100.0 * (v.median as f64 - a.median as f64) / a.median as f64
-                };
-                out.push(format!(
-                    "{} {metric}: median {} -> {} (+{pct:.1}%, tolerance {:.1}%)",
-                    b.preset,
-                    a.median,
-                    v.median,
-                    tolerance_milli as f64 / 10.0
-                ));
-            }
-        };
-        check("virtual_ns", b.virtual_ns, c.virtual_ns);
-        check("p99_ns", b.p99_ns, c.p99_ns);
-        check("p999_ns", b.p999_ns, c.p999_ns);
-        check("total_msgs", b.total_msgs, c.total_msgs);
-        check("total_bytes", b.total_bytes, c.total_bytes);
-        check_wall(&mut out, &b.preset, b.wall_ns, c.wall_ns);
-    }
-    out
-}
-
-// ---- the consistency-mode sweep ---------------------------------------------
-
-/// One cell of the consistency-mode grid: preset × algorithm × mode. Unlike
-/// [`BenchCase`] this sweep measures *convergence vs. virtual time*, not
-/// makespan: every run carries its full loss curve.
-#[derive(Clone, Debug)]
-pub struct ModeCase {
-    /// Stable identifier, e.g. `kddb-lr-ssp2`.
-    pub name: String,
-    pub preset: String,
-    pub algorithm: String,
-    /// CLI spelling of the mode (`bsp`, `ssp:2`, `async`), parsed at run
-    /// time.
-    pub mode: String,
-    pub workers: usize,
-    pub servers: usize,
-    pub iters: u32,
-}
-
-/// Seeds for the mode sweep. Two, not three: each cell already runs 3 modes
-/// × 2 algorithms × 2 presets, and the runs are deterministic anyway — the
-/// seeds exist to keep one lucky dataset from hiding a regression.
-pub const MODE_SEEDS: &[u64] = &[1, 2];
-
-/// The grid CI sweeps: {kddb, kdd12} × {lr, svm} × {bsp, ssp:2, async}.
-pub fn mode_cases(workers: usize, servers: usize, iters: u32) -> Vec<ModeCase> {
-    let mut out = Vec::new();
-    for preset in ["kddb", "kdd12"] {
-        for algorithm in ["lr", "svm"] {
-            for mode in ["bsp", "ssp:2", "async"] {
-                let label = ConsistencyMode::parse(mode).expect("static mode").label();
-                out.push(ModeCase {
-                    name: format!("{preset}-{algorithm}-{label}"),
-                    preset: preset.to_string(),
-                    algorithm: algorithm.to_string(),
-                    mode: mode.to_string(),
-                    workers,
-                    servers,
-                    iters,
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Measurements from a single seeded run of a mode case.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ModeRun {
-    pub seed: u64,
-    pub virtual_ns: u64,
-    /// Mean batch loss of the last iteration, in micros.
-    pub final_loss_micro: i64,
-    pub iterations: u64,
-    pub total_msgs: u64,
-    pub total_bytes: u64,
-    /// The convergence curve: `(virtual ns, mean batch loss in micros)`
-    /// per iteration, in iteration order.
-    pub curve: Vec<(u64, i64)>,
-}
-
-/// Run one mode case under one seed.
-pub fn run_mode_case(case: &ModeCase, seed: u64) -> Result<ModeRun, String> {
-    let gen = match case.preset.as_str() {
-        "kddb" => presets::kddb(case.workers, seed).gen,
-        "kdd12" => presets::kdd12(case.workers, seed).gen,
-        "ctr" => presets::ctr(case.workers, seed).gen,
-        other => return Err(format!("unknown bench preset '{other}'")),
-    };
-    let mode = ConsistencyMode::parse(&case.mode)?;
-    let algo = ModeAlgo::parse(&case.algorithm)?;
-    let mut cfg = ModeConfig::new(gen, case.workers, case.servers, mode);
-    cfg.iterations = case.iters;
-    cfg.learning_rate = 1.0;
-    cfg.seed = seed;
-    // A mild fixed straggler, so the three modes actually differ in pacing
-    // and the curves show the tradeoff the sweep exists to watch.
-    cfg.straggler_slowdown = SimTime::from_millis(20);
-    let (trace, report) = run_mode(&cfg, algo);
-    let curve: Vec<(u64, i64)> = trace
-        .points
-        .iter()
-        .map(|&(s, l)| ((s * 1e9).round() as u64, (l * 1e6).round() as i64))
-        .collect();
-    Ok(ModeRun {
-        seed,
-        virtual_ns: report.virtual_time.as_nanos(),
-        final_loss_micro: curve.last().map(|&(_, l)| l).unwrap_or(0),
-        iterations: report.metrics.counter("ml.iterations"),
-        total_msgs: report.total_msgs,
-        total_bytes: report.total_bytes,
-        curve,
-    })
-}
-
-/// A mode case plus its per-seed runs and cross-seed aggregates.
-#[derive(Clone, Debug)]
-pub struct ModeCaseSummary {
-    pub case: ModeCase,
-    pub runs: Vec<ModeRun>,
-    pub virtual_ns: Stat,
-    /// Aggregated after clamping at zero — log/hinge losses are never
-    /// negative, and `Stat` is unsigned.
-    pub final_loss_micro: Stat,
-    pub total_msgs: Stat,
-    pub total_bytes: Stat,
-}
-
-impl ModeCaseSummary {
-    fn of(case: ModeCase, runs: Vec<ModeRun>) -> ModeCaseSummary {
-        let pick = |f: fn(&ModeRun) -> u64| Stat::of(runs.iter().map(f).collect());
-        ModeCaseSummary {
-            virtual_ns: pick(|r| r.virtual_ns),
-            final_loss_micro: pick(|r| r.final_loss_micro.max(0) as u64),
-            total_msgs: pick(|r| r.total_msgs),
-            total_bytes: pick(|r| r.total_bytes),
-            case,
-            runs,
-        }
-    }
-}
-
-/// A full mode-sweep result — what `BENCH_pr6.json` holds.
-#[derive(Clone, Debug, Default)]
-pub struct ModeBenchReport {
-    pub cases: Vec<ModeCaseSummary>,
-}
-
-/// Run every mode case under every seed.
-pub fn mode_sweep(cases: &[ModeCase], seeds: &[u64]) -> Result<ModeBenchReport, String> {
-    let mut out = ModeBenchReport::default();
-    for case in cases {
-        let mut runs = Vec::with_capacity(seeds.len());
-        for &seed in seeds {
-            runs.push(run_mode_case(case, seed)?);
-        }
-        out.cases.push(ModeCaseSummary::of(case.clone(), runs));
-    }
-    Ok(out)
-}
-
-impl ModeBenchReport {
-    /// Serialize deterministically: cases in sweep order, integers only,
-    /// curves as `[ns, loss_micro]` pairs.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"ps2-bench-modes-v1\",\n  \"cases\": [");
-        for (i, c) in self.cases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n      \"name\": ");
-            render_json_string(&c.case.name, &mut out);
-            out.push_str(", \"preset\": ");
-            render_json_string(&c.case.preset, &mut out);
-            out.push_str(", \"algorithm\": ");
-            render_json_string(&c.case.algorithm, &mut out);
-            out.push_str(", \"mode\": ");
-            render_json_string(&c.case.mode, &mut out);
-            let _ = write!(
-                out,
-                ",\n      \"workers\": {}, \"servers\": {}, \"iters\": {},\n      \"runs\": [",
-                c.case.workers, c.case.servers, c.case.iters
-            );
-            for (j, r) in c.runs.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "\n        {{\"seed\": {}, \"virtual_ns\": {}, \"final_loss_micro\": {}, \
-                     \"iterations\": {}, \"total_msgs\": {}, \"total_bytes\": {},\n         \
-                     \"curve\": [",
-                    r.seed,
-                    r.virtual_ns,
-                    r.final_loss_micro,
-                    r.iterations,
-                    r.total_msgs,
-                    r.total_bytes
-                );
-                for (k, &(ns, loss)) in r.curve.iter().enumerate() {
-                    if k > 0 {
-                        out.push_str(", ");
-                    }
-                    let _ = write!(out, "[{ns}, {loss}]");
-                }
-                out.push_str("]}");
-            }
-            out.push_str("\n      ],\n      \"summary\": {");
-            let stat = |out: &mut String, name: &str, s: Stat, last: bool| {
-                let _ = write!(
-                    out,
-                    "\n        \"{name}\": {{\"min\": {}, \"median\": {}, \"max\": {}}}{}",
-                    s.min,
-                    s.median,
-                    s.max,
-                    if last { "" } else { "," }
-                );
-            };
-            stat(&mut out, "virtual_ns", c.virtual_ns, false);
-            stat(&mut out, "final_loss_micro", c.final_loss_micro, false);
-            stat(&mut out, "total_msgs", c.total_msgs, false);
-            stat(&mut out, "total_bytes", c.total_bytes, true);
-            out.push_str("\n      }\n    }");
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Parse a report written by [`ModeBenchReport::to_json`].
-    pub fn from_json(text: &str) -> Result<ModeBenchReport, String> {
-        let doc = parse_json(text).map_err(|e| e.to_string())?;
-        match doc.get("schema").and_then(JsonValue::as_str) {
-            Some("ps2-bench-modes-v1") => {}
-            other => return Err(format!("unsupported mode-bench schema {other:?}")),
-        }
-        let u64_field = |obj: &JsonValue, key: &str| -> Result<u64, String> {
-            obj.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("mode bench report: missing/invalid \"{key}\""))
-        };
-        let str_field = |obj: &JsonValue, key: &str| -> Result<String, String> {
-            obj.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("mode bench report: missing/invalid \"{key}\""))
-        };
-        let mut out = ModeBenchReport::default();
-        for c in doc
-            .get("cases")
-            .and_then(JsonValue::as_arr)
-            .ok_or("mode bench report: missing \"cases\"")?
-        {
-            let case = ModeCase {
-                name: str_field(c, "name")?,
-                preset: str_field(c, "preset")?,
-                algorithm: str_field(c, "algorithm")?,
-                mode: str_field(c, "mode")?,
-                workers: u64_field(c, "workers")? as usize,
-                servers: u64_field(c, "servers")? as usize,
-                iters: u64_field(c, "iters")? as u32,
-            };
-            let runs = c
-                .get("runs")
-                .and_then(JsonValue::as_arr)
-                .ok_or("mode bench report: case missing \"runs\"")?
-                .iter()
-                .map(|r| {
-                    let curve = r
-                        .get("curve")
-                        .and_then(JsonValue::as_arr)
-                        .ok_or("mode bench report: run missing \"curve\"")?
-                        .iter()
-                        .map(|p| {
-                            let pair = p
-                                .as_arr()
-                                .filter(|a| a.len() == 2)
-                                .ok_or("mode bench report: curve point is not a pair")?;
-                            Ok((
-                                pair[0]
-                                    .as_u64()
-                                    .ok_or("mode bench report: bad curve time")?,
-                                pair[1]
-                                    .as_i64()
-                                    .ok_or("mode bench report: bad curve loss")?,
-                            ))
-                        })
-                        .collect::<Result<Vec<_>, String>>()?;
-                    Ok(ModeRun {
-                        seed: u64_field(r, "seed")?,
-                        virtual_ns: u64_field(r, "virtual_ns")?,
-                        final_loss_micro: r
-                            .get("final_loss_micro")
-                            .and_then(JsonValue::as_i64)
-                            .ok_or("mode bench report: missing \"final_loss_micro\"")?,
-                        iterations: u64_field(r, "iterations")?,
-                        total_msgs: u64_field(r, "total_msgs")?,
-                        total_bytes: u64_field(r, "total_bytes")?,
-                        curve,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            if runs.is_empty() {
-                return Err(format!("mode bench report: case {} has no runs", case.name));
-            }
-            // Aggregates are recomputed, not trusted.
-            out.cases.push(ModeCaseSummary::of(case, runs));
-        }
-        Ok(out)
-    }
-
-    /// Human-readable sweep table: per case, the median makespan and final
-    /// loss — the convergence-vs-virtual-time tradeoff at a glance.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let secs = |ns: u64| ns as f64 / 1e9;
-        out.push_str("case                 virtual median [min..max]   final loss       msgs\n");
-        for c in &self.cases {
-            let _ = writeln!(
-                out,
-                "{:<20} {:>9.4}s [{:.4}..{:.4}] {:>12} {:>10}",
-                c.case.name,
-                secs(c.virtual_ns.median),
-                secs(c.virtual_ns.min),
-                secs(c.virtual_ns.max),
-                c.final_loss_micro.median,
-                c.total_msgs.median
-            );
-        }
-        out
-    }
-}
-
-/// The mode-sweep regression gate: like [`compare`], plus a convergence
-/// check — a candidate whose median *final loss* grew beyond tolerance is a
-/// regression even if it got faster, because trading convergence for speed
-/// is exactly the failure mode a staleness bug produces.
-pub fn compare_modes(
-    base: &ModeBenchReport,
-    cand: &ModeBenchReport,
-    tolerance_milli: u64,
-) -> Vec<String> {
-    let mut out = Vec::new();
-    for b in &base.cases {
-        let Some(c) = cand.cases.iter().find(|c| c.case.name == b.case.name) else {
-            out.push(format!("mode case {} missing from candidate", b.case.name));
-            continue;
-        };
-        let mut check = |metric: &str, a: Stat, v: Stat| {
-            if exceeds(a.median, v.median, tolerance_milli) {
-                let pct = if a.median == 0 {
-                    f64::INFINITY
-                } else {
-                    100.0 * (v.median as f64 - a.median as f64) / a.median as f64
-                };
-                out.push(format!(
-                    "{} {metric}: median {} -> {} (+{pct:.1}%, tolerance {:.1}%)",
-                    b.case.name,
-                    a.median,
-                    v.median,
-                    tolerance_milli as f64 / 10.0
-                ));
-            }
-        };
-        check("virtual_ns", b.virtual_ns, c.virtual_ns);
-        check("final_loss_micro", b.final_loss_micro, c.final_loss_micro);
-        check("total_msgs", b.total_msgs, c.total_msgs);
-        check("total_bytes", b.total_bytes, c.total_bytes);
-    }
-    out
-}
-
-// ---- the host-side (wall-clock) sidecar -------------------------------------
-//
-// Everything above is virtual-time and byte-identical across hosts; this
-// section is the deliberate exception. `sweep_with_host` runs the same
-// cases with the hostprof timers (and counting allocator) on and collects
-// real wall-seconds plus the per-scope cost table into a *sidecar* report
-// (`HOST_pr7.json`) — sidecar, because wall time is host noise and must
-// never contaminate the byte-compared BENCH files. Its gate
-// (`compare_host`) is correspondingly soft: median wall only, generous
-// multiplicative tolerance.
-
-/// One scope row of a host report. Mirrors [`hostprof::ScopeStat`] but owns
+/// One scope row of a host report. Mirrors
+/// [`ScopeStat`](crate::simnet::ScopeStat) but owns
 /// its name, since parsed sidecar files outlive the static name table.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HostScopeRow {
@@ -1315,8 +132,8 @@ pub struct HostScopeRow {
     pub alloc_bytes: u64,
 }
 
-/// Per-case host cost: wall stats across seeds, scope table summed across
-/// seeds (sorted by `self_ns` descending, name as tiebreak).
+/// Per-case host cost: wall stats across runs, scope table summed across
+/// runs (sorted by `self_ns` descending, name as tiebreak).
 #[derive(Clone, Debug, PartialEq)]
 pub struct HostCase {
     pub name: String,
@@ -1325,7 +142,7 @@ pub struct HostCase {
 }
 
 impl HostCase {
-    /// Aggregate one case's per-seed profiles.
+    /// Aggregate one case's per-run profiles.
     pub fn of(name: String, profiles: &[HostProfile]) -> HostCase {
         assert!(!profiles.is_empty(), "HostCase::of needs at least one run");
         let wall_ns = Stat::of(profiles.iter().map(|p| p.wall_ns).collect());
@@ -1365,7 +182,7 @@ impl HostCase {
     }
 }
 
-/// A host-cost sidecar report — what `HOST_pr7.json` holds.
+/// A host-cost sidecar report — the `ps2-hostprof-v1` document.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct HostReport {
     /// Whether the counting allocator was on (alloc columns meaningful).
@@ -1373,56 +190,9 @@ pub struct HostReport {
     pub cases: Vec<HostCase>,
 }
 
-/// How many scope rows the sidecar keeps per case. There are only
-/// [`crate::simnet::hostprof::SCOPE_COUNT`] scopes today, so nothing is
-/// dropped; the cap documents intent for a future richer taxonomy.
-pub const HOST_TOP_N: usize = 16;
-
-/// [`sweep`], but with the host profiler (timers + counting allocator) on:
-/// returns the usual virtual-time report **plus** the host sidecar. The
-/// virtual report is byte-identical to an unprofiled sweep's — CI compares
-/// exactly that.
-pub fn sweep_with_host(
-    cases: &[BenchCase],
-    seeds: &[u64],
-) -> Result<(BenchReport, HostReport), String> {
-    hostprof::set_enabled(true);
-    hostprof::set_alloc_counting(true);
-    let result = (|| {
-        let mut bench = BenchReport::default();
-        let mut host = HostReport {
-            alloc_counted: true,
-            cases: Vec::new(),
-        };
-        for case in cases {
-            let mut runs = Vec::with_capacity(seeds.len());
-            let mut profiles = Vec::with_capacity(seeds.len());
-            for &seed in seeds {
-                let (run, profile) = run_case_profiled(case, seed, true)?;
-                runs.push(run);
-                profiles.push(profile.ok_or_else(|| {
-                    format!(
-                        "case {} seed {seed}: profiled run returned no host profile",
-                        case.name
-                    )
-                })?);
-            }
-            bench.cases.push(CaseSummary::of(case.clone(), runs));
-            let mut hc = HostCase::of(case.name.clone(), &profiles);
-            hc.scopes.truncate(HOST_TOP_N);
-            host.cases.push(hc);
-        }
-        Ok((bench, host))
-    })();
-    hostprof::set_alloc_counting(false);
-    hostprof::set_enabled(false);
-    result
-}
-
 impl HostReport {
-    /// Wrap a single run's profile as a one-case report, so `ps2-run
-    /// --host-prof-json` output and the bench sidecar share one schema (and
-    /// one `ps2-trace host` reader).
+    /// Wrap a single run's profile as a one-case report — what `ps2-run
+    /// --host-prof-json` writes.
     pub fn single(name: &str, profile: &HostProfile) -> HostReport {
         HostReport {
             alloc_counted: profile.alloc_counted,
@@ -1435,7 +205,7 @@ impl HostReport {
 
     /// Serialize. Deterministic *given the measurements* (fixed key order,
     /// fixed float formatting) — but the measurements are wall-clock, so
-    /// two runs produce different bytes. Never byte-compare HOST files;
+    /// two runs produce different bytes. Never byte-compare host sidecars;
     /// that is what [`compare_host`]'s tolerance is for.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"schema\": \"ps2-hostprof-v1\",\n");
@@ -1617,29 +387,7 @@ pub fn compare_host(base: &HostReport, cand: &HostReport, tolerance_milli: u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn summary(name: &str, virtual_ns: u64) -> CaseSummary {
-        let case = BenchCase {
-            name: name.to_string(),
-            preset: "kddb".to_string(),
-            algorithm: "lr".to_string(),
-            workers: 4,
-            servers: 4,
-            iters: 4,
-        };
-        let runs = vec![CaseRun {
-            seed: 1,
-            virtual_ns,
-            setup_ns: virtual_ns / 4,
-            train_ns: virtual_ns - virtual_ns / 4,
-            iterations: 4,
-            total_msgs: 100,
-            total_bytes: 1_000,
-            // Whole microseconds, so the %.6f wall_seconds line round-trips.
-            wall_ns: 42_000_000,
-        }];
-        CaseSummary::of(case, runs)
-    }
+    use crate::ml::serve::SERVE_PRESETS;
 
     #[test]
     fn stat_median_odd_and_even() {
@@ -1662,157 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn gate_passes_within_tolerance_and_fails_beyond() {
-        let base = BenchReport {
-            cases: vec![summary("kddb-lr", 1_000_000)],
-        };
-        let ok = BenchReport {
-            cases: vec![summary("kddb-lr", 1_049_000)],
-        };
-        let bad = BenchReport {
-            cases: vec![summary("kddb-lr", 1_051_000)],
-        };
-        assert!(compare(&base, &ok, 50).is_empty());
-        let v = compare(&base, &bad, 50);
-        assert!(!v.is_empty(), "5.1% over a 5% gate must fail");
-        assert!(v[0].contains("virtual_ns"), "got: {}", v[0]);
-    }
-
-    #[test]
-    fn gate_flags_missing_cases_but_not_improvements() {
-        let base = BenchReport {
-            cases: vec![summary("kddb-lr", 1_000_000), summary("kdd12-lr", 500_000)],
-        };
-        let cand = BenchReport {
-            cases: vec![summary("kddb-lr", 900_000)],
-        };
-        let v = compare(&base, &cand, 50);
-        assert_eq!(v.len(), 1, "got: {v:?}");
-        assert!(v[0].contains("kdd12-lr missing"), "got: {}", v[0]);
-    }
-
-    #[test]
-    fn json_round_trip_preserves_runs_and_aggregates() {
-        let report = BenchReport {
-            cases: vec![summary("kddb-lr", 1_000_000), summary("kdd12-lbfgs", 123)],
-        };
-        let parsed = BenchReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(parsed.cases.len(), 2);
-        for (a, b) in report.cases.iter().zip(&parsed.cases) {
-            assert_eq!(a.case.name, b.case.name);
-            assert_eq!(a.runs, b.runs);
-            assert_eq!(a.virtual_ns, b.virtual_ns);
-            assert_eq!(a.total_bytes, b.total_bytes);
-        }
-        // Serialization itself is stable.
-        assert_eq!(report.to_json(), parsed.to_json());
-    }
-
-    #[test]
-    fn from_json_rejects_wrong_schema() {
-        assert!(BenchReport::from_json(r#"{"schema": "nope", "cases": []}"#).is_err());
-        assert!(BenchReport::from_json("[]").is_err());
-    }
-
-    #[test]
-    fn wall_seconds_lives_on_its_own_strippable_line() {
-        let report = BenchReport {
-            cases: vec![summary("kddb-lr", 1_000_000)],
-        };
-        let text = report.to_json();
-        let wall_lines: Vec<&str> = text
-            .lines()
-            .filter(|l| l.contains("\"wall_seconds\""))
-            .collect();
-        assert_eq!(wall_lines, ["      \"wall_seconds\": [0.042000],"]);
-        // Stripping the line leaves valid JSON — the pre-wall document.
-        let stripped: String = text
-            .lines()
-            .filter(|l| !l.contains("\"wall_seconds\""))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let parsed = BenchReport::from_json(&stripped).unwrap();
-        assert_eq!(parsed.cases[0].runs[0].wall_ns, 0, "stripped wall reads 0");
-        assert_eq!(parsed.cases[0].virtual_ns, report.cases[0].virtual_ns);
-    }
-
-    #[test]
-    fn wall_gate_is_soft_until_4x() {
-        let base = BenchReport {
-            cases: vec![summary("kddb-lr", 1_000_000)],
-        };
-        let mut slow = base.clone();
-        // 3.9x the baseline wall: host noise, not a violation.
-        slow.cases[0].wall_ns.median = base.cases[0].wall_ns.median * 39 / 10;
-        assert!(compare(&base, &slow, 50).is_empty());
-        slow.cases[0].wall_ns.median = base.cases[0].wall_ns.median * 5;
-        let v = compare(&base, &slow, 50);
-        assert_eq!(v.len(), 1, "got: {v:?}");
-        assert!(v[0].contains("wall_ns"), "got: {}", v[0]);
-    }
-
-    fn serve_summary(preset: &str, p99: u64, pulls: u64) -> ServeCaseSummary {
-        let runs = vec![ServeCaseRun {
-            seed: 1,
-            virtual_ns: 400_000_000,
-            pulls,
-            p99_ns: p99,
-            p999_ns: p99 * 2,
-            total_msgs: 2 * pulls,
-            total_bytes: 600 * pulls,
-            wall_ns: 1_500_000_000,
-        }];
-        ServeCaseSummary::of(preset.to_string(), 10_000, runs)
-    }
-
-    #[test]
-    fn serve_json_round_trip_preserves_runs() {
-        let report = ServeBenchReport {
-            cases: vec![
-                serve_summary("serve-kddb", 210_000, 200_000),
-                serve_summary("serve-kdd12", 220_000, 320_000),
-            ],
-        };
-        let parsed = ServeBenchReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(parsed.cases.len(), 2);
-        for (a, b) in report.cases.iter().zip(&parsed.cases) {
-            assert_eq!(a.preset, b.preset);
-            assert_eq!(a.endpoints, b.endpoints);
-            assert_eq!(a.runs, b.runs);
-            assert_eq!(a.p99_ns, b.p99_ns);
-        }
-        assert_eq!(report.to_json(), parsed.to_json());
-    }
-
-    #[test]
-    fn serve_gate_flags_tail_regressions_and_pull_count_changes() {
-        let base = ServeBenchReport {
-            cases: vec![serve_summary("serve-kddb", 210_000, 200_000)],
-        };
-        // Within tolerance: clean.
-        let ok = ServeBenchReport {
-            cases: vec![serve_summary("serve-kddb", 215_000, 200_000)],
-        };
-        assert!(compare_serve(&base, &ok, 50).is_empty());
-        // p999 regression past tolerance: flagged.
-        let slow = ServeBenchReport {
-            cases: vec![serve_summary("serve-kddb", 260_000, 200_000)],
-        };
-        let v = compare_serve(&base, &slow, 50);
-        assert!(v.iter().any(|l| l.contains("p99")), "got: {v:?}");
-        // Any change in the open-loop pull count: flagged even if "better".
-        let fewer = ServeBenchReport {
-            cases: vec![serve_summary("serve-kddb", 210_000, 199_999)],
-        };
-        let v = compare_serve(&base, &fewer, 50);
-        assert!(v.iter().any(|l| l.contains("pulls")), "got: {v:?}");
-        // Missing case: coverage must not shrink.
-        let v = compare_serve(&base, &ServeBenchReport::default(), 50);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].contains("missing"));
-    }
-
-    #[test]
     fn serve_presets_have_named_slos() {
         for preset in SERVE_PRESETS {
             let objectives = preset_slos(Some(preset));
@@ -1821,85 +418,6 @@ mod tests {
                 "{preset}: objectives must carry the preset name"
             );
         }
-    }
-
-    fn mode_summary(name: &str, mode: &str, virtual_ns: u64, loss: i64) -> ModeCaseSummary {
-        let case = ModeCase {
-            name: name.to_string(),
-            preset: "kddb".to_string(),
-            algorithm: "lr".to_string(),
-            mode: mode.to_string(),
-            workers: 4,
-            servers: 3,
-            iters: 6,
-        };
-        let runs = vec![ModeRun {
-            seed: 1,
-            virtual_ns,
-            final_loss_micro: loss,
-            iterations: 24,
-            total_msgs: 200,
-            total_bytes: 4_000,
-            curve: vec![(virtual_ns / 2, loss * 2), (virtual_ns, loss)],
-        }];
-        ModeCaseSummary::of(case, runs)
-    }
-
-    #[test]
-    fn mode_grid_covers_presets_algorithms_and_modes() {
-        let cases = mode_cases(4, 3, 6);
-        assert_eq!(cases.len(), 12);
-        let names: Vec<&str> = cases.iter().map(|c| c.name.as_str()).collect();
-        assert!(names.contains(&"kddb-lr-bsp"));
-        assert!(names.contains(&"kddb-svm-ssp2"));
-        assert!(names.contains(&"kdd12-svm-async"));
-        // Every spelled mode parses.
-        for c in &cases {
-            ConsistencyMode::parse(&c.mode).unwrap();
-        }
-    }
-
-    #[test]
-    fn mode_json_round_trip_preserves_curves() {
-        let report = ModeBenchReport {
-            cases: vec![
-                mode_summary("kddb-lr-bsp", "bsp", 1_000_000, 650_000),
-                mode_summary("kddb-lr-ssp2", "ssp:2", 700_000, 655_000),
-            ],
-        };
-        let parsed = ModeBenchReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(parsed.cases.len(), 2);
-        for (a, b) in report.cases.iter().zip(&parsed.cases) {
-            assert_eq!(a.case.name, b.case.name);
-            assert_eq!(a.case.mode, b.case.mode);
-            assert_eq!(a.runs, b.runs);
-            assert_eq!(a.virtual_ns, b.virtual_ns);
-            assert_eq!(a.final_loss_micro, b.final_loss_micro);
-        }
-        assert_eq!(report.to_json(), parsed.to_json());
-    }
-
-    #[test]
-    fn mode_gate_flags_convergence_regressions() {
-        let base = ModeBenchReport {
-            cases: vec![mode_summary("kddb-lr-async", "async", 1_000_000, 600_000)],
-        };
-        // Faster but converging visibly worse: still a violation.
-        let worse_loss = ModeBenchReport {
-            cases: vec![mode_summary("kddb-lr-async", "async", 800_000, 700_000)],
-        };
-        let v = compare_modes(&base, &worse_loss, 50);
-        assert_eq!(v.len(), 1, "got: {v:?}");
-        assert!(v[0].contains("final_loss_micro"), "got: {}", v[0]);
-        // Within tolerance on every axis: clean.
-        let ok = ModeBenchReport {
-            cases: vec![mode_summary("kddb-lr-async", "async", 1_020_000, 610_000)],
-        };
-        assert!(compare_modes(&base, &ok, 50).is_empty());
-        // Missing case: coverage must not shrink.
-        let v = compare_modes(&base, &ModeBenchReport::default(), 50);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].contains("missing"));
     }
 
     fn host_case(name: &str, wall_median: u64) -> HostCase {
@@ -1948,6 +466,12 @@ mod tests {
         assert_eq!(parsed, report);
         // Render → parse → render is a fixed point.
         assert_eq!(parsed.to_json(), text);
+    }
+
+    #[test]
+    fn from_json_rejects_wrong_schema() {
+        assert!(HostReport::from_json(r#"{"schema": "nope", "cases": []}"#).is_err());
+        assert!(HostReport::from_json("[]").is_err());
     }
 
     #[test]
@@ -2005,6 +529,19 @@ mod tests {
         assert_eq!(c.scopes[1].self_ns, 12);
         assert_eq!(c.scopes[1].allocs, 3);
         assert_eq!(c.scopes[1].alloc_bytes, 96);
+    }
+
+    #[test]
+    fn gate_passes_within_tolerance_and_fails_beyond() {
+        let report = |wall_median| HostReport {
+            alloc_counted: true,
+            cases: vec![host_case("lr", wall_median)],
+        };
+        let base = report(1_000_000);
+        assert!(compare_host(&base, &report(1_049_000), 50).is_empty());
+        let v = compare_host(&base, &report(1_051_000), 50);
+        assert!(!v.is_empty(), "5.1% over a 5% gate must fail");
+        assert!(v[0].contains("wall_ns"), "got: {}", v[0]);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //!                            any category regressed by more than FRAC
 //!                            (e.g. 0.05 = 5%) — the CI gate mode.
 //! ps2-trace host <FILE>      print a hostprof sidecar (written by
-//!                            `ps2-bench sweep --host-out` or
 //!                            `ps2-run --host-prof-json`): wall seconds and
 //!                            the per-scope cost table per case
 //! ps2-trace host diff <BASE> <CAND> [--tolerance FRAC]

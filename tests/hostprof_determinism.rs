@@ -11,8 +11,11 @@
 use ps2::ml::lr::{train_lr, LrBackend, LrConfig};
 use ps2::ml::optim::Optimizer;
 use ps2::simnet::hostprof;
-use ps2::{run_ps2_with, ClusterSpec, RunReport, SimBuilder, SimReport, SimTime};
+use ps2::{run_ps2_with, ClusterSpec, SimBuilder, SimReport, SimTime};
 use ps2_data::SparseDatasetGen;
+
+mod common;
+use common::virtual_json;
 
 /// One seeded LR run with timeseries scraping on (so the `scrape.roll`
 /// scope has something to record when profiled).
@@ -41,16 +44,6 @@ fn run_once(profiled: bool) -> SimReport {
         hostprof::set_enabled(false);
     }
     report
-}
-
-/// Rendered metrics JSON minus the single deliberate wall-clock line.
-fn virtual_json(report: &SimReport) -> String {
-    RunReport::from_sim(report)
-        .to_json()
-        .lines()
-        .filter(|l| !l.contains("\"wall_ms\""))
-        .collect::<Vec<_>>()
-        .join("\n")
 }
 
 #[test]

@@ -6,6 +6,9 @@ use ps2::ml::optim::Optimizer;
 use ps2::{run_ps2, ClusterSpec, ElemOp, RunReport, SimTime};
 use ps2_data::{presets, SparseDatasetGen};
 
+mod common;
+use common::virtual_json;
+
 fn spec(w: usize, s: usize) -> ClusterSpec {
     ClusterSpec {
         workers: w,
@@ -75,31 +78,26 @@ fn end_to_end_run_is_deterministic_across_processes_of_the_harness() {
 #[test]
 fn same_seed_runs_emit_byte_identical_metrics_json() {
     let run = || {
-        let (_, report) = run_ps2(spec(5, 3), 7, |ctx, ps2| {
+        run_ps2(spec(5, 3), 7, |ctx, ps2| {
             let gen = SparseDatasetGen::new(2_000, 5_000, 10, 5, 7);
             let cfg = LrConfig::new(gen, Optimizer::Sgd, 10);
             train_lr(ctx, ps2, &cfg, LrBackend::Ps2Dcv)
-        });
-        RunReport::from_sim(&report).to_json()
-    };
-    // `wall_ms` is the report's one deliberate wall-clock field; everything
-    // else must be byte-identical across same-seed runs.
-    let strip_wall = |json: &str| -> String {
-        json.lines()
-            .filter(|l| !l.contains("\"wall_ms\""))
-            .collect::<Vec<_>>()
-            .join("\n")
+        })
+        .1
     };
     let a = run();
     let b = run();
-    assert!(a.contains("\"wall_ms\""), "report must carry wall_ms");
+    // `wall_ms` is the report's one deliberate wall-clock field; everything
+    // else must be byte-identical across same-seed runs.
+    let json = RunReport::from_sim(&a).to_json();
+    assert!(json.contains("\"wall_ms\""), "report must carry wall_ms");
     assert_eq!(
-        strip_wall(&a),
-        strip_wall(&b),
+        virtual_json(&a),
+        virtual_json(&b),
         "same-seed JSON run reports must be byte-identical apart from wall_ms"
     );
     assert!(
-        a.contains("\"ops\""),
+        json.contains("\"ops\""),
         "report must carry the per-op breakdown"
     );
 }

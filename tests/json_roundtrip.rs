@@ -1,5 +1,5 @@
 //! Round-trip property tests for the hand-rolled JSON reader/writer in
-//! `ps2::tracefile` — the parser behind `ps2-trace` and `ps2-bench`.
+//! `ps2::tracefile` — the parser behind `ps2-trace` and `ps2::bench::HostReport`.
 //!
 //! The invariant: for any value the writer can produce,
 //! `parse_json(v.render()) == v`, and `render` is a fixpoint (re-rendering

@@ -9,8 +9,11 @@
 use ps2::ml::lr::{train_lr, LrBackend, LrConfig};
 use ps2::ml::optim::Optimizer;
 use ps2::simnet::{SloObjective, Watchdog, WatchdogConfig, EXEMPLAR_K};
-use ps2::{run_ps2_with, ClusterSpec, RunReport, SimBuilder, SimReport, SimTime};
+use ps2::{run_ps2_with, ClusterSpec, SimBuilder, SimReport, SimTime};
 use ps2_data::SparseDatasetGen;
+
+mod common;
+use common::virtual_json;
 
 /// One seeded LR run, with or without request tracing. Timeseries scraping
 /// is on in both (it is independently non-perturbing, and the SLO tests
@@ -31,16 +34,6 @@ fn run_once(traced: bool) -> SimReport {
         train_lr(ctx, ps2, &cfg, LrBackend::Ps2Dcv)
     });
     report
-}
-
-/// Rendered metrics JSON minus the single deliberate wall-clock line.
-fn virtual_json(report: &SimReport) -> String {
-    RunReport::from_sim(report)
-        .to_json()
-        .lines()
-        .filter(|l| !l.contains("\"wall_ms\""))
-        .collect::<Vec<_>>()
-        .join("\n")
 }
 
 #[test]
