@@ -470,7 +470,7 @@ fn train_ps_family(
     trace
 }
 
-/// MLlib\* (the paper's reference [34]): Spark MLlib improved with local
+/// MLlib\* (the paper's reference \[34\]): Spark MLlib improved with local
 /// model replicas and ring-AllReduce model averaging instead of driver
 /// aggregation. No parameter servers at all; requires one partition per
 /// worker. Included as the strongest driver-free baseline.

@@ -1,8 +1,7 @@
 //! First-class consistency modes: one worker loop, three synchronization
 //! disciplines.
 //!
-//! This is the generalization of the SSP prototype (`ssp.rs`): the same
-//! Spark-free pull → gradient → push topology now runs under any
+//! The same Spark-free pull → gradient → push topology runs under any
 //! [`ConsistencyMode`] —
 //!
 //! * **BSP** — every iteration gated by the clock service with `bound = 0`

@@ -1181,7 +1181,8 @@ impl MatrixHandle {
     /// warns about. Requests are issued sequentially to keep server↔server
     /// fetches acyclic. Retries re-resolve the *local* slot; a remote server
     /// dying mid-fetch is out of scope for client-side recovery (the local
-    /// server blocks on it without a deadline).
+    /// server stays parked on the fetch, taking no other request, without a
+    /// deadline).
     pub fn cross_dot(
         &self,
         ctx: &mut SimCtx,

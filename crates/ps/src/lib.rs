@@ -40,4 +40,4 @@ pub use master::{PsConfig, PsFleet, PsMaster};
 pub use plan::{MatrixId, PartitionPlan, Partitioning, PlanKind, RouteTable};
 pub use protocol::{AggKind, ElemOp, InitKind, ZipArgmaxFn, ZipMapFn, ZipMutFn, ZipSegs};
 pub use serve::{create_serve_table, ServeClientAgent, ServeClientConfig};
-pub use server::{deploy_ps, ps_server_main, storage_main, PsServerAgent};
+pub use server::{deploy_ps, storage_main, PsServerAgent};

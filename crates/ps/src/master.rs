@@ -10,7 +10,7 @@ use ps2_simnet::{fabric, LivenessProbe, ProcId, SimCtx, SimTime};
 use crate::client::{ps_policy, MatrixHandle, PsRouter};
 use crate::plan::{MatrixId, PartitionPlan, Partitioning, RouteTable};
 use crate::protocol::{tags, CheckpointReq, CreateReq, FreeReq, InitKind, RestoreReq};
-use crate::server::ps_server_main;
+use crate::server::PsServerAgent;
 
 /// Master-level configuration.
 #[derive(Clone, Debug, Default)]
@@ -132,7 +132,7 @@ impl PsFleet {
                 stats.respawns
             };
             let name = format!("ps-server-{slot}r{respawn}");
-            let fresh = ctx.spawn_daemon(&name, ps_server_main);
+            let fresh = ctx.spawn_agent_daemon(&name, PsServerAgent::new());
             // Replay metadata, then load checkpointed values.
             let metas: Vec<_> = self.matrices.lock().clone();
             for (id, plan, init) in &metas {

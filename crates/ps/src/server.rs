@@ -215,113 +215,49 @@ fn mutation_key(tag: u32, payload: &dyn Any) -> Option<(MatrixId, u64)> {
             let r: &PushBlockReq = cast(tag, payload);
             Some((r.id, r.op_id))
         }
-        tags::CROSS_ELEM => {
-            let r: &CrossElemReq = cast(tag, payload);
-            Some((r.dst_id, r.op_id))
-        }
         _ => None,
     }
 }
 
-/// The PS-server loop: stores shards, executes row- and column-access ops.
+/// The PS server: stores shards, executes row- and column-access ops, runs
+/// DCV column ops in place, checkpoints to storage and is restored from it.
+/// A steppable agent — spawn one per server with
+/// [`ps2_simnet::SimRuntime::spawn_agent_daemon`], as [`deploy_ps`] does.
 ///
 /// Each request records its queue time (arrival → dequeue: how long it sat
 /// behind earlier work) and service time (dequeue → reply sent) into
 /// per-variant histograms `ps.server.{op}.queue` / `.service`.
-/// The slice of a simulation context the request handlers need, so one
-/// `execute` serves both server flavors: the classic thread server
-/// ([`ps_server_main`], blocking `recv` loop on a [`SimCtx`]) and the
-/// steppable [`PsServerAgent`] (stepped inline on a [`StepCtx`], no OS
-/// thread — the flavor serving scenarios use to stand up large fleets).
-pub(crate) trait ServerCtx {
-    fn id(&self) -> ProcId;
-    fn charge_flops(&mut self, flops: u64);
-    fn charge_mem(&mut self, bytes: u64);
-    fn metric_add(&mut self, name: &str, delta: u64);
-    fn trace_mark_with(&mut self, label: &'static str, payload: u64);
-    fn op_label(&mut self, label: &'static str);
-    fn reply_boxed(&mut self, request: &Envelope, payload: Box<dyn Any + Send>, bytes: u64);
-    /// Blocking mid-request RPC (cross-matrix segment fetches, checkpoint
-    /// storage I/O). Only the thread server supports it; the steppable
-    /// server panics, which is fine for serving fleets that only see
-    /// CREATE/PULL-family traffic.
-    fn call<P: Any + Send>(&mut self, dst: ProcId, tag: u32, payload: P, bytes: u64) -> Envelope;
-}
-
-impl ServerCtx for SimCtx {
-    fn id(&self) -> ProcId {
-        SimCtx::id(self)
-    }
-    fn charge_flops(&mut self, flops: u64) {
-        SimCtx::charge_flops(self, flops)
-    }
-    fn charge_mem(&mut self, bytes: u64) {
-        SimCtx::charge_mem(self, bytes)
-    }
-    fn metric_add(&mut self, name: &str, delta: u64) {
-        SimCtx::metric_add(self, name, delta)
-    }
-    fn trace_mark_with(&mut self, label: &'static str, payload: u64) {
-        SimCtx::trace_mark_with(self, label, payload)
-    }
-    fn op_label(&mut self, label: &'static str) {
-        SimCtx::op_label(self, label)
-    }
-    fn reply_boxed(&mut self, request: &Envelope, payload: Box<dyn Any + Send>, bytes: u64) {
-        SimCtx::reply_boxed(self, request, payload, bytes)
-    }
-    fn call<P: Any + Send>(&mut self, dst: ProcId, tag: u32, payload: P, bytes: u64) -> Envelope {
-        SimCtx::call(self, dst, tag, payload, bytes)
-    }
-}
-
-impl ServerCtx for StepCtx<'_> {
-    fn id(&self) -> ProcId {
-        StepCtx::id(self)
-    }
-    fn charge_flops(&mut self, flops: u64) {
-        StepCtx::charge_flops(self, flops)
-    }
-    fn charge_mem(&mut self, bytes: u64) {
-        StepCtx::charge_mem(self, bytes)
-    }
-    fn metric_add(&mut self, name: &str, delta: u64) {
-        StepCtx::metric_add(self, name, delta)
-    }
-    fn trace_mark_with(&mut self, label: &'static str, payload: u64) {
-        StepCtx::trace_mark_with(self, label, payload)
-    }
-    fn op_label(&mut self, label: &'static str) {
-        StepCtx::op_label(self, label)
-    }
-    fn reply_boxed(&mut self, request: &Envelope, payload: Box<dyn Any + Send>, bytes: u64) {
-        StepCtx::reply_boxed(self, request, payload, bytes)
-    }
-    fn call<P: Any + Send>(
-        &mut self,
-        _dst: ProcId,
-        tag: u32,
-        _payload: P,
-        _bytes: u64,
-    ) -> Envelope {
-        panic!(
-            "ps-server (steppable): op tag {} ({}) needs a blocking mid-request \
-             RPC, which only the thread server (ps_server_main) supports",
-            tag,
-            tags::name(tag)
-        );
-    }
-}
-
-/// Steppable PS server: the same handler chain as [`ps_server_main`], run as
-/// an event-driven agent with no OS thread. Spawn one per server with
-/// [`ps2_simnet::SimRuntime::spawn_agent_daemon`]; it serves every
-/// non-blocking op (CREATE, PULL/PUSH and friends, coalesced ENVELOPEs) and
-/// panics on the few ops that need mid-request RPCs (CROSS_*, CHECKPOINT,
-/// RESTORE).
+///
+/// The server handles one request at a time. The four ops that need an RPC
+/// of their own mid-request (`CROSS_DOT` / `CROSS_ELEM` fetch remote
+/// segments, `CHECKPOINT` / `RESTORE` talk to storage) park the request,
+/// [`StepCtx::await_reply`] and resume on the reply; every other message
+/// waits in the mailbox meanwhile, so a suspended op occupies the server for
+/// as long as it takes and whatever queues behind it reports the wait.
 pub struct PsServerAgent {
     shards: HashMap<MatrixId, Shard>,
     oplog: OpLog,
+    parked: Option<Parked>,
+}
+
+/// A request being served, kept across its RPCs.
+struct Parked {
+    env: Envelope,
+    /// Dequeue clock and queue time of `env`, for the histograms.
+    t0: SimTime,
+    queue: SimTime,
+    /// `CROSS_*`: the piece whose remote segment is awaited.
+    piece: usize,
+    /// `CROSS_DOT`: the dot over the pieces before it.
+    acc: f64,
+}
+
+/// Where running a request left it.
+enum Step {
+    /// Answer with `(payload, wire bytes)`.
+    Reply(Box<dyn Any + Send>, u64),
+    /// Park until the reply to this correlation id arrives.
+    Await(u64),
 }
 
 impl Default for PsServerAgent {
@@ -335,81 +271,231 @@ impl PsServerAgent {
         PsServerAgent {
             shards: HashMap::new(),
             oplog: OpLog::new(),
+            parked: None,
         }
+    }
+
+    /// Run `op` until it is answered or parks on an RPC; `reply` is the RPC
+    /// reply a parked op was waiting for.
+    fn run(&mut self, ctx: &mut StepCtx<'_>, mut op: Parked, reply: Option<Envelope>) {
+        let name = tags::name(op.env.tag);
+        // Tag the handler's compute charges with the op so trace analysis
+        // can break server busy time down by request kind.
+        ctx.op_label(name);
+        let (shards, oplog) = (&mut self.shards, &mut self.oplog);
+        let step = match (op.env.tag, reply) {
+            (tags::CROSS_DOT | tags::CROSS_ELEM, fetched) => {
+                cross(ctx, shards, oplog, &mut op, fetched)
+            }
+            (tags::CHECKPOINT, None) => checkpoint(ctx, shards, op.env.downcast_ref()),
+            (tags::CHECKPOINT, Some(_stored)) => Step::Reply(Box::new(()), 8),
+            (tags::RESTORE, None) => {
+                let req: &RestoreReq = op.env.downcast_ref();
+                let get = StoreGetReq { key: req.key };
+                Step::Await(ctx.send_request(req.storage, tags::STORE_GET, get, 16))
+            }
+            (tags::RESTORE, Some(found)) => {
+                Step::Reply(Box::new(restore(shards, found.downcast())), 8)
+            }
+            _ => handle(ctx, shards, oplog, &op.env),
+        };
+        let (answer, bytes) = match step {
+            Step::Reply(answer, bytes) => (answer, bytes),
+            Step::Await(corr) => {
+                ctx.await_reply(corr);
+                self.parked = Some(op);
+                return;
+            }
+        };
+        ctx.reply_boxed(&op.env, answer, bytes);
+        ctx.op_label_clear();
+        // Per-server load counter: the windowed deltas of these feed the
+        // watchdog's Gini skew detector across the server fleet.
+        ctx.metric_add(&format!("ps.server.p{}.served", ctx.id().0), 1);
+        ctx.metric_observe(&format!("ps.server.{name}.queue"), op.queue);
+        ctx.metric_observe(&format!("ps.server.{name}.service"), ctx.now() - op.t0);
     }
 }
 
 impl Proc for PsServerAgent {
     fn on_message(&mut self, ctx: &mut StepCtx<'_>, env: Envelope) {
+        if let Some(op) = self.parked.take() {
+            // Parked on `await_reply`: this can only be the awaited reply.
+            return self.run(ctx, op, Some(env));
+        }
         if env.is_reply() {
             // Stray reply from a peer this server never calls; ignore.
             return;
         }
-        let op = tags::name(env.tag);
         let t0 = ctx.now();
-        let queue = t0.saturating_sub(env.arrival);
-        ctx.op_label(op);
-        handle(ctx, &mut self.shards, &mut self.oplog, env);
-        ctx.op_label_clear();
-        ctx.metric_add(&format!("ps.server.p{}.served", StepCtx::id(ctx).0), 1);
-        ctx.metric_observe(&format!("ps.server.{op}.queue"), queue);
-        ctx.metric_observe(&format!("ps.server.{op}.service"), ctx.now() - t0);
+        let op = Parked {
+            queue: t0.saturating_sub(env.arrival),
+            env,
+            t0,
+            piece: 0,
+            acc: 0.0,
+        };
+        self.run(ctx, op, None);
     }
 }
 
-pub fn ps_server_main(ctx: &mut SimCtx) {
-    let mut shards: HashMap<MatrixId, Shard> = HashMap::new();
-    let mut oplog = OpLog::new();
-    loop {
-        let env = ctx.recv();
-        let op = tags::name(env.tag);
-        let t0 = ctx.now();
-        let queue = t0.saturating_sub(env.arrival);
-        // Tag the handler's compute charges with the op so trace analysis
-        // can break server busy time down by request kind.
-        ctx.op_label(op);
-        handle(ctx, &mut shards, &mut oplog, env);
-        ctx.op_label_clear();
-        // Per-server load counter: the windowed deltas of these feed the
-        // watchdog's Gini skew detector across the server fleet.
-        ctx.metric_add(&format!("ps.server.p{}.served", ctx.id().0), 1);
-        ctx.metric_observe(&format!("ps.server.{op}.queue"), queue);
-        ctx.metric_observe(&format!("ps.server.{op}.service"), ctx.now() - t0);
-    }
+/// The two misaligned-vector requests, which differ in what they do with a
+/// remote segment once it is here.
+#[derive(Clone, Copy)]
+enum Cross<'a> {
+    Dot(&'a CrossDotReq),
+    Elem(&'a CrossElemReq),
 }
 
-fn handle<C: ServerCtx>(
-    ctx: &mut C,
+/// `CROSS_DOT` / `CROSS_ELEM` from piece `op.piece` on — the server↔server
+/// shuffle misaligned vectors pay (the paper's Figure 4), one `FETCH_SEG`
+/// per remote piece, in order. `fetched` is the reply a resumed op was
+/// waiting for.
+fn cross(
+    ctx: &mut StepCtx<'_>,
     shards: &mut HashMap<MatrixId, Shard>,
     oplog: &mut OpLog,
-    env: Envelope,
-) {
-    if env.tag == tags::ENVELOPE {
+    op: &mut Parked,
+    mut fetched: Option<Envelope>,
+) -> Step {
+    let req = match op.env.tag {
+        tags::CROSS_DOT => Cross::Dot(op.env.downcast_ref()),
+        _ => Cross::Elem(op.env.downcast_ref()),
+    };
+    // The pieces, and where the other vector lives: matrix, row, bytes per
+    // value on the wire.
+    let (pieces, id, row, value_bytes) = match req {
+        Cross::Dot(r) => (&r.pieces, r.remote_id, r.remote_row, r.value_bytes),
+        Cross::Elem(r) => (&r.pieces, r.src_id, r.src_row, r.value_bytes),
+    };
+    if let (Cross::Elem(r), None) = (req, &fetched) {
+        if oplog.check_and_record(r.dst_id, r.op_id) {
+            // Duplicate of an update this server already applied.
+            return Step::Reply(Box::new(()), 8);
+        }
+    }
+    while let Some(&(lo, hi, remote)) = pieces.get(op.piece) {
+        let theirs: Vec<f64> = if remote == ctx.id() {
+            let shard = shard_of(shards, id);
+            (lo..hi).map(|c| shard.get(row, c)).collect()
+        } else if let Some(reply) = fetched.take() {
+            reply.downcast()
+        } else {
+            let fetch = FetchSegReq {
+                id,
+                row,
+                lo,
+                hi,
+                value_bytes,
+            };
+            return Step::Await(ctx.send_request(remote, tags::FETCH_SEG, fetch, 48));
+        };
+        match req {
+            Cross::Dot(r) => {
+                let shard = shard_of(shards, r.local_id);
+                let mut partial = 0.0;
+                for (i, v) in theirs.iter().enumerate() {
+                    partial += shard.get(r.local_row, lo + i as u64) * v;
+                }
+                op.acc += partial;
+            }
+            Cross::Elem(r) => {
+                let shard = shard_mut(shards, r.dst_id);
+                for (i, v) in theirs.iter().enumerate() {
+                    let c = lo + i as u64;
+                    let cur = shard.get(r.dst_row, c);
+                    shard.add(r.dst_row, c, r.op.apply(cur, *v) - cur);
+                }
+            }
+        }
+        ctx.charge_flops(2 * (hi - lo));
+        op.piece += 1;
+    }
+    match req {
+        Cross::Dot(_) => Step::Reply(Box::new(op.acc), 16),
+        Cross::Elem(_) => Step::Reply(Box::new(()), 8),
+    }
+}
+
+/// Snapshot every shard and ship it to storage; the `STORE_PUT` reply
+/// completes the checkpoint.
+fn checkpoint(
+    ctx: &mut StepCtx<'_>,
+    shards: &HashMap<MatrixId, Shard>,
+    req: &CheckpointReq,
+) -> Step {
+    let mut total = 0u64;
+    let shard_data: Vec<(MatrixId, Vec<Vec<Vec<f64>>>)> = shards
+        .iter()
+        .map(|(&id, sh)| {
+            for row in &sh.data {
+                for seg in row {
+                    total += seg.len() as u64;
+                }
+            }
+            (id, sh.data.clone())
+        })
+        .collect();
+    let bytes = 32 + total * 8;
+    ctx.charge_mem(total * 8);
+    let snapshot = Arc::new(Snapshot {
+        shards: shard_data,
+        bytes,
+    });
+    let put = StorePutReq {
+        key: req.key,
+        snapshot,
+    };
+    Step::Await(ctx.send_request(req.storage, tags::STORE_PUT, put, bytes))
+}
+
+/// Load what storage answered a `STORE_GET` with; false when it had nothing.
+fn restore(shards: &mut HashMap<MatrixId, Shard>, found: StoreGetResp) -> bool {
+    match found {
+        StoreGetResp::Found(snapshot) => {
+            for (id, data) in &snapshot.shards {
+                if let Some(shard) = shards.get_mut(id) {
+                    shard.data = data.clone();
+                }
+            }
+            true
+        }
+        StoreGetResp::Missing => false,
+    }
+}
+
+/// Answer one request that needs no RPC of its own.
+fn handle(
+    ctx: &mut StepCtx<'_>,
+    shards: &mut HashMap<MatrixId, Shard>,
+    oplog: &mut OpLog,
+    env: &Envelope,
+) -> Step {
+    let (reply, bytes) = if env.tag == tags::ENVELOPE {
         // The coalescing container: run each sub-request as if it had
         // arrived bare — own op label, own dedup check — and ship all the
         // replies back in one message.
         let req: &EnvelopeReq = env.downcast_ref();
         ctx.trace_mark_with("ps.server.envelope", req.op_id);
-        let subs = Arc::clone(&req.subs);
-        let mut replies: Vec<Box<dyn Any + Send>> = Vec::with_capacity(subs.len());
+        let mut replies: Vec<Box<dyn Any + Send>> = Vec::with_capacity(req.subs.len());
         let mut bytes = 16u64;
-        for (tag, payload, _) in subs.iter() {
+        for (tag, payload, _) in req.subs.iter() {
             ctx.op_label(tags::name(*tag));
             let (reply, b) = dispatch_one(ctx, shards, oplog, *tag, payload.as_ref());
             replies.push(reply);
             bytes += b;
         }
         ctx.op_label("envelope");
-        ctx.reply_boxed(&env, Box::new(replies), bytes);
-        return;
-    }
-    let (reply, bytes) = dispatch_one(ctx, shards, oplog, env.tag, env.payload.as_ref());
-    ctx.reply_boxed(&env, reply, bytes);
+        (Box::new(replies) as Box<dyn Any + Send>, bytes)
+    } else {
+        dispatch_one(ctx, shards, oplog, env.tag, env.payload.as_ref())
+    };
+    Step::Reply(reply, bytes)
 }
 
 /// Dedup-then-execute for one request, bare or enveloped.
-fn dispatch_one<C: ServerCtx>(
-    ctx: &mut C,
+fn dispatch_one(
+    ctx: &mut StepCtx<'_>,
     shards: &mut HashMap<MatrixId, Shard>,
     oplog: &mut OpLog,
     tag: u32,
@@ -438,13 +524,12 @@ fn cast<T: 'static>(tag: u32, payload: &dyn Any) -> &T {
 /// Pure of reliability concerns: dedup happened in the caller, the reply is
 /// sent by the caller (so envelopes can collect many replies into one
 /// message).
-fn execute<C: ServerCtx>(
-    ctx: &mut C,
+fn execute(
+    ctx: &mut StepCtx<'_>,
     shards: &mut HashMap<MatrixId, Shard>,
     tag: u32,
     payload: &dyn Any,
 ) -> (Box<dyn Any + Send>, u64) {
-    let me = ctx.id();
     match tag {
         tags::CREATE => {
             let req: &CreateReq = cast(tag, payload);
@@ -728,127 +813,6 @@ fn execute<C: ServerCtx>(
             ctx.charge_mem(n * 8);
             (Box::new(values), 16 + n * req.value_bytes)
         }
-        tags::CROSS_DOT => {
-            let req: &CrossDotReq = cast(tag, payload);
-            let pieces = req.pieces.clone();
-            let (local_id, local_row, remote_id, remote_row, vb) = (
-                req.local_id,
-                req.local_row,
-                req.remote_id,
-                req.remote_row,
-                req.value_bytes,
-            );
-            let mut acc = 0.0;
-            for (lo, hi, remote) in pieces {
-                let remote_vals: Vec<f64> = if remote == me {
-                    (lo..hi)
-                        .map(|c| shard_of(shards, remote_id).get(remote_row, c))
-                        .collect()
-                } else {
-                    let fetch = FetchSegReq {
-                        id: remote_id,
-                        row: remote_row,
-                        lo,
-                        hi,
-                        value_bytes: vb,
-                    };
-                    ctx.call(remote, tags::FETCH_SEG, fetch, 48).downcast()
-                };
-                let shard = shard_of(shards, local_id);
-                let mut partial = 0.0;
-                for (i, rv) in remote_vals.iter().enumerate() {
-                    partial += shard.get(local_row, lo + i as u64) * rv;
-                }
-                ctx.charge_flops(2 * (hi - lo));
-                acc += partial;
-            }
-            (Box::new(acc), 16)
-        }
-        tags::CROSS_ELEM => {
-            let req: &CrossElemReq = cast(tag, payload);
-            let pieces = req.pieces.clone();
-            let (dst_id, dst_row, src_id, src_row, op, vb) = (
-                req.dst_id,
-                req.dst_row,
-                req.src_id,
-                req.src_row,
-                req.op,
-                req.value_bytes,
-            );
-            for (lo, hi, remote) in pieces {
-                let src_vals: Vec<f64> = if remote == me {
-                    (lo..hi)
-                        .map(|c| shard_of(shards, src_id).get(src_row, c))
-                        .collect()
-                } else {
-                    let fetch = FetchSegReq {
-                        id: src_id,
-                        row: src_row,
-                        lo,
-                        hi,
-                        value_bytes: vb,
-                    };
-                    ctx.call(remote, tags::FETCH_SEG, fetch, 48).downcast()
-                };
-                let shard = shard_mut(shards, dst_id);
-                for (i, sv) in src_vals.iter().enumerate() {
-                    let c = lo + i as u64;
-                    let cur = shard.get(dst_row, c);
-                    let new = op.apply(cur, *sv);
-                    shard.add(dst_row, c, new - cur);
-                }
-                ctx.charge_flops(2 * (hi - lo));
-            }
-            (Box::new(()), 8)
-        }
-        tags::CHECKPOINT => {
-            let req: &CheckpointReq = cast(tag, payload);
-            let (storage, key) = (req.storage, req.key);
-            let mut total = 0u64;
-            let shard_data: Vec<(MatrixId, Vec<Vec<Vec<f64>>>)> = shards
-                .iter()
-                .map(|(&id, sh)| {
-                    for row in &sh.data {
-                        for seg in row {
-                            total += seg.len() as u64;
-                        }
-                    }
-                    (id, sh.data.clone())
-                })
-                .collect();
-            let bytes = 32 + total * 8;
-            ctx.charge_mem(total * 8);
-            let snapshot = Arc::new(Snapshot {
-                shards: shard_data,
-                bytes,
-            });
-            let _ = ctx.call(
-                storage,
-                tags::STORE_PUT,
-                StorePutReq { key, snapshot },
-                bytes,
-            );
-            (Box::new(()), 8)
-        }
-        tags::RESTORE => {
-            let req: &RestoreReq = cast(tag, payload);
-            let (storage, key) = (req.storage, req.key);
-            let resp: StoreGetResp = ctx
-                .call(storage, tags::STORE_GET, StoreGetReq { key }, 16)
-                .downcast();
-            let restored = match resp {
-                StoreGetResp::Found(snapshot) => {
-                    for (id, data) in &snapshot.shards {
-                        if let Some(shard) = shards.get_mut(id) {
-                            shard.data = data.clone();
-                        }
-                    }
-                    true
-                }
-                StoreGetResp::Missing => false,
-            };
-            (Box::new(restored), 8)
-        }
         tags::PING => {
             // Liveness heartbeat: answer immediately. A server stuck in a
             // long op answers late, which the prober treats the same as any
@@ -931,7 +895,7 @@ pub fn storage_main(disk_bytes_per_sec: f64) -> impl FnOnce(&mut SimCtx) {
 /// Spawn `n` PS-servers plus one storage process.
 pub fn deploy_ps(sim: &mut SimRuntime, n: usize, disk_bytes_per_sec: f64) -> (Vec<ProcId>, ProcId) {
     let servers = (0..n)
-        .map(|i| sim.spawn_daemon(&format!("ps-server-{i}"), ps_server_main))
+        .map(|i| sim.spawn_agent_daemon(&format!("ps-server-{i}"), PsServerAgent::new()))
         .collect();
     let storage = sim.spawn_daemon("ps-storage", storage_main(disk_bytes_per_sec));
     (servers, storage)
@@ -971,7 +935,7 @@ mod tests {
     #[test]
     fn duplicate_push_is_applied_once() {
         let mut sim = SimBuilder::new().seed(3).build();
-        let server = sim.spawn_daemon("ps-server-0", ps_server_main);
+        let server = sim.spawn_agent_daemon("ps-server-0", PsServerAgent::new());
         let out = sim.spawn_collect("driver", move |ctx| {
             let plan = Arc::new(PartitionPlan::new(8, 1, 1, Partitioning::Column));
             let create = CreateReq {
@@ -1010,7 +974,7 @@ mod tests {
     #[test]
     fn duplicate_envelope_subs_are_applied_once() {
         let mut sim = SimBuilder::new().seed(5).build();
-        let server = sim.spawn_daemon("ps-server-0", ps_server_main);
+        let server = sim.spawn_agent_daemon("ps-server-0", PsServerAgent::new());
         let out = sim.spawn_collect("driver", move |ctx| {
             let plan = Arc::new(PartitionPlan::new(8, 1, 1, Partitioning::Column));
             let create = CreateReq {
@@ -1052,5 +1016,126 @@ mod tests {
         });
         sim.run().unwrap();
         assert_eq!(out.take(), 1.0);
+    }
+
+    fn create(id: u64, p: Partitioning, slot: usize, init: f64) -> CreateReq {
+        CreateReq {
+            id: MatrixId(id),
+            plan: Arc::new(PartitionPlan::new(8, 1, 2, p)),
+            init: InitKind::Const(init),
+            slot,
+        }
+    }
+
+    fn pull_all(id: u64) -> PullReq {
+        PullReq {
+            id: MatrixId(id),
+            row: 0,
+            cols: ColsSel::All,
+            value_bytes: 8,
+        }
+    }
+
+    /// The blocking contract of the four RPC ops: while a `CHECKPOINT` is
+    /// parked on its `STORE_PUT` the server takes nothing else, so a `PULL`
+    /// sent meanwhile is answered after the checkpoint and reports the wait
+    /// as queue time.
+    #[test]
+    fn pull_behind_a_parked_checkpoint_waits_for_it() {
+        let mut sim = SimBuilder::new().seed(9).build();
+        // Slot 0's four columns make a 64-byte snapshot: 64 ms at 1 kB/s.
+        let (servers, storage) = deploy_ps(&mut sim, 1, 1e3);
+        let server = servers[0];
+        let order = sim.spawn_collect("driver", move |ctx| {
+            let _ = ctx.call(
+                server,
+                tags::CREATE,
+                create(1, Partitioning::Column, 0, 1.0),
+                96,
+            );
+            let ckpt = ctx.send_request(
+                server,
+                tags::CHECKPOINT,
+                CheckpointReq { storage, key: 0 },
+                48,
+            );
+            let pull = ctx.send_request(server, tags::PULL, pull_all(1), 48);
+            let first = ctx.recv().corr;
+            let second = ctx.recv().corr;
+            (first == ckpt, second == pull)
+        });
+        let report = sim.run().unwrap();
+        assert_eq!(order.take(), (true, true));
+        let queue = report.metrics.hist("ps.server.pull.queue").unwrap();
+        assert_eq!(queue.count(), 1);
+        assert!(
+            queue.max_ns() >= 64_000_000,
+            "pull queued {} ns",
+            queue.max_ns()
+        );
+        let service = report.metrics.hist("ps.server.checkpoint.service").unwrap();
+        assert!(service.max_ns() >= 64_000_000);
+        assert_eq!(
+            report
+                .metrics
+                .counter(&format!("ps.server.p{}.served", server.0)),
+            3
+        );
+    }
+
+    /// A misaligned `CROSS_ELEM` (the source columns live on the other
+    /// server, so the op parks on a `FETCH_SEG`) retried with its op id is
+    /// acknowledged without fetching or applying again.
+    #[test]
+    fn duplicate_cross_elem_is_applied_once() {
+        let mut sim = SimBuilder::new().seed(7).build();
+        let (servers, _) = deploy_ps(&mut sim, 2, 1e9);
+        let out = sim.spawn_collect("driver", move |ctx| {
+            for (slot, &server) in servers.iter().enumerate() {
+                let _ = ctx.call(
+                    server,
+                    tags::CREATE,
+                    create(1, Partitioning::Column, slot, 1.0),
+                    96,
+                );
+                let rotated = create(2, Partitioning::ColumnRotated(1), slot, 2.0);
+                let _ = ctx.call(server, tags::CREATE, rotated, 96);
+            }
+            // Columns 0..4 are on server 0 in matrix 1, on server 1 in matrix 2.
+            let add = CrossElemReq {
+                dst_id: MatrixId(1),
+                dst_row: 0,
+                src_id: MatrixId(2),
+                src_row: 0,
+                op: crate::protocol::ElemOp::Add,
+                pieces: vec![(0, 4, servers[1])],
+                value_bytes: 8,
+                op_id: 55,
+            };
+            let _: () = ctx
+                .call(servers[0], tags::CROSS_ELEM, add.clone(), 72)
+                .downcast();
+            let _: () = ctx.call(servers[0], tags::CROSS_ELEM, add, 72).downcast();
+            let segs: Vec<Vec<f64>> = ctx.call(servers[0], tags::PULL, pull_all(1), 48).downcast();
+            segs[0].clone()
+        });
+        let report = sim.run().unwrap();
+        assert_eq!(out.take(), vec![3.0; 4]);
+        assert_eq!(
+            report
+                .metrics
+                .hist("ps.server.fetch_seg.service")
+                .unwrap()
+                .count(),
+            1
+        );
+        assert_eq!(
+            report
+                .metrics
+                .hist("ps.server.cross_elem.service")
+                .unwrap()
+                .count(),
+            2
+        );
     }
 }

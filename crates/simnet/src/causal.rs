@@ -11,7 +11,7 @@
 //! network were 2× faster?"). The DAG is also exportable as an integer-only
 //! JSON section (see [`CausalDag::to_json`]) so `ps2-trace whatif` can
 //! rebuild it from a trace file without the original
-//! [`SimReport`](crate::SimReport).
+//! [`SimReport`].
 //!
 //! The **critical path** is the chain of events that bounds the run's
 //! makespan: starting from the last non-daemon process to finish, walk

@@ -7,22 +7,25 @@
 //!
 //! ## Execution model
 //!
-//! Logical processes come in two flavors sharing one virtual clock and one
-//! scheduling rule — the scheduler always resumes the *ready process with the
-//! smallest virtual clock* (ties broken by process id), so sends occur in
-//! non-decreasing virtual time, NIC-queue accounting stays causal, and every
-//! simulation is **bit-for-bit deterministic** — the property that lets the
-//! benchmark harness regenerate the paper's figures exactly.
+//! There is one scheduling rule — the scheduler always resumes the *ready
+//! process with the smallest virtual clock* (ties broken by process id), so
+//! sends occur in non-decreasing virtual time, NIC-queue accounting stays
+//! causal, and every simulation is **bit-for-bit deterministic** — the
+//! property that lets the benchmark harness regenerate the paper's figures
+//! exactly. There are two ways to write a process under it, and a run
+//! reports the same events at the same clocks whichever is used:
 //!
 //! * **Thread procs** ([`SimRuntime::spawn`]) hold one OS thread each and are
 //!   written in direct style (plain loops, blocking `recv`/`call`). At each
 //!   simulator call the running process yields and the scheduler picks next.
-//!   Right for at most hundreds of procs with complex sequential logic.
+//!   Right for straight-line code on at most hundreds of procs.
 //! * **Steppable agents** ([`SimRuntime::spawn_agent`], the [`Proc`] trait)
 //!   hold **no thread**: the scheduler steps them inline on message delivery
-//!   and timer expiry, and each step runs atomically via a non-blocking
-//!   [`StepCtx`]. Right for very large populations (the serving scenarios
-//!   step tens of thousands of simulated endpoints this way).
+//!   and timer expiry, each step runs atomically via a non-blocking
+//!   [`StepCtx`], and what a step sends goes out in later turns, each at its
+//!   own clock. Right for servers and for very large populations (the PS
+//!   servers are agents; the serving scenarios step tens of thousands of
+//!   simulated endpoints this way).
 //!
 //! Thread procs are written in direct style (plain loops), not as event
 //! handlers:

@@ -1,6 +1,6 @@
 //! The flight recorder: a deterministic registry of counters, gauges and
 //! virtual-time histograms, plus the [`RunReport`] aggregation that turns a
-//! finished [`SimReport`](crate::SimReport) into a per-op breakdown table
+//! finished [`SimReport`] into a per-op breakdown table
 //! and a machine-readable JSON document.
 //!
 //! ## Determinism constraints

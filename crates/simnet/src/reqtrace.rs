@@ -14,7 +14,7 @@
 //! * `net_reply` — wire + NIC-queue time of the reply,
 //! * `client_recv` — reply arrival until the client consumes it,
 //! * `cache_fill` — post-gather client work attributed to the whole batch
-//!   (see [`ReqRecorder::cache_fill`]).
+//!   (see [`SimCtx::req_cache_fill`](crate::SimCtx::req_cache_fill)).
 //!
 //! ## Determinism (same discipline as metrics / timeseries / hostprof)
 //!

@@ -1,26 +1,27 @@
 //! The sequential deterministic scheduler.
 //!
-//! Two kinds of logical process share one virtual clock and one scheduler:
+//! Two ways to write a logical process share one virtual clock and one
+//! scheduling rule:
 //!
-//! * **Thread procs** — the original direct-style closures. Each owns an OS
-//!   thread; only one runs at a time, handing over at every simulator call
-//!   by signalling the one condvar the next proc parks on. Natural for code
-//!   that blocks mid-request.
+//! * **Thread procs** — direct-style closures. Each owns an OS thread; only
+//!   one runs at a time, handing over at every simulator call by signalling
+//!   the one condvar the next proc parks on. Natural for straight-line code.
 //! * **Steppable agents** — explicit state machines implementing [`Proc`].
 //!   They own *no* thread: whichever OS thread currently drives the
-//!   scheduler steps them inline (one message delivery or timer expiry per
-//!   step) while holding the state lock. Thousands of agents cost a few
+//!   scheduler steps them inline (one message, timer expiry or queued send
+//!   per turn) while holding the state lock. Thousands of agents cost a few
 //!   hundred bytes each, which is what makes many-client serving scenarios
 //!   representable at all.
 //!
 //! Either way the scheduler always runs the *ready* process with the
-//! smallest virtual clock (ties broken by process id), so a mixed run is
-//! exactly as deterministic as a thread-only one. A blocked process is ready
-//! when matching mail is in its mailbox (at the mail's arrival time), its
-//! receive deadline has passed, or — agents only — a timer is due.
+//! smallest virtual clock (ties broken by process id), and the same program
+//! written either way produces the same events at the same clocks. A blocked
+//! process is ready when mail it is waiting for is in its mailbox (at the
+//! mail's arrival time) or its deadline — a thread proc's receive deadline,
+//! an agent's next timer — has passed.
 
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
@@ -107,12 +108,13 @@ enum Status {
 /// An event-driven steppable process.
 ///
 /// Unlike the closure passed to [`SimRuntime::spawn`], a `Proc` owns no OS
-/// thread: the scheduler calls one of these hooks per scheduling turn, on
-/// whatever thread currently drives the scheduler, while holding the global
-/// state lock. The hooks therefore must not block — everything on
-/// [`StepCtx`] is non-blocking — and should do bounded work per step.
-/// Ordering between agents and thread procs still comes from the single
-/// smallest-clock pick, so mixed runs stay bit-for-bit deterministic.
+/// thread: the scheduler calls one of these hooks per event, on whatever
+/// thread currently drives the scheduler, while holding the global state
+/// lock. The hooks therefore must not block — everything on [`StepCtx`] is
+/// non-blocking — and should do bounded work per step. What a hook sends
+/// goes out in later turns of the same smallest-clock pick (see
+/// [`StepCtx::send`]), so swapping a thread proc for the equivalent agent
+/// changes no event and no clock of a run.
 pub trait Proc: Send {
     /// Called once, at the agent's spawn clock, before any message or timer.
     fn on_start(&mut self, _ctx: &mut StepCtx<'_>) {}
@@ -130,15 +132,37 @@ struct AgentState {
     /// Taken out while a step is in flight, so callbacks can borrow the
     /// scheduler state mutably through [`StepCtx`].
     agent: Option<Box<dyn Proc>>,
-    started: bool,
     /// Pending timers ordered by (fire ns, token).
     timers: BTreeMap<(u64, u64), ()>,
     next_timer: u64,
     /// Same per-proc seeding discipline as `SimCtx`.
     rng: StdRng,
-    /// Set by [`StepCtx::finish`]; the scheduler retires the agent after the
-    /// current step returns.
+    /// Set by [`StepCtx::finish`]; the scheduler retires the agent once the
+    /// hook has returned and `out` has drained.
     finish: bool,
+    /// What the last hook sent, each with the clock it was issued at. One
+    /// goes out per turn: a hook runs ahead of every other proc in virtual
+    /// time, so a send claims its NICs only once the agent is again the
+    /// `(clock, id)` minimum at the send's own clock — the turn a thread
+    /// proc, which yields in `advance` and `send`, would make it in.
+    out: VecDeque<(SimTime, Outgoing)>,
+    /// The clock the last hook ended at, restored once `out` has drained;
+    /// meanwhile the agent's clock sits at the head entry's.
+    after: SimTime,
+    /// The mail to park for: any, or — until it comes — the one reply named
+    /// by [`StepCtx::await_reply`].
+    wait: MatchSpec,
+}
+
+/// One message on its way into [`State::deliver`].
+struct Outgoing {
+    dst: ProcId,
+    tag: u32,
+    corr: u64,
+    is_reply: bool,
+    payload: Box<dyn Any + Send>,
+    bytes: u64,
+    req: Option<ReqToken>,
 }
 
 enum Engine {
@@ -188,57 +212,34 @@ impl ProcState {
         matches!(self.engine, Engine::Agent(_))
     }
 
+    /// Mailbox key of the earliest mail `spec` accepts.
+    fn first_match(&self, spec: &MatchSpec) -> Option<(u64, u64)> {
+        self.mailbox
+            .iter()
+            .find(|(_, env)| spec.matches(env))
+            .map(|(key, _)| *key)
+    }
+
     /// Virtual time at which this process could next run, or `None` if it
     /// cannot run at all right now.
     fn ready_key(&self) -> Option<SimTime> {
-        if matches!(self.status, Status::Finished) {
-            return None;
-        }
-        if self.killed {
-            // Schedulable so it gets a turn in which to unwind.
-            return Some(self.clock);
-        }
-        if let Engine::Agent(ag) = &self.engine {
-            // Agents consume any mail and additionally wake on timers; an
-            // unstarted agent is ready for its `on_start` turn immediately.
-            if !ag.started {
-                return Some(self.clock);
-            }
-            let mail = self
-                .mailbox
-                .keys()
-                .next()
-                .map(|(arrival, _)| self.clock.max(SimTime(*arrival)));
-            let timer = ag
-                .timers
-                .keys()
-                .next()
-                .map(|(fire, _)| self.clock.max(SimTime(*fire)));
-            return match (mail, timer) {
-                (Some(m), Some(t)) => Some(m.min(t)),
-                (Some(m), None) => Some(m),
-                (None, Some(t)) => Some(t),
-                (None, None) => None,
-            };
-        }
         match &self.status {
+            Status::Finished => None,
+            // Schedulable so it gets a turn in which to unwind.
+            _ if self.killed => Some(self.clock),
+            // Includes an agent not yet started or with sends still queued.
             Status::Runnable => Some(self.clock),
             Status::Blocked { spec, deadline } => {
-                let mail = self
-                    .mailbox
-                    .iter()
-                    .find(|(_, env)| spec.matches(env))
-                    .map(|((arrival, _), _)| self.clock.max(SimTime(*arrival)));
-                match (mail, deadline) {
-                    // Ready at whichever comes first: the matching mail's
-                    // effective time or the deadline's effective time.
-                    (Some(m), Some(d)) => Some(m.min(self.clock.max(*d))),
-                    (Some(m), None) => Some(m),
-                    (None, Some(d)) => Some(self.clock.max(*d)),
-                    (None, None) => None,
-                }
+                let mail = self.first_match(spec).map(|(arrival, _)| SimTime(arrival));
+                // Ready at whichever comes first, the matching mail or the
+                // deadline (an agent's is its next timer), but never before
+                // the proc's own clock.
+                let first = match (mail, *deadline) {
+                    (Some(m), Some(d)) => m.min(d),
+                    (m, d) => m.or(d)?,
+                };
+                Some(self.clock.max(first))
             }
-            Status::Finished => None,
         }
     }
 }
@@ -310,22 +311,52 @@ impl State {
         crate::report::LabelId((self.labels.len() - 1) as u32)
     }
 
+    fn agent_mut(&mut self, idx: usize) -> &mut AgentState {
+        match &mut self.procs[idx].engine {
+            Engine::Agent(ag) => ag,
+            Engine::Thread(_) => unreachable!("proc {idx} is a thread proc, not an agent"),
+        }
+    }
+
+    /// Take mail `key` out of `me`'s mailbox: sync the clock to its arrival,
+    /// record stats, trace and request trace. The receive core shared by
+    /// thread procs (`Shared::block_recv`) and agent steps.
+    fn receive(&mut self, me: usize, key: (u64, u64)) -> Envelope {
+        let at = self.procs[me].clock.max(SimTime(key.0));
+        self.ts_roll(at);
+        let p = &mut self.procs[me];
+        let env = p.mailbox.remove(&key).expect("mail vanished");
+        p.clock = at;
+        p.stats.msgs_recv += 1;
+        p.stats.bytes_recv += env.bytes;
+        if self.tracing {
+            self.trace.push(crate::report::TraceEvent::Recv {
+                at,
+                proc: ProcId(me),
+                src: env.src,
+                tag: env.tag,
+                seq: env.seq,
+            });
+        }
+        if let (Some(tok), Some(rec)) = (env.req, &mut self.req) {
+            rec.on_dequeue(tok, at, env.is_reply);
+        }
+        env
+    }
+
     /// The send core shared by thread procs (`Shared::send_env`) and agent
-    /// steps (`StepCtx`): NIC accounting, trace/reqtrace hooks, mailbox
-    /// insert. Does not reschedule — the caller owns the handoff.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver(
-        &mut self,
-        cfg: &SimConfig,
-        me: usize,
-        dst: ProcId,
-        tag: u32,
-        corr: u64,
-        is_reply: bool,
-        payload: Box<dyn Any + Send>,
-        bytes: u64,
-        req: Option<ReqToken>,
-    ) {
+    /// turns (`Shared::step_agent`): NIC accounting, trace/reqtrace hooks,
+    /// mailbox insert. Does not reschedule — the caller owns the handoff.
+    fn deliver(&mut self, cfg: &SimConfig, me: usize, out: Outgoing) {
+        let Outgoing {
+            dst,
+            tag,
+            corr,
+            is_reply,
+            payload,
+            bytes,
+            req,
+        } = out;
         let pre = self.procs[me].clock;
         self.ts_roll(pre);
         let net = &cfg.net;
@@ -587,7 +618,16 @@ impl Shared {
         let _prof = hostprof::scope(ProfScope::SchedSend);
         let mut st = self.state.lock();
         self.interrupt_check(&st, me);
-        st.deliver(&self.cfg, me, dst, tag, corr, is_reply, payload, bytes, req);
+        let out = Outgoing {
+            dst,
+            tag,
+            corr,
+            is_reply,
+            payload,
+            bytes,
+            req,
+        };
+        st.deliver(&self.cfg, me, out);
         self.reschedule(&mut st, me);
     }
 
@@ -601,36 +641,9 @@ impl Shared {
         let mut st = self.state.lock();
         loop {
             self.interrupt_check(&st, me);
-            let found = st.procs[me]
-                .mailbox
-                .iter()
-                .find(|(_, env)| spec.matches(env))
-                .map(|(k, _)| *k);
-            if let Some(key) = found {
-                let eff = st.procs[me].clock.max(st.procs[me].mailbox[&key].arrival);
-                st.ts_roll(eff);
-                let env = st.procs[me].mailbox.remove(&key).expect("mail vanished");
-                let p = &mut st.procs[me];
-                p.clock = p.clock.max(env.arrival);
-                p.status = Status::Runnable;
-                p.stats.msgs_recv += 1;
-                p.stats.bytes_recv += env.bytes;
-                if st.tracing {
-                    let at = st.procs[me].clock;
-                    st.trace.push(crate::report::TraceEvent::Recv {
-                        at,
-                        proc: ProcId(me),
-                        src: env.src,
-                        tag: env.tag,
-                        seq: env.seq,
-                    });
-                }
-                if let Some(tok) = env.req {
-                    let clock = st.procs[me].clock;
-                    if let Some(rec) = &mut st.req {
-                        rec.on_dequeue(tok, clock, env.is_reply);
-                    }
-                }
+            if let Some(key) = st.procs[me].first_match(&spec) {
+                let env = st.receive(me, key);
+                st.procs[me].status = Status::Runnable;
                 self.reschedule(&mut st, me);
                 return Some(env);
             }
@@ -791,160 +804,129 @@ impl Shared {
 
     // ---- steppable agents -------------------------------------------------
 
-    /// Run one scheduling turn of agent `idx`: deliver its earliest event
-    /// (start, mail, or timer — whichever has the smallest effective time,
-    /// mail winning ties) into the corresponding [`Proc`] hook. Runs on the
-    /// calling thread while the lock is held; the callback sees the
-    /// scheduler state through [`StepCtx`] and cannot block.
+    /// Run one scheduling turn of agent `idx`: put its next queued send on
+    /// the wire, or deliver its earliest event (start, awaited mail, or
+    /// timer — whichever has the smallest effective time, mail winning ties)
+    /// into the corresponding [`Proc`] hook. Runs on the calling thread
+    /// while the lock is held; the callback sees the scheduler state through
+    /// [`StepCtx`] and cannot block.
     fn step_agent(&self, st: &mut MutexGuard<'_, State>, idx: usize) {
         let _prof = hostprof::scope(ProfScope::SchedStep);
         if st.procs[idx].killed {
             // Kills retire an agent at its next turn, mirroring the unwind
             // a thread proc performs.
-            self.finish_agent(st, idx);
+            self.retire(st, idx);
+            return;
+        }
+        if let Some((_, out)) = st.agent_mut(idx).out.pop_front() {
+            {
+                let _prof = hostprof::scope(ProfScope::SchedSend);
+                st.deliver(&self.cfg, idx, out);
+            }
+            st.procs[idx].clock = st.agent_mut(idx).after;
+            self.park_agent(st, idx);
             return;
         }
         enum Ev {
             Start,
-            Mail,
-            Timer(u64),
+            Mail((u64, u64)),
+            Timer,
         }
-        let ev = {
-            let p = &st.procs[idx];
-            let Engine::Agent(ag) = &p.engine else {
-                unreachable!("step_agent on a thread proc")
-            };
-            if !ag.started {
-                Ev::Start
-            } else {
+        let p = &st.procs[idx];
+        let ev = match &p.status {
+            Status::Runnable => Ev::Start,
+            Status::Blocked { spec, deadline } => {
+                let due = |t: SimTime| p.clock.max(t);
                 let mail = p
-                    .mailbox
-                    .keys()
-                    .next()
-                    .map(|(arrival, _)| p.clock.max(SimTime(*arrival)));
-                let timer = ag.timers.keys().next().copied();
-                match (mail, timer) {
-                    (Some(m), Some((fire, tok))) => {
-                        if m <= p.clock.max(SimTime(fire)) {
-                            Ev::Mail
-                        } else {
-                            Ev::Timer(tok)
-                        }
-                    }
-                    (Some(_), None) => Ev::Mail,
-                    (None, Some((_, tok))) => Ev::Timer(tok),
-                    (None, None) => unreachable!("agent picked with no pending event"),
-                }
+                    .first_match(spec)
+                    .filter(|key| deadline.is_none_or(|d| due(SimTime(key.0)) <= due(d)));
+                mail.map_or(Ev::Timer, Ev::Mail)
             }
+            Status::Finished => unreachable!("finished agent picked"),
         };
-        // Event bookkeeping mirrors the thread paths exactly: roll the
-        // telemetry window at the effective time, advance the clock, record
-        // stats/trace/reqtrace.
-        let mut env = None;
-        match &ev {
-            Ev::Start => {}
-            Ev::Mail => {
-                let key = *st.procs[idx].mailbox.keys().next().expect("mail vanished");
-                let eff = st.procs[idx].clock.max(SimTime(key.0));
-                st.ts_roll(eff);
-                let e = st.procs[idx].mailbox.remove(&key).expect("mail vanished");
-                let p = &mut st.procs[idx];
-                p.clock = p.clock.max(e.arrival);
-                p.stats.msgs_recv += 1;
-                p.stats.bytes_recv += e.bytes;
-                if st.tracing {
-                    let at = st.procs[idx].clock;
-                    st.trace.push(crate::report::TraceEvent::Recv {
-                        at,
-                        proc: ProcId(idx),
-                        src: e.src,
-                        tag: e.tag,
-                        seq: e.seq,
-                    });
-                }
-                if let Some(tok) = e.req {
-                    let clock = st.procs[idx].clock;
-                    if let Some(rec) = &mut st.req {
-                        rec.on_dequeue(tok, clock, e.is_reply);
-                    }
-                }
-                env = Some(e);
+        let mut agent = st.agent_mut(idx).agent.take();
+        let hooks = agent.as_mut().expect("agent stepped reentrantly");
+        match ev {
+            Ev::Start => hooks.on_start(&mut self.step_ctx(st, idx)),
+            Ev::Mail(key) => {
+                let env = st.receive(idx, key);
+                // Whatever was awaited has come; the hook may await anew.
+                st.agent_mut(idx).wait = MatchSpec::Any;
+                hooks.on_message(&mut self.step_ctx(st, idx), env);
             }
-            Ev::Timer(tok) => {
-                let Engine::Agent(ag) = &mut st.procs[idx].engine else {
-                    unreachable!()
-                };
-                let (fire, _) = *ag.timers.keys().next().expect("timer vanished");
-                ag.timers.remove(&(fire, *tok));
-                let eff = st.procs[idx].clock.max(SimTime(fire));
-                st.ts_roll(eff);
-                st.procs[idx].clock = eff;
+            Ev::Timer => {
+                let timers = &mut st.agent_mut(idx).timers;
+                let ((fire, tok), ()) = timers.pop_first().expect("agent picked with no event");
+                let at = st.procs[idx].clock.max(SimTime(fire));
+                st.ts_roll(at);
+                st.procs[idx].clock = at;
+                hooks.on_timer(&mut self.step_ctx(st, idx), tok);
             }
         }
-        let mut agent = {
-            let Engine::Agent(ag) = &mut st.procs[idx].engine else {
-                unreachable!()
-            };
-            if let Ev::Start = ev {
-                ag.started = true;
-            }
-            ag.agent.take().expect("agent stepped reentrantly")
-        };
-        {
-            let mut ctx = StepCtx {
-                cfg: &self.cfg,
-                st,
-                me: idx,
-            };
-            match ev {
-                Ev::Start => agent.on_start(&mut ctx),
-                Ev::Mail => agent.on_message(&mut ctx, env.expect("mail event without mail")),
-                Ev::Timer(tok) => agent.on_timer(&mut ctx, tok),
-            }
+        st.agent_mut(idx).agent = agent;
+        self.park_agent(st, idx);
+    }
+
+    fn step_ctx<'a>(&'a self, st: &'a mut State, me: usize) -> StepCtx<'a> {
+        StepCtx {
+            cfg: &self.cfg,
+            st,
+            me,
         }
-        let finish = {
-            let Engine::Agent(ag) = &mut st.procs[idx].engine else {
-                unreachable!()
-            };
-            ag.agent = Some(agent);
-            ag.finish || st.procs[idx].killed
+    }
+
+    /// Where a turn leaves agent `idx`: at the clock of its next queued send,
+    /// retired, or parked between events.
+    fn park_agent(&self, st: &mut State, idx: usize) {
+        let p = &mut st.procs[idx];
+        let Engine::Agent(ag) = &mut p.engine else {
+            unreachable!("proc {idx} is a thread proc, not an agent")
         };
-        if finish {
-            self.finish_agent(st, idx);
+        if let Some((at, _)) = ag.out.front() {
+            ag.after = p.clock;
+            p.clock = *at;
+            p.status = Status::Runnable;
+        } else if ag.finish {
+            self.retire(st, idx);
         } else {
-            // Parked between events; `ready_key` watches mail and timers.
-            st.procs[idx].status = Status::Blocked {
-                spec: MatchSpec::Any,
-                deadline: None,
+            p.status = Status::Blocked {
+                spec: ag.wait.clone(),
+                deadline: ag.timers.keys().next().map(|(fire, _)| SimTime(*fire)),
             };
         }
     }
 
-    /// Retire an agent: the no-thread analogue of `on_proc_exit`.
-    fn finish_agent(&self, st: &mut MutexGuard<'_, State>, idx: usize) {
+    /// Retire proc `idx` at its current clock — the end of a thread proc's
+    /// closure, an agent's `finish()`, a kill, or the end of the run for a
+    /// daemon agent — and shut the simulation down with the last non-daemon.
+    fn retire(&self, st: &mut State, idx: usize) {
         let p = &mut st.procs[idx];
-        let daemon = p.daemon;
-        let already_finished = matches!(p.status, Status::Finished);
+        let first = !matches!(p.status, Status::Finished);
         p.status = Status::Finished;
         p.stats.finished_at = p.clock;
         if let Engine::Agent(ag) = &mut p.engine {
-            // Drop user state and pending timers now; the slot itself stays
-            // (ids are stable).
+            // Drop user state and whatever was pending now; the slot itself
+            // stays (ids are stable).
             ag.agent = None;
             ag.timers.clear();
+            ag.out.clear();
         }
-        if st.tracing && !already_finished {
-            let at = st.procs[idx].clock;
-            st.trace.push(crate::report::TraceEvent::Finish {
-                at,
-                proc: ProcId(idx),
-            });
-        }
-        if !daemon && !already_finished {
-            st.live -= 1;
+        if first {
+            if !p.daemon {
+                st.live -= 1;
+            }
+            if st.tracing {
+                let at = st.procs[idx].clock;
+                st.trace.push(crate::report::TraceEvent::Finish {
+                    at,
+                    proc: ProcId(idx),
+                });
+            }
         }
         if st.live == 0 {
             st.shutdown = true;
+        }
+        if st.shutdown {
             st.running = None;
             self.wake_all(st);
         }
@@ -966,11 +948,13 @@ impl Shared {
             .wrapping_add(id as u64 + 1);
         let engine = Engine::Agent(Box::new(AgentState {
             agent: Some(agent),
-            started: false,
             timers: BTreeMap::new(),
             next_timer: 0,
             rng: StdRng::seed_from_u64(seed),
             finish: false,
+            out: VecDeque::new(),
+            after: start_clock,
+            wait: MatchSpec::Any,
         }));
         st.procs.push(ProcState::new(
             name.to_string(),
@@ -1031,26 +1015,8 @@ impl Shared {
                 st.shutdown = true;
             }
         }
-        let daemon = st.procs[me].daemon;
-        let already_finished = matches!(st.procs[me].status, Status::Finished);
-        st.procs[me].status = Status::Finished;
-        st.procs[me].stats.finished_at = st.procs[me].clock;
-        if st.tracing && !already_finished {
-            let at = st.procs[me].clock;
-            st.trace.push(crate::report::TraceEvent::Finish {
-                at,
-                proc: ProcId(me),
-            });
-        }
-        if !daemon && !already_finished {
-            st.live -= 1;
-        }
-        if st.live == 0 {
-            st.shutdown = true;
-        }
+        self.retire(&mut st, me);
         if st.shutdown {
-            st.running = None;
-            self.wake_all(&st);
             return;
         }
         if st.running == Some(me) {
@@ -1083,12 +1049,14 @@ impl Shared {
 
 /// The handle a [`Proc`] hook sees during a step.
 ///
-/// Everything here is **non-blocking**: sends enqueue mail, timers arm, the
-/// clock only moves forward via [`StepCtx::advance`]. There is deliberately
-/// no `recv`/`call` — an agent that needs a reply sends the request with
-/// [`StepCtx::send_request`] and matches the reply's correlation id in
-/// `on_message`. A whole step is atomic with respect to other processes:
-/// no one else runs between two statements of a hook.
+/// Everything here is **non-blocking**: sends queue, timers arm, the clock
+/// only moves forward via [`StepCtx::advance`] and the per-message send
+/// overhead. An agent that needs a reply sends the request with
+/// [`StepCtx::send_request`] and takes the reply in a later `on_message`;
+/// [`StepCtx::await_reply`] holds all other mail back until then, which is
+/// what [`SimCtx::call`](crate::SimCtx::call) does for a thread proc. A
+/// whole step is atomic with respect to other processes: no one else runs
+/// between two statements of a hook.
 pub struct StepCtx<'a> {
     cfg: &'a SimConfig,
     st: &'a mut State,
@@ -1119,10 +1087,7 @@ impl StepCtx<'_> {
     /// Deterministic per-agent random number generator (same seeding
     /// discipline as [`SimCtx::rng`](crate::SimCtx::rng)).
     pub fn rng(&mut self) -> &mut StdRng {
-        let Engine::Agent(ag) = &mut self.st.procs[self.me].engine else {
-            unreachable!("StepCtx on a thread proc")
-        };
-        &mut ag.rng
+        &mut self.st.agent_mut(self.me).rng
     }
 
     /// Advance this agent's clock by `dt` of busy (compute) time. Unlike
@@ -1157,26 +1122,29 @@ impl StepCtx<'_> {
         self.advance(dt);
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn send_inner(
-        &mut self,
-        dst: ProcId,
-        tag: u32,
-        corr: u64,
-        is_reply: bool,
-        payload: Box<dyn Any + Send>,
-        bytes: u64,
-        req: Option<ReqToken>,
-    ) {
-        let _prof = hostprof::scope(ProfScope::SchedSend);
-        self.st.deliver(
-            self.cfg, self.me, dst, tag, corr, is_reply, payload, bytes, req,
-        );
+    /// Charge the send overhead now, so the hook's clock reads as it would
+    /// after a thread proc's send, and queue the message for its own turn.
+    fn send_inner(&mut self, out: Outgoing) {
+        let p = &mut self.st.procs[self.me];
+        let at = p.clock;
+        p.clock += self.cfg.net.per_msg_overhead;
+        self.st.agent_mut(self.me).out.push_back((at, out));
     }
 
-    /// Send a one-way message of declared wire size `bytes`.
+    /// Send a one-way message of declared wire size `bytes`. Like every send
+    /// of a hook it leaves — claims its NICs, takes its sequence number — in
+    /// a later turn of this agent, at the clock it was issued at: the hook
+    /// may be ahead of procs that still have earlier sends to make.
     pub fn send<P: Any + Send>(&mut self, dst: ProcId, tag: u32, payload: P, bytes: u64) {
-        self.send_inner(dst, tag, 0, false, Box::new(payload), bytes, None);
+        self.send_inner(Outgoing {
+            dst,
+            tag,
+            corr: 0,
+            is_reply: false,
+            payload: Box::new(payload),
+            bytes,
+            req: None,
+        });
     }
 
     /// Send a request and return its correlation id; the reply arrives in a
@@ -1203,8 +1171,25 @@ impl StepCtx<'_> {
     ) -> u64 {
         self.st.corr += 1;
         let corr = self.st.corr;
-        self.send_inner(dst, tag, corr, false, Box::new(payload), bytes, req);
+        self.send_inner(Outgoing {
+            dst,
+            tag,
+            corr,
+            is_reply: false,
+            payload: Box::new(payload),
+            bytes,
+            req,
+        });
         corr
+    }
+
+    /// Once this hook returns, take no mail but the reply to `corr` (an id
+    /// [`StepCtx::send_request`] returned): other mail stays queued in
+    /// arrival order until that reply has been handed to `on_message`;
+    /// timers still fire. The selective receive a thread proc gets from
+    /// [`SimCtx::call`](crate::SimCtx::call).
+    pub fn await_reply(&mut self, corr: u64) {
+        self.st.agent_mut(self.me).wait = MatchSpec::Replies(vec![corr]);
     }
 
     /// Reply to a request received via `on_message`.
@@ -1215,36 +1200,32 @@ impl StepCtx<'_> {
     /// Reply with an already type-erased payload.
     pub fn reply_boxed(&mut self, request: &Envelope, payload: Box<dyn Any + Send>, bytes: u64) {
         assert_ne!(request.corr, 0, "reply target was not sent with call()");
-        self.send_inner(
-            request.src,
-            request.tag,
-            request.corr,
-            true,
+        self.send_inner(Outgoing {
+            dst: request.src,
+            tag: request.tag,
+            corr: request.corr,
+            is_reply: true,
             payload,
             bytes,
-            request.req,
-        );
+            req: request.req,
+        });
     }
 
     /// Arm a timer `dt` from now; `on_timer` fires with the returned token.
     pub fn set_timer(&mut self, dt: SimTime) -> u64 {
         let fire = (self.st.procs[self.me].clock + dt).as_nanos();
-        let Engine::Agent(ag) = &mut self.st.procs[self.me].engine else {
-            unreachable!("StepCtx on a thread proc")
-        };
+        let ag = self.st.agent_mut(self.me);
         let tok = ag.next_timer;
         ag.next_timer += 1;
         ag.timers.insert((fire, tok), ());
         tok
     }
 
-    /// Retire this agent after the current hook returns. Non-daemon agents
-    /// must eventually call this (or be killed) for the simulation to end.
+    /// Retire this agent once the current hook has returned and what it sent
+    /// has left. Non-daemon agents must eventually call this (or be killed)
+    /// for the simulation to end.
     pub fn finish(&mut self) {
-        let Engine::Agent(ag) = &mut self.st.procs[self.me].engine else {
-            unreachable!("StepCtx on a thread proc")
-        };
-        ag.finish = true;
+        self.st.agent_mut(self.me).finish = true;
     }
 
     /// Whether `target` has neither finished nor been killed.
@@ -1618,22 +1599,11 @@ impl SimRuntime {
         if let Some(err) = st.error.clone() {
             return Err(err);
         }
-        // Daemon agents have no thread to unwind at shutdown; stamp their
-        // end the way `on_proc_exit` does for thread daemons.
-        let mut finish_events = Vec::new();
-        for (i, p) in st.procs.iter_mut().enumerate() {
-            if p.is_agent() && !matches!(p.status, Status::Finished) {
-                p.status = Status::Finished;
-                p.stats.finished_at = p.clock;
-                finish_events.push((p.clock, i));
-            }
-        }
-        if st.tracing {
-            for (at, i) in finish_events {
-                st.trace.push(crate::report::TraceEvent::Finish {
-                    at,
-                    proc: ProcId(i),
-                });
+        // Daemon agents have no thread to unwind at shutdown; retire them
+        // the way `on_proc_exit` does thread daemons.
+        for i in 0..st.procs.len() {
+            if st.procs[i].is_agent() && !matches!(st.procs[i].status, Status::Finished) {
+                self.shared.retire(&mut st, i);
             }
         }
         let virtual_time = st

@@ -1,5 +1,6 @@
-//! Declarative per-window detectors over a run's [`TimeSeries`]: stragglers,
-//! parameter-access skew, queue growth, and convergence stalls.
+//! Declarative per-window detectors over a run's
+//! [`TimeSeries`](crate::TimeSeries): stragglers, parameter-access skew,
+//! queue growth, and convergence stalls.
 //!
 //! The watchdog is a pure post-processing pass: it reads the windowed
 //! telemetry (`SimReport::timeseries`) and the final registry, never the live

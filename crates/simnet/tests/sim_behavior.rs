@@ -2,10 +2,13 @@
 //! serialization, RPC, deadlines, failures.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use ps2_simnet::{NetConfig, ProcId, SimBuilder, SimError, SimReport, SimRuntime, SimTime};
+use ps2_simnet::{
+    Envelope, NetConfig, Proc, ProcId, SimBuilder, SimError, SimReport, SimRuntime, SimTime,
+    StepCtx,
+};
 
 /// Run the simulation on a helper thread and fail, instead of hanging the
 /// suite, if a missed wake-up leaves it parked forever.
@@ -395,4 +398,140 @@ fn report_counts_messages_and_bytes() {
     let tx = report.proc("tx").unwrap();
     assert_eq!(tx.msgs_sent, 2);
     assert_eq!(tx.bytes_sent, 300);
+}
+
+/// Agent that, given a message, works for `work`, sends one message to
+/// `dst` and optionally finishes — all in one step.
+struct WorkThenSend {
+    work: SimTime,
+    dst: ProcId,
+    finish: bool,
+}
+
+impl Proc for WorkThenSend {
+    fn on_message(&mut self, ctx: &mut StepCtx<'_>, _env: Envelope) {
+        ctx.advance(self.work);
+        ctx.send(self.dst, 5, (), 8);
+        if self.finish {
+            ctx.finish();
+        }
+    }
+}
+
+/// A thread proc sends, *then* exits; so does an agent that sends and calls
+/// `finish()` in the same step, even though the send leaves in a later turn.
+#[test]
+fn agent_send_followed_by_finish_is_delivered() {
+    let mut sim = SimBuilder::new().network(net(8.0, 1000)).build();
+    let sink = sim.spawn_collect("sink", |ctx| {
+        // Arrives at 1 ms (latency); the agent then works until 3 ms.
+        ctx.send(ProcId(1), 0, (), 0);
+        ctx.recv().sent_at
+    });
+    let agent = WorkThenSend {
+        work: SimTime::from_millis(2),
+        dst: ProcId(0),
+        finish: true,
+    };
+    let agent = sim.spawn_agent("worker", agent);
+    let report = run_bounded(sim).unwrap();
+    assert_eq!(sink.take(), SimTime::from_millis(3));
+    assert_eq!(report.procs[agent.0].finished_at, SimTime::from_millis(3));
+    assert_eq!(report.dropped_msgs, 0);
+}
+
+/// A killed thread proc unwinds at its next yield without sending; an agent
+/// killed while its send waits for its turn sends nothing either, and ends
+/// at the clock it had reached when it tried to send.
+#[test]
+fn killed_agent_drops_its_queued_sends() {
+    let mut sim = SimBuilder::new().network(net(8.0, 1000)).build();
+    let sink = sim.spawn_collect("sink", |ctx| {
+        ctx.recv_deadline(SimTime::from_millis(50)).is_some()
+    });
+    let agent = WorkThenSend {
+        work: SimTime::from_millis(10),
+        dst: ProcId(0),
+        finish: false,
+    };
+    let agent = sim.spawn_agent_daemon("worker", agent);
+    sim.spawn("killer", move |ctx| {
+        // Arrives at 1 ms (latency); the agent then works until 11 ms.
+        ctx.send(agent, 0, (), 0);
+        ctx.advance(SimTime::from_millis(5));
+        ctx.kill(agent);
+    });
+    let report = run_bounded(sim).unwrap();
+    assert!(!sink.take(), "the queued send must not be delivered");
+    assert_eq!(report.total_msgs, 1, "only the killer's message was sent");
+    assert_eq!(report.procs[agent.0].msgs_sent, 0);
+    assert_eq!(report.procs[agent.0].finished_at, SimTime::from_millis(11));
+}
+
+/// Agent that calls an echo server and waits for the reply selectively,
+/// logging every event it is given with the clock it arrived at.
+struct Caller {
+    server: ProcId,
+    log: Arc<Mutex<Vec<(&'static str, SimTime)>>>,
+}
+
+impl Proc for Caller {
+    fn on_start(&mut self, ctx: &mut StepCtx<'_>) {
+        let corr = ctx.send_request(self.server, 9, (), 8);
+        ctx.await_reply(corr);
+        ctx.set_timer(SimTime::from_millis(3));
+    }
+
+    fn on_message(&mut self, ctx: &mut StepCtx<'_>, env: Envelope) {
+        let what = match (env.is_reply(), env.tag) {
+            (true, _) => "reply",
+            (false, 1) => "first",
+            (false, _) => "second",
+        };
+        let mut log = self.log.lock().unwrap();
+        log.push((what, ctx.now()));
+        if log.len() == 4 {
+            ctx.finish();
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut StepCtx<'_>, _timer: u64) {
+        self.log.lock().unwrap().push(("timer", ctx.now()));
+    }
+}
+
+/// `await_reply` is the selective receive of `SimCtx::call`: unrelated mail
+/// that arrives first is delivered only after the awaited reply, in arrival
+/// order, and timers keep firing meanwhile.
+#[test]
+fn await_reply_holds_unrelated_mail_until_the_reply() {
+    let mut sim = SimBuilder::new().network(net(8.0, 1000)).build();
+    let server = sim.spawn_daemon("slow-echo", |ctx| loop {
+        let env = ctx.recv();
+        ctx.advance(SimTime::from_millis(10));
+        ctx.reply(&env, (), 8);
+    });
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let caller = Caller {
+        server,
+        log: Arc::clone(&log),
+    };
+    let caller = sim.spawn_agent("caller", caller);
+    sim.spawn("chatter", move |ctx| {
+        ctx.send(caller, 1, (), 0);
+        ctx.advance(SimTime::from_millis(1));
+        ctx.send(caller, 2, (), 0);
+    });
+    run_bounded(sim).unwrap();
+    let ms = SimTime::from_millis;
+    // Request out at 0, served 1..11 ms, reply back at 12 ms (8 bytes of
+    // wire time are below the millisecond); the chatter's mail arrived at
+    // 1 and 2 ms.
+    let log = log.lock().unwrap();
+    let events: Vec<&str> = log.iter().map(|(what, _)| *what).collect();
+    assert_eq!(events, ["timer", "reply", "first", "second"]);
+    assert_eq!(log[0].1, ms(3));
+    assert!(log[1].1 >= ms(12) && log[1].1 < ms(13), "{:?}", log[1]);
+    assert_eq!(log[2].1, log[1].1);
+    assert_eq!(log[3].1, log[1].1);
 }
