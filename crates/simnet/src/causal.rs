@@ -9,8 +9,8 @@
 //! than once: the critical-path extractor below consumes it, and
 //! [`crate::whatif`] replays it under counterfactual edits ("what if the
 //! network were 2× faster?"). The DAG is also exportable as an integer-only
-//! JSON section (see [`CausalDag::to_json`]) so `ps2-trace whatif` can
-//! rebuild it from a trace file without the original
+//! JSON section, read back by [`CausalDag::from_json`], so `ps2-trace
+//! whatif` can rebuild it from a trace file without the original
 //! [`SimReport`].
 //!
 //! The **critical path** is the chain of events that bounds the run's
@@ -38,9 +38,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fmt::Write as _;
 
-use crate::metrics::json_str;
+use crate::json::{JsonValue, JsonWriter, Style};
 use crate::report::{SimReport, TraceEvent};
 use crate::time::SimTime;
 
@@ -183,7 +182,7 @@ pub struct DagProc {
 /// The full causal event DAG of one run: per-process program-order event
 /// lists plus the message-edge index. Built from a live [`SimReport`]
 /// ([`CausalDag::from_report`]) or rebuilt from a trace file's `"ps2"."dag"`
-/// section (`ps2::tracefile`). Everything downstream — the critical path,
+/// section ([`CausalDag::from_json`]). Everything downstream — the critical path,
 /// what-if replay — derives from this structure alone.
 #[derive(Clone, Debug)]
 pub struct CausalDag {
@@ -197,8 +196,7 @@ pub struct CausalDag {
 }
 
 impl CausalDag {
-    /// Assemble a DAG from parts (used by the trace-file reader); the send
-    /// index is derived.
+    /// Assemble a DAG from parts; the send index is derived.
     pub fn new(makespan_ns: u64, labels: Vec<String>, procs: Vec<DagProc>) -> CausalDag {
         let mut send_pos = BTreeMap::new();
         for (p, dp) in procs.iter().enumerate() {
@@ -355,40 +353,31 @@ impl CausalDag {
         out
     }
 
-    /// Render as the integer-only `"ps2"."dag"` JSON section (schema
+    /// Write the integer-only `"ps2"."dag"` JSON section (schema
     /// `ps2-dag-v1`). Events are compact arrays keyed by a leading
     /// discriminant: `[0, at, dt, label|-1]` compute, `[1, at, dst, arrival,
     /// seq, ideal_ns]` send, `[2, at, src, seq]` recv, `[3, at]` point.
     /// Byte-identical across same-seed runs.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n    \"schema\": \"ps2-dag-v1\",\n");
-        let _ = writeln!(s, "    \"makespan_ns\": {},", self.makespan_ns);
-        s.push_str("    \"labels\": [");
-        for (i, l) in self.labels.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&json_str(l));
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.obj(Style::Block);
+        w.key("schema").str("ps2-dag-v1");
+        w.key("makespan_ns").raw(self.makespan_ns);
+        w.key("labels").arr(Style::Inline);
+        for l in &self.labels {
+            w.str(l);
         }
-        s.push_str("],\n    \"procs\": [\n");
-        for (i, p) in self.procs.iter().enumerate() {
-            let _ = write!(
-                s,
-                "      {{\"name\": {}, \"daemon\": {}, \"finished_ns\": {}, \
-                 \"busy_ns\": {}, \"events\": [",
-                json_str(&p.name),
-                p.daemon,
-                p.finished_ns,
-                p.busy_ns
-            );
-            for (j, e) in p.events.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                match e {
+        w.end().key("procs").arr(Style::Block);
+        for p in &self.procs {
+            w.obj(Style::Inline).key("name").str(&p.name);
+            w.key("daemon").raw(p.daemon);
+            w.key("finished_ns").raw(p.finished_ns);
+            w.key("busy_ns").raw(p.busy_ns);
+            w.key("events").arr(Style::Compact);
+            for e in &p.events {
+                w.arr(Style::Compact);
+                match *e {
                     DagEvent::Compute { at, dt, label } => {
-                        let _ =
-                            write!(s, "[0,{at},{dt},{}]", label.map(|l| l as i64).unwrap_or(-1));
+                        w.raw(0).raw(at).raw(dt).raw(label.map_or(-1, i64::from))
                     }
                     DagEvent::Send {
                         at,
@@ -396,26 +385,85 @@ impl CausalDag {
                         arrival,
                         seq,
                         ideal_ns,
-                    } => {
-                        let _ = write!(s, "[1,{at},{dst},{arrival},{seq},{ideal_ns}]");
-                    }
-                    DagEvent::Recv { at, src, seq } => {
-                        let _ = write!(s, "[2,{at},{src},{seq}]");
-                    }
-                    DagEvent::Point { at } => {
-                        let _ = write!(s, "[3,{at}]");
-                    }
-                }
+                    } => w
+                        .raw(1)
+                        .raw(at)
+                        .raw(dst)
+                        .raw(arrival)
+                        .raw(seq)
+                        .raw(ideal_ns),
+                    DagEvent::Recv { at, src, seq } => w.raw(2).raw(at).raw(src).raw(seq),
+                    DagEvent::Point { at } => w.raw(3).raw(at),
+                };
+                w.end();
             }
-            s.push_str("]}");
-            s.push_str(if i + 1 < self.procs.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
+            w.end().end();
         }
-        s.push_str("    ]\n  }");
-        s
+        w.end().end();
+    }
+
+    /// Rebuild a DAG from its `ps2-dag-v1` section, the inverse of the writer
+    /// above (the section is integer-only, so the `f64` parser loses
+    /// nothing).
+    pub fn from_json(dag: &JsonValue) -> Result<CausalDag, String> {
+        match dag.str_field("schema")? {
+            "ps2-dag-v1" => {}
+            other => return Err(format!("unsupported schema {other:?}")),
+        }
+        let labels = dag
+            .arr_field("labels")?
+            .iter()
+            .map(|l| l.as_str().map(str::to_string).ok_or("non-string label"))
+            .collect::<Result<Vec<String>, _>>()?;
+        let mut procs = Vec::new();
+        for p in dag.arr_field("procs")? {
+            let name = p.str_field("name")?.to_string();
+            let proc = || -> Result<DagProc, String> {
+                let mut events = Vec::new();
+                for row in p.arr_field("events")? {
+                    let row = row.as_arr().ok_or("event is not an array")?;
+                    let n = |i: usize| {
+                        row.get(i)
+                            .and_then(JsonValue::as_u64)
+                            .ok_or_else(|| format!("event field {i} missing/invalid"))
+                    };
+                    events.push(match n(0)? {
+                        0 => DagEvent::Compute {
+                            at: n(1)?,
+                            dt: n(2)?,
+                            // -1 is "unlabeled".
+                            label: match row.get(3).and_then(JsonValue::as_i64) {
+                                Some(l) => u32::try_from(l).ok(),
+                                None => return Err("compute event missing label field".into()),
+                            },
+                        },
+                        1 => DagEvent::Send {
+                            at: n(1)?,
+                            dst: n(2)? as usize,
+                            arrival: n(3)?,
+                            seq: n(4)?,
+                            ideal_ns: n(5)?,
+                        },
+                        2 => DagEvent::Recv {
+                            at: n(1)?,
+                            src: n(2)? as usize,
+                            seq: n(3)?,
+                        },
+                        3 => DagEvent::Point { at: n(1)? },
+                        d => return Err(format!("unknown event kind {d}")),
+                    });
+                }
+                Ok(DagProc {
+                    name: name.clone(),
+                    daemon: p.bool_field("daemon")?,
+                    finished_ns: p.u64_field("finished_ns")?,
+                    busy_ns: p.u64_field("busy_ns")?,
+                    events,
+                })
+            };
+            procs.push(proc().map_err(|e| format!("proc {name:?}: {e}"))?);
+        }
+        Ok(CausalDag::new(dag.u64_field("makespan_ns")?, labels, procs))
     }
 
     /// Walk the DAG backwards from the makespan and attribute the critical

@@ -43,6 +43,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use crate::json::{parse_json, JsonWriter, Style};
+
 /// The fixed scope taxonomy. Adding a variant: extend [`Scope::ALL`] and
 /// [`Scope::name`] — everything else (tables, JSON, rendering) follows.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -499,6 +501,71 @@ impl HostProfile {
         }
         out
     }
+
+    /// The `ps2-hostprof-v2` sidecar `ps2-run --host-prof-json` writes: this
+    /// profile under the workload's `name`. The measurements are wall-clock,
+    /// so two runs never give the same bytes and nothing byte-compares or
+    /// gates these files; comparing host time across commits is
+    /// `benchmark/`'s job.
+    pub fn to_json(&self, name: &str) -> String {
+        let mut w = JsonWriter::new();
+        w.obj(Style::Block);
+        w.key("schema").str("ps2-hostprof-v2");
+        w.key("name").str(name);
+        w.key("alloc_counted").raw(self.alloc_counted);
+        w.key("wall_ns").raw(self.wall_ns);
+        w.key("scopes").arr(Style::Block);
+        for s in &self.scopes {
+            w.obj(Style::Inline).key("scope").str(s.name);
+            for (k, v) in [
+                ("calls", s.calls),
+                ("total_ns", s.total_ns),
+                ("self_ns", s.self_ns),
+                ("allocs", s.allocs),
+                ("alloc_bytes", s.alloc_bytes),
+            ] {
+                w.key(k).raw(v);
+            }
+            w.end();
+        }
+        w.end().end();
+        w.finish_line()
+    }
+
+    /// Parse a sidecar written by [`HostProfile::to_json`] back into
+    /// `(name, profile)`. Scope names resolve through [`Scope::ALL`]; one
+    /// this build does not know is an error.
+    pub fn from_json(text: &str) -> Result<(String, HostProfile), String> {
+        let doc = parse_json(text).map_err(|e| e.to_string())?;
+        match doc.str_field("schema")? {
+            "ps2-hostprof-v2" => {}
+            other => return Err(format!("unsupported hostprof schema {other:?}")),
+        }
+        let scopes = doc
+            .arr_field("scopes")?
+            .iter()
+            .map(|s| {
+                let name = s.str_field("scope")?;
+                let scope = Scope::ALL.iter().find(|k| k.name() == name);
+                Ok(ScopeStat {
+                    name: scope
+                        .ok_or_else(|| format!("unknown scope {name:?}"))?
+                        .name(),
+                    calls: s.u64_field("calls")?,
+                    total_ns: s.u64_field("total_ns")?,
+                    self_ns: s.u64_field("self_ns")?,
+                    allocs: s.u64_field("allocs")?,
+                    alloc_bytes: s.u64_field("alloc_bytes")?,
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let profile = HostProfile {
+            wall_ns: doc.u64_field("wall_ns")?,
+            alloc_counted: doc.bool_field("alloc_counted")?,
+            scopes,
+        };
+        Ok((doc.str_field("name")?.to_string(), profile))
+    }
 }
 
 pub(crate) fn sort_scopes(scopes: &mut [ScopeStat]) {
@@ -742,5 +809,53 @@ mod tests {
         assert_eq!(a.scopes[0].name, "trace.export"); // resorted by self_ns
         let send = a.scopes.iter().find(|s| s.name == "sched.send").unwrap();
         assert_eq!((send.calls, send.total_ns, send.allocs), (3, 15, 3));
+    }
+
+    fn sidecar(schema: &str, scope: &str) -> String {
+        format!(
+            r#"{{"schema": "{schema}", "name": "lr", "alloc_counted": true, "wall_ns": 9,
+                "scopes": [{{"scope": "{scope}", "calls": 1, "total_ns": 2, "self_ns": 2,
+                             "allocs": 0, "alloc_bytes": 0}}]}}"#
+        )
+    }
+
+    #[test]
+    fn host_json_round_trip_preserves_scope_tables() {
+        let row = |name, calls, total_ns, self_ns, allocs, alloc_bytes| ScopeStat {
+            name,
+            calls,
+            total_ns,
+            self_ns,
+            allocs,
+            alloc_bytes,
+        };
+        let profile = HostProfile {
+            wall_ns: 42_000_000,
+            alloc_counted: true,
+            scopes: vec![
+                row("sched.dispatch", 100, 9_000_000, 4_000_000, 12, 4096),
+                row("codec.encode", 50, 2_000_000, 2_000_000, 0, 0),
+            ],
+        };
+        let text = profile.to_json("lr-sgd \"quoted\"");
+        assert!(text.contains("\"schema\": \"ps2-hostprof-v2\""), "{text}");
+        let (name, parsed) = HostProfile::from_json(&text).unwrap();
+        assert_eq!(name, "lr-sgd \"quoted\"");
+        assert_eq!(parsed, profile);
+        // Render → parse → render is a fixed point.
+        assert_eq!(parsed.to_json(&name), text);
+        assert!(HostProfile::from_json(&sidecar("ps2-hostprof-v2", "codec.encode")).is_ok());
+    }
+
+    #[test]
+    fn from_json_rejects_wrong_schema() {
+        assert!(HostProfile::from_json(r#"{"schema": "nope", "scopes": []}"#).is_err());
+        assert!(HostProfile::from_json("[]").is_err());
+        // The retired multi-case report is refused by name, not misread.
+        let err = HostProfile::from_json(&sidecar("ps2-hostprof-v1", "codec.encode")).unwrap_err();
+        assert!(err.contains("ps2-hostprof-v1"), "{err}");
+        // Rows resolve against this build's scope table.
+        let err = HostProfile::from_json(&sidecar("ps2-hostprof-v2", "codec.bogus")).unwrap_err();
+        assert!(err.contains("codec.bogus"), "{err}");
     }
 }

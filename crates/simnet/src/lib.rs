@@ -68,6 +68,7 @@ mod config;
 mod ctx;
 pub mod fabric;
 pub mod hostprof;
+pub mod json;
 mod message;
 pub mod metrics;
 pub mod perfetto;
@@ -90,16 +91,14 @@ pub use fabric::{FabricPolicy, SlotRouter, StaticRoutes};
 pub use hostprof::{HostProfile, ScopeStat};
 pub use message::{Envelope, WireSize};
 pub use metrics::{MetricsSnapshot, OpRow, RunReport, VtHistogram};
-pub use perfetto::{export_trace, export_trace_full, export_trace_with};
+pub use perfetto::{export_trace, export_trace_full};
 pub use probe::LivenessProbe;
 pub use report::{LabelId, ProcStats, SimReport, TraceEvent};
 pub use reqtrace::{slo_json, OpReqStats, ReqRecord, ReqSummary, ReqToken, EXEMPLAR_K};
 pub use runtime::{OutputSlot, Proc, ProcId, SimBuilder, SimError, SimRuntime, StepCtx};
 pub use time::SimTime;
 pub use timeseries::{HistDelta, ProcSample, TimeSeries, TsWindow, DEFAULT_CAPACITY};
-pub use watchdog::{
-    alerts_json, Alert, AlertKind, SloKind, SloObjective, Watchdog, WatchdogConfig,
-};
+pub use watchdog::{Alert, AlertKind, SloKind, SloObjective, Watchdog, WatchdogConfig};
 pub use whatif::{
     parse_spec, replay, run_battery, standard_battery, Edit, ExperimentResult, OpTails, Replay,
     TailEst, WhatifReport,

@@ -20,8 +20,9 @@
 //!   instrumented run has exactly the timing of an uninstrumented one.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 
+use crate::json::{JsonWriter, Style};
 use crate::report::SimReport;
 use crate::time::SimTime;
 
@@ -208,27 +209,31 @@ impl VtHistogram {
     /// Serialize the full histogram — summary fields plus the sparse
     /// log-linear buckets — as one deterministic JSON object.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"count\": {}, \"sum_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \
-             \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"buckets\": [",
-            self.count(),
-            self.sum_ns(),
-            self.min_ns(),
-            self.max_ns(),
-            self.quantile_ns(0.50),
-            self.quantile_ns(0.99),
-            self.quantile_ns(0.999)
-        );
-        for (i, (k, c)) in self.sparse_buckets().into_iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "[{k}, {c}]");
+        let mut w = JsonWriter::new();
+        self.write_json(&mut w, true);
+        w.finish()
+    }
+
+    /// One `Inline` object: the summary fields, plus the sparse buckets when
+    /// `buckets` (the run report's rows go without).
+    pub(crate) fn write_json(&self, w: &mut JsonWriter, buckets: bool) {
+        w.obj(Style::Inline);
+        for (k, v) in [
+            ("count", self.count()),
+            ("sum_ns", self.sum_ns()),
+            ("min_ns", self.min_ns()),
+            ("max_ns", self.max_ns()),
+            ("p50_ns", self.quantile_ns(0.50)),
+            ("p99_ns", self.quantile_ns(0.99)),
+            ("p999_ns", self.quantile_ns(0.999)),
+        ] {
+            w.key(k).raw(v);
         }
-        s.push_str("]}");
-        s
+        if buckets {
+            w.key("buckets");
+            write_pairs(w, self.sparse_buckets());
+        }
+        w.end();
     }
 
     /// Fold another histogram into this one. Bucket counts add; `min`/`max`
@@ -532,113 +537,72 @@ impl RunReport {
         s
     }
 
-    /// Serialize to JSON. Hand-rolled (the workspace is dependency-free);
-    /// integer-only fields and `BTreeMap` ordering make the output
-    /// byte-identical across same-seed runs — except `wall_ms`, the one
-    /// deliberate wall-clock field (host speed, machine-readable for the
-    /// hostprof tooling). Byte-level comparisons must strip `wall_ms` first.
+    /// Serialize to JSON. Integer-only fields and `BTreeMap` ordering make
+    /// the output byte-identical across same-seed runs — except `wall_ms`,
+    /// the one deliberate wall-clock field (host speed, machine-readable for
+    /// the hostprof tooling). Byte-level comparisons must strip `wall_ms` first.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        let _ = writeln!(
-            s,
-            "  \"virtual_time_ns\": {},",
-            self.virtual_time.as_nanos()
-        );
-        let _ = writeln!(s, "  \"wall_ms\": {:.3},", self.wall.as_secs_f64() * 1e3);
-        let _ = writeln!(s, "  \"total_msgs\": {},", self.total_msgs);
-        let _ = writeln!(s, "  \"total_bytes\": {},", self.total_bytes);
-        let _ = writeln!(s, "  \"dropped_msgs\": {},", self.dropped_msgs);
-        s.push_str("  \"drops_by_tag\": {");
-        let mut first = true;
-        for (tag, n) in &self.drops_by_tag {
-            s.push_str(if first { "\n" } else { ",\n" });
-            first = false;
-            let _ = write!(s, "    {}: {}", json_str(tag), n);
+        let mut w = JsonWriter::new();
+        w.obj(Style::Block);
+        w.key("virtual_time_ns").raw(self.virtual_time.as_nanos());
+        let wall_ms = self.wall.as_secs_f64() * 1e3;
+        w.key("wall_ms").raw(format_args!("{wall_ms:.3}"));
+        w.key("total_msgs").raw(self.total_msgs);
+        w.key("total_bytes").raw(self.total_bytes);
+        w.key("dropped_msgs").raw(self.dropped_msgs);
+        let drops = self.drops_by_tag.iter().map(|(tag, n)| (tag, n));
+        w.key("drops_by_tag").counts(Style::Block, drops);
+        w.key("compute_ns").raw(self.compute_ns);
+        w.key("comm_ns").raw(self.comm_ns);
+        w.key("ops");
+        if self.ops.is_empty() {
+            // The one empty container that is not `[]`: a run with no PS ops
+            // (every Spark-backend golden row) has always written it this
+            // way, and the golden digests cover the bytes.
+            w.raw("[\n  ]");
+        } else {
+            w.arr(Style::Block);
+            for o in &self.ops {
+                w.obj(Style::Inline).key("op").str(&o.op);
+                for (k, v) in [
+                    ("count", o.count),
+                    ("bytes", o.bytes),
+                    ("rows", o.rows),
+                    ("sum_ns", o.sum_ns),
+                    ("p50_ns", o.p50_ns),
+                    ("p99_ns", o.p99_ns),
+                    ("p999_ns", o.p999_ns),
+                    ("share_ns", o.share_ns),
+                ] {
+                    w.key(k).raw(v);
+                }
+                w.end();
+            }
+            w.end();
         }
-        s.push_str(if first { "},\n" } else { "\n  },\n" });
-        let _ = writeln!(s, "  \"compute_ns\": {},", self.compute_ns);
-        let _ = writeln!(s, "  \"comm_ns\": {},", self.comm_ns);
-        s.push_str("  \"ops\": [\n");
-        for (i, o) in self.ops.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"op\": {}, \"count\": {}, \"bytes\": {}, \"rows\": {}, \
-                 \"sum_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \
-                 \"share_ns\": {}}}",
-                json_str(&o.op),
-                o.count,
-                o.bytes,
-                o.rows,
-                o.sum_ns,
-                o.p50_ns,
-                o.p99_ns,
-                o.p999_ns,
-                o.share_ns
-            );
-            s.push_str(if i + 1 < self.ops.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"counters\": {");
-        let mut first = true;
-        for (k, v) in self.metrics.counters() {
-            s.push_str(if first { "\n" } else { ",\n" });
-            first = false;
-            let _ = write!(s, "    {}: {}", json_str(k), v);
-        }
-        s.push_str(if first { "},\n" } else { "\n  },\n" });
-        s.push_str("  \"gauges\": {");
-        let mut first = true;
-        for (k, v) in self.metrics.gauges() {
-            s.push_str(if first { "\n" } else { ",\n" });
-            first = false;
-            let _ = write!(s, "    {}: {}", json_str(k), v);
-        }
-        s.push_str(if first { "},\n" } else { "\n  },\n" });
-        s.push_str("  \"hists\": {");
-        let mut first = true;
+        w.key("counters")
+            .counts(Style::Block, self.metrics.counters());
+        w.key("gauges").counts(Style::Block, self.metrics.gauges());
+        w.key("hists").obj(Style::Block);
         for (k, h) in self.metrics.hists() {
-            s.push_str(if first { "\n" } else { ",\n" });
-            first = false;
-            let _ = write!(
-                s,
-                "    {}: {{\"count\": {}, \"sum_ns\": {}, \"min_ns\": {}, \
-                 \"max_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}}}",
-                json_str(k),
-                h.count(),
-                h.sum_ns(),
-                h.min_ns(),
-                h.max_ns(),
-                h.quantile_ns(0.50),
-                h.quantile_ns(0.99),
-                h.quantile_ns(0.999)
-            );
+            w.key(k);
+            h.write_json(&mut w, false);
         }
-        s.push_str(if first { "}\n" } else { "\n  }\n" });
-        s.push_str("}\n");
-        s
+        w.end().end();
+        w.finish_line()
     }
 }
 
-/// Minimal JSON string escaping (metric keys and op names are ASCII
-/// identifiers, but stay correct for anything).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// `[[a, b], ...]` on one line: sparse histogram buckets, per-proc samples.
+pub(crate) fn write_pairs<A: Display, B: Display>(
+    w: &mut JsonWriter,
+    pairs: impl IntoIterator<Item = (A, B)>,
+) {
+    w.arr(Style::Inline);
+    for (a, b) in pairs {
+        w.arr(Style::Inline).raw(a).raw(b).end();
     }
-    out.push('"');
-    out
+    w.end();
 }
 
 #[cfg(test)]
@@ -789,10 +753,5 @@ mod tests {
         assert_eq!(a.counter("c"), 3);
         assert_eq!(a.hist("h").unwrap().count(), 2);
         assert_eq!(a.gauge("g"), Some(7));
-    }
-
-    #[test]
-    fn json_escapes_specials() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
     }
 }

@@ -14,12 +14,10 @@
 //! The output is built from integers and `BTreeMap` iteration only, so it is
 //! byte-identical across same-seed runs.
 
-use std::fmt::Write as _;
-
 use crate::causal::{CausalAnalysis, CausalDag};
-use crate::metrics::json_str;
+use crate::json::{JsonWriter, Quoted, Style};
 use crate::report::{SimReport, TraceEvent};
-use crate::watchdog::{alerts_json, Alert};
+use crate::watchdog::{write_alerts, Alert};
 
 /// Nanoseconds → microsecond timestamp with three decimals, via integer
 /// math so formatting can never drift.
@@ -32,27 +30,18 @@ pub fn export_trace(report: &SimReport, analysis: Option<&CausalAnalysis>) -> St
     export_trace_full(report, analysis, &[], None, None)
 }
 
-/// [`export_trace`] plus watchdog alerts: the alert list is embedded as an
-/// `"alerts"` array inside the `"ps2"` section (alerts already annotated as
-/// `Mark` events also appear on the timeline; this array carries the
-/// machine-readable form `ps2-trace` diffs).
-pub fn export_trace_with(
-    report: &SimReport,
-    analysis: Option<&CausalAnalysis>,
-    alerts: &[Alert],
-) -> String {
-    export_trace_full(report, analysis, alerts, None, None)
-}
-
-/// [`export_trace_with`] plus an SLO sidecar and the retained causal DAG:
-/// `slo` is a pre-rendered `ps2-slo-v1` JSON object (see
+/// [`export_trace`] plus watchdog alerts, an SLO sidecar and the retained
+/// causal DAG, all under the `"ps2"` section. `alerts` become an `"alerts"`
+/// array (alerts already annotated as `Mark` events also appear on the
+/// timeline; this array carries the machine-readable form `ps2-trace`
+/// diffs). `slo` is a pre-rendered `ps2-slo-v1` JSON object (see
 /// [`crate::reqtrace::slo_json`]) embedded verbatim under `"ps2"."slo"`, so
 /// `ps2-trace slo` can read per-op request summaries and exemplars straight
 /// out of the trace file; `dag` is embedded as `"ps2"."dag"` (schema
-/// `ps2-dag-v1`, see [`CausalDag::to_json`]) so `ps2-trace whatif` can
-/// replay counterfactuals without the original report. Pass the DAG built
-/// *before* watchdog annotation: injected `Mark` events would otherwise be
-/// replayed as fixed program-order points.
+/// `ps2-dag-v1`, read back by [`CausalDag::from_json`]) so `ps2-trace
+/// whatif` can replay counterfactuals without the original report. Pass the
+/// DAG built *before* watchdog annotation: injected `Mark` events would
+/// otherwise be replayed as fixed program-order points.
 pub fn export_trace_full(
     report: &SimReport,
     analysis: Option<&CausalAnalysis>,
@@ -61,23 +50,17 @@ pub fn export_trace_full(
     dag: Option<&CausalDag>,
 ) -> String {
     let _prof = crate::hostprof::scope(crate::hostprof::Scope::TraceExport);
-    let mut s = String::new();
-    s.push_str("{\n\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n");
-    let mut first = true;
-    let mut push_ev = |s: &mut String, ev: String| {
-        if !first {
-            s.push_str(",\n");
-        }
-        first = false;
+    // The envelope and the flush-left event rows are Chrome's format, not
+    // ours: literal lines and per-event templates, one row per line.
+    let mut s = String::from(
+        "{\n\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n\
+         {\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
+         \"args\":{\"name\":\"ps2-sim\"}}",
+    );
+    let push_ev = |s: &mut String, ev: String| {
+        s.push_str(",\n");
         s.push_str(&ev);
     };
-
-    push_ev(
-        &mut s,
-        "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
-         \"args\":{\"name\":\"ps2-sim\"}}"
-            .to_string(),
-    );
     for (i, p) in report.procs.iter().enumerate() {
         push_ev(
             &mut s,
@@ -85,7 +68,7 @@ pub fn export_trace_full(
                 "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\
                  \"args\":{{\"name\":{}}}}}",
                 i,
-                json_str(&p.name)
+                Quoted(&p.name)
             ),
         );
     }
@@ -115,7 +98,7 @@ pub fn export_trace_full(
                     proc.0,
                     fmt_us(at.as_nanos()),
                     fmt_us(dt.as_nanos()),
-                    json_str(name)
+                    Quoted(name)
                 )
             }
             TraceEvent::Send {
@@ -188,7 +171,7 @@ pub fn export_trace_full(
                      \"name\":{},\"cat\":\"mark\"{}}}",
                     proc.0,
                     fmt_us(at.as_nanos()),
-                    json_str(report.label_name(*label)),
+                    Quoted(report.label_name(*label)),
                     args
                 )
             }
@@ -235,7 +218,7 @@ pub fn export_trace_full(
                     tid,
                     fmt_us(seg.start.as_nanos()),
                     fmt_us(seg.duration_ns()),
-                    json_str(&name),
+                    Quoted(&name),
                     seg.proc
                 ),
             );
@@ -243,75 +226,42 @@ pub fn export_trace_full(
     }
     s.push_str("\n]");
 
-    if let Some(a) = analysis {
-        s.push_str(",\n\"ps2\": {\n");
-        let _ = writeln!(s, "  \"makespan_ns\": {},", a.makespan.as_nanos());
-        s.push_str("  \"categories\": {");
-        for (i, (name, ns)) in a.categories().iter().enumerate() {
-            let _ = write!(s, "{}\"{}\": {}", if i == 0 { "" } else { ", " }, name, ns);
-        }
-        s.push_str("},\n");
-        s.push_str("  \"compute_by_label\": {");
-        for (i, (label, ns)) in a.compute_by_label.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}{}: {}",
-                if i == 0 { "" } else { ", " },
-                json_str(label),
-                ns
-            );
-        }
-        s.push_str("},\n");
-        let _ = writeln!(s, "  \"segments\": {},", a.segments.len());
-        s.push_str("  \"procs\": [\n");
-        for (i, p) in a.procs.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"name\": {}, \"daemon\": {}, \"finished_ns\": {}, \
-                 \"busy_ns\": {}, \"slack_ns\": {}, \"critical_ns\": {}}}",
-                json_str(&p.name),
-                p.daemon,
-                p.finished_at.as_nanos(),
-                p.busy.as_nanos(),
-                p.slack_ns,
-                p.critical_ns
-            );
-            s.push_str(if i + 1 < a.procs.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"drops_by_tag\": {");
-        let mut first_drop = true;
-        for (key, v) in report.metrics.counters() {
-            if let Some(tag) = key.strip_prefix("net.dropped.tag.") {
-                let _ = write!(
-                    s,
-                    "{}\"{}\": {}",
-                    if first_drop { "" } else { ", " },
-                    tag,
-                    v
-                );
-                first_drop = false;
+    if analysis.is_some() || !alerts.is_empty() || slo.is_some() || dag.is_some() {
+        s.push_str(",\n\"ps2\": ");
+        let mut w = JsonWriter::appending(s);
+        w.obj(Style::Block);
+        if let Some(a) = analysis {
+            w.key("makespan_ns").raw(a.makespan.as_nanos());
+            w.key("categories").counts(Style::Inline, a.categories());
+            w.key("compute_by_label")
+                .counts(Style::Inline, &a.compute_by_label);
+            w.key("segments").raw(a.segments.len());
+            w.key("procs").arr(Style::Block);
+            for p in &a.procs {
+                w.obj(Style::Inline).key("name").str(&p.name);
+                w.key("daemon").raw(p.daemon);
+                w.key("finished_ns").raw(p.finished_at.as_nanos());
+                w.key("busy_ns").raw(p.busy.as_nanos());
+                w.key("slack_ns").raw(p.slack_ns);
+                w.key("critical_ns").raw(p.critical_ns).end();
             }
+            let drops = report
+                .metrics
+                .counters()
+                .filter_map(|(k, v)| Some((k.strip_prefix("net.dropped.tag.")?, v)));
+            w.end().key("drops_by_tag").counts(Style::Inline, drops);
         }
-        s.push_str("},\n");
-        let _ = write!(s, "  \"alerts\": {}", alerts_json(alerts));
+        w.key("alerts");
+        write_alerts(&mut w, alerts);
         if let Some(sidecar) = slo {
-            let _ = write!(s, ",\n  \"slo\": {sidecar}");
+            w.key("slo").raw(sidecar);
         }
         if let Some(d) = dag {
-            let _ = write!(s, ",\n  \"dag\": {}", d.to_json());
+            w.key("dag");
+            d.write_json(&mut w);
         }
-        s.push_str("\n}");
-    } else if !alerts.is_empty() || slo.is_some() || dag.is_some() {
-        s.push_str(",\n\"ps2\": {\n");
-        let _ = write!(s, "  \"alerts\": {}", alerts_json(alerts));
-        if let Some(sidecar) = slo {
-            let _ = write!(s, ",\n  \"slo\": {sidecar}");
-        }
-        if let Some(d) = dag {
-            let _ = write!(s, ",\n  \"dag\": {}", d.to_json());
-        }
-        s.push_str("\n}");
+        w.end();
+        s = w.finish();
     }
     s.push_str("\n}\n");
     s

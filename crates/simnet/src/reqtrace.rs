@@ -35,10 +35,11 @@
 //! section, and rendered by `ps2-trace slo`.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-use crate::metrics::{json_str, VtHistogram};
+use crate::json::{JsonWriter, Style};
+use crate::metrics::VtHistogram;
 use crate::time::SimTime;
+use crate::watchdog::{write_alerts, Alert, AlertKind, SloObjective};
 
 /// How many slowest-request exemplars are retained per op.
 pub const EXEMPLAR_K: usize = 5;
@@ -85,24 +86,22 @@ impl ReqRecord {
         )
     }
 
-    fn json(&self) -> String {
-        format!(
-            "{{\"id\": {}, \"issued_at_ns\": {}, \"total_ns\": {}, \"attempts\": {}, \
-             \"stages\": {{\"client_issue_ns\": {}, \"net_request_ns\": {}, \
-             \"server_queue_ns\": {}, \"service_ns\": {}, \"net_reply_ns\": {}, \
-             \"client_recv_ns\": {}, \"cache_fill_ns\": {}}}}}",
-            self.id,
-            self.issued_at_ns,
-            self.total_ns,
-            self.attempts,
-            self.client_issue_ns,
-            self.net_request_ns,
-            self.server_queue_ns,
-            self.service_ns,
-            self.net_reply_ns,
-            self.client_recv_ns,
-            self.cache_fill_ns,
-        )
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.obj(Style::Inline);
+        w.key("id").raw(self.id);
+        w.key("issued_at_ns").raw(self.issued_at_ns);
+        w.key("total_ns").raw(self.total_ns);
+        w.key("attempts").raw(self.attempts);
+        let stages = [
+            ("client_issue_ns", self.client_issue_ns),
+            ("net_request_ns", self.net_request_ns),
+            ("server_queue_ns", self.server_queue_ns),
+            ("service_ns", self.service_ns),
+            ("net_reply_ns", self.net_reply_ns),
+            ("client_recv_ns", self.client_recv_ns),
+            ("cache_fill_ns", self.cache_fill_ns),
+        ];
+        w.key("stages").counts(Style::Inline, stages).end();
     }
 }
 
@@ -157,36 +156,24 @@ impl ReqSummary {
         self.ops.iter().map(|o| o.completed).sum()
     }
 
-    /// Render as a JSON array (one object per op) in the workspace's
-    /// hand-rolled style: integers and fixed key order only, byte-identical
-    /// across same-seed runs.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("[");
-        for (i, o) in self.ops.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}\n    {{\"op\": {}, \"completed\": {}, \"abandoned\": {}, \
-                 \"attempts\": {}, \"hist\": {}, \"exemplars\": [",
-                if i == 0 { "" } else { "," },
-                json_str(&o.op),
-                o.completed,
-                o.abandoned,
-                o.attempts,
-                o.hist.to_json(),
-            );
-            for (j, e) in o.exemplars.iter().enumerate() {
-                let _ = write!(s, "{}\n      {}", if j == 0 { "" } else { "," }, e.json());
+    /// One object per op, each with its exemplars one per line: integers and
+    /// fixed key order only, byte-identical across same-seed runs.
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.arr(Style::Block);
+        for o in &self.ops {
+            w.obj(Style::Inline).key("op").str(&o.op);
+            w.key("completed").raw(o.completed);
+            w.key("abandoned").raw(o.abandoned);
+            w.key("attempts").raw(o.attempts);
+            w.key("hist");
+            o.hist.write_json(w, true);
+            w.key("exemplars").arr(Style::Block);
+            for e in &o.exemplars {
+                e.write_json(w);
             }
-            if !o.exemplars.is_empty() {
-                s.push_str("\n    ");
-            }
-            s.push_str("]}");
+            w.end().end();
         }
-        if !self.ops.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push(']');
-        s
+        w.end();
     }
 }
 
@@ -372,33 +359,21 @@ impl ReqRecorder {
 /// with exemplars, the declared objectives, and the SLO burn alerts the
 /// watchdog fired. The same object is embedded under `"ps2"."slo"` in the
 /// Perfetto export; `ps2-trace slo` reads either form.
-pub fn slo_json(
-    reqs: &ReqSummary,
-    objectives: &[crate::watchdog::SloObjective],
-    alerts: &[crate::watchdog::Alert],
-) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"schema\": \"ps2-slo-v1\",\n");
-    let _ = writeln!(s, "  \"ops\": {},", reqs.to_json());
-    s.push_str("  \"objectives\": [");
-    for (i, o) in objectives.iter().enumerate() {
-        let _ = write!(s, "{}\n    {}", if i == 0 { "" } else { "," }, o.to_json());
+pub fn slo_json(reqs: &ReqSummary, objectives: &[SloObjective], alerts: &[Alert]) -> String {
+    let mut w = JsonWriter::new();
+    w.obj(Style::Block);
+    w.key("schema").str("ps2-slo-v1");
+    w.key("ops");
+    reqs.write_json(&mut w);
+    w.key("objectives").arr(Style::Block);
+    for o in objectives {
+        o.write_json(&mut w);
     }
-    if !objectives.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("],\n");
-    let burn: Vec<crate::watchdog::Alert> = alerts
-        .iter()
-        .filter(|a| a.kind == crate::watchdog::AlertKind::SloBurn)
-        .cloned()
-        .collect();
-    let _ = write!(
-        s,
-        "  \"alerts\": {}\n}}\n",
-        crate::watchdog::alerts_json(&burn)
-    );
-    s
+    w.end().key("alerts");
+    let burns = alerts.iter().filter(|a| a.kind == AlertKind::SloBurn);
+    write_alerts(&mut w, burns);
+    w.end();
+    w.finish_line()
 }
 
 #[cfg(test)]
@@ -536,8 +511,9 @@ mod tests {
     fn summary_json_is_integer_only_and_nests_exemplars() {
         let mut rec = ReqRecorder::new();
         complete_one(&mut rec, 0, "pull", 0, 750);
-        let sum = rec.finish();
-        let j = sum.to_json();
+        let mut w = JsonWriter::new();
+        rec.finish().write_json(&mut w);
+        let j = w.finish();
         assert!(j.contains("\"op\": \"pull\""));
         assert!(j.contains("\"total_ns\": 750"));
         assert!(j.contains("\"server_queue_ns\""));

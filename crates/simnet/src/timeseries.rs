@@ -33,9 +33,9 @@
 //! stays bounded and layout never depends on the data.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Write as _;
 
-use crate::metrics::{json_str, MetricsSnapshot};
+use crate::json::{JsonWriter, Style};
+use crate::metrics::{write_pairs, MetricsSnapshot};
 use crate::time::SimTime;
 
 /// Default ring capacity: enough for the benches' runs at millisecond
@@ -168,69 +168,33 @@ impl TimeSeries {
         self.windows.iter().find(|w| w.index == idx)
     }
 
-    /// Serialize to JSON in the workspace's hand-rolled style: integers and
-    /// `BTreeMap` order only, byte-identical across same-seed runs.
+    /// Serialize to JSON: integers and `BTreeMap` order only, one window per
+    /// line, byte-identical across same-seed runs.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"window_ns\": {},", self.window_ns);
-        let _ = writeln!(s, "  \"dropped_windows\": {},", self.dropped_windows);
-        s.push_str("  \"windows\": [\n");
-        for (i, w) in self.windows.iter().enumerate() {
-            let _ = write!(s, "    {{\"index\": {}, \"end_ns\": {}", w.index, w.end_ns);
-            s.push_str(", \"counters\": {");
-            for (j, (k, v)) in w.counters.iter().enumerate() {
-                let _ = write!(
-                    s,
-                    "{}{}: {}",
-                    if j == 0 { "" } else { ", " },
-                    json_str(k),
-                    v
-                );
+        let mut w = JsonWriter::new();
+        w.obj(Style::Block);
+        w.key("window_ns").raw(self.window_ns);
+        w.key("dropped_windows").raw(self.dropped_windows);
+        w.key("windows").arr(Style::Block);
+        for win in &self.windows {
+            w.obj(Style::Inline);
+            w.key("index").raw(win.index).key("end_ns").raw(win.end_ns);
+            w.key("counters").counts(Style::Inline, &win.counters);
+            w.key("gauges").counts(Style::Inline, &win.gauges);
+            w.key("hists").obj(Style::Inline);
+            for (k, h) in &win.hists {
+                w.key(k).obj(Style::Inline);
+                w.key("count").raw(h.count).key("sum_ns").raw(h.sum_ns);
+                w.key("buckets");
+                write_pairs(&mut w, h.buckets.iter().copied());
+                w.end();
             }
-            s.push_str("}, \"gauges\": {");
-            for (j, (k, v)) in w.gauges.iter().enumerate() {
-                let _ = write!(
-                    s,
-                    "{}{}: {}",
-                    if j == 0 { "" } else { ", " },
-                    json_str(k),
-                    v
-                );
-            }
-            s.push_str("}, \"hists\": {");
-            for (j, (k, h)) in w.hists.iter().enumerate() {
-                let _ = write!(
-                    s,
-                    "{}{}: {{\"count\": {}, \"sum_ns\": {}, \"buckets\": [",
-                    if j == 0 { "" } else { ", " },
-                    json_str(k),
-                    h.count,
-                    h.sum_ns
-                );
-                for (bi, &(bk, bc)) in h.buckets.iter().enumerate() {
-                    let _ = write!(s, "{}[{}, {}]", if bi == 0 { "" } else { ", " }, bk, bc);
-                }
-                s.push_str("]}");
-            }
-            s.push_str("}, \"procs\": [");
-            for (j, p) in w.procs.iter().enumerate() {
-                let _ = write!(
-                    s,
-                    "{}[{}, {}]",
-                    if j == 0 { "" } else { ", " },
-                    p.busy_ns,
-                    p.mailbox
-                );
-            }
-            s.push_str("]}");
-            s.push_str(if i + 1 < self.windows.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
+            w.end().key("procs");
+            write_pairs(&mut w, win.procs.iter().map(|p| (p.busy_ns, p.mailbox)));
+            w.end();
         }
-        s.push_str("  ]\n}\n");
-        s
+        w.end().end();
+        w.finish_line()
     }
 }
 

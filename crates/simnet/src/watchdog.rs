@@ -13,6 +13,7 @@
 //! the causal trace, so they show up on the Perfetto timeline and in
 //! `ps2-trace` output next to the events that caused them.
 
+use crate::json::{JsonWriter, Style};
 use crate::report::{LabelId, SimReport, TraceEvent};
 use crate::runtime::ProcId;
 use crate::time::SimTime;
@@ -117,35 +118,30 @@ impl SloObjective {
         }
     }
 
-    /// Render in the workspace's hand-rolled JSON style (fixed key order,
-    /// integers and strings only).
-    pub fn to_json(&self) -> String {
-        match &self.kind {
+    /// One `Inline` object, fixed key order, integers and strings only.
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.obj(Style::Inline).key("name").str(&self.name);
+        let budget_milli = match &self.kind {
             SloKind::Latency {
                 hist,
                 target_ns,
                 budget_milli,
-            } => format!(
-                "{{\"name\": {}, \"kind\": \"latency\", \"hist\": {}, \
-                 \"target_ns\": {}, \"budget_milli\": {}}}",
-                crate::metrics::json_str(&self.name),
-                crate::metrics::json_str(hist),
-                target_ns,
+            } => {
+                w.key("kind").str("latency").key("hist").str(hist);
+                w.key("target_ns").raw(target_ns);
                 budget_milli
-            ),
+            }
             SloKind::ErrorRate {
                 errors,
                 total,
                 budget_milli,
-            } => format!(
-                "{{\"name\": {}, \"kind\": \"error_rate\", \"errors\": {}, \
-                 \"total\": {}, \"budget_milli\": {}}}",
-                crate::metrics::json_str(&self.name),
-                crate::metrics::json_str(errors),
-                crate::metrics::json_str(total),
+            } => {
+                w.key("kind").str("error_rate");
+                w.key("errors").str(errors).key("total").str(total);
                 budget_milli
-            ),
-        }
+            }
+        };
+        w.key("budget_milli").raw(budget_milli).end();
     }
 }
 
@@ -612,31 +608,19 @@ fn intern(labels: &mut Vec<&'static str>, label: &'static str) -> LabelId {
     LabelId((labels.len() - 1) as u32)
 }
 
-/// Render an alert list as a JSON array in the workspace's hand-rolled
-/// style (integers and fixed key order only). `proc` is `-1` when the alert
-/// is not tied to one process.
-pub fn alerts_json(alerts: &[Alert]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::from("[");
-    for (i, a) in alerts.iter().enumerate() {
-        let _ = write!(
-            s,
-            "{}\n    {{\"kind\": {}, \"at_ns\": {}, \"window\": {}, \"proc\": {}, \
-             \"subject\": {}, \"value_milli\": {}}}",
-            if i == 0 { "" } else { "," },
-            crate::metrics::json_str(a.kind.label()),
-            a.at.as_nanos(),
-            a.window,
-            a.proc.map(|p| p as i64).unwrap_or(-1),
-            crate::metrics::json_str(&a.subject),
-            a.value_milli
-        );
+/// An alert list, one `Inline` object per line (integers and fixed key order
+/// only). `proc` is `-1` when the alert is not tied to one process.
+pub(crate) fn write_alerts<'a>(w: &mut JsonWriter, alerts: impl IntoIterator<Item = &'a Alert>) {
+    w.arr(Style::Block);
+    for a in alerts {
+        w.obj(Style::Inline).key("kind").str(a.kind.label());
+        w.key("at_ns").raw(a.at.as_nanos());
+        w.key("window").raw(a.window);
+        w.key("proc").raw(a.proc.map_or(-1, |p| p as i64));
+        w.key("subject").str(&a.subject);
+        w.key("value_milli").raw(a.value_milli).end();
     }
-    if !alerts.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push(']');
-    s
+    w.end();
 }
 
 #[cfg(test)]
@@ -895,11 +879,16 @@ mod tests {
 
     #[test]
     fn slo_objective_json_has_fixed_keys() {
-        let j = p999_objective().to_json();
+        let json = |o: SloObjective| {
+            let mut w = JsonWriter::new();
+            o.write_json(&mut w);
+            w.finish()
+        };
+        let j = json(p999_objective());
         assert!(j.contains("\"kind\": \"latency\""));
         assert!(j.contains("\"target_ns\": 1000"));
         assert!(j.contains("\"budget_milli\": 1"));
-        let j = SloObjective::error_rate("e", "a", "b", 5).to_json();
+        let j = json(SloObjective::error_rate("e", "a", "b", 5));
         assert!(j.contains("\"kind\": \"error_rate\""));
     }
 
@@ -936,10 +925,15 @@ mod tests {
             subject: "m1.r7".to_string(),
             value_milli: 900,
         }];
-        let j = alerts_json(&alerts);
+        let json = |alerts: &[Alert]| {
+            let mut w = JsonWriter::new();
+            write_alerts(&mut w, alerts);
+            w.finish()
+        };
+        let j = json(&alerts);
         assert!(j.contains("\"kind\": \"watchdog.hot_row\""));
         assert!(j.contains("\"at_ns\": 5000000"));
         assert!(j.contains("\"proc\": -1"));
-        assert_eq!(alerts_json(&[]), "[]");
+        assert_eq!(json(&[]), "[]");
     }
 }

@@ -66,10 +66,9 @@
 //! aggregated tail mix does not.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt::Write as _;
 
 use crate::causal::{CausalDag, DagEvent};
-use crate::metrics::json_str;
+use crate::json::{JsonWriter, Style};
 use crate::reqtrace::ReqSummary;
 
 /// One counterfactual edit, already resolved against a DAG (names → process
@@ -622,56 +621,34 @@ impl WhatifReport {
     /// Render the `ps2-whatif-v1` sidecar: integer-only, experiments in rank
     /// order, byte-identical across same-seed runs.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"schema\": \"ps2-whatif-v1\",\n");
-        let _ = writeln!(
-            s,
-            "  \"baseline_makespan_ns\": {},",
-            self.baseline_makespan_ns
-        );
-        s.push_str("  \"baseline_tails\": [");
-        for (i, t) in self.baseline_tails.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}\n    {{\"op\": {}, \"p99_ns\": {}, \"p999_ns\": {}}}",
-                if i == 0 { "" } else { "," },
-                json_str(&t.op),
-                t.p99_ns,
-                t.p999_ns
-            );
+        let tail = |w: &mut JsonWriter, op: &str, p99_ns: u64, p999_ns: u64| {
+            w.obj(Style::Inline).key("op").str(op);
+            w.key("p99_ns").raw(p99_ns);
+            w.key("p999_ns").raw(p999_ns).end();
+        };
+        let mut w = JsonWriter::new();
+        w.obj(Style::Block);
+        w.key("schema").str("ps2-whatif-v1");
+        w.key("baseline_makespan_ns").raw(self.baseline_makespan_ns);
+        w.key("baseline_tails").arr(Style::Block);
+        for t in &self.baseline_tails {
+            tail(&mut w, &t.op, t.p99_ns, t.p999_ns);
         }
-        if !self.baseline_tails.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("],\n  \"experiments\": [");
-        for (i, e) in self.experiments.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}\n    {{\"name\": {}, \"spec\": {}, \"makespan_ns\": {}, \
-                 \"delta_ns\": {}, \"improvement_milli\": {}, \"tails\": [",
-                if i == 0 { "" } else { "," },
-                json_str(&e.name),
-                json_str(&e.spec),
-                e.makespan_ns,
-                e.delta_ns,
-                e.improvement_milli
-            );
-            for (j, t) in e.tails.iter().enumerate() {
-                let _ = write!(
-                    s,
-                    "{}{{\"op\": {}, \"p99_ns\": {}, \"p999_ns\": {}}}",
-                    if j == 0 { "" } else { ", " },
-                    json_str(&t.op),
-                    t.p99_ns,
-                    t.p999_ns
-                );
+        w.end().key("experiments").arr(Style::Block);
+        for e in &self.experiments {
+            w.obj(Style::Inline).key("name").str(&e.name);
+            w.key("spec").str(&e.spec);
+            w.key("makespan_ns").raw(e.makespan_ns);
+            w.key("delta_ns").raw(e.delta_ns);
+            w.key("improvement_milli").raw(e.improvement_milli);
+            w.key("tails").arr(Style::Inline);
+            for t in &e.tails {
+                tail(&mut w, &t.op, t.p99_ns, t.p999_ns);
             }
-            s.push_str("]}");
+            w.end().end();
         }
-        if !self.experiments.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("]\n}\n");
-        s
+        w.end().end();
+        w.finish_line()
     }
 
     /// Deterministic human-readable ranking.

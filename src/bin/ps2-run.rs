@@ -33,8 +33,9 @@
 //!                      to `ps2-trace` for offline analysis); watchdog alerts
 //!                      show up as instant events on the offending proc
 //!   --timeseries-json PATH  scrape the metrics registry every --window-ms of
-//!                           virtual time and write the windowed series plus
-//!                           watchdog alerts; scraping never perturbs the run
+//!                           virtual time, run the skew/straggler watchdog over
+//!                           the windows (alerts are printed), and write the
+//!                           windowed series; scraping never perturbs the run
 //!   --window-ms N      time-series window width in virtual ms (default 100)
 //!   --slo-json PATH    trace every PS request end to end (issue → retries →
 //!                      server queue → service → reply → cache fill), hold the
@@ -84,7 +85,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::process::exit;
 
-use ps2::bench::{preset_slos, HostReport};
+use ps2::bench::preset_slos;
 use ps2::ml::deepwalk::{train_deepwalk, DeepWalkBackend, DeepWalkConfig};
 use ps2::ml::fm::{train_fm, FmConfig};
 use ps2::ml::gbdt::{train_gbdt, GbdtBackend, GbdtConfig};
@@ -750,8 +751,7 @@ fn main() {
         profile.merge(&hostprof::take_profile(0));
         println!("\n{}", profile.render());
         if let Some(path) = host_path {
-            let sidecar = HostReport::single(&workload, &profile);
-            std::fs::write(&path, sidecar.to_json())
+            std::fs::write(&path, profile.to_json(&workload))
                 .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
             println!("host profile written to {path}  (inspect with: ps2-trace host {path})");
         }

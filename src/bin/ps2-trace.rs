@@ -11,15 +11,8 @@
 //!                            any category regressed by more than FRAC
 //!                            (e.g. 0.05 = 5%) — the CI gate mode.
 //! ps2-trace host <FILE>      print a hostprof sidecar (written by
-//!                            `ps2-run --host-prof-json`): wall seconds and
-//!                            the per-scope cost table per case
-//! ps2-trace host diff <BASE> <CAND> [--tolerance FRAC]
-//!                            compare two hostprof sidecars; exit 1 when any
-//!                            case's median wall time grew beyond FRAC
-//!                            (default 3.0 = +300%) — the CI *speed* gate.
-//!                            Wall time is host noise, hence the deliberately
-//!                            loose default; this catches order-of-magnitude
-//!                            slowdowns of the simulator itself, not jitter.
+//!                            `ps2-run --host-prof-json`): the run's name,
+//!                            wall time and the per-scope cost table
 //! ps2-trace slo <FILE>       print the request-tail report from a ps2-slo-v1
 //!                            sidecar (`ps2-run --slo-json`) or a trace file
 //!                            embedding one: per-op p50/p99/p999/max, the K
@@ -44,20 +37,18 @@
 //!
 //! Trace input is a Chrome trace-event JSON file (loadable in
 //! <https://ui.perfetto.dev>); the analysis lives in its `"ps2"` top-level
-//! section, which Perfetto ignores. Host input is the `ps2-hostprof-v1`
-//! sidecar schema. What-if input additionally needs the `"ps2"."dag"`
-//! section (schema `ps2-dag-v1`).
+//! section, which Perfetto ignores. Host input is the hostprof sidecar
+//! ([`HostProfile::to_json`]). What-if input additionally needs the
+//! `"ps2"."dag"` section (schema `ps2-dag-v1`).
 
 use std::process::exit;
 
-use ps2::bench::{compare_host, HostReport};
-use ps2::simnet::{parse_spec, run_battery, standard_battery};
+use ps2::simnet::{parse_spec, run_battery, standard_battery, HostProfile};
 use ps2::tracefile::{whatif_input, SloSummary, TraceSummary};
 
 const USAGE: &str = "usage: ps2-trace <FILE> | ps2-trace report <FILE> | \
      ps2-trace diff <A> <B> [--tolerance FRAC] | \
      ps2-trace host <FILE> | \
-     ps2-trace host diff <BASE> <CAND> [--tolerance FRAC] | \
      ps2-trace slo <FILE> | \
      ps2-trace slo diff <BASE> <CAND> [--tolerance FRAC] | \
      ps2-trace whatif <FILE> [--experiment SPEC] [--json OUT] | \
@@ -109,27 +100,6 @@ fn parse_tolerance(frac: &str) -> u64 {
         .filter(|f: &f64| *f >= 0.0 && f.is_finite())
         .unwrap_or_else(|| die(&format!("bad --tolerance '{frac}' (want e.g. 0.05)")));
     (frac * 1000.0).round() as u64
-}
-
-/// The wall-clock soft gate: compare two hostprof sidecars and exit nonzero
-/// if any case's median wall time regressed past the tolerance.
-fn host_diff(base_path: &str, cand_path: &str, tol_milli: u64) -> ! {
-    let base = load(base_path, HostReport::from_json);
-    let cand = load(cand_path, HostReport::from_json);
-    println!("baseline:  {base_path}\ncandidate: {cand_path}");
-    print!("{}", cand.render());
-    let violations = compare_host(&base, &cand, tol_milli);
-    if violations.is_empty() {
-        println!(
-            "host gate passed ({:.1}% tolerance)",
-            tol_milli as f64 / 10.0
-        );
-        exit(0);
-    }
-    for v in &violations {
-        eprintln!("SLOWDOWN {v}");
-    }
-    exit(1)
 }
 
 /// `whatif <FILE> [--experiment SPEC] [--json OUT]`: rebuild the retained
@@ -204,8 +174,9 @@ fn main() {
         [cmd, rest @ ..] if cmd == "whatif" => {
             whatif_cmd(rest);
         }
-        [cmd, file] if cmd == "host" && file != "diff" => {
-            print!("{}", load(file, HostReport::from_json).render());
+        [cmd, file] if cmd == "host" => {
+            let (name, profile) = load(file, HostProfile::from_json);
+            print!("{name}: {}", profile.render());
         }
         [cmd, file] if cmd == "slo" && file != "diff" => {
             print!("{}", load(file, SloSummary::from_json).render());
@@ -217,14 +188,6 @@ fn main() {
         }
         [cmd, sub, a, b, flag, frac] if cmd == "slo" && sub == "diff" && flag == "--tolerance" => {
             slo_diff(a, b, parse_tolerance(frac));
-        }
-        [cmd, sub, a, b] if cmd == "host" && sub == "diff" => {
-            // Default tolerance 3.0 (+300%): loose on purpose — CI wall time
-            // is noisy and only order-of-magnitude slowdowns should gate.
-            host_diff(a, b, 3000);
-        }
-        [cmd, sub, a, b, flag, frac] if cmd == "host" && sub == "diff" && flag == "--tolerance" => {
-            host_diff(a, b, parse_tolerance(frac));
         }
         [cmd, file] if cmd == "report" => {
             print!("{}", load(file, TraceSummary::from_json).render());

@@ -5,346 +5,34 @@
 //! critical-path analysis (Perfetto ignores unknown top-level keys, so the
 //! same file serves both the UI and this module). This module re-reads that
 //! section without the original [`SimReport`](ps2_simnet::SimReport): a
-//! minimal recursive-descent JSON parser (the workspace is dependency-free
-//! by design) plus a [`TraceSummary`] extractor and text renderers for the
-//! `report` and `diff` subcommands.
+//! [`TraceSummary`] and an [`SloSummary`] extractor over the workspace's JSON
+//! codec ([`ps2_simnet::json`]), text renderers for the `report`, `diff` and
+//! `slo` subcommands, and the regression gates.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
-use ps2_simnet::{CausalDag, DagEvent, DagProc, OpTails};
+use ps2_simnet::{CausalDag, OpTails};
 
-/// A parsed JSON value. Objects keep source order so that rendering a
-/// summary walks categories in the writer's (deterministic) order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<JsonValue>),
-    Obj(Vec<(String, JsonValue)>),
-}
+pub use ps2_simnet::json::{parse_json, JsonValue, ParseError};
 
-impl JsonValue {
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
+/// The one tolerance rule of the `diff` gates: `Some(violation line)` when
+/// `b` exceeds baseline `a` by more than `tolerance_milli` parts-per-thousand
+/// (50 = 5%). Integer arithmetic keeps the gate deterministic; a zero
+/// baseline tolerates nothing.
+fn regression(name: &str, a: u64, b: u64, tolerance_milli: u64) -> Option<String> {
+    let limit = a + a / 1000 * tolerance_milli + a % 1000 * tolerance_milli / 1000;
+    if b <= limit {
+        return None;
     }
-
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            JsonValue::Num(n) if n.fract() == 0.0 && n.abs() <= 9.0e15 => Some(*n as i64),
-            _ => None,
-        }
-    }
-
-    /// Serialize back to compact JSON text. Deterministic: objects keep
-    /// their stored order; integral numbers render without a fraction, the
-    /// rest use Rust's shortest round-tripping `f64` form. Together with
-    /// [`parse_json`] this gives `parse(render(v)) == v` for any value this
-    /// module can produce (see the round-trip property tests).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    fn render_into(&self, out: &mut String) {
-        use std::fmt::Write;
-        match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Num(n) => {
-                if n.fract() == 0.0 && n.abs() <= 9.0e15 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
-            }
-            JsonValue::Str(s) => render_json_string(s, out),
-            JsonValue::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.render_into(out);
-                }
-                out.push(']');
-            }
-            JsonValue::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render_json_string(k, out);
-                    out.push(':');
-                    v.render_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-/// Escape and quote a string for JSON output.
-pub fn render_json_string(s: &str, out: &mut String) {
-    use std::fmt::Write;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Parse error with a byte offset into the input.
-#[derive(Debug)]
-pub struct ParseError {
-    pub at: usize,
-    pub msg: String,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.at, self.msg)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// Parse a complete JSON document; trailing garbage is an error.
-pub fn parse_json(input: &str) -> Result<JsonValue, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
+    let pct = if a == 0 {
+        f64::INFINITY
+    } else {
+        100.0 * (b as f64 - a as f64) / a as f64
     };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after document"));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> ParseError {
-        ParseError {
-            at: self.pos,
-            msg: msg.to_string(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, ParseError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, ParseError> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            pairs.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(pairs));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogate pairs are not emitted by our writer;
-                            // map lone surrogates to U+FFFD rather than fail.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape character")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy the whole run up to the next quote or backslash in
-                    // one go, so each byte is validated once. Both delimiters
-                    // are ASCII and the input came from a &str, so the run
-                    // starts and ends on character boundaries.
-                    let start = self.pos;
-                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
-                        self.pos += 1;
-                    }
-                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(run);
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| self.err(&format!("bad number '{text}'")))
-    }
+    Some(format!(
+        "{name}: {a} ns -> {b} ns (+{pct:.1}%, tolerance {:.1}%)",
+        tolerance_milli as f64 / 10.0
+    ))
 }
 
 /// Per-process row from the trace's analysis section.
@@ -379,63 +67,38 @@ impl TraceSummary {
     pub fn from_json(text: &str) -> Result<TraceSummary, String> {
         let doc = parse_json(text).map_err(|e| e.to_string())?;
         let trace_events = doc
-            .get("traceEvents")
-            .and_then(JsonValue::as_arr)
-            .map(<[JsonValue]>::len)
-            .ok_or("no traceEvents array — not a ps2 trace file")?;
+            .arr_field("traceEvents")
+            .map_err(|e| format!("{e} — not a ps2 trace file"))?
+            .len();
         let ps2 = doc
             .get("ps2")
             .ok_or("no \"ps2\" analysis section — was this written by ps2-run --trace-json?")?;
-        let u64_field = |obj: &JsonValue, key: &str| -> Result<u64, String> {
-            obj.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("ps2 section: missing/invalid \"{key}\""))
-        };
-        let pairs = |key: &str| -> Result<Vec<(String, u64)>, String> {
-            match ps2.get(key) {
-                Some(JsonValue::Obj(kv)) => kv
-                    .iter()
-                    .map(|(k, v)| {
-                        v.as_u64()
-                            .map(|n| (k.clone(), n))
-                            .ok_or_else(|| format!("ps2 section: \"{key}\".\"{k}\" not a count"))
+        let section = || -> Result<TraceSummary, String> {
+            let procs = ps2
+                .arr_field("procs")?
+                .iter()
+                .map(|p| {
+                    Ok(ProcRow {
+                        name: p.str_field("name")?.to_string(),
+                        daemon: p.bool_field("daemon").unwrap_or(false),
+                        finished_ns: p.u64_field("finished_ns")?,
+                        busy_ns: p.u64_field("busy_ns")?,
+                        slack_ns: p.u64_field("slack_ns")?,
+                        critical_ns: p.u64_field("critical_ns")?,
                     })
-                    .collect(),
-                _ => Err(format!("ps2 section: missing/invalid \"{key}\"")),
-            }
-        };
-        let procs = ps2
-            .get("procs")
-            .and_then(JsonValue::as_arr)
-            .ok_or("ps2 section: missing \"procs\"")?
-            .iter()
-            .map(|p| {
-                Ok(ProcRow {
-                    name: p
-                        .get("name")
-                        .and_then(JsonValue::as_str)
-                        .ok_or("proc row: missing \"name\"")?
-                        .to_string(),
-                    daemon: p
-                        .get("daemon")
-                        .and_then(JsonValue::as_bool)
-                        .unwrap_or(false),
-                    finished_ns: u64_field(p, "finished_ns")?,
-                    busy_ns: u64_field(p, "busy_ns")?,
-                    slack_ns: u64_field(p, "slack_ns")?,
-                    critical_ns: u64_field(p, "critical_ns")?,
                 })
+                .collect::<Result<Vec<_>, String>>()?;
+            Ok(TraceSummary {
+                makespan_ns: ps2.u64_field("makespan_ns")?,
+                categories: ps2.counts_field("categories")?,
+                compute_by_label: ps2.counts_field("compute_by_label")?,
+                segments: ps2.u64_field("segments")?,
+                procs,
+                drops_by_tag: ps2.counts_field("drops_by_tag")?,
+                trace_events,
             })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(TraceSummary {
-            makespan_ns: u64_field(ps2, "makespan_ns")?,
-            categories: pairs("categories")?,
-            compute_by_label: pairs("compute_by_label")?,
-            segments: u64_field(ps2, "segments")?,
-            procs,
-            drops_by_tag: pairs("drops_by_tag")?,
-            trace_events,
-        })
+        };
+        section().map_err(|e| format!("ps2 section: {e}"))
     }
 
     /// Deterministic text report, mirroring
@@ -512,23 +175,12 @@ impl TraceSummary {
     /// within tolerance.
     pub fn regressions(&self, other: &TraceSummary, tolerance_milli: u64) -> Vec<String> {
         let mut out = Vec::new();
-        let mut check = |name: &str, a: u64, b: u64| {
-            // Integer arithmetic keeps the gate deterministic; a zero
-            // baseline tolerates nothing.
-            let limit = a + a / 1000 * tolerance_milli + a % 1000 * tolerance_milli / 1000;
-            if b > limit {
-                let pct = if a == 0 {
-                    f64::INFINITY
-                } else {
-                    100.0 * (b as f64 - a as f64) / a as f64
-                };
-                out.push(format!(
-                    "{name}: {a} ns -> {b} ns (+{pct:.1}%, tolerance {:.1}%)",
-                    tolerance_milli as f64 / 10.0
-                ));
-            }
-        };
-        check("makespan", self.makespan_ns, other.makespan_ns);
+        out.extend(regression(
+            "makespan",
+            self.makespan_ns,
+            other.makespan_ns,
+            tolerance_milli,
+        ));
         let cand: BTreeMap<&str, u64> = other
             .categories
             .iter()
@@ -536,7 +188,8 @@ impl TraceSummary {
             .collect();
         for (name, a) in &self.categories {
             let b = cand.get(name.as_str()).copied().unwrap_or(0);
-            check(&format!("category {name}"), *a, b);
+            let name = format!("category {name}");
+            out.extend(regression(&name, *a, b, tolerance_milli));
         }
         out
     }
@@ -667,111 +320,81 @@ impl SloSummary {
     /// Parse either form: a standalone `ps2-slo-v1` sidecar, or a full
     /// trace file whose `"ps2"` section embeds one.
     pub fn from_json(text: &str) -> Result<SloSummary, String> {
-        let doc = parse_json(text).map_err(|e| e.to_string())?;
+        SloSummary::from_value(&parse_json(text).map_err(|e| e.to_string())?)
+    }
+
+    /// [`SloSummary::from_json`] on an already-parsed document, so a caller
+    /// that needs more than the SLO section parses the file once.
+    fn from_value(doc: &JsonValue) -> Result<SloSummary, String> {
         let slo = if doc.get("schema").and_then(JsonValue::as_str) == Some("ps2-slo-v1") {
-            &doc
+            doc
         } else {
             doc.get("ps2").and_then(|p| p.get("slo")).ok_or(
                 "no \"ps2\".\"slo\" section and not a ps2-slo-v1 sidecar — \
                  was this written by ps2-run --slo-json (or --trace-json with SLOs)?",
             )?
         };
-        let u64_field = |obj: &JsonValue, key: &str| -> Result<u64, String> {
-            obj.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("slo section: missing/invalid \"{key}\""))
-        };
-        let str_field = |obj: &JsonValue, key: &str| -> Result<String, String> {
-            obj.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("slo section: missing/invalid \"{key}\""))
-        };
-        let mut ops = Vec::new();
-        for o in slo
-            .get("ops")
-            .and_then(JsonValue::as_arr)
-            .ok_or("slo section: missing \"ops\"")?
-        {
-            let hist = o.get("hist").ok_or("slo op: missing \"hist\"")?;
-            let mut exemplars = Vec::new();
-            for e in o
-                .get("exemplars")
-                .and_then(JsonValue::as_arr)
-                .unwrap_or(&[])
-            {
-                let stages = match e.get("stages") {
-                    Some(JsonValue::Obj(kv)) => kv
-                        .iter()
-                        .map(|(k, v)| {
-                            v.as_u64()
-                                .map(|n| (k.clone(), n))
-                                .ok_or_else(|| format!("exemplar stage \"{k}\" not a count"))
-                        })
-                        .collect::<Result<Vec<_>, String>>()?,
-                    _ => return Err("exemplar: missing \"stages\"".to_string()),
-                };
-                exemplars.push(SloExemplar {
-                    id: u64_field(e, "id")?,
-                    issued_at_ns: u64_field(e, "issued_at_ns")?,
-                    total_ns: u64_field(e, "total_ns")?,
-                    attempts: u64_field(e, "attempts")?,
-                    stages,
+        let section = || -> Result<SloSummary, String> {
+            let mut ops = Vec::new();
+            for o in slo.arr_field("ops")? {
+                let hist = o.field("hist")?;
+                let mut exemplars = Vec::new();
+                for e in o.arr_field("exemplars").unwrap_or(&[]) {
+                    exemplars.push(SloExemplar {
+                        id: e.u64_field("id")?,
+                        issued_at_ns: e.u64_field("issued_at_ns")?,
+                        total_ns: e.u64_field("total_ns")?,
+                        attempts: e.u64_field("attempts")?,
+                        stages: e.counts_field("stages")?,
+                    });
+                }
+                ops.push(SloOpRow {
+                    op: o.str_field("op")?.to_string(),
+                    completed: o.u64_field("completed")?,
+                    abandoned: o.u64_field("abandoned")?,
+                    attempts: o.u64_field("attempts")?,
+                    p50_ns: hist.u64_field("p50_ns")?,
+                    p99_ns: hist.u64_field("p99_ns")?,
+                    p999_ns: hist.u64_field("p999_ns")?,
+                    max_ns: hist.u64_field("max_ns")?,
+                    exemplars,
                 });
             }
-            ops.push(SloOpRow {
-                op: str_field(o, "op")?,
-                completed: u64_field(o, "completed")?,
-                abandoned: u64_field(o, "abandoned")?,
-                attempts: u64_field(o, "attempts")?,
-                p50_ns: u64_field(hist, "p50_ns")?,
-                p99_ns: u64_field(hist, "p99_ns")?,
-                p999_ns: u64_field(hist, "p999_ns")?,
-                max_ns: u64_field(hist, "max_ns")?,
-                exemplars,
-            });
-        }
-        let mut objectives = Vec::new();
-        for o in slo
-            .get("objectives")
-            .and_then(JsonValue::as_arr)
-            .unwrap_or(&[])
-        {
-            let name = str_field(o, "name")?;
-            let desc = match o.get("kind").and_then(JsonValue::as_str) {
-                Some("latency") => format!(
-                    "latency({}) p999 < {} ns, budget {}/1000",
-                    o.get("hist").and_then(JsonValue::as_str).unwrap_or("?"),
-                    u64_field(o, "target_ns")?,
-                    u64_field(o, "budget_milli")?,
-                ),
-                Some("error_rate") => format!(
-                    "errors({}) / total({}) < {}/1000",
-                    o.get("errors").and_then(JsonValue::as_str).unwrap_or("?"),
-                    o.get("total").and_then(JsonValue::as_str).unwrap_or("?"),
-                    u64_field(o, "budget_milli")?,
-                ),
-                other => format!("unknown objective kind {other:?}"),
-            };
-            objectives.push((name, desc));
-        }
-        let mut alerts = Vec::new();
-        for a in slo.get("alerts").and_then(JsonValue::as_arr).unwrap_or(&[]) {
-            alerts.push(SloAlertRow {
-                at_ns: u64_field(a, "at_ns")?,
-                window: u64_field(a, "window")?,
-                subject: str_field(a, "subject")?,
-                value_milli: a
-                    .get("value_milli")
-                    .and_then(JsonValue::as_i64)
-                    .ok_or("alert: missing \"value_milli\"")?,
-            });
-        }
-        Ok(SloSummary {
-            ops,
-            objectives,
-            alerts,
-        })
+            let mut objectives = Vec::new();
+            for o in slo.arr_field("objectives").unwrap_or(&[]) {
+                let desc = match o.str_field("kind") {
+                    Ok("latency") => format!(
+                        "latency({}) p999 < {} ns, budget {}/1000",
+                        o.str_field("hist").unwrap_or("?"),
+                        o.u64_field("target_ns")?,
+                        o.u64_field("budget_milli")?,
+                    ),
+                    Ok("error_rate") => format!(
+                        "errors({}) / total({}) < {}/1000",
+                        o.str_field("errors").unwrap_or("?"),
+                        o.str_field("total").unwrap_or("?"),
+                        o.u64_field("budget_milli")?,
+                    ),
+                    other => format!("unknown objective kind {:?}", other.ok()),
+                };
+                objectives.push((o.str_field("name")?.to_string(), desc));
+            }
+            let mut alerts = Vec::new();
+            for a in slo.arr_field("alerts").unwrap_or(&[]) {
+                alerts.push(SloAlertRow {
+                    at_ns: a.u64_field("at_ns")?,
+                    window: a.u64_field("window")?,
+                    subject: a.str_field("subject")?.to_string(),
+                    value_milli: a.i64_field("value_milli")?,
+                });
+            }
+            Ok(SloSummary {
+                ops,
+                objectives,
+                alerts,
+            })
+        };
+        section().map_err(|e| format!("slo section: {e}"))
     }
 
     /// Deterministic text report: the per-op tail-latency table, each op's
@@ -858,21 +481,8 @@ impl SloSummary {
                 }
                 continue;
             };
-            let a = base.p999_ns;
-            let b = c.p999_ns;
-            let limit = a + a / 1000 * tolerance_milli + a % 1000 * tolerance_milli / 1000;
-            if b > limit {
-                let pct = if a == 0 {
-                    f64::INFINITY
-                } else {
-                    100.0 * (b as f64 - a as f64) / a as f64
-                };
-                out.push(format!(
-                    "op {} p999: {a} ns -> {b} ns (+{pct:.1}%, tolerance {:.1}%)",
-                    base.op,
-                    tolerance_milli as f64 / 10.0
-                ));
-            }
+            let name = format!("op {} p999", base.op);
+            out.extend(regression(&name, base.p999_ns, c.p999_ns, tolerance_milli));
         }
         if self.alerts.is_empty() && !other.alerts.is_empty() {
             for a in &other.alerts {
@@ -918,115 +528,22 @@ impl SloSummary {
 // ---- the retained causal DAG (what-if input) --------------------------------
 
 /// Rebuild the retained causal DAG and per-op tail mixes from a trace file —
-/// the input `ps2-trace whatif` replays. The DAG comes from the
-/// `"ps2"."dag"` section (schema `ps2-dag-v1`, integer-only, so the f64
-/// JSON parser loses nothing); the tails come from the embedded
-/// `"ps2"."slo"` section when present (an SLO-less trace still supports
-/// makespan experiments, just without tail estimates).
+/// the input `ps2-trace whatif` replays. The file is parsed once: the DAG
+/// comes from the `"ps2"."dag"` section ([`CausalDag::from_json`]); the
+/// tails come from the embedded `"ps2"."slo"` section when present (an
+/// SLO-less trace still supports makespan experiments, just without tail
+/// estimates).
 pub fn whatif_input(text: &str) -> Result<(CausalDag, Vec<OpTails>), String> {
     let doc = parse_json(text).map_err(|e| e.to_string())?;
     let dag = doc.get("ps2").and_then(|p| p.get("dag")).ok_or(
         "no \"ps2\".\"dag\" section — was this trace written by a ps2-run \
          that embeds the causal DAG (--trace-json)?",
     )?;
-    match dag.get("schema").and_then(JsonValue::as_str) {
-        Some("ps2-dag-v1") => {}
-        other => return Err(format!("\"ps2\".\"dag\": unsupported schema {other:?}")),
-    }
-    let makespan_ns = dag
-        .get("makespan_ns")
-        .and_then(JsonValue::as_u64)
-        .ok_or("\"ps2\".\"dag\": missing \"makespan_ns\"")?;
-    let labels = dag
-        .get("labels")
-        .and_then(JsonValue::as_arr)
-        .ok_or("\"ps2\".\"dag\": missing \"labels\"")?
-        .iter()
-        .map(|l| {
-            l.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| "\"ps2\".\"dag\": non-string label".to_string())
-        })
-        .collect::<Result<Vec<String>, String>>()?;
-    let mut procs = Vec::new();
-    for p in dag
-        .get("procs")
-        .and_then(JsonValue::as_arr)
-        .ok_or("\"ps2\".\"dag\": missing \"procs\"")?
-    {
-        let name = p
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or("dag proc: missing \"name\"")?
-            .to_string();
-        let field = |key: &str| -> Result<u64, String> {
-            p.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("dag proc {name:?}: missing/invalid \"{key}\""))
-        };
-        let daemon = p
-            .get("daemon")
-            .and_then(JsonValue::as_bool)
-            .ok_or_else(|| format!("dag proc {name:?}: missing \"daemon\""))?;
-        let finished_ns = field("finished_ns")?;
-        let busy_ns = field("busy_ns")?;
-        let mut events = Vec::new();
-        for row in p
-            .get("events")
-            .and_then(JsonValue::as_arr)
-            .ok_or_else(|| format!("dag proc {name:?}: missing \"events\""))?
-        {
-            let row = row
-                .as_arr()
-                .ok_or_else(|| format!("dag proc {name:?}: event is not an array"))?;
-            let n = |i: usize| -> Result<u64, String> {
-                row.get(i)
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("dag proc {name:?}: event field {i} missing/invalid"))
-            };
-            let ev = match n(0)? {
-                0 => DagEvent::Compute {
-                    at: n(1)?,
-                    dt: n(2)?,
-                    label: match row.get(3).and_then(JsonValue::as_i64) {
-                        Some(l) if l >= 0 => Some(l as u32),
-                        Some(_) => None,
-                        None => {
-                            return Err(format!(
-                                "dag proc {name:?}: compute event missing label field"
-                            ))
-                        }
-                    },
-                },
-                1 => DagEvent::Send {
-                    at: n(1)?,
-                    dst: n(2)? as usize,
-                    arrival: n(3)?,
-                    seq: n(4)?,
-                    ideal_ns: n(5)?,
-                },
-                2 => DagEvent::Recv {
-                    at: n(1)?,
-                    src: n(2)? as usize,
-                    seq: n(3)?,
-                },
-                3 => DagEvent::Point { at: n(1)? },
-                d => return Err(format!("dag proc {name:?}: unknown event kind {d}")),
-            };
-            events.push(ev);
-        }
-        procs.push(DagProc {
-            name,
-            daemon,
-            finished_ns,
-            busy_ns,
-            events,
-        });
-    }
+    let dag = CausalDag::from_json(dag).map_err(|e| format!("\"ps2\".\"dag\": {e}"))?;
 
     // Tails are optional: reuse the SLO reader and fold exemplar stages into
     // the replay categories.
-    let tails = match SloSummary::from_json(text) {
+    let tails = match SloSummary::from_value(&doc) {
         Ok(slo) => slo
             .ops
             .iter()
@@ -1059,7 +576,7 @@ pub fn whatif_input(text: &str) -> Result<(CausalDag, Vec<OpTails>), String> {
             .collect(),
         Err(_) => Vec::new(),
     };
-    Ok((CausalDag::new(makespan_ns, labels, procs), tails))
+    Ok((dag, tails))
 }
 
 #[cfg(test)]
@@ -1067,23 +584,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_scalars_and_nesting() {
-        let v = parse_json(r#"{"a": [1, -2.5, true, null, "x\nA"], "b": {}}"#).unwrap();
-        let arr = v.get("a").unwrap().as_arr().unwrap();
-        assert_eq!(arr[0].as_u64(), Some(1));
-        assert_eq!(arr[1], JsonValue::Num(-2.5));
-        assert_eq!(arr[2].as_bool(), Some(true));
-        assert_eq!(arr[3], JsonValue::Null);
-        assert_eq!(arr[4].as_str(), Some("x\nA"));
-        assert_eq!(v.get("b"), Some(&JsonValue::Obj(vec![])));
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("[1,]").is_err());
-        assert!(parse_json("{} extra").is_err());
-        assert!(parse_json("tru").is_err());
+    fn gate_passes_within_tolerance_and_fails_beyond() {
+        assert_eq!(regression("makespan", 1_000_000, 1_049_000, 50), None);
+        assert_eq!(regression("makespan", 1_000_000, 1_050_000, 50), None);
+        let v = regression("makespan", 1_000_000, 1_051_000, 50);
+        let v = v.expect("5.1% over a 5% gate must fail");
+        assert!(v.starts_with("makespan: ") && v.contains("+5.1%"), "{v}");
+        // A zero baseline tolerates nothing; an improvement never fires.
+        assert!(regression("idle", 0, 1, 3000).is_some());
+        assert_eq!(regression("idle", 7, 0, 0), None);
     }
 
     #[test]

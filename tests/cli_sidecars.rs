@@ -1,0 +1,174 @@
+//! CLI round trip: `ps2-run` writes every sidecar, the files hold what their
+//! schemas promise, and `ps2-trace` reads each of them back. The only test
+//! that drives the two binaries; everything it checks about a file goes
+//! through `parse_json` and the typed field accessors, like any other reader.
+
+use std::collections::BTreeSet;
+use std::process::Command;
+
+use ps2::simnet::json::{parse_json, JsonValue};
+
+const RUN: &str = env!("CARGO_BIN_EXE_ps2-run");
+const TRACE: &str = env!("CARGO_BIN_EXE_ps2-trace");
+
+fn tmp(name: &str) -> String {
+    format!("{}/cli_sidecars.{name}", env!("CARGO_TARGET_TMPDIR"))
+}
+
+/// Run `bin` on the space-separated `args` — a word `@name` is this test's
+/// scratch file `name` — require exit 0, and hand back stdout.
+fn run(bin: &str, args: &str) -> String {
+    let argv = args
+        .split(' ')
+        .map(|a| a.strip_prefix('@').map_or(a.to_string(), tmp));
+    let out = Command::new(bin).args(argv).output().expect("spawn");
+    assert!(
+        out.status.success(),
+        "{bin} {args} exited {:?}\n{}",
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("stdout is UTF-8")
+}
+
+fn load(name: &str) -> JsonValue {
+    let text = std::fs::read_to_string(tmp(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
+    parse_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"))
+}
+
+#[test]
+fn every_sidecar_round_trips_through_the_cli() {
+    run(
+        RUN,
+        "lr --preset kddb --iters 3 --workers 4 --servers 4 \
+         --metrics-json @metrics.json --trace-json @trace.json \
+         --timeseries-json @timeseries.json --slo-json @slo.json \
+         --whatif-json @whatif.json --host-prof-json @host.json",
+    );
+
+    // The run report: every top-level key, a non-empty per-op breakdown.
+    let m = load("metrics.json");
+    for key in [
+        "virtual_time_ns",
+        "wall_ms",
+        "total_msgs",
+        "total_bytes",
+        "dropped_msgs",
+        "drops_by_tag",
+        "compute_ns",
+        "comm_ns",
+        "gauges",
+        "hists",
+    ] {
+        m.field(key).unwrap();
+    }
+    let ops = m.arr_field("ops").unwrap();
+    assert!(!ops.is_empty(), "per-op breakdown must not be empty");
+    for row in ops {
+        row.str_field("op").unwrap();
+        for key in [
+            "count", "bytes", "rows", "sum_ns", "p50_ns", "p99_ns", "p999_ns", "share_ns",
+        ] {
+            row.u64_field(key).unwrap();
+        }
+    }
+    let counters = m.counts_field("counters").unwrap();
+    assert!(counters.iter().any(|(k, _)| k.starts_with("ps.client.op.")));
+
+    // The trace: well-formed Chrome events, and an analysis that partitions
+    // the makespan.
+    let t = load("trace.json");
+    let mut phases = BTreeSet::new();
+    for ev in t.arr_field("traceEvents").unwrap() {
+        let ph = ev.str_field("ph").unwrap();
+        ev.u64_field("pid").unwrap();
+        ev.u64_field("tid").unwrap();
+        assert!(ph == "M" || ev.get("ts").is_some(), "no ts on {ev:?}");
+        phases.insert(ph);
+    }
+    assert!(phases.is_superset(&["M", "X", "s", "f", "i"].into()));
+    let ps2 = t.field("ps2").unwrap();
+    let makespan_ns = ps2.u64_field("makespan_ns").unwrap();
+    let categories = ps2.counts_field("categories").unwrap();
+    assert_eq!(
+        categories.iter().map(|(_, ns)| ns).sum::<u64>(),
+        makespan_ns
+    );
+
+    // The windowed series: no window overruns its boundary.
+    let ts = load("timeseries.json");
+    let window_ns = ts.u64_field("window_ns").unwrap();
+    let windows = ts.arr_field("windows").unwrap();
+    assert!(window_ns > 0 && !windows.is_empty());
+    for w in windows {
+        let (index, end_ns) = (
+            w.u64_field("index").unwrap(),
+            w.u64_field("end_ns").unwrap(),
+        );
+        assert!(end_ns <= (index + 1) * window_ns, "window {index} overruns");
+    }
+
+    // The SLO sidecar: tails and exemplars whose stages partition the total.
+    let s = load("slo.json");
+    assert_eq!(s.str_field("schema"), Ok("ps2-slo-v1"));
+    let slo_ops = s.arr_field("ops").unwrap();
+    for name in ["pull", "push"] {
+        let op = slo_ops.iter().find(|o| o.str_field("op") == Ok(name));
+        let op = op.unwrap_or_else(|| panic!("no {name} row"));
+        assert!(op.field("hist").unwrap().u64_field("p999_ns").unwrap() > 0);
+        let exemplars = op.arr_field("exemplars").unwrap();
+        assert!(!exemplars.is_empty(), "{name}: no exemplars");
+        for e in exemplars {
+            let stages = e.counts_field("stages").unwrap();
+            let total: u64 = stages.iter().map(|(_, ns)| ns).sum();
+            assert_eq!(total, e.u64_field("total_ns").unwrap(), "{name}: {e:?}");
+        }
+    }
+    assert!(!s.arr_field("objectives").unwrap().is_empty());
+
+    // The what-if sidecar: ranked, and each delta is baseline − replay.
+    let w = load("whatif.json");
+    assert_eq!(w.str_field("schema"), Ok("ps2-whatif-v1"));
+    let baseline = w.u64_field("baseline_makespan_ns").unwrap();
+    assert_eq!(baseline, makespan_ns);
+    let experiments = w.arr_field("experiments").unwrap();
+    assert!(experiments.len() >= 5, "battery ranks >= 5 experiments");
+    let deltas: Vec<i64> = experiments
+        .iter()
+        .map(|e| e.i64_field("delta_ns").unwrap())
+        .collect();
+    assert!(deltas.windows(2).all(|d| d[0] >= d[1]), "{deltas:?}");
+    for (e, delta) in experiments.iter().zip(&deltas) {
+        let replayed = e.u64_field("makespan_ns").unwrap() as i64;
+        assert_eq!(replayed + delta, baseline as i64, "{e:?}");
+    }
+
+    // ps2-trace reads all of it back.
+    assert!(run(TRACE, "report @trace.json").contains("critical path"));
+    run(TRACE, "diff @trace.json @trace.json --tolerance 0");
+    let slo_report = run(TRACE, "slo @slo.json");
+    assert!(slo_report.contains("slowest pull requests"), "{slo_report}");
+    assert_eq!(run(TRACE, "slo @trace.json"), slo_report);
+    run(TRACE, "slo diff @slo.json @slo.json");
+    assert!(run(TRACE, "host @host.json").contains("sched."));
+    run(TRACE, "whatif @trace.json --json @whatif-offline.json");
+    let offline = load("whatif-offline.json");
+    assert_eq!(offline.u64_field("baseline_makespan_ns"), Ok(baseline));
+}
+
+#[test]
+fn mode_run_exports_its_per_mode_loss_gauge() {
+    run(
+        RUN,
+        "lr --mode ssp:2 --preset kddb --workers 4 --servers 3 --iters 6 \
+         --straggler-ms 20 --timeseries-json @mode-timeseries.json",
+    );
+    let ts = load("mode-timeseries.json");
+    let gauge = |w: &JsonValue| {
+        w.field("gauges")
+            .unwrap()
+            .get("ml.loss_micro.ssp2")
+            .is_some()
+    };
+    assert!(ts.arr_field("windows").unwrap().iter().any(gauge));
+}

@@ -1,12 +1,15 @@
-//! Round-trip property tests for the hand-rolled JSON reader/writer in
-//! `ps2::tracefile` — the parser behind `ps2-trace` and `ps2::bench::HostReport`.
+//! Round-trip property tests for the workspace's JSON codec,
+//! `ps2::simnet::json` — the writer behind every sidecar and the parser
+//! behind `ps2-trace` (reached here through `ps2::tracefile`'s re-export,
+//! the path `benchmark/` compiles against).
 //!
 //! The invariant: for any value the writer can produce,
 //! `parse_json(v.render()) == v`, and `render` is a fixpoint (re-rendering
 //! the parse gives the same bytes). Covers escapes, nested arrays/objects,
-//! and numeric edge cases.
+//! numeric edge cases, and the writer's three container styles.
 
 use proptest::prelude::*;
+use ps2::simnet::json::{JsonWriter, Style};
 use ps2::tracefile::{parse_json, JsonValue};
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -76,6 +79,19 @@ proptest! {
         let back = parse_json(&text).unwrap();
         prop_assert_eq!(&back, &v);
         prop_assert_eq!(back.render(), text);
+    }
+
+    /// Layout never changes content: the same tree written through
+    /// `JsonWriter::value` in each container style parses back equal.
+    #[test]
+    fn every_writer_style_parses_back_equal(seed in any::<u64>()) {
+        let mut state = seed;
+        let v = gen_value(&mut state, 3);
+        for style in [Style::Block, Style::Inline, Style::Compact] {
+            let mut w = JsonWriter::new();
+            w.value(&v, style);
+            prop_assert_eq!(parse_json(&w.finish()).unwrap(), v.clone());
+        }
     }
 
     /// Strings over the full escape palette survive the round trip.

@@ -172,7 +172,7 @@ fn alerts_in_the_export_do_not_break_the_offline_reader() {
         subject: "executor-2".to_string(),
         value_milli: 2_500,
     }];
-    let json = ps2::simnet::export_trace_with(&r, Some(&a), &alerts);
+    let json = ps2::simnet::export_trace_full(&r, Some(&a), &alerts, None, None);
     let s = TraceSummary::from_json(&json).unwrap();
     assert_eq!(s.makespan_ns, a.makespan.as_nanos());
     assert!(json.contains("watchdog.straggler"));
