@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use ps2_ps::{
     create_serve_table, InitKind, MatrixId, PartitionPlan, Partitioning, PsServerAgent,
-    ServeClientAgent, ServeClientConfig,
+    ServeClientAgent, ServeClientConfig, ZipfTable,
 };
 use ps2_simnet::{SimBuilder, SimReport, SimTime};
 
@@ -131,6 +131,8 @@ pub fn run_serve(builder: SimBuilder, spec: &ServeSpec) -> (ServeSummary, SimRep
             seed: 42,
         };
         create_serve_table(ctx, &servers, matrix, &plan, init);
+        // One skew table for the whole population.
+        let zipf = Arc::new(ZipfTable::new(spec_c.rows, spec_c.zipf_exponent));
         // Release the population at the coordinator's post-load clock so the
         // open-loop schedules start only once the table is servable.
         for a in 0..spec_c.agents {
@@ -142,7 +144,7 @@ pub fn run_serve(builder: SimBuilder, spec: &ServeSpec) -> (ServeSummary, SimRep
                 user_period: spec_c.user_period,
                 duration: spec_c.duration,
                 zipf_fraction: spec_c.zipf_fraction,
-                zipf_exponent: spec_c.zipf_exponent,
+                zipf: Arc::clone(&zipf),
                 value_bytes: 8,
             };
             ctx.spawn_agent(&format!("serve-clients-{a}"), ServeClientAgent::new(cfg));

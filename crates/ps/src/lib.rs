@@ -39,5 +39,5 @@ pub use consistency::{
 pub use master::{PsConfig, PsFleet, PsMaster};
 pub use plan::{MatrixId, PartitionPlan, Partitioning, PlanKind, RouteTable};
 pub use protocol::{AggKind, ElemOp, InitKind, ZipArgmaxFn, ZipMapFn, ZipMutFn, ZipSegs};
-pub use serve::{create_serve_table, ServeClientAgent, ServeClientConfig};
+pub use serve::{create_serve_table, ServeClientAgent, ServeClientConfig, ZipfTable};
 pub use server::{deploy_ps, storage_main, PsServerAgent};

@@ -123,6 +123,16 @@ impl PartitionPlan {
         }
     }
 
+    /// For row plans: where `row` sits among the rows its owner holds, in
+    /// ascending row order. The other half of [`PartitionPlan::row_owner`]:
+    /// slot `s` owns `s, s + n_slots, s + 2·n_slots, …`.
+    pub fn row_index(&self, row: u32) -> usize {
+        match &self.kind {
+            PlanKind::Row { n_slots } => row as usize / n_slots,
+            PlanKind::Column { .. } => panic!("row_index on a column-partitioned plan"),
+        }
+    }
+
     /// The slot owning column `col` (column plans only).
     pub fn col_owner(&self, col: u64) -> usize {
         assert!(col < self.dim, "column {col} out of range {}", self.dim);
@@ -255,6 +265,26 @@ mod tests {
         assert_eq!(plan.row_owner(0), 0);
         assert_eq!(plan.row_owner(4), 1);
         assert_eq!(plan.row_owner(5), 2);
+    }
+
+    /// Owner and index together partition `0..rows`: every `(slot, idx)` is
+    /// hit exactly once and `idx` stays below the slot's owned-row count,
+    /// ragged last stripe included.
+    #[test]
+    fn row_owner_and_index_partition_the_rows() {
+        for (rows, n_slots) in [(10u32, 4usize), (7, 3), (8, 4), (3, 5)] {
+            let plan = PartitionPlan::new(10, rows, n_slots, Partitioning::Row);
+            let mut hit: Vec<Vec<bool>> = (0..n_slots)
+                .map(|s| vec![false; (0..rows).filter(|&r| plan.row_owner(r) == s).count()])
+                .collect();
+            for row in 0..rows {
+                let (slot, idx) = (plan.row_owner(row), plan.row_index(row));
+                assert!(idx < hit[slot].len(), "row {row}: idx {idx} on slot {slot}");
+                assert!(!hit[slot][idx], "row {row}: ({slot}, {idx}) hit twice");
+                hit[slot][idx] = true;
+            }
+            assert!(hit.iter().flatten().all(|&h| h));
+        }
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //! Row selection models NuPS-style skew: with probability
 //! [`ServeClientConfig::zipf_fraction`] the row is drawn from a Zipf
 //! distribution over all rows (rank-`r` mass ∝ `1/r^s`), otherwise
-//! uniformly. Metrics land under the same `ps.client.*` names the training
+//! uniformly. The distribution is one [`ZipfTable`] per run — built once by
+//! whoever spawns the population and shared by every agent, each drawing
+//! from it with its own rng — so its cost does not grow with the number of
+//! agents. Metrics land under the same `ps.client.*` names the training
 //! fabric uses (`ps.client.op.pull.latency` etc.), so the existing SLO
 //! objectives, watchdog burn-rate alerts, and report tables work unchanged.
 
@@ -52,8 +55,9 @@ pub struct ServeClientConfig {
     pub duration: SimTime,
     /// Probability in `[0, 1]` that a pull targets a Zipf-skewed row.
     pub zipf_fraction: f64,
-    /// Zipf exponent `s` (rank-`r` mass ∝ `1/r^s`).
-    pub zipf_exponent: f64,
+    /// The skewed distribution over `plan.rows` rows, shared by the run's
+    /// agents.
+    pub zipf: Arc<ZipfTable>,
     /// Bytes per value on the wire (8, or 4 with compression).
     pub value_bytes: u64,
 }
@@ -64,6 +68,33 @@ impl ServeClientConfig {
     /// when `duration` is a whole number of periods.
     pub fn total_arrivals(&self) -> u64 {
         self.duration.as_nanos() * self.users as u64 / self.user_period.as_nanos()
+    }
+}
+
+/// Zipf distribution over row ranks `0..rows` (rank-`r` mass ∝
+/// `1/(r+1)^s`) as cumulative mass per rank, binary-searched per draw.
+pub struct ZipfTable {
+    cdf: Vec<f64>,
+}
+
+impl ZipfTable {
+    pub fn new(rows: u32, exponent: f64) -> ZipfTable {
+        assert!(rows > 0, "a Zipf table needs at least one row");
+        let mut acc = 0.0f64;
+        let cdf = (1..=rows)
+            .map(|rank| {
+                acc += 1.0 / (rank as f64).powf(exponent);
+                acc
+            })
+            .collect();
+        ZipfTable { cdf }
+    }
+
+    /// Draw one row: a single `f64` from `rng`, scaled to the total mass.
+    fn sample(&self, rng: &mut StdRng) -> u32 {
+        let total = *self.cdf.last().expect("at least one row");
+        let x = rng.gen::<f64>() * total;
+        self.cdf.partition_point(|&c| c < x).min(self.cdf.len() - 1) as u32
     }
 }
 
@@ -88,8 +119,6 @@ struct InFlight {
 /// outstanding reply drained).
 pub struct ServeClientAgent {
     cfg: ServeClientConfig,
-    /// Cumulative Zipf mass per rank; binary-searched per skewed pull.
-    zipf_cdf: Vec<f64>,
     users: Vec<UserState>,
     /// Spawn clock, the origin of the arrival schedule (set in `on_start`).
     start: SimTime,
@@ -108,13 +137,11 @@ impl ServeClientAgent {
         );
         assert!((0.0..=1.0).contains(&cfg.zipf_fraction));
         assert!(cfg.users > 0, "an aggregate client needs at least one user");
-        let rows = cfg.plan.rows as usize;
-        let mut zipf_cdf = Vec::with_capacity(rows);
-        let mut acc = 0.0f64;
-        for r in 0..rows {
-            acc += 1.0 / ((r + 1) as f64).powf(cfg.zipf_exponent);
-            zipf_cdf.push(acc);
-        }
+        assert_eq!(
+            cfg.zipf.cdf.len(),
+            cfg.plan.rows as usize,
+            "the Zipf table must span the served table's rows"
+        );
         let users = (0..cfg.users)
             .map(|_| UserState {
                 issued: 0,
@@ -124,7 +151,6 @@ impl ServeClientAgent {
         let total_arrivals = cfg.total_arrivals();
         ServeClientAgent {
             cfg,
-            zipf_cdf,
             users,
             start: SimTime::ZERO,
             next_arrival: 0,
@@ -140,15 +166,10 @@ impl ServeClientAgent {
     }
 
     fn pick_row(&self, rng: &mut StdRng) -> u32 {
-        let rows = self.cfg.plan.rows;
         if rng.gen::<f64>() < self.cfg.zipf_fraction {
-            let total = *self.zipf_cdf.last().expect("at least one row");
-            let x = rng.gen::<f64>() * total;
-            self.zipf_cdf
-                .partition_point(|&c| c < x)
-                .min(rows as usize - 1) as u32
+            self.cfg.zipf.sample(rng)
         } else {
-            rng.gen_range(0..rows)
+            rng.gen_range(0..self.cfg.plan.rows)
         }
     }
 
@@ -271,6 +292,7 @@ mod tests {
         let id = MatrixId(9);
         sim.spawn("coord", move |ctx| {
             create_serve_table(ctx, &servers, id, &plan, InitKind::Zero);
+            let zipf = Arc::new(ZipfTable::new(plan.rows, 1.0));
             let cfg = ServeClientConfig {
                 servers,
                 matrix: id,
@@ -279,12 +301,47 @@ mod tests {
                 user_period: SimTime::from_millis(period_ms),
                 duration: SimTime::from_millis(duration_ms),
                 zipf_fraction: 0.5,
-                zipf_exponent: 1.0,
+                zipf,
                 value_bytes: 8,
             };
             ctx.spawn_agent("clients", ServeClientAgent::new(cfg));
         });
         sim.run().expect("serve test sim failed")
+    }
+
+    #[test]
+    fn zipf_table_is_one_monotone_entry_per_row() {
+        let table = ZipfTable::new(1000, 1.2);
+        assert_eq!(table.cdf.len(), 1000);
+        assert_eq!(table.cdf[0], 1.0);
+        assert!(table.cdf.windows(2).all(|w| w[0] < w[1]));
+        // Rank-r mass is 1/r^s, accumulated in rank order.
+        assert_eq!(ZipfTable::new(3, 2.0).cdf, [1.0, 1.25, 1.25 + 1.0 / 9.0]);
+    }
+
+    /// Row choice through the shared table is the per-agent table's, draw
+    /// for draw: the skew coin first, then one `f64` into the cumulative
+    /// mass (or one uniform row). The pinned rows are what the parent
+    /// commit, which built the table inside each agent, drew for this seed.
+    #[test]
+    fn shared_table_picks_the_rows_a_private_table_did() {
+        use rand::SeedableRng;
+        let rows = 1000;
+        let agent = ServeClientAgent::new(ServeClientConfig {
+            servers: Vec::new(),
+            matrix: MatrixId(1),
+            plan: Arc::new(PartitionPlan::new(4, rows, 4, Partitioning::Row)),
+            users: 1,
+            user_period: SimTime::from_millis(1),
+            duration: SimTime::ZERO,
+            zipf_fraction: 0.8,
+            zipf: Arc::new(ZipfTable::new(rows, 1.2)),
+            value_bytes: 8,
+        });
+        let mut rng = StdRng::seed_from_u64(42);
+        let picked: Vec<u32> = (0..1000).map(|_| agent.pick_row(&mut rng)).collect();
+        assert_eq!(picked[..8], [2, 314, 584, 123, 11, 1, 42, 171]);
+        assert_eq!(picked.iter().map(|&r| r as u64).sum::<u64>(), 154_153);
     }
 
     /// One aggregate agent with N=1000 users at 1 pull / 10 ms / user over a

@@ -97,13 +97,15 @@ impl Shard {
     /// own the row (a routing bug).
     fn slot(&self, row: u32) -> usize {
         if self.is_column() {
-            row as usize
-        } else {
-            self.owned_rows
-                .iter()
-                .position(|&r| r == row)
-                .unwrap_or_else(|| panic!("row {row} not owned by this server"))
+            return row as usize;
         }
+        // The plan's arithmetic says where the row would sit on its owner;
+        // it sits there on this server only if this server is that owner.
+        let idx = self.plan.row_index(row);
+        if self.owned_rows.get(idx) != Some(&row) {
+            panic!("row {row} not owned by this server");
+        }
+        idx
     }
 
     /// Index of the range containing `col`.
@@ -238,6 +240,11 @@ pub struct PsServerAgent {
     shards: HashMap<MatrixId, Shard>,
     oplog: OpLog,
     parked: Option<Parked>,
+    /// Metric names, built on first use (the proc id is not known at
+    /// `new()`): this server's load counter and, per request tag, the
+    /// `(queue, service)` histogram pair.
+    served_name: String,
+    op_names: HashMap<u32, (String, String)>,
 }
 
 /// A request being served, kept across its RPCs.
@@ -272,6 +279,8 @@ impl PsServerAgent {
             shards: HashMap::new(),
             oplog: OpLog::new(),
             parked: None,
+            served_name: String::new(),
+            op_names: HashMap::new(),
         }
     }
 
@@ -311,9 +320,18 @@ impl PsServerAgent {
         ctx.op_label_clear();
         // Per-server load counter: the windowed deltas of these feed the
         // watchdog's Gini skew detector across the server fleet.
-        ctx.metric_add(&format!("ps.server.p{}.served", ctx.id().0), 1);
-        ctx.metric_observe(&format!("ps.server.{name}.queue"), op.queue);
-        ctx.metric_observe(&format!("ps.server.{name}.service"), ctx.now() - op.t0);
+        if self.served_name.is_empty() {
+            self.served_name = format!("ps.server.p{}.served", ctx.id().0);
+        }
+        let (queue, service) = self.op_names.entry(op.env.tag).or_insert_with(|| {
+            (
+                format!("ps.server.{name}.queue"),
+                format!("ps.server.{name}.service"),
+            )
+        });
+        ctx.metric_add(&self.served_name, 1);
+        ctx.metric_observe(queue, op.queue);
+        ctx.metric_observe(service, ctx.now() - op.t0);
     }
 }
 
@@ -930,6 +948,86 @@ mod tests {
         // ...so op 0 is forgotten, while the newest entry is remembered.
         assert!(!log.check_and_record(id, 0));
         assert!(log.check_and_record(id, OP_LOG_CAP as u64));
+    }
+
+    const UNIFORM: InitKind = InitKind::Uniform {
+        lo: -1.0,
+        hi: 1.0,
+        seed: 5,
+    };
+
+    /// 10 rows on 4 slots: slots 0 and 1 own three rows, 2 and 3 own two.
+    fn ragged_row_plan() -> Arc<PartitionPlan> {
+        Arc::new(PartitionPlan::new(8, 10, 4, Partitioning::Row))
+    }
+
+    #[test]
+    fn row_shard_slot_indexes_the_rows_own_data() {
+        let plan = ragged_row_plan();
+        for slot in 0..4 {
+            let shard = Shard::build(slot, Arc::clone(&plan), &UNIFORM);
+            let owned: Vec<u32> = (0..10).filter(|&r| plan.row_owner(r) == slot).collect();
+            assert_eq!(shard.data.len(), owned.len());
+            for row in owned {
+                let want: Vec<f64> = (0..8).map(|c| init_value(&UNIFORM, row, c)).collect();
+                assert_eq!(shard.data[shard.slot(row)], vec![want], "row {row}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row 5 not owned by this server")]
+    fn row_shard_rejects_a_row_it_does_not_own() {
+        Shard::build(2, ragged_row_plan(), &UNIFORM).slot(5);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 12 not owned by this server")]
+    fn row_shard_rejects_a_row_past_the_table() {
+        Shard::build(0, ragged_row_plan(), &UNIFORM).slot(12);
+    }
+
+    /// Per-element access on a row plan (`ColsSel::List` pulls, sparse
+    /// pushes) lands on the addressed row's cells and on no neighbour's.
+    #[test]
+    fn list_pull_and_sparse_push_address_cells_on_a_row_plan() {
+        let mut sim = SimBuilder::new().seed(3).build();
+        let server = sim.spawn_agent_daemon("ps-server-1", PsServerAgent::new());
+        let out = sim.spawn_collect("driver", move |ctx| {
+            let id = MatrixId(1);
+            let create = CreateReq {
+                id,
+                plan: ragged_row_plan(),
+                init: UNIFORM,
+                slot: 1,
+            };
+            let _: () = ctx.call(server, tags::CREATE, create, 96).downcast();
+            let push = PushReq {
+                id,
+                row: 5,
+                data: PushData::Sparse(Arc::new(vec![(2, 1.0), (7, -2.0)])),
+                op_id: 1,
+            };
+            let _: () = ctx.call(server, tags::PUSH, push, 48).downcast();
+            let pull = |row, cols| PullReq {
+                id,
+                row,
+                cols,
+                value_bytes: 8,
+            };
+            let list = pull(5, ColsSel::List(Arc::new(vec![7, 2, 4])));
+            let picked: Vec<f64> = ctx.call(server, tags::PULL, list, 48).downcast();
+            let all: Vec<Vec<f64>> = ctx
+                .call(server, tags::PULL, pull(9, ColsSel::All), 48)
+                .downcast();
+            (picked, all)
+        });
+        sim.run().unwrap();
+        let (picked, neighbour) = out.take();
+        let init = |row, col| init_value(&UNIFORM, row, col);
+        assert_eq!(picked, vec![init(5, 7) - 2.0, init(5, 2) + 1.0, init(5, 4)]);
+        let untouched: Vec<f64> = (0..8).map(|c| init(9, c)).collect();
+        assert_eq!(neighbour, vec![untouched]);
     }
 
     #[test]

@@ -112,7 +112,7 @@ enum Status {
 /// thread currently drives the scheduler, while holding the global state
 /// lock. The hooks therefore must not block — everything on [`StepCtx`] is
 /// non-blocking — and should do bounded work per step. What a hook sends
-/// goes out in later turns of the same smallest-clock pick (see
+/// goes out in the turn the smallest-clock pick gives it (see
 /// [`StepCtx::send`]), so swapping a thread proc for the equivalent agent
 /// changes no event and no clock of a run.
 pub trait Proc: Send {
@@ -140,11 +140,12 @@ struct AgentState {
     /// Set by [`StepCtx::finish`]; the scheduler retires the agent once the
     /// hook has returned and `out` has drained.
     finish: bool,
-    /// What the last hook sent, each with the clock it was issued at. One
-    /// goes out per turn: a hook runs ahead of every other proc in virtual
-    /// time, so a send claims its NICs only once the agent is again the
-    /// `(clock, id)` minimum at the send's own clock — the turn a thread
-    /// proc, which yields in `advance` and `send`, would make it in.
+    /// What the last hook sent and could not deliver on the spot, each with
+    /// the clock it was issued at. One goes out per turn: a hook runs ahead
+    /// of every other proc in virtual time, so a send claims its NICs only
+    /// once the agent is again the `(clock, id)` minimum at the send's own
+    /// clock — the turn a thread proc, which yields in `advance` and `send`,
+    /// would make it in.
     out: VecDeque<(SimTime, Outgoing)>,
     /// The clock the last hook ended at, restored once `out` has drained;
     /// meanwhile the agent's clock sits at the head entry's.
@@ -246,6 +247,14 @@ impl ProcState {
 
 pub(crate) struct State {
     procs: Vec<ProcState>,
+    /// Each proc's [`ProcState::ready_key`] in ns, `NOT_READY` for `None`:
+    /// what [`pick`] scans. Exact for every proc not in `touched`.
+    ready: Vec<u64>,
+    /// Procs whose ready key may have changed since the last [`pick`]. A
+    /// turn can change only the proc that took it, the destination of each
+    /// send it made, and a proc it killed; whoever does so pushes here.
+    /// Spawned procs need no entry — `ready` is shorter than `procs` by them.
+    touched: Vec<usize>,
     nic_out_free: Vec<SimTime>,
     nic_in_free: Vec<SimTime>,
     running: Option<usize>,
@@ -422,6 +431,7 @@ impl State {
             }
         } else {
             let key = (arrival.as_nanos(), seq);
+            self.touched.push(dst.0);
             self.procs[dst.0].mailbox.insert(
                 key,
                 Envelope {
@@ -442,16 +452,38 @@ impl State {
     }
 }
 
-fn pick(st: &State) -> Option<usize> {
-    let mut best: Option<(SimTime, usize)> = None;
-    for (i, p) in st.procs.iter().enumerate() {
-        if let Some(key) = p.ready_key() {
-            if best.is_none_or(|(bk, _)| key < bk) {
-                best = Some((key, i));
-            }
+/// `State::ready` entry of a proc that cannot run.
+const NOT_READY: u64 = u64::MAX;
+
+/// The ready proc with the smallest `(ready key, id)`. Brings the cached
+/// keys up to date — touched and newly spawned procs only — then takes the
+/// first minimum of the dense key slice.
+fn pick(st: &mut State) -> Option<usize> {
+    let State {
+        procs,
+        ready,
+        touched,
+        ..
+    } = st;
+    let key = |p: &ProcState| p.ready_key().map_or(NOT_READY, SimTime::as_nanos);
+    ready.extend(procs[ready.len()..].iter().map(key));
+    for i in touched.drain(..) {
+        ready[i] = key(&procs[i]);
+    }
+    // Debug builds (`cargo test`) recompute every key on every pick, so a
+    // mutation site that forgot to push to `touched` fails the first run
+    // that reaches it.
+    #[cfg(debug_assertions)]
+    for (i, p) in procs.iter().enumerate() {
+        assert_eq!(ready[i], key(p), "stale ready key for '{}'", p.name);
+    }
+    let mut best = (NOT_READY, None);
+    for (i, &k) in ready.iter().enumerate() {
+        if k < best.0 {
+            best = (k, Some(i));
         }
     }
-    best.map(|(_, i)| i)
+    best.1
 }
 
 fn describe_blocked(st: &State) -> String {
@@ -533,6 +565,7 @@ impl Shared {
     /// Ready *agents* ahead of the next thread proc are stepped inline right
     /// here — `me`'s OS thread is the scheduler while it holds the lock.
     fn reschedule(&self, st: &mut MutexGuard<'_, State>, me: usize) {
+        st.touched.push(me);
         {
             let _prof = hostprof::scope(ProfScope::SchedDispatch);
             loop {
@@ -658,7 +691,8 @@ impl Shared {
                 spec: spec.clone(),
                 deadline,
             };
-            match pick(&st) {
+            st.touched.push(me);
+            match pick(&mut st) {
                 Some(next) if next == me => {
                     // Ready by deadline only (matching mail would have been
                     // consumed above).
@@ -789,6 +823,7 @@ impl Shared {
         self.interrupt_check(&st, me);
         if !matches!(st.procs[target.0].status, Status::Finished) {
             st.procs[target.0].killed = true;
+            st.touched.push(target.0);
             // A parked victim wakes on this signal, sees `killed`, and
             // unwinds; an agent victim is retired at its next turn.
             st.procs[target.0].wake();
@@ -812,6 +847,7 @@ impl Shared {
     /// [`StepCtx`] and cannot block.
     fn step_agent(&self, st: &mut MutexGuard<'_, State>, idx: usize) {
         let _prof = hostprof::scope(ProfScope::SchedStep);
+        st.touched.push(idx);
         if st.procs[idx].killed {
             // Kills retire an agent at its next turn, mirroring the unwind
             // a thread proc performs.
@@ -870,6 +906,7 @@ impl Shared {
     fn step_ctx<'a>(&'a self, st: &'a mut State, me: usize) -> StepCtx<'a> {
         StepCtx {
             cfg: &self.cfg,
+            entered: Some(st.procs[me].clock),
             st,
             me,
         }
@@ -900,6 +937,7 @@ impl Shared {
     /// closure, an agent's `finish()`, a kill, or the end of the run for a
     /// daemon agent — and shut the simulation down with the last non-daemon.
     fn retire(&self, st: &mut State, idx: usize) {
+        st.touched.push(idx);
         let p = &mut st.procs[idx];
         let first = !matches!(p.status, Status::Finished);
         p.status = Status::Finished;
@@ -1026,7 +1064,7 @@ impl Shared {
                     self.wake_all(&st);
                     break;
                 }
-                match pick(&st) {
+                match pick(&mut st) {
                     Some(next) if st.procs[next].is_agent() => {
                         // The exiting thread keeps driving the schedule while
                         // agents are next in line.
@@ -1059,6 +1097,9 @@ impl Shared {
 /// between two statements of a hook.
 pub struct StepCtx<'a> {
     cfg: &'a SimConfig,
+    /// The clock the hook was entered at — the agent's ready key when it was
+    /// picked — until the hook's first send takes it.
+    entered: Option<SimTime>,
     st: &'a mut State,
     me: usize,
 }
@@ -1123,18 +1164,26 @@ impl StepCtx<'_> {
     }
 
     /// Charge the send overhead now, so the hook's clock reads as it would
-    /// after a thread proc's send, and queue the message for its own turn.
+    /// after a thread proc's send, and queue the message for its own turn —
+    /// unless this *is* its turn: the agent was picked as the `(clock, id)`
+    /// minimum at `entered`, and a hook moves no other proc, so its first
+    /// send, if still at that clock, would be the very next pick. It leaves
+    /// at once.
     fn send_inner(&mut self, out: Outgoing) {
-        let p = &mut self.st.procs[self.me];
-        let at = p.clock;
-        p.clock += self.cfg.net.per_msg_overhead;
+        let at = self.st.procs[self.me].clock;
+        if self.entered.take() == Some(at) {
+            let _prof = hostprof::scope(ProfScope::SchedSend);
+            return self.st.deliver(self.cfg, self.me, out);
+        }
+        self.st.procs[self.me].clock += self.cfg.net.per_msg_overhead;
         self.st.agent_mut(self.me).out.push_back((at, out));
     }
 
     /// Send a one-way message of declared wire size `bytes`. Like every send
     /// of a hook it leaves — claims its NICs, takes its sequence number — in
-    /// a later turn of this agent, at the clock it was issued at: the hook
-    /// may be ahead of procs that still have earlier sends to make.
+    /// a turn of this agent at the clock it was issued at: the hook may be
+    /// ahead of procs that still have earlier sends to make. Only a first
+    /// send at the clock the hook was entered at is in that turn already.
     pub fn send<P: Any + Send>(&mut self, dst: ProcId, tag: u32, payload: P, bytes: u64) {
         self.send_inner(Outgoing {
             dst,
@@ -1454,6 +1503,8 @@ impl SimBuilder {
                 cfg: self.cfg,
                 state: Mutex::new(State {
                     procs: Vec::new(),
+                    ready: Vec::new(),
+                    touched: Vec::new(),
                     nic_out_free: Vec::new(),
                     nic_in_free: Vec::new(),
                     running: None,
@@ -1557,7 +1608,7 @@ impl SimRuntime {
                 if st.shutdown {
                     break;
                 }
-                match pick(&st) {
+                match pick(&mut st) {
                     Some(next) if st.procs[next].is_agent() => {
                         self.shared.step_agent(&mut st, next);
                     }

@@ -535,3 +535,83 @@ fn await_reply_holds_unrelated_mail_until_the_reply() {
     assert_eq!(log[2].1, log[1].1);
     assert_eq!(log[3].1, log[1].1);
 }
+
+/// Agent that calls a server which never answers, so it stays parked on
+/// `await_reply`, and logs a timer it re-arms from `on_timer` every 2 ms.
+struct Probe {
+    server: ProcId,
+    log: Arc<Mutex<Vec<(&'static str, SimTime)>>>,
+}
+
+impl Proc for Probe {
+    fn on_start(&mut self, ctx: &mut StepCtx<'_>) {
+        let corr = ctx.send_request(self.server, 9, (), 8);
+        ctx.await_reply(corr);
+        ctx.set_timer(SimTime::from_millis(2));
+    }
+
+    fn on_message(&mut self, ctx: &mut StepCtx<'_>, _env: Envelope) {
+        self.log.lock().unwrap().push(("mail", ctx.now()));
+    }
+
+    fn on_timer(&mut self, ctx: &mut StepCtx<'_>, _timer: u64) {
+        self.log.lock().unwrap().push(("timer", ctx.now()));
+        ctx.set_timer(SimTime::from_millis(2));
+    }
+}
+
+/// One run through every way a proc's scheduling key changes behind the
+/// scheduler's back — the edges `pick()`'s cached keys must be told about
+/// (debug builds compare the cache with a full recompute on every pick):
+/// a kill of an agent parked on `await_reply` with other mail queued, an
+/// agent spawned mid-run that is mailed before it was ever picked, a timer
+/// re-armed from `on_timer`, a `recv_deadline` whose wake-up mail pulls
+/// forward and one that expires, and a send to a finished proc.
+#[test]
+fn scheduling_keys_follow_kills_spawns_timers_deadlines_and_drops() {
+    let ms = SimTime::from_millis;
+    let mut sim = SimBuilder::new().network(net(8.0, 1000)).build();
+    let mute = sim.spawn_daemon("mute", |ctx| loop {
+        let _ = ctx.recv();
+    });
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let probe = Probe {
+        server: mute,
+        log: Arc::clone(&log),
+    };
+    let probe = sim.spawn_agent_daemon("probe", probe);
+    let driver = sim.spawn_collect("driver", move |ctx| {
+        // In the probe's mailbox from 1 ms on, held back by `await_reply`.
+        ctx.send(probe, 1, (), 0);
+        ctx.advance(ms(5));
+        ctx.kill(probe);
+        let late = WorkThenSend {
+            work: SimTime::ZERO,
+            dst: ctx.id(),
+            finish: true,
+        };
+        let late = ctx.spawn_agent("late", late);
+        // Mailed before its first turn; it starts at 5 ms, takes this at
+        // 6 ms and answers at once. The answer, sent while the driver is
+        // parked until 8 ms, wakes it at 7 ms; nothing follows it.
+        ctx.send(late, 0, (), 0);
+        let answer = ctx.recv_deadline(ms(8)).expect("late's answer");
+        let woke_at = ctx.now();
+        let nothing = ctx.recv_deadline(ms(9));
+        let gave_up_at = ctx.now();
+        ctx.send(probe, 1, (), 0);
+        (answer.sent_at, woke_at, nothing.is_none(), gave_up_at, late)
+    });
+    let report = run_bounded(sim).unwrap();
+    let (answered_at, woke_at, timed_out, gave_up_at, late) = driver.take();
+    assert_eq!(answered_at, ms(6));
+    assert!(woke_at >= ms(7) && woke_at < ms(8), "woke at {woke_at}");
+    assert!(timed_out);
+    assert_eq!(gave_up_at, ms(9));
+    assert_eq!(report.procs[late.0].finished_at, ms(6));
+    // Two timer turns, then the kill: the held mail is never delivered.
+    assert_eq!(*log.lock().unwrap(), [("timer", ms(2)), ("timer", ms(4))]);
+    assert_eq!(report.procs[probe.0].msgs_recv, 0);
+    assert_eq!(report.procs[probe.0].finished_at, ms(4));
+    assert_eq!(report.dropped_msgs, 1, "the send to the dead probe");
+}

@@ -159,6 +159,9 @@ proptest! {
     /// virtual time, proc stats, metrics registry and trace events. Clients
     /// scatter to every server and the large replies converge on one in-NIC,
     /// so a server whose send claimed that NIC out of clock order would show.
+    /// A greeter swaps engines too: its first send, at the clock it was
+    /// picked at, is the one an agent makes on the spot, and its second,
+    /// after an `advance`, the one that waits for its own turn.
     #[test]
     fn mixed_agent_and_thread_runs_are_byte_identical(
         clients in 2usize..5,
@@ -168,6 +171,7 @@ proptest! {
         overhead in 1u64..20_000,
         tick_period in 1u64..2_000_000,
         ticks in 1u32..8,
+        greet_work in 0u64..500_000,
         seed in 0u64..1000,
     ) {
         let run = |agents: bool| {
@@ -194,7 +198,7 @@ proptest! {
             let sink = sim.spawn(
                 "tick-sink",
                 {
-                    let n = ticks as usize;
+                    let n = ticks as usize + 2;
                     move |ctx| {
                         for _ in 0..n {
                             let _ = ctx.recv();
@@ -206,6 +210,15 @@ proptest! {
                 "ticker",
                 TickerAgent { period: tick_period, left: ticks, dst: sink },
             );
+            if agents {
+                sim.spawn_agent("greeter", GreeterAgent { work: greet_work, dst: sink });
+            } else {
+                sim.spawn("greeter", move |ctx| {
+                    ctx.send(sink, 8, 0u64, 32);
+                    ctx.advance(SimTime(greet_work));
+                    ctx.send(sink, 8, 1u64, 32);
+                });
+            }
             for c in 0..clients {
                 let echoes = echoes.clone();
                 sim.spawn(&format!("client-{c}"), move |ctx| {
@@ -296,6 +309,23 @@ impl Proc for EchoAgent {
         let x: u64 = *env.downcast_ref::<u64>();
         ctx.reply(&env, x + 1, self.reply_bytes);
     }
+}
+
+/// Agent that sends as soon as it starts, works, sends again and finishes.
+struct GreeterAgent {
+    work: u64,
+    dst: ProcId,
+}
+
+impl Proc for GreeterAgent {
+    fn on_start(&mut self, ctx: &mut StepCtx<'_>) {
+        ctx.send(self.dst, 8, 0u64, 32);
+        ctx.advance(SimTime(self.work));
+        ctx.send(self.dst, 8, 1u64, 32);
+        ctx.finish();
+    }
+
+    fn on_message(&mut self, _ctx: &mut StepCtx<'_>, _env: Envelope) {}
 }
 
 /// Timer-driven agent: every `period` ns it sends one message to a thread
