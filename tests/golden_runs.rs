@@ -17,15 +17,24 @@
 
 use std::sync::Mutex;
 
-use ps2::data::{presets, SparseDatasetGen};
+use ps2::data::{presets, CorpusGen, GraphGen, RandomWalks, SparseDatasetGen};
+use ps2::ml::deepwalk::{train_deepwalk, DeepWalkBackend, DeepWalkConfig};
+use ps2::ml::fm::{train_fm, FmConfig};
+use ps2::ml::gbdt::{train_gbdt, GbdtBackend, GbdtConfig};
+use ps2::ml::hyper::{DeepWalkHyper, GbdtHyper, LdaHyper};
 use ps2::ml::lbfgs::{train_lbfgs, LbfgsConfig};
+use ps2::ml::lda::{train_lda, LdaBackend, LdaConfig};
 use ps2::ml::lr::{train_lr, LrBackend, LrConfig};
 use ps2::ml::modes::{run_mode, ModeAlgo, ModeConfig};
 use ps2::ml::optim::Optimizer;
 use ps2::ml::serve::{run_serve, serve_spec};
 use ps2::ml::svm::{train_svm, SvmConfig};
-use ps2::ps::ConsistencyMode;
-use ps2::{run_ps2_with, ClusterSpec, SimBuilder, SimReport, SimTime};
+use ps2::ps::{deploy_ps, ConsistencyMode, MatrixHandle, PsMaster};
+use ps2::simnet::ProcId;
+use ps2::{
+    run_ps2_with, ClusterSpec, InitKind, Partitioning, Ps2Context, PsConfig, SimBuilder, SimCtx,
+    SimReport, SimTime,
+};
 
 mod common;
 use common::virtual_json;
@@ -217,4 +226,134 @@ fn serve_kddb() {
 #[test]
 fn serve_kdd12() {
     check(vec![serve_row("serve-kdd12")]);
+}
+
+/// One coordinator body of the `backends` group.
+type Body = Box<dyn FnOnce(&mut SimCtx, &mut Ps2Context) + Send>;
+
+/// The PS paths no other group runs, each on a tiny shape at seed 1 on the
+/// 4 × 4 cluster: the LR baselines' dense row access, GBDT's `zip_map` /
+/// `zip_argmax`, LDA's block and per-key access, FM's blocks, DeepWalk's
+/// batched envelopes, misaligned DCV ops and row-plan pulls. `envelopes`
+/// (`ps.client.envelopes`) pins how many requests each op fanned out to.
+#[test]
+fn backends() {
+    let seed = 1;
+    let run = |f: Body| run_ps2_with(SimBuilder::new().seed(seed), cluster(), f).1;
+    let lr = |backend| -> Body {
+        let gen = SparseDatasetGen::new(2_000, 5_000, 10, 4, seed);
+        Box::new(move |ctx, ps2| {
+            train_lr(ctx, ps2, &LrConfig::new(gen, Optimizer::Sgd, 2), backend);
+        })
+    };
+    let gbdt = |backend| -> Body {
+        let cfg = GbdtConfig {
+            dataset: SparseDatasetGen::new(1_000, 30, 10, 4, seed).continuous(),
+            hyper: GbdtHyper {
+                num_trees: 1,
+                max_depth: 3,
+                histogram_bins: 8,
+                ..GbdtHyper::default()
+            },
+        };
+        Box::new(move |ctx, ps2| {
+            train_gbdt(ctx, ps2, &cfg, backend);
+        })
+    };
+    let lda = |backend| -> Body {
+        let cfg = LdaConfig {
+            corpus: CorpusGen::new(200, 500, 16, 60, 4, seed),
+            hyper: LdaHyper {
+                topics: 4,
+                ..LdaHyper::default()
+            },
+            iterations: 2,
+        };
+        Box::new(move |ctx, ps2| {
+            train_lda(ctx, ps2, &cfg, backend);
+        })
+    };
+    let deepwalk = |backend| -> Body {
+        let graph = GraphGen {
+            vertices: 200,
+            edges_per_vertex: 4,
+            seed,
+        };
+        let cfg = DeepWalkConfig {
+            vertices: graph.vertices,
+            hyper: DeepWalkHyper {
+                embedding_dim: 8,
+                ..DeepWalkHyper::default()
+            },
+            batch_per_worker: 128,
+            iterations: 2,
+            seed,
+        };
+        Box::new(move |ctx, ps2| {
+            let walks = RandomWalks::sample(&graph.generate(), 100, 8, seed ^ 1);
+            train_deepwalk(ctx, ps2, &cfg, &walks, backend);
+        })
+    };
+    let fm: Body = Box::new(move |ctx, ps2| {
+        let gen = SparseDatasetGen::new(1_000, 2_000, 10, 4, seed);
+        train_fm(ctx, ps2, &FmConfig::new(gen, 4, 2));
+    });
+    // Figure 4's misaligned pair: a cross-server dot, the pull/push
+    // fallback of `iaxpy`, and `copy_from`'s cross-server element op.
+    let misaligned: Body = Box::new(|ctx, ps2| {
+        let a = ps2.dense_dcv(ctx, 10_000, 2);
+        let b = ps2.dense_dcv_misaligned(ctx, 10_000, 1, 1);
+        a.fill(ctx, 1.0);
+        b.fill(ctx, 2.0);
+        assert_eq!(a.dot(ctx, &b), 20_000.0);
+        a.iaxpy(ctx, &b, 0.5);
+        a.derive(ctx).copy_from(ctx, &b);
+    });
+    let mut rows = Vec::new();
+    for (name, f) in [
+        ("lr-petuum", lr(LrBackend::PetuumStyle)),
+        ("lr-ps", lr(LrBackend::PsPullPush)),
+        ("lr-distml", lr(LrBackend::DistmlStyle)),
+        ("gbdt-ps2", gbdt(GbdtBackend::Ps2Dcv)),
+        ("gbdt-xgboost", gbdt(GbdtBackend::XgboostStyle)),
+        ("lda-ps2", lda(LdaBackend::Ps2Dcv)),
+        ("lda-petuum", lda(LdaBackend::PetuumStyle)),
+        ("lda-glint", lda(LdaBackend::GlintStyle)),
+        ("fm", fm),
+        ("deepwalk-ps2", deepwalk(DeepWalkBackend::Ps2Dcv)),
+        ("deepwalk-ps", deepwalk(DeepWalkBackend::PsPullPush)),
+        ("dcv-misaligned", misaligned),
+    ] {
+        rows.push(envelopes_row(name, seed, &run(f)));
+    }
+    rows.push(envelopes_row("row-pull", seed, &row_pull(seed)));
+    check(rows);
+}
+
+fn envelopes_row(name: &str, seed: u64, report: &SimReport) -> String {
+    let envelopes = report.metrics.counter("ps.client.envelopes");
+    row(name, seed, report, &format!("envelopes={envelopes}"), &[])
+}
+
+/// `ablation_partitioning`'s body on a row plan: 4 workers concurrently
+/// pull one 4 000-wide row, which sits whole on one of the 4 servers.
+fn row_pull(seed: u64) -> SimReport {
+    let (servers, workers, dim) = (4, 4, 4_000);
+    let mut sim = SimBuilder::new().seed(seed).build();
+    let (srv, storage) = deploy_ps(&mut sim, servers, 500e6);
+    let worker_ids: Vec<ProcId> = (0..workers).map(|w| ProcId(servers + 2 + w)).collect();
+    sim.spawn("coordinator", move |ctx| {
+        let mut m = PsMaster::new(srv, storage, PsConfig::default());
+        let h = m.create_matrix(ctx, dim, 1, Partitioning::Row, InitKind::Zero);
+        for &w in &worker_ids {
+            ctx.send(w, 7, h.clone(), 64);
+        }
+    });
+    for i in 0..workers {
+        sim.spawn(&format!("worker-{i}"), move |ctx| {
+            let h: MatrixHandle = ctx.recv().downcast();
+            assert_eq!(h.pull_row(ctx, 0), vec![0.0; dim as usize]);
+        });
+    }
+    sim.run().expect("row-pull sim failed")
 }
