@@ -10,15 +10,16 @@
 //! ## The request fabric
 //!
 //! Every op is a declarative *(plan, encode, decode)* triple: pick the
-//! slots, build one payload per slot, hand the batch to the shared
-//! [`ps2_simnet::fabric`], decode the replies. The fabric owns the whole
-//! reliability pipeline — deadline-bounded attempts, epoch-tracked route
-//! re-resolution, identical-payload resend, bounded retry — so no op in
-//! this file carries its own retry loop. [`PsRouter`] adapts the
-//! [`RouteTable`] (and, for master-issued handles, [`PsFleet`] recovery) to
-//! the fabric's `SlotRouter` trait. Mutating requests carry a per-request
-//! `op_id` that servers deduplicate, so a resend racing a slow-but-alive
-//! server is applied once.
+//! slots ([`PartitionPlan::pieces`] for row access, every slot holding the
+//! rows for whole-segment ops), build one payload per slot, hand the batch
+//! to the shared [`ps2_simnet::fabric`], decode the replies. The fabric
+//! owns the whole reliability pipeline — deadline-bounded attempts,
+//! epoch-tracked route re-resolution, identical-payload resend, bounded
+//! retry — so no op in this file carries its own retry loop. [`PsRouter`]
+//! adapts the [`RouteTable`] (and, for master-issued handles, [`PsFleet`]
+//! recovery) to the fabric's `SlotRouter` trait. Mutating requests carry a
+//! per-request `op_id` that servers deduplicate, so a resend racing a
+//! slow-but-alive server is applied once.
 //!
 //! ## Envelope coalescing
 //!
@@ -31,6 +32,7 @@
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -171,50 +173,28 @@ impl MatrixHandle {
 
     // ---- row access: pull -------------------------------------------------
 
+    fn pull_req(&self, row: u32, cols: ColsSel) -> PullReq {
+        PullReq {
+            id: self.id,
+            row,
+            cols,
+            value_bytes: self.value_bytes,
+        }
+    }
+
     /// Pull a full dense row, gathering segments from every server in
     /// parallel.
     pub fn pull_row(&self, ctx: &mut SimCtx, row: u32) -> Vec<f64> {
         assert!(row < self.rows());
-        match &self.plan.kind {
-            PlanKind::Column { .. } => {
-                let reqs = self
-                    .plan
-                    .column_ranges()
-                    .iter()
-                    .map(|&(slot, _, _)| {
-                        let req = PullReq {
-                            id: self.id,
-                            row,
-                            cols: ColsSel::All,
-                            value_bytes: self.value_bytes,
-                        };
-                        (slot, req, HDR)
-                    })
-                    .collect();
-                let replies = self.fabric_call(ctx, tags::PULL, reqs, 1);
-                let mut out = Vec::with_capacity(self.dim() as usize);
-                for env in replies {
-                    let segs = env.downcast::<Vec<Vec<f64>>>();
-                    for seg in segs {
-                        out.extend(seg);
-                    }
-                }
-                debug_assert_eq!(out.len() as u64, self.dim());
-                out
-            }
-            PlanKind::Row { .. } => {
-                let req = PullReq {
-                    id: self.id,
-                    row,
-                    cols: ColsSel::All,
-                    value_bytes: self.value_bytes,
-                };
-                let segs: Vec<Vec<f64>> = self
-                    .fabric_one(ctx, self.plan.row_owner(row), tags::PULL, req, HDR, 1)
-                    .downcast();
-                segs.into_iter().flatten().collect()
-            }
-        }
+        let reqs = self
+            .plan
+            .pieces(row, 0, self.dim())
+            .into_iter()
+            .map(|(slot, _, _)| (slot, self.pull_req(row, ColsSel::All), HDR))
+            .collect();
+        let out = concat(self.fabric_call(ctx, tags::PULL, reqs, 1), self.dim());
+        debug_assert_eq!(out.len() as u64, self.dim());
+        out
     }
 
     /// Sparse pull: only the requested columns travel — the mechanism behind
@@ -225,48 +205,18 @@ impl MatrixHandle {
             return Vec::new();
         }
         debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "cols must be sorted");
-        if !self.is_column() {
-            let req = PullReq {
-                id: self.id,
-                row,
-                cols: ColsSel::List(Arc::new(cols.to_vec())),
-                value_bytes: self.value_bytes,
-            };
-            let bytes = HDR + 4 * cols.len() as u64;
-            return self
-                .fabric_one(ctx, self.plan.row_owner(row), tags::PULL, req, bytes, 1)
-                .downcast();
-        }
-        // Split by server range; cols are sorted so each chunk is contiguous.
-        let mut reqs = Vec::new();
-        let mut spans: Vec<(usize, usize)> = Vec::new(); // [start, end) into cols
-        let ranges = self.plan.column_ranges();
-        let mut i = 0usize;
-        for &(slot, _lo, hi) in &ranges {
-            let start = i;
-            while i < cols.len() && cols[i] < hi {
-                i += 1;
-            }
-            if i > start {
-                let chunk: Vec<u64> = cols[start..i].to_vec();
+        let reqs = self
+            .split(row, cols, |&c| c)
+            .into_iter()
+            .map(|(slot, span)| {
+                let chunk = cols[span].to_vec();
                 let bytes = HDR + 4 * chunk.len() as u64;
-                let req = PullReq {
-                    id: self.id,
-                    row,
-                    cols: ColsSel::List(Arc::new(chunk)),
-                    value_bytes: self.value_bytes,
-                };
-                reqs.push((slot, req, bytes));
-                spans.push((start, i));
-            }
-        }
+                let req = self.pull_req(row, ColsSel::List(Arc::new(chunk)));
+                (slot, req, bytes)
+            })
+            .collect();
         let replies = self.fabric_call(ctx, tags::PULL, reqs, 1);
-        let mut out = vec![0.0; cols.len()];
-        for (env, (start, end)) in replies.into_iter().zip(spans) {
-            let values = env.downcast::<Vec<f64>>();
-            out[start..end].copy_from_slice(&values);
-        }
-        out
+        concat(replies, cols.len() as u64)
     }
 
     /// Ranged pull: the contiguous columns `[lo, hi)` of a row — the dense
@@ -276,36 +226,13 @@ impl MatrixHandle {
         if lo == hi {
             return Vec::new();
         }
-        if !self.is_column() {
-            let req = PullReq {
-                id: self.id,
-                row,
-                cols: ColsSel::Range(lo, hi),
-                value_bytes: self.value_bytes,
-            };
-            return self
-                .fabric_one(ctx, self.plan.row_owner(row), tags::PULL, req, HDR + 16, 1)
-                .downcast();
-        }
         let reqs = self
             .plan
-            .locate_range(lo, hi)
+            .pieces(row, lo, hi)
             .into_iter()
-            .map(|(plo, phi, slot)| {
-                let req = PullReq {
-                    id: self.id,
-                    row,
-                    cols: ColsSel::Range(plo, phi),
-                    value_bytes: self.value_bytes,
-                };
-                (slot, req, HDR + 16)
-            })
+            .map(|(slot, plo, phi)| (slot, self.pull_req(row, ColsSel::Range(plo, phi)), HDR + 16))
             .collect();
-        let replies = self.fabric_call(ctx, tags::PULL, reqs, 1);
-        let mut out = Vec::with_capacity((hi - lo) as usize);
-        for env in replies {
-            out.extend(env.downcast::<Vec<f64>>());
-        }
+        let out = concat(self.fabric_call(ctx, tags::PULL, reqs, 1), hi - lo);
         debug_assert_eq!(out.len() as u64, hi - lo);
         out
     }
@@ -315,43 +242,7 @@ impl MatrixHandle {
     /// Dense additive push of a full row, split across servers.
     pub fn push_dense(&self, ctx: &mut SimCtx, row: u32, values: &[f64]) {
         assert_eq!(values.len() as u64, self.dim());
-        match &self.plan.kind {
-            PlanKind::Column { .. } => {
-                let reqs = self
-                    .plan
-                    .column_ranges()
-                    .into_iter()
-                    .map(|(slot, lo, hi)| {
-                        let seg: Vec<f64> = values[lo as usize..hi as usize].to_vec();
-                        let bytes = HDR + self.value_bytes * seg.len() as u64;
-                        let req = PushReq {
-                            id: self.id,
-                            row,
-                            data: PushData::DenseSeg {
-                                lo,
-                                values: Arc::new(seg),
-                            },
-                            op_id: ctx.alloc_reply_token(),
-                        };
-                        (slot, req, bytes)
-                    })
-                    .collect();
-                let _ = self.fabric_call(ctx, tags::PUSH, reqs, 1);
-            }
-            PlanKind::Row { .. } => {
-                let bytes = HDR + self.value_bytes * values.len() as u64;
-                let req = PushReq {
-                    id: self.id,
-                    row,
-                    data: PushData::DenseSeg {
-                        lo: 0,
-                        values: Arc::new(values.to_vec()),
-                    },
-                    op_id: ctx.alloc_reply_token(),
-                };
-                let _ = self.fabric_one(ctx, self.plan.row_owner(row), tags::PUSH, req, bytes, 1);
-            }
-        }
+        self.push_dense_range(ctx, row, 0, values);
     }
 
     /// Dense additive push of the contiguous columns `[lo, lo+values.len())`
@@ -362,25 +253,11 @@ impl MatrixHandle {
         if values.is_empty() {
             return;
         }
-        if !self.is_column() {
-            let bytes = HDR + self.value_bytes * values.len() as u64;
-            let req = PushReq {
-                id: self.id,
-                row,
-                data: PushData::DenseSeg {
-                    lo,
-                    values: Arc::new(values.to_vec()),
-                },
-                op_id: ctx.alloc_reply_token(),
-            };
-            let _ = self.fabric_one(ctx, self.plan.row_owner(row), tags::PUSH, req, bytes, 1);
-            return;
-        }
         let reqs = self
             .plan
-            .locate_range(lo, hi)
+            .pieces(row, lo, hi)
             .into_iter()
-            .map(|(plo, phi, slot)| {
+            .map(|(slot, plo, phi)| {
                 let seg: Vec<f64> = values[(plo - lo) as usize..(phi - lo) as usize].to_vec();
                 let bytes = HDR + self.value_bytes * seg.len() as u64;
                 let req = PushReq {
@@ -409,26 +286,10 @@ impl MatrixHandle {
     ) -> Vec<(usize, PushReq, u64)> {
         debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
         let per_pair = 4 + self.value_bytes;
-        if !self.is_column() {
-            let bytes = HDR + per_pair * pairs.len() as u64;
-            let req = PushReq {
-                id: self.id,
-                row,
-                data: PushData::Sparse(Arc::new(pairs.to_vec())),
-                op_id: ctx.alloc_reply_token(),
-            };
-            return vec![(self.plan.row_owner(row), req, bytes)];
-        }
-        let ranges = self.plan.column_ranges();
-        let mut reqs = Vec::new();
-        let mut i = 0usize;
-        for &(slot, _lo, hi) in &ranges {
-            let start = i;
-            while i < pairs.len() && pairs[i].0 < hi {
-                i += 1;
-            }
-            if i > start {
-                let chunk: Vec<(u64, f64)> = pairs[start..i].to_vec();
+        self.split(row, pairs, |&(c, _)| c)
+            .into_iter()
+            .map(|(slot, span)| {
+                let chunk = pairs[span].to_vec();
                 let bytes = HDR + per_pair * chunk.len() as u64;
                 let req = PushReq {
                     id: self.id,
@@ -436,10 +297,9 @@ impl MatrixHandle {
                     data: PushData::Sparse(Arc::new(chunk)),
                     op_id: ctx.alloc_reply_token(),
                 };
-                reqs.push((slot, req, bytes));
-            }
-        }
-        reqs
+                (slot, req, bytes)
+            })
+            .collect()
     }
 
     /// Sparse additive push (`(column, delta)` pairs, sorted by column).
@@ -541,26 +401,18 @@ impl MatrixHandle {
     /// Row aggregation (`sum`, `nnz`, `norm2`, `max`) computed server-side;
     /// only one scalar per server crosses the network.
     pub fn agg(&self, ctx: &mut SimCtx, row: u32, kind: AggKind) -> f64 {
-        let reqs = self
-            .row_slots(row)
+        let req = |_: &mut SimCtx| AggReq {
+            id: self.id,
+            row,
+            kind,
+        };
+        let partials = self
+            .per_slot(ctx, tags::AGG, &[row], HDR, req)
             .into_iter()
-            .map(|slot| {
-                let req = AggReq {
-                    id: self.id,
-                    row,
-                    kind,
-                };
-                (slot, req, HDR)
-            })
-            .collect();
-        let partials: Vec<f64> = self
-            .fabric_call(ctx, tags::AGG, reqs, 1)
-            .into_iter()
-            .map(|env| env.downcast::<f64>())
-            .collect();
+            .map(|env| env.downcast::<f64>());
         match kind {
-            AggKind::Max => partials.into_iter().fold(f64::NEG_INFINITY, f64::max),
-            _ => partials.into_iter().sum(),
+            AggKind::Max => partials.fold(f64::NEG_INFINITY, f64::max),
+            _ => partials.sum(),
         }
     }
 
@@ -581,19 +433,12 @@ impl MatrixHandle {
     /// Dot product of two rows of this matrix, computed server-side over
     /// co-located segments; only partial scalars travel.
     pub fn dot(&self, ctx: &mut SimCtx, row_a: u32, row_b: u32) -> f64 {
-        let reqs = self
-            .col_op_slots(&[row_a, row_b])
-            .into_iter()
-            .map(|slot| {
-                let req = DotReq {
-                    id: self.id,
-                    row_a,
-                    row_b,
-                };
-                (slot, req, HDR)
-            })
-            .collect();
-        self.fabric_call(ctx, tags::DOT, reqs, 2)
+        let req = |_: &mut SimCtx| DotReq {
+            id: self.id,
+            row_a,
+            row_b,
+        };
+        self.per_slot(ctx, tags::DOT, &[row_a, row_b], HDR, req)
             .into_iter()
             .map(|env| env.downcast::<f64>())
             .sum()
@@ -601,67 +446,46 @@ impl MatrixHandle {
 
     /// `dst += alpha * src`, server-side.
     pub fn axpy(&self, ctx: &mut SimCtx, dst_row: u32, src_row: u32, alpha: f64) {
-        let reqs = self
-            .col_op_slots(&[dst_row, src_row])
-            .into_iter()
-            .map(|slot| {
-                let req = AxpyReq {
-                    id: self.id,
-                    dst_row,
-                    src_row,
-                    alpha,
-                    op_id: ctx.alloc_reply_token(),
-                };
-                (slot, req, HDR)
-            })
-            .collect();
-        let _ = self.fabric_call(ctx, tags::AXPY, reqs, 2);
+        let req = |ctx: &mut SimCtx| AxpyReq {
+            id: self.id,
+            dst_row,
+            src_row,
+            alpha,
+            op_id: ctx.alloc_reply_token(),
+        };
+        let _ = self.per_slot(ctx, tags::AXPY, &[dst_row, src_row], HDR, req);
     }
 
     /// `dst = a op b`, element-wise, server-side.
     pub fn elem(&self, ctx: &mut SimCtx, dst_row: u32, a_row: u32, b_row: u32, op: ElemOp) {
-        let reqs = self
-            .col_op_slots(&[dst_row, a_row, b_row])
-            .into_iter()
-            .map(|slot| {
-                let req = ElemReq {
-                    id: self.id,
-                    dst_row,
-                    a_row,
-                    b_row,
-                    op,
-                    op_id: ctx.alloc_reply_token(),
-                };
-                (slot, req, HDR)
-            })
-            .collect();
-        let _ = self.fabric_call(ctx, tags::ELEM, reqs, 3);
+        let req = |ctx: &mut SimCtx| ElemReq {
+            id: self.id,
+            dst_row,
+            a_row,
+            b_row,
+            op,
+            op_id: ctx.alloc_reply_token(),
+        };
+        let _ = self.per_slot(ctx, tags::ELEM, &[dst_row, a_row, b_row], HDR, req);
     }
 
     /// Server-side multi-row update: on every server, `f` receives mutable
     /// co-located segments of `rows` (paper Figure 3's `zip(..).mapPartition`).
     /// `flops_per_elem` drives the simulated compute charge.
     pub fn zip(&self, ctx: &mut SimCtx, rows: &[u32], f: ZipMutFn, flops_per_elem: u64) {
-        let reqs = self
-            .col_op_slots(rows)
-            .into_iter()
-            .map(|slot| {
-                let req = ZipReq {
-                    id: self.id,
-                    rows: rows.to_vec(),
-                    f: Arc::clone(&f),
-                    flops_per_elem,
-                    op_id: ctx.alloc_reply_token(),
-                };
-                let bytes = HDR + 64; // UDF handle + row list
-                (slot, req, bytes)
-            })
-            .collect();
-        let _ = self.fabric_call(ctx, tags::ZIP, reqs, rows.len() as u64);
+        let req = |ctx: &mut SimCtx| ZipReq {
+            id: self.id,
+            rows: rows.to_vec(),
+            f: Arc::clone(&f),
+            flops_per_elem,
+            op_id: ctx.alloc_reply_token(),
+        };
+        // UDF handle + row list.
+        let _ = self.per_slot(ctx, tags::ZIP, rows, HDR + 64, req);
     }
 
     /// Server-side read-only fold over co-located segments: returns `f`'s
-    /// per-range partials combined with `combine` (e.g. `f64::max` for GBDT
+    /// per-server partials combined with `combine` (e.g. `f64::max` for GBDT
     /// split finding, `+` for losses).
     pub fn zip_map(
         &self,
@@ -672,36 +496,21 @@ impl MatrixHandle {
         init: f64,
         combine: impl Fn(f64, f64) -> f64,
     ) -> f64 {
-        let reqs = self
-            .col_op_slots(rows)
+        let req = |_: &mut SimCtx| ZipMapReq {
+            id: self.id,
+            rows: rows.to_vec(),
+            f: Arc::clone(&f),
+            flops_per_elem,
+        };
+        self.per_slot(ctx, tags::ZIP_MAP, rows, HDR + 64, req)
             .into_iter()
-            .map(|slot| {
-                let req = ZipMapReq {
-                    id: self.id,
-                    rows: rows.to_vec(),
-                    f: Arc::clone(&f),
-                    flops_per_elem,
-                };
-                (slot, req, HDR + 64)
-            })
-            .collect();
-        let mut acc = init;
-        for env in self.fabric_call(ctx, tags::ZIP_MAP, reqs, rows.len() as u64) {
-            for p in env.downcast::<Vec<f64>>() {
-                acc = combine(acc, p);
-            }
-        }
-        acc
+            .fold(init, |acc, env| combine(acc, env.downcast::<f64>()))
     }
 
     /// Server-side argmax scan: `f` maps each server's co-located segments
     /// to its best `(score, global index)`; the overall best (max score,
     /// ties to the smaller index) is returned. GBDT split finding runs this
     /// over the gradient/hessian histograms (paper §5.2.3).
-    ///
-    /// Panics when every server returns an empty partial scan: there is no
-    /// argmax to pick, and silently returning a sentinel would let a bogus
-    /// split index flow into training.
     pub fn zip_argmax(
         &self,
         ctx: &mut SimCtx,
@@ -709,54 +518,37 @@ impl MatrixHandle {
         f: crate::protocol::ZipArgmaxFn,
         flops_per_elem: u64,
     ) -> (f64, u64) {
-        let reqs = self
-            .col_op_slots(rows)
+        let req = |_: &mut SimCtx| crate::protocol::ZipArgmaxReq {
+            id: self.id,
+            rows: rows.to_vec(),
+            f: Arc::clone(&f),
+            flops_per_elem,
+        };
+        let mut partials = self
+            .per_slot(ctx, tags::ZIP_ARGMAX, rows, HDR + 64, req)
             .into_iter()
-            .map(|slot| {
-                let req = crate::protocol::ZipArgmaxReq {
-                    id: self.id,
-                    rows: rows.to_vec(),
-                    f: Arc::clone(&f),
-                    flops_per_elem,
-                };
-                (slot, req, HDR + 64)
-            })
-            .collect();
-        let mut best: Option<(f64, u64)> = None;
-        for env in self.fabric_call(ctx, tags::ZIP_ARGMAX, reqs, rows.len() as u64) {
-            for (score, idx) in env.downcast::<Vec<(f64, u64)>>() {
-                best = match best {
-                    Some((bs, bi)) if !(score > bs || (score == bs && idx < bi)) => Some((bs, bi)),
-                    _ => Some((score, idx)),
-                };
+            .map(|env| env.downcast::<(f64, u64)>());
+        let first = partials
+            .next()
+            .unwrap_or_else(|| panic!("zip_argmax on matrix {:?}: no server answered", self.id));
+        partials.fold(first, |(bs, bi), (score, idx)| {
+            if score > bs || (score == bs && idx < bi) {
+                (score, idx)
+            } else {
+                (bs, bi)
             }
-        }
-        best.unwrap_or_else(|| {
-            panic!(
-                "zip_argmax on matrix {:?}: every server returned an empty partial \
-                 scan, so there is no candidate to pick (empty matrix or broken scan \
-                 function?)",
-                self.id
-            )
         })
     }
 
     /// Set every element of a row to `value`.
     pub fn fill(&self, ctx: &mut SimCtx, row: u32, value: f64) {
-        let reqs = self
-            .row_slots(row)
-            .into_iter()
-            .map(|slot| {
-                let req = FillReq {
-                    id: self.id,
-                    row,
-                    value,
-                    op_id: ctx.alloc_reply_token(),
-                };
-                (slot, req, HDR)
-            })
-            .collect();
-        let _ = self.fabric_call(ctx, tags::FILL, reqs, 1);
+        let req = |ctx: &mut SimCtx| FillReq {
+            id: self.id,
+            row,
+            value,
+            op_id: ctx.alloc_reply_token(),
+        };
+        let _ = self.per_slot(ctx, tags::FILL, &[row], HDR, req);
     }
 
     pub fn zero(&self, ctx: &mut SimCtx, row: u32) {
@@ -765,55 +557,13 @@ impl MatrixHandle {
 
     /// `row *= alpha`, server-side.
     pub fn scale(&self, ctx: &mut SimCtx, row: u32, alpha: f64) {
-        let reqs = self
-            .row_slots(row)
-            .into_iter()
-            .map(|slot| {
-                let req = ScaleReq {
-                    id: self.id,
-                    row,
-                    alpha,
-                    op_id: ctx.alloc_reply_token(),
-                };
-                (slot, req, HDR)
-            })
-            .collect();
-        let _ = self.fabric_call(ctx, tags::SCALE, reqs, 1);
-    }
-
-    // ---- batched ops (sugar over PsBatch) ---------------------------------------
-
-    /// Many server-side dot products in **one envelope per server** (the
-    /// Angel-style batched psFunc: DeepWalk issues one per mini-batch).
-    /// Result `i` is the dot of `pairs[i]`.
-    pub fn dot_many(&self, ctx: &mut SimCtx, pairs: &[(u32, u32)]) -> Vec<f64> {
-        let mut batch = PsBatch::new();
-        let out = self.dot_many_in(&mut batch, pairs);
-        batch.flush(ctx);
-        out.take()
-    }
-
-    /// Many independent server-side zips in one envelope per server.
-    pub fn zip_many(&self, ctx: &mut SimCtx, jobs: Vec<(Vec<u32>, ZipMutFn)>, flops_per_elem: u64) {
-        let mut batch = PsBatch::new();
-        self.zip_many_in(ctx, &mut batch, jobs, flops_per_elem);
-        batch.flush(ctx);
-    }
-
-    /// Pull many full dense rows in one envelope per server. Result `i` is
-    /// `rows[i]`'s values.
-    pub fn pull_rows(&self, ctx: &mut SimCtx, rows: &[u32]) -> Vec<Vec<f64>> {
-        let mut batch = PsBatch::new();
-        let out = self.pull_rows_in(&mut batch, rows);
-        batch.flush(ctx);
-        out.take()
-    }
-
-    /// Dense additive push of many full rows in one envelope per server.
-    pub fn push_dense_many(&self, ctx: &mut SimCtx, updates: &[(u32, Vec<f64>)]) {
-        let mut batch = PsBatch::new();
-        self.push_dense_many_in(ctx, &mut batch, updates);
-        batch.flush(ctx);
+        let req = |ctx: &mut SimCtx| ScaleReq {
+            id: self.id,
+            row,
+            alpha,
+            op_id: ctx.alloc_reply_token(),
+        };
+        let _ = self.per_slot(ctx, tags::SCALE, &[row], HDR, req);
     }
 
     // ---- batch enqueue API ------------------------------------------------------
@@ -952,20 +702,16 @@ impl MatrixHandle {
             result.fill(Vec::new());
             return result;
         }
-        assert!(self.is_column(), "pull_rows requires column partitioning");
+        assert!(
+            self.is_column(),
+            "pull_rows_in requires column partitioning"
+        );
         let row_reqs: Vec<Arc<dyn Any + Send + Sync>> = rows
             .iter()
-            .map(|&row| {
-                Arc::new(PullReq {
-                    id: self.id,
-                    row,
-                    cols: ColsSel::All,
-                    value_bytes: self.value_bytes,
-                }) as Arc<dyn Any + Send + Sync>
-            })
+            .map(|&row| Arc::new(self.pull_req(row, ColsSel::All)) as Arc<dyn Any + Send + Sync>)
             .collect();
         let mut subs = Vec::new();
-        for slot in self.column_slots() {
+        for slot in self.row_slots(rows[0]) {
             for req in &row_reqs {
                 subs.push((slot, tags::PULL, Arc::clone(req), 4));
             }
@@ -981,12 +727,9 @@ impl MatrixHandle {
             Some(Box::new(move |collected| {
                 let mut out: Vec<Vec<f64>> = vec![vec![0.0; dim]; n];
                 for (k, (slot, reply)) in collected.into_iter().enumerate() {
-                    let segs = *reply.downcast::<Vec<Vec<f64>>>().expect("pulled segments");
-                    let row_out = &mut out[k % n];
-                    for (&(lo, hi), seg) in plan.ranges_of(slot).iter().zip(segs) {
-                        debug_assert_eq!(seg.len() as u64, hi - lo);
-                        row_out[lo as usize..hi as usize].copy_from_slice(&seg);
-                    }
+                    let seg = *reply.downcast::<Vec<f64>>().expect("pulled segment");
+                    let (lo, hi) = plan.cols_of(slot);
+                    out[k % n][lo as usize..hi as usize].copy_from_slice(&seg);
                 }
                 cell.fill(out);
             })),
@@ -1006,7 +749,7 @@ impl MatrixHandle {
         }
         assert!(
             self.is_column(),
-            "push_dense_many requires column partitioning"
+            "push_dense_many_in requires column partitioning"
         );
         let mut subs = Vec::new();
         for &(slot, lo, hi) in &self.plan.column_ranges() {
@@ -1040,17 +783,12 @@ impl MatrixHandle {
         }
         debug_assert!(cols.windows(2).all(|w| w[0] < w[1]));
         let rows_arc = Arc::new(rows.to_vec());
-        let ranges = self.plan.column_ranges();
-        let mut reqs = Vec::new();
-        let mut spans = Vec::new();
-        let mut i = 0usize;
-        for &(slot, _lo, hi) in &ranges {
-            let start = i;
-            while i < cols.len() && cols[i] < hi {
-                i += 1;
-            }
-            if i > start {
-                let chunk: Vec<u64> = cols[start..i].to_vec();
+        // Every row of a column plan has one layout, so row 0 routes them all.
+        let reqs = self
+            .split(0, cols, |&c| c)
+            .into_iter()
+            .map(|(slot, span)| {
+                let chunk = cols[span].to_vec();
                 let bytes = HDR + 4 * chunk.len() as u64 + 4 * rows.len() as u64;
                 let req = PullBlockReq {
                     id: self.id,
@@ -1058,19 +796,11 @@ impl MatrixHandle {
                     cols: Arc::new(chunk),
                     value_bytes: self.value_bytes,
                 };
-                reqs.push((slot, req, bytes));
-                spans.push((start, i));
-            }
-        }
+                (slot, req, bytes)
+            })
+            .collect();
         let replies = self.fabric_call(ctx, tags::PULL_BLOCK, reqs, rows.len() as u64);
-        let mut out: Vec<Vec<f64>> = vec![Vec::new(); cols.len()];
-        for (env, (start, end)) in replies.into_iter().zip(spans) {
-            let block = env.downcast::<Vec<Vec<f64>>>();
-            for (slot, col_vals) in out[start..end].iter_mut().zip(block) {
-                *slot = col_vals;
-            }
-        }
-        out
+        concat(replies, cols.len() as u64)
     }
 
     /// Additive block push: `updates[(col, deltas aligned with rows)]`,
@@ -1082,28 +812,22 @@ impl MatrixHandle {
         }
         debug_assert!(updates.windows(2).all(|w| w[0].0 < w[1].0));
         let rows_arc = Arc::new(rows.to_vec());
-        let ranges = self.plan.column_ranges();
-        let mut reqs = Vec::new();
-        let mut i = 0usize;
-        let per_cell = self.value_bytes;
-        for &(slot, _lo, hi) in &ranges {
-            let start = i;
-            while i < updates.len() && updates[i].0 < hi {
-                i += 1;
-            }
-            if i > start {
-                let chunk: Vec<(u64, Vec<f64>)> = updates[start..i].to_vec();
+        let reqs = self
+            .split(0, updates, |&(c, _)| c)
+            .into_iter()
+            .map(|(slot, span)| {
+                let chunk = updates[span].to_vec();
                 let cells: u64 = chunk.iter().map(|(_, d)| d.len() as u64).sum();
-                let bytes = HDR + 4 * chunk.len() as u64 + per_cell * cells;
+                let bytes = HDR + 4 * chunk.len() as u64 + self.value_bytes * cells;
                 let req = PushBlockReq {
                     id: self.id,
                     rows: Arc::clone(&rows_arc),
                     updates: Arc::new(chunk),
                     op_id: ctx.alloc_reply_token(),
                 };
-                reqs.push((slot, req, bytes));
-            }
-        }
+                (slot, req, bytes)
+            })
+            .collect();
         let _ = self.fabric_call(ctx, tags::PUSH_BLOCK, reqs, rows.len() as u64);
     }
 
@@ -1193,23 +917,13 @@ impl MatrixHandle {
         assert_eq!(self.dim(), other.dim());
         assert!(self.is_column() && other.is_column());
         let mut acc = 0.0;
-        for (slot, lo, hi) in self.plan.column_ranges() {
-            let pieces = if self.colocated_with(other) {
-                vec![(lo, hi, self.route.resolve(slot))]
-            } else {
-                other
-                    .plan
-                    .locate_range(lo, hi)
-                    .into_iter()
-                    .map(|(a, b, s)| (a, b, other.route.resolve(s)))
-                    .collect()
-            };
+        for (slot, lo, hi) in self.plan.pieces(row_self, 0, self.dim()) {
             let req = CrossDotReq {
                 local_id: self.id,
                 local_row: row_self,
                 remote_id: other.id,
                 remote_row: row_other,
-                pieces,
+                pieces: other.located(row_other, lo, hi),
                 value_bytes: other.value_bytes,
             };
             let partial: f64 = self
@@ -1233,24 +947,14 @@ impl MatrixHandle {
     ) {
         assert_eq!(self.dim(), other.dim());
         assert!(self.is_column() && other.is_column());
-        for (slot, lo, hi) in self.plan.column_ranges() {
-            let pieces = if self.colocated_with(other) {
-                vec![(lo, hi, self.route.resolve(slot))]
-            } else {
-                other
-                    .plan
-                    .locate_range(lo, hi)
-                    .into_iter()
-                    .map(|(a, b, s)| (a, b, other.route.resolve(s)))
-                    .collect()
-            };
+        for (slot, lo, hi) in self.plan.pieces(dst_row, 0, self.dim()) {
             let req = CrossElemReq {
                 dst_id: self.id,
                 dst_row,
                 src_id: other.id,
                 src_row,
                 op,
-                pieces,
+                pieces: other.located(src_row, lo, hi),
                 value_bytes: other.value_bytes,
                 op_id: ctx.alloc_reply_token(),
             };
@@ -1260,47 +964,95 @@ impl MatrixHandle {
 
     // ---- routing helpers -----------------------------------------------------
 
-    /// Slots owning any part of a column-partitioned matrix, sorted and
-    /// de-duplicated. `column_ranges()` is *column*-ordered — for rotated or
-    /// hand-built plans that is not slot-ordered, so a bare `dedup()` (which
-    /// only merges adjacent repeats) would leave duplicate slots and fan the
-    /// same request out twice.
-    fn column_slots(&self) -> Vec<usize> {
-        let mut slots: Vec<usize> = self
-            .plan
-            .column_ranges()
-            .iter()
-            .map(|&(s, _, _)| s)
-            .collect();
-        slots.sort_unstable();
-        slots.dedup();
-        slots
+    /// Split sorted `keys` by the slot holding each key's column `col(key)`
+    /// of `row`: `(slot, span of keys)`, non-empty, in column order.
+    fn split<K>(
+        &self,
+        row: u32,
+        keys: &[K],
+        col: impl Fn(&K) -> u64,
+    ) -> Vec<(usize, Range<usize>)> {
+        let (Some(first), Some(last)) = (keys.first(), keys.last()) else {
+            return Vec::new();
+        };
+        let mut i = 0;
+        self.plan
+            .pieces(row, col(first), col(last) + 1)
+            .into_iter()
+            .filter_map(|(slot, _, hi)| {
+                let start = i;
+                while i < keys.len() && col(&keys[i]) < hi {
+                    i += 1;
+                }
+                (i > start).then_some((slot, start..i))
+            })
+            .collect()
     }
 
-    /// Slots that hold any part of `row`.
+    /// Slots that hold any part of `row`, slot-sorted: on a rotated plan
+    /// column order is not slot order.
     fn row_slots(&self, row: u32) -> Vec<usize> {
-        match &self.plan.kind {
-            PlanKind::Column { .. } => self.column_slots(),
-            PlanKind::Row { .. } => vec![self.plan.row_owner(row)],
-        }
+        let mut slots: Vec<usize> = self
+            .plan
+            .pieces(row, 0, self.dim())
+            .into_iter()
+            .map(|(slot, _, _)| slot)
+            .collect();
+        slots.sort_unstable();
+        slots
     }
 
     /// Slots participating in a column op over `rows`; for row plans this
     /// only works when all rows share one owner.
     fn col_op_slots(&self, rows: &[u32]) -> Vec<usize> {
-        match &self.plan.kind {
-            PlanKind::Column { .. } => self.row_slots(rows[0]),
-            PlanKind::Row { .. } => {
-                let owners: Vec<usize> = rows.iter().map(|&r| self.plan.row_owner(r)).collect();
-                assert!(
-                    owners.windows(2).all(|w| w[0] == w[1]),
-                    "row-partitioned matrices only support column ops on co-owned rows \
-                     (the single-point limitation of row partitioning, paper §4.3)"
-                );
-                vec![owners[0]]
-            }
-        }
+        assert!(
+            self.is_column()
+                || rows
+                    .iter()
+                    .all(|&r| self.plan.row_owner(r) == self.plan.row_owner(rows[0])),
+            "row-partitioned matrices only support column ops on co-owned rows \
+             (the single-point limitation of row partitioning, paper §4.3)"
+        );
+        self.row_slots(rows[0])
     }
+
+    /// Run a whole-segment op over `rows`: one request of `bytes`, built by
+    /// `req`, to every slot holding them.
+    fn per_slot<P: Any + Send + Sync>(
+        &self,
+        ctx: &mut SimCtx,
+        tag: u32,
+        rows: &[u32],
+        bytes: u64,
+        mut req: impl FnMut(&mut SimCtx) -> P,
+    ) -> Vec<Envelope> {
+        let reqs = self
+            .col_op_slots(rows)
+            .into_iter()
+            .map(|slot| (slot, req(ctx), bytes))
+            .collect();
+        self.fabric_call(ctx, tag, reqs, rows.len() as u64)
+    }
+
+    /// Where `[lo, hi)` of `row` lives: `(lo, hi, server)` pieces for a
+    /// server↔server fetch.
+    fn located(&self, row: u32, lo: u64, hi: u64) -> Vec<(u64, u64, ProcId)> {
+        self.plan
+            .pieces(row, lo, hi)
+            .into_iter()
+            .map(|(slot, a, b)| (a, b, self.route.resolve(slot)))
+            .collect()
+    }
+}
+
+/// Concatenate the `Vec<T>` replies of a split op, which come back in
+/// request (column) order, into `len` values.
+fn concat<T: 'static>(replies: Vec<Envelope>, len: u64) -> Vec<T> {
+    let mut out = Vec::with_capacity(len as usize);
+    for env in replies {
+        out.extend(env.downcast::<Vec<T>>());
+    }
+    out
 }
 
 // ---- split-phase push bookkeeping -------------------------------------------
@@ -1328,8 +1080,8 @@ impl PendingPush {
 // ---- the client-side parameter cache ----------------------------------------
 
 /// A worker-local parameter cache, the client half of the consistency
-/// modes: `pull_cols`/`pull_rows` are served from local copies while the
-/// entries are within the mode's staleness ttl, and only the misses travel.
+/// modes: `pull_cols` is served from local copies while the entries are
+/// within the mode's staleness ttl, and only the misses travel.
 ///
 /// Coherence rules (documented in DESIGN.md §consistency modes):
 ///
@@ -1350,10 +1102,8 @@ pub struct ParamCache {
     clock: u32,
     /// Route epoch the entries were fetched under.
     epoch_seen: u64,
-    /// Sparse entries: `(row, col) → (value, fetched_at_clock)`.
+    /// Entries: `(row, col) → (value, fetched_at_clock)`.
     cols: BTreeMap<(u32, u64), (f64, u32)>,
-    /// Dense whole-row entries: `row → (values, fetched_at_clock)`.
-    rows: BTreeMap<u32, (Vec<f64>, u32)>,
 }
 
 impl ParamCache {
@@ -1363,7 +1113,6 @@ impl ParamCache {
             clock: 0,
             epoch_seen: 0,
             cols: BTreeMap::new(),
-            rows: BTreeMap::new(),
         }
     }
 
@@ -1377,22 +1126,20 @@ impl ParamCache {
         self.clock = t;
         let ttl = self.mode.cache_ttl();
         self.cols.retain(|_, &mut (_, f)| t - f.min(t) <= ttl);
-        self.rows.retain(|_, &mut (_, f)| t - f.min(t) <= ttl);
     }
 
     /// Drop everything (used on route-epoch movement, available to tests).
     pub fn invalidate(&mut self) {
         self.cols.clear();
-        self.rows.clear();
     }
 
-    /// Cached entries currently held (both kinds).
+    /// Cached entries currently held.
     pub fn len(&self) -> usize {
-        self.cols.len() + self.rows.len()
+        self.cols.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.cols.is_empty() && self.rows.is_empty()
+        self.cols.is_empty()
     }
 
     fn fresh(&self, fetched_at: u32) -> bool {
@@ -1447,38 +1194,6 @@ impl ParamCache {
             .collect()
     }
 
-    /// [`MatrixHandle::pull_rows`] through the cache: whole dense rows are
-    /// cached as units; only the rows not fresh enough travel.
-    pub fn pull_rows(
-        &mut self,
-        ctx: &mut SimCtx,
-        handle: &MatrixHandle,
-        rows: &[u32],
-    ) -> Vec<Vec<f64>> {
-        self.validate_epoch(handle);
-        let missing: Vec<u32> = rows
-            .iter()
-            .copied()
-            .filter(|r| match self.rows.get(r) {
-                Some(&(_, f)) => !self.fresh(f),
-                None => true,
-            })
-            .collect();
-        ctx.metric_add("ps.cache.hit", (rows.len() - missing.len()) as u64);
-        ctx.metric_add("ps.cache.miss", missing.len() as u64);
-        if !missing.is_empty() {
-            let fetched = handle.pull_rows(ctx, &missing);
-            let t0 = ctx.now();
-            for (&r, v) in missing.iter().zip(fetched) {
-                self.rows.insert(r, (v, self.clock));
-            }
-            ctx.req_cache_fill(ctx.now() - t0);
-        }
-        rows.iter()
-            .map(|r| self.rows.get(r).expect("filled above").0.clone())
-            .collect()
-    }
-
     /// Apply the worker's own sparse push to the cached copies
     /// (read-my-writes): existing entries absorb the delta and count as
     /// refreshed at the current clock — the server's value is at least this
@@ -1489,14 +1204,6 @@ impl ParamCache {
                 e.0 += d;
                 e.1 = self.clock;
             }
-        }
-        if let Some((values, f)) = self.rows.get_mut(&row) {
-            for &(c, d) in pairs {
-                if let Some(v) = values.get_mut(c as usize) {
-                    *v += d;
-                }
-            }
-            *f = self.clock;
         }
     }
 }
@@ -1619,7 +1326,6 @@ impl PsBatch {
         }
         let route = Arc::clone(self.route.as_ref().expect("non-empty batch is bound"));
         let fleet = self.fleet.clone();
-        let epoch = route.epoch();
         let slots: Vec<usize> = by_slot.keys().copied().collect();
         let reqs: Vec<(usize, EnvelopeReq, u64)> = slots
             .iter()
@@ -1631,7 +1337,6 @@ impl PsBatch {
                 let bytes = HDR + subs.iter().map(|&(_, _, b)| SUB_HDR + b).sum::<u64>();
                 let env = EnvelopeReq {
                     op_id: ctx.alloc_reply_token(),
-                    epoch,
                     subs: Arc::new(subs),
                 };
                 (slot, env, bytes)
@@ -1672,7 +1377,6 @@ impl PsBatch {
 mod tests {
     use super::*;
     use crate::plan::Partitioning;
-    use ps2_simnet::{SimBuilder, SimError};
 
     fn bare_handle(plan: PartitionPlan, route: Arc<RouteTable>) -> MatrixHandle {
         MatrixHandle {
@@ -1685,56 +1389,11 @@ mod tests {
     }
 
     #[test]
-    fn row_slots_are_sorted_and_unique_for_multi_range_plans() {
-        // Hand-built plan interleaving two slots over four ranges:
-        // column_ranges() yields slots [0, 1, 0, 1] in column order. A bare
-        // dedup() (no sort) used to keep all four, fanning each row op out
-        // to the same server twice.
-        let plan = PartitionPlan {
-            dim: 100,
-            rows: 1,
-            kind: PlanKind::Column {
-                boundaries: vec![0, 25, 50, 75, 100],
-                assign: vec![0, 1, 0, 1],
-            },
-        };
-        let h = bare_handle(plan, RouteTable::new(vec![ProcId(1), ProcId(2)]));
-        assert_eq!(h.row_slots(0), vec![0, 1]);
-        assert_eq!(h.col_op_slots(&[0]), vec![0, 1]);
-    }
-
-    #[test]
     fn row_slots_on_rotated_plans_stay_sorted() {
         let plan = PartitionPlan::new(90, 1, 3, Partitioning::ColumnRotated(1));
         // column order visits slots [1, 2, 0]; the helper must not depend
         // on visiting order.
         let h = bare_handle(plan, RouteTable::new(vec![ProcId(1), ProcId(2), ProcId(3)]));
         assert_eq!(h.row_slots(0), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn zip_argmax_with_no_candidates_panics_with_diagnosis() {
-        let mut sim = SimBuilder::new().seed(5).build();
-        // A "server" answering every scan with zero candidates — the shape
-        // that used to produce a silent (NEG_INFINITY, u64::MAX) sentinel.
-        let empty = sim.spawn_daemon("empty-server", |ctx| loop {
-            let env = ctx.recv();
-            ctx.reply(&env, Vec::<(f64, u64)>::new(), 16);
-        });
-        sim.spawn("driver", move |ctx| {
-            let plan = PartitionPlan::new(10, 1, 1, Partitioning::Column);
-            let h = bare_handle(plan, RouteTable::new(vec![empty]));
-            let f: crate::protocol::ZipArgmaxFn = Arc::new(|_, lo| (0.0, lo));
-            let _ = h.zip_argmax(ctx, &[0], f, 1);
-        });
-        match sim.run() {
-            Err(SimError::ProcPanic { message, .. }) => {
-                assert!(
-                    message.contains("zip_argmax"),
-                    "diagnostic must name the op, got: {message}"
-                );
-            }
-            other => panic!("expected a diagnosed panic, got {other:?}"),
-        }
     }
 }

@@ -1,6 +1,14 @@
 //! Partition plans and routing: how a matrix's parameters are laid out
 //! across logical server slots, and how slots resolve to live processes.
 //!
+//! One layout rule covers every plan: a slot holds **one contiguous column
+//! range** [`PartitionPlan::cols_of`] of each row it stores — a slice of
+//! every row under column partitioning (the DCV layout of §4), the whole of
+//! its own rows under row partitioning (the Petuum-style baseline of §4.3).
+//! So the one routing question a client asks is
+//! [`PartitionPlan::pieces`]: which slots hold columns `[lo, hi)` of a row,
+//! in column order.
+//!
 //! Plans reference *slots* (`0..n_servers`), not process ids: when the
 //! master replaces a failed server, it updates the shared [`RouteTable`] and
 //! every outstanding [`crate::MatrixHandle`] transparently reaches the
@@ -51,8 +59,9 @@ pub enum PlanKind {
         /// `n_slots + 1` boundaries; range `i` is
         /// `[boundaries[i], boundaries[i+1])`.
         boundaries: Vec<u64>,
-        /// Range `i` lives on slot `assign[i]`.
-        assign: Vec<usize>,
+        /// Range `i` lives on slot `(i + rotation) % n_slots`, so every slot
+        /// holds exactly one range.
+        rotation: usize,
     },
     Row {
         n_slots: usize,
@@ -66,14 +75,16 @@ impl PartitionPlan {
             Partitioning::Column | Partitioning::ColumnRotated(_) => {
                 let s = n_slots as u64;
                 // Ranges may be empty when dim < n_slots; they are skipped
-                // at routing time so `assign` stays aligned with slots.
+                // at routing time, so range `i` stays on its rotated slot.
                 let boundaries: Vec<u64> = (0..=s).map(|i| i * dim / s).collect();
-                let rot = match p {
+                let rotation = match p {
                     Partitioning::ColumnRotated(r) => r % n_slots,
                     _ => 0,
                 };
-                let assign = (0..n_slots).map(|i| (i + rot) % n_slots).collect();
-                PlanKind::Column { boundaries, assign }
+                PlanKind::Column {
+                    boundaries,
+                    rotation,
+                }
             }
             Partitioning::Row => PlanKind::Row { n_slots },
         };
@@ -82,7 +93,7 @@ impl PartitionPlan {
 
     pub fn n_slots(&self) -> usize {
         match &self.kind {
-            PlanKind::Column { assign, .. } => assign.len(),
+            PlanKind::Column { boundaries, .. } => boundaries.len() - 1,
             PlanKind::Row { n_slots } => *n_slots,
         }
     }
@@ -98,21 +109,26 @@ impl PartitionPlan {
     /// column order.
     pub fn column_ranges(&self) -> Vec<(usize, u64, u64)> {
         match &self.kind {
-            PlanKind::Column { boundaries, assign } => (0..assign.len())
-                .filter(|&i| boundaries[i] < boundaries[i + 1])
-                .map(|i| (assign[i], boundaries[i], boundaries[i + 1]))
-                .collect(),
+            PlanKind::Column { .. } => self.pieces(0, 0, self.dim),
             PlanKind::Row { .. } => panic!("column_ranges on a row-partitioned plan"),
         }
     }
 
-    /// The column ranges owned by `slot`, in column order.
-    pub fn ranges_of(&self, slot: usize) -> Vec<(u64, u64)> {
-        self.column_ranges()
-            .into_iter()
-            .filter(|&(s, _, _)| s == slot)
-            .map(|(_, lo, hi)| (lo, hi))
-            .collect()
+    /// The one column range `[lo, hi)` that `slot` holds of each row it
+    /// stores: `(0, dim)` on a row plan, empty on a column plan whose `dim`
+    /// leaves the slot without columns.
+    pub fn cols_of(&self, slot: usize) -> (u64, u64) {
+        match &self.kind {
+            PlanKind::Column {
+                boundaries,
+                rotation,
+            } => {
+                let n = boundaries.len() - 1;
+                let i = (slot + n - rotation) % n;
+                (boundaries[i], boundaries[i + 1])
+            }
+            PlanKind::Row { .. } => (0, self.dim),
+        }
     }
 
     /// For row plans: the slot owning `row`.
@@ -137,7 +153,10 @@ impl PartitionPlan {
     pub fn col_owner(&self, col: u64) -> usize {
         assert!(col < self.dim, "column {col} out of range {}", self.dim);
         match &self.kind {
-            PlanKind::Column { boundaries, assign } => {
+            PlanKind::Column {
+                boundaries,
+                rotation,
+            } => {
                 let i = match boundaries.binary_search(&col) {
                     Ok(mut i) => {
                         // `col` equals a boundary; find the non-empty range
@@ -149,25 +168,34 @@ impl PartitionPlan {
                     }
                     Err(i) => i - 1,
                 };
-                assign[i]
+                (i + rotation) % (boundaries.len() - 1)
             }
             PlanKind::Row { .. } => panic!("col_owner on a row-partitioned plan"),
         }
     }
 
-    /// Cover `[lo, hi)` with this plan's owning slots: `(sub_lo, sub_hi,
-    /// slot)` pieces in column order. Used when orchestrating ops between
-    /// misaligned matrices.
-    pub fn locate_range(&self, lo: u64, hi: u64) -> Vec<(u64, u64, usize)> {
-        let mut out = Vec::new();
-        for (slot, rlo, rhi) in self.column_ranges() {
-            let s = lo.max(rlo);
-            let e = hi.min(rhi);
-            if s < e {
-                out.push((s, e, slot));
+    /// The routing question: which slots hold columns `[lo, hi)` of `row`,
+    /// as `(slot, piece_lo, piece_hi)` non-empty pieces in column order. A
+    /// row plan answers with the row's owner alone.
+    pub fn pieces(&self, row: u32, lo: u64, hi: u64) -> Vec<(usize, u64, u64)> {
+        match &self.kind {
+            PlanKind::Column {
+                boundaries,
+                rotation,
+            } => {
+                let n = boundaries.len() - 1;
+                let mut out = Vec::new();
+                for (i, w) in boundaries.windows(2).enumerate() {
+                    let (s, e) = (lo.max(w[0]), hi.min(w[1]));
+                    if s < e {
+                        out.push(((i + rotation) % n, s, e));
+                    }
+                }
+                out
             }
+            PlanKind::Row { .. } if lo < hi => vec![(self.row_owner(row), lo, hi)],
+            PlanKind::Row { .. } => Vec::new(),
         }
-        out
     }
 
     /// Total parameters in the matrix.
@@ -288,11 +316,21 @@ mod tests {
     }
 
     #[test]
-    fn locate_range_splits_across_slots() {
+    fn pieces_split_a_range_across_slots() {
         let plan = PartitionPlan::new(100, 1, 4, Partitioning::Column);
         // ranges: [0,25) [25,50) [50,75) [75,100)
-        let pieces = plan.locate_range(20, 60);
-        assert_eq!(pieces, vec![(20, 25, 0), (25, 50, 1), (50, 60, 2)]);
+        let pieces = plan.pieces(0, 20, 60);
+        assert_eq!(pieces, vec![(0, 20, 25), (1, 25, 50), (2, 50, 60)]);
+        // Rotated by one: same pieces, each one slot further on.
+        let rotated = PartitionPlan::new(100, 1, 4, Partitioning::ColumnRotated(1));
+        assert_eq!(
+            rotated.pieces(0, 20, 60),
+            vec![(1, 20, 25), (2, 25, 50), (3, 50, 60)]
+        );
+        assert_eq!(rotated.cols_of(0), (75, 100));
+        let rows = PartitionPlan::new(100, 7, 4, Partitioning::Row);
+        assert_eq!(rows.pieces(6, 20, 60), vec![(2, 20, 60)]);
+        assert_eq!(rows.pieces(6, 20, 20), vec![]);
     }
 
     #[test]

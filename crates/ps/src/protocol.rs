@@ -157,7 +157,7 @@ pub(crate) struct FreeReq {
 /// Column selector for pulls, pre-filtered to the receiving server.
 #[derive(Clone)]
 pub(crate) enum ColsSel {
-    /// All columns this server owns.
+    /// All columns this server owns, answered as one segment.
     All,
     /// A contiguous range (dense worker-slice access).
     Range(u64, u64),
@@ -271,11 +271,6 @@ pub(crate) type SubReq = (u32, Arc<dyn std::any::Any + Send + Sync>, u64);
 pub(crate) struct EnvelopeReq {
     /// Identifies the flush attempt for tracing; not a dedup key.
     pub op_id: u64,
-    /// Route epoch the client resolved against when building the envelope.
-    /// Carried for wire-trace debugging (a stale-epoch envelope reaching a
-    /// replacement server is visible in captures); servers don't consult it.
-    #[allow(dead_code)]
-    pub epoch: u64,
     pub subs: Arc<Vec<SubReq>>,
 }
 
@@ -334,7 +329,7 @@ pub(crate) struct CrossDotReq {
     pub local_row: u32,
     pub remote_id: MatrixId,
     pub remote_row: u32,
-    /// `(lo, hi, remote server)` pieces covering this server's ranges.
+    /// `(lo, hi, remote server)` pieces covering this server's range.
     pub pieces: Vec<(u64, u64, ProcId)>,
     pub value_bytes: u64,
 }
@@ -369,10 +364,10 @@ pub(crate) struct RestoreReq {
 
 // ---- storage process payloads ----------------------------------------------
 
-/// A server's snapshot: every shard's segments. Stored by the storage
-/// process as an opaque value.
+/// A server's snapshot: every shard's segments, one per row held. Stored by
+/// the storage process as an opaque value.
 pub(crate) struct Snapshot {
-    pub shards: Vec<(MatrixId, Vec<Vec<Vec<f64>>>)>,
+    pub shards: Vec<(MatrixId, Vec<Vec<f64>>)>,
     pub bytes: u64,
 }
 

@@ -2,14 +2,15 @@
 
 use std::any::Any;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::Range;
 use std::sync::Arc;
 
 use ps2_simnet::{Envelope, Proc, ProcId, SimCtx, SimRuntime, SimTime, StepCtx};
 
 use crate::plan::{MatrixId, PartitionPlan, PlanKind};
 use crate::protocol::{
-    tags, AggKind, AggReq, AxpyReq, CheckpointReq, CreateReq, CrossDotReq, CrossElemReq, DotReq,
-    ElemReq, EnvelopeReq, FetchSegReq, FillReq, FreeReq, InitKind, PullBlockReq, PullReq,
+    tags, AggKind, AggReq, AxpyReq, CheckpointReq, ColsSel, CreateReq, CrossDotReq, CrossElemReq,
+    DotReq, ElemReq, EnvelopeReq, FetchSegReq, FillReq, FreeReq, InitKind, PullBlockReq, PullReq,
     PushBlockReq, PushData, PushReq, RestoreReq, ScaleReq, Snapshot, StoreGetReq, StoreGetResp,
     StorePutReq, ZipMapReq, ZipReq, ZipSegs,
 };
@@ -36,56 +37,38 @@ fn init_value(init: &InitKind, row: u32, col: u64) -> f64 {
     }
 }
 
-/// One matrix's data on one server.
+/// One matrix's data on one server: the plan's one column range
+/// `[lo, hi)` of every row this server holds.
 struct Shard {
     plan: Arc<PartitionPlan>,
-    /// Column plans: the ranges this server owns, column order.
-    /// Row plans: one pseudo-range `(0, dim)` per owned row.
-    ranges: Vec<(u64, u64)>,
-    /// Row plans only: which rows the pseudo-ranges belong to.
+    lo: u64,
+    hi: u64,
+    /// Row plans only: the rows held, ascending. Column plans hold every row.
     owned_rows: Vec<u32>,
-    /// `data[row_slot][range_idx]` → dense segment.
-    /// Column plans: `row_slot` is the row index (all rows present).
-    /// Row plans: `row_slot` indexes `owned_rows`, with one range.
-    data: Vec<Vec<Vec<f64>>>,
+    /// One segment `[lo, hi)` per row held, indexed by [`Shard::slot`].
+    data: Vec<Vec<f64>>,
 }
 
 impl Shard {
     fn build(slot: usize, plan: Arc<PartitionPlan>, init: &InitKind) -> Shard {
-        match &plan.kind {
-            PlanKind::Column { .. } => {
-                let ranges = plan.ranges_of(slot);
-                let data = (0..plan.rows)
-                    .map(|row| {
-                        ranges
-                            .iter()
-                            .map(|&(lo, hi)| (lo..hi).map(|c| init_value(init, row, c)).collect())
-                            .collect()
-                    })
-                    .collect();
-                Shard {
-                    plan,
-                    ranges,
-                    owned_rows: Vec::new(),
-                    data,
-                }
-            }
+        let (lo, hi) = plan.cols_of(slot);
+        let segment = |row| (lo..hi).map(|c| init_value(init, row, c)).collect();
+        let (owned_rows, data): (Vec<u32>, _) = match &plan.kind {
+            PlanKind::Column { .. } => (Vec::new(), (0..plan.rows).map(segment).collect()),
             PlanKind::Row { .. } => {
-                let owned_rows: Vec<u32> = (0..plan.rows)
+                let owned: Vec<u32> = (0..plan.rows)
                     .filter(|&r| plan.row_owner(r) == slot)
                     .collect();
-                let data = owned_rows
-                    .iter()
-                    .map(|&row| vec![(0..plan.dim).map(|c| init_value(init, row, c)).collect()])
-                    .collect();
-                let dim = plan.dim;
-                Shard {
-                    plan,
-                    ranges: vec![(0, dim)],
-                    owned_rows,
-                    data,
-                }
+                let data = owned.iter().map(|&row| segment(row)).collect();
+                (owned, data)
             }
+        };
+        Shard {
+            plan,
+            lo,
+            hi,
+            owned_rows,
+            data,
         }
     }
 
@@ -108,31 +91,39 @@ impl Shard {
         idx
     }
 
-    /// Index of the range containing `col`.
-    fn range_of(&self, col: u64) -> (usize, usize) {
-        for (i, &(lo, hi)) in self.ranges.iter().enumerate() {
-            if col >= lo && col < hi {
-                return (i, (col - lo) as usize);
-            }
+    /// Offsets of the global columns `[lo, hi)` within a segment; panics if
+    /// any of them lies outside this server's range (a routing bug).
+    fn cols(&self, lo: u64, hi: u64) -> Range<usize> {
+        if lo < self.lo || hi > self.hi {
+            let col = if lo < self.lo { lo } else { hi - 1 };
+            panic!("column {col} not owned by this server");
         }
-        panic!("column {col} not owned by this server");
+        (lo - self.lo) as usize..(hi - self.lo) as usize
+    }
+
+    /// `row`'s values at columns `[lo, hi)`.
+    fn seg(&self, row: u32, lo: u64, hi: u64) -> &[f64] {
+        &self.data[self.slot(row)][self.cols(lo, hi)]
+    }
+
+    fn seg_mut(&mut self, row: u32, lo: u64, hi: u64) -> &mut [f64] {
+        let (slot, cols) = (self.slot(row), self.cols(lo, hi));
+        &mut self.data[slot][cols]
+    }
+
+    /// The whole segments of `rows`, in request order.
+    fn segs(&self, rows: &[u32]) -> Vec<&[f64]> {
+        rows.iter()
+            .map(|&r| self.data[self.slot(r)].as_slice())
+            .collect()
     }
 
     fn get(&self, row: u32, col: u64) -> f64 {
-        let slot = self.slot(row);
-        let (ri, off) = self.range_of(col);
-        self.data[slot][ri][off]
+        self.seg(row, col, col + 1)[0]
     }
 
     fn add(&mut self, row: u32, col: u64, delta: f64) {
-        let slot = self.slot(row);
-        let (ri, off) = self.range_of(col);
-        self.data[slot][ri][off] += delta;
-    }
-
-    fn owned_cols(&self) -> u64 {
-        let per_row: u64 = self.ranges.iter().map(|&(lo, hi)| hi - lo).sum();
-        per_row
+        self.seg_mut(row, col, col + 1)[0] += delta;
     }
 }
 
@@ -179,7 +170,7 @@ impl OpLog {
 }
 
 /// Row-touch counters are only kept for matrices this small: envelope
-/// coalescing lowers `pull_rows`/`push_dense_many` to per-row subs, and
+/// coalescing lowers `pull_rows_in`/`push_dense_many_in` to per-row subs, and
 /// embedding tables with thousands of rows would otherwise mint a metric
 /// name per vertex.
 const ROW_TOUCH_MAX_ROWS: u32 = 64;
@@ -394,8 +385,7 @@ fn cross(
     }
     while let Some(&(lo, hi, remote)) = pieces.get(op.piece) {
         let theirs: Vec<f64> = if remote == ctx.id() {
-            let shard = shard_of(shards, id);
-            (lo..hi).map(|c| shard.get(row, c)).collect()
+            shard_of(shards, id).seg(row, lo, hi).to_vec()
         } else if let Some(reply) = fetched.take() {
             reply.downcast()
         } else {
@@ -410,19 +400,17 @@ fn cross(
         };
         match req {
             Cross::Dot(r) => {
-                let shard = shard_of(shards, r.local_id);
+                let mine = shard_of(shards, r.local_id).seg(r.local_row, lo, hi);
                 let mut partial = 0.0;
-                for (i, v) in theirs.iter().enumerate() {
-                    partial += shard.get(r.local_row, lo + i as u64) * v;
+                for (m, v) in mine.iter().zip(&theirs) {
+                    partial += m * v;
                 }
                 op.acc += partial;
             }
             Cross::Elem(r) => {
-                let shard = shard_mut(shards, r.dst_id);
-                for (i, v) in theirs.iter().enumerate() {
-                    let c = lo + i as u64;
-                    let cur = shard.get(r.dst_row, c);
-                    shard.add(r.dst_row, c, r.op.apply(cur, *v) - cur);
+                let mine = shard_mut(shards, r.dst_id).seg_mut(r.dst_row, lo, hi);
+                for (cur, v) in mine.iter_mut().zip(&theirs) {
+                    *cur += r.op.apply(*cur, *v) - *cur;
                 }
             }
         }
@@ -443,14 +431,10 @@ fn checkpoint(
     req: &CheckpointReq,
 ) -> Step {
     let mut total = 0u64;
-    let shard_data: Vec<(MatrixId, Vec<Vec<Vec<f64>>>)> = shards
+    let shard_data: Vec<(MatrixId, Vec<Vec<f64>>)> = shards
         .iter()
         .map(|(&id, sh)| {
-            for row in &sh.data {
-                for seg in row {
-                    total += seg.len() as u64;
-                }
-            }
+            total += sh.data.iter().map(|seg| seg.len() as u64).sum::<u64>();
             (id, sh.data.clone())
         })
         .collect();
@@ -557,7 +541,7 @@ fn execute(
             if let std::collections::hash_map::Entry::Vacant(e) = shards.entry(req.id) {
                 let shard = Shard::build(req.slot, Arc::clone(&req.plan), &req.init);
                 // Materializing the shard touches every owned element.
-                ctx.charge_mem(shard.owned_cols() * shard.data.len() as u64 * 8);
+                ctx.charge_mem((shard.hi - shard.lo) * shard.data.len() as u64 * 8);
                 e.insert(shard);
             }
             (Box::new(()), 8)
@@ -578,48 +562,32 @@ fn execute(
                     1,
                 );
             }
-            let shard = shard_of(shards, req.id);
-            match &req.cols {
-                crate::protocol::ColsSel::All => {
-                    let slot = shard.slot(req.row);
-                    let segs: Vec<Vec<f64>> = shard.data[slot].clone();
-                    let n: u64 = segs.iter().map(|s| s.len() as u64).sum();
-                    ctx.charge_mem(n * 8);
-                    (Box::new(segs), 16 + n * req.value_bytes)
-                }
-                crate::protocol::ColsSel::Range(lo, hi) => {
-                    let values: Vec<f64> = (*lo..*hi).map(|c| shard.get(req.row, c)).collect();
-                    let n = values.len() as u64;
-                    ctx.charge_mem(n * 8);
-                    (Box::new(values), 16 + n * req.value_bytes)
-                }
-                crate::protocol::ColsSel::List(cols) => {
-                    let values: Vec<f64> = cols.iter().map(|&c| shard.get(req.row, c)).collect();
-                    let n = values.len() as u64;
-                    ctx.charge_mem(n * 16);
-                    (Box::new(values), 16 + n * req.value_bytes)
-                }
-            }
+            let (values, mem_per_value): (Vec<f64>, u64) = match &req.cols {
+                ColsSel::All => (shard.data[shard.slot(req.row)].clone(), 8),
+                ColsSel::Range(lo, hi) => (shard.seg(req.row, *lo, *hi).to_vec(), 8),
+                // A list pull also reads the index of every value.
+                ColsSel::List(cols) => (cols.iter().map(|&c| shard.get(req.row, c)).collect(), 16),
+            };
+            let n = values.len() as u64;
+            ctx.charge_mem(n * mem_per_value);
+            (Box::new(values), 16 + n * req.value_bytes)
         }
         tags::PUSH => {
             let req: &PushReq = cast(tag, payload);
-            let id = req.id;
-            let row = req.row;
-            if shard_of(shards, id).plan.rows <= ROW_TOUCH_MAX_ROWS {
+            let (id, row) = (req.id, req.row);
+            let shard = shard_mut(shards, id);
+            if shard.plan.rows <= ROW_TOUCH_MAX_ROWS {
                 ctx.metric_add(&format!("ps.server.row_touch.m{}.r{}", id.0, row), 1);
             }
             match &req.data {
                 PushData::DenseSeg { lo, values } => {
-                    let values = Arc::clone(values);
-                    let shard = shard_mut(shards, id);
-                    for (i, v) in values.iter().enumerate() {
-                        shard.add(row, lo + i as u64, *v);
+                    let seg = shard.seg_mut(row, *lo, lo + values.len() as u64);
+                    for (d, v) in seg.iter_mut().zip(values.iter()) {
+                        *d += v;
                     }
                     ctx.charge_flops(values.len() as u64);
                 }
                 PushData::Sparse(pairs) => {
-                    let pairs = Arc::clone(pairs);
-                    let shard = shard_mut(shards, id);
                     for &(c, v) in pairs.iter() {
                         shard.add(row, c, v);
                     }
@@ -631,165 +599,112 @@ fn execute(
         tags::AGG => {
             let req: &AggReq = cast(tag, payload);
             let shard = shard_of(shards, req.id);
-            let slot = shard.slot(req.row);
+            let seg = &shard.data[shard.slot(req.row)];
             let mut acc = match req.kind {
                 AggKind::Max => f64::NEG_INFINITY,
                 _ => 0.0,
             };
-            let mut n = 0u64;
-            for seg in &shard.data[slot] {
-                n += seg.len() as u64;
-                for &v in seg {
-                    match req.kind {
-                        AggKind::Sum => acc += v,
-                        AggKind::Nnz => acc += if v != 0.0 { 1.0 } else { 0.0 },
-                        AggKind::Norm2Sq => acc += v * v,
-                        AggKind::Max => acc = acc.max(v),
-                    }
+            for &v in seg {
+                match req.kind {
+                    AggKind::Sum => acc += v,
+                    AggKind::Nnz => acc += if v != 0.0 { 1.0 } else { 0.0 },
+                    AggKind::Norm2Sq => acc += v * v,
+                    AggKind::Max => acc = acc.max(v),
                 }
             }
-            ctx.charge_flops(n);
+            ctx.charge_flops(seg.len() as u64);
             (Box::new(acc), 16)
         }
         tags::DOT => {
             let req: &DotReq = cast(tag, payload);
             let shard = shard_of(shards, req.id);
-            let sa = shard.slot(req.row_a);
-            let sb = shard.slot(req.row_b);
+            let a = &shard.data[shard.slot(req.row_a)];
+            let b = &shard.data[shard.slot(req.row_b)];
             let mut acc = 0.0;
-            let mut n = 0u64;
-            for (a, b) in shard.data[sa].iter().zip(&shard.data[sb]) {
-                n += a.len() as u64;
-                acc += a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
+            for (x, y) in a.iter().zip(b) {
+                acc += x * y;
             }
-            ctx.charge_flops(2 * n);
+            ctx.charge_flops(2 * a.len() as u64);
             (Box::new(acc), 16)
         }
         tags::AXPY => {
             let req: &AxpyReq = cast(tag, payload);
-            let (alpha, id, dst, src) = (req.alpha, req.id, req.dst_row, req.src_row);
-            let shard = shard_mut(shards, id);
-            let n = apply_axpy(shard, dst, src, alpha);
-            ctx.charge_flops(2 * n);
+            let alpha = req.alpha;
+            let shard = shard_mut(shards, req.id);
+            let src = shard.data[shard.slot(req.src_row)].clone();
+            let dst = shard.slot(req.dst_row);
+            for (d, s) in shard.data[dst].iter_mut().zip(&src) {
+                *d += alpha * s;
+            }
+            ctx.charge_flops(2 * src.len() as u64);
             (Box::new(()), 8)
         }
         tags::ELEM => {
             let req: &ElemReq = cast(tag, payload);
-            let (id, dst, a, b, op) = (req.id, req.dst_row, req.a_row, req.b_row, req.op);
-            let shard = shard_mut(shards, id);
-            let sa = shard.slot(a);
-            let sb = shard.slot(b);
-            let sd = shard.slot(dst);
-            let mut n = 0u64;
-            for ri in 0..shard.ranges.len() {
-                let av = shard.data[sa][ri].clone();
-                let bv = shard.data[sb][ri].clone();
-                let dv = &mut shard.data[sd][ri];
-                n += dv.len() as u64;
-                for i in 0..dv.len() {
-                    dv[i] = op.apply(av[i], bv[i]);
-                }
+            let op = req.op;
+            let shard = shard_mut(shards, req.id);
+            let a = shard.data[shard.slot(req.a_row)].clone();
+            let b = shard.data[shard.slot(req.b_row)].clone();
+            let dst = shard.slot(req.dst_row);
+            for (d, (x, y)) in shard.data[dst].iter_mut().zip(a.iter().zip(&b)) {
+                *d = op.apply(*x, *y);
             }
-            ctx.charge_flops(n);
+            ctx.charge_flops(a.len() as u64);
             (Box::new(()), 8)
         }
         tags::ZIP => {
             let req: &ZipReq = cast(tag, payload);
-            let f = Arc::clone(&req.f);
-            let rows = req.rows.clone();
-            let flops_per_elem = req.flops_per_elem;
-            let id = req.id;
-            let shard = shard_mut(shards, id);
-            let slots: Vec<usize> = rows.iter().map(|&r| shard.slot(r)).collect();
+            let shard = shard_mut(shards, req.id);
+            let slots: Vec<usize> = req.rows.iter().map(|&r| shard.slot(r)).collect();
             assert_unique(&slots);
-            let mut taken: Vec<Vec<Vec<f64>>> = slots
+            let mut taken: Vec<Vec<f64>> = slots
                 .iter()
                 .map(|&s| std::mem::take(&mut shard.data[s]))
                 .collect();
-            let mut n = 0u64;
-            for ri in 0..shard.ranges.len() {
-                let lo = shard.ranges[ri].0;
-                let mut segs: Vec<&mut [f64]> = taken
-                    .iter_mut()
-                    .map(|rowsegs| rowsegs[ri].as_mut_slice())
-                    .collect();
-                n += segs.first().map_or(0, |s| s.len() as u64);
-                let mut zs = ZipSegs {
-                    segs: std::mem::take(&mut segs),
-                    lo,
-                };
-                f(&mut zs);
+            let n = taken.first().map_or(0, |s| s.len() as u64);
+            let mut zs = ZipSegs {
+                segs: taken.iter_mut().map(Vec::as_mut_slice).collect(),
+                lo: shard.lo,
+            };
+            (req.f)(&mut zs);
+            for (s, seg) in slots.iter().zip(taken) {
+                shard.data[*s] = seg;
             }
-            for (s, rowsegs) in slots.iter().zip(taken) {
-                shard.data[*s] = rowsegs;
-            }
-            ctx.charge_flops(flops_per_elem * n);
+            ctx.charge_flops(req.flops_per_elem * n);
             (Box::new(()), 8)
         }
         tags::ZIP_MAP => {
             let req: &ZipMapReq = cast(tag, payload);
             let shard = shard_of(shards, req.id);
-            let slots: Vec<usize> = req.rows.iter().map(|&r| shard.slot(r)).collect();
-            let mut partials = Vec::with_capacity(shard.ranges.len());
-            let mut n = 0u64;
-            for ri in 0..shard.ranges.len() {
-                let lo = shard.ranges[ri].0;
-                let segs: Vec<&[f64]> = slots
-                    .iter()
-                    .map(|&s| shard.data[s][ri].as_slice())
-                    .collect();
-                n += segs.first().map_or(0, |s| s.len() as u64);
-                partials.push((req.f)(&segs, lo));
-            }
-            ctx.charge_flops(req.flops_per_elem * n);
-            let bytes = 16 + 8 * partials.len() as u64;
-            (Box::new(partials), bytes)
+            let segs = shard.segs(&req.rows);
+            let partial = (req.f)(&segs, shard.lo);
+            ctx.charge_flops(req.flops_per_elem * segs.first().map_or(0, |s| s.len() as u64));
+            (Box::new(partial), 16 + 8)
         }
         tags::ZIP_ARGMAX => {
             let req: &crate::protocol::ZipArgmaxReq = cast(tag, payload);
             let shard = shard_of(shards, req.id);
-            let slots: Vec<usize> = req.rows.iter().map(|&r| shard.slot(r)).collect();
-            let mut partials = Vec::with_capacity(shard.ranges.len());
-            let mut n = 0u64;
-            for ri in 0..shard.ranges.len() {
-                let lo = shard.ranges[ri].0;
-                let segs: Vec<&[f64]> = slots
-                    .iter()
-                    .map(|&s| shard.data[s][ri].as_slice())
-                    .collect();
-                n += segs.first().map_or(0, |s| s.len() as u64);
-                partials.push((req.f)(&segs, lo));
-            }
-            ctx.charge_flops(req.flops_per_elem * n);
-            let bytes = 16 + 16 * partials.len() as u64;
-            (Box::new(partials), bytes)
+            let segs = shard.segs(&req.rows);
+            let partial = (req.f)(&segs, shard.lo);
+            ctx.charge_flops(req.flops_per_elem * segs.first().map_or(0, |s| s.len() as u64));
+            (Box::new(partial), 16 + 16)
         }
         tags::FILL => {
             let req: &FillReq = cast(tag, payload);
-            let (id, row, value) = (req.id, req.row, req.value);
-            let shard = shard_mut(shards, id);
-            let slot = shard.slot(row);
-            let mut n = 0u64;
-            for seg in &mut shard.data[slot] {
-                n += seg.len() as u64;
-                seg.fill(value);
-            }
-            ctx.charge_mem(n * 8);
+            let shard = shard_mut(shards, req.id);
+            let slot = shard.slot(req.row);
+            shard.data[slot].fill(req.value);
+            ctx.charge_mem(shard.data[slot].len() as u64 * 8);
             (Box::new(()), 8)
         }
         tags::SCALE => {
             let req: &ScaleReq = cast(tag, payload);
-            let (id, row, alpha) = (req.id, req.row, req.alpha);
-            let shard = shard_mut(shards, id);
-            let slot = shard.slot(row);
-            let mut n = 0u64;
-            for seg in &mut shard.data[slot] {
-                n += seg.len() as u64;
-                for v in seg.iter_mut() {
-                    *v *= alpha;
-                }
+            let shard = shard_mut(shards, req.id);
+            let slot = shard.slot(req.row);
+            for v in shard.data[slot].iter_mut() {
+                *v *= req.alpha;
             }
-            ctx.charge_flops(n);
+            ctx.charge_flops(shard.data[slot].len() as u64);
             (Box::new(()), 8)
         }
         tags::PULL_BLOCK => {
@@ -825,8 +740,9 @@ fn execute(
         }
         tags::FETCH_SEG => {
             let req: &FetchSegReq = cast(tag, payload);
-            let shard = shard_of(shards, req.id);
-            let values: Vec<f64> = (req.lo..req.hi).map(|c| shard.get(req.row, c)).collect();
+            let values = shard_of(shards, req.id)
+                .seg(req.row, req.lo, req.hi)
+                .to_vec();
             let n = values.len() as u64;
             ctx.charge_mem(n * 8);
             (Box::new(values), 16 + n * req.value_bytes)
@@ -839,21 +755,6 @@ fn execute(
         }
         other => panic!("ps-server: unknown tag {other}"),
     }
-}
-
-fn apply_axpy(shard: &mut Shard, dst: u32, src: u32, alpha: f64) -> u64 {
-    let sd = shard.slot(dst);
-    let ss = shard.slot(src);
-    let mut n = 0u64;
-    for ri in 0..shard.ranges.len() {
-        let src_seg = shard.data[ss][ri].clone();
-        let dst_seg = &mut shard.data[sd][ri];
-        n += dst_seg.len() as u64;
-        for (d, s) in dst_seg.iter_mut().zip(&src_seg) {
-            *d += alpha * s;
-        }
-    }
-    n
 }
 
 fn assert_unique(slots: &[usize]) {
@@ -970,7 +871,7 @@ mod tests {
             assert_eq!(shard.data.len(), owned.len());
             for row in owned {
                 let want: Vec<f64> = (0..8).map(|c| init_value(&UNIFORM, row, c)).collect();
-                assert_eq!(shard.data[shard.slot(row)], vec![want], "row {row}");
+                assert_eq!(shard.data[shard.slot(row)], want, "row {row}");
             }
         }
     }
@@ -985,6 +886,14 @@ mod tests {
     #[should_panic(expected = "row 12 not owned by this server")]
     fn row_shard_rejects_a_row_past_the_table() {
         Shard::build(0, ragged_row_plan(), &UNIFORM).slot(12);
+    }
+
+    /// Slot 1 of 8 columns on 2 slots holds `[4, 8)`; column 3 is slot 0's.
+    #[test]
+    #[should_panic(expected = "column 3 not owned by this server")]
+    fn column_shard_rejects_a_column_outside_its_range() {
+        let plan = Arc::new(PartitionPlan::new(8, 1, 2, Partitioning::Column));
+        Shard::build(1, plan, &UNIFORM).get(0, 3);
     }
 
     /// Per-element access on a row plan (`ColsSel::List` pulls, sparse
@@ -1017,7 +926,7 @@ mod tests {
             };
             let list = pull(5, ColsSel::List(Arc::new(vec![7, 2, 4])));
             let picked: Vec<f64> = ctx.call(server, tags::PULL, list, 48).downcast();
-            let all: Vec<Vec<f64>> = ctx
+            let all: Vec<f64> = ctx
                 .call(server, tags::PULL, pull(9, ColsSel::All), 48)
                 .downcast();
             (picked, all)
@@ -1027,7 +936,7 @@ mod tests {
         let init = |row, col| init_value(&UNIFORM, row, col);
         assert_eq!(picked, vec![init(5, 7) - 2.0, init(5, 2) + 1.0, init(5, 4)]);
         let untouched: Vec<f64> = (0..8).map(|c| init(9, c)).collect();
-        assert_eq!(neighbour, vec![untouched]);
+        assert_eq!(neighbour, untouched);
     }
 
     #[test]
@@ -1062,8 +971,8 @@ mod tests {
                 cols: ColsSel::All,
                 value_bytes: 8,
             };
-            let segs: Vec<Vec<f64>> = ctx.call(server, tags::PULL, pull, 48).downcast();
-            segs[0][0]
+            let values: Vec<f64> = ctx.call(server, tags::PULL, pull, 48).downcast();
+            values[0]
         });
         sim.run().unwrap();
         assert_eq!(out.take(), 1.0);
@@ -1093,7 +1002,6 @@ mod tests {
             };
             let env = EnvelopeReq {
                 op_id: 1,
-                epoch: 0,
                 subs: Arc::new(vec![(
                     tags::PUSH,
                     Arc::new(push) as Arc<dyn Any + Send + Sync>,
@@ -1109,8 +1017,8 @@ mod tests {
                 cols: ColsSel::All,
                 value_bytes: 8,
             };
-            let segs: Vec<Vec<f64>> = ctx.call(server, tags::PULL, pull, 48).downcast();
-            segs[0][0]
+            let values: Vec<f64> = ctx.call(server, tags::PULL, pull, 48).downcast();
+            values[0]
         });
         sim.run().unwrap();
         assert_eq!(out.take(), 1.0);
@@ -1214,8 +1122,8 @@ mod tests {
                 .call(servers[0], tags::CROSS_ELEM, add.clone(), 72)
                 .downcast();
             let _: () = ctx.call(servers[0], tags::CROSS_ELEM, add, 72).downcast();
-            let segs: Vec<Vec<f64>> = ctx.call(servers[0], tags::PULL, pull_all(1), 48).downcast();
-            segs[0].clone()
+            ctx.call(servers[0], tags::PULL, pull_all(1), 48)
+                .downcast::<Vec<f64>>()
         });
         let report = sim.run().unwrap();
         assert_eq!(out.take(), vec![3.0; 4]);
