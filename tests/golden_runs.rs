@@ -18,6 +18,7 @@
 use std::sync::Mutex;
 
 use ps2::data::{presets, CorpusGen, GraphGen, RandomWalks, SparseDatasetGen};
+use ps2::dataflow::{deploy_executors, deploy_shuffle_services, SparkContext};
 use ps2::ml::deepwalk::{train_deepwalk, DeepWalkBackend, DeepWalkConfig};
 use ps2::ml::fm::{train_fm, FmConfig};
 use ps2::ml::gbdt::{train_gbdt, GbdtBackend, GbdtConfig};
@@ -356,4 +357,70 @@ fn row_pull(seed: u64) -> SimReport {
         });
     }
     sim.run().expect("row-pull sim failed")
+}
+
+/// The two services no other group drives, at seed 1: the shuffle service
+/// (`envelopes` = `shuffle.fabric.envelopes`, puts plus fetches) and
+/// checkpoint storage (`recoveries` = `ps.fleet.recoveries`).
+#[test]
+fn services() {
+    let seed = 1;
+    let report = shuffle(seed);
+    let envelopes = report.metrics.counter("shuffle.fabric.envelopes");
+    let mut rows = vec![row(
+        "shuffle",
+        seed,
+        &report,
+        &format!("envelopes={envelopes}"),
+        &[],
+    )];
+    let report = recovery(seed);
+    let recoveries = report.metrics.counter("ps.fleet.recoveries");
+    let exact = format!("recoveries={recoveries}");
+    rows.push(row("recovery", seed, &report, &exact, &[]));
+    check(rows);
+}
+
+/// `reduce_by_key` then `group_by_key` over 4 executors and 4 shuffle
+/// services: 8 map partitions of 97 keys.
+fn shuffle(seed: u64) -> SimReport {
+    let mut sim = SimBuilder::new().seed(seed).build();
+    let executors = deploy_executors(&mut sim, 4);
+    let services = deploy_shuffle_services(&mut sim, 4);
+    sim.spawn("driver", move |ctx| {
+        let mut sc = SparkContext::new(executors);
+        let pairs: Vec<(u64, u64)> = (0..2_000u64).map(|i| (i % 97, i)).collect();
+        let rdd = sc.parallelize(ctx, pairs, 8);
+        let sums = sc
+            .reduce_by_key(ctx, &services, &rdd, |a, b| a + b)
+            .expect("reduce_by_key");
+        let total: u64 = sc.collect(ctx, &sums).iter().map(|(_, s)| s).sum();
+        assert_eq!(total, (0..2_000u64).sum::<u64>());
+        let groups = sc.group_by_key(ctx, &services, &rdd).expect("group_by_key");
+        assert_eq!(sc.count(ctx, &groups), 97);
+    });
+    sim.run().expect("shuffle sim failed")
+}
+
+/// A push, `checkpoint_all`, server 1 killed, then a pull through its slot:
+/// the pull times out, the fleet respawns the server and `RESTORE`s it from
+/// storage, and the retried pull reads the checkpointed values.
+fn recovery(seed: u64) -> SimReport {
+    let mut sim = SimBuilder::new().seed(seed).build();
+    let (servers, storage) = deploy_ps(&mut sim, 4, 500e6);
+    sim.spawn("coordinator", move |ctx| {
+        let victim = servers[1];
+        let mut m = PsMaster::new(servers, storage, PsConfig::default());
+        let h = m.create_matrix(ctx, 4_000, 1, Partitioning::Column, InitKind::Zero);
+        let pairs = [(10, 1.0), (1_500, 2.0), (3_999, 3.0)];
+        h.push_sparse(ctx, 0, &pairs);
+        m.checkpoint_all(ctx);
+        ctx.kill(victim);
+        assert_eq!(
+            h.pull_cols(ctx, 0, &[10, 1_500, 3_999]),
+            vec![1.0, 2.0, 3.0]
+        );
+        assert_eq!((m.recoveries(), m.silent_reinits()), (1, 0));
+    });
+    sim.run().expect("recovery sim failed")
 }
