@@ -50,4 +50,4 @@ pub use collective::ring_allreduce_sum;
 pub use executor::{deploy_executors, executor_main, WorkCtx};
 pub use rdd::Rdd;
 pub use scheduler::{FailureConfig, JobError, SparkContext};
-pub use shuffle::{deploy_shuffle_services, shuffle_service_main};
+pub use shuffle::{deploy_shuffle_services, ShuffleService};

@@ -9,23 +9,23 @@
 //!
 //! ## The clock protocol
 //!
-//! A single *clock daemon* tracks one logical clock per worker (iterations
-//! completed). Workers speak two request kinds, both routed through the
-//! shared request fabric rather than bare `ctx.call` so retries, timeouts
-//! and metrics come for free:
+//! A single *clock service* ([`ClockService`], a steppable agent) tracks
+//! one logical clock per worker (iterations completed). Workers speak two
+//! request kinds, both routed through the shared request fabric rather than
+//! bare `ctx.call` so retries, timeouts and metrics come for free:
 //!
-//! * **REPORT** `(worker, done)` — idempotent: the daemon takes the max of
+//! * **REPORT** `(worker, done)` — idempotent: the service takes the max of
 //!   the stored and reported clock, so a fabric resend cannot move a clock
 //!   backwards.
 //! * **WAIT** `(worker, start_iter, bound, op_id)` — permission to start
-//!   iteration `t`. The daemon replies once `min_clock ≥ t − bound − 1`,
+//!   iteration `t`. The service replies once `min_clock ≥ t − bound − 1`,
 //!   i.e. the slowest worker is within the bound. The *request* carries the
-//!   bound, which keeps the daemon mode-agnostic: BSP is `bound = 0`,
+//!   bound, which keeps the service mode-agnostic: BSP is `bound = 0`,
 //!   SSP(s) is `bound = s`, and async workers simply never send WAIT.
 //!
 //! A WAIT may legitimately block far longer than one fabric attempt (it
 //! waits on the slowest worker), so a resend of a still-pending WAIT must
-//! not double-register: the daemon keys pending waits by worker and
+//! not double-register: the service keys pending waits by worker and
 //! replaces the stored envelope with the retry's (the fabric only listens
 //! for the newest correlation id). Grants are remembered per worker by
 //! `op_id` so a retry that races its own grant is re-answered immediately
@@ -36,7 +36,7 @@
 //! `min + bound + 1 ≥ start_iter` at every grant.
 
 use ps2_simnet::fabric::{self, FabricPolicy, StaticRoutes};
-use ps2_simnet::{Envelope, ProcId, SimCtx, SimTime};
+use ps2_simnet::{Envelope, Proc, ProcId, SimCtx, SimTime, StepCtx};
 
 /// How a training run synchronizes its workers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -158,7 +158,7 @@ pub struct ClockGrant {
 /// Fabric tuning for clock traffic. A WAIT blocks until the slowest worker
 /// catches up, which can dwarf any per-message latency, so the attempt
 /// timeout is generous (one virtual minute) and many stale attempts are
-/// tolerated before declaring the daemon unreachable — together they cover
+/// tolerated before declaring the service unreachable — together they cover
 /// hours of legitimate blocking while keeping the retry machinery (and its
 /// `ps.clock.*` metrics) live.
 pub fn clock_policy() -> FabricPolicy {
@@ -169,75 +169,85 @@ pub fn clock_policy() -> FabricPolicy {
     }
 }
 
-/// The clock daemon body: spawn with `sim.spawn_daemon("clock", clock_main(n))`.
-pub fn clock_main(workers: usize) -> impl FnOnce(&mut SimCtx) {
-    move |ctx: &mut SimCtx| {
-        assert!(workers > 0, "clock daemon needs at least one worker");
-        // Iterations completed, per worker.
-        let mut clocks = vec![0u32; workers];
-        // At most one blocked WAIT per worker; a resend replaces the stored
-        // envelope so the reply goes to the correlation id the fabric is
-        // actually listening on.
-        let mut pending: Vec<Option<(Envelope, ClockWaitReq)>> =
-            (0..workers).map(|_| None).collect();
-        // Last grant per worker, keyed by op_id: a retry racing its own
-        // grant is re-answered with the recorded witness.
-        let mut granted: Vec<Option<(u64, u32)>> = vec![None; workers];
+/// The clock service for `n` workers, a steppable agent: spawn it with
+/// `sim.spawn_agent_daemon("clock", ClockService::new(n))`.
+pub struct ClockService {
+    /// Iterations completed, per worker.
+    clocks: Vec<u32>,
+    /// At most one blocked WAIT per worker; a resend replaces the stored
+    /// envelope so the reply goes to the correlation id the fabric is
+    /// actually listening on.
+    pending: Vec<Option<(Envelope, ClockWaitReq)>>,
+    /// Last grant per worker, keyed by op_id: a retry racing its own grant
+    /// is re-answered with the recorded witness.
+    granted: Vec<Option<(u64, u32)>>,
+}
 
-        let grantable = |clocks: &[u32], req: &ClockWaitReq| {
-            let min = *clocks.iter().min().expect("workers > 0");
-            // A worker may start iteration t when min >= t - bound - 1.
-            (req.start_iter <= min + req.bound + 1).then_some(min)
-        };
+impl ClockService {
+    pub fn new(workers: usize) -> ClockService {
+        assert!(workers > 0, "clock service needs at least one worker");
+        ClockService {
+            clocks: vec![0; workers],
+            pending: (0..workers).map(|_| None).collect(),
+            granted: vec![None; workers],
+        }
+    }
 
-        loop {
-            let env = ctx.recv();
-            if env.is_reply() {
-                continue; // stray late reply, not for us
-            }
-            match env.tag {
-                clock_tags::REPORT => {
-                    let req: ClockReportReq = *env.downcast_ref();
-                    // Max, not assignment: resends must not move time backwards.
-                    clocks[req.worker] = clocks[req.worker].max(req.done);
-                    ctx.reply(&env, (), 8);
-                    // Wake every waiter the new minimum unblocks.
-                    for w in 0..workers {
-                        let Some((_, wreq)) = pending[w].as_ref() else {
-                            continue;
-                        };
-                        if let Some(min) = grantable(&clocks, wreq) {
-                            let (wenv, wreq) = pending[w].take().expect("checked above");
-                            granted[w] = Some((wreq.op_id, min));
-                            ctx.reply(&wenv, ClockGrant { min_clock: min }, 8);
-                        }
+    /// The minimum clock if `req` may start now: a worker may start
+    /// iteration t when min >= t - bound - 1.
+    fn grantable(&self, req: &ClockWaitReq) -> Option<u32> {
+        let min = *self.clocks.iter().min().expect("workers > 0");
+        (req.start_iter <= min + req.bound + 1).then_some(min)
+    }
+
+    fn grant(&mut self, ctx: &mut StepCtx<'_>, env: &Envelope, req: &ClockWaitReq, min: u32) {
+        self.granted[req.worker] = Some((req.op_id, min));
+        ctx.reply(env, ClockGrant { min_clock: min }, 8);
+    }
+}
+
+impl Proc for ClockService {
+    fn on_message(&mut self, ctx: &mut StepCtx<'_>, env: Envelope) {
+        if env.is_reply() {
+            return; // stray late reply, not for us
+        }
+        match env.tag {
+            clock_tags::REPORT => {
+                let req: ClockReportReq = *env.downcast_ref();
+                // Max, not assignment: resends must not move time backwards.
+                self.clocks[req.worker] = self.clocks[req.worker].max(req.done);
+                ctx.reply(&env, (), 8);
+                // Wake every waiter the new minimum unblocks.
+                for w in 0..self.clocks.len() {
+                    let Some((_, wreq)) = &self.pending[w] else {
+                        continue;
+                    };
+                    if let Some(min) = self.grantable(wreq) {
+                        let (wenv, wreq) = self.pending[w].take().expect("checked above");
+                        self.grant(ctx, &wenv, &wreq, min);
                     }
                 }
-                clock_tags::WAIT => {
-                    let req: ClockWaitReq = *env.downcast_ref();
-                    if let Some((op_id, min)) = granted[req.worker] {
-                        if op_id == req.op_id {
-                            // Retry of an already-granted wait.
-                            ctx.reply(&env, ClockGrant { min_clock: min }, 8);
-                            continue;
-                        }
+            }
+            clock_tags::WAIT => {
+                let req: ClockWaitReq = *env.downcast_ref();
+                match self.granted[req.worker] {
+                    // Retry of an already-granted wait.
+                    Some((op_id, min)) if op_id == req.op_id => {
+                        ctx.reply(&env, ClockGrant { min_clock: min }, 8);
                     }
-                    match grantable(&clocks, &req) {
-                        Some(min) => {
-                            granted[req.worker] = Some((req.op_id, min));
-                            ctx.reply(&env, ClockGrant { min_clock: min }, 8);
-                        }
+                    _ => match self.grantable(&req) {
+                        Some(min) => self.grant(ctx, &env, &req, min),
                         // Fresh wait or resend of a blocked one: (re)store.
-                        None => pending[req.worker] = Some((env, req)),
-                    }
+                        None => self.pending[req.worker] = Some((env, req)),
+                    },
                 }
-                other => panic!("clock daemon: unknown tag {other}"),
             }
+            other => panic!("clock service: unknown tag {other}"),
         }
     }
 }
 
-/// A worker's handle on the clock daemon. All traffic goes through the
+/// A worker's handle on the clock service. All traffic goes through the
 /// request fabric under [`clock_policy`], so timeouts, identical-payload
 /// resends and `ps.clock.*` metrics follow the same rules as PS ops.
 #[derive(Clone, Copy, Debug)]

@@ -33,11 +33,11 @@ mod server;
 
 pub use client::{BatchResult, MatrixHandle, ParamCache, PendingPush, PsBatch};
 pub use consistency::{
-    clock_main, clock_policy, clock_tags, ClockClient, ClockGrant, ClockReportReq, ClockWaitReq,
+    clock_policy, clock_tags, ClockClient, ClockGrant, ClockReportReq, ClockService, ClockWaitReq,
     ConsistencyMode, ASYNC_CACHE_TTL,
 };
 pub use master::{PsConfig, PsFleet, PsMaster};
 pub use plan::{MatrixId, PartitionPlan, Partitioning, PlanKind, RouteTable};
 pub use protocol::{AggKind, ElemOp, InitKind, ZipArgmaxFn, ZipMapFn, ZipMutFn, ZipSegs};
 pub use serve::{create_serve_table, ServeClientAgent, ServeClientConfig, ZipfTable};
-pub use server::{deploy_ps, storage_main, PsServerAgent};
+pub use server::{deploy_ps, PsServerAgent, StorageAgent};

@@ -1,11 +1,11 @@
-//! PS-server and checkpoint-storage processes.
+//! PS-server and checkpoint-storage agents.
 
 use std::any::Any;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
 
-use ps2_simnet::{Envelope, Proc, ProcId, SimCtx, SimRuntime, SimTime, StepCtx};
+use ps2_simnet::{Envelope, Proc, ProcId, SimRuntime, SimTime, StepCtx};
 
 use crate::plan::{MatrixId, PartitionPlan, PlanKind};
 use crate::protocol::{
@@ -777,36 +777,49 @@ fn shard_mut(shards: &mut HashMap<MatrixId, Shard>, id: MatrixId) -> &mut Shard 
         .unwrap_or_else(|| panic!("matrix {id:?} not present on this server"))
 }
 
-/// The checkpoint storage process ("reliable external storage", e.g. HDFS).
-/// Charges a disk-bandwidth cost per operation on top of the network cost of
-/// getting bytes to it.
-pub fn storage_main(disk_bytes_per_sec: f64) -> impl FnOnce(&mut SimCtx) {
-    move |ctx: &mut SimCtx| {
-        let mut store: HashMap<u64, Arc<Snapshot>> = HashMap::new();
-        loop {
-            let env = ctx.recv();
-            match env.tag {
-                tags::STORE_PUT => {
-                    let req: &StorePutReq = env.downcast_ref();
-                    let secs = req.snapshot.bytes as f64 / disk_bytes_per_sec;
-                    ctx.advance(SimTime::from_secs_f64(secs));
-                    store.insert(req.key, Arc::clone(&req.snapshot));
-                    ctx.reply(&env, (), 8);
-                }
-                tags::STORE_GET => {
-                    let req: &StoreGetReq = env.downcast_ref();
-                    match store.get(&req.key) {
-                        Some(snap) => {
-                            let secs = snap.bytes as f64 / disk_bytes_per_sec;
-                            ctx.advance(SimTime::from_secs_f64(secs));
-                            let bytes = snap.bytes;
-                            ctx.reply(&env, StoreGetResp::Found(Arc::clone(snap)), bytes);
-                        }
-                        None => ctx.reply(&env, StoreGetResp::Missing, 8),
-                    }
-                }
-                other => panic!("storage: unknown tag {other}"),
+/// The checkpoint storage process ("reliable external storage", e.g. HDFS),
+/// a steppable agent. Charges a disk-bandwidth cost per operation on top of
+/// the network cost of getting bytes to it.
+pub struct StorageAgent {
+    disk_bytes_per_sec: f64,
+    store: HashMap<u64, Arc<Snapshot>>,
+}
+
+impl StorageAgent {
+    pub fn new(disk_bytes_per_sec: f64) -> StorageAgent {
+        StorageAgent {
+            disk_bytes_per_sec,
+            store: HashMap::new(),
+        }
+    }
+
+    /// Charge the disk time of moving `snapshot`.
+    fn disk(&self, ctx: &mut StepCtx<'_>, snapshot: &Snapshot) {
+        let secs = snapshot.bytes as f64 / self.disk_bytes_per_sec;
+        ctx.advance(SimTime::from_secs_f64(secs));
+    }
+}
+
+impl Proc for StorageAgent {
+    fn on_message(&mut self, ctx: &mut StepCtx<'_>, env: Envelope) {
+        match env.tag {
+            tags::STORE_PUT => {
+                let req: &StorePutReq = env.downcast_ref();
+                self.disk(ctx, &req.snapshot);
+                self.store.insert(req.key, Arc::clone(&req.snapshot));
+                ctx.reply(&env, (), 8);
             }
+            tags::STORE_GET => {
+                let req: &StoreGetReq = env.downcast_ref();
+                match self.store.get(&req.key) {
+                    Some(snap) => {
+                        self.disk(ctx, snap);
+                        ctx.reply(&env, StoreGetResp::Found(Arc::clone(snap)), snap.bytes);
+                    }
+                    None => ctx.reply(&env, StoreGetResp::Missing, 8),
+                }
+            }
+            other => panic!("storage: unknown tag {other}"),
         }
     }
 }
@@ -816,7 +829,7 @@ pub fn deploy_ps(sim: &mut SimRuntime, n: usize, disk_bytes_per_sec: f64) -> (Ve
     let servers = (0..n)
         .map(|i| sim.spawn_agent_daemon(&format!("ps-server-{i}"), PsServerAgent::new()))
         .collect();
-    let storage = sim.spawn_daemon("ps-storage", storage_main(disk_bytes_per_sec));
+    let storage = sim.spawn_agent_daemon("ps-storage", StorageAgent::new(disk_bytes_per_sec));
     (servers, storage)
 }
 

@@ -171,7 +171,7 @@ pub fn call_slots<P: Any + Send + Sync>(
         span_bytes += batch.iter().map(|(_, _, _, b, _)| *b).sum::<u64>();
         ctx.metric_add(&format!("{scope}.envelopes"), batch.len() as u64);
         let deadline = ctx.now() + policy.attempt_timeout;
-        let got = ctx.call_many_deadline_traced(batch, deadline);
+        let got = ctx.call_many_deadline(batch, deadline);
         let mut missed = 0u64;
         for (&i, env) in outstanding.iter().zip(got) {
             match env {

@@ -155,8 +155,9 @@ struct AgentState {
     wait: MatchSpec,
 }
 
-/// One message on its way into [`State::deliver`].
-struct Outgoing {
+/// One message on its way into [`State::deliver`], built the same way by
+/// both proc handles.
+pub(crate) struct Outgoing {
     dst: ProcId,
     tag: u32,
     corr: u64,
@@ -164,6 +165,68 @@ struct Outgoing {
     payload: Box<dyn Any + Send>,
     bytes: u64,
     req: Option<ReqToken>,
+}
+
+impl Outgoing {
+    /// A request (`corr` from [`State::next_corr`]) or, with `corr == 0`, a
+    /// one-way message.
+    pub(crate) fn to(
+        dst: ProcId,
+        tag: u32,
+        corr: u64,
+        payload: Box<dyn Any + Send>,
+        bytes: u64,
+        req: Option<ReqToken>,
+    ) -> Outgoing {
+        Outgoing {
+            dst,
+            tag,
+            corr,
+            is_reply: false,
+            payload,
+            bytes,
+            req,
+        }
+    }
+
+    /// The reply to `request`: back to its sender, under its tag,
+    /// correlation id and request-trace token.
+    pub(crate) fn reply(request: &Envelope, payload: Box<dyn Any + Send>, bytes: u64) -> Outgoing {
+        assert_ne!(request.corr, 0, "reply target was not sent with call()");
+        Outgoing {
+            is_reply: true,
+            ..Outgoing::to(
+                request.src,
+                request.tag,
+                request.corr,
+                payload,
+                bytes,
+                request.req,
+            )
+        }
+    }
+
+    /// Completion of a reply token another proc allocated.
+    pub(crate) fn token_reply(
+        dst: ProcId,
+        tag: u32,
+        token: u64,
+        payload: Box<dyn Any + Send>,
+        bytes: u64,
+    ) -> Outgoing {
+        Outgoing {
+            is_reply: true,
+            ..Outgoing::to(dst, tag, token, payload, bytes, None)
+        }
+    }
+}
+
+/// The per-proc random number generator both engines seed the same way.
+pub(crate) fn proc_rng(seed: u64, id: usize) -> StdRng {
+    StdRng::seed_from_u64(
+        seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(id as u64 + 1),
+    )
 }
 
 enum Engine {
@@ -450,6 +513,120 @@ impl State {
             );
         }
     }
+
+    /// Register a new proc at `clock` and return its id.
+    fn add_proc(&mut self, name: &str, daemon: bool, clock: SimTime, engine: Engine) -> usize {
+        self.procs
+            .push(ProcState::new(name.to_string(), daemon, clock, engine));
+        self.nic_out_free.push(SimTime::ZERO);
+        self.nic_in_free.push(SimTime::ZERO);
+        self.op_labels.push(None);
+        if !daemon {
+            self.live += 1;
+        }
+        self.procs.len() - 1
+    }
+
+    // ---- the non-yielding proc surface -----------------------------------
+    //
+    // Everything either handle does without giving up the turn: a thread
+    // proc reaches these under the lock, an agent hook through the state its
+    // `StepCtx` holds. None of them wakes anyone; only `charge` and
+    // `next_corr` touch the clock or a counter a run's bytes depend on, and
+    // the recorders consume no sequence or correlation number — so an
+    // instrumented run is timing-identical to an uninstrumented one.
+
+    /// Charge `dt` of busy (compute) time to `me`: the `Compute` trace
+    /// event, then the clock and busy time. The one compute charge of both
+    /// engines.
+    pub(crate) fn charge(&mut self, me: usize, dt: SimTime) {
+        let at = self.procs[me].clock;
+        self.ts_roll(at);
+        if self.tracing && dt > SimTime::ZERO {
+            let label = self.op_labels[me];
+            self.trace.push(crate::report::TraceEvent::Compute {
+                at,
+                proc: ProcId(me),
+                dt,
+                label,
+            });
+        }
+        let p = &mut self.procs[me];
+        p.clock += dt;
+        p.stats.busy += dt;
+    }
+
+    /// A fresh run-unique correlation id.
+    pub(crate) fn next_corr(&mut self) -> u64 {
+        self.corr += 1;
+        self.corr
+    }
+
+    /// Whether `target` has neither finished nor been killed.
+    pub(crate) fn is_alive(&self, target: ProcId) -> bool {
+        let p = &self.procs[target.0];
+        !p.killed && !matches!(p.status, Status::Finished)
+    }
+
+    pub(crate) fn metric_add(&mut self, me: usize, name: &str, delta: u64) {
+        let _prof = hostprof::scope(ProfScope::MetricsRecord);
+        self.ts_roll(self.procs[me].clock);
+        self.metrics.add(name, delta);
+    }
+
+    pub(crate) fn metric_gauge_set(&mut self, me: usize, name: &str, value: i64) {
+        let _prof = hostprof::scope(ProfScope::MetricsRecord);
+        self.ts_roll(self.procs[me].clock);
+        self.metrics.gauge_set(name, value);
+    }
+
+    pub(crate) fn metric_observe(&mut self, me: usize, name: &str, dt: SimTime) {
+        let _prof = hostprof::scope(ProfScope::MetricsRecord);
+        self.ts_roll(self.procs[me].clock);
+        self.metrics.observe(name, dt);
+    }
+
+    /// Request-trace tokens for one op of `me` (empty when request tracing
+    /// is off); ids come from the recorder's own counter.
+    pub(crate) fn req_begin_batch(&mut self, me: usize, op: &str, n: usize) -> Vec<ReqToken> {
+        let _prof = hostprof::scope(ProfScope::MetricsRecord);
+        let now = self.procs[me].clock;
+        match &mut self.req {
+            Some(rec) => rec.begin_batch(me, op, n, now),
+            None => Vec::new(),
+        }
+    }
+
+    /// Attribute `dt` of post-gather work to `me`'s open request batch and
+    /// seal it.
+    pub(crate) fn req_cache_fill(&mut self, me: usize, dt: SimTime) {
+        let _prof = hostprof::scope(ProfScope::MetricsRecord);
+        if let Some(rec) = &mut self.req {
+            rec.cache_fill(me, dt);
+        }
+    }
+
+    /// A timeline mark at `me`'s clock (no-op unless tracing).
+    pub(crate) fn trace_mark(&mut self, me: usize, label: &'static str, payload: Option<u64>) {
+        if self.tracing {
+            let label = self.intern(label);
+            let at = self.procs[me].clock;
+            self.trace.push(crate::report::TraceEvent::Mark {
+                at,
+                proc: ProcId(me),
+                label,
+                payload,
+            });
+        }
+    }
+
+    /// Set (or clear) the op label of `me`'s later `Compute` events (no-op
+    /// unless tracing).
+    pub(crate) fn set_op_label(&mut self, me: usize, label: Option<&'static str>) {
+        if self.tracing {
+            self.op_labels[me] = label.map(|l| self.intern(l));
+        }
+    }
 }
 
 /// `State::ready` entry of a proc that cannot run.
@@ -609,57 +786,22 @@ impl Shared {
         self.state.lock().procs[me].clock
     }
 
+    /// The state, for the non-yielding operations on it.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock()
+    }
+
     pub(crate) fn advance(&self, me: usize, dt: SimTime) {
         let mut st = self.state.lock();
         self.interrupt_check(&st, me);
-        let pre = st.procs[me].clock;
-        st.ts_roll(pre);
-        if st.tracing && dt > SimTime::ZERO {
-            let at = st.procs[me].clock;
-            let label = st.op_labels[me];
-            st.trace.push(crate::report::TraceEvent::Compute {
-                at,
-                proc: ProcId(me),
-                dt,
-                label,
-            });
-        }
-        let p = &mut st.procs[me];
-        p.clock += dt;
-        p.stats.busy += dt;
+        st.charge(me, dt);
         self.reschedule(&mut st, me);
     }
 
-    pub(crate) fn next_corr(&self) -> u64 {
-        let mut st = self.state.lock();
-        st.corr += 1;
-        st.corr
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn send_env(
-        &self,
-        me: usize,
-        dst: ProcId,
-        tag: u32,
-        corr: u64,
-        is_reply: bool,
-        payload: Box<dyn Any + Send>,
-        bytes: u64,
-        req: Option<ReqToken>,
-    ) {
+    pub(crate) fn send_env(&self, me: usize, out: Outgoing) {
         let _prof = hostprof::scope(ProfScope::SchedSend);
         let mut st = self.state.lock();
         self.interrupt_check(&st, me);
-        let out = Outgoing {
-            dst,
-            tag,
-            corr,
-            is_reply,
-            payload,
-            bytes,
-            req,
-        };
         st.deliver(&self.cfg, me, out);
         self.reschedule(&mut st, me);
     }
@@ -733,88 +875,10 @@ impl Shared {
         }
     }
 
-    // ---- flight-recorder operations --------------------------------------
-    //
-    // These are deliberately NOT yield points: they take the lock, update
-    // the registry (or push a trace event), and return. No clock moves, no
-    // sequence/correlation number is consumed, no other process is woken —
-    // so an instrumented run is timing-identical to an uninstrumented one.
-
     /// The spawn-time name of a process — for diagnostics (panic messages,
     /// logs). Not a yield point.
     pub(crate) fn proc_name(&self, me: usize) -> String {
         self.state.lock().procs[me].name.clone()
-    }
-
-    pub(crate) fn metric_add(&self, me: usize, name: &str, delta: u64) {
-        let _prof = hostprof::scope(ProfScope::MetricsRecord);
-        let mut st = self.state.lock();
-        let t = st.procs[me].clock;
-        st.ts_roll(t);
-        st.metrics.add(name, delta);
-    }
-
-    pub(crate) fn metric_gauge_set(&self, me: usize, name: &str, value: i64) {
-        let _prof = hostprof::scope(ProfScope::MetricsRecord);
-        let mut st = self.state.lock();
-        let t = st.procs[me].clock;
-        st.ts_roll(t);
-        st.metrics.gauge_set(name, value);
-    }
-
-    pub(crate) fn metric_observe(&self, me: usize, name: &str, dt: SimTime) {
-        let _prof = hostprof::scope(ProfScope::MetricsRecord);
-        let mut st = self.state.lock();
-        let t = st.procs[me].clock;
-        st.ts_roll(t);
-        st.metrics.observe(name, dt);
-    }
-
-    /// Mint request-trace tokens for one fabric op (empty when request
-    /// tracing is off). Ids come from the recorder's own counter — no
-    /// sequence or correlation number is consumed. Not a yield point.
-    pub(crate) fn req_begin_batch(&self, me: usize, op: &str, n: usize) -> Vec<ReqToken> {
-        let _prof = hostprof::scope(ProfScope::MetricsRecord);
-        let mut st = self.state.lock();
-        let now = st.procs[me].clock;
-        match &mut st.req {
-            Some(rec) => rec.begin_batch(me, op, n, now),
-            None => Vec::new(),
-        }
-    }
-
-    /// Attribute `dt` of post-gather client work to `me`'s open request
-    /// batch and seal it. Not a yield point.
-    pub(crate) fn req_cache_fill(&self, me: usize, dt: SimTime) {
-        let _prof = hostprof::scope(ProfScope::MetricsRecord);
-        let mut st = self.state.lock();
-        if let Some(rec) = &mut st.req {
-            rec.cache_fill(me, dt);
-        }
-    }
-
-    pub(crate) fn trace_mark(&self, me: usize, label: &'static str, payload: Option<u64>) {
-        let mut st = self.state.lock();
-        if st.tracing {
-            let label = st.intern(label);
-            let at = st.procs[me].clock;
-            st.trace.push(crate::report::TraceEvent::Mark {
-                at,
-                proc: ProcId(me),
-                label,
-                payload,
-            });
-        }
-    }
-
-    /// Set (or clear) the op label attached to `me`'s subsequent `Compute`
-    /// events. Not a yield point; no-op when tracing is off.
-    pub(crate) fn set_op_label(&self, me: usize, label: Option<&'static str>) {
-        let mut st = self.state.lock();
-        if st.tracing {
-            let id = label.map(|l| st.intern(l));
-            st.op_labels[me] = id;
-        }
     }
 
     pub(crate) fn kill(&self, me: usize, target: ProcId) {
@@ -829,12 +893,6 @@ impl Shared {
             st.procs[target.0].wake();
         }
         self.reschedule(&mut st, me);
-    }
-
-    pub(crate) fn is_alive(&self, target: ProcId) -> bool {
-        let st = self.state.lock();
-        let p = &st.procs[target.0];
-        !p.killed && !matches!(p.status, Status::Finished)
     }
 
     // ---- steppable agents -------------------------------------------------
@@ -978,35 +1036,17 @@ impl Shared {
         agent: Box<dyn Proc>,
     ) -> ProcId {
         let mut st = self.state.lock();
-        let id = st.procs.len();
-        let seed = self
-            .cfg
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(id as u64 + 1);
         let engine = Engine::Agent(Box::new(AgentState {
             agent: Some(agent),
             timers: BTreeMap::new(),
             next_timer: 0,
-            rng: StdRng::seed_from_u64(seed),
+            rng: proc_rng(self.cfg.seed, st.procs.len()),
             finish: false,
             out: VecDeque::new(),
             after: start_clock,
             wait: MatchSpec::Any,
         }));
-        st.procs.push(ProcState::new(
-            name.to_string(),
-            daemon,
-            start_clock,
-            engine,
-        ));
-        st.nic_out_free.push(SimTime::ZERO);
-        st.nic_in_free.push(SimTime::ZERO);
-        st.op_labels.push(None);
-        if !daemon {
-            st.live += 1;
-        }
-        ProcId(id)
+        ProcId(st.add_proc(name, daemon, start_clock, engine))
     }
 
     pub(crate) fn spawn_impl(
@@ -1017,19 +1057,8 @@ impl Shared {
         f: Box<dyn FnOnce(&mut SimCtx) + Send>,
     ) -> ProcId {
         let mut st = self.state.lock();
-        let id = st.procs.len();
-        st.procs.push(ProcState::new(
-            name.to_string(),
-            daemon,
-            start_clock,
-            Engine::Thread(Arc::new(Condvar::new())),
-        ));
-        st.nic_out_free.push(SimTime::ZERO);
-        st.nic_in_free.push(SimTime::ZERO);
-        st.op_labels.push(None);
-        if !daemon {
-            st.live += 1;
-        }
+        let engine = Engine::Thread(Arc::new(Condvar::new()));
+        let id = st.add_proc(name, daemon, start_clock, engine);
         let shared = Arc::clone(self);
         let handle = std::thread::Builder::new()
             .name(format!("sim-{name}"))
@@ -1120,11 +1149,6 @@ impl StepCtx<'_> {
         self.st.procs[self.me].clock
     }
 
-    /// The simulation configuration (network and compute cost models).
-    pub fn config(&self) -> &SimConfig {
-        self.cfg
-    }
-
     /// Deterministic per-agent random number generator (same seeding
     /// discipline as [`SimCtx::rng`](crate::SimCtx::rng)).
     pub fn rng(&mut self) -> &mut StdRng {
@@ -1135,20 +1159,7 @@ impl StepCtx<'_> {
     /// [`SimCtx::advance`](crate::SimCtx::advance) this does not yield — the
     /// step stays atomic — so hooks should charge bounded work per step.
     pub fn advance(&mut self, dt: SimTime) {
-        let pre = self.st.procs[self.me].clock;
-        self.st.ts_roll(pre);
-        if self.st.tracing && dt > SimTime::ZERO {
-            let label = self.st.op_labels[self.me];
-            self.st.trace.push(crate::report::TraceEvent::Compute {
-                at: pre,
-                proc: ProcId(self.me),
-                dt,
-                label,
-            });
-        }
-        let p = &mut self.st.procs[self.me];
-        p.clock += dt;
-        p.stats.busy += dt;
+        self.st.charge(self.me, dt);
     }
 
     /// Charge `flops` floating-point operations of compute time.
@@ -1185,15 +1196,7 @@ impl StepCtx<'_> {
     /// ahead of procs that still have earlier sends to make. Only a first
     /// send at the clock the hook was entered at is in that turn already.
     pub fn send<P: Any + Send>(&mut self, dst: ProcId, tag: u32, payload: P, bytes: u64) {
-        self.send_inner(Outgoing {
-            dst,
-            tag,
-            corr: 0,
-            is_reply: false,
-            payload: Box::new(payload),
-            bytes,
-            req: None,
-        });
+        self.send_inner(Outgoing::to(dst, tag, 0, Box::new(payload), bytes, None));
     }
 
     /// Send a request and return its correlation id; the reply arrives in a
@@ -1218,17 +1221,8 @@ impl StepCtx<'_> {
         bytes: u64,
         req: Option<ReqToken>,
     ) -> u64 {
-        self.st.corr += 1;
-        let corr = self.st.corr;
-        self.send_inner(Outgoing {
-            dst,
-            tag,
-            corr,
-            is_reply: false,
-            payload: Box::new(payload),
-            bytes,
-            req,
-        });
+        let corr = self.st.next_corr();
+        self.send_inner(Outgoing::to(dst, tag, corr, Box::new(payload), bytes, req));
         corr
     }
 
@@ -1248,16 +1242,7 @@ impl StepCtx<'_> {
 
     /// Reply with an already type-erased payload.
     pub fn reply_boxed(&mut self, request: &Envelope, payload: Box<dyn Any + Send>, bytes: u64) {
-        assert_ne!(request.corr, 0, "reply target was not sent with call()");
-        self.send_inner(Outgoing {
-            dst: request.src,
-            tag: request.tag,
-            corr: request.corr,
-            is_reply: true,
-            payload,
-            bytes,
-            req: request.req,
-        });
+        self.send_inner(Outgoing::reply(request, payload, bytes));
     }
 
     /// Arm a timer `dt` from now; `on_timer` fires with the returned token.
@@ -1279,84 +1264,51 @@ impl StepCtx<'_> {
 
     /// Whether `target` has neither finished nor been killed.
     pub fn is_alive(&self, target: ProcId) -> bool {
-        let p = &self.st.procs[target.0];
-        !p.killed && !matches!(p.status, Status::Finished)
+        self.st.is_alive(target)
     }
 
     // ---- flight recorder (same non-yielding discipline as SimCtx) --------
 
     /// Increment a named counter in the run's metrics registry.
     pub fn metric_add(&mut self, name: &str, delta: u64) {
-        let _prof = hostprof::scope(ProfScope::MetricsRecord);
-        let t = self.st.procs[self.me].clock;
-        self.st.ts_roll(t);
-        self.st.metrics.add(name, delta);
+        self.st.metric_add(self.me, name, delta);
     }
 
     /// Set a named gauge to an absolute value.
     pub fn metric_gauge_set(&mut self, name: &str, value: i64) {
-        let _prof = hostprof::scope(ProfScope::MetricsRecord);
-        let t = self.st.procs[self.me].clock;
-        self.st.ts_roll(t);
-        self.st.metrics.gauge_set(name, value);
+        self.st.metric_gauge_set(self.me, name, value);
     }
 
     /// Record a virtual-time duration into a named histogram.
     pub fn metric_observe(&mut self, name: &str, dt: SimTime) {
-        let _prof = hostprof::scope(ProfScope::MetricsRecord);
-        let t = self.st.procs[self.me].clock;
-        self.st.ts_roll(t);
-        self.st.metrics.observe(name, dt);
+        self.st.metric_observe(self.me, name, dt);
     }
 
     /// Mint request-trace tokens for one op issued by this agent (empty when
     /// request tracing is off). See
     /// [`SimCtx::req_begin_batch`](crate::SimCtx::req_begin_batch).
     pub fn req_begin_batch(&mut self, op: &str, n: usize) -> Vec<ReqToken> {
-        let _prof = hostprof::scope(ProfScope::MetricsRecord);
-        let now = self.st.procs[self.me].clock;
-        match &mut self.st.req {
-            Some(rec) => rec.begin_batch(self.me, op, n, now),
-            None => Vec::new(),
-        }
+        self.st.req_begin_batch(self.me, op, n)
     }
 
     /// Timeline mark at this agent's clock (no-op unless tracing).
     pub fn trace_mark(&mut self, label: &'static str) {
-        self.trace_mark_impl(label, None);
+        self.st.trace_mark(self.me, label, None);
     }
 
     /// [`StepCtx::trace_mark`] with a `u64` payload.
     pub fn trace_mark_with(&mut self, label: &'static str, payload: u64) {
-        self.trace_mark_impl(label, Some(payload));
-    }
-
-    fn trace_mark_impl(&mut self, label: &'static str, payload: Option<u64>) {
-        if self.st.tracing {
-            let label = self.st.intern(label);
-            let at = self.st.procs[self.me].clock;
-            self.st.trace.push(crate::report::TraceEvent::Mark {
-                at,
-                proc: ProcId(self.me),
-                label,
-                payload,
-            });
-        }
+        self.st.trace_mark(self.me, label, Some(payload));
     }
 
     /// Label subsequent compute charges with an op name (trace-only).
     pub fn op_label(&mut self, label: &'static str) {
-        if self.st.tracing {
-            let id = self.st.intern(label);
-            self.st.op_labels[self.me] = Some(id);
-        }
+        self.st.set_op_label(self.me, Some(label));
     }
 
     /// Clear the label set by [`StepCtx::op_label`].
     pub fn op_label_clear(&mut self) {
-        if self.st.tracing {
-            self.st.op_labels[self.me] = None;
-        }
+        self.st.set_op_label(self.me, None);
     }
 }
 
@@ -1420,11 +1372,6 @@ impl<T> OutputSlot<T> {
             .take()
             .expect("OutputSlot: producing process did not complete")
     }
-
-    /// Non-panicking variant of [`OutputSlot::take`].
-    pub fn try_take(&self) -> Option<T> {
-        self.inner.lock().take()
-    }
 }
 
 /// Builder for a [`SimRuntime`].
@@ -1453,11 +1400,6 @@ impl SimBuilder {
 
     pub fn compute(mut self, compute: crate::config::ComputeConfig) -> SimBuilder {
         self.cfg.compute = compute;
-        self
-    }
-
-    pub fn config(mut self, cfg: SimConfig) -> SimBuilder {
-        self.cfg = cfg;
         self
     }
 
