@@ -118,11 +118,6 @@ impl Dcv {
         self.handle.push_dense(ctx, self.row, values);
     }
 
-    /// Dense additive push of the contiguous slice starting at `lo`.
-    pub fn add_dense_range(&self, ctx: &mut SimCtx, lo: u64, values: &[f64]) {
-        self.handle.push_dense_range(ctx, self.row, lo, values);
-    }
-
     /// Sparse additive push of `(index, delta)` pairs (sorted on your
     /// behalf if needed — addition is order-insensitive).
     pub fn add_sparse(&self, ctx: &mut SimCtx, pairs: &[(u64, f64)]) {
@@ -154,10 +149,6 @@ impl Dcv {
 
     pub fn norm2(&self, ctx: &mut SimCtx) -> f64 {
         self.handle.agg(ctx, self.row, AggKind::Norm2Sq).sqrt()
-    }
-
-    pub fn max(&self, ctx: &mut SimCtx) -> f64 {
-        self.handle.agg(ctx, self.row, AggKind::Max)
     }
 
     // ---- column access ops (server-side) --------------------------------------
@@ -241,14 +232,9 @@ impl Dcv {
         self.handle.zero(ctx, self.row);
     }
 
-    /// Enqueue a [`Dcv::fill`] into `batch`: it shares the batch's one
+    /// Enqueue a [`Dcv::zero`] into `batch`: it shares the batch's one
     /// envelope per server at [`PsBatch::flush`] instead of paying its own
     /// round trip.
-    pub fn fill_in(&self, ctx: &mut SimCtx, batch: &mut PsBatch, value: f64) {
-        self.handle.fill_in(ctx, batch, self.row, value);
-    }
-
-    /// Enqueue a [`Dcv::zero`] into `batch`.
     pub fn zero_in(&self, ctx: &mut SimCtx, batch: &mut PsBatch) {
         self.handle.zero_in(ctx, batch, self.row);
     }

@@ -26,10 +26,6 @@ impl Graph {
     pub fn edges(&self) -> usize {
         self.adj.iter().map(|n| n.len()).sum::<usize>() / 2
     }
-
-    pub fn degree(&self, v: u32) -> usize {
-        self.adj[v as usize].len()
-    }
 }
 
 /// Preferential-attachment (Barabási–Albert style) generator: new vertices
@@ -167,7 +163,7 @@ mod tests {
     #[test]
     fn degree_distribution_is_heavy_tailed() {
         let g = small();
-        let mut degs: Vec<usize> = (0..g.vertices() as u32).map(|v| g.degree(v)).collect();
+        let mut degs: Vec<usize> = g.adj.iter().map(Vec::len).collect();
         degs.sort_unstable_by(|a, b| b.cmp(a));
         let top = degs[..5].iter().sum::<usize>() as f64;
         let median = degs[g.vertices() / 2] as f64;

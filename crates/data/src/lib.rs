@@ -14,15 +14,12 @@
 //! * [`CorpusGen`] — documents drawn from a Dirichlet topic model, for LDA.
 //! * [`presets`] — the Table 2 datasets scaled down, each knowing its
 //!   original statistics so the benchmark harness can print both.
-//! * [`libsvm`] — read/write the interchange format the public datasets
-//!   ship in.
 //!
 //! Everything is a deterministic function of `(seed, partition)` — the
 //! property lineage-based recovery in `ps2-dataflow` relies on.
 
 mod corpus;
 mod graph;
-pub mod libsvm;
 pub mod presets;
 mod sparse;
 

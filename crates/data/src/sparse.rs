@@ -20,17 +20,6 @@ impl Example {
     pub fn dot_dense(&self, w: &[f64]) -> f64 {
         self.features.iter().map(|&(j, v)| w[j as usize] * v).sum()
     }
-
-    /// Sparse dot with weights given *aligned to this example's features*
-    /// (as returned by a sparse pull of exactly these columns).
-    pub fn dot_aligned(&self, w: &[f64]) -> f64 {
-        debug_assert_eq!(w.len(), self.features.len());
-        self.features
-            .iter()
-            .zip(w)
-            .map(|(&(_, v), &wi)| wi * v)
-            .sum()
-    }
 }
 
 /// Deterministic generator of sparse classification data.
@@ -104,13 +93,6 @@ impl SparseDatasetGen {
         col.min(self.dim - 1)
     }
 
-    /// Number of rows in partition `part`.
-    pub fn partition_rows(&self, part: usize) -> u64 {
-        let p = self.partitions as u64;
-        let part = part as u64;
-        (part + 1) * self.rows / p - part * self.rows / p
-    }
-
     /// Generate partition `part` — a pure function of `(seed, part)`.
     pub fn partition(&self, part: usize) -> Vec<Example> {
         assert!(part < self.partitions);
@@ -164,8 +146,6 @@ mod tests {
         let g = gen();
         let total: u64 = (0..g.partitions).map(|p| g.partition(p).len() as u64).sum();
         assert_eq!(total, g.rows);
-        let by_helper: u64 = (0..g.partitions).map(|p| g.partition_rows(p)).sum();
-        assert_eq!(by_helper, g.rows);
     }
 
     #[test]
@@ -237,17 +217,5 @@ mod tests {
         }
         let frac = head as f64 / total as f64;
         assert!(frac > 0.25, "head fraction {frac} not skewed");
-    }
-
-    #[test]
-    fn dot_helpers_agree() {
-        let g = gen();
-        let ex = g.example(3);
-        let mut w = vec![0.0; g.dim as usize];
-        for (i, slot) in w.iter_mut().enumerate() {
-            *slot = (i % 7) as f64 * 0.1;
-        }
-        let aligned: Vec<f64> = ex.features.iter().map(|&(j, _)| w[j as usize]).collect();
-        assert!((ex.dot_dense(&w) - ex.dot_aligned(&aligned)).abs() < 1e-12);
     }
 }

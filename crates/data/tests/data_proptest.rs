@@ -1,7 +1,7 @@
 //! Property-based tests for the workload generators.
 
 use proptest::prelude::*;
-use ps2_data::{libsvm, CorpusGen, GraphGen, RandomWalks, SparseDatasetGen};
+use ps2_data::{CorpusGen, GraphGen, RandomWalks, SparseDatasetGen};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -26,21 +26,6 @@ proptest! {
                 .collect()
         };
         prop_assert_eq!(flat(&ga), flat(&gb));
-    }
-
-    /// libsvm write → read is the identity on generated examples.
-    #[test]
-    fn libsvm_round_trip(rows in 1u64..50, seed in 0u64..100) {
-        let gen = SparseDatasetGen::new(rows, 500, 8, 1, seed);
-        let examples = gen.partition(0);
-        let mut buf = Vec::new();
-        libsvm::write(&mut buf, &examples).unwrap();
-        let back = libsvm::read(buf.as_slice()).unwrap();
-        prop_assert_eq!(back.len(), examples.len());
-        for (a, b) in examples.iter().zip(&back) {
-            prop_assert_eq!(a.label, b.label);
-            prop_assert_eq!(&*a.features, &*b.features);
-        }
     }
 
     /// Graphs are symmetric and connected-ish for any size/degree.

@@ -550,21 +550,4 @@ impl SparkContext {
         )
         .map(|_| ())
     }
-
-    /// Drop all cached blocks on every executor.
-    pub fn clear_caches(&mut self, ctx: &mut SimCtx) {
-        let reqs = self
-            .executors
-            .iter()
-            .map(|&e| {
-                (
-                    e,
-                    tags::CLEAR_CACHE,
-                    Box::new(()) as Box<dyn Any + Send>,
-                    8u64,
-                )
-            })
-            .collect();
-        let _ = ctx.call_many(reqs);
-    }
 }

@@ -107,58 +107,6 @@ fn value_bin(v: f64, bins: u32) -> u32 {
     ((v * bins as f64) as u32).min(bins - 1)
 }
 
-/// A trained boosted ensemble: prediction and introspection.
-#[derive(Clone, Debug)]
-pub struct GbdtModel {
-    pub trees: Vec<Tree>,
-}
-
-impl GbdtModel {
-    pub fn new(trees: Vec<Tree>) -> GbdtModel {
-        GbdtModel { trees }
-    }
-
-    /// Raw additive margin (pass through a sigmoid for a probability).
-    pub fn predict_margin(&self, ex: &Example) -> f64 {
-        self.trees.iter().map(|t| t.predict(ex)).sum()
-    }
-
-    /// Class prediction in {−1, +1}.
-    pub fn predict_label(&self, ex: &Example) -> f64 {
-        if self.predict_margin(ex) >= 0.0 {
-            1.0
-        } else {
-            -1.0
-        }
-    }
-
-    /// Split-count feature importance: how often each feature is chosen
-    /// across the ensemble (a standard, cheap importance measure).
-    pub fn feature_importance(&self, n_features: u32) -> Vec<u64> {
-        let mut counts = vec![0u64; n_features as usize];
-        for tree in &self.trees {
-            for node in &tree.nodes {
-                if let TreeNode::Split { feature, .. } = node {
-                    counts[*feature as usize] += 1;
-                }
-            }
-        }
-        counts
-    }
-
-    /// Accuracy over a slice of examples.
-    pub fn accuracy(&self, examples: &[Example]) -> f64 {
-        if examples.is_empty() {
-            return 0.0;
-        }
-        let correct = examples
-            .iter()
-            .filter(|ex| self.predict_label(ex) == ex.label)
-            .count();
-        correct as f64 / examples.len() as f64
-    }
-}
-
 /// XGBoost gain for a split, with L2 regularization.
 #[inline]
 fn gain(gl: f64, hl: f64, g: f64, h: f64, lambda: f64) -> f64 {
@@ -600,18 +548,6 @@ mod tests {
         // A segment starting mid-feature must skip the partial feature.
         let (_, cell2) = best_split_in_segment(&grad[2..], &hess[2..], 2, bins, 0.0, 8.0, 1.0, 0.5);
         assert!(cell2 == u64::MAX || cell2 / bins as u64 >= 1);
-    }
-
-    #[test]
-    fn model_api_predicts_and_ranks_features() {
-        let model = GbdtModel::new(vec![stump(10), stump(10)]);
-        let e = ex(vec![(2, 0.1)], 1.0);
-        assert_eq!(model.predict_margin(&e), 3.0);
-        assert_eq!(model.predict_label(&e), 1.0);
-        let imp = model.feature_importance(5);
-        assert_eq!(imp[2], 2);
-        assert_eq!(imp.iter().sum::<u64>(), 2);
-        assert_eq!(model.accuracy(&[e]), 1.0);
     }
 
     #[test]

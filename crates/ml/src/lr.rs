@@ -552,21 +552,3 @@ pub fn train_lr_mllib_star(
     }
     trace
 }
-
-/// Per-iteration virtual time of one backend at a given dimension — the
-/// Figure 1(a)/13(b) metric.
-pub fn time_per_iteration(trace: &TrainingTrace) -> f64 {
-    trace.time_per_iteration()
-}
-
-/// Convenience: evaluate mean logistic loss of a dense weight vector over a
-/// sample of the dataset, locally (used by tests).
-pub fn eval_loss_local(gen: &SparseDatasetGen, w: &[f64], rows: u64) -> f64 {
-    let mut loss = 0.0;
-    let n = rows.min(gen.rows);
-    for r in 0..n {
-        let ex = gen.example(r);
-        loss += log_loss(ex.label * ex.dot_dense(w));
-    }
-    loss / n.max(1) as f64
-}

@@ -1070,13 +1070,6 @@ pub struct PendingPush {
     started: SimTime,
 }
 
-impl PendingPush {
-    /// Number of per-server requests in flight.
-    pub fn in_flight(&self) -> usize {
-        self.reqs.len()
-    }
-}
-
 // ---- the client-side parameter cache ----------------------------------------
 
 /// A worker-local parameter cache, the client half of the consistency
@@ -1116,10 +1109,6 @@ impl ParamCache {
         }
     }
 
-    pub fn mode(&self) -> ConsistencyMode {
-        self.mode
-    }
-
     /// Move the owner's clock to iteration `t` and evict every entry that
     /// can no longer be served under the ttl.
     pub fn advance_clock(&mut self, t: u32) {
@@ -1131,15 +1120,6 @@ impl ParamCache {
     /// Drop everything (used on route-epoch movement, available to tests).
     pub fn invalidate(&mut self) {
         self.cols.clear();
-    }
-
-    /// Cached entries currently held.
-    pub fn len(&self) -> usize {
-        self.cols.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.cols.is_empty()
     }
 
     fn fresh(&self, fetched_at: u32) -> bool {
@@ -1273,10 +1253,6 @@ pub struct PsBatch {
 impl PsBatch {
     pub fn new() -> PsBatch {
         PsBatch::default()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.by_slot.is_empty()
     }
 
     fn bind(&mut self, h: &MatrixHandle) {

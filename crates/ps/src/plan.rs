@@ -91,13 +91,6 @@ impl PartitionPlan {
         PartitionPlan { dim, rows, kind }
     }
 
-    pub fn n_slots(&self) -> usize {
-        match &self.kind {
-            PlanKind::Column { boundaries, .. } => boundaries.len() - 1,
-            PlanKind::Row { n_slots } => *n_slots,
-        }
-    }
-
     /// Two plans are *co-located* when every column lives on the same slot
     /// in both. Element-wise ops between co-located matrices need no
     /// server↔server communication.
@@ -197,11 +190,6 @@ impl PartitionPlan {
             PlanKind::Row { .. } => Vec::new(),
         }
     }
-
-    /// Total parameters in the matrix.
-    pub fn total_params(&self) -> u64 {
-        self.dim * self.rows as u64
-    }
 }
 
 /// Shared slot → process routing, updated by the master on recovery.
@@ -240,10 +228,6 @@ impl RouteTable {
 
     pub fn n_slots(&self) -> usize {
         self.slots.read().len()
-    }
-
-    pub fn all(&self) -> Vec<ProcId> {
-        self.slots.read().clone()
     }
 }
 

@@ -4,8 +4,8 @@
 //! *millions of users*; a thread-per-proc simulation tops out at hundreds of
 //! endpoints. This module models serving scale the way real load generators
 //! do: one steppable [`ServeClientAgent`] (no OS thread, stepped inline by
-//! the scheduler) stands in for **thousands of users**, each with its own
-//! per-user issue/completion state and an exact open-loop schedule.
+//! the scheduler) stands in for **thousands of users**. A user keeps no
+//! state of its own: it is a slot in the agent's exact open-loop schedule.
 //!
 //! *Open loop* means arrival times are fixed by the configured rate, not by
 //! reply progress — a slow fleet faces a growing backlog instead of a
@@ -98,16 +98,8 @@ impl ZipfTable {
     }
 }
 
-/// Per-user serving state (the "closed bookkeeping" of an open-loop user:
-/// issues are scheduled, completions are counted).
-struct UserState {
-    issued: u32,
-    completed: u32,
-}
-
 /// One in-flight pull, keyed by correlation id.
 struct InFlight {
-    user: u32,
     issued_at: SimTime,
     req_bytes: u64,
 }
@@ -119,7 +111,6 @@ struct InFlight {
 /// outstanding reply drained).
 pub struct ServeClientAgent {
     cfg: ServeClientConfig,
-    users: Vec<UserState>,
     /// Spawn clock, the origin of the arrival schedule (set in `on_start`).
     start: SimTime,
     /// Next arrival index `i` (time `(i·period)/users`, user `i % users`).
@@ -142,16 +133,9 @@ impl ServeClientAgent {
             cfg.plan.rows as usize,
             "the Zipf table must span the served table's rows"
         );
-        let users = (0..cfg.users)
-            .map(|_| UserState {
-                issued: 0,
-                completed: 0,
-            })
-            .collect();
         let total_arrivals = cfg.total_arrivals();
         ServeClientAgent {
             cfg,
-            users,
             start: SimTime::ZERO,
             next_arrival: 0,
             total_arrivals,
@@ -178,9 +162,7 @@ impl ServeClientAgent {
         while self.next_arrival < self.total_arrivals
             && start + self.arrival_offset(self.next_arrival) <= now
         {
-            let i = self.next_arrival;
             self.next_arrival += 1;
-            let user = (i % self.cfg.users as u64) as u32;
             let row = self.pick_row(ctx.rng());
             let req = PullReq {
                 id: self.cfg.matrix,
@@ -192,11 +174,9 @@ impl ServeClientAgent {
             let token = ctx.req_begin_batch("pull", 1).first().copied();
             ctx.metric_add("ps.client.envelopes", 1);
             let corr = ctx.send_request_traced(dst, tags::PULL, req, HDR, token);
-            self.users[user as usize].issued += 1;
             self.outstanding.insert(
                 corr,
                 InFlight {
-                    user,
                     issued_at: now,
                     req_bytes: HDR,
                 },
@@ -244,7 +224,6 @@ impl Proc for ServeClientAgent {
             return;
         };
         self.completed += 1;
-        self.users[inf.user as usize].completed += 1;
         ctx.metric_add("ps.client.op.pull.count", 1);
         ctx.metric_add("ps.client.op.pull.reqs", 1);
         ctx.metric_add("ps.client.op.pull.bytes", inf.req_bytes + env.bytes);

@@ -412,20 +412,6 @@ pub fn reset() {
     *global_lock() = [ScopeTotals::default(); SCOPE_COUNT];
 }
 
-/// Snapshot of this thread's totals (unmerged), for unit tests.
-pub fn thread_totals() -> [ScopeTotals; SCOPE_COUNT] {
-    PROF.with(|p| p.borrow().totals)
-}
-
-/// Drop this thread's unmerged totals and any open frames, for unit tests.
-pub fn reset_thread() {
-    PROF.with(|p| {
-        let mut p = p.borrow_mut();
-        p.stack.clear();
-        p.totals = [ScopeTotals::default(); SCOPE_COUNT];
-    });
-}
-
 // ---- profile snapshot -------------------------------------------------------
 
 /// One scope's row in a finished [`HostProfile`].
@@ -625,6 +611,20 @@ mod tests {
         while start.elapsed() < d {
             std::hint::spin_loop();
         }
+    }
+
+    /// Snapshot of this thread's totals (unmerged).
+    fn thread_totals() -> [ScopeTotals; SCOPE_COUNT] {
+        PROF.with(|p| p.borrow().totals)
+    }
+
+    /// Drop this thread's unmerged totals and any open frames.
+    fn reset_thread() {
+        PROF.with(|p| {
+            let mut p = p.borrow_mut();
+            p.stack.clear();
+            p.totals = [ScopeTotals::default(); SCOPE_COUNT];
+        });
     }
 
     #[test]

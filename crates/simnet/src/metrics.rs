@@ -88,26 +88,6 @@ pub fn bucket_upper_bound(k: usize) -> u64 {
     }
 }
 
-/// Deterministic quantile over a sparse `(bucket, count)` list (ascending
-/// bucket order) with `count` total observations — the shared kernel for
-/// [`VtHistogram::quantile_ns`] and the per-window deltas the timeseries
-/// scraper keeps. Returns 0 when empty; no max clamp (callers that track an
-/// observed max clamp themselves).
-pub fn sparse_quantile_ns(buckets: &[(u32, u64)], count: u64, q: f64) -> u64 {
-    if count == 0 {
-        return 0;
-    }
-    let target = ((q * count as f64).ceil() as u64).clamp(1, count);
-    let mut seen = 0u64;
-    for &(k, c) in buckets {
-        seen += c;
-        if seen >= target {
-            return bucket_upper_bound(k as usize);
-        }
-    }
-    bucket_upper_bound(buckets.last().map(|&(k, _)| k as usize).unwrap_or(0))
-}
-
 impl VtHistogram {
     /// Record one duration.
     pub fn observe(&mut self, dt: SimTime) {
@@ -325,37 +305,6 @@ impl MetricsSnapshot {
     /// All histograms, in key order.
     pub fn hists(&self) -> impl Iterator<Item = (&str, &VtHistogram)> {
         self.hists.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Sum of counters whose key starts with `prefix`.
-    pub fn counter_sum_prefixed(&self, prefix: &str) -> u64 {
-        self.counters
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(_, &v)| v)
-            .sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
-    }
-
-    /// Merge another snapshot into this one (counters and histograms add;
-    /// gauges take `other`'s value).
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (k, &v) in &other.counters {
-            self.add(k, v);
-        }
-        for (k, &v) in &other.gauges {
-            self.gauge_set(k, v);
-        }
-        for (k, h) in &other.hists {
-            if let Some(mine) = self.hists.get_mut(k) {
-                mine.merge(h);
-            } else {
-                self.hists.insert(k.clone(), h.clone());
-            }
-        }
     }
 }
 
@@ -733,25 +682,9 @@ mod tests {
         assert_eq!(m.counter("a.x"), 5);
         assert_eq!(m.counter("missing"), 0);
         assert_eq!(m.gauge("g"), Some(-4));
-        assert_eq!(m.counter_sum_prefixed("a."), 6);
         assert_eq!(m.hist("h").unwrap().count(), 1);
         // Key order is sorted, not insertion order.
         let keys: Vec<&str> = m.counters().map(|(k, _)| k).collect();
         assert_eq!(keys, vec!["a.x", "a.y"]);
-    }
-
-    #[test]
-    fn merge_adds_counters_and_hists() {
-        let mut a = MetricsSnapshot::default();
-        a.add("c", 1);
-        a.observe("h", SimTime(8));
-        let mut b = MetricsSnapshot::default();
-        b.add("c", 2);
-        b.observe("h", SimTime(16));
-        b.gauge_set("g", 7);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 3);
-        assert_eq!(a.hist("h").unwrap().count(), 2);
-        assert_eq!(a.gauge("g"), Some(7));
     }
 }

@@ -45,12 +45,6 @@ impl SimTime {
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(other.0))
     }
-
-    /// Seconds elapsed from `start` to `self`. Convenience for plotting and
-    /// per-iteration trace records.
-    pub fn elapsed_since(self, start: SimTime) -> f64 {
-        (self - start).as_secs_f64()
-    }
 }
 
 impl Add for SimTime {
@@ -104,14 +98,6 @@ mod tests {
         assert_eq!((a - b).as_nanos(), 2_500_000);
         assert_eq!(b.saturating_sub(a), SimTime::ZERO);
         assert_eq!(a.max(b), a);
-    }
-
-    #[test]
-    fn elapsed_since_in_seconds() {
-        let start = SimTime::from_millis(250);
-        let end = SimTime::from_millis(1750);
-        assert!((end.elapsed_since(start) - 1.5).abs() < 1e-12);
-        assert_eq!(start.elapsed_since(start), 0.0);
     }
 
     #[test]

@@ -50,20 +50,12 @@ pub struct HistDelta {
     /// Sum of the durations recorded within the window, in nanoseconds.
     pub sum_ns: u64,
     /// Sparse log-linear bucket deltas `(bucket index, count)` in index
-    /// order — the window's own sample distribution, so per-window tail
-    /// quantiles (p99/p999) are computable, which is what the watchdog's
-    /// SLO burn-rate detector consumes.
+    /// order — the window's own sample distribution, so the watchdog's SLO
+    /// burn-rate detector can count each window's bad events.
     pub buckets: Vec<(u32, u64)>,
 }
 
 impl HistDelta {
-    /// Quantile upper bound over this window's samples (log-linear bucket
-    /// resolution: within `2^-SUB_BITS` ≈ 3.1% of the true value). Zero for
-    /// an empty window.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        crate::metrics::sparse_quantile_ns(&self.buckets, self.count, q)
-    }
-
     /// Samples in this window strictly above `target_ns`'s bucket — the
     /// "bad event" count of a latency SLO. Boundary samples inside the
     /// target's own bucket count as good (one-bucket blur, ≤ 3.1%).
@@ -137,15 +129,6 @@ impl TsWindow {
     pub fn gauge(&self, name: &str) -> Option<i64> {
         self.gauges.get(name).copied()
     }
-
-    /// Sum of counter deltas whose key starts with `prefix`.
-    pub fn counter_sum_prefixed(&self, prefix: &str) -> u64 {
-        self.counters
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(_, &v)| v)
-            .sum()
-    }
 }
 
 /// The scraped series of a finished run, carried on
@@ -162,12 +145,6 @@ pub struct TimeSeries {
 }
 
 impl TimeSeries {
-    /// The window covering virtual time `t`, if retained.
-    pub fn window_at(&self, t: SimTime) -> Option<&TsWindow> {
-        let idx = t.as_nanos() / self.window_ns.max(1);
-        self.windows.iter().find(|w| w.index == idx)
-    }
-
     /// Serialize to JSON: integers and `BTreeMap` order only, one window per
     /// line, byte-identical across same-seed runs.
     pub fn to_json(&self) -> String {
@@ -443,21 +420,10 @@ mod tests {
                 buckets: vec![(crate::metrics::bucket_of(50) as u32, 1)],
             }
         );
-        // The second window's delta buckets see only its own sample, so the
-        // per-window p999 tracks the window, not the run.
-        assert_eq!(ts.windows[1].hists["h"].quantile_ns(0.999), 50);
+        // Each window's delta buckets see only its own samples.
+        assert_eq!(ts.windows[1].hists["h"].over_target(40), 1);
         assert_eq!(ts.windows[0].hists["h"].over_target(150), 1);
         assert_eq!(ts.windows[0].hists["h"].over_target(500), 0);
-    }
-
-    #[test]
-    fn window_at_finds_by_index() {
-        let mut r = TsRecorder::new(SimTime::from_millis(1), 64);
-        let m = snap(&[("a", 1)]);
-        r.roll(SimTime::from_millis(3), &m, &[]);
-        let ts = r.finish(SimTime::from_millis(3), &m, &[]);
-        assert_eq!(ts.window_at(SimTime::from_micros(1_200)).unwrap().index, 1);
-        assert!(ts.window_at(SimTime::from_millis(9)).is_none());
     }
 
     #[test]

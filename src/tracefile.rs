@@ -39,8 +39,6 @@ fn regression(name: &str, a: u64, b: u64, tolerance_milli: u64) -> Option<String
 #[derive(Debug, Clone)]
 pub struct ProcRow {
     pub name: String,
-    pub daemon: bool,
-    pub finished_ns: u64,
     pub busy_ns: u64,
     pub slack_ns: u64,
     pub critical_ns: u64,
@@ -80,8 +78,6 @@ impl TraceSummary {
                 .map(|p| {
                     Ok(ProcRow {
                         name: p.str_field("name")?.to_string(),
-                        daemon: p.bool_field("daemon").unwrap_or(false),
-                        finished_ns: p.u64_field("finished_ns")?,
                         busy_ns: p.u64_field("busy_ns")?,
                         slack_ns: p.u64_field("slack_ns")?,
                         critical_ns: p.u64_field("critical_ns")?,
