@@ -23,8 +23,9 @@
 //!   hold **no thread**: the scheduler steps them inline on message delivery
 //!   and timer expiry, each step runs atomically via a non-blocking
 //!   [`StepCtx`], and what a step sends goes out in later turns, each at its
-//!   own clock. Right for servers and for very large populations (the PS
-//!   servers are agents; the serving scenarios step tens of thousands of
+//!   own clock. Right for services and for very large populations (the PS
+//!   servers, checkpoint storage, the SSP clock and the shuffle service
+//!   are agents; the serving scenarios step tens of thousands of
 //!   simulated endpoints this way).
 //!
 //! Thread procs are written in direct style (plain loops), not as event
