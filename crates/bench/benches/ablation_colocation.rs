@@ -26,7 +26,6 @@ fn main() {
             ClusterSpec {
                 workers: 2,
                 servers: SERVERS,
-                ..ClusterSpec::default()
             },
             3,
             move |ctx, ps2| {
@@ -34,7 +33,7 @@ fn main() {
                 let a2 = a.derive(ctx);
                 a.fill(ctx, 1.0);
                 a2.fill(ctx, 2.0);
-                let b = ps2.dense_dcv_misaligned(ctx, dim, 1, 1);
+                let b = ps2.dense_dcv_misaligned(ctx, dim, 1);
                 b.fill(ctx, 2.0);
 
                 let t0 = ctx.now();

@@ -22,7 +22,6 @@ fn main() {
             ClusterSpec {
                 workers: 2,
                 servers: SERVERS,
-                ..ClusterSpec::default()
             },
             7,
             move |ctx, ps2| {

@@ -31,7 +31,6 @@ fn main() {
                 ClusterSpec {
                     workers: WORKERS,
                     servers: WORKERS,
-                    ..ClusterSpec::default()
                 },
                 3,
                 move |ctx, ps2| {

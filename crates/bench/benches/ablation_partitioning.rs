@@ -10,15 +10,15 @@
 use std::io::Write;
 
 use ps2_bench::{banner, csv, paper_says};
-use ps2_ps::{deploy_ps, InitKind, MatrixHandle, Partitioning, PsConfig, PsMaster};
+use ps2_ps::{deploy_ps, InitKind, MatrixHandle, Partitioning, PsMaster, DISK_BYTES_PER_SEC};
 use ps2_simnet::{ProcId, SimBuilder, SimTime};
 
 fn makespan(partitioning: Partitioning, servers: usize, workers: usize, dim: u64) -> f64 {
     let mut sim = SimBuilder::new().seed(2).build();
-    let (srv, storage) = deploy_ps(&mut sim, servers, 500e6);
+    let (srv, storage) = deploy_ps(&mut sim, servers, DISK_BYTES_PER_SEC);
     let worker_ids: Vec<ProcId> = (0..workers).map(|w| ProcId(servers + 2 + w)).collect();
     sim.spawn("coordinator", move |ctx| {
-        let mut m = PsMaster::new(srv, storage, PsConfig::default());
+        let mut m = PsMaster::new(srv, storage);
         let h = m.create_matrix(ctx, dim, 1, partitioning, InitKind::Zero);
         for &w in &worker_ids {
             ctx.send(w, 7, h.clone(), 64);

@@ -24,7 +24,6 @@ fn main() {
             ClusterSpec {
                 workers: 2,
                 servers: SERVERS,
-                ..ClusterSpec::default()
             },
             5,
             move |ctx, ps2| {

@@ -29,7 +29,6 @@ fn panel(fig: &str, preset: presets::SparsePreset, iterations: usize) {
             ClusterSpec {
                 workers: WORKERS,
                 servers: SERVERS,
-                ..ClusterSpec::default()
             },
             11,
             move |ctx, ps2| {

@@ -25,7 +25,6 @@ fn main() {
         num_trees: 10,
         max_depth: 5,
         histogram_bins: 50,
-        ..GbdtHyper::default()
     };
     let mut traces: Vec<TrainingTrace> = Vec::new();
     let mut per_tree = Vec::new();
@@ -39,7 +38,6 @@ fn main() {
             ClusterSpec {
                 workers: WORKERS,
                 servers: SERVERS,
-                ..ClusterSpec::default()
             },
             21,
             move |ctx, ps2| {

@@ -11,7 +11,6 @@ use ps2_bench::{
 };
 use ps2_core::{run_ps2, ClusterSpec};
 use ps2_data::presets;
-use ps2_ml::hyper::LdaHyper;
 use ps2_ml::lda::{train_lda, LdaBackend, LdaConfig};
 use ps2_ml::TrainingTrace;
 
@@ -25,16 +24,12 @@ fn run_backend(
         ClusterSpec {
             workers: WORKERS,
             servers: SERVERS,
-            ..ClusterSpec::default()
         },
         31,
         move |ctx, ps2| {
             let cfg = LdaConfig {
                 corpus,
-                hyper: LdaHyper {
-                    topics,
-                    ..LdaHyper::default() // α = 0.5, β = 0.01 (Table 4)
-                },
+                topics, // α = 0.5, β = 0.01 (Table 4)
                 iterations,
             };
             train_lda(ctx, ps2, &cfg, backend)

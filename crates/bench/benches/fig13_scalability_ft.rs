@@ -23,14 +23,6 @@ use ps2_data::{presets, SparseDatasetGen};
 use ps2_ml::lr::{train_lr, LrBackend, LrConfig};
 use ps2_ml::optim::Optimizer;
 
-fn adam() -> Optimizer {
-    Optimizer::Adam {
-        beta1: 0.9,
-        beta2: 0.999,
-        epsilon: 1e-8,
-    }
-}
-
 fn main() {
     part_a();
     part_b();
@@ -57,7 +49,6 @@ fn part_a() {
             ClusterSpec {
                 workers: w,
                 servers: s,
-                ..ClusterSpec::default()
             },
             move |ctx, ps2| {
                 // Starved clusters saw network failures in the paper's logs.
@@ -107,13 +98,12 @@ fn part_b() {
                 ClusterSpec {
                     workers: WORKERS,
                     servers: WORKERS,
-                    ..ClusterSpec::default()
                 },
                 43,
                 move |ctx, ps2| {
                     let mut cfg = LrConfig::new(
                         SparseDatasetGen::new(20_000, dim, 30, WORKERS, 7),
-                        adam(),
+                        Optimizer::Adam,
                         5,
                     );
                     cfg.hyper.mini_batch_fraction = 0.01;
@@ -150,7 +140,6 @@ fn part_c() {
             ClusterSpec {
                 workers: WORKERS,
                 servers: WORKERS,
-                ..ClusterSpec::default()
             },
             47,
             move |ctx, ps2| {

@@ -40,7 +40,6 @@ fn main() {
             ClusterSpec {
                 workers: WORKERS,
                 servers: 1, // MLlib uses no parameter servers
-                ..ClusterSpec::default()
             },
             1,
             move |ctx, ps2| {

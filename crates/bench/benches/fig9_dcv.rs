@@ -12,18 +12,9 @@ use ps2_bench::{
 use ps2_core::{run_ps2, ClusterSpec};
 use ps2_data::presets;
 use ps2_ml::deepwalk::{train_deepwalk, DeepWalkBackend, DeepWalkConfig};
-use ps2_ml::hyper::DeepWalkHyper;
 use ps2_ml::lr::{train_lr, LrBackend, LrConfig};
 use ps2_ml::optim::Optimizer;
 use ps2_ml::TrainingTrace;
-
-fn adam() -> Optimizer {
-    Optimizer::Adam {
-        beta1: 0.9,
-        beta2: 0.999,
-        epsilon: 1e-8,
-    }
-}
 
 fn lr_panel(fig: &str, dataset: ps2_data::presets::SparsePreset, iterations: usize) {
     let backends = [
@@ -38,11 +29,10 @@ fn lr_panel(fig: &str, dataset: ps2_data::presets::SparsePreset, iterations: usi
             ClusterSpec {
                 workers: WORKERS,
                 servers: SERVERS,
-                ..ClusterSpec::default()
             },
             9,
             move |ctx, ps2| {
-                let mut cfg = LrConfig::new(gen, adam(), iterations);
+                let mut cfg = LrConfig::new(gen, Optimizer::Adam, iterations);
                 cfg.hyper.learning_rate = 0.01;
                 train_lr(ctx, ps2, &cfg, backend)
             },
@@ -62,15 +52,14 @@ fn deepwalk_panel(fig: &str, preset: presets::GraphPreset, servers: usize, itera
             ClusterSpec {
                 workers: WORKERS,
                 servers,
-                ..ClusterSpec::default()
             },
             13,
             move |ctx, ps2| {
                 let g = p.gen.generate();
-                let walks = ps2_data::RandomWalks::sample(&g, p.num_walks, p.walk_len, 6);
+                let walks = ps2_data::RandomWalks::sample(&g, p.num_walks, presets::WALK_LEN, 6);
                 let cfg = DeepWalkConfig {
                     vertices: p.gen.vertices,
-                    hyper: DeepWalkHyper::default(),
+                    embedding_dim: 100,
                     batch_per_worker: 512 / WORKERS * 8, // paper batch 512, spread wider
                     iterations,
                     seed: 17,

@@ -13,7 +13,6 @@ fn spec() -> ClusterSpec {
     ClusterSpec {
         workers: 4,
         servers: 4,
-        ..ClusterSpec::default()
     }
 }
 

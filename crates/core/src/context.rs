@@ -2,7 +2,7 @@
 //! PS-servers.
 
 use ps2_dataflow::{deploy_executors, SparkContext};
-use ps2_ps::{deploy_ps, InitKind, Partitioning, PsConfig, PsMaster};
+use ps2_ps::{deploy_ps, InitKind, Partitioning, PsMaster, DISK_BYTES_PER_SEC};
 use ps2_simnet::{ProcId, SimCtx, SimRuntime};
 
 use crate::dcv::Dcv;
@@ -13,9 +13,6 @@ use crate::dcv::Dcv;
 pub struct ClusterSpec {
     pub workers: usize,
     pub servers: usize,
-    pub ps: PsConfig,
-    /// Checkpoint-storage disk bandwidth (bytes/s).
-    pub disk_bytes_per_sec: f64,
 }
 
 impl Default for ClusterSpec {
@@ -23,8 +20,6 @@ impl Default for ClusterSpec {
         ClusterSpec {
             workers: 4,
             servers: 4,
-            ps: PsConfig::default(),
-            disk_bytes_per_sec: 500e6,
         }
     }
 }
@@ -35,7 +30,6 @@ pub struct Deployment {
     pub executors: Vec<ProcId>,
     pub servers: Vec<ProcId>,
     pub storage: ProcId,
-    pub ps_config: PsConfig,
 }
 
 /// Launch executors, PS-servers and checkpoint storage on a runtime being
@@ -43,12 +37,11 @@ pub struct Deployment {
 /// deployed independently of Spark, then bridged by the coordinator.
 pub fn deploy(sim: &mut SimRuntime, spec: &ClusterSpec) -> Deployment {
     let executors = deploy_executors(sim, spec.workers);
-    let (servers, storage) = deploy_ps(sim, spec.servers, spec.disk_bytes_per_sec);
+    let (servers, storage) = deploy_ps(sim, spec.servers, DISK_BYTES_PER_SEC);
     Deployment {
         executors,
         servers,
         storage,
-        ps_config: spec.ps.clone(),
     }
 }
 
@@ -62,7 +55,7 @@ pub struct Ps2Context {
 impl Ps2Context {
     pub fn new(deployment: Deployment) -> Ps2Context {
         let mut spark = SparkContext::new(deployment.executors);
-        let ps = PsMaster::new(deployment.servers, deployment.storage, deployment.ps_config);
+        let ps = PsMaster::new(deployment.servers, deployment.storage);
         // Bridge the two applications' failure handling: when a job's tasks
         // stall, the scheduler heartbeats the PS fleet and triggers
         // dead-server recovery mid-run instead of deadlocking on workers
@@ -86,24 +79,14 @@ impl Ps2Context {
         Dcv::first_of(handle)
     }
 
-    /// A deliberately *misaligned* dense DCV — created with a rotated
-    /// partition plan, as if by an independent `DCV.dense` call (the
-    /// "inefficient writing" of Figure 4). Ops between this and a normal
-    /// DCV pay server↔server shuffles.
-    pub fn dense_dcv_misaligned(
-        &mut self,
-        ctx: &mut SimCtx,
-        dim: u64,
-        k: u32,
-        rotation: usize,
-    ) -> Dcv {
-        let handle = self.ps.create_matrix(
-            ctx,
-            dim,
-            k,
-            Partitioning::ColumnRotated(rotation),
-            InitKind::Zero,
-        );
+    /// A deliberately *misaligned* dense DCV — created with a partition
+    /// plan rotated by one slot, as if by an independent `DCV.dense` call
+    /// (the "inefficient writing" of Figure 4). Ops between this and a
+    /// normal DCV pay server↔server shuffles.
+    pub fn dense_dcv_misaligned(&mut self, ctx: &mut SimCtx, dim: u64, k: u32) -> Dcv {
+        let handle =
+            self.ps
+                .create_matrix(ctx, dim, k, Partitioning::ColumnRotated(1), InitKind::Zero);
         Dcv::first_of(handle)
     }
 }

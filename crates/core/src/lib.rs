@@ -21,7 +21,7 @@
 //! ```
 //! use ps2_core::{ClusterSpec, run_ps2};
 //!
-//! let spec = ClusterSpec { workers: 4, servers: 4, ..ClusterSpec::default() };
+//! let spec = ClusterSpec { workers: 4, servers: 4 };
 //! let (result, report) = run_ps2(spec, 42, |ctx, ps2| {
 //!     // The paper's Figure 3 allocation pattern:
 //!     let weight = ps2.dense_dcv(ctx, 1_000, 4);
@@ -49,8 +49,8 @@ pub use harness::{run_ps2, run_ps2_with};
 // Re-export the pieces users need alongside the context.
 pub use ps2_dataflow::{Broadcast, FailureConfig, Rdd, SparkContext, WorkCtx};
 pub use ps2_ps::{
-    AggKind, BatchResult, ElemOp, InitKind, MatrixHandle, Partitioning, PsBatch, PsConfig,
-    PsMaster, ZipArgmaxFn, ZipMapFn, ZipMutFn, ZipSegs,
+    AggKind, BatchResult, ElemOp, InitKind, MatrixHandle, Partitioning, PsBatch, PsMaster,
+    ZipArgmaxFn, ZipMapFn, ZipMutFn, ZipSegs,
 };
 pub use ps2_simnet::{
     ComputeConfig, MetricsSnapshot, NetConfig, OpRow, ProcId, RunReport, SimBuilder, SimConfig,

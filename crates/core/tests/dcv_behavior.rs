@@ -9,7 +9,6 @@ fn spec(w: usize, s: usize) -> ClusterSpec {
     ClusterSpec {
         workers: w,
         servers: s,
-        ..ClusterSpec::default()
     }
 }
 
@@ -173,7 +172,7 @@ fn misaligned_dcvs_are_correct_but_slower() {
         let a = ps2.dense_dcv(ctx, dim, 2);
         let a2 = a.derive(ctx).filled(ctx, 2.0);
         a.fill(ctx, 1.0);
-        let b = ps2.dense_dcv_misaligned(ctx, dim, 1, 1);
+        let b = ps2.dense_dcv_misaligned(ctx, dim, 1);
         b.fill(ctx, 2.0);
         assert!(!a.colocated_with(&b));
 

@@ -9,7 +9,6 @@ fn spec(s: usize) -> ClusterSpec {
     ClusterSpec {
         workers: 2,
         servers: s,
-        ..ClusterSpec::default()
     }
 }
 

@@ -34,7 +34,11 @@ pub struct CorpusPreset {
     pub gen: CorpusGen,
 }
 
-/// A scaled graph preset.
+/// Length of every sampled random walk (paper Table 4:
+/// `length_of_random_walk = 8`).
+pub const WALK_LEN: usize = 8;
+
+/// A scaled graph preset; its walks are [`WALK_LEN`] long.
 #[derive(Clone, Debug)]
 pub struct GraphPreset {
     pub name: &'static str,
@@ -44,7 +48,6 @@ pub struct GraphPreset {
     pub original_size: &'static str,
     pub gen: GraphGen,
     pub num_walks: usize,
-    pub walk_len: usize,
 }
 
 /// KDDB (LR): 19M × 29M, 585M nnz, 4.8 GB → rows ÷1000, columns ÷100.
@@ -160,7 +163,6 @@ pub fn graph1(seed: u64) -> GraphPreset {
             seed,
         },
         num_walks: 3_080,
-        walk_len: 8,
     }
 }
 
@@ -178,7 +180,6 @@ pub fn graph2(seed: u64) -> GraphPreset {
             seed,
         },
         num_walks: 31_200,
-        walk_len: 8,
     }
 }
 

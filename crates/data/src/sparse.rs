@@ -22,6 +22,9 @@ impl Example {
     }
 }
 
+/// Zipf skew of column popularity (0 = uniform; ~1 = heavy head).
+const SKEW: f64 = 0.6;
+
 /// Deterministic generator of sparse classification data.
 ///
 /// Feature popularity follows a power law (`column ~ zipf`), matching the
@@ -36,8 +39,6 @@ pub struct SparseDatasetGen {
     pub nnz_per_row: u32,
     pub partitions: usize,
     pub seed: u64,
-    /// Zipf skew for column popularity (0 = uniform; ~1 = heavy head).
-    pub skew: f64,
     /// Feature values: `false` → one-hot 1.0 (ID features, LR-style);
     /// `true` → uniform in (0, 1] (continuous features, GBDT-style).
     pub continuous: bool,
@@ -51,7 +52,6 @@ impl SparseDatasetGen {
             nnz_per_row,
             partitions,
             seed,
-            skew: 0.6,
             continuous: false,
         }
     }
@@ -84,12 +84,8 @@ impl SparseDatasetGen {
         // Inverse-CDF of a truncated Pareto over [0, dim): heavier head for
         // larger skew.
         let u: f64 = rng.gen::<f64>().max(1e-12);
-        let col = if self.skew <= 0.0 {
-            (u * self.dim as f64) as u64
-        } else {
-            let exponent = 1.0 / (1.0 - self.skew.min(0.99));
-            ((u.powf(exponent)) * self.dim as f64) as u64
-        };
+        let exponent = 1.0 / (1.0 - SKEW);
+        let col = (u.powf(exponent) * self.dim as f64) as u64;
         col.min(self.dim - 1)
     }
 

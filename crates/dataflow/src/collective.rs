@@ -12,6 +12,8 @@ use crate::executor::WorkCtx;
 
 /// Message tag for ring traffic (distinct from the driver protocol tags).
 const RING_TAG: u32 = 7;
+/// Bytes per value on the ring: uncompressed `f64`s.
+const VALUE_BYTES: u64 = 8;
 
 struct RingChunk {
     step_kind: u8, // 0 = reduce-scatter, 1 = allgather
@@ -32,7 +34,6 @@ pub fn ring_allreduce_sum(
     peers: &[ProcId],
     my_rank: usize,
     data: &mut [f64],
-    value_bytes: u64,
 ) {
     let n_ranks = peers.len();
     assert!(my_rank < n_ranks);
@@ -45,7 +46,7 @@ pub fn ring_allreduce_sum(
 
     let send_chunk = |w: &mut WorkCtx<'_, '_>, kind: u8, step: usize, idx: usize, data: &[f64]| {
         let values = data[bounds[idx]..bounds[idx + 1]].to_vec();
-        let bytes = 24 + value_bytes * values.len() as u64;
+        let bytes = 24 + VALUE_BYTES * values.len() as u64;
         w.sim.send(
             next,
             RING_TAG,

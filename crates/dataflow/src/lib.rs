@@ -49,5 +49,5 @@ pub use broadcast::Broadcast;
 pub use collective::ring_allreduce_sum;
 pub use executor::{deploy_executors, executor_main, WorkCtx};
 pub use rdd::Rdd;
-pub use scheduler::{FailureConfig, JobError, SparkContext};
+pub use scheduler::{FailureConfig, JobError, SparkContext, MAX_FRUITLESS_POLLS};
 pub use shuffle::{deploy_shuffle_services, ShuffleService};

@@ -12,6 +12,19 @@ use crate::broadcast::{Broadcast, BroadcastValue};
 use crate::executor::{executor_main, tags, TaskJob, TaskResult, TaskSpec, WorkCtx};
 use crate::rdd::{materialize_any, Rdd};
 
+/// How long the driver waits on task replies before polling executor
+/// liveness (executor-loss detection).
+const LIVENESS_POLL: SimTime = SimTime::from_millis(30_000);
+/// Consecutive liveness polls that find nothing to fix (no reply, no dead
+/// executor, no probe recovery) before the job aborts. Tasks can be stuck on
+/// a *non-executor* dependency — a dead process none of the registered
+/// probes owns — and without this bound the timeout branch would re-poll
+/// forever (a driver livelock rather than a simulator deadlock, since the
+/// deadline keeps the driver runnable).
+pub const MAX_FRUITLESS_POLLS: u32 = 32;
+/// Declared wire size of a serialized task closure.
+const TASK_BYTES: u64 = 2048;
+
 /// Failure-injection and recovery policy.
 ///
 /// Retry semantics follow the paper (§5.3): a side-effecting operation —
@@ -30,16 +43,6 @@ pub struct FailureConfig {
     pub failure_waste: SimTime,
     /// Attempts per task before the job aborts.
     pub max_task_attempts: u32,
-    /// How long the driver waits on task replies before polling executor
-    /// liveness (executor-loss detection).
-    pub liveness_poll: SimTime,
-    /// Consecutive liveness polls that find nothing to fix (no reply, no
-    /// dead executor, no probe recovery) before the job aborts. Tasks can
-    /// be stuck on a *non-executor* dependency — a dead process none of the
-    /// registered probes owns — and without this bound the timeout branch
-    /// would re-poll forever (a driver livelock rather than a simulator
-    /// deadlock, since the deadline keeps the driver runnable).
-    pub max_fruitless_polls: u32,
 }
 
 impl Default for FailureConfig {
@@ -48,8 +51,6 @@ impl Default for FailureConfig {
             task_failure_prob: 0.0,
             failure_waste: SimTime::from_millis(50),
             max_task_attempts: 4,
-            liveness_poll: SimTime::from_secs_f64(30.0),
-            max_fruitless_polls: 32,
         }
     }
 }
@@ -103,8 +104,6 @@ pub struct SparkContext {
     /// Broadcast registry kept for re-seeding replacement executors.
     broadcasts: Vec<BroadcastValue>,
     pub failure: FailureConfig,
-    /// Declared wire size of a serialized task closure.
-    pub task_bytes: u64,
     /// Count of executors replaced after being detected dead.
     pub executors_replaced: u64,
     /// Count of task attempts that failed and were retried.
@@ -128,7 +127,6 @@ impl SparkContext {
             next_broadcast: 1,
             broadcasts: Vec::new(),
             failure: FailureConfig::default(),
-            task_bytes: 2048,
             executors_replaced: 0,
             task_retries: 0,
             jobs_submitted: 0,
@@ -348,8 +346,8 @@ impl SparkContext {
         let mut results: Vec<Option<Box<dyn Any + Send>>> = (0..n).map(|_| None).collect();
         let mut attempts = vec![0u32; n];
         let mut net = Dispatcher::new(FabricPolicy {
-            attempt_timeout: self.failure.liveness_poll,
-            max_stale_attempts: self.failure.max_fruitless_polls,
+            attempt_timeout: LIVENESS_POLL,
+            max_stale_attempts: MAX_FRUITLESS_POLLS,
             scope: "spark.fabric",
         });
 
@@ -370,7 +368,7 @@ impl SparkContext {
                     sc.executors[exec_idx],
                     tags::TASK,
                     spec,
-                    sc.task_bytes,
+                    TASK_BYTES,
                     part,
                     exec_idx,
                 );
@@ -439,7 +437,7 @@ impl SparkContext {
                         fruitless_polls = 0;
                     } else {
                         fruitless_polls += 1;
-                        if fruitless_polls >= self.failure.max_fruitless_polls {
+                        if fruitless_polls >= MAX_FRUITLESS_POLLS {
                             return Err(JobError::LivenessTimeout {
                                 outstanding: net.outstanding(),
                                 fruitless_polls,

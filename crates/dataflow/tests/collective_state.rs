@@ -83,7 +83,7 @@ fn ring_allreduce_sums_across_all_workers() {
                 let rank = w.partition;
                 // Worker r contributes value (r+1) at every position.
                 let mut data = vec![(rank + 1) as f64; n];
-                ring_allreduce_sum(w, &peers, rank, &mut data, 8);
+                ring_allreduce_sum(w, &peers, rank, &mut data);
                 data
             },
             |v: &Vec<f64>| 8 * v.len() as u64 + 8,
@@ -111,7 +111,7 @@ fn ring_allreduce_single_worker_is_identity() {
             &rdd,
             move |_d, w| {
                 let mut data = vec![5.0; 10];
-                ring_allreduce_sum(w, &peers, 0, &mut data, 8);
+                ring_allreduce_sum(w, &peers, 0, &mut data);
                 data
             },
             |v: &Vec<f64>| 8 * v.len() as u64,
@@ -138,7 +138,7 @@ fn allreduce_cost_scales_with_data_not_workers_squared() {
                 &rdd,
                 move |_d, w| {
                     let mut data = vec![1.0; n];
-                    ring_allreduce_sum(w, &peers, w.partition, &mut data, 8);
+                    ring_allreduce_sum(w, &peers, w.partition, &mut data);
                     data[0]
                 },
                 |_| 8,

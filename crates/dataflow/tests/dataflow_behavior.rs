@@ -166,7 +166,6 @@ fn injected_task_failures_are_retried_and_job_completes() {
             task_failure_prob: 0.3,
             failure_waste: SimTime::from_millis(10),
             max_task_attempts: 50,
-            ..FailureConfig::default()
         };
         let rdd = sc.parallelize(ctx, (1..=100u64).collect(), 20);
         let sum = sc.reduce_partitions(ctx, &rdd, |p, _| p.iter().sum::<u64>(), |a, b| a + b);
@@ -226,7 +225,6 @@ fn executor_loss_recovers_by_respawn_and_lineage_recompute() {
     let victim = executors[1];
     let out = sim.spawn_collect("driver", move |ctx| {
         let mut sc = SparkContext::new(executors);
-        sc.failure.liveness_poll = SimTime::from_secs_f64(1.0);
         let rdd = sc
             .source(6, |part, _w| vec![(part as u64 + 1) * 100])
             .cache();
@@ -259,7 +257,6 @@ fn executor_loss_mid_job_is_detected_by_liveness_poll() {
     });
     let out = sim.spawn_collect("driver", move |ctx| {
         let mut sc = SparkContext::new(executors);
-        sc.failure.liveness_poll = SimTime::from_secs_f64(2.0);
         // Tasks long enough that the kill lands while they are in flight.
         let rdd = sc.source(4, |part, w| {
             w.sim.advance(SimTime::from_millis(500));
@@ -277,8 +274,8 @@ fn stuck_non_executor_dependency_aborts_instead_of_livelocking() {
     // an executor, so the timeout branch's executor checks find nothing to
     // redispatch, and no probe owns the dependency. The scheduler used to
     // re-poll that state forever (driver livelock); now it errors out after
-    // `max_fruitless_polls`.
-    use ps2_dataflow::JobError;
+    // `MAX_FRUITLESS_POLLS`.
+    use ps2_dataflow::{JobError, MAX_FRUITLESS_POLLS};
     let mut sim = SimBuilder::new().seed(17).build();
     let executors = deploy_executors(&mut sim, 2);
     let blackhole = sim.spawn_daemon("blackhole", |ctx| loop {
@@ -286,8 +283,6 @@ fn stuck_non_executor_dependency_aborts_instead_of_livelocking() {
     });
     let out = sim.spawn_collect("driver", move |ctx| {
         let mut sc = SparkContext::new(executors);
-        sc.failure.liveness_poll = SimTime::from_secs_f64(1.0);
-        sc.failure.max_fruitless_polls = 3;
         let rdd = sc.source(1, move |_p, w| {
             let _ = w.sim.call(blackhole, 7, (), 8);
             vec![0u64]
@@ -301,7 +296,7 @@ fn stuck_non_executor_dependency_aborts_instead_of_livelocking() {
             fruitless_polls,
         }) => {
             assert_eq!(outstanding, 1);
-            assert_eq!(fruitless_polls, 3);
+            assert_eq!(fruitless_polls, MAX_FRUITLESS_POLLS);
         }
         other => panic!("expected LivenessTimeout, got {other:?}"),
     }

@@ -25,9 +25,14 @@ use ps2_ps::ZipMutFn;
 use ps2_simnet::SimCtx;
 use rand::Rng;
 
-use crate::hyper::DeepWalkHyper;
 use crate::lr::{log_loss, sigmoid};
 use crate::metrics::TrainingTrace;
+
+/// Paper Table 4: `learning_rate = 0.01`, `window_size = 4`,
+/// `negative_sampling = 5`.
+pub(crate) const LEARNING_RATE: f64 = 0.01;
+pub(crate) const WINDOW_SIZE: usize = 4;
+pub(crate) const NEGATIVE_SAMPLES: usize = 5;
 
 /// Execution backend for DeepWalk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,7 +56,8 @@ impl DeepWalkBackend {
 #[derive(Clone, Debug)]
 pub struct DeepWalkConfig {
     pub vertices: u32,
-    pub hyper: DeepWalkHyper,
+    /// Embedding dimension `K` (paper §5.2.2: "one hundred or bigger").
+    pub embedding_dim: u64,
     /// Positive skip-gram pairs consumed per worker per iteration.
     pub batch_per_worker: usize,
     pub iterations: usize,
@@ -71,9 +77,7 @@ pub fn train_deepwalk(
     backend: DeepWalkBackend,
 ) -> TrainingTrace {
     let v = cfg.vertices;
-    let k = cfg.hyper.embedding_dim;
-    let eta = cfg.hyper.learning_rate;
-    let neg = cfg.hyper.negative_samples;
+    let k = cfg.embedding_dim;
     let mut trace = TrainingTrace::new(backend.label());
 
     // All 2V embeddings in one raw matrix: rows 0..V input, V..2V context.
@@ -90,7 +94,7 @@ pub fn train_deepwalk(
     let handle = emb.matrix().clone();
 
     // Distribute the pair corpus (the paper's `calculateSimilar` output).
-    let pairs = Arc::new(walks.skip_gram_pairs(cfg.hyper.window_size));
+    let pairs = Arc::new(walks.skip_gram_pairs(WINDOW_SIZE));
     assert!(!pairs.is_empty(), "walk corpus produced no training pairs");
     let parts = ps2.spark.num_executors();
     let pairs_rdd = {
@@ -125,11 +129,12 @@ pub fn train_deepwalk(
                     }
                     // This iteration's slice of the local pair stream.
                     let lo = (t * batch) % local_pairs.len();
-                    let mut examples: Vec<Sgns> = Vec::with_capacity(batch * (1 + neg));
+                    let mut examples: Vec<Sgns> =
+                        Vec::with_capacity(batch * (1 + NEGATIVE_SAMPLES));
                     for i in 0..batch {
                         let p = local_pairs[(lo + i) % local_pairs.len()];
                         examples.push((p.center, vv + p.context, 1.0));
-                        for _ in 0..neg {
+                        for _ in 0..NEGATIVE_SAMPLES {
                             let nv = wk.sim.rng().gen_range(0..vv);
                             if nv != p.center {
                                 examples.push((p.center, vv + nv, 0.0));
@@ -137,9 +142,9 @@ pub fn train_deepwalk(
                         }
                     }
                     let loss = if use_dcv {
-                        batch_update_dcv(wk, &h, &examples, eta)
+                        batch_update_dcv(wk, &h, &examples)
                     } else {
-                        batch_update_pullpush(wk, &h, &examples, eta)
+                        batch_update_pullpush(wk, &h, &examples)
                     };
                     (loss, examples.len() as u64)
                 },
@@ -155,12 +160,7 @@ pub fn train_deepwalk(
 }
 
 /// DCV batch: one scatter/gather of server-side dots, then one of zips.
-fn batch_update_dcv(
-    wk: &mut WorkCtx<'_, '_>,
-    h: &MatrixHandle,
-    examples: &[Sgns],
-    eta: f64,
-) -> f64 {
+fn batch_update_dcv(wk: &mut WorkCtx<'_, '_>, h: &MatrixHandle, examples: &[Sgns]) -> f64 {
     // Two flushes per batch, each one envelope per server: all dots, then
     // — once the coefficients are known — all zip updates.
     let mut net = PsBatch::new();
@@ -172,7 +172,7 @@ fn batch_update_dcv(
     let mut jobs: Vec<(Vec<u32>, ZipMutFn)> = Vec::with_capacity(examples.len());
     for (&(u, v, label), &dot) in examples.iter().zip(&dots) {
         let p = sigmoid(dot);
-        let coef = eta * (label - p);
+        let coef = LEARNING_RATE * (label - p);
         loss += if label > 0.5 {
             log_loss(dot)
         } else {
@@ -200,12 +200,7 @@ fn batch_update_dcv(
 /// Pull/push batch, the naive per-pair protocol of the paper's Figure 5:
 /// each example pulls both of its vectors and pushes both updates — no
 /// cross-pair dedup, so `4·K` values per example cross the network.
-fn batch_update_pullpush(
-    wk: &mut WorkCtx<'_, '_>,
-    h: &MatrixHandle,
-    examples: &[Sgns],
-    eta: f64,
-) -> f64 {
+fn batch_update_pullpush(wk: &mut WorkCtx<'_, '_>, h: &MatrixHandle, examples: &[Sgns]) -> f64 {
     let rows: Vec<u32> = examples.iter().flat_map(|&(u, v, _)| [u, v]).collect();
     let mut net = PsBatch::new();
     let vectors = h.pull_rows_in(&mut net, &rows);
@@ -219,7 +214,7 @@ fn batch_update_pullpush(
         let vv = &vectors[2 * e + 1];
         let dot: f64 = uv.iter().zip(vv).map(|(a, b)| a * b).sum();
         let p = sigmoid(dot);
-        let coef = eta * (label - p);
+        let coef = LEARNING_RATE * (label - p);
         loss += if label > 0.5 {
             log_loss(dot)
         } else {

@@ -23,6 +23,13 @@ use ps2_simnet::SimCtx;
 use crate::lr::{distinct_cols, log_loss, sigmoid};
 use crate::metrics::TrainingTrace;
 
+/// L2 on the factors.
+const REG: f64 = 1e-4;
+/// Fraction of the data sampled per iteration.
+const MINI_BATCH_FRACTION: f64 = 0.05;
+/// Factors start uniform in `[-INIT_SCALE, INIT_SCALE)`.
+const INIT_SCALE: f64 = 0.05;
+
 /// FM training configuration.
 #[derive(Clone, Debug)]
 pub struct FmConfig {
@@ -30,12 +37,7 @@ pub struct FmConfig {
     /// Number of latent factors (`k`).
     pub factors: u32,
     pub learning_rate: f64,
-    /// L2 on the factors.
-    pub reg: f64,
-    pub mini_batch_fraction: f64,
     pub iterations: usize,
-    /// Factor initialization scale.
-    pub init_scale: f64,
 }
 
 impl FmConfig {
@@ -44,10 +46,7 @@ impl FmConfig {
             dataset,
             factors,
             learning_rate: 0.05,
-            reg: 1e-4,
-            mini_batch_fraction: 0.05,
             iterations,
-            init_scale: 0.05,
         }
     }
 }
@@ -95,8 +94,8 @@ pub fn train_fm(ctx: &mut SimCtx, ps2: &mut Ps2Context, cfg: &FmConfig) -> Train
         gen.dim,
         1 + k,
         ps2_core::InitKind::Uniform {
-            lo: -cfg.init_scale,
-            hi: cfg.init_scale,
+            lo: -INIT_SCALE,
+            hi: INIT_SCALE,
             seed: gen.seed ^ 0xf4,
         },
     );
@@ -105,14 +104,13 @@ pub fn train_fm(ctx: &mut SimCtx, ps2: &mut Ps2Context, cfg: &FmConfig) -> Train
     let handle = model.matrix().clone();
     let rows: Vec<u32> = (0..=k).collect();
 
-    let expected_batch = (gen.rows as f64 * cfg.mini_batch_fraction).max(1.0);
+    let expected_batch = (gen.rows as f64 * MINI_BATCH_FRACTION).max(1.0);
     let lr = cfg.learning_rate;
-    let reg = cfg.reg;
     let mut trace = TrainingTrace::new("PS2-FM");
     let start = ctx.now();
 
     for t in 1..=cfg.iterations {
-        let batch = data.sample(cfg.mini_batch_fraction, t as u64);
+        let batch = data.sample(MINI_BATCH_FRACTION, t as u64);
         let h = handle.clone();
         let rows_c = rows.clone();
         let scale = lr / expected_batch;
@@ -176,7 +174,7 @@ pub fn train_fm(ctx: &mut SimCtx, ps2: &mut Ps2Context, cfg: &FmConfig) -> Train
                             let mut delta = vec![0.0; kk + 1];
                             delta[0] = -scale * grad[c][0];
                             for f in 0..kk {
-                                delta[f + 1] = -scale * grad[c][f + 1] - lr * reg * block[c][f + 1];
+                                delta[f + 1] = -scale * grad[c][f + 1] - lr * REG * block[c][f + 1];
                             }
                             (j, delta)
                         })

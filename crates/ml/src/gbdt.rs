@@ -26,6 +26,14 @@ use crate::hyper::GbdtHyper;
 use crate::lr::{log_loss, sigmoid};
 use crate::metrics::TrainingTrace;
 
+/// Shrinkage applied to every leaf weight (paper Table 4:
+/// `learning_rate = 0.1`).
+pub(crate) const LEARNING_RATE: f64 = 0.1;
+/// Minimum hessian mass per child for a split to be accepted.
+const MIN_CHILD_WEIGHT: f64 = 1.0;
+/// L2 regularization on leaf weights.
+const LAMBDA: f64 = 1.0;
+
 /// Execution backend for GBDT.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GbdtBackend {
@@ -117,7 +125,6 @@ fn gain(gl: f64, hl: f64, g: f64, h: f64, lambda: f64) -> f64 {
 
 /// Scan one histogram pair for the best split among the features whose bins
 /// lie entirely in `[lo, lo + seg_len)`. Returns `(gain, global cell idx)`.
-#[allow(clippy::too_many_arguments)]
 fn best_split_in_segment(
     grad: &[f64],
     hess: &[f64],
@@ -125,8 +132,6 @@ fn best_split_in_segment(
     bins: u32,
     node_g: f64,
     node_h: f64,
-    lambda: f64,
-    min_child: f64,
 ) -> (f64, u64) {
     let b = bins as u64;
     let hi = lo + grad.len() as u64;
@@ -139,10 +144,10 @@ fn best_split_in_segment(
         for t in 0..(b as usize - 1) {
             gl += grad[off + t];
             hl += hess[off + t];
-            if hl < min_child || node_h - hl < min_child {
+            if hl < MIN_CHILD_WEIGHT || node_h - hl < MIN_CHILD_WEIGHT {
                 continue;
             }
-            let gn = gain(gl, hl, node_g, node_h, lambda);
+            let gn = gain(gl, hl, node_g, node_h, LAMBDA);
             let cell = f * b + t as u64;
             if gn > best.0 || (gn == best.0 && cell < best.1) {
                 best = (gn, cell);
@@ -232,9 +237,6 @@ pub fn train_gbdt(
     let bins = cfg.hyper.histogram_bins as u32;
     let n_features = gen.dim as u32;
     let cells = (gen.dim * bins as u64) as usize;
-    let lambda = cfg.hyper.lambda;
-    let min_child = cfg.hyper.min_child_weight;
-    let eta = cfg.hyper.learning_rate;
     let max_depth = cfg.hyper.max_depth;
 
     let gen2 = gen.clone();
@@ -341,9 +343,7 @@ pub fn train_gbdt(
                     let (mut best_gain, mut best_cell) = gh.zip(&[hh]).map_argmax(
                         ctx,
                         Arc::new(move |segs, lo| {
-                            best_split_in_segment(
-                                segs[0], segs[1], lo, bins, g, h, lambda, min_child,
-                            )
+                            best_split_in_segment(segs[0], segs[1], lo, bins, g, h)
                         }),
                         3,
                     );
@@ -362,9 +362,7 @@ pub fn train_gbdt(
                         let cols: Vec<u64> = (lo..hi).collect();
                         let gvals = gh.pull_indices(ctx, &cols);
                         let hvals = hh.pull_indices(ctx, &cols);
-                        let (gn, cell) = best_split_in_segment(
-                            &gvals, &hvals, lo, bins, g, h, lambda, min_child,
-                        );
+                        let (gn, cell) = best_split_in_segment(&gvals, &hvals, lo, bins, g, h);
                         if gn > best_gain {
                             best_gain = gn;
                             best_cell = cell;
@@ -399,13 +397,12 @@ pub fn train_gbdt(
                                 // AllReduce both histograms and the node stats.
                                 let rank = w.partition;
                                 let mut stats = vec![ng, nh, cnt as f64];
-                                ring_allreduce_sum(w, &peers, rank, &mut lg, 8);
-                                ring_allreduce_sum(w, &peers, rank, &mut lh, 8);
-                                ring_allreduce_sum(w, &peers, rank, &mut stats, 8);
+                                ring_allreduce_sum(w, &peers, rank, &mut lg);
+                                ring_allreduce_sum(w, &peers, rank, &mut lh);
+                                ring_allreduce_sum(w, &peers, rank, &mut stats);
                                 // Every worker finds the split locally.
-                                let (gn, cell) = best_split_in_segment(
-                                    &lg, &lh, 0, bins, stats[0], stats[1], lambda, min_child,
-                                );
+                                let (gn, cell) =
+                                    best_split_in_segment(&lg, &lh, 0, bins, stats[0], stats[1]);
                                 w.sim.charge_flops(3 * cells as u64);
                                 (stats[0], stats[1], stats[2] as u64, gn, cell)
                             },
@@ -423,7 +420,7 @@ pub fn train_gbdt(
                 depth >= max_depth || count < 2 || best_gain <= 1e-9 || best_cell == u64::MAX;
             if make_leaf {
                 tree.nodes[node] = TreeNode::Leaf {
-                    weight: -eta * node_g / (node_h + lambda),
+                    weight: -LEARNING_RATE * node_g / (node_h + LAMBDA),
                 };
                 continue;
             }
@@ -542,11 +539,11 @@ mod tests {
         // Two features × 4 bins; a clear split inside feature 1.
         let grad = vec![0.0, 0.0, 0.0, 0.0, 5.0, 5.0, -5.0, -5.0];
         let hess = vec![1.0; 8];
-        let (g_full, cell) = best_split_in_segment(&grad, &hess, 0, bins, 0.0, 8.0, 1.0, 0.5);
+        let (g_full, cell) = best_split_in_segment(&grad, &hess, 0, bins, 0.0, 8.0);
         assert!(g_full > 0.0);
         assert_eq!(cell / bins as u64, 1, "split must be inside feature 1");
         // A segment starting mid-feature must skip the partial feature.
-        let (_, cell2) = best_split_in_segment(&grad[2..], &hess[2..], 2, bins, 0.0, 8.0, 1.0, 0.5);
+        let (_, cell2) = best_split_in_segment(&grad[2..], &hess[2..], 2, bins, 0.0, 8.0);
         assert!(cell2 == u64::MAX || cell2 / bins as u64 >= 1);
     }
 

@@ -1,14 +1,15 @@
-//! Hyperparameter settings from the paper's Table 4 (Appendix A).
+//! Hyperparameter settings from the paper's Table 4 (Appendix A) that
+//! callers vary. The ones every caller leaves at Table 4's value are
+//! constants where they are read: Adam's `β1`, `β2`, `ε` in
+//! [`crate::optim`], DeepWalk's learning rate, window and negative samples in
+//! [`crate::deepwalk`], GBDT's learning rate in [`crate::gbdt`], LDA's `α`
+//! and `β` in [`crate::lda`].
 
-/// LR: `learning_rate = 0.618`, `mini_batch_fraction = 0.01`,
-/// Adam `β1 = 0.9`, `β2 = 0.999`, `ε = 1e-8`.
+/// LR: `learning_rate = 0.618`, `mini_batch_fraction = 0.01`.
 #[derive(Clone, Copy, Debug)]
 pub struct LrHyper {
     pub learning_rate: f64,
     pub mini_batch_fraction: f64,
-    pub beta1: f64,
-    pub beta2: f64,
-    pub epsilon: f64,
 }
 
 impl Default for LrHyper {
@@ -16,80 +17,25 @@ impl Default for LrHyper {
         LrHyper {
             learning_rate: 0.618,
             mini_batch_fraction: 0.01,
-            beta1: 0.9,
-            beta2: 0.999,
-            epsilon: 1e-8,
         }
     }
 }
 
-/// DeepWalk: `length_of_random_walk = 8`, `batch_size = 512`,
-/// `learning_rate = 0.01`, `window_size = 4`, `negative_sampling = 5`.
-#[derive(Clone, Copy, Debug)]
-pub struct DeepWalkHyper {
-    pub walk_len: usize,
-    pub batch_size: usize,
-    pub learning_rate: f64,
-    pub window_size: usize,
-    pub negative_samples: usize,
-    /// Embedding dimension `K` (paper §5.2.2: "one hundred or bigger").
-    pub embedding_dim: u64,
-}
-
-impl Default for DeepWalkHyper {
-    fn default() -> Self {
-        DeepWalkHyper {
-            walk_len: 8,
-            batch_size: 512,
-            learning_rate: 0.01,
-            window_size: 4,
-            negative_samples: 5,
-            embedding_dim: 100,
-        }
-    }
-}
-
-/// GBDT: `learning_rate = 0.1`, `number_of_trees = 100`, `max_depth = 7`,
+/// GBDT tree shape: `number_of_trees = 100`, `max_depth = 7`,
 /// `size_of_histogram = 100`.
 #[derive(Clone, Copy, Debug)]
 pub struct GbdtHyper {
-    pub learning_rate: f64,
     pub num_trees: usize,
     pub max_depth: usize,
     pub histogram_bins: usize,
-    /// Minimum hessian mass per child for a split to be accepted.
-    pub min_child_weight: f64,
-    /// L2 regularization on leaf weights.
-    pub lambda: f64,
 }
 
 impl Default for GbdtHyper {
     fn default() -> Self {
         GbdtHyper {
-            learning_rate: 0.1,
             num_trees: 100,
             max_depth: 7,
             histogram_bins: 100,
-            min_child_weight: 1.0,
-            lambda: 1.0,
-        }
-    }
-}
-
-/// LDA: `α = 0.5`, `β = 0.01`.
-#[derive(Clone, Copy, Debug)]
-pub struct LdaHyper {
-    pub alpha: f64,
-    pub beta: f64,
-    pub topics: u32,
-}
-
-impl Default for LdaHyper {
-    fn default() -> Self {
-        LdaHyper {
-            alpha: 0.5,
-            beta: 0.01,
-            topics: 100,
         }
     }
 }
@@ -103,22 +49,15 @@ mod tests {
         let lr = LrHyper::default();
         assert_eq!(lr.learning_rate, 0.618);
         assert_eq!(lr.mini_batch_fraction, 0.01);
-        assert_eq!((lr.beta1, lr.beta2, lr.epsilon), (0.9, 0.999, 1e-8));
-        let dw = DeepWalkHyper::default();
-        assert_eq!(
-            (
-                dw.walk_len,
-                dw.batch_size,
-                dw.window_size,
-                dw.negative_samples
-            ),
-            (8, 512, 4, 5)
-        );
-        assert_eq!(dw.learning_rate, 0.01);
+        use crate::optim::{ADAM_BETA1, ADAM_BETA2, EPSILON};
+        assert_eq!((ADAM_BETA1, ADAM_BETA2, EPSILON), (0.9, 0.999, 1e-8));
+        use crate::deepwalk::{LEARNING_RATE, NEGATIVE_SAMPLES, WINDOW_SIZE};
+        assert_eq!((WINDOW_SIZE, NEGATIVE_SAMPLES), (4, 5));
+        assert_eq!(ps2_data::presets::WALK_LEN, 8);
+        assert_eq!(LEARNING_RATE, 0.01);
         let g = GbdtHyper::default();
         assert_eq!((g.num_trees, g.max_depth, g.histogram_bins), (100, 7, 100));
-        assert_eq!(g.learning_rate, 0.1);
-        let l = LdaHyper::default();
-        assert_eq!((l.alpha, l.beta), (0.5, 0.01));
+        assert_eq!(crate::gbdt::LEARNING_RATE, 0.1);
+        assert_eq!((crate::lda::ALPHA, crate::lda::BETA), (0.5, 0.01));
     }
 }

@@ -11,15 +11,16 @@ use crate::lr::{distinct_cols, grad_aligned};
 use crate::metrics::TrainingTrace;
 use crate::sort_merge_pairs;
 
+/// History pairs kept (`m`).
+const HISTORY: usize = 5;
+/// Fixed step size (no line search — full-batch gradients are stable enough
+/// on this objective).
+const STEP: f64 = 0.5;
+
 /// L-BFGS configuration.
 #[derive(Clone, Debug)]
 pub struct LbfgsConfig {
     pub dataset: SparseDatasetGen,
-    /// History pairs kept (`m`).
-    pub history: usize,
-    /// Fixed step size (no line search — full-batch gradients are stable
-    /// enough on this objective).
-    pub step: f64,
     pub iterations: usize,
     /// Fraction of data per gradient evaluation (1.0 = full batch).
     pub batch_fraction: f64,
@@ -29,8 +30,6 @@ impl LbfgsConfig {
     pub fn new(dataset: SparseDatasetGen, iterations: usize) -> LbfgsConfig {
         LbfgsConfig {
             dataset,
-            history: 5,
-            step: 0.5,
             iterations,
             batch_fraction: 1.0,
         }
@@ -41,7 +40,7 @@ impl LbfgsConfig {
 pub fn train_lbfgs(ctx: &mut SimCtx, ps2: &mut Ps2Context, cfg: &LbfgsConfig) -> TrainingTrace {
     let gen = cfg.dataset.clone();
     let parts = gen.partitions;
-    let m = cfg.history;
+    let m = HISTORY;
     let gen2 = gen.clone();
     let data = ps2
         .spark
@@ -148,9 +147,9 @@ pub fn train_lbfgs(ctx: &mut SimCtx, ps2: &mut Ps2Context, cfg: &LbfgsConfig) ->
         }
 
         // Step: w -= step·q; record s = -step·q and prev_g = g.
-        w_dcv.iaxpy(ctx, &q, -cfg.step);
+        w_dcv.iaxpy(ctx, &q, -STEP);
         s_hist[cursor].copy_from(ctx, &q);
-        s_hist[cursor].scale(ctx, -cfg.step);
+        s_hist[cursor].scale(ctx, -STEP);
         prev_g.copy_from(ctx, &g);
         cursor = (cursor + 1) % m;
         filled = (filled + 1).min(m);

@@ -23,8 +23,12 @@ use ps2_simnet::SimCtx;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::hyper::LdaHyper;
 use crate::metrics::TrainingTrace;
+
+/// Dirichlet priors, paper Table 4: document-topic `α = 0.5`, topic-word
+/// `β = 0.01`.
+pub(crate) const ALPHA: f64 = 0.5;
+pub(crate) const BETA: f64 = 0.01;
 
 /// Execution backend for LDA.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,7 +54,8 @@ impl LdaBackend {
 #[derive(Clone, Debug)]
 pub struct LdaConfig {
     pub corpus: CorpusGen,
-    pub hyper: LdaHyper,
+    /// Topics `K`.
+    pub topics: u32,
     pub iterations: usize,
 }
 
@@ -120,7 +125,6 @@ fn init_state(
 
 /// One Gibbs sweep over a partition against local copies of the counts.
 /// Returns `(log-likelihood proxy, token count, word deltas, total deltas)`.
-#[allow(clippy::too_many_arguments)]
 fn sweep(
     docs: &[Document],
     state: &mut GibbsState,
@@ -128,8 +132,6 @@ fn sweep(
     nk: &mut [f64],      // [topic]
     word_index: &dyn Fn(u64) -> usize,
     k: u32,
-    alpha: f64,
-    beta: f64,
     vocab: f64,
 ) -> (f64, u64, WordDeltas, Vec<f64>) {
     let kk = k as usize;
@@ -150,8 +152,8 @@ fn sweep(
             // Conditional distribution.
             let mut sum = 0.0;
             for topic in 0..kk {
-                let p = (state.nd[d][topic] as f64 + alpha) * (nw[wi][topic] + beta)
-                    / (nk[topic] + vocab * beta);
+                let p = (state.nd[d][topic] as f64 + ALPHA) * (nw[wi][topic] + BETA)
+                    / (nk[topic] + vocab * BETA);
                 probs[topic] = p;
                 sum += p;
             }
@@ -195,9 +197,7 @@ pub fn train_lda(
 ) -> TrainingTrace {
     let gen = cfg.corpus.clone();
     let parts = gen.partitions;
-    let k = cfg.hyper.topics;
-    let alpha = cfg.hyper.alpha;
-    let beta = cfg.hyper.beta;
+    let k = cfg.topics;
     let vocab = gen.vocab as u64;
     let seed = gen.seed;
     let mut trace = TrainingTrace::new(backend.label());
@@ -293,17 +293,7 @@ pub fn train_lda(
                                 .binary_search(&w_id)
                                 .expect("word missing from pulled block")
                         };
-                        sweep(
-                            docs,
-                            &mut state,
-                            &mut nw,
-                            &mut nk,
-                            &lookup,
-                            k,
-                            alpha,
-                            beta,
-                            vocab as f64,
-                        )
+                        sweep(docs, &mut state, &mut nw, &mut nk, &lookup, k, vocab as f64)
                     };
                     if backend_kind == LdaBackend::GlintStyle {
                         // Per-key dense pushes, all in flight at once.
@@ -336,10 +326,8 @@ fn train_lda_driver(
     trace: &mut TrainingTrace,
 ) -> TrainingTrace {
     let gen = &cfg.corpus;
-    let k = cfg.hyper.topics;
+    let k = cfg.topics;
     let kk = k as usize;
-    let alpha = cfg.hyper.alpha;
-    let beta = cfg.hyper.beta;
     let vocab = gen.vocab as usize;
     let seed = gen.seed;
     let model_bytes = (vocab * kk) as u64 * 8;
@@ -402,8 +390,6 @@ fn train_lda_driver(
                             &mut nk_local,
                             &lookup,
                             k,
-                            alpha,
-                            beta,
                             vocab as f64,
                         )
                     };

@@ -528,7 +528,7 @@ pub fn train_lr_mllib_star(
                     }
                     wk.sim.charge_flops(6 * batch_nnz(examples));
                     // Model averaging via ring AllReduce.
-                    ps2_dataflow::ring_allreduce_sum(wk, &peers_c, wk.partition, &mut w, 8);
+                    ps2_dataflow::ring_allreduce_sum(wk, &peers_c, wk.partition, &mut w);
                     for wi in w.iter_mut() {
                         *wi /= nw;
                     }

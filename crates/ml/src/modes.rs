@@ -22,18 +22,18 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use ps2_core::{InitKind, MatrixHandle, Partitioning, PsConfig, PsMaster};
+use ps2_core::{InitKind, MatrixHandle, Partitioning, PsMaster};
 use ps2_data::{Example, SparseDatasetGen};
-use ps2_ps::{deploy_ps, ClockClient, ClockService, ConsistencyMode, ParamCache, PendingPush};
+use ps2_ps::{
+    deploy_ps, ClockClient, ClockService, ConsistencyMode, ParamCache, PendingPush,
+    DISK_BYTES_PER_SEC,
+};
 use ps2_simnet::{ProcId, SimBuilder, SimReport, SimTime};
 
 use crate::lr::{distinct_cols, grad_aligned};
 use crate::metrics::TrainingTrace;
 use crate::sort_merge_pairs;
-use crate::svm::hinge_grad;
-
-/// L2 regularization used by the SVM update (matches `SvmConfig::reg`).
-const SVM_REG: f64 = 1e-4;
+use crate::svm::{self, hinge_grad};
 
 /// Configuration for a consistency-mode training run.
 #[derive(Clone, Debug)]
@@ -123,7 +123,7 @@ impl ModeAlgo {
             ModeAlgo::Svm => cols
                 .iter()
                 .zip(grad.iter().zip(wv))
-                .map(|(&j, (&g, &wj))| (j, -scale * g - learning_rate * SVM_REG * wj))
+                .map(|(&j, (&g, &wj))| (j, -scale * g - learning_rate * svm::REG * wj))
                 .collect(),
         };
         sort_merge_pairs(pairs)
@@ -174,7 +174,7 @@ pub fn run_mode_with(
     algo: ModeAlgo,
 ) -> (TrainingTrace, SimReport) {
     let mut sim = builder.seed(cfg.seed).build();
-    let (servers, storage) = deploy_ps(&mut sim, cfg.servers, 500e6);
+    let (servers, storage) = deploy_ps(&mut sim, cfg.servers, DISK_BYTES_PER_SEC);
     // The clock service is spawned in every mode — async runs send it no
     // traffic, but keeping it pins identical ProcIds across modes, so runs
     // differ only in behavior, never in topology.
@@ -191,7 +191,7 @@ pub fn run_mode_with(
         let cfg = cfg.clone();
         let worker_ids = worker_ids.clone();
         sim.spawn("mode-coordinator", move |ctx| {
-            let mut master = PsMaster::new(servers, storage, PsConfig::default());
+            let mut master = PsMaster::new(servers, storage);
             let h = master.create_matrix(
                 ctx,
                 cfg.dataset.dim,

@@ -7,6 +7,20 @@ use std::sync::Arc;
 use ps2_core::ZipSegs;
 use ps2_ps::ZipMutFn;
 
+/// Adam's decay rates (paper Table 4).
+pub(crate) const ADAM_BETA1: f64 = 0.9;
+pub(crate) const ADAM_BETA2: f64 = 0.999;
+/// The denominator guard of Adam, Adagrad and RMSProp (Table 4's `ε`).
+pub(crate) const EPSILON: f64 = 1e-8;
+/// RMSProp's squared-gradient decay.
+const RMSPROP_DECAY: f64 = 0.9;
+/// FTRL-Proximal's per-coordinate rate `α`, its `β`, and the L1 / L2
+/// strengths.
+const FTRL_ALPHA: f64 = 0.3;
+const FTRL_BETA: f64 = 1.0;
+const FTRL_L1: f64 = 1e-3;
+const FTRL_L2: f64 = 1e-4;
+
 /// Element-wise optimizer update rule. The model layout is
 /// `[w, aux..., g]`: the weight vector, `aux_rows()` auxiliary vectors, and
 /// the accumulated gradient.
@@ -16,33 +30,24 @@ pub enum Optimizer {
     /// pull/push systems can do with a scaled push.
     Sgd,
     /// Adam (paper Equation 1).
-    Adam {
-        beta1: f64,
-        beta2: f64,
-        epsilon: f64,
-    },
+    Adam,
     /// Adagrad: accumulate squared gradients.
-    Adagrad { epsilon: f64 },
+    Adagrad,
     /// RMSProp: exponentially decayed squared gradients.
-    RmsProp { decay: f64, epsilon: f64 },
+    RmsProp,
     /// FTRL-Proximal — the de-facto CTR optimizer: per-coordinate
     /// accumulators `z`, `n` and built-in L1 sparsification.
-    Ftrl {
-        alpha: f64,
-        beta: f64,
-        l1: f64,
-        l2: f64,
-    },
+    Ftrl,
 }
 
 impl Optimizer {
     pub fn name(&self) -> &'static str {
         match self {
             Optimizer::Sgd => "SGD",
-            Optimizer::Adam { .. } => "Adam",
-            Optimizer::Adagrad { .. } => "Adagrad",
-            Optimizer::RmsProp { .. } => "RMSProp",
-            Optimizer::Ftrl { .. } => "FTRL",
+            Optimizer::Adam => "Adam",
+            Optimizer::Adagrad => "Adagrad",
+            Optimizer::RmsProp => "RMSProp",
+            Optimizer::Ftrl => "FTRL",
         }
     }
 
@@ -50,10 +55,10 @@ impl Optimizer {
     pub fn aux_rows(&self) -> u32 {
         match self {
             Optimizer::Sgd => 0,
-            Optimizer::Adam { .. } => 2, // s (squared avg), v (grad avg)
-            Optimizer::Adagrad { .. } => 1,
-            Optimizer::RmsProp { .. } => 1,
-            Optimizer::Ftrl { .. } => 2, // z (linear accumulator), n (squared)
+            Optimizer::Adam => 2, // s (squared avg), v (grad avg)
+            Optimizer::Adagrad => 1,
+            Optimizer::RmsProp => 1,
+            Optimizer::Ftrl => 2, // z (linear accumulator), n (squared)
         }
     }
 
@@ -61,10 +66,10 @@ impl Optimizer {
     pub fn flops_per_elem(&self) -> u64 {
         match self {
             Optimizer::Sgd => 2,
-            Optimizer::Adam { .. } => 14,
-            Optimizer::Adagrad { .. } => 8,
-            Optimizer::RmsProp { .. } => 9,
-            Optimizer::Ftrl { .. } => 12,
+            Optimizer::Adam => 14,
+            Optimizer::Adagrad => 8,
+            Optimizer::RmsProp => 9,
+            Optimizer::Ftrl => 12,
         }
     }
 
@@ -77,62 +82,54 @@ impl Optimizer {
                     *wi -= lr * gi;
                 }
             }
-            Optimizer::Adam {
-                beta1,
-                beta2,
-                epsilon,
-            } => {
+            Optimizer::Adam => {
                 let [s, v] = aux else {
                     panic!("Adam needs 2 aux vectors")
                 };
-                let bc1 = 1.0 - beta1.powi(t);
-                let bc2 = 1.0 - beta2.powi(t);
+                let bc1 = 1.0 - ADAM_BETA1.powi(t);
+                let bc2 = 1.0 - ADAM_BETA2.powi(t);
                 for i in 0..w.len() {
-                    s[i] = beta1 * s[i] + (1.0 - beta1) * g[i] * g[i];
-                    v[i] = beta2 * v[i] + (1.0 - beta2) * g[i];
+                    s[i] = ADAM_BETA1 * s[i] + (1.0 - ADAM_BETA1) * g[i] * g[i];
+                    v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * g[i];
                     let s_hat = s[i] / bc1;
                     let v_hat = v[i] / bc2;
-                    w[i] -= lr * v_hat / (s_hat.sqrt() + epsilon);
+                    w[i] -= lr * v_hat / (s_hat.sqrt() + EPSILON);
                 }
             }
-            Optimizer::Adagrad { epsilon } => {
+            Optimizer::Adagrad => {
                 let [acc] = aux else {
                     panic!("Adagrad needs 1 aux vector")
                 };
                 for i in 0..w.len() {
                     acc[i] += g[i] * g[i];
-                    w[i] -= lr * g[i] / (acc[i].sqrt() + epsilon);
+                    w[i] -= lr * g[i] / (acc[i].sqrt() + EPSILON);
                 }
             }
-            Optimizer::RmsProp { decay, epsilon } => {
+            Optimizer::RmsProp => {
                 let [acc] = aux else {
                     panic!("RMSProp needs 1 aux vector")
                 };
                 for i in 0..w.len() {
-                    acc[i] = decay * acc[i] + (1.0 - decay) * g[i] * g[i];
-                    w[i] -= lr * g[i] / (acc[i].sqrt() + epsilon);
+                    acc[i] = RMSPROP_DECAY * acc[i] + (1.0 - RMSPROP_DECAY) * g[i] * g[i];
+                    w[i] -= lr * g[i] / (acc[i].sqrt() + EPSILON);
                 }
             }
-            Optimizer::Ftrl {
-                alpha,
-                beta,
-                l1,
-                l2,
-            } => {
-                // `lr` scales the gradient (usually 1.0 for FTRL; `alpha`
-                // is the per-coordinate rate).
+            Optimizer::Ftrl => {
+                // `lr` scales the gradient (usually 1.0 for FTRL; `α` is the
+                // per-coordinate rate).
                 let [z, n] = aux else {
                     panic!("FTRL needs 2 aux vectors")
                 };
                 for i in 0..w.len() {
                     let gi = lr * g[i];
-                    let sigma = ((n[i] + gi * gi).sqrt() - n[i].sqrt()) / alpha;
+                    let sigma = ((n[i] + gi * gi).sqrt() - n[i].sqrt()) / FTRL_ALPHA;
                     z[i] += gi - sigma * w[i];
                     n[i] += gi * gi;
-                    w[i] = if z[i].abs() <= l1 {
+                    w[i] = if z[i].abs() <= FTRL_L1 {
                         0.0
                     } else {
-                        -(z[i] - l1 * z[i].signum()) / ((beta + n[i].sqrt()) / alpha + l2)
+                        -(z[i] - FTRL_L1 * z[i].signum())
+                            / ((FTRL_BETA + n[i].sqrt()) / FTRL_ALPHA + FTRL_L2)
                     };
                 }
             }
@@ -180,14 +177,7 @@ mod tests {
     #[test]
     fn adam_first_step_is_signed_learning_rate() {
         // With bias correction, Adam's first step is ~lr * sign(g).
-        let w = step(
-            Optimizer::Adam {
-                beta1: 0.9,
-                beta2: 0.999,
-                epsilon: 1e-8,
-            },
-            1,
-        );
+        let w = step(Optimizer::Adam, 1);
         assert!((w[0] - (1.0 - 0.1)).abs() < 1e-6);
         assert!((w[1] - (-2.0 + 0.1)).abs() < 1e-6);
         assert_eq!(w[2], 0.5, "zero gradient must not move the weight");
@@ -195,7 +185,7 @@ mod tests {
 
     #[test]
     fn adagrad_steps_shrink_over_time() {
-        let opt = Optimizer::Adagrad { epsilon: 1e-8 };
+        let opt = Optimizer::Adagrad;
         let w1 = step(opt, 1);
         let w5 = step(opt, 5);
         let first_step = (1.0 - w1[0]).abs();
@@ -205,30 +195,21 @@ mod tests {
 
     #[test]
     fn rmsprop_converges_on_constant_gradient() {
-        let w = step(
-            Optimizer::RmsProp {
-                decay: 0.9,
-                epsilon: 1e-8,
-            },
-            20,
-        );
+        let w = step(Optimizer::RmsProp, 20);
         assert!(w[0] < 1.0 && w[1] > -2.0);
     }
 
     #[test]
     fn ftrl_sparsifies_and_learns() {
-        let opt = Optimizer::Ftrl {
-            alpha: 0.5,
-            beta: 1.0,
-            l1: 0.05,
-            l2: 0.0,
-        };
+        let opt = Optimizer::Ftrl;
         let mut w = vec![0.0; 3];
         let mut z = vec![0.0; 3];
         let mut n = vec![0.0; 3];
-        // Coordinate 0 sees a persistent gradient, 1 a tiny one, 2 none.
+        // Coordinate 0 sees a persistent gradient, 1 a noise gradient whose
+        // 20-step sum stays below `FTRL_L1`, 2 none.
+        let noise = FTRL_L1 / 100.0;
         for _ in 0..20 {
-            let g = vec![0.5, 0.001, 0.0];
+            let g = vec![0.5, noise, 0.0];
             let mut aux: Vec<&mut [f64]> = vec![&mut z, &mut n];
             opt.apply(1.0, 1, &mut w, &mut aux, &g);
         }
@@ -243,11 +224,7 @@ mod tests {
 
     #[test]
     fn zip_fn_matches_apply() {
-        let opt = Optimizer::Adam {
-            beta1: 0.9,
-            beta2: 0.999,
-            epsilon: 1e-8,
-        };
+        let opt = Optimizer::Adam;
         // Local reference.
         let mut w_ref = vec![1.0; 4];
         let mut s_ref = vec![0.0; 4];

@@ -145,7 +145,6 @@ pub fn run_serve(builder: SimBuilder, spec: &ServeSpec) -> (ServeSummary, SimRep
                 duration: spec_c.duration,
                 zipf_fraction: spec_c.zipf_fraction,
                 zipf: Arc::clone(&zipf),
-                value_bytes: 8,
             };
             ctx.spawn_agent(&format!("serve-clients-{a}"), ServeClientAgent::new(cfg));
         }

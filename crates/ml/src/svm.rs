@@ -9,14 +9,16 @@ use crate::lr::distinct_cols;
 use crate::metrics::TrainingTrace;
 use crate::sort_merge_pairs;
 
+/// L2 regularization strength, shared with the consistency-mode SVM update.
+pub(crate) const REG: f64 = 1e-4;
+/// Fraction of the data sampled per iteration.
+const MINI_BATCH_FRACTION: f64 = 0.05;
+
 /// SVM training configuration.
 #[derive(Clone, Debug)]
 pub struct SvmConfig {
     pub dataset: SparseDatasetGen,
     pub learning_rate: f64,
-    /// L2 regularization strength.
-    pub reg: f64,
-    pub mini_batch_fraction: f64,
     pub iterations: usize,
 }
 
@@ -25,8 +27,6 @@ impl SvmConfig {
         SvmConfig {
             dataset,
             learning_rate: 0.1,
-            reg: 1e-4,
-            mini_batch_fraction: 0.05,
             iterations,
         }
     }
@@ -71,15 +71,14 @@ pub fn train_svm(ctx: &mut SimCtx, ps2: &mut Ps2Context, cfg: &SvmConfig) -> Tra
     let _ = ps2.spark.count(ctx, &data);
 
     let w_dcv = ps2.dense_dcv(ctx, gen.dim, 1);
-    let expected_batch = (gen.rows as f64 * cfg.mini_batch_fraction).max(1.0);
+    let expected_batch = (gen.rows as f64 * MINI_BATCH_FRACTION).max(1.0);
     let lr = cfg.learning_rate;
-    let reg = cfg.reg;
 
     let mut trace = TrainingTrace::new("PS2-SVM");
     let start = ctx.now();
     for t in 1..=cfg.iterations {
         let it0 = ctx.now();
-        let batch = data.sample(cfg.mini_batch_fraction, t as u64);
+        let batch = data.sample(MINI_BATCH_FRACTION, t as u64);
         let wd = w_dcv.clone();
         let scale = lr / expected_batch;
         let results = ps2
@@ -101,7 +100,7 @@ pub fn train_svm(ctx: &mut SimCtx, ps2: &mut Ps2Context, cfg: &SvmConfig) -> Tra
                         cols.iter()
                             .zip(&grad)
                             .zip(&wv)
-                            .map(|((&j, &g), &wj)| (j, -scale * g - lr * reg * wj))
+                            .map(|((&j, &g), &wj)| (j, -scale * g - lr * REG * wj))
                             .collect(),
                     );
                     wd.add_sparse(wk.sim, &pairs);

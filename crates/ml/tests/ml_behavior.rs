@@ -6,7 +6,7 @@ use ps2_core::{run_ps2, ClusterSpec};
 use ps2_data::{presets, CorpusGen, GraphGen, RandomWalks, SparseDatasetGen};
 use ps2_ml::deepwalk::{train_deepwalk, DeepWalkBackend, DeepWalkConfig};
 use ps2_ml::gbdt::{train_gbdt, GbdtBackend, GbdtConfig};
-use ps2_ml::hyper::{DeepWalkHyper, GbdtHyper, LdaHyper};
+use ps2_ml::hyper::GbdtHyper;
 use ps2_ml::lbfgs::{train_lbfgs, LbfgsConfig};
 use ps2_ml::lda::{train_lda, LdaBackend, LdaConfig};
 use ps2_ml::lr::{train_lr, LrBackend, LrConfig};
@@ -18,20 +18,11 @@ fn spec(w: usize, s: usize) -> ClusterSpec {
     ClusterSpec {
         workers: w,
         servers: s,
-        ..ClusterSpec::default()
     }
 }
 
 fn small_lr_dataset(parts: usize) -> SparseDatasetGen {
     SparseDatasetGen::new(4_000, 2_000, 12, parts, 7)
-}
-
-fn adam() -> Optimizer {
-    Optimizer::Adam {
-        beta1: 0.9,
-        beta2: 0.999,
-        epsilon: 1e-8,
-    }
 }
 
 fn run_lr(backend: LrBackend, opt: Optimizer, iters: usize) -> TrainingTrace {
@@ -77,9 +68,9 @@ fn lr_every_backend_converges_with_sgd() {
 
 #[test]
 fn lr_adam_backends_converge_and_agree() {
-    let ps2 = run_lr(LrBackend::Ps2Dcv, adam(), 25);
-    let pull = run_lr(LrBackend::PsPullPush, adam(), 25);
-    let spark = run_lr(LrBackend::SparkDriver, adam(), 25);
+    let ps2 = run_lr(LrBackend::Ps2Dcv, Optimizer::Adam, 25);
+    let pull = run_lr(LrBackend::PsPullPush, Optimizer::Adam, 25);
+    let spark = run_lr(LrBackend::SparkDriver, Optimizer::Adam, 25);
     assert!(improves(&ps2), "{:?}", ps2.points.last());
     assert!(improves(&pull));
     assert!(improves(&spark));
@@ -98,7 +89,11 @@ fn lr_adam_ps2_is_fastest_spark_slowest() {
     // number of iterations. Use a wider model so communication dominates.
     let run = |backend| {
         let (trace, _) = run_ps2(spec(8, 8), 3, move |ctx, ps2| {
-            let mut cfg = LrConfig::new(SparseDatasetGen::new(8_000, 200_000, 20, 8, 7), adam(), 5);
+            let mut cfg = LrConfig::new(
+                SparseDatasetGen::new(8_000, 200_000, 20, 8, 7),
+                Optimizer::Adam,
+                5,
+            );
             cfg.hyper.mini_batch_fraction = 0.02;
             cfg.hyper.learning_rate = 0.05;
             train_lr(ctx, ps2, &cfg, backend)
@@ -158,13 +153,7 @@ fn lr_spark_breakdown_shows_aggregation_dominating_at_high_dim() {
 
 #[test]
 fn lr_adagrad_and_rmsprop_work_on_ps2() {
-    for opt in [
-        Optimizer::Adagrad { epsilon: 1e-8 },
-        Optimizer::RmsProp {
-            decay: 0.9,
-            epsilon: 1e-8,
-        },
-    ] {
+    for opt in [Optimizer::Adagrad, Optimizer::RmsProp] {
         let trace = run_lr(LrBackend::Ps2Dcv, opt, 25);
         assert!(improves(&trace), "{}", trace.label);
     }
@@ -183,10 +172,7 @@ fn deepwalk_learns_and_ps2_beats_pullpush_on_few_servers() {
             let walks = RandomWalks::sample(&g, 600, 8, 6);
             let cfg = DeepWalkConfig {
                 vertices: 600,
-                hyper: DeepWalkHyper {
-                    embedding_dim: 256,
-                    ..DeepWalkHyper::default()
-                },
+                embedding_dim: 256,
                 batch_per_worker: 256,
                 // With word2vec's standard +-0.5/K init the initial dots are
                 // ~2e-5, so per-iteration loss movement starts around 1e-7 —
@@ -232,10 +218,7 @@ fn deepwalk_advantage_shrinks_with_many_servers() {
                 let walks = RandomWalks::sample(&g, 200, 8, 6);
                 let cfg = DeepWalkConfig {
                     vertices: 200,
-                    hyper: DeepWalkHyper {
-                        embedding_dim: 64,
-                        ..DeepWalkHyper::default()
-                    },
+                    embedding_dim: 64,
                     batch_per_worker: 48,
                     iterations: 3,
                     seed: 13,
@@ -261,7 +244,6 @@ fn gbdt_learns_and_ps2_beats_allreduce() {
         num_trees: 5,
         max_depth: 3,
         histogram_bins: 16,
-        ..GbdtHyper::default()
     };
     let run = |backend| {
         let ds = dataset.clone();
@@ -302,10 +284,7 @@ fn lda_learns_topics_and_system_ordering_holds() {
         let (trace, _) = run_ps2(spec(8, 4), 23, move |ctx, ps2| {
             let cfg = LdaConfig {
                 corpus: c,
-                hyper: LdaHyper {
-                    topics: 16,
-                    ..LdaHyper::default()
-                },
+                topics: 16,
                 iterations: 6,
             };
             train_lda(ctx, ps2, &cfg, backend)

@@ -11,7 +11,6 @@ fn spec(w: usize, s: usize) -> ClusterSpec {
     ClusterSpec {
         workers: w,
         servers: s,
-        ..ClusterSpec::default()
     }
 }
 
@@ -44,7 +43,6 @@ fn fm_converges_on_ps2() {
         let mut cfg = FmConfig::new(gen, 4, 40);
         // Gradients are normalized by batch size; scale the rate to match.
         cfg.learning_rate = 2.0;
-        cfg.reg = 1e-5;
         train_fm(ctx, ps2, &cfg)
     });
     assert!(trace.is_sane());

@@ -36,8 +36,8 @@ pub use consistency::{
     clock_policy, clock_tags, ClockClient, ClockGrant, ClockReportReq, ClockService, ClockWaitReq,
     ConsistencyMode, ASYNC_CACHE_TTL,
 };
-pub use master::{PsConfig, PsFleet, PsMaster};
+pub use master::{PsFleet, PsMaster};
 pub use plan::{MatrixId, PartitionPlan, Partitioning, PlanKind, RouteTable};
 pub use protocol::{AggKind, ElemOp, InitKind, ZipArgmaxFn, ZipMapFn, ZipMutFn, ZipSegs};
 pub use serve::{create_serve_table, ServeClientAgent, ServeClientConfig, ZipfTable};
-pub use server::{deploy_ps, PsServerAgent, StorageAgent};
+pub use server::{deploy_ps, PsServerAgent, StorageAgent, DISK_BYTES_PER_SEC};

@@ -12,14 +12,6 @@ use crate::plan::{MatrixId, PartitionPlan, Partitioning, RouteTable};
 use crate::protocol::{tags, CheckpointReq, CreateReq, FreeReq, InitKind, RestoreReq};
 use crate::server::PsServerAgent;
 
-/// Master-level configuration.
-#[derive(Clone, Debug, Default)]
-pub struct PsConfig {
-    /// Ship parameters as 4-byte floats (the paper's message-compression
-    /// engineering, §6.3.3) instead of 8-byte doubles.
-    pub compress: bool,
-}
-
 /// How long a liveness ping waits before a server is suspected dead.
 fn ping_timeout() -> SimTime {
     SimTime::from_secs_f64(5.0)
@@ -184,16 +176,14 @@ impl LivenessProbe for PsFleet {
 pub struct PsMaster {
     fleet: Arc<PsFleet>,
     next_id: u64,
-    pub config: PsConfig,
 }
 
 impl PsMaster {
-    pub fn new(servers: Vec<ProcId>, storage: ProcId, config: PsConfig) -> PsMaster {
+    pub fn new(servers: Vec<ProcId>, storage: ProcId) -> PsMaster {
         assert!(!servers.is_empty(), "need at least one PS-server");
         PsMaster {
             fleet: Arc::new(PsFleet::new(servers, storage)),
             next_id: 1,
-            config,
         }
     }
 
@@ -216,14 +206,6 @@ impl PsMaster {
         self.fleet.silent_reinits()
     }
 
-    fn value_bytes(&self) -> u64 {
-        if self.config.compress {
-            4
-        } else {
-            8
-        }
-    }
-
     /// Scatter a lifecycle request to every slot through the shared request
     /// fabric — the same retry/re-resolution pipeline data ops use, so a
     /// server dying mid-create or mid-checkpoint is recovered, not hung on.
@@ -241,7 +223,8 @@ impl PsMaster {
         fabric::call_slots(ctx, &router, &ps_policy(), tags::name(tag), tag, reqs, n)
     }
 
-    /// Allocate a `rows × dim` matrix across the servers.
+    /// Allocate a `rows × dim` matrix across the servers. Its handle ships
+    /// 8-byte values ([`MatrixHandle::value_bytes`]).
     pub fn create_matrix(
         &mut self,
         ctx: &mut SimCtx,
@@ -277,7 +260,7 @@ impl PsMaster {
             id,
             plan,
             route,
-            value_bytes: self.value_bytes(),
+            value_bytes: 8,
             fleet: Some(Arc::clone(&self.fleet)),
         }
     }

@@ -37,6 +37,8 @@ use crate::protocol::{tags, ColsSel, CreateReq, InitKind, PullReq};
 
 /// Request-header wire bytes, matching the training client's accounting.
 const HDR: u64 = 48;
+/// Bytes per served value on the wire: uncompressed `f64`s.
+const VALUE_BYTES: u64 = 8;
 
 /// Everything one aggregate client agent needs to drive its users.
 #[derive(Clone)]
@@ -58,8 +60,6 @@ pub struct ServeClientConfig {
     /// The skewed distribution over `plan.rows` rows, shared by the run's
     /// agents.
     pub zipf: Arc<ZipfTable>,
-    /// Bytes per value on the wire (8, or 4 with compression).
-    pub value_bytes: u64,
 }
 
 impl ServeClientConfig {
@@ -168,7 +168,7 @@ impl ServeClientAgent {
                 id: self.cfg.matrix,
                 row,
                 cols: ColsSel::All,
-                value_bytes: self.cfg.value_bytes,
+                value_bytes: VALUE_BYTES,
             };
             let dst = self.cfg.servers[self.cfg.plan.row_owner(row)];
             let token = ctx.req_begin_batch("pull", 1).first().copied();
@@ -281,7 +281,6 @@ mod tests {
                 duration: SimTime::from_millis(duration_ms),
                 zipf_fraction: 0.5,
                 zipf,
-                value_bytes: 8,
             };
             ctx.spawn_agent("clients", ServeClientAgent::new(cfg));
         });
@@ -315,7 +314,6 @@ mod tests {
             duration: SimTime::ZERO,
             zipf_fraction: 0.8,
             zipf: Arc::new(ZipfTable::new(rows, 1.2)),
-            value_bytes: 8,
         });
         let mut rng = StdRng::seed_from_u64(42);
         let picked: Vec<u32> = (0..1000).map(|_| agent.pick_row(&mut rng)).collect();

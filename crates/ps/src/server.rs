@@ -824,6 +824,10 @@ impl Proc for StorageAgent {
     }
 }
 
+/// Checkpoint-storage disk bandwidth of every deployment (bytes/s); tests
+/// pass slower or faster disks to [`deploy_ps`].
+pub const DISK_BYTES_PER_SEC: f64 = 500e6;
+
 /// Spawn `n` PS-servers plus one storage process.
 pub fn deploy_ps(sim: &mut SimRuntime, n: usize, disk_bytes_per_sec: f64) -> (Vec<ProcId>, ProcId) {
     let servers = (0..n)

@@ -7,7 +7,7 @@ use parking_lot::Mutex;
 use proptest::prelude::*;
 use ps2_ps::{
     clock_tags, deploy_ps, ClockClient, ClockGrant, ClockReportReq, ClockService, ClockWaitReq,
-    ConsistencyMode, InitKind, ParamCache, Partitioning, PsConfig, PsMaster,
+    ConsistencyMode, InitKind, ParamCache, Partitioning, PsMaster,
 };
 use ps2_simnet::{ProcId, SimBuilder, SimCtx, SimRuntime, SimTime};
 
@@ -172,7 +172,7 @@ fn param_cache_serves_within_the_bound_and_expires_after_it() {
     let mut sim = SimBuilder::new().seed(7).build();
     let (servers, storage) = deploy_ps(&mut sim, 3, 500e6);
     let out = sim.spawn_collect("coordinator", move |ctx| {
-        let mut master = PsMaster::new(servers, storage, PsConfig::default());
+        let mut master = PsMaster::new(servers, storage);
         let h = master.create_matrix(ctx, 1_000, 1, Partitioning::Column, InitKind::Zero);
         h.push_sparse(ctx, 0, &[(3, 1.0), (500, 2.0), (999, 3.0)]);
 
@@ -209,7 +209,7 @@ fn param_cache_under_bsp_never_serves_across_iterations() {
     let mut sim = SimBuilder::new().seed(8).build();
     let (servers, storage) = deploy_ps(&mut sim, 2, 500e6);
     let out = sim.spawn_collect("coordinator", move |ctx| {
-        let mut master = PsMaster::new(servers, storage, PsConfig::default());
+        let mut master = PsMaster::new(servers, storage);
         let h = master.create_matrix(ctx, 100, 1, Partitioning::Column, InitKind::Zero);
         h.push_sparse(ctx, 0, &[(7, 1.0)]);
         let mut cache = ParamCache::new(ConsistencyMode::Bsp);
@@ -232,7 +232,7 @@ fn param_cache_reads_its_own_writes() {
     let mut sim = SimBuilder::new().seed(9).build();
     let (servers, storage) = deploy_ps(&mut sim, 2, 500e6);
     let out = sim.spawn_collect("coordinator", move |ctx| {
-        let mut master = PsMaster::new(servers, storage, PsConfig::default());
+        let mut master = PsMaster::new(servers, storage);
         let h = master.create_matrix(ctx, 100, 1, Partitioning::Column, InitKind::Zero);
         let mut cache = ParamCache::new(ConsistencyMode::Ssp { bound: 3 });
         cache.advance_clock(1);
@@ -256,7 +256,7 @@ fn split_phase_push_applies_exactly_once() {
     let mut sim = SimBuilder::new().seed(10).build();
     let (servers, storage) = deploy_ps(&mut sim, 3, 500e6);
     let out = sim.spawn_collect("coordinator", move |ctx| {
-        let mut master = PsMaster::new(servers, storage, PsConfig::default());
+        let mut master = PsMaster::new(servers, storage);
         let h = master.create_matrix(ctx, 1_000, 1, Partitioning::Column, InitKind::Zero);
         // Overlapped pushes across "iterations": begin t+1 before waiting
         // on t, as the pipelined worker loop does.

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use ps2_ps::{deploy_ps, InitKind, Partitioning, PsBatch, PsConfig, PsMaster, ZipMutFn, ZipSegs};
+use ps2_ps::{deploy_ps, InitKind, Partitioning, PsBatch, PsMaster, ZipMutFn, ZipSegs};
 use ps2_simnet::{SimBuilder, SimTime};
 
 /// Zip cost per element, chosen so each server burns ~15 s of virtual time
@@ -28,7 +28,7 @@ fn run_episode(servers: usize, seed: u64, value: f64, enveloped: bool) -> (Vec<f
     let mut sim = SimBuilder::new().seed(seed).build();
     let (server_procs, storage) = deploy_ps(&mut sim, servers, 500e6);
     let out = sim.spawn_collect("coordinator", move |ctx| {
-        let mut master = PsMaster::new(server_procs, storage, PsConfig::default());
+        let mut master = PsMaster::new(server_procs, storage);
         let h = master.create_matrix(ctx, dim, 1, Partitioning::Column, InitKind::Zero);
         // Jam every server: a no-op zip whose compute charge keeps each
         // server busy well past the push's attempt deadline. The zip is

@@ -2,9 +2,7 @@
 
 use std::sync::Arc;
 
-use ps2_ps::{
-    deploy_ps, AggKind, ElemOp, InitKind, MatrixHandle, Partitioning, PsConfig, PsMaster,
-};
+use ps2_ps::{deploy_ps, AggKind, ElemOp, InitKind, MatrixHandle, Partitioning, PsMaster};
 use ps2_simnet::{SimBuilder, SimCtx, SimTime};
 
 const DISK: f64 = 500e6;
@@ -15,18 +13,10 @@ where
     T: Send + 'static,
     F: FnOnce(&mut SimCtx, &mut PsMaster) -> T + Send + 'static,
 {
-    with_ps_cfg(n, seed, PsConfig::default(), f)
-}
-
-fn with_ps_cfg<T, F>(n: usize, seed: u64, cfg: PsConfig, f: F) -> T
-where
-    T: Send + 'static,
-    F: FnOnce(&mut SimCtx, &mut PsMaster) -> T + Send + 'static,
-{
     let mut sim = SimBuilder::new().seed(seed).build();
     let (servers, storage) = deploy_ps(&mut sim, n, DISK);
     let out = sim.spawn_collect("coordinator", move |ctx| {
-        let mut master = PsMaster::new(servers, storage, cfg);
+        let mut master = PsMaster::new(servers, storage);
         f(ctx, &mut master)
     });
     sim.run().unwrap();
@@ -257,7 +247,7 @@ fn misaligned_cross_dot_is_correct_but_moves_bytes_between_servers() {
         let mut sim = SimBuilder::new().seed(3).build();
         let (servers, storage) = deploy_ps(&mut sim, 4, DISK);
         let out = sim.spawn_collect("coordinator", move |ctx| {
-            let mut m = PsMaster::new(servers, storage, PsConfig::default());
+            let mut m = PsMaster::new(servers, storage);
             let dim = 400_000u64;
             let a = m.create_matrix(ctx, dim, 1, Partitioning::Column, InitKind::Const(1.0));
             let p = if rotated {
@@ -289,8 +279,12 @@ fn compression_halves_pull_bytes() {
         let mut sim = SimBuilder::new().seed(4).build();
         let (servers, storage) = deploy_ps(&mut sim, 2, DISK);
         let out = sim.spawn_collect("coordinator", move |ctx| {
-            let mut m = PsMaster::new(servers, storage, PsConfig { compress });
-            let h = m.create_matrix(ctx, 100_000, 1, Partitioning::Column, InitKind::Zero);
+            let mut m = PsMaster::new(servers, storage);
+            let mut h = m.create_matrix(ctx, 100_000, 1, Partitioning::Column, InitKind::Zero);
+            if compress {
+                // What `Dcv::compressed` does: 4-byte values on this handle.
+                h.value_bytes = 4;
+            }
             let _ = h.pull_row(ctx, 0);
         });
         let report = sim.run().unwrap();
@@ -429,7 +423,7 @@ fn row_access_parallelism_beats_single_server() {
             .map(|w| ps2_simnet::ProcId(servers + 2 + w))
             .collect();
         sim.spawn("coordinator", move |ctx| {
-            let mut m = PsMaster::new(srv, storage, PsConfig::default());
+            let mut m = PsMaster::new(srv, storage);
             let h = m.create_matrix(ctx, 4_000_000, 1, Partitioning::Column, InitKind::Zero);
             for &w in &worker_ids {
                 ctx.send(w, 7, h.clone(), 64);

@@ -1,7 +1,7 @@
 //! Property-based tests for the parameter-server substrate.
 
 use proptest::prelude::*;
-use ps2_ps::{deploy_ps, ElemOp, InitKind, PartitionPlan, Partitioning, PsConfig, PsMaster};
+use ps2_ps::{deploy_ps, ElemOp, InitKind, PartitionPlan, Partitioning, PsMaster};
 use ps2_simnet::{SimBuilder, SimCtx};
 
 fn with_ps<T, F>(n: usize, seed: u64, f: F) -> T
@@ -12,7 +12,7 @@ where
     let mut sim = SimBuilder::new().seed(seed).build();
     let (servers, storage) = deploy_ps(&mut sim, n, 500e6);
     let out = sim.spawn_collect("coordinator", move |ctx| {
-        let mut master = PsMaster::new(servers, storage, PsConfig::default());
+        let mut master = PsMaster::new(servers, storage);
         f(ctx, &mut master)
     });
     sim.run().unwrap();

@@ -18,10 +18,10 @@
 //!   attempt ships a clone of the *handle*, so a retry resends the
 //!   *identical* payload (receiver-side dedup relies on that) and the
 //!   per-attempt deep clone that used to charge the `codec.encode` host
-//!   scope is gone — `PS2_HOSTPROF=1` shows its self-time and allocation
-//!   count drop on the gate sweep, and retried attempts no longer copy
-//!   payload buffers at all. [`Envelope::downcast_ref`] sees through the
-//!   `Arc`, so receivers are none the wiser.
+//!   scope is gone — `ps2-run --host-prof-json` shows its self-time and
+//!   allocation count drop on the gate sweep, and retried attempts no
+//!   longer copy payload buffers at all. [`Envelope::downcast_ref`] sees
+//!   through the `Arc`, so receivers are none the wiser.
 //! * [`Dispatcher`] — the streaming form used by the task scheduler: callers
 //!   dispatch requests one at a time, harvest replies as they arrive, and
 //!   use [`Dispatcher::take_dead`] to reclaim requests whose destination

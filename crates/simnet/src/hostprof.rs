@@ -138,20 +138,6 @@ pub fn alloc_counting() -> bool {
     ALLOC_COUNTING.load(Ordering::Relaxed)
 }
 
-/// Configure from `PS2_HOSTPROF`: `1`/`time` → timers, `alloc` → timers +
-/// allocation counting, anything else → off. Binaries call this at startup;
-/// explicit flags take precedence by calling the setters afterwards.
-pub fn init_from_env() {
-    match std::env::var("PS2_HOSTPROF").as_deref() {
-        Ok("1") | Ok("time") => set_enabled(true),
-        Ok("alloc") => {
-            set_enabled(true);
-            set_alloc_counting(true);
-        }
-        _ => {}
-    }
-}
-
 // ---- per-scope accumulators -------------------------------------------------
 
 /// Accumulated cost of one scope: call count, inclusive and exclusive wall

@@ -1379,7 +1379,7 @@ impl<T> OutputSlot<T> {
 pub struct SimBuilder {
     cfg: SimConfig,
     tracing: bool,
-    ts: Option<(SimTime, usize)>,
+    ts: Option<SimTime>,
     reqtrace: bool,
 }
 
@@ -1412,18 +1412,13 @@ impl SimBuilder {
     }
 
     /// Scrape the metrics registry into windowed time-series every `window`
-    /// of virtual time (ring capacity [`crate::timeseries::DEFAULT_CAPACITY`]
-    /// windows). Scraping is non-yielding: a scraped run is byte-identical
-    /// to an unscraped same-seed run.
-    pub fn timeseries(self, window: SimTime) -> SimBuilder {
-        self.timeseries_capacity(window, crate::timeseries::DEFAULT_CAPACITY)
-    }
-
-    /// [`SimBuilder::timeseries`] with an explicit ring capacity: once more
-    /// than `capacity` windows complete, the oldest are evicted (counted in
-    /// [`crate::timeseries::TimeSeries::dropped_windows`]).
-    pub fn timeseries_capacity(mut self, window: SimTime, capacity: usize) -> SimBuilder {
-        self.ts = Some((window, capacity));
+    /// of virtual time. Once more than [`crate::timeseries::CAPACITY`]
+    /// windows complete, the oldest are evicted (counted in
+    /// [`crate::timeseries::TimeSeries::dropped_windows`]). Scraping is
+    /// non-yielding: a scraped run is byte-identical to an unscraped
+    /// same-seed run.
+    pub fn timeseries(mut self, window: SimTime) -> SimBuilder {
+        self.ts = Some(window);
         self
     }
 
@@ -1464,7 +1459,7 @@ impl SimBuilder {
                     metrics: MetricsSnapshot::default(),
                     labels: Vec::new(),
                     op_labels: Vec::new(),
-                    ts: self.ts.map(|(w, c)| TsRecorder::new(w, c)),
+                    ts: self.ts.map(TsRecorder::new),
                     req: self.reqtrace.then(ReqRecorder::new),
                     #[cfg(test)]
                     stale_wakes: 0,

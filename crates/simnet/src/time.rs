@@ -21,11 +21,11 @@ impl SimTime {
         SimTime((secs * 1e9).round() as u64)
     }
 
-    pub fn from_micros(us: u64) -> SimTime {
+    pub const fn from_micros(us: u64) -> SimTime {
         SimTime(us * 1_000)
     }
 
-    pub fn from_millis(ms: u64) -> SimTime {
+    pub const fn from_millis(ms: u64) -> SimTime {
         SimTime(ms * 1_000_000)
     }
 

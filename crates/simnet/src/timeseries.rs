@@ -28,8 +28,8 @@
 //!   the inputs of the straggler and queue-growth detectors in
 //!   [`crate::watchdog`].
 //!
-//! Windows live in a ring buffer of bounded `capacity`; when a run outlives
-//! it, the oldest windows are dropped (and counted), never resized — memory
+//! Windows live in a ring buffer of [`CAPACITY`] windows; when a run
+//! outlives it, the oldest windows are dropped (and counted), never resized — memory
 //! stays bounded and layout never depends on the data.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -38,9 +38,9 @@ use crate::json::{JsonWriter, Style};
 use crate::metrics::{write_pairs, MetricsSnapshot};
 use crate::time::SimTime;
 
-/// Default ring capacity: enough for the benches' runs at millisecond
+/// Ring capacity in windows: enough for the benches' runs at millisecond
 /// windows without unbounded growth on pathological configs.
-pub const DEFAULT_CAPACITY: usize = 4096;
+pub const CAPACITY: usize = 4096;
 
 /// Per-window delta of one histogram.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
@@ -182,7 +182,6 @@ impl TimeSeries {
 #[derive(Debug)]
 pub(crate) struct TsRecorder {
     window_ns: u64,
-    capacity: usize,
     /// Nanosecond timestamp of the next boundary to emit
     /// (`(completed + 1) * window_ns`).
     next_boundary: u64,
@@ -197,11 +196,10 @@ pub(crate) struct TsRecorder {
 }
 
 impl TsRecorder {
-    pub(crate) fn new(window: SimTime, capacity: usize) -> TsRecorder {
+    pub(crate) fn new(window: SimTime) -> TsRecorder {
         let window_ns = window.as_nanos().max(1);
         TsRecorder {
             window_ns,
-            capacity: capacity.max(1),
             next_boundary: window_ns,
             completed: 0,
             last: MetricsSnapshot::default(),
@@ -218,7 +216,7 @@ impl TsRecorder {
     }
 
     fn push(&mut self, w: TsWindow) {
-        if self.windows.len() == self.capacity {
+        if self.windows.len() == CAPACITY {
             self.windows.pop_front();
             self.dropped += 1;
         }
@@ -353,7 +351,7 @@ mod tests {
 
     #[test]
     fn counters_become_windowed_deltas() {
-        let mut r = TsRecorder::new(SimTime::from_millis(1), 64);
+        let mut r = TsRecorder::new(SimTime::from_millis(1));
         let m1 = snap(&[("a", 3)]);
         assert!(!r.due(SimTime::from_micros(900)));
         assert!(r.due(SimTime::from_millis(1)));
@@ -374,12 +372,14 @@ mod tests {
 
     #[test]
     fn idle_gaps_emit_empty_windows_and_ring_caps_them() {
-        let mut r = TsRecorder::new(SimTime::from_millis(1), 4);
+        let mut r = TsRecorder::new(SimTime::from_millis(1));
         let m = snap(&[("a", 1)]);
-        // Jump 10 windows at once: ring keeps the newest 4.
-        r.roll(SimTime::from_millis(10), &m, &[(7, 1)]);
-        let ts = r.finish(SimTime::from_millis(10), &m, &[(7, 1)]);
-        assert_eq!(ts.windows.len(), 4);
+        // Jump six windows past the capacity at once: the ring keeps the
+        // newest `CAPACITY`.
+        let end = SimTime::from_millis(CAPACITY as u64 + 6);
+        r.roll(end, &m, &[(7, 1)]);
+        let ts = r.finish(end, &m, &[(7, 1)]);
+        assert_eq!(ts.windows.len(), CAPACITY);
         assert_eq!(ts.dropped_windows, 6);
         assert_eq!(ts.windows.first().unwrap().index, 6);
         // Only the first emitted window carried the delta; it was dropped,
@@ -390,7 +390,7 @@ mod tests {
 
     #[test]
     fn gauges_sample_and_hists_delta() {
-        let mut r = TsRecorder::new(SimTime::from_millis(1), 64);
+        let mut r = TsRecorder::new(SimTime::from_millis(1));
         let mut m = MetricsSnapshot::default();
         m.gauge_set("g", 5);
         m.observe("h", SimTime(100));
@@ -428,7 +428,7 @@ mod tests {
 
     #[test]
     fn json_is_stable_and_integer_only() {
-        let mut r = TsRecorder::new(SimTime::from_millis(1), 64);
+        let mut r = TsRecorder::new(SimTime::from_millis(1));
         let m = snap(&[("a.b", 2)]);
         r.roll(SimTime::from_millis(1), &m, &[(10, 1)]);
         let ts = r.finish(SimTime::from_millis(1), &m, &[(10, 1)]);

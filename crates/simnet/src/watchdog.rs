@@ -183,78 +183,48 @@ impl Alert {
     }
 }
 
-/// Detector thresholds. All integers; the f64 intermediates inside the
-/// detectors are deterministic functions of integer inputs.
-#[derive(Clone, Debug)]
-pub struct WatchdogConfig {
-    /// |z| threshold ×1000 for the straggler detector.
-    pub straggler_z_milli: u64,
-    /// Minimum fleet size for a z-score to mean anything.
-    pub straggler_min_procs: usize,
-    /// Consecutive growth windows before queue-growth fires.
-    pub queue_windows: usize,
-    /// Mailbox depth floor for queue-growth.
-    pub queue_min_depth: u64,
-    /// Top-row share threshold ×1000 for hot-row.
-    pub hot_row_share_milli: u64,
-    /// Minimum row touches in the window for hot-row.
-    pub hot_row_min_touches: u64,
-    /// Gini threshold ×1000 for server skew.
-    pub skew_gini_milli: u64,
-    /// Minimum total served requests in the window for server skew.
-    pub skew_min_total: u64,
-    /// Consecutive flat active windows before a stall fires.
-    pub stall_windows: usize,
-    /// Loss-delta epsilon in micros, applied independently to each loss
-    /// gauge (`ml.loss_micro` and the per-mode `ml.loss_micro.<mode>`).
-    pub stall_eps_micro: i64,
-    /// Trailing windows of the fast SLO burn span (catches the spike).
-    pub slo_fast_windows: usize,
-    /// Trailing windows of the slow SLO burn span (confirms it is
-    /// sustained).
-    pub slo_slow_windows: usize,
-    /// Burn-rate threshold ×1000: both spans' bad-event rate must exceed
-    /// `slo_burn_milli/1000 ×` the objective's budget. 10000 = burning the
-    /// budget 10× too fast.
-    pub slo_burn_milli: u64,
-}
+// Detector thresholds. All integers; the f64 intermediates inside the
+// detectors are deterministic functions of integer inputs.
 
-impl Default for WatchdogConfig {
-    fn default() -> WatchdogConfig {
-        WatchdogConfig {
-            straggler_z_milli: 1800,
-            straggler_min_procs: 4,
-            queue_windows: 3,
-            queue_min_depth: 8,
-            hot_row_share_milli: 500,
-            hot_row_min_touches: 64,
-            skew_gini_milli: 600,
-            skew_min_total: 64,
-            stall_windows: 3,
-            stall_eps_micro: 100,
-            slo_fast_windows: 3,
-            slo_slow_windows: 12,
-            slo_burn_milli: 10_000,
-        }
-    }
-}
+/// |z| threshold ×1000 for the straggler detector.
+const STRAGGLER_Z_MILLI: u64 = 1800;
+/// Minimum fleet size for a z-score to mean anything.
+const STRAGGLER_MIN_PROCS: usize = 4;
+/// Consecutive growth windows before queue-growth fires.
+const QUEUE_WINDOWS: usize = 3;
+/// Mailbox depth floor for queue-growth.
+const QUEUE_MIN_DEPTH: u64 = 8;
+/// Top-row share threshold ×1000 for hot-row.
+const HOT_ROW_SHARE_MILLI: u64 = 500;
+/// Minimum row touches in the window for hot-row.
+const HOT_ROW_MIN_TOUCHES: u64 = 64;
+/// Gini threshold ×1000 for server skew.
+const SKEW_GINI_MILLI: u64 = 600;
+/// Minimum total served requests in the window for server skew.
+const SKEW_MIN_TOTAL: u64 = 64;
+/// Consecutive flat active windows before a stall fires.
+const STALL_WINDOWS: usize = 3;
+/// Loss-delta epsilon in micros, applied independently to each loss gauge
+/// (`ml.loss_micro` and the per-mode `ml.loss_micro.<mode>`).
+const STALL_EPS_MICRO: i64 = 100;
+/// Trailing windows of the fast SLO burn span (catches the spike).
+const SLO_FAST_WINDOWS: usize = 3;
+/// Trailing windows of the slow SLO burn span (confirms it is sustained).
+pub const SLO_SLOW_WINDOWS: usize = 12;
+/// Burn-rate threshold ×1000: both spans' bad-event rate must exceed
+/// `SLO_BURN_MILLI/1000 ×` the objective's budget. 10000 = burning the
+/// budget 10× too fast.
+const SLO_BURN_MILLI: u64 = 10_000;
 
-/// Evaluates the configured detectors over a finished run.
-#[derive(Clone, Debug, Default)]
-pub struct Watchdog {
-    cfg: WatchdogConfig,
-}
+/// The detectors, evaluated over a finished run.
+pub struct Watchdog;
 
 impl Watchdog {
-    pub fn new(cfg: WatchdogConfig) -> Watchdog {
-        Watchdog { cfg }
-    }
-
     /// Run every detector over `report.timeseries`, in window order (empty
     /// when the run was not scraped). Within a window, detector order is
     /// fixed: straggler, queue-growth, hot-row, server-skew, stall — so the
     /// alert list is deterministic.
-    pub fn evaluate(&self, report: &SimReport) -> Vec<Alert> {
+    pub fn evaluate(report: &SimReport) -> Vec<Alert> {
         let Some(ts) = &report.timeseries else {
             return Vec::new();
         };
@@ -275,37 +245,31 @@ impl Watchdog {
             std::collections::BTreeMap::new();
 
         for w in &ts.windows {
-            self.straggler(w, report, &mut alerts);
-            self.queue_growth(w, report, &mut queue_prev, &mut queue_streak, &mut alerts);
-            self.hot_row(w, &mut alerts);
-            self.server_skew(w, &served_keys, &mut alerts);
-            self.stall(w, &mut stall_state, &mut alerts);
+            straggler(w, report, &mut alerts);
+            queue_growth(w, report, &mut queue_prev, &mut queue_streak, &mut alerts);
+            hot_row(w, &mut alerts);
+            server_skew(w, &served_keys, &mut alerts);
+            stall(w, &mut stall_state, &mut alerts);
         }
         alerts
     }
 
     /// Evaluate declared SLO objectives over `report.timeseries` with
     /// multi-window burn-rate alerting. Per window and objective the
-    /// bad-event fraction is computed over the trailing
-    /// [`WatchdogConfig::slo_fast_windows`] and
-    /// [`WatchdogConfig::slo_slow_windows`] spans; an alert fires — at the
-    /// exact window-end virtual timestamp — only when **both** spans burn
-    /// the objective's error budget faster than
-    /// [`WatchdogConfig::slo_burn_milli`]/1000×. After firing, the spans
-    /// reset so one sustained violation raises one alert per episode, not
-    /// one per window. `value_milli` is the fast span's burn rate ×1000.
-    pub fn evaluate_slo(&self, report: &SimReport, objectives: &[SloObjective]) -> Vec<Alert> {
+    /// bad-event fraction is computed over the trailing 3-window fast span
+    /// and [`SLO_SLOW_WINDOWS`] slow span; an alert fires — at the exact
+    /// window-end virtual timestamp — only when **both** spans burn the
+    /// objective's error budget at least 10× too fast. After firing, the
+    /// spans reset so one sustained violation raises one alert per episode,
+    /// not one per window. `value_milli` is the fast span's burn rate ×1000.
+    pub fn evaluate_slo(report: &SimReport, objectives: &[SloObjective]) -> Vec<Alert> {
         let Some(ts) = &report.timeseries else {
             return Vec::new();
         };
         let mut alerts = Vec::new();
         // Short runs shrink the slow span to the whole run instead of
         // never accumulating enough evidence to alert at all.
-        let slow_span = self
-            .cfg
-            .slo_slow_windows
-            .max(1)
-            .min(ts.windows.len().max(1));
+        let slow_span = SLO_SLOW_WINDOWS.min(ts.windows.len().max(1));
         for obj in objectives {
             let budget_milli = match &obj.kind {
                 SloKind::Latency { budget_milli, .. } => (*budget_milli).max(1),
@@ -343,15 +307,15 @@ impl Watchdog {
                     let (b, t) = ring
                         .iter()
                         .rev()
-                        .take(span.max(1))
+                        .take(span)
                         .fold((0u64, 0u64), |(b, t), &(wb, wt)| (b + wb, t + wt));
                     // burn ×1000 = (bad/total) / (budget_milli/1000) × 1000
                     (t > 0).then(|| b.saturating_mul(1_000_000) / (t * budget_milli))
                 };
-                let fast = span_burn(self.cfg.slo_fast_windows);
+                let fast = span_burn(SLO_FAST_WINDOWS);
                 let slow = span_burn(slow_span);
                 if let (Some(f), Some(s)) = (fast, slow) {
-                    if f >= self.cfg.slo_burn_milli && s >= self.cfg.slo_burn_milli {
+                    if f >= SLO_BURN_MILLI && s >= SLO_BURN_MILLI {
                         alerts.push(Alert {
                             kind: AlertKind::SloBurn,
                             at: SimTime(w.end_ns),
@@ -370,212 +334,6 @@ impl Watchdog {
         // like a timeline.
         alerts.sort_by(|a, b| a.at.cmp(&b.at).then_with(|| a.subject.cmp(&b.subject)));
         alerts
-    }
-
-    fn straggler(&self, w: &TsWindow, report: &SimReport, alerts: &mut Vec<Alert>) {
-        let n = w.procs.len();
-        if n < self.cfg.straggler_min_procs {
-            return;
-        }
-        let total: u64 = w.procs.iter().map(|p| p.busy_ns).sum();
-        if total == 0 {
-            return;
-        }
-        let mean = total as f64 / n as f64;
-        let var = w
-            .procs
-            .iter()
-            .map(|p| {
-                let d = p.busy_ns as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / n as f64;
-        let std = var.sqrt();
-        if std <= 0.0 {
-            return;
-        }
-        // Single worst offender per window, ties to the lowest proc id.
-        let mut worst: Option<(usize, f64)> = None;
-        for (i, p) in w.procs.iter().enumerate() {
-            let z = (p.busy_ns as f64 - mean) / std;
-            if worst.is_none_or(|(_, wz)| z.abs() > wz.abs()) {
-                worst = Some((i, z));
-            }
-        }
-        let (i, z) = worst.expect("nonempty fleet");
-        let z_milli = (z * 1000.0).round() as i64;
-        if z_milli.unsigned_abs() >= self.cfg.straggler_z_milli {
-            alerts.push(Alert {
-                kind: AlertKind::Straggler,
-                at: SimTime(w.end_ns),
-                window: w.index,
-                proc: Some(i),
-                subject: report
-                    .procs
-                    .get(i)
-                    .map(|p| p.name.clone())
-                    .unwrap_or_else(|| format!("proc#{i}")),
-                value_milli: z_milli,
-            });
-        }
-    }
-
-    fn queue_growth(
-        &self,
-        w: &TsWindow,
-        report: &SimReport,
-        prev: &mut Vec<u64>,
-        streak: &mut Vec<usize>,
-        alerts: &mut Vec<Alert>,
-    ) {
-        if w.procs.len() > prev.len() {
-            prev.resize(w.procs.len(), 0);
-            streak.resize(w.procs.len(), 0);
-        }
-        // Single worst offender per window: deepest mailbox whose streak
-        // just reached the threshold.
-        let mut worst: Option<(usize, u64)> = None;
-        for (i, p) in w.procs.iter().enumerate() {
-            if p.mailbox > prev[i] {
-                streak[i] += 1;
-            } else {
-                streak[i] = 0;
-            }
-            prev[i] = p.mailbox;
-            if streak[i] >= self.cfg.queue_windows && p.mailbox >= self.cfg.queue_min_depth {
-                streak[i] = 0; // re-arm only after the growth run restarts
-                if worst.is_none_or(|(_, d)| p.mailbox > d) {
-                    worst = Some((i, p.mailbox));
-                }
-            }
-        }
-        if let Some((i, depth)) = worst {
-            alerts.push(Alert {
-                kind: AlertKind::QueueGrowth,
-                at: SimTime(w.end_ns),
-                window: w.index,
-                proc: Some(i),
-                subject: report
-                    .procs
-                    .get(i)
-                    .map(|p| p.name.clone())
-                    .unwrap_or_else(|| format!("proc#{i}")),
-                value_milli: depth as i64,
-            });
-        }
-    }
-
-    fn hot_row(&self, w: &TsWindow, alerts: &mut Vec<Alert>) {
-        // Counters look like `ps.server.row_touch.m{id}.r{row}`; group by
-        // matrix, find each matrix's hottest row this window.
-        let mut per_matrix: std::collections::BTreeMap<&str, (u64, &str, u64)> =
-            std::collections::BTreeMap::new();
-        for (key, &delta) in w
-            .counters
-            .iter()
-            .filter(|(k, _)| k.starts_with("ps.server.row_touch."))
-        {
-            let rest = &key["ps.server.row_touch.".len()..];
-            let Some(dot) = rest.find(".r") else { continue };
-            let matrix = &rest[..dot];
-            let e = per_matrix.entry(matrix).or_insert((0, rest, 0));
-            e.0 += delta;
-            if delta > e.2 {
-                e.1 = rest;
-                e.2 = delta;
-            }
-        }
-        for (_, (total, top_key, top)) in per_matrix {
-            if total >= self.cfg.hot_row_min_touches
-                && top * 1000 >= self.cfg.hot_row_share_milli * total
-            {
-                alerts.push(Alert {
-                    kind: AlertKind::HotRow,
-                    at: SimTime(w.end_ns),
-                    window: w.index,
-                    proc: None,
-                    subject: top_key.to_string(),
-                    value_milli: (top * 1000 / total) as i64,
-                });
-            }
-        }
-    }
-
-    fn server_skew(&self, w: &TsWindow, served_keys: &[String], alerts: &mut Vec<Alert>) {
-        if served_keys.len() < 2 {
-            return;
-        }
-        let loads: Vec<u64> = served_keys.iter().map(|k| w.counter(k)).collect();
-        let total: u64 = loads.iter().sum();
-        if total < self.cfg.skew_min_total {
-            return;
-        }
-        // Gini = Σᵢ Σⱼ |xᵢ − xⱼ| / (2 n Σ x); 0 = uniform, →1 = one server
-        // takes everything.
-        let n = loads.len() as u64;
-        let mut abs_diff_sum: u64 = 0;
-        for (i, &a) in loads.iter().enumerate() {
-            for &b in &loads[i + 1..] {
-                abs_diff_sum += a.abs_diff(b);
-            }
-        }
-        let gini_milli = (2 * abs_diff_sum * 1000) / (2 * n * total);
-        if gini_milli >= self.cfg.skew_gini_milli {
-            alerts.push(Alert {
-                kind: AlertKind::ServerSkew,
-                at: SimTime(w.end_ns),
-                window: w.index,
-                proc: None,
-                subject: "ps.server".to_string(),
-                value_milli: gini_milli as i64,
-            });
-        }
-    }
-
-    fn stall(
-        &self,
-        w: &TsWindow,
-        state: &mut std::collections::BTreeMap<String, (usize, Option<i64>)>,
-        alerts: &mut Vec<Alert>,
-    ) {
-        // Only windows in which training actually iterated count; idle or
-        // setup windows neither advance nor reset the streaks.
-        if w.counter("ml.iterations") == 0 {
-            return;
-        }
-        // One independent (streak, previous-loss) track per loss gauge: the
-        // classic dataflow path publishes `ml.loss_micro`, the consistency
-        // modes publish `ml.loss_micro.<mode>` (e.g. `ml.loss_micro.ssp2`),
-        // and concurrent runs of different modes must not mask each other's
-        // stalls. BTreeMap order keeps the alert list deterministic.
-        for (key, &loss) in w
-            .gauges
-            .iter()
-            .filter(|(k, _)| k.as_str() == "ml.loss_micro" || k.starts_with("ml.loss_micro."))
-        {
-            let (streak, prev_loss) = state.entry(key.clone()).or_insert((0, None));
-            if let Some(pl) = *prev_loss {
-                let delta = (loss - pl).abs();
-                if delta <= self.cfg.stall_eps_micro {
-                    *streak += 1;
-                    if *streak >= self.cfg.stall_windows {
-                        *streak = 0;
-                        alerts.push(Alert {
-                            kind: AlertKind::ConvergenceStall,
-                            at: SimTime(w.end_ns),
-                            window: w.index,
-                            proc: None,
-                            subject: key.clone(),
-                            value_milli: delta,
-                        });
-                    }
-                } else {
-                    *streak = 0;
-                }
-            }
-            *prev_loss = Some(loss);
-        }
     }
 
     /// Inject `alerts` into `report.trace` as tagged `Mark` events (label =
@@ -597,6 +355,208 @@ impl Watchdog {
             });
         }
         report.trace.sort_by_key(|e| e.at());
+    }
+}
+
+fn straggler(w: &TsWindow, report: &SimReport, alerts: &mut Vec<Alert>) {
+    let n = w.procs.len();
+    if n < STRAGGLER_MIN_PROCS {
+        return;
+    }
+    let total: u64 = w.procs.iter().map(|p| p.busy_ns).sum();
+    if total == 0 {
+        return;
+    }
+    let mean = total as f64 / n as f64;
+    let var = w
+        .procs
+        .iter()
+        .map(|p| {
+            let d = p.busy_ns as f64 - mean;
+            d * d
+        })
+        .sum::<f64>()
+        / n as f64;
+    let std = var.sqrt();
+    if std <= 0.0 {
+        return;
+    }
+    // Single worst offender per window, ties to the lowest proc id.
+    let mut worst: Option<(usize, f64)> = None;
+    for (i, p) in w.procs.iter().enumerate() {
+        let z = (p.busy_ns as f64 - mean) / std;
+        if worst.is_none_or(|(_, wz)| z.abs() > wz.abs()) {
+            worst = Some((i, z));
+        }
+    }
+    let (i, z) = worst.expect("nonempty fleet");
+    let z_milli = (z * 1000.0).round() as i64;
+    if z_milli.unsigned_abs() >= STRAGGLER_Z_MILLI {
+        alerts.push(Alert {
+            kind: AlertKind::Straggler,
+            at: SimTime(w.end_ns),
+            window: w.index,
+            proc: Some(i),
+            subject: report
+                .procs
+                .get(i)
+                .map(|p| p.name.clone())
+                .unwrap_or_else(|| format!("proc#{i}")),
+            value_milli: z_milli,
+        });
+    }
+}
+
+fn queue_growth(
+    w: &TsWindow,
+    report: &SimReport,
+    prev: &mut Vec<u64>,
+    streak: &mut Vec<usize>,
+    alerts: &mut Vec<Alert>,
+) {
+    if w.procs.len() > prev.len() {
+        prev.resize(w.procs.len(), 0);
+        streak.resize(w.procs.len(), 0);
+    }
+    // Single worst offender per window: deepest mailbox whose streak
+    // just reached the threshold.
+    let mut worst: Option<(usize, u64)> = None;
+    for (i, p) in w.procs.iter().enumerate() {
+        if p.mailbox > prev[i] {
+            streak[i] += 1;
+        } else {
+            streak[i] = 0;
+        }
+        prev[i] = p.mailbox;
+        if streak[i] >= QUEUE_WINDOWS && p.mailbox >= QUEUE_MIN_DEPTH {
+            streak[i] = 0; // re-arm only after the growth run restarts
+            if worst.is_none_or(|(_, d)| p.mailbox > d) {
+                worst = Some((i, p.mailbox));
+            }
+        }
+    }
+    if let Some((i, depth)) = worst {
+        alerts.push(Alert {
+            kind: AlertKind::QueueGrowth,
+            at: SimTime(w.end_ns),
+            window: w.index,
+            proc: Some(i),
+            subject: report
+                .procs
+                .get(i)
+                .map(|p| p.name.clone())
+                .unwrap_or_else(|| format!("proc#{i}")),
+            value_milli: depth as i64,
+        });
+    }
+}
+
+fn hot_row(w: &TsWindow, alerts: &mut Vec<Alert>) {
+    // Counters look like `ps.server.row_touch.m{id}.r{row}`; group by
+    // matrix, find each matrix's hottest row this window.
+    let mut per_matrix: std::collections::BTreeMap<&str, (u64, &str, u64)> =
+        std::collections::BTreeMap::new();
+    for (key, &delta) in w
+        .counters
+        .iter()
+        .filter(|(k, _)| k.starts_with("ps.server.row_touch."))
+    {
+        let rest = &key["ps.server.row_touch.".len()..];
+        let Some(dot) = rest.find(".r") else { continue };
+        let matrix = &rest[..dot];
+        let e = per_matrix.entry(matrix).or_insert((0, rest, 0));
+        e.0 += delta;
+        if delta > e.2 {
+            e.1 = rest;
+            e.2 = delta;
+        }
+    }
+    for (_, (total, top_key, top)) in per_matrix {
+        if total >= HOT_ROW_MIN_TOUCHES && top * 1000 >= HOT_ROW_SHARE_MILLI * total {
+            alerts.push(Alert {
+                kind: AlertKind::HotRow,
+                at: SimTime(w.end_ns),
+                window: w.index,
+                proc: None,
+                subject: top_key.to_string(),
+                value_milli: (top * 1000 / total) as i64,
+            });
+        }
+    }
+}
+
+fn server_skew(w: &TsWindow, served_keys: &[String], alerts: &mut Vec<Alert>) {
+    if served_keys.len() < 2 {
+        return;
+    }
+    let loads: Vec<u64> = served_keys.iter().map(|k| w.counter(k)).collect();
+    let total: u64 = loads.iter().sum();
+    if total < SKEW_MIN_TOTAL {
+        return;
+    }
+    // Gini = Σᵢ Σⱼ |xᵢ − xⱼ| / (2 n Σ x); 0 = uniform, →1 = one server
+    // takes everything.
+    let n = loads.len() as u64;
+    let mut abs_diff_sum: u64 = 0;
+    for (i, &a) in loads.iter().enumerate() {
+        for &b in &loads[i + 1..] {
+            abs_diff_sum += a.abs_diff(b);
+        }
+    }
+    let gini_milli = (2 * abs_diff_sum * 1000) / (2 * n * total);
+    if gini_milli >= SKEW_GINI_MILLI {
+        alerts.push(Alert {
+            kind: AlertKind::ServerSkew,
+            at: SimTime(w.end_ns),
+            window: w.index,
+            proc: None,
+            subject: "ps.server".to_string(),
+            value_milli: gini_milli as i64,
+        });
+    }
+}
+
+fn stall(
+    w: &TsWindow,
+    state: &mut std::collections::BTreeMap<String, (usize, Option<i64>)>,
+    alerts: &mut Vec<Alert>,
+) {
+    // Only windows in which training actually iterated count; idle or
+    // setup windows neither advance nor reset the streaks.
+    if w.counter("ml.iterations") == 0 {
+        return;
+    }
+    // One independent (streak, previous-loss) track per loss gauge: the
+    // classic dataflow path publishes `ml.loss_micro`, the consistency
+    // modes publish `ml.loss_micro.<mode>` (e.g. `ml.loss_micro.ssp2`),
+    // and concurrent runs of different modes must not mask each other's
+    // stalls. BTreeMap order keeps the alert list deterministic.
+    for (key, &loss) in w
+        .gauges
+        .iter()
+        .filter(|(k, _)| k.as_str() == "ml.loss_micro" || k.starts_with("ml.loss_micro."))
+    {
+        let (streak, prev_loss) = state.entry(key.clone()).or_insert((0, None));
+        if let Some(pl) = *prev_loss {
+            let delta = (loss - pl).abs();
+            if delta <= STALL_EPS_MICRO {
+                *streak += 1;
+                if *streak >= STALL_WINDOWS {
+                    *streak = 0;
+                    alerts.push(Alert {
+                        kind: AlertKind::ConvergenceStall,
+                        at: SimTime(w.end_ns),
+                        window: w.index,
+                        proc: None,
+                        subject: key.clone(),
+                        value_milli: delta,
+                    });
+                }
+            } else {
+                *streak = 0;
+            }
+        }
+        *prev_loss = Some(loss);
     }
 }
 
@@ -677,7 +637,7 @@ mod tests {
         let mut w = window(0, 1_000_000);
         w.procs = busy(&[100, 100, 100, 100, 100, 100, 100, 0]);
         let report = report_with(vec![w]);
-        let alerts = Watchdog::default().evaluate(&report);
+        let alerts = Watchdog::evaluate(&report);
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].kind, AlertKind::Straggler);
         assert_eq!(alerts[0].proc, Some(7));
@@ -690,7 +650,7 @@ mod tests {
         let mut w = window(0, 1_000_000);
         w.procs = busy(&[100, 101, 99, 100, 100, 100]);
         let report = report_with(vec![w]);
-        assert!(Watchdog::default().evaluate(&report).is_empty());
+        assert!(Watchdog::evaluate(&report).is_empty());
     }
 
     #[test]
@@ -705,7 +665,7 @@ mod tests {
             windows.push(w);
         }
         let report = report_with(windows);
-        let alerts = Watchdog::default().evaluate(&report);
+        let alerts = Watchdog::evaluate(&report);
         // Depth grows in windows 0,1,2 (from the empty-mailbox baseline) →
         // streak hits 3 at window 2 with depth 9 ≥ floor 8; the detector
         // re-arms, window 3 alone can't reach the streak, window 4 shrinks.
@@ -730,7 +690,7 @@ mod tests {
         w.counters
             .insert("ps.server.row_touch.m2.r3".to_string(), 30);
         let report = report_with(vec![w]);
-        let alerts = Watchdog::default().evaluate(&report);
+        let alerts = Watchdog::evaluate(&report);
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].kind, AlertKind::HotRow);
         assert_eq!(alerts[0].subject, "m1.r7");
@@ -747,7 +707,7 @@ mod tests {
         report.metrics.add("ps.server.p0.served", 120);
         report.metrics.add("ps.server.p1.served", 1);
         report.metrics.add("ps.server.p2.served", 1);
-        let alerts = Watchdog::default().evaluate(&report);
+        let alerts = Watchdog::evaluate(&report);
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].kind, AlertKind::ServerSkew);
         assert!(alerts[0].value_milli >= 600, "{}", alerts[0].value_milli);
@@ -766,7 +726,7 @@ mod tests {
             windows.push(w);
         }
         let report = report_with(windows);
-        let alerts = Watchdog::default().evaluate(&report);
+        let alerts = Watchdog::evaluate(&report);
         // Deltas 10, 5, 5 are all ≤ eps 100 → streak hits 3 at window 3;
         // window 4's big drop resets.
         assert_eq!(alerts.len(), 1);
@@ -795,7 +755,7 @@ mod tests {
             windows.push(w);
         }
         let report = report_with(windows);
-        let alerts = Watchdog::default().evaluate(&report);
+        let alerts = Watchdog::evaluate(&report);
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].kind, AlertKind::ConvergenceStall);
         assert_eq!(alerts[0].subject, "ml.loss_micro.ssp2");
@@ -837,7 +797,7 @@ mod tests {
         windows.push(slo_window(13, 10, 90));
         windows.push(slo_window(14, 10, 90));
         let report = report_with(windows);
-        let alerts = Watchdog::default().evaluate_slo(&report, &[p999_objective()]);
+        let alerts = Watchdog::evaluate_slo(&report, &[p999_objective()]);
         assert_eq!(alerts.len(), 1, "{alerts:?}");
         let a = &alerts[0];
         assert_eq!(a.kind, AlertKind::SloBurn);
@@ -855,7 +815,7 @@ mod tests {
         // 0.05% of requests are slow — half the p999 budget.
         let windows: Vec<TsWindow> = (0..20).map(|i| slo_window(i, 1, 1999)).collect();
         let report = report_with(windows);
-        let alerts = Watchdog::default().evaluate_slo(&report, &[p999_objective()]);
+        let alerts = Watchdog::evaluate_slo(&report, &[p999_objective()]);
         assert!(alerts.is_empty(), "{alerts:?}");
     }
 
@@ -871,7 +831,7 @@ mod tests {
             windows.push(w);
         }
         let report = report_with(windows);
-        let alerts = Watchdog::default().evaluate_slo(&report, &[obj]);
+        let alerts = Watchdog::evaluate_slo(&report, &[obj]);
         assert!(!alerts.is_empty());
         assert_eq!(alerts[0].kind, AlertKind::SloBurn);
         assert_eq!(alerts[0].subject, "pull.errors");
@@ -901,7 +861,7 @@ mod tests {
             at: SimTime(2_000_000),
             proc: ProcId(0),
         });
-        let alerts = Watchdog::default().evaluate(&report);
+        let alerts = Watchdog::evaluate(&report);
         Watchdog::annotate(&mut report, &alerts);
         assert_eq!(report.trace.len(), 2);
         let TraceEvent::Mark {

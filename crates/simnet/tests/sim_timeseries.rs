@@ -2,6 +2,7 @@
 //! simulation. A scraped run's `SimReport` — timing, trace, metrics, per-proc
 //! stats — is byte-identical to an unscraped same-seed run's.
 
+use ps2_simnet::timeseries::CAPACITY;
 use ps2_simnet::{SimBuilder, SimReport, SimTime};
 
 /// A small but busy workload: a server daemon answering calls, four clients
@@ -111,17 +112,18 @@ fn window_deltas_sum_to_final_counters() {
 fn ring_capacity_bounds_memory_and_counts_evictions() {
     let mut sim = SimBuilder::new()
         .seed(3)
-        .timeseries_capacity(SimTime::from_micros(10), 8)
+        .timeseries(SimTime::from_micros(10))
         .build();
+    // One window per tick, 50 more ticks than the ring holds.
     sim.spawn("lone", |ctx| {
-        for _ in 0..50 {
+        for _ in 0..CAPACITY + 50 {
             ctx.advance(SimTime::from_micros(10));
             ctx.metric_add("ticks", 1);
         }
     });
     let report = sim.run().unwrap();
     let ts = report.timeseries.unwrap();
-    assert!(ts.windows.len() <= 8);
+    assert_eq!(ts.windows.len(), CAPACITY);
     assert!(ts.dropped_windows > 0);
     // Retained windows are contiguous and end at the newest.
     let first = ts.windows.first().unwrap().index;

@@ -9,14 +9,12 @@
 use ps2::{run_ps2, ClusterSpec};
 use ps2_data::{GraphGen, RandomWalks};
 use ps2_ml::deepwalk::{train_deepwalk, DeepWalkBackend, DeepWalkConfig};
-use ps2_ml::hyper::DeepWalkHyper;
 
 fn main() {
     let vertices = 1_000u32;
     let spec = ClusterSpec {
         workers: 8,
         servers: 4,
-        ..ClusterSpec::default()
     };
 
     let ((trace, sims), report) = run_ps2(spec, 7, move |ctx, ps2| {
@@ -35,13 +33,9 @@ fn main() {
 
         let cfg = DeepWalkConfig {
             vertices,
-            hyper: DeepWalkHyper {
-                embedding_dim: 64,
-                learning_rate: 0.05,
-                ..DeepWalkHyper::default()
-            },
+            embedding_dim: 64,
             batch_per_worker: 128,
-            iterations: 20,
+            iterations: 100,
             seed: 21,
         };
         let trace = train_deepwalk(ctx, ps2, &cfg, &walks, DeepWalkBackend::Ps2Dcv);
@@ -68,7 +62,7 @@ fn main() {
 
     println!("\nloss curve ({}):", trace.label);
     for (i, (secs, loss)) in trace.points.iter().enumerate() {
-        if i % 4 == 0 || i + 1 == trace.points.len() {
+        if i % 20 == 0 || i + 1 == trace.points.len() {
             println!("  iter {i:>3}: {loss:.5}  at {secs:.2}s simulated");
         }
     }

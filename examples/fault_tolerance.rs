@@ -14,7 +14,6 @@ fn main() {
     let spec = ClusterSpec {
         workers: 6,
         servers: 4,
-        ..ClusterSpec::default()
     };
 
     let (story, report) = run_ps2(spec, 99, |ctx, ps2| {

@@ -15,14 +15,12 @@ fn main() {
     let spec = ClusterSpec {
         workers: 8,
         servers: 8,
-        ..ClusterSpec::default()
     };
     let dataset = SparseDatasetGen::new(8_000, 200, 20, 8, 13).continuous();
     let hyper = GbdtHyper {
         num_trees: 8,
         max_depth: 4,
         histogram_bins: 32,
-        ..GbdtHyper::default()
     };
 
     let mut summaries = Vec::new();

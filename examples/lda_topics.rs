@@ -8,14 +8,12 @@
 
 use ps2::{run_ps2, ClusterSpec};
 use ps2_data::CorpusGen;
-use ps2_ml::hyper::LdaHyper;
 use ps2_ml::lda::{train_lda, LdaBackend, LdaConfig};
 
 fn main() {
     let spec = ClusterSpec {
         workers: 8,
         servers: 4,
-        ..ClusterSpec::default()
     };
     // A corpus generated from 12 ground-truth topics.
     let corpus = CorpusGen::new(1_500, 3_000, 12, 60, 8, 5);
@@ -23,10 +21,7 @@ fn main() {
     let (trace, report) = run_ps2(spec, 9, move |ctx, ps2| {
         let cfg = LdaConfig {
             corpus,
-            hyper: LdaHyper {
-                topics: 12,
-                ..LdaHyper::default() // α = 0.5, β = 0.01 — paper Table 4
-            },
+            topics: 12, // α = 0.5, β = 0.01 — paper Table 4
             iterations: 15,
         };
         train_lda(ctx, ps2, &cfg, LdaBackend::Ps2Dcv)

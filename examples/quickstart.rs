@@ -16,7 +16,6 @@ fn main() {
     let spec = ClusterSpec {
         workers: 20,
         servers: 20,
-        ..ClusterSpec::default()
     };
 
     let (final_loss, report) = run_ps2(spec, 42, |ctx, ps2| {

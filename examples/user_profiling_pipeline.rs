@@ -24,7 +24,6 @@ fn main() {
     let spec = ClusterSpec {
         workers: 8,
         servers: 8,
-        ..ClusterSpec::default()
     };
     let mut sim = SimBuilder::new().seed(17).build();
     let deployment = deploy(&mut sim, &spec);
@@ -76,12 +75,7 @@ fn main() {
 
         // ---- Stage 2: FTRL logistic regression on PS2 --------------------
         let dim = items;
-        let opt = Optimizer::Ftrl {
-            alpha: 0.3,
-            beta: 1.0,
-            l1: 0.001,
-            l2: 0.0001,
-        };
+        let opt = Optimizer::Ftrl;
         let w = ps2.dense_dcv(ctx, dim, 4); // w, z, n, g
         let z = w.derive(ctx);
         let nacc = w.derive(ctx);

@@ -57,8 +57,7 @@
 //!                          cost table, and write it as a hostprof sidecar
 //!                          (readable with `ps2-trace host`); the simulated
 //!                          run itself is bit-identical with or without this
-//!                          flag. `PS2_HOSTPROF=1|time|alloc` enables the
-//!                          profiler without writing a file.
+//!                          flag
 //!
 //! dataset flags (lr/svm/lbfgs/fm):
 //!   --rows N --dim N --nnz N   (defaults 20000 / 100000 / 20)
@@ -74,6 +73,8 @@
 //!   --docs N --vocab N --topics N
 //! serving flags (serve):
 //!   --agents N --users-per-agent N --duration-ms N
+//!
+//! ps2-run --help | -h      print the usage text
 //! ```
 //!
 //! Example:
@@ -89,7 +90,7 @@ use ps2::bench::preset_slos;
 use ps2::ml::deepwalk::{train_deepwalk, DeepWalkBackend, DeepWalkConfig};
 use ps2::ml::fm::{train_fm, FmConfig};
 use ps2::ml::gbdt::{train_gbdt, GbdtBackend, GbdtConfig};
-use ps2::ml::hyper::{DeepWalkHyper, GbdtHyper, LdaHyper};
+use ps2::ml::hyper::GbdtHyper;
 use ps2::ml::lbfgs::{train_lbfgs, LbfgsConfig};
 use ps2::ml::lda::{train_lda, LdaBackend, LdaConfig};
 use ps2::ml::lr::{train_lr, train_lr_mllib_star, LrBackend, LrConfig};
@@ -151,9 +152,7 @@ fn die(msg: &str) -> ! {
     exit(2)
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "\
+const USAGE: &str = "\
 usage: ps2-run <lr|deepwalk|gbdt|lda|svm|lbfgs|fm|serve> [flags]
 
 common flags:
@@ -217,15 +216,19 @@ serving flags (serve; defaults come from the preset):
   --agents N             aggregate client agents (each models thousands of users)
   --users-per-agent N    simulated users per agent
   --duration-ms N        open-loop generation window, virtual ms
-  --servers N            PS-server fleet size"
-    );
-    exit(2)
-}
+  --servers N            PS-server fleet size
+
+ps2-run --help | -h      print this usage text";
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() {
-        usage();
+        eprintln!("{USAGE}");
+        exit(2);
+    }
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        exit(0);
     }
     // `ps2-run --preset serve-kddb …` works without a workload word: when
     // the first token is already a flag, serving is the implied workload
@@ -239,8 +242,7 @@ fn main() {
 
     // Host profiling must be armed before the sim is built so the run's
     // reset/collect cycle sees it. The flag implies full profiling (timers +
-    // allocator); PS2_HOSTPROF alone can also arm it for ad-hoc use.
-    hostprof::init_from_env();
+    // allocator).
     let host_path = args.flags.get("host-prof-json").cloned();
     if host_path.is_some() {
         hostprof::set_enabled(true);
@@ -250,7 +252,6 @@ fn main() {
     let spec = ClusterSpec {
         workers: args.get("workers", 20usize),
         servers: args.get("servers", 20usize),
-        ..ClusterSpec::default()
     };
     let seed: u64 = args.get("seed", 42u64);
     let iters: usize = args.get("iters", 30usize);
@@ -370,22 +371,10 @@ fn main() {
                 "lr" => {
                     let optimizer = match args.get_str("optimizer", "sgd").as_str() {
                         "sgd" => Optimizer::Sgd,
-                        "adam" => Optimizer::Adam {
-                            beta1: 0.9,
-                            beta2: 0.999,
-                            epsilon: 1e-8,
-                        },
-                        "adagrad" => Optimizer::Adagrad { epsilon: 1e-8 },
-                        "rmsprop" => Optimizer::RmsProp {
-                            decay: 0.9,
-                            epsilon: 1e-8,
-                        },
-                        "ftrl" => Optimizer::Ftrl {
-                            alpha: 0.3,
-                            beta: 1.0,
-                            l1: 1e-3,
-                            l2: 1e-4,
-                        },
+                        "adam" => Optimizer::Adam,
+                        "adagrad" => Optimizer::Adagrad,
+                        "rmsprop" => Optimizer::RmsProp,
+                        "ftrl" => Optimizer::Ftrl,
                         other => die(&format!("unknown optimizer '{other}'")),
                     };
                     let lr_backend = match backend.as_str() {
@@ -416,7 +405,7 @@ fn main() {
                         "ps" => DeepWalkBackend::PsPullPush,
                         other => die(&format!("unknown DeepWalk backend '{other}'")),
                     };
-                    let (graph_gen, walks_n, walk_len) = match preset.as_deref() {
+                    let (graph_gen, walks_n) = match preset.as_deref() {
                         None => (
                             GraphGen {
                                 vertices: args.get("vertices", 2_000u32),
@@ -424,15 +413,14 @@ fn main() {
                                 seed,
                             },
                             args.get("walks", 4_000usize),
-                            8usize,
                         ),
                         Some("graph1") => {
                             let p = presets::graph1(seed);
-                            (p.gen, p.num_walks, p.walk_len)
+                            (p.gen, p.num_walks)
                         }
                         Some("graph2") => {
                             let p = presets::graph2(seed);
-                            (p.gen, p.num_walks, p.walk_len)
+                            (p.gen, p.num_walks)
                         }
                         Some(other) => die(&format!(
                             "unknown graph preset '{other}' (want graph1|graph2)"
@@ -441,13 +429,10 @@ fn main() {
                     let dim: u64 = args.get("embedding-dim", 100u64);
                     run_ps2_with(mk_builder(), spec, move |ctx, ps2| {
                         let g = graph_gen.generate();
-                        let walks = RandomWalks::sample(&g, walks_n, walk_len, seed ^ 1);
+                        let walks = RandomWalks::sample(&g, walks_n, presets::WALK_LEN, seed ^ 1);
                         let cfg = DeepWalkConfig {
                             vertices: graph_gen.vertices,
-                            hyper: DeepWalkHyper {
-                                embedding_dim: dim,
-                                ..DeepWalkHyper::default()
-                            },
+                            embedding_dim: dim,
                             batch_per_worker: 128,
                             iterations: iters,
                             seed,
@@ -473,7 +458,6 @@ fn main() {
                         num_trees: args.get("trees", 10usize),
                         max_depth: args.get("depth", 5usize),
                         histogram_bins: args.get("bins", 50usize),
-                        ..GbdtHyper::default()
                     };
                     run_ps2_with(mk_builder(), spec, move |ctx, ps2| {
                         let cfg = GbdtConfig {
@@ -510,10 +494,7 @@ fn main() {
                     run_ps2_with(mk_builder(), spec, move |ctx, ps2| {
                         let cfg = LdaConfig {
                             corpus,
-                            hyper: LdaHyper {
-                                topics,
-                                ..LdaHyper::default()
-                            },
+                            topics,
                             iterations: iters,
                         };
                         train_lda(ctx, ps2, &cfg, lda_backend)
@@ -570,9 +551,8 @@ fn main() {
         Vec::new()
     };
     let alerts = if report.timeseries.is_some() {
-        let wd = Watchdog::default();
-        let mut alerts = wd.evaluate(&report);
-        alerts.extend(wd.evaluate_slo(&report, &objectives));
+        let mut alerts = Watchdog::evaluate(&report);
+        alerts.extend(Watchdog::evaluate_slo(&report, &objectives));
         if want_trace {
             Watchdog::annotate(&mut report, &alerts);
         }

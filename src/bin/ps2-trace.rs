@@ -4,12 +4,8 @@
 //! ```text
 //! ps2-trace <FILE>           print the critical-path / category breakdown
 //! ps2-trace report <FILE>    same, explicit subcommand
-//! ps2-trace diff <A> <B> [--tolerance FRAC]
-//!                            per-category critical-path deltas (A is the
-//!                            baseline; positive deltas mean B is slower).
-//!                            With --tolerance, exit 1 when the makespan or
-//!                            any category regressed by more than FRAC
-//!                            (e.g. 0.05 = 5%) — the CI gate mode.
+//! ps2-trace diff <A> <B>     per-category critical-path deltas (A is the
+//!                            baseline; positive deltas mean B is slower)
 //! ps2-trace host <FILE>      print a hostprof sidecar (written by
 //!                            `ps2-run --host-prof-json`): the run's name,
 //!                            wall time and the per-scope cost table
@@ -18,11 +14,9 @@
 //!                            embedding one: per-op p50/p99/p999/max, the K
 //!                            slowest requests with their stage breakdowns,
 //!                            the declared objectives, and any burn alerts
-//! ps2-trace slo diff <BASE> <CAND> [--tolerance FRAC]
-//!                            compare two SLO sidecars; exit 1 when any op's
-//!                            p999 regressed beyond FRAC (default 0.25) or
-//!                            the candidate has burn alerts the baseline
-//!                            didn't — the CI tail-latency gate
+//! ps2-trace slo diff <BASE> <CAND>
+//!                            compare two SLO sidecars: per-op p999 deltas
+//!                            and the burn-alert counts
 //! ps2-trace whatif <FILE> [--experiment SPEC] [--json OUT]
 //!                            replay the trace's retained causal DAG under
 //!                            counterfactual edits. Without --experiment,
@@ -47,10 +41,10 @@ use ps2::simnet::{parse_spec, run_battery, standard_battery, HostProfile};
 use ps2::tracefile::{whatif_input, SloSummary, TraceSummary};
 
 const USAGE: &str = "usage: ps2-trace <FILE> | ps2-trace report <FILE> | \
-     ps2-trace diff <A> <B> [--tolerance FRAC] | \
+     ps2-trace diff <A> <B> | \
      ps2-trace host <FILE> | \
      ps2-trace slo <FILE> | \
-     ps2-trace slo diff <BASE> <CAND> [--tolerance FRAC] | \
+     ps2-trace slo diff <BASE> <CAND> | \
      ps2-trace whatif <FILE> [--experiment SPEC] [--json OUT] | \
      ps2-trace --help";
 
@@ -70,36 +64,6 @@ fn load<T>(path: &str, parse: impl FnOnce(&str) -> Result<T, String>) -> T {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
     parse(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")))
-}
-
-/// The tail-latency gate: compare two SLO sidecars, exit nonzero on a p999
-/// regression past the tolerance or a burn alert the baseline didn't have.
-fn slo_diff(base_path: &str, cand_path: &str, tol_milli: u64) -> ! {
-    let base = load(base_path, SloSummary::from_json);
-    let cand = load(cand_path, SloSummary::from_json);
-    println!("baseline:  {base_path}\ncandidate: {cand_path}");
-    print!("{}", base.render_diff(&cand));
-    let violations = base.regressions(&cand, tol_milli);
-    if violations.is_empty() {
-        println!(
-            "slo gate passed ({:.1}% tolerance)",
-            tol_milli as f64 / 10.0
-        );
-        exit(0);
-    }
-    for v in &violations {
-        eprintln!("REGRESSION {v}");
-    }
-    exit(1)
-}
-
-fn parse_tolerance(frac: &str) -> u64 {
-    let frac: f64 = frac
-        .parse()
-        .ok()
-        .filter(|f: &f64| *f >= 0.0 && f.is_finite())
-        .unwrap_or_else(|| die(&format!("bad --tolerance '{frac}' (want e.g. 0.05)")));
-    (frac * 1000.0).round() as u64
 }
 
 /// `whatif <FILE> [--experiment SPEC] [--json OUT]`: rebuild the retained
@@ -182,12 +146,10 @@ fn main() {
             print!("{}", load(file, SloSummary::from_json).render());
         }
         [cmd, sub, a, b] if cmd == "slo" && sub == "diff" => {
-            // Default tolerance 0.25 (+25%): the p999 of a small run rides
-            // single-bucket granularity, so a tight default would flap.
-            slo_diff(a, b, 250);
-        }
-        [cmd, sub, a, b, flag, frac] if cmd == "slo" && sub == "diff" && flag == "--tolerance" => {
-            slo_diff(a, b, parse_tolerance(frac));
+            let base = load(a, SloSummary::from_json);
+            let cand = load(b, SloSummary::from_json);
+            println!("baseline:  {a}\ncandidate: {b}");
+            print!("{}", base.render_diff(&cand));
         }
         [cmd, file] if cmd == "report" => {
             print!("{}", load(file, TraceSummary::from_json).render());
@@ -197,20 +159,6 @@ fn main() {
                 "{}",
                 load(a, TraceSummary::from_json).render_diff(&load(b, TraceSummary::from_json))
             );
-        }
-        [cmd, a, b, flag, frac] if cmd == "diff" && flag == "--tolerance" => {
-            let tol_milli = parse_tolerance(frac);
-            let base = load(a, TraceSummary::from_json);
-            let cand = load(b, TraceSummary::from_json);
-            print!("{}", base.render_diff(&cand));
-            let violations = base.regressions(&cand, tol_milli);
-            if !violations.is_empty() {
-                for v in &violations {
-                    eprintln!("REGRESSION {v}");
-                }
-                exit(1);
-            }
-            println!("within tolerance ({:.1}%)", tol_milli as f64 / 10.0);
         }
         _ => usage(),
     }

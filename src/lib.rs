@@ -25,7 +25,7 @@
 //! ```
 //! use ps2::{run_ps2, ClusterSpec};
 //!
-//! let spec = ClusterSpec { workers: 4, servers: 4, ..ClusterSpec::default() };
+//! let spec = ClusterSpec { workers: 4, servers: 4 };
 //! let (nnz, report) = run_ps2(spec, 42, |ctx, ps2| {
 //!     let w = ps2.dense_dcv(ctx, 1_000_000, 4); // paper Figure 3, line 4
 //!     let g = w.derive(ctx);                    // co-located sibling
@@ -50,7 +50,7 @@ pub use ps2_simnet as simnet;
 // The most-used names at the top level.
 pub use ps2_core::{
     deploy, run_ps2, run_ps2_with, AggKind, ClusterSpec, Dcv, Deployment, ElemOp, InitKind,
-    MetricsSnapshot, Partitioning, Ps2Context, PsConfig, RunReport, SimBuilder, SimCtx, SimReport,
-    SimTime, ZipSegs,
+    MetricsSnapshot, Partitioning, Ps2Context, RunReport, SimBuilder, SimCtx, SimReport, SimTime,
+    ZipSegs,
 };
 pub use ps2_ml::TrainingTrace;

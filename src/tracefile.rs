@@ -6,34 +6,15 @@
 //! same file serves both the UI and this module). This module re-reads that
 //! section without the original [`SimReport`](ps2_simnet::SimReport): a
 //! [`TraceSummary`] and an [`SloSummary`] extractor over the workspace's JSON
-//! codec ([`ps2_simnet::json`]), text renderers for the `report`, `diff` and
-//! `slo` subcommands, and the regression gates.
+//! codec ([`ps2_simnet::json`]), and text renderers for the `report`, `diff`,
+//! `slo` and `slo diff` subcommands. The two `diff` views show deltas; they
+//! judge nothing.
 
 use std::collections::BTreeMap;
 
 use ps2_simnet::{CausalDag, OpTails};
 
 pub use ps2_simnet::json::{parse_json, JsonValue, ParseError};
-
-/// The one tolerance rule of the `diff` gates: `Some(violation line)` when
-/// `b` exceeds baseline `a` by more than `tolerance_milli` parts-per-thousand
-/// (50 = 5%). Integer arithmetic keeps the gate deterministic; a zero
-/// baseline tolerates nothing.
-fn regression(name: &str, a: u64, b: u64, tolerance_milli: u64) -> Option<String> {
-    let limit = a + a / 1000 * tolerance_milli + a % 1000 * tolerance_milli / 1000;
-    if b <= limit {
-        return None;
-    }
-    let pct = if a == 0 {
-        f64::INFINITY
-    } else {
-        100.0 * (b as f64 - a as f64) / a as f64
-    };
-    Some(format!(
-        "{name}: {a} ns -> {b} ns (+{pct:.1}%, tolerance {:.1}%)",
-        tolerance_milli as f64 / 10.0
-    ))
-}
 
 /// Per-process row from the trace's analysis section.
 #[derive(Debug, Clone)]
@@ -160,32 +141,6 @@ impl TraceSummary {
                 secs(p.busy_ns),
                 secs(p.slack_ns)
             ));
-        }
-        out
-    }
-
-    /// Regression check for CI gates: a violation is a relative increase
-    /// beyond `tolerance_milli` parts-per-thousand (50 = 5%) in the makespan
-    /// or any critical-path category, with `self` as the baseline. Returns
-    /// one human-readable line per violation; empty means the candidate is
-    /// within tolerance.
-    pub fn regressions(&self, other: &TraceSummary, tolerance_milli: u64) -> Vec<String> {
-        let mut out = Vec::new();
-        out.extend(regression(
-            "makespan",
-            self.makespan_ns,
-            other.makespan_ns,
-            tolerance_milli,
-        ));
-        let cand: BTreeMap<&str, u64> = other
-            .categories
-            .iter()
-            .map(|(k, v)| (k.as_str(), *v))
-            .collect();
-        for (name, a) in &self.categories {
-            let b = cand.get(name.as_str()).copied().unwrap_or(0);
-            let name = format!("category {name}");
-            out.extend(regression(&name, *a, b, tolerance_milli));
         }
         out
     }
@@ -462,35 +417,6 @@ impl SloSummary {
         out
     }
 
-    /// Regression gate on the request tail: a violation is a relative
-    /// increase beyond `tolerance_milli` parts-per-thousand in any op's
-    /// p999, a new burn alert the baseline didn't have, or an op losing all
-    /// completions. `self` is the baseline.
-    pub fn regressions(&self, other: &SloSummary, tolerance_milli: u64) -> Vec<String> {
-        let mut out = Vec::new();
-        let cand: BTreeMap<&str, &SloOpRow> =
-            other.ops.iter().map(|o| (o.op.as_str(), o)).collect();
-        for base in &self.ops {
-            let Some(c) = cand.get(base.op.as_str()) else {
-                if base.completed > 0 {
-                    out.push(format!("op {}: vanished from candidate", base.op));
-                }
-                continue;
-            };
-            let name = format!("op {} p999", base.op);
-            out.extend(regression(&name, base.p999_ns, c.p999_ns, tolerance_milli));
-        }
-        if self.alerts.is_empty() && !other.alerts.is_empty() {
-            for a in &other.alerts {
-                out.push(format!(
-                    "new burn alert: {} at {} ns (window {})",
-                    a.subject, a.at_ns, a.window
-                ));
-            }
-        }
-        out
-    }
-
     /// Compare two sidecars op by op (`self` is the baseline; positive
     /// deltas mean the candidate's tail is slower).
     pub fn render_diff(&self, other: &SloSummary) -> String {
@@ -580,18 +506,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn gate_passes_within_tolerance_and_fails_beyond() {
-        assert_eq!(regression("makespan", 1_000_000, 1_049_000, 50), None);
-        assert_eq!(regression("makespan", 1_000_000, 1_050_000, 50), None);
-        let v = regression("makespan", 1_000_000, 1_051_000, 50);
-        let v = v.expect("5.1% over a 5% gate must fail");
-        assert!(v.starts_with("makespan: ") && v.contains("+5.1%"), "{v}");
-        // A zero baseline tolerates nothing; an improvement never fires.
-        assert!(regression("idle", 0, 1, 3000).is_some());
-        assert_eq!(regression("idle", 7, 0, 0), None);
-    }
-
-    #[test]
     fn summary_requires_ps2_section() {
         let err = TraceSummary::from_json(r#"{"traceEvents": []}"#).unwrap_err();
         assert!(err.contains("ps2"), "unexpected error: {err}");
@@ -641,20 +555,18 @@ mod tests {
     }
 
     #[test]
-    fn slo_regressions_gate_p999_and_new_alerts() {
+    fn slo_diff_shows_p999_and_alert_deltas() {
         let base = SloSummary::from_json(SLO_DOC).unwrap();
-        let mut cand = base.clone();
-        assert!(base.regressions(&cand, 50).is_empty());
-        cand.ops[0].p999_ns = 500; // +25% > 5% tolerance
-        let v = base.regressions(&cand, 50);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("p999"), "{v:?}");
+        let same = base.render_diff(&base);
+        assert!(same.contains("delta +0 ns"), "{same}");
+        assert!(same.contains("burn alerts: 1 -> 1"), "{same}");
 
-        // A new alert in the candidate is a violation even when p999 holds.
+        let mut cand = base.clone();
+        cand.ops[0].p999_ns = 500;
         let mut no_alert = base.clone();
         no_alert.alerts.clear();
-        let v = no_alert.regressions(&base, 50);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("burn alert"), "{v:?}");
+        let text = no_alert.render_diff(&cand);
+        assert!(text.contains("delta +100 ns"), "{text}");
+        assert!(text.contains("burn alerts: 0 -> 1"), "{text}");
     }
 }

@@ -145,15 +145,27 @@ fn every_sidecar_round_trips_through_the_cli() {
 
     // ps2-trace reads all of it back.
     assert!(run(TRACE, "report @trace.json").contains("critical path"));
-    run(TRACE, "diff @trace.json @trace.json --tolerance 0");
+    let diff = run(TRACE, "diff @trace.json @trace.json");
+    assert!(diff.contains("delta +0.000000s"), "{diff}");
     let slo_report = run(TRACE, "slo @slo.json");
     assert!(slo_report.contains("slowest pull requests"), "{slo_report}");
     assert_eq!(run(TRACE, "slo @trace.json"), slo_report);
-    run(TRACE, "slo diff @slo.json @slo.json");
+    let slo_diff = run(TRACE, "slo diff @slo.json @slo.json");
+    assert!(slo_diff.contains("delta +0 ns"), "{slo_diff}");
     assert!(run(TRACE, "host @host.json").contains("sched."));
     run(TRACE, "whatif @trace.json --json @whatif-offline.json");
     let offline = load("whatif-offline.json");
     assert_eq!(offline.u64_field("baseline_makespan_ns"), Ok(baseline));
+}
+
+#[test]
+fn both_binaries_print_usage_on_help() {
+    for bin in [RUN, TRACE] {
+        for flag in ["--help", "-h"] {
+            let usage = run(bin, flag);
+            assert!(usage.starts_with("usage: "), "{bin} {flag}: {usage}");
+        }
+    }
 }
 
 #[test]

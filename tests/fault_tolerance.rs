@@ -53,7 +53,6 @@ fn run_lr(kill_at: Option<SimTime>) -> RunOutcome {
     let spec = ClusterSpec {
         workers: 4,
         servers: 4,
-        ..ClusterSpec::default()
     };
     let mut sim = SimBuilder::new()
         .seed(SEED)
@@ -124,7 +123,7 @@ fn run_lr(kill_at: Option<SimTime>) -> RunOutcome {
     let report = sim.run().expect("simulation must complete (no deadlock)");
     let (losses, grad_done, iter_done, recoveries, silent_reinits) = out.take();
     let run_report = RunReport::from_sim(&report);
-    let alerts = Watchdog::default().evaluate(&report);
+    let alerts = Watchdog::evaluate(&report);
     RunOutcome {
         losses,
         grad_done,

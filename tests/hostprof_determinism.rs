@@ -27,7 +27,6 @@ fn run_once(profiled: bool) -> SimReport {
     let spec = ClusterSpec {
         workers: 4,
         servers: 3,
-        ..ClusterSpec::default()
     };
     // 1 ms windows: these mini-runs finish in a few virtual ms, and the
     // scrape must actually roll for `scrape.roll` to show in the profile.

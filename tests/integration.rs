@@ -13,7 +13,6 @@ fn spec(w: usize, s: usize) -> ClusterSpec {
     ClusterSpec {
         workers: w,
         servers: s,
-        ..ClusterSpec::default()
     }
 }
 
@@ -128,7 +127,6 @@ fn training_survives_chaos() {
     let (final_loss, _) = run_ps2(spec(6, 4), 13, |ctx, ps2| {
         ps2.spark.failure.task_failure_prob = 0.05;
         ps2.spark.failure.max_task_attempts = 100;
-        ps2.spark.failure.liveness_poll = SimTime::from_secs_f64(1.0);
         let gen = SparseDatasetGen::new(3_000, 4_000, 12, 6, 3);
         let mut cfg = LrConfig::new(gen, Optimizer::Sgd, 8);
         cfg.hyper.learning_rate = 3.0;

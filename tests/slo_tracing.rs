@@ -8,7 +8,8 @@
 
 use ps2::ml::lr::{train_lr, LrBackend, LrConfig};
 use ps2::ml::optim::Optimizer;
-use ps2::simnet::{SloObjective, Watchdog, WatchdogConfig, EXEMPLAR_K};
+use ps2::simnet::watchdog::SLO_SLOW_WINDOWS;
+use ps2::simnet::{SloObjective, Watchdog, EXEMPLAR_K};
 use ps2::{run_ps2_with, ClusterSpec, SimBuilder, SimReport, SimTime};
 use ps2_data::SparseDatasetGen;
 
@@ -17,12 +18,12 @@ use common::virtual_json;
 
 /// One seeded LR run, with or without request tracing. Timeseries scraping
 /// is on in both (it is independently non-perturbing, and the SLO tests
-/// need the windows).
+/// need the windows). Eight iterations take ≈ 14 ms, so the watchdog's
+/// 12-window slow burn span fills on complete 1 ms windows.
 fn run_once(traced: bool) -> SimReport {
     let spec = ClusterSpec {
         workers: 4,
         servers: 3,
-        ..ClusterSpec::default()
     };
     let builder = SimBuilder::new()
         .seed(11)
@@ -30,7 +31,7 @@ fn run_once(traced: bool) -> SimReport {
         .reqtrace(traced);
     let (_, report) = run_ps2_with(builder, spec, |ctx, ps2| {
         let gen = SparseDatasetGen::new(1_000, 20_000, 10, 4, 11);
-        let cfg = LrConfig::new(gen, Optimizer::Sgd, 3);
+        let cfg = LrConfig::new(gen, Optimizer::Sgd, 8);
         train_lr(ctx, ps2, &cfg, LrBackend::Ps2Dcv)
     });
     report
@@ -131,15 +132,7 @@ fn slo_burn_alert_fires_window_aligned() {
         "ps.client.op.pull.latency",
         SimTime::from_micros(1),
     )];
-    // Short spans so the burn confirms inside this few-ms run on complete
-    // windows (the default 12-window slow span would only fill at the final
-    // partial window, whose end is the run end rather than a window edge).
-    let wd = Watchdog::new(WatchdogConfig {
-        slo_fast_windows: 2,
-        slo_slow_windows: 3,
-        ..WatchdogConfig::default()
-    });
-    let alerts = wd.evaluate_slo(&report, &objectives);
+    let alerts = Watchdog::evaluate_slo(&report, &objectives);
     assert!(
         !alerts.is_empty(),
         "tight objective must fire a burn alert on a healthy run"
@@ -149,7 +142,15 @@ fn slo_burn_alert_fires_window_aligned() {
     // The earliest possible confirmation: the window that completes the
     // slow span. Its timestamp is the end of that window — window-aligned
     // in virtual time, never an arbitrary instant.
-    assert_eq!(first.window, 2, "alert should fire as the slow span fills");
+    assert_eq!(
+        first.window,
+        SLO_SLOW_WINDOWS as u64 - 1,
+        "alert should fire as the slow span fills"
+    );
+    assert!(
+        report.virtual_time.as_nanos() > (first.window + 1) * window_ns,
+        "the slow span must fill on complete windows, not the run-end tail"
+    );
     assert_eq!(
         first.at.as_nanos(),
         (first.window + 1) * window_ns,
@@ -168,8 +169,5 @@ fn slo_burn_alert_fires_window_aligned() {
         "ps.client.op.pull.latency",
         SimTime::from_millis(1),
     )];
-    assert!(wd.evaluate_slo(&report, &healthy).is_empty());
-    assert!(Watchdog::default()
-        .evaluate_slo(&report, &healthy)
-        .is_empty());
+    assert!(Watchdog::evaluate_slo(&report, &healthy).is_empty());
 }

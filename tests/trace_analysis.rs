@@ -17,7 +17,6 @@ fn lr_run(seed: u64, trace: bool) -> SimReport {
     let spec = ClusterSpec {
         workers: WORKERS,
         servers: 4,
-        ..ClusterSpec::default()
     };
     let gen = SparseDatasetGen::new(2_000, 10_000, 10, WORKERS, seed);
     let (_, report) = run_ps2_with(
@@ -131,32 +130,39 @@ fn different_seeds_diff_with_nonzero_category_deltas() {
 }
 
 #[test]
-fn regression_gate_fires_on_synthetic_slowdown() {
+fn diff_view_shows_synthetic_slowdown() {
     let r = lr_run(42, true);
     let a = CausalAnalysis::from_report(&r).unwrap();
     let s = TraceSummary::from_json(&export_trace(&r, Some(&a))).unwrap();
-    // A trace never regresses against itself, even at zero tolerance.
-    assert!(s.regressions(&s, 0).is_empty());
-    // Synthetic regression: +10% makespan and compute.
+    let delta = |ns: u64| format!("delta {:+.6}s", ns as f64 / 1e9);
+    // A trace diffed against itself shows no delta anywhere.
+    let same = s.render_diff(&s);
+    assert!(same
+        .lines()
+        .all(|l| !l.contains("delta") || l.contains(&delta(0))));
+    // Synthetic slowdown: +10% makespan and compute.
     let mut slow = s.clone();
     slow.makespan_ns += s.makespan_ns / 10;
+    let mut compute = 0;
     for (name, ns) in slow.categories.iter_mut() {
         if name == "compute" {
-            *ns += *ns / 10;
+            compute = *ns / 10;
+            *ns += compute;
         }
     }
-    let v = s.regressions(&slow, 50);
+    assert!(compute > 0, "an LR run computes on the critical path");
+    let text = s.render_diff(&slow);
+    let line = |prefix: &str| {
+        text.lines()
+            .find(|l| l.trim_start().starts_with(prefix))
+            .unwrap_or_else(|| panic!("no '{prefix}' line:\n{text}"))
+    };
     assert!(
-        v.iter().any(|l| l.contains("makespan")),
-        "10% over a 5% gate must flag the makespan: {v:?}"
+        line("makespan").contains(&delta(s.makespan_ns / 10)),
+        "{text}"
     );
-    assert!(
-        v.iter().any(|l| l.contains("category compute")),
-        "the regressed category must be named: {v:?}"
-    );
-    // A 20% tolerance swallows the same delta, and improvements never fire.
-    assert!(s.regressions(&slow, 200).is_empty());
-    assert!(slow.regressions(&s, 0).is_empty());
+    assert!(line("compute").contains(&delta(compute)), "{text}");
+    assert!(line("network").contains(&delta(0)), "{text}");
 }
 
 #[test]
