@@ -290,7 +290,8 @@ fn serve_kdd12() {
 type Body = Box<dyn FnOnce(&mut SimCtx, &mut Ps2Context) + Send>;
 
 /// The PS paths no other group runs, each on a tiny shape at seed 1 on the
-/// 4 × 4 cluster: the LR baselines' dense row access, GBDT's `zip_map` /
+/// 4 × 4 cluster: the LR baselines' dense row access, the MLlib baseline's
+/// driver-side gradient aggregation (`lr-mllib`, no PS), GBDT's `zip_map` /
 /// `zip_argmax`, LDA's block and per-key access, FM's blocks, DeepWalk's
 /// batched envelopes, misaligned DCV ops and row-plan pulls. `envelopes`
 /// (`ps.client.envelopes`) pins how many requests each op fanned out to.
@@ -305,6 +306,13 @@ fn backends() {
         })
     };
     let lr = |backend| lr_with(Optimizer::Sgd, backend);
+    // The MLlib loop's gradient aggregation with more partitions than
+    // executors: P = 16 on E = 4.
+    let mllib: Body = Box::new(move |ctx, ps2| {
+        let gen = SparseDatasetGen::new(2_000, 5_000, 10, 16, seed);
+        let cfg = LrConfig::new(gen, Optimizer::Sgd, 2);
+        train_lr(ctx, ps2, &cfg, LrBackend::SparkDriver);
+    });
     // `ps2-run lr --optimizer …`'s stateful optimizers as server-side zips.
     let adagrad = Optimizer::Adagrad;
     let rmsprop = Optimizer::RmsProp;
@@ -370,6 +378,7 @@ fn backends() {
         ("lr-petuum", lr(LrBackend::PetuumStyle)),
         ("lr-ps", lr(LrBackend::PsPullPush)),
         ("lr-distml", lr(LrBackend::DistmlStyle)),
+        ("lr-mllib", mllib),
         ("lr-adagrad", lr_with(adagrad, LrBackend::Ps2Dcv)),
         ("lr-rmsprop", lr_with(rmsprop, LrBackend::Ps2Dcv)),
         ("lr-ftrl", lr_with(ftrl, LrBackend::Ps2Dcv)),
