@@ -9,11 +9,14 @@
 //!
 //! It deliberately implements only what the paper's workloads use — narrow
 //! transformations (`map`, `filter`, `map_partitions`, `sample`), actions
-//! (`collect`, `reduce_partitions`, `count`, `for_each_partition`), caching
-//! and driver broadcast. There are no shuffles: every ML workload in the
-//! paper is embarrassingly parallel over partitions with aggregation either
-//! at the driver (the MLlib baseline whose bottleneck §2 analyses) or at the
-//! parameter servers.
+//! (`collect`, `reduce_partitions`, `count`, `for_each_partition`), caching,
+//! and two trees among the executors like Spark's: torrent broadcast down
+//! and `treeAggregate` up. Every ML workload in the paper is embarrassingly
+//! parallel over partitions, with aggregation either through the driver
+//! (the MLlib baseline whose bottleneck §2 analyses:
+//! [`SparkContext::reduce_partitions`] merges partials at group leaders
+//! first, as MLlib does) or at the parameter servers. The shuffle services
+//! serve the two key-grouping actions the feature pipeline uses.
 //!
 //! ```
 //! use ps2_simnet::SimBuilder;

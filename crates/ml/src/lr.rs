@@ -2,9 +2,11 @@
 //! against five execution backends that reproduce the communication
 //! structure of the systems compared in the paper (Figures 1, 9, 10, 13).
 
+use std::cmp::Ordering;
+
 use ps2_core::{Dcv, Ps2Context, PsBatch, Rdd, WorkCtx};
 use ps2_data::{Example, SparseDatasetGen};
-use ps2_simnet::SimCtx;
+use ps2_simnet::{SimCtx, WireSize};
 
 use crate::hyper::LrHyper;
 use crate::metrics::{StepBreakdown, TrainingTrace};
@@ -173,6 +175,58 @@ pub fn train_lr(
 
 // ---- Spark MLlib emulation ---------------------------------------------------
 
+/// One partition's share of an MLlib gradient step, and the sum of several
+/// once merged: the gradient as sorted `(column, value)` pairs, the loss sum
+/// and example count, and the slowest partition's compute seconds (the
+/// breakdown's gradient share).
+struct GradPartial {
+    grad: Vec<(u64, f64)>,
+    loss: f64,
+    count: u64,
+    compute: f64,
+    dim: u64,
+}
+
+impl WireSize for GradPartial {
+    /// MLlib's `treeAggregate` ships dense gradient vectors: the loss,
+    /// count and compute time, then `dim` values.
+    fn wire_size(&self) -> u64 {
+        24 + 8 * self.dim
+    }
+}
+
+impl GradPartial {
+    /// Spark's `combOp`: gradients summed by one linear pass over the two
+    /// sorted lists, losses and counts added, the slower compute kept.
+    fn merge(self, other: GradPartial) -> GradPartial {
+        let mut grad = Vec::with_capacity(self.grad.len() + other.grad.len());
+        let mut a = self.grad.into_iter().peekable();
+        let mut b = other.grad.into_iter().peekable();
+        while let (Some(&(i, u)), Some(&(j, v))) = (a.peek(), b.peek()) {
+            if i <= j {
+                a.next();
+            }
+            if j <= i {
+                b.next();
+            }
+            grad.push(match i.cmp(&j) {
+                Ordering::Less => (i, u),
+                Ordering::Greater => (j, v),
+                Ordering::Equal => (i, u + v),
+            });
+        }
+        grad.extend(a);
+        grad.extend(b);
+        GradPartial {
+            grad,
+            loss: self.loss + other.loss,
+            count: self.count + other.count,
+            compute: self.compute.max(other.compute),
+            dim: self.dim,
+        }
+    }
+}
+
 fn train_spark_driver(
     ctx: &mut SimCtx,
     ps2: &mut Ps2Context,
@@ -198,43 +252,43 @@ fn train_spark_driver(
         let b = ps2.spark.broadcast(ctx, w.clone(), 8 * dim as u64);
         let t1 = ctx.now();
 
-        // (2)+(3) Gradient calculation and aggregation. Workers *compute*
-        // sparsely but MLlib aggregates dense gradient vectors, so each
-        // task result declares the dense wire size.
+        // (2)+(3) Gradient calculation and aggregation through MLlib's
+        // depth-2 `treeAggregate`: workers *compute* sparsely, but partials
+        // travel (and merge) as dense vectors.
         let batch = data.sample(cfg.hyper.mini_batch_fraction, t as u64);
-        let results = ps2
+        let GradPartial {
+            grad,
+            loss: loss_sum,
+            count: n,
+            compute: max_compute,
+            ..
+        } = ps2
             .spark
-            .run_job(
+            .reduce_partitions(
                 ctx,
                 &batch,
                 move |examples, wk: &mut WorkCtx<'_, '_>| {
                     let c0 = wk.sim.now();
                     let wv = wk.broadcast(&b);
-                    let (pairs, loss) = grad_dense(examples, &wv);
+                    let (grad, loss) = grad_dense(examples, &wv);
                     wk.sim.charge_flops(6 * batch_nnz(examples));
-                    let compute = (wk.sim.now() - c0).as_secs_f64();
-                    (pairs, loss, examples.len() as u64, compute)
+                    GradPartial {
+                        grad,
+                        loss,
+                        count: examples.len() as u64,
+                        compute: (wk.sim.now() - c0).as_secs_f64(),
+                        dim: dim as u64,
+                    }
                 },
-                move |_r| 24 + 8 * dim as u64, // dense aggregation on the wire
+                GradPartial::merge,
             )
-            .expect("gradient job failed");
+            .expect("the sample keeps the dataset's partitions");
         let t2 = ctx.now();
 
         // (4) Model update at the driver.
         let mut g = vec![0.0; dim];
-        let mut loss_sum = 0.0;
-        let mut n = 0u64;
-        let mut max_compute: f64 = 0.0;
-        for (pairs, loss, cnt, compute) in results {
-            for (j, v) in pairs {
-                g[j as usize] += v;
-            }
-            loss_sum += loss;
-            n += cnt;
-            max_compute = max_compute.max(compute);
-        }
-        for gi in &mut g {
-            *gi /= expected_batch;
+        for (j, v) in grad {
+            g[j as usize] = v / expected_batch;
         }
         ctx.charge_flops(dim as u64 * (2 + opt.flops_per_elem()));
         {

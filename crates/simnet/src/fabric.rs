@@ -237,7 +237,8 @@ pub fn call_slot<P: Any + Send + Sync>(
 pub struct Pending {
     /// Caller-defined work item this request carries (task partition).
     pub item: usize,
-    /// Caller-defined destination slot (executor index).
+    /// Caller-defined destination slot (the task scheduler's is the
+    /// destination proc's index).
     pub slot: usize,
     /// When the request went on the wire — latency = reply time − this.
     pub sent_at: SimTime,
@@ -318,14 +319,16 @@ impl Dispatcher {
     }
 
     /// Remove and return every in-flight request whose destination slot
-    /// fails the `alive` predicate, so the caller can re-dispatch them.
+    /// fails the `alive` predicate, in dispatch order, so the caller can
+    /// re-dispatch them.
     pub fn take_dead(&mut self, mut alive: impl FnMut(usize) -> bool) -> Vec<Pending> {
-        let dead_corrs: Vec<u64> = self
+        let mut dead_corrs: Vec<u64> = self
             .pending
             .iter()
             .filter(|(_, p)| !alive(p.slot))
             .map(|(&c, _)| c)
             .collect();
+        dead_corrs.sort_unstable();
         dead_corrs
             .into_iter()
             .map(|c| self.pending.remove(&c).unwrap())
