@@ -173,18 +173,21 @@ impl ServeClientAgent {
             let dst = self.cfg.servers[self.cfg.plan.row_owner(row)];
             let token = ctx.req_begin_batch("pull", 1).first().copied();
             ctx.metric_add("ps.client.envelopes", 1);
+            // Each send of the batch leaves one per-message overhead after
+            // the one before: latency counts from this pull's own issue.
+            let issued_at = ctx.now();
             let corr = ctx.send_request_traced(dst, tags::PULL, req, HDR, token);
             self.outstanding.insert(
                 corr,
                 InFlight {
-                    issued_at: now,
+                    issued_at,
                     req_bytes: HDR,
                 },
             );
         }
         if self.next_arrival < self.total_arrivals {
             let next_at = start + self.arrival_offset(self.next_arrival);
-            ctx.set_timer(next_at.saturating_sub(now));
+            ctx.set_timer(next_at.saturating_sub(ctx.now()));
         }
     }
 

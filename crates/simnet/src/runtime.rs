@@ -816,7 +816,13 @@ impl Shared {
         let mut st = self.state.lock();
         loop {
             self.interrupt_check(&st, me);
-            if let Some(key) = st.procs[me].first_match(&spec) {
+            // Mail that arrives after the deadline is not this call's: it
+            // stays queued for the next receive. Mail wins a tie, as it does
+            // against an agent's timer.
+            let clock = st.procs[me].clock;
+            let in_time =
+                |key: &(u64, u64)| deadline.is_none_or(|d| SimTime(key.0) <= clock.max(d));
+            if let Some(key) = st.procs[me].first_match(&spec).filter(in_time) {
                 let env = st.receive(me, key);
                 st.procs[me].status = Status::Runnable;
                 self.reschedule(&mut st, me);
@@ -836,8 +842,8 @@ impl Shared {
             st.touched.push(me);
             match pick(&mut st) {
                 Some(next) if next == me => {
-                    // Ready by deadline only (matching mail would have been
-                    // consumed above).
+                    // Ready by deadline only (matching mail in time would
+                    // have been consumed above).
                     let d = deadline.expect("self-ready without mail or deadline");
                     let eff = st.procs[me].clock.max(d);
                     st.ts_roll(eff);

@@ -156,3 +156,26 @@ fn virtual_time_is_far_ahead_of_wall_time_for_big_transfers() {
     assert!(rx.take() > SimTime::from_secs_f64(7.9));
     assert!(report.wall_time.as_millis() < 1000);
 }
+
+#[test]
+fn deadline_receive_leaves_later_mail_queued() {
+    // The mail is queued before the receiver waits (sent at t = 0) but
+    // arrives at ≈ 7 ms, after the 6.5 ms deadline: the deadline receive
+    // returns nothing at 6.5 ms, and the next receive gets the mail on
+    // arrival.
+    let deadline = SimTime::from_micros(6_500);
+    let mut sim = SimBuilder::new().build();
+    sim.spawn("tx", |ctx| ctx.send(ProcId(1), 0, (), 8_622_500));
+    let rx = sim.spawn_collect("rx", move |ctx| {
+        let early = ctx.recv_deadline(deadline).is_some();
+        let timed_out_at = ctx.now();
+        let env = ctx.recv();
+        (early, timed_out_at, env.arrival, ctx.now())
+    });
+    sim.run().unwrap();
+    let (early, timed_out_at, arrival, received_at) = rx.take();
+    assert!(!early, "mail arriving after the deadline was handed out");
+    assert_eq!(timed_out_at, deadline);
+    assert!(arrival > deadline && arrival < SimTime::from_micros(7_100));
+    assert_eq!(received_at, arrival);
+}
