@@ -428,7 +428,9 @@ fn row_pull(seed: u64) -> SimReport {
 
 /// The two services no other group drives, at seed 1: the shuffle service
 /// (`envelopes` = `shuffle.fabric.envelopes`, puts plus fetches) and
-/// checkpoint storage (`recoveries` = `ps.fleet.recoveries`).
+/// checkpoint storage (`recoveries` = `ps.fleet.recoveries`), the latter
+/// once behind a blocking pull and once behind a split-phase push's hole
+/// (`timeouts` = `ps.client.timeouts`).
 #[test]
 fn services() {
     let seed = 1;
@@ -445,6 +447,11 @@ fn services() {
     let recoveries = report.metrics.counter("ps.fleet.recoveries");
     let exact = format!("recoveries={recoveries}");
     rows.push(row("recovery", seed, &report, &exact, &[]));
+    let report = push_hole(seed);
+    let recoveries = report.metrics.counter("ps.fleet.recoveries");
+    let timeouts = report.metrics.counter("ps.client.timeouts");
+    let exact = format!("recoveries={recoveries} timeouts={timeouts}");
+    rows.push(row("push-hole", seed, &report, &exact, &[]));
     check(rows);
 }
 
@@ -490,4 +497,27 @@ fn recovery(seed: u64) -> SimReport {
         assert_eq!((m.recoveries(), m.silent_reinits()), (1, 0));
     });
     sim.run().expect("recovery sim failed")
+}
+
+/// `checkpoint_all`, server 1 killed, then a split-phase push over all four
+/// slots: the sub-request to the dead server is a hole that `push_wait`
+/// settles through recovery, and the pull reads every delta back.
+fn push_hole(seed: u64) -> SimReport {
+    let mut sim = SimBuilder::new().seed(seed).build();
+    let (servers, storage) = deploy_ps(&mut sim, 4, 500e6);
+    sim.spawn("coordinator", move |ctx| {
+        let victim = servers[1];
+        let mut m = PsMaster::new(servers, storage);
+        let h = m.create_matrix(ctx, 4_000, 1, Partitioning::Column, InitKind::Zero);
+        m.checkpoint_all(ctx);
+        ctx.kill(victim);
+        let cols = [10, 1_500, 2_500, 3_999];
+        let pairs: Vec<(u64, f64)> = cols.iter().map(|&c| (c, c as f64)).collect();
+        let pending = h.push_sparse_begin(ctx, 0, &pairs);
+        h.push_wait(ctx, pending);
+        let pulled = h.pull_cols(ctx, 0, &cols);
+        assert_eq!(pulled, vec![10.0, 1_500.0, 2_500.0, 3_999.0]);
+        assert_eq!((m.recoveries(), m.silent_reinits()), (1, 0));
+    });
+    sim.run().expect("push-hole sim failed")
 }
