@@ -203,7 +203,7 @@ impl SimCtx {
     }
 
     /// Send one request under a fresh correlation id and return the id.
-    fn request(
+    pub(crate) fn request(
         &mut self,
         dst: ProcId,
         tag: u32,
