@@ -28,15 +28,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ps2_simnet::{Envelope, Proc, ProcId, SimCtx, SimTime, StepCtx};
+use ps2_simnet::{Envelope, Proc, ProcId, SimCtx, SimTime, StepCtx, WireSize};
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::plan::{MatrixId, PartitionPlan, PlanKind};
-use crate::protocol::{tags, ColsSel, CreateReq, InitKind, PullReq};
+use crate::protocol::{tags, ColsSel, CreateReq, InitKind, PullReq, HDR};
 
-/// Request-header wire bytes, matching the training client's accounting.
-const HDR: u64 = 48;
 /// Bytes per served value on the wire: uncompressed `f64`s.
 const VALUE_BYTES: u64 = 8;
 
@@ -171,17 +169,18 @@ impl ServeClientAgent {
                 value_bytes: VALUE_BYTES,
             };
             let dst = self.cfg.servers[self.cfg.plan.row_owner(row)];
+            let req_bytes = HDR + req.wire_size();
             let token = ctx.req_begin_batch("pull", 1).first().copied();
             ctx.metric_add("ps.client.envelopes", 1);
             // Each send of the batch leaves one per-message overhead after
             // the one before: latency counts from this pull's own issue.
             let issued_at = ctx.now();
-            let corr = ctx.send_request_traced(dst, tags::PULL, req, HDR, token);
+            let corr = ctx.send_request_traced(dst, tags::PULL, req, req_bytes, token);
             self.outstanding.insert(
                 corr,
                 InFlight {
                     issued_at,
-                    req_bytes: HDR,
+                    req_bytes,
                 },
             );
         }
@@ -254,7 +253,8 @@ pub fn create_serve_table(
             init: init.clone(),
             slot,
         };
-        ctx.call(server, tags::CREATE, req, 96);
+        let bytes = HDR + req.wire_size();
+        ctx.call(server, tags::CREATE, req, bytes);
     }
 }
 
