@@ -236,7 +236,7 @@ impl Dcv {
     /// envelope per server at [`PsBatch::flush`] instead of paying its own
     /// round trip.
     pub fn zero_in(&self, ctx: &mut SimCtx, batch: &mut PsBatch) {
-        self.handle.zero_in(ctx, batch, self.row);
+        self.handle.fill_in(ctx, batch, self.row, 0.0);
     }
 
     /// Begin a multi-DCV server-side computation (paper Figure 3, line 22:

@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use ps2_core::{InitKind, MatrixHandle, Ps2Context, PsBatch, WorkCtx, ZipSegs};
+use ps2_core::{BatchResult, InitKind, MatrixHandle, Ps2Context, PsBatch, WorkCtx, ZipSegs};
 use ps2_data::RandomWalks;
 use ps2_ps::ZipMutFn;
 use ps2_simnet::SimCtx;
@@ -164,13 +164,14 @@ fn batch_update_dcv(wk: &mut WorkCtx<'_, '_>, h: &MatrixHandle, examples: &[Sgns
     // Two flushes per batch, each one envelope per server: all dots, then
     // — once the coefficients are known — all zip updates.
     let mut net = PsBatch::new();
-    let dot_pairs: Vec<(u32, u32)> = examples.iter().map(|&(u, v, _)| (u, v)).collect();
-    let dots = h.dot_many_in(&mut net, &dot_pairs);
+    let dots: Vec<BatchResult<f64>> = examples
+        .iter()
+        .map(|&(u, v, _)| h.dot_in(&mut net, u, v))
+        .collect();
     net.flush(wk.sim);
-    let dots = dots.take();
     let mut loss = 0.0;
-    let mut jobs: Vec<(Vec<u32>, ZipMutFn)> = Vec::with_capacity(examples.len());
-    for (&(u, v, label), &dot) in examples.iter().zip(&dots) {
+    for (&(u, v, label), dot) in examples.iter().zip(&dots) {
+        let dot = dot.take();
         let p = sigmoid(dot);
         let coef = LEARNING_RATE * (label - p);
         loss += if label > 0.5 {
@@ -178,21 +179,18 @@ fn batch_update_dcv(wk: &mut WorkCtx<'_, '_>, h: &MatrixHandle, examples: &[Sgns
         } else {
             log_loss(-dot)
         };
-        jobs.push((
-            vec![u, v],
-            Arc::new(move |zs: &mut ZipSegs<'_>| {
-                // u += coef * v'; v' += coef * u_old (paper Equation 2).
-                let (us, rest) = zs.segs.split_first_mut().expect("two rows");
-                let vs = &mut rest[0];
-                for i in 0..us.len() {
-                    let u_old = us[i];
-                    us[i] += coef * vs[i];
-                    vs[i] += coef * u_old;
-                }
-            }),
-        ));
+        let step: ZipMutFn = Arc::new(move |zs: &mut ZipSegs<'_>| {
+            // u += coef * v'; v' += coef * u_old (paper Equation 2).
+            let (us, rest) = zs.segs.split_first_mut().expect("two rows");
+            let vs = &mut rest[0];
+            for i in 0..us.len() {
+                let u_old = us[i];
+                us[i] += coef * vs[i];
+                vs[i] += coef * u_old;
+            }
+        });
+        h.zip_in(wk.sim, &mut net, &[u, v], step, 4);
     }
-    h.zip_many_in(wk.sim, &mut net, jobs, 4);
     net.flush(wk.sim);
     loss
 }
@@ -201,18 +199,18 @@ fn batch_update_dcv(wk: &mut WorkCtx<'_, '_>, h: &MatrixHandle, examples: &[Sgns
 /// each example pulls both of its vectors and pushes both updates — no
 /// cross-pair dedup, so `4·K` values per example cross the network.
 fn batch_update_pullpush(wk: &mut WorkCtx<'_, '_>, h: &MatrixHandle, examples: &[Sgns]) -> f64 {
-    let rows: Vec<u32> = examples.iter().flat_map(|&(u, v, _)| [u, v]).collect();
     let mut net = PsBatch::new();
-    let vectors = h.pull_rows_in(&mut net, &rows);
+    let pulls: Vec<BatchResult<Vec<f64>>> = examples
+        .iter()
+        .flat_map(|&(u, v, _)| [u, v])
+        .map(|row| h.pull_row_in(&mut net, row))
+        .collect();
     net.flush(wk.sim);
-    let vectors = vectors.take();
     let k = h.dim() as usize;
-    let mut updates: Vec<(u32, Vec<f64>)> = Vec::with_capacity(rows.len());
     let mut loss = 0.0;
-    for (e, &(u, v, label)) in examples.iter().enumerate() {
-        let uv = &vectors[2 * e];
-        let vv = &vectors[2 * e + 1];
-        let dot: f64 = uv.iter().zip(vv).map(|(a, b)| a * b).sum();
+    for (pair, &(u, v, label)) in pulls.chunks(2).zip(examples) {
+        let (uv, vv) = (pair[0].take(), pair[1].take());
+        let dot: f64 = uv.iter().zip(&vv).map(|(a, b)| a * b).sum();
         let p = sigmoid(dot);
         let coef = LEARNING_RATE * (label - p);
         loss += if label > 0.5 {
@@ -222,11 +220,10 @@ fn batch_update_pullpush(wk: &mut WorkCtx<'_, '_>, h: &MatrixHandle, examples: &
         };
         let du: Vec<f64> = vv.iter().map(|x| coef * x).collect();
         let dv: Vec<f64> = uv.iter().map(|x| coef * x).collect();
-        updates.push((u, du));
-        updates.push((v, dv));
+        h.push_dense_in(wk.sim, &mut net, u, &du);
+        h.push_dense_in(wk.sim, &mut net, v, &dv);
     }
     wk.sim.charge_flops(examples.len() as u64 * 8 * k as u64);
-    h.push_dense_many_in(wk.sim, &mut net, &updates);
     net.flush(wk.sim);
     loss
 }

@@ -44,8 +44,12 @@ fn run_episode(servers: usize, seed: u64, value: f64, enveloped: bool) -> (Vec<f
         ctx.advance(SimTime::from_secs_f64(1.0));
         let update = vec![value; dim as usize];
         if enveloped {
+            // Two half-pushes make a two-op batch, which flushes as one
+            // envelope per server.
+            let half: Vec<f64> = update.iter().map(|v| v / 2.0).collect();
             let mut batch = PsBatch::new();
-            h.push_dense_many_in(ctx, &mut batch, &[(0, update)]);
+            h.push_dense_in(ctx, &mut batch, 0, &half);
+            h.push_dense_in(ctx, &mut batch, 0, &half);
             batch.flush(ctx);
         } else {
             h.push_dense(ctx, 0, &update);

@@ -90,7 +90,7 @@ pub use config::{ComputeConfig, NetConfig, SimConfig};
 pub use ctx::SimCtx;
 pub use fabric::{FabricPolicy, SlotRouter, StaticRoutes};
 pub use hostprof::{HostProfile, ScopeStat};
-pub use message::{Envelope, WireSize};
+pub use message::{payload_ref, Envelope, WireSize};
 pub use metrics::{MetricsSnapshot, OpRow, RunReport, VtHistogram};
 pub use perfetto::{export_trace, export_trace_full};
 pub use probe::LivenessProbe;

@@ -1,6 +1,7 @@
 //! Messages and wire-size accounting.
 
 use std::any::Any;
+use std::sync::Arc;
 
 use crate::hostprof::{self, Scope as ProfScope};
 use crate::reqtrace::ReqToken;
@@ -48,27 +49,18 @@ impl Envelope {
     }
 
     /// Borrow the payload as `T`, panicking with a diagnostic on mismatch.
-    ///
-    /// Transparent to `Arc`: a payload sent as `Arc<T>` (the fabric wraps
-    /// request payloads in an `Arc` once so retries resend without a deep
-    /// clone) is borrowed through the `Arc` — the receiver never notices.
+    /// Transparent to the `Arc`s the fabric ships requests in; see
+    /// [`payload_ref`].
     pub fn downcast_ref<T: 'static>(&self) -> &T {
         let _prof = hostprof::scope(ProfScope::CodecDecode);
-        self.payload
-            .downcast_ref::<T>()
-            .or_else(|| {
-                self.payload
-                    .downcast_ref::<std::sync::Arc<T>>()
-                    .map(|a| &**a)
-            })
-            .unwrap_or_else(|| {
-                panic!(
-                    "envelope tag {} from {:?}: payload is not a {}",
-                    self.tag,
-                    self.src,
-                    std::any::type_name::<T>()
-                )
-            })
+        payload_ref(self.payload.as_ref()).unwrap_or_else(|| {
+            panic!(
+                "envelope tag {} from {:?}: payload is not a {}",
+                self.tag,
+                self.src,
+                std::any::type_name::<T>()
+            )
+        })
     }
 
     /// Take the payload as `T`, panicking with a diagnostic on mismatch.
@@ -84,6 +76,21 @@ impl Envelope {
             ),
         }
     }
+}
+
+/// Borrow a request payload as `T`, seeing through the `Arc` the fabric
+/// wraps it in once so retries resend without a deep clone: `Arc<T>`, or
+/// `Arc<dyn Any + Send + Sync>` from a caller whose requests mix types.
+/// The receiver never notices either.
+pub fn payload_ref<T: 'static>(payload: &dyn Any) -> Option<&T> {
+    payload
+        .downcast_ref::<T>()
+        .or_else(|| payload.downcast_ref::<Arc<T>>().map(|a| &**a))
+        .or_else(|| {
+            payload
+                .downcast_ref::<Arc<dyn Any + Send + Sync>>()
+                .and_then(|a| (**a).downcast_ref::<T>())
+        })
 }
 
 /// As-if serialized size of a value, in bytes.
