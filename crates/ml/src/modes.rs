@@ -9,8 +9,8 @@
 //!   before the iteration ends.
 //! * **SSP(s)** — gated with `bound = s`; pulls are served from the
 //!   worker-local [`ParamCache`] while within the bound, and push(t)
-//!   overlaps compute(t+1) (split-phase [`MatrixHandle::push_sparse_begin`]
-//!   / [`MatrixHandle::push_wait`]).
+//!   overlaps compute(t+1): [`MatrixHandle::push_sparse_begin`] is the
+//!   request fabric's `begin`, [`MatrixHandle::push_wait`] its `settle`.
 //! * **async** — no clock traffic at all; free-running workers with a
 //!   ttl-bounded cache and pipelined pushes.
 //!
