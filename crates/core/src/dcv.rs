@@ -3,7 +3,9 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use ps2_ps::{AggKind, ElemOp, MatrixHandle, PsBatch, ZipArgmaxFn, ZipMapFn, ZipMutFn};
+use ps2_ps::{
+    AggKind, BatchResult, ElemOp, MatrixHandle, PsBatch, ZipArgmaxFn, ZipMapFn, ZipMutFn,
+};
 use ps2_simnet::SimCtx;
 
 /// A distributed vector on the parameter servers (paper §4).
@@ -237,6 +239,17 @@ impl Dcv {
     /// round trip.
     pub fn zero_in(&self, ctx: &mut SimCtx, batch: &mut PsBatch) {
         self.handle.fill_in(ctx, batch, self.row, 0.0);
+    }
+
+    /// Enqueue a [`Dcv::dot`] into `batch`; the value is readable once the
+    /// batch has flushed. Both DCVs must come from the same `dense()`
+    /// allocation, so the dot stays server-side.
+    pub fn dot_in(&self, batch: &mut PsBatch, other: &Dcv) -> BatchResult<f64> {
+        assert!(
+            self.handle.id == other.handle.id,
+            "dot_in requires DCVs derived from the same dense() allocation"
+        );
+        self.handle.dot_in(batch, self.row, other.row)
     }
 
     /// Begin a multi-DCV server-side computation (paper Figure 3, line 22:

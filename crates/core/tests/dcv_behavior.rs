@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use ps2_core::{run_ps2, ClusterSpec, Dcv, ElemOp, SimCtx, ZipSegs};
+use ps2_core::{run_ps2, ClusterSpec, Dcv, ElemOp, PsBatch, SimCtx, ZipSegs};
 
 fn spec(w: usize, s: usize) -> ClusterSpec {
     ClusterSpec {
@@ -139,6 +139,47 @@ fn dot_and_iaxpy_between_derived_vectors() {
     });
     assert_eq!(got.0, 0.5 * 4.0 * 128.0);
     assert!(got.1.iter().all(|&x| (x - 1.5).abs() < 1e-12));
+}
+
+/// `dot_in`s beside a `map_partitions_in` zip share one envelope per
+/// server, run after the zip (subs run in order), and equal bare `dot`s.
+#[test]
+fn batched_dots_share_one_envelope_and_match_bare_dots() {
+    let servers = 4;
+    let ((batched, bare), report) = run_ps2(spec(2, servers), 1, |ctx, ps2| {
+        let u = ps2.dense_dcv(ctx, 300, 3);
+        let v = u.derive(ctx);
+        let w = u.derive(ctx);
+        let ramp: Vec<f64> = (0..300).map(|i| i as f64 / 7.0).collect();
+        u.add_dense(ctx, &ramp);
+        v.fill(ctx, 0.5);
+        let mut batch = PsBatch::new();
+        // w = u - v, then dots that read it.
+        w.zip(&[&u, &v]).map_partitions_in(
+            ctx,
+            &mut batch,
+            Arc::new(|zs: &mut ZipSegs<'_>| {
+                for e in 0..zs.segs[0].len() {
+                    zs.segs[0][e] = zs.segs[1][e] - zs.segs[2][e];
+                }
+            }),
+            1,
+        );
+        let pairs = [(&u, &v), (&w, &u), (&w, &w)];
+        let results: Vec<_> = pairs.iter().map(|(a, b)| a.dot_in(&mut batch, b)).collect();
+        batch.flush(ctx);
+        let batched: Vec<f64> = results.iter().map(|r| r.take()).collect();
+        let bare: Vec<f64> = pairs.iter().map(|(a, b)| a.dot(ctx, b)).collect();
+        (batched, bare)
+    });
+    assert_eq!(batched, bare);
+    let ramp_sum: f64 = (0..300).map(|i| i as f64 / 7.0).sum();
+    assert!((batched[0] - 0.5 * ramp_sum).abs() < 1e-9);
+    let m = &report.metrics;
+    assert_eq!(m.counter("ps.client.op.envelope.count"), 1);
+    assert_eq!(m.counter("ps.client.op.envelope.reqs"), servers as u64);
+    assert_eq!(m.counter("ps.client.op.dot.count"), 3, "only the bare dots");
+    assert_eq!(m.counter("ps.client.op.zip.count"), 0);
 }
 
 #[test]

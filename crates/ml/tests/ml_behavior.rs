@@ -339,10 +339,21 @@ fn svm_converges_on_ps2() {
 #[test]
 fn lbfgs_converges_faster_per_iteration_than_sgd() {
     let dataset = SparseDatasetGen::new(2_000, 500, 10, 4, 7);
-    let (lbfgs_trace, _) = run_ps2(spec(4, 4), 43, {
+    let iters = 10;
+    let (lbfgs_trace, report) = run_ps2(spec(4, 4), 43, {
         let ds = dataset.clone();
-        move |ctx, ps2| train_lbfgs(ctx, ps2, &LbfgsConfig::new(ds, 10))
+        move |ctx, ps2| train_lbfgs(ctx, ps2, &LbfgsConfig::new(ds, iters))
     });
+    // Two PS round trips per iteration after the gradient job: one envelope
+    // (the y zip and the Gram dots; none on the first iteration) and one
+    // step zip. No column op travels on its own.
+    let m = &report.metrics;
+    assert_eq!(m.counter("ps.client.op.envelope.count"), iters as u64 - 1);
+    assert_eq!(m.counter("ps.client.op.zip.count"), iters as u64);
+    for op in ["dot", "axpy", "scale", "elem"] {
+        let name = format!("ps.client.op.{op}.count");
+        assert!(m.counters().all(|(n, _)| n != name), "{name} present");
+    }
     assert!(lbfgs_trace.is_sane());
     let first = lbfgs_trace.points[0].1;
     let last = lbfgs_trace.final_loss();
