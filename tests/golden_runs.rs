@@ -158,7 +158,9 @@ fn training_grid() {
                     let mut cfg = LbfgsConfig::new(gen, 4);
                     // Full-batch gradients would dominate the test's wall
                     // time; a fixed fraction keeps the cell cheap and still
-                    // exercises the server-side two-loop recursion.
+                    // exercises both round trips of an iteration: the
+                    // envelope carrying the y zip and the Gram dots, and the
+                    // step zip. Four iterations do not wrap the history ring.
                     cfg.batch_fraction = 0.25;
                     train_lbfgs(ctx, ps2, &cfg);
                 }),
