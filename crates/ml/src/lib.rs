@@ -11,7 +11,7 @@
 //! | [`gbdt`] Gradient Boosted Decision Trees | `Ps2Dcv`, `XgboostStyle` (ring AllReduce) |
 //! | [`lda`] Latent Dirichlet Allocation (collapsed Gibbs) | `Ps2Dcv`, `PetuumStyle`, `GlintStyle`, `SparkDriver` (MLlib) |
 //! | [`svm`] linear SVM (hinge loss) | `Ps2Dcv` |
-//! | [`lbfgs`] L-BFGS for LR | `Ps2Dcv` (two-loop recursion on DCVs) |
+//! | [`lbfgs`] L-BFGS for LR | `Ps2Dcv` (history on DCVs, two-loop recursion on Gram scalars: two round trips per iteration) |
 //!
 //! All training runs on the simulated cluster: the math is real (losses are
 //! genuine convergence curves), the clock is virtual (a 10 Gbps cluster's
