@@ -35,7 +35,7 @@ fn rpc_workload(seed: u64) -> SimReport {
     sim.run().unwrap()
 }
 
-/// The acceptance-criterion invariant: replaying the unmodified DAG of a
+/// The acceptance invariant: replaying the unmodified DAG of a
 /// real run reproduces the measured makespan exactly, across seeds and
 /// workload shapes.
 #[test]

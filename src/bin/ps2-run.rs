@@ -86,7 +86,6 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::process::exit;
 
-use ps2::bench::preset_slos;
 use ps2::ml::deepwalk::{train_deepwalk, DeepWalkBackend, DeepWalkConfig};
 use ps2::ml::fm::{train_fm, FmConfig};
 use ps2::ml::gbdt::{train_gbdt, GbdtBackend, GbdtConfig};
@@ -104,6 +103,7 @@ use ps2::simnet::{
     export_trace_full, hostprof, run_battery, slo_json, standard_battery, AlertKind,
     CausalAnalysis, CausalDag, OpTails, SimTime, Watchdog,
 };
+use ps2::slo::preset_slos;
 use ps2::{run_ps2_with, ClusterSpec, RunReport, SimBuilder};
 use ps2_data::{presets, CorpusGen, GraphGen, RandomWalks, SparseDatasetGen};
 

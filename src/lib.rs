@@ -37,7 +37,7 @@
 //! println!("simulated {} in {:?} wall", report.virtual_time, report.wall_time);
 //! ```
 
-pub mod bench;
+pub mod slo;
 pub mod tracefile;
 
 pub use ps2_core as core;

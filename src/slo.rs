@@ -1,5 +1,4 @@
-//! What `ps2-run` shares with the rest of the workspace beyond the simulator
-//! itself: [`preset_slos`], the per-preset service-level objectives
+//! Service-level objectives: [`preset_slos`], the per-preset objectives
 //! `ps2-run --slo-json` holds a run to.
 //!
 //! Nothing here measures or gates anything: cross-commit exactness of

@@ -18,7 +18,6 @@
 
 use std::sync::Mutex;
 
-use ps2::bench::preset_slos;
 use ps2::data::{presets, CorpusGen, GraphGen, RandomWalks, SparseDatasetGen};
 use ps2::dataflow::{deploy_executors, deploy_shuffle_services, SparkContext};
 use ps2::ml::deepwalk::{train_deepwalk, DeepWalkBackend, DeepWalkConfig};
@@ -34,6 +33,7 @@ use ps2::ml::serve::{run_serve, serve_spec};
 use ps2::ml::svm::{train_svm, SvmConfig};
 use ps2::ps::{deploy_ps, ConsistencyMode, MatrixHandle, PsMaster};
 use ps2::simnet::{ProcId, SloObjective, Watchdog};
+use ps2::slo::preset_slos;
 use ps2::{
     run_ps2_with, ClusterSpec, InitKind, Partitioning, Ps2Context, SimBuilder, SimCtx, SimReport,
     SimTime,
