@@ -5,14 +5,18 @@
 //! [`ConsistencyMode`] —
 //!
 //! * **BSP** — every iteration gated by the clock service with `bound = 0`
-//!   (a barrier), parameter cache effectively disabled, pushes acknowledged
-//!   before the iteration ends.
-//! * **SSP(s)** — gated with `bound = s`; pulls are served from the
-//!   worker-local [`ParamCache`] while within the bound, and push(t)
-//!   overlaps compute(t+1): [`MatrixHandle::push_sparse_begin`] is the
-//!   request fabric's `begin`, [`MatrixHandle::push_wait`] its `settle`.
-//! * **async** — no clock traffic at all; free-running workers with a
-//!   ttl-bounded cache and pipelined pushes.
+//!   (a barrier), pushes acknowledged before the iteration ends.
+//! * **SSP(s)** — gated with `bound = s`, and push(t) overlaps
+//!   compute(t+1): [`MatrixHandle::push_sparse_begin`] is the request
+//!   fabric's `begin`, [`MatrixHandle::push_wait`] its `settle`.
+//! * **async** — no clock traffic at all; free-running workers with
+//!   pipelined pushes.
+//!
+//! Every mode pulls its mini-batch's columns from the servers each
+//! iteration; the relaxed modes win by not waiting at the barrier and by
+//! overlapping the push with the next compute. A worker still reads its own
+//! writes while its push is unsettled: push(t) is sent before pull(t+1), one
+//! link delivers in send order, and a server runs requests in arrival order.
 //!
 //! Each worker emits a per-mode loss gauge `ml.loss_micro.<mode>` (e.g.
 //! `ml.loss_micro.ssp2`) so the watchdog's convergence-stall detector can
@@ -25,8 +29,7 @@ use parking_lot::Mutex;
 use ps2_core::{InitKind, MatrixHandle, Partitioning, PsMaster};
 use ps2_data::{Example, SparseDatasetGen};
 use ps2_ps::{
-    deploy_ps, ClockClient, ClockService, ConsistencyMode, ParamCache, PendingPush,
-    DISK_BYTES_PER_SEC,
+    deploy_ps, ClockClient, ClockService, ConsistencyMode, PendingPush, DISK_BYTES_PER_SEC,
 };
 use ps2_simnet::{ProcId, SimBuilder, SimReport, SimTime};
 
@@ -213,7 +216,6 @@ pub fn run_mode_with(
         sim.spawn(&format!("mode-worker-{w}"), move |ctx| {
             let h: MatrixHandle = ctx.recv().downcast::<MatrixHandle>();
             let clock = ClockClient::new(clock_proc, w);
-            let mut cache = ParamCache::new(cfg.mode);
             let mut inflight: Option<PendingPush> = None;
             let gen = cfg.dataset.clone();
             let shard = shard_range(gen.rows, w, cfg.workers);
@@ -225,13 +227,12 @@ pub fn run_mode_with(
                     assert!(min + bound + 1 >= t, "clock grant out of bound");
                 }
                 let it0 = ctx.now();
-                cache.advance_clock(t);
                 let batch: Vec<Example> = shard_batch_rows(shard, t, cfg.mini_batch)
                     .into_iter()
                     .map(|r| gen.example(r))
                     .collect();
                 let cols = distinct_cols(&batch);
-                let wv = cache.pull_cols(ctx, &h, 0, &cols);
+                let wv = h.pull_cols(ctx, 0, &cols);
                 let (grad, loss) = algo.grad(&batch, &cols, &wv);
                 let nnz: u64 = batch.iter().map(|e| e.features.len() as u64).sum();
                 ctx.charge_flops(algo.flops_per_nnz() * nnz);
@@ -240,8 +241,6 @@ pub fn run_mode_with(
                     ctx.advance(cfg.straggler_slowdown);
                 }
                 let pairs = algo.update(&cols, &grad, &wv, cfg.learning_rate, cfg.mini_batch);
-                // Read-my-writes before the push even lands.
-                cache.note_push(0, &pairs);
                 if cfg.mode.pipelined() {
                     // Overlap: settle push(t-1) only now, then leave
                     // push(t) in flight across the next compute.

@@ -128,27 +128,3 @@ fn mode_runs_are_deterministic() {
         assert_eq!(r1.virtual_time, r2.virtual_time);
     }
 }
-
-/// The cache only pays off in modes that tolerate staleness: SSP must pull
-/// fewer parameter values over the wire than BSP on the same workload.
-#[test]
-fn ssp_cache_cuts_pull_traffic() {
-    let run = |mode: ConsistencyMode| {
-        let mut cfg = base_cfg(mode);
-        cfg.iterations = 12;
-        let (_, report) = run_mode(&cfg, ModeAlgo::Lr);
-        (
-            report.metrics.counter("ps.cache.hit"),
-            report.metrics.counter("ps.cache.miss"),
-        )
-    };
-    let (bsp_hit, bsp_miss) = run(ConsistencyMode::Bsp);
-    let (ssp_hit, ssp_miss) = run(ConsistencyMode::Ssp { bound: 3 });
-    assert_eq!(bsp_hit, 0, "BSP must never serve a stale parameter");
-    assert!(bsp_miss > 0);
-    assert!(ssp_hit > 0, "SSP must serve some pulls from the cache");
-    assert!(
-        ssp_miss < bsp_miss,
-        "SSP wire pulls {ssp_miss} must undercut BSP {bsp_miss}"
-    );
-}

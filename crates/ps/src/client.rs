@@ -37,7 +37,6 @@ use std::sync::Arc;
 use ps2_simnet::fabric::{self, FabricPolicy, SlotRouter};
 use ps2_simnet::{ProcId, SimCtx, SimTime, WireSize};
 
-use crate::consistency::ConsistencyMode;
 use crate::master::PsFleet;
 use crate::plan::{MatrixId, PartitionPlan, PlanKind, RouteTable};
 use crate::protocol::{
@@ -964,124 +963,6 @@ impl Flight {
 /// but forfeits the delivery guarantee.
 #[must_use = "settle a pending push with MatrixHandle::push_wait"]
 pub struct PendingPush(Flight);
-
-// ---- the client-side parameter cache ----------------------------------------
-
-/// A worker-local parameter cache, the client half of the consistency
-/// modes: `pull_cols` is served from local copies while the entries are
-/// within the mode's staleness ttl, and only the misses travel.
-///
-/// Coherence rules (documented in DESIGN.md §consistency modes):
-///
-/// * An entry fetched at worker clock `f` may be served at clock `t` while
-///   `t − f ≤ ttl`, where ttl is [`ConsistencyMode::cache_ttl`] — 0 under
-///   BSP (an entry never survives its own iteration), the bound under SSP,
-///   a fixed small ttl under async.
-/// * The worker's own pushes are applied write-through via
-///   [`ParamCache::note_push`], so a worker always reads its own writes
-///   even when the push is still in flight.
-/// * Any movement of the handle's route epoch (a server was replaced and
-///   restored from checkpoint) invalidates the whole cache: restored state
-///   may predate cached entries, and the bound must be re-established from
-///   fresh pulls.
-pub struct ParamCache {
-    mode: ConsistencyMode,
-    /// The owner's current iteration clock (set by [`ParamCache::advance_clock`]).
-    clock: u32,
-    /// Route epoch the entries were fetched under.
-    epoch_seen: u64,
-    /// Entries: `(row, col) → (value, fetched_at_clock)`.
-    cols: BTreeMap<(u32, u64), (f64, u32)>,
-}
-
-impl ParamCache {
-    pub fn new(mode: ConsistencyMode) -> ParamCache {
-        ParamCache {
-            mode,
-            clock: 0,
-            epoch_seen: 0,
-            cols: BTreeMap::new(),
-        }
-    }
-
-    /// Move the owner's clock to iteration `t` and evict every entry that
-    /// can no longer be served under the ttl.
-    pub fn advance_clock(&mut self, t: u32) {
-        self.clock = t;
-        let ttl = self.mode.cache_ttl();
-        self.cols.retain(|_, &mut (_, f)| t - f.min(t) <= ttl);
-    }
-
-    /// Drop everything (used on route-epoch movement, available to tests).
-    pub fn invalidate(&mut self) {
-        self.cols.clear();
-    }
-
-    fn fresh(&self, fetched_at: u32) -> bool {
-        self.clock - fetched_at.min(self.clock) <= self.mode.cache_ttl()
-    }
-
-    /// Invalidate on route-epoch movement: a replaced server was restored
-    /// from checkpoint, so cached values may be newer than the server's.
-    fn validate_epoch(&mut self, handle: &MatrixHandle) {
-        let epoch = handle.route.epoch();
-        if epoch != self.epoch_seen {
-            self.invalidate();
-            self.epoch_seen = epoch;
-        }
-    }
-
-    /// [`MatrixHandle::pull_cols`] through the cache: hits are served
-    /// locally (no messages, no virtual time), misses travel in one sparse
-    /// pull, and the merged result comes back in `cols` order. Counters
-    /// `ps.cache.hit` / `ps.cache.miss` record the split.
-    pub fn pull_cols(
-        &mut self,
-        ctx: &mut SimCtx,
-        handle: &MatrixHandle,
-        row: u32,
-        cols: &[u64],
-    ) -> Vec<f64> {
-        self.validate_epoch(handle);
-        let mut missing: Vec<u64> = Vec::new();
-        for &c in cols {
-            match self.cols.get(&(row, c)) {
-                Some(&(_, f)) if self.fresh(f) => {}
-                _ => missing.push(c),
-            }
-        }
-        ctx.metric_add("ps.cache.hit", (cols.len() - missing.len()) as u64);
-        ctx.metric_add("ps.cache.miss", missing.len() as u64);
-        if !missing.is_empty() {
-            let fetched = handle.pull_cols(ctx, row, &missing);
-            let t0 = ctx.now();
-            for (&c, &v) in missing.iter().zip(&fetched) {
-                self.cols.insert((row, c), (v, self.clock));
-            }
-            // Attribute the local merge to the pulls that fetched it (the
-            // cache-fill stage of the request trace) and seal their records.
-            // The merge is free under the current cost model, so this is
-            // measured, not assumed.
-            ctx.req_cache_fill(ctx.now() - t0);
-        }
-        cols.iter()
-            .map(|&c| self.cols.get(&(row, c)).expect("filled above").0)
-            .collect()
-    }
-
-    /// Apply the worker's own sparse push to the cached copies
-    /// (read-my-writes): existing entries absorb the delta and count as
-    /// refreshed at the current clock — the server's value is at least this
-    /// new once the push lands. Columns not cached are left alone.
-    pub fn note_push(&mut self, row: u32, pairs: &[(u64, f64)]) {
-        for &(c, d) in pairs {
-            if let Some(e) = self.cols.get_mut(&(row, c)) {
-                e.0 += d;
-                e.1 = self.clock;
-            }
-        }
-    }
-}
 
 // ---- the coalescing batch context ------------------------------------------
 

@@ -52,11 +52,6 @@ pub enum ConsistencyMode {
     Async,
 }
 
-/// How many extra iterations an async worker may serve parameters from its
-/// local cache before re-pulling. Async has no staleness bound, so the
-/// cache needs its own (documented) refresh policy to keep learning sane.
-pub const ASYNC_CACHE_TTL: u32 = 2;
-
 impl ConsistencyMode {
     /// Compact label used in bench case names, metric names and traces:
     /// `bsp`, `ssp<bound>`, `async`.
@@ -93,18 +88,6 @@ impl ConsistencyMode {
             ConsistencyMode::Bsp => Some(0),
             ConsistencyMode::Ssp { bound } => Some(*bound),
             ConsistencyMode::Async => None,
-        }
-    }
-
-    /// Iterations a cached parameter may be served without a re-pull. Under
-    /// BSP the cache is effectively disabled (an entry only survives within
-    /// its own iteration), under SSP the bound is the ttl, and async uses
-    /// [`ASYNC_CACHE_TTL`].
-    pub fn cache_ttl(&self) -> u32 {
-        match self {
-            ConsistencyMode::Bsp => 0,
-            ConsistencyMode::Ssp { bound } => *bound,
-            ConsistencyMode::Async => ASYNC_CACHE_TTL,
         }
     }
 
@@ -343,9 +326,6 @@ mod tests {
         assert_eq!(ConsistencyMode::Bsp.bound(), Some(0));
         assert_eq!(ConsistencyMode::Ssp { bound: 4 }.bound(), Some(4));
         assert_eq!(ConsistencyMode::Async.bound(), None);
-        assert_eq!(ConsistencyMode::Bsp.cache_ttl(), 0);
-        assert_eq!(ConsistencyMode::Ssp { bound: 4 }.cache_ttl(), 4);
-        assert_eq!(ConsistencyMode::Async.cache_ttl(), ASYNC_CACHE_TTL);
         assert!(!ConsistencyMode::Bsp.pipelined());
         assert!(!ConsistencyMode::Ssp { bound: 0 }.pipelined());
         assert!(ConsistencyMode::Ssp { bound: 1 }.pipelined());

@@ -31,10 +31,10 @@ mod protocol;
 mod serve;
 mod server;
 
-pub use client::{BatchResult, MatrixHandle, ParamCache, PendingPush, PsBatch};
+pub use client::{BatchResult, MatrixHandle, PendingPush, PsBatch};
 pub use consistency::{
     clock_policy, clock_tags, ClockClient, ClockGrant, ClockReportReq, ClockService, ClockWaitReq,
-    ConsistencyMode, ASYNC_CACHE_TTL,
+    ConsistencyMode,
 };
 pub use master::{PsFleet, PsMaster};
 pub use plan::{MatrixId, PartitionPlan, Partitioning, PlanKind, RouteTable};

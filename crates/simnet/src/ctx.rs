@@ -301,20 +301,11 @@ impl SimCtx {
     /// Mint request-trace tokens for one fabric op issued by this process:
     /// one token per request in the batch, to be attached via
     /// [`SimCtx::call_many_deadline`]. Returns an empty vec when request
-    /// tracing is off ([`crate::SimBuilder::reqtrace`]). Minting seals this
-    /// process's previous batch (closing its cache-fill window). Not a
-    /// yield point — ids come from the trace recorder's own counter, so
-    /// traced runs keep the exact timing of untraced ones.
+    /// tracing is off ([`crate::SimBuilder::reqtrace`]). Not a yield point
+    /// — ids come from the trace recorder's own counter, so traced runs keep
+    /// the exact timing of untraced ones.
     pub fn req_begin_batch(&mut self, op: &str, n: usize) -> Vec<ReqToken> {
         self.shared.lock().req_begin_batch(self.me.0, op, n)
-    }
-
-    /// Attribute `dt` of post-gather client work (e.g. parameter-cache
-    /// fill) to this process's most recently completed request batch, and
-    /// seal the batch. No-op when request tracing is off. Not a yield
-    /// point.
-    pub fn req_cache_fill(&mut self, dt: SimTime) {
-        self.shared.lock().req_cache_fill(self.me.0, dt);
     }
 
     /// Label subsequent compute charges with an op name (e.g. the PS request

@@ -12,9 +12,9 @@
 //! * `server_queue` — arrival at the server until the server dequeues it,
 //! * `service` — dequeue until the reply send,
 //! * `net_reply` — wire + NIC-queue time of the reply,
-//! * `client_recv` — reply arrival until the client consumes it,
-//! * `cache_fill` — post-gather client work attributed to the whole batch
-//!   (see [`SimCtx::req_cache_fill`](crate::SimCtx::req_cache_fill)).
+//! * `client_recv` — reply arrival until the client consumes it.
+//!
+//! The six stages partition the total exactly.
 //!
 //! ## Determinism (same discipline as metrics / timeseries / hostprof)
 //!
@@ -69,7 +69,6 @@ pub struct ReqRecord {
     pub service_ns: u64,
     pub net_reply_ns: u64,
     pub client_recv_ns: u64,
-    pub cache_fill_ns: u64,
 }
 
 impl ReqRecord {
@@ -80,7 +79,7 @@ impl ReqRecord {
     /// op's exemplars to estimate how a counterfactual edit moves its tails.
     pub fn category_split_ns(&self) -> (u64, u64, u64) {
         (
-            self.client_issue_ns + self.service_ns + self.client_recv_ns + self.cache_fill_ns,
+            self.client_issue_ns + self.service_ns + self.client_recv_ns,
             self.net_request_ns + self.net_reply_ns,
             self.server_queue_ns,
         )
@@ -99,7 +98,6 @@ impl ReqRecord {
             ("service_ns", self.service_ns),
             ("net_reply_ns", self.net_reply_ns),
             ("client_recv_ns", self.client_recv_ns),
-            ("cache_fill_ns", self.cache_fill_ns),
         ];
         w.key("stages").counts(Style::Inline, stages).end();
     }
@@ -112,7 +110,6 @@ impl ReqRecord {
 #[derive(Clone, Debug)]
 struct LiveReq {
     op: u16,
-    proc: usize,
     issued_at: u64,
     attempts: u32,
     first_send: u64,
@@ -186,10 +183,6 @@ pub(crate) struct ReqRecorder {
     op_ids: BTreeMap<String, u16>,
     stats: Vec<OpReqStats>,
     live: BTreeMap<u64, LiveReq>,
-    /// Completed-but-unsealed records per proc: a batch stays open until the
-    /// client attributes cache-fill time to it (or starts its next batch),
-    /// so exemplars can carry the post-gather stage.
-    open: BTreeMap<usize, Vec<(u16, ReqRecord)>>,
 }
 
 impl ReqRecorder {
@@ -210,17 +203,8 @@ impl ReqRecorder {
         id
     }
 
-    /// Mint `n` tokens for one fabric op issued by `proc` at clock `now`.
-    /// Seals `proc`'s previously open batch first: cache-fill attribution
-    /// closes no later than the next op.
-    pub(crate) fn begin_batch(
-        &mut self,
-        proc: usize,
-        op: &str,
-        n: usize,
-        now: SimTime,
-    ) -> Vec<ReqToken> {
-        self.seal(proc);
+    /// Mint `n` tokens for one fabric op issued at clock `now`.
+    pub(crate) fn begin_batch(&mut self, op: &str, n: usize, now: SimTime) -> Vec<ReqToken> {
         let op = self.op_id(op);
         (0..n)
             .map(|_| {
@@ -230,7 +214,6 @@ impl ReqRecorder {
                     id,
                     LiveReq {
                         op,
-                        proc,
                         issued_at: now.as_nanos(),
                         attempts: 0,
                         first_send: 0,
@@ -299,53 +282,22 @@ impl ReqRecorder {
             service_ns: req.service_end.saturating_sub(req.dequeued),
             net_reply_ns: req.reply_arrival.saturating_sub(req.service_end),
             client_recv_ns: done.saturating_sub(req.reply_arrival),
-            cache_fill_ns: 0,
         };
         let st = &mut self.stats[req.op as usize];
         st.completed += 1;
         st.attempts += req.attempts as u64;
         st.hist.observe(SimTime(rec.total_ns));
-        self.open.entry(req.proc).or_default().push((req.op, rec));
+        // (total desc, id asc) is a total order, so the kept top-K does not
+        // depend on completion order.
+        st.exemplars.push(rec);
+        st.exemplars
+            .sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.id.cmp(&b.id)));
+        st.exemplars.truncate(EXEMPLAR_K);
     }
 
-    /// Attribute `dt` of post-gather client work (cache fill) to `proc`'s
-    /// open batch, split evenly across its requests (the remainder goes to
-    /// the first — integer math keeps it deterministic), then seal it.
-    pub(crate) fn cache_fill(&mut self, proc: usize, dt: SimTime) {
-        let Some(batch) = self.open.get_mut(&proc) else {
-            return;
-        };
-        let n = batch.len() as u64;
-        if let (Some(each), Some(rem)) =
-            (dt.as_nanos().checked_div(n), dt.as_nanos().checked_rem(n))
-        {
-            for (i, (_, rec)) in batch.iter_mut().enumerate() {
-                rec.cache_fill_ns += each + if i == 0 { rem } else { 0 };
-            }
-        }
-        self.seal(proc);
-    }
-
-    /// Move `proc`'s open records into the per-op exemplar top-K.
-    fn seal(&mut self, proc: usize) {
-        let Some(batch) = self.open.remove(&proc) else {
-            return;
-        };
-        for (op, rec) in batch {
-            let ex = &mut self.stats[op as usize].exemplars;
-            ex.push(rec);
-            ex.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.id.cmp(&b.id)));
-            ex.truncate(EXEMPLAR_K);
-        }
-    }
-
-    /// Run-end flush: seal every open batch, count still-live requests as
-    /// abandoned, and hand out the per-op summary (ops sorted by name).
+    /// Run-end flush: count still-live requests as abandoned and hand out
+    /// the per-op summary (ops sorted by name).
     pub(crate) fn finish(mut self) -> ReqSummary {
-        let procs: Vec<usize> = self.open.keys().copied().collect();
-        for p in procs {
-            self.seal(p);
-        }
         for (_, req) in std::mem::take(&mut self.live) {
             self.stats[req.op as usize].abandoned += 1;
         }
@@ -380,8 +332,8 @@ pub fn slo_json(reqs: &ReqSummary, objectives: &[SloObjective], alerts: &[Alert]
 mod tests {
     use super::*;
 
-    fn complete_one(rec: &mut ReqRecorder, proc: usize, op: &str, base: u64, dur: u64) -> u64 {
-        let toks = rec.begin_batch(proc, op, 1, SimTime(base));
+    fn complete_one(rec: &mut ReqRecorder, op: &str, base: u64, dur: u64) -> u64 {
+        let toks = rec.begin_batch(op, 1, SimTime(base));
         let t = toks[0];
         rec.on_send(t, SimTime(base + 10), SimTime(base + 20), false);
         rec.on_dequeue(t, SimTime(base + 30), false);
@@ -393,13 +345,12 @@ mod tests {
     #[test]
     fn stages_partition_the_total() {
         let mut rec = ReqRecorder::new();
-        let toks = rec.begin_batch(0, "pull", 1, SimTime(100));
+        let toks = rec.begin_batch("pull", 1, SimTime(100));
         let t = toks[0];
         rec.on_send(t, SimTime(110), SimTime(150), false); // issue 10, net_req 40
         rec.on_dequeue(t, SimTime(155), false); // queue 5
         rec.on_send(t, SimTime(175), SimTime(200), true); // service 20, net_reply 25
         rec.on_dequeue(t, SimTime(208), true); // client_recv 8
-        rec.cache_fill(0, SimTime(17));
         let sum = rec.finish();
         let op = sum.op("pull").expect("op recorded");
         assert_eq!(op.completed, 1);
@@ -411,7 +362,6 @@ mod tests {
         assert_eq!(e.service_ns, 20);
         assert_eq!(e.net_reply_ns, 25);
         assert_eq!(e.client_recv_ns, 8);
-        assert_eq!(e.cache_fill_ns, 17);
         assert_eq!(
             e.total_ns,
             e.client_issue_ns
@@ -433,7 +383,7 @@ mod tests {
             } else {
                 100 * (EXEMPLAR_K as u64 + 2)
             };
-            complete_one(&mut rec, 0, "push", i * 10_000, dur);
+            complete_one(&mut rec, "push", i * 10_000, dur);
         }
         let sum = rec.finish();
         let op = sum.op("push").expect("op recorded");
@@ -457,7 +407,7 @@ mod tests {
     #[test]
     fn retry_counts_attempts_and_keeps_the_winning_stage_clocks() {
         let mut rec = ReqRecorder::new();
-        let t = rec.begin_batch(2, "pull", 1, SimTime(0))[0];
+        let t = rec.begin_batch("pull", 1, SimTime(0))[0];
         rec.on_send(t, SimTime(5), SimTime(50), false);
         // Attempt 1 times out; attempt 2 lands.
         rec.on_send(t, SimTime(1_000), SimTime(1_040), false);
@@ -478,8 +428,8 @@ mod tests {
     #[test]
     fn abandoned_requests_are_counted_not_recorded() {
         let mut rec = ReqRecorder::new();
-        complete_one(&mut rec, 0, "pull", 0, 500);
-        let t = rec.begin_batch(0, "pull", 1, SimTime(10_000))[0];
+        complete_one(&mut rec, "pull", 0, 500);
+        let t = rec.begin_batch("pull", 1, SimTime(10_000))[0];
         rec.on_send(t, SimTime(10_005), SimTime(10_050), false);
         let sum = rec.finish();
         let op = sum.op("pull").expect("op");
@@ -489,28 +439,9 @@ mod tests {
     }
 
     #[test]
-    fn cache_fill_splits_evenly_with_remainder_to_the_first() {
-        let mut rec = ReqRecorder::new();
-        let toks = rec.begin_batch(0, "pull", 3, SimTime(0));
-        for (i, &t) in toks.iter().enumerate() {
-            let b = i as u64 * 100;
-            rec.on_send(t, SimTime(b + 1), SimTime(b + 2), false);
-            rec.on_dequeue(t, SimTime(b + 3), false);
-            rec.on_send(t, SimTime(b + 4), SimTime(b + 5), true);
-            rec.on_dequeue(t, SimTime(b + 5), true);
-        }
-        rec.cache_fill(0, SimTime(10));
-        let sum = rec.finish();
-        let op = sum.op("pull").expect("op");
-        let fills: Vec<u64> = op.exemplars.iter().map(|e| e.cache_fill_ns).collect();
-        assert_eq!(fills.iter().sum::<u64>(), 10);
-        assert!(fills.contains(&4) && fills.iter().filter(|&&f| f == 3).count() == 2);
-    }
-
-    #[test]
     fn summary_json_is_integer_only_and_nests_exemplars() {
         let mut rec = ReqRecorder::new();
-        complete_one(&mut rec, 0, "pull", 0, 750);
+        complete_one(&mut rec, "pull", 0, 750);
         let mut w = JsonWriter::new();
         rec.finish().write_json(&mut w);
         let j = w.finish();

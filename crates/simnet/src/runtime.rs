@@ -592,17 +592,8 @@ impl State {
         let _prof = hostprof::scope(ProfScope::MetricsRecord);
         let now = self.procs[me].clock;
         match &mut self.req {
-            Some(rec) => rec.begin_batch(me, op, n, now),
+            Some(rec) => rec.begin_batch(op, n, now),
             None => Vec::new(),
-        }
-    }
-
-    /// Attribute `dt` of post-gather work to `me`'s open request batch and
-    /// seal it.
-    pub(crate) fn req_cache_fill(&mut self, me: usize, dt: SimTime) {
-        let _prof = hostprof::scope(ProfScope::MetricsRecord);
-        if let Some(rec) = &mut self.req {
-            rec.cache_fill(me, dt);
         }
     }
 
@@ -1429,7 +1420,7 @@ impl SimBuilder {
     }
 
     /// Record request-scoped traces: per-request stage latencies
-    /// (issue/network/queue/service/reply/cache-fill) and deterministic
+    /// (issue/network/queue/service/reply/receive) and deterministic
     /// slowest-request exemplars per op, exported on
     /// [`SimReport::reqs`](crate::SimReport::reqs). Recording is
     /// non-yielding: a traced run is byte-identical to an untraced

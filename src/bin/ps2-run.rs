@@ -38,7 +38,7 @@
 //!                           windowed series; scraping never perturbs the run
 //!   --window-ms N      time-series window width in virtual ms (default 100)
 //!   --slo-json PATH    trace every PS request end to end (issue → retries →
-//!                      server queue → service → reply → cache fill), hold the
+//!                      server queue → service → reply → receive), hold the
 //!                      run to the preset's SLOs with multi-window burn-rate
 //!                      alerting, and write the `ps2-slo-v1` sidecar (per-op
 //!                      p999 + the K slowest requests with stage breakdowns;

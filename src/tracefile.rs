@@ -481,8 +481,7 @@ pub fn whatif_input(text: &str) -> Result<(CausalDag, Vec<OpTails>), String> {
                 for e in &o.exemplars {
                     c += stage(e, "client_issue_ns")
                         + stage(e, "service_ns")
-                        + stage(e, "client_recv_ns")
-                        + stage(e, "cache_fill_ns");
+                        + stage(e, "client_recv_ns");
                     n += stage(e, "net_request_ns") + stage(e, "net_reply_ns");
                     q += stage(e, "server_queue_ns");
                 }
@@ -521,7 +520,7 @@ mod tests {
            {"id": 7, "issued_at_ns": 5, "total_ns": 400, "attempts": 2,
             "stages": {"client_issue_ns": 10, "net_request_ns": 90,
                        "server_queue_ns": 200, "service_ns": 50,
-                       "net_reply_ns": 40, "client_recv_ns": 10, "cache_fill_ns": 0}}
+                       "net_reply_ns": 40, "client_recv_ns": 10}}
          ]}
       ],
       "objectives": [

@@ -89,7 +89,7 @@ fn exemplars_carry_complete_stage_breakdowns() {
 
         // Sorted slowest-first, and each breakdown partitions the total:
         // client_issue + net_request + server_queue + service + net_reply +
-        // client_recv + cache_fill == total, exactly — no unattributed time.
+        // client_recv == total, exactly — no unattributed time.
         let totals: Vec<u64> = stats.exemplars.iter().map(|r| r.total_ns).collect();
         assert!(
             totals.windows(2).all(|w| w[0] >= w[1]),
@@ -101,8 +101,7 @@ fn exemplars_carry_complete_stage_breakdowns() {
                 + r.server_queue_ns
                 + r.service_ns
                 + r.net_reply_ns
-                + r.client_recv_ns
-                + r.cache_fill_ns;
+                + r.client_recv_ns;
             assert_eq!(
                 stage_sum, r.total_ns,
                 "{op} req {}: stages sum to {stage_sum}, total {}",
