@@ -169,12 +169,6 @@ impl OpLog {
     }
 }
 
-/// Row-touch counters are only kept for matrices this small: batched
-/// per-row pulls and pushes (`pull_row_in`, `push_dense_in`) reach embedding
-/// tables with thousands of rows, which would otherwise mint a metric name
-/// per vertex.
-const ROW_TOUCH_MAX_ROWS: u32 = 64;
-
 /// The `(matrix, op_id)` dedup key of a mutating request; `None` for
 /// read-only requests, which are harmless to re-execute. Works on the bare
 /// payload so envelope sub-requests dedup exactly like bare ones.
@@ -535,14 +529,6 @@ fn execute(
         tags::PULL => {
             let req: &PullReq = cast(tag, payload);
             let shard = shard_of(shards, req.id);
-            // Per-matrix hot-row counter (NuPS-style access-skew tracking),
-            // bounded-cardinality matrices only.
-            if shard.plan.rows <= ROW_TOUCH_MAX_ROWS {
-                ctx.metric_add(
-                    &format!("ps.server.row_touch.m{}.r{}", req.id.0, req.row),
-                    1,
-                );
-            }
             let (values, mem_per_value): (Vec<f64>, u64) = match &req.cols {
                 ColsSel::All => (shard.data[shard.slot(req.row)].clone(), 8),
                 ColsSel::Range(lo, hi) => (shard.seg(req.row, *lo, *hi).to_vec(), 8),
@@ -557,9 +543,6 @@ fn execute(
             let req: &PushReq = cast(tag, payload);
             let (id, row) = (req.id, req.row);
             let shard = shard_mut(shards, id);
-            if shard.plan.rows <= ROW_TOUCH_MAX_ROWS {
-                ctx.metric_add(&format!("ps.server.row_touch.m{}.r{}", id.0, row), 1);
-            }
             match &req.data {
                 PushData::DenseSeg { lo, values } => {
                     let seg = shard.seg_mut(row, *lo, lo + values.len() as u64);

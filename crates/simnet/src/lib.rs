@@ -98,7 +98,7 @@ pub use report::{LabelId, ProcStats, SimReport, TraceEvent};
 pub use reqtrace::{slo_json, OpReqStats, ReqRecord, ReqSummary, ReqToken, EXEMPLAR_K};
 pub use runtime::{OutputSlot, Proc, ProcId, SimBuilder, SimError, SimRuntime, StepCtx};
 pub use time::SimTime;
-pub use timeseries::{HistDelta, ProcSample, TimeSeries, TsWindow};
+pub use timeseries::{HistDelta, TimeSeries, TsWindow};
 pub use watchdog::{Alert, AlertKind, SloKind, SloObjective, Watchdog};
 pub use whatif::{
     parse_spec, replay, run_battery, standard_battery, Edit, ExperimentResult, OpTails, Replay,

@@ -4,12 +4,14 @@
 //! Layout: one Perfetto "thread" per simulated process (`tid` = process id,
 //! all under `pid` 1), `X` slices for compute charges (named by op label),
 //! tiny slices plus `s`/`f` flow events for every delivered message (flow id
-//! = the message's run-unique `seq`), and `i` instant events for marks,
-//! drops and finishes. When a [`CausalAnalysis`] is supplied, an extra
-//! synthetic track (`tid` = process count) highlights the critical path,
-//! one slice per attributed segment, and the analysis itself is embedded
-//! under the top-level `"ps2"` key — trace viewers ignore unknown keys, but
-//! `ps2-trace` reads them back without re-walking the event graph.
+//! = the message's run-unique `seq`), `i` instant events for marks, drops
+//! and finishes, and global-scope `i` instants (no `tid`) for watchdog
+//! alerts, which belong to the run rather than to one process. When a
+//! [`CausalAnalysis`] is supplied, an extra synthetic track (`tid` = process
+//! count) highlights the critical path, one slice per attributed segment,
+//! and the analysis itself is embedded under the top-level `"ps2"` key —
+//! trace viewers ignore unknown keys, but `ps2-trace` reads them back
+//! without re-walking the event graph.
 //!
 //! The output is built from integers and `BTreeMap` iteration only, so it is
 //! byte-identical across same-seed runs.
@@ -32,16 +34,15 @@ pub fn export_trace(report: &SimReport, analysis: Option<&CausalAnalysis>) -> St
 
 /// [`export_trace`] plus watchdog alerts, an SLO sidecar and the retained
 /// causal DAG, all under the `"ps2"` section. `alerts` become an `"alerts"`
-/// array (alerts already annotated as `Mark` events also appear on the
-/// timeline; this array carries the machine-readable form `ps2-trace`
-/// diffs). `slo` is a pre-rendered `ps2-slo-v1` JSON object (see
-/// [`crate::reqtrace::slo_json`]) embedded verbatim under `"ps2"."slo"`, so
-/// `ps2-trace slo` can read per-op request summaries and exemplars straight
-/// out of the trace file; `dag` is embedded as `"ps2"."dag"` (schema
-/// `ps2-dag-v1`, read back by [`CausalDag::from_json`]) so `ps2-trace
-/// whatif` can replay counterfactuals without the original report. Pass the
-/// DAG built *before* watchdog annotation: injected `Mark` events would
-/// otherwise be replayed as fixed program-order points.
+/// array (the machine-readable form `ps2-trace` diffs) and, on the
+/// timeline, global-scope instants named by
+/// [`AlertKind::label`](crate::AlertKind::label). `slo` is a pre-rendered
+/// `ps2-slo-v1` JSON object (see [`crate::reqtrace::slo_json`]) embedded
+/// verbatim under `"ps2"."slo"`, so `ps2-trace slo` can read per-op request
+/// summaries and exemplars straight out of the trace file; `dag` is
+/// embedded as `"ps2"."dag"` (schema `ps2-dag-v1`, read back by
+/// [`CausalDag::from_json`]) so `ps2-trace whatif` can replay
+/// counterfactuals without the original report.
 pub fn export_trace_full(
     report: &SimReport,
     analysis: Option<&CausalAnalysis>,
@@ -201,6 +202,19 @@ pub fn export_trace_full(
             ),
         };
         push_ev(&mut s, ev);
+    }
+    for a in alerts {
+        push_ev(
+            &mut s,
+            format!(
+                "{{\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"ts\":{},\"name\":{},\
+                 \"cat\":\"watchdog\",\"args\":{{\"window\":{},\"subject\":{}}}}}",
+                fmt_us(a.at.as_nanos()),
+                Quoted(a.kind.label()),
+                a.window,
+                Quoted(&a.subject)
+            ),
+        );
     }
 
     if let Some(a) = analysis {

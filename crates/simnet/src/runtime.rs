@@ -364,12 +364,7 @@ impl State {
             return;
         }
         let _prof = hostprof::scope(ProfScope::ScrapeRoll);
-        let procs: Vec<(u64, u64)> = self
-            .procs
-            .iter()
-            .map(|p| (p.stats.busy.as_nanos(), p.mailbox.len() as u64))
-            .collect();
-        ts.roll(t, &self.metrics, &procs);
+        ts.roll(t, &self.metrics);
     }
 
     /// Intern a label, returning its stable id. First-use order, so the
@@ -1599,14 +1594,7 @@ impl SimRuntime {
             .max()
             .unwrap_or(SimTime::ZERO);
         let reqs = st.req.take().map(ReqRecorder::finish);
-        let timeseries = st.ts.take().map(|ts| {
-            let procs: Vec<(u64, u64)> = st
-                .procs
-                .iter()
-                .map(|p| (p.stats.busy.as_nanos(), p.mailbox.len() as u64))
-                .collect();
-            ts.finish(virtual_time, &st.metrics, &procs)
-        });
+        let timeseries = st.ts.take().map(|ts| ts.finish(virtual_time, &st.metrics));
         let trace = {
             let _prof = hostprof::scope(ProfScope::TraceExport);
             // The state is being discarded, so take the trace instead of

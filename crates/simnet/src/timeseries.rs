@@ -3,9 +3,9 @@
 //! The flight recorder ([`crate::metrics`]) answers *how much* — whole-run
 //! totals. This module answers *when*: the runtime snapshots the registry
 //! every `window` of virtual time into per-metric series, so phase-local
-//! pathologies (a hot-row flare-up in one training phase, a straggler that
-//! only appears after fleet recovery, a convergence stall forty iterations
-//! in) stop being averaged away.
+//! pathologies (server-load skew in one training phase, a convergence stall
+//! forty iterations in, an SLO burn during recovery) stop being averaged
+//! away.
 //!
 //! ## Determinism constraints (same invariant as the flight recorder)
 //!
@@ -24,9 +24,6 @@
 //!   window length).
 //! * **Gauges** are sampled: the value as of the window's end.
 //! * **Histograms** become per-window `(count, sum_ns)` deltas.
-//! * **Per process**: busy-time delta and mailbox depth at the window end —
-//!   the inputs of the straggler and queue-growth detectors in
-//!   [`crate::watchdog`].
 //!
 //! Windows live in a ring buffer of [`CAPACITY`] windows; when a run
 //! outlives it, the oldest windows are dropped (and counted), never resized — memory
@@ -90,15 +87,6 @@ fn sparse_delta(cur: &[(u32, u64)], prev: &[(u32, u64)]) -> Vec<(u32, u64)> {
     out
 }
 
-/// One process's sample inside a window.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProcSample {
-    /// Busy (compute) time charged within the window, in nanoseconds.
-    pub busy_ns: u64,
-    /// Mailbox depth as of the window's end.
-    pub mailbox: u64,
-}
-
 /// One completed scrape window.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TsWindow {
@@ -114,9 +102,6 @@ pub struct TsWindow {
     pub gauges: BTreeMap<String, i64>,
     /// Histogram deltas within the window (empty deltas omitted).
     pub hists: BTreeMap<String, HistDelta>,
-    /// Per-process samples, indexed like `SimReport::procs`. Processes
-    /// spawned after this window closed are absent.
-    pub procs: Vec<ProcSample>,
 }
 
 impl TsWindow {
@@ -166,9 +151,7 @@ impl TimeSeries {
                 write_pairs(&mut w, h.buckets.iter().copied());
                 w.end();
             }
-            w.end().key("procs");
-            write_pairs(&mut w, win.procs.iter().map(|p| (p.busy_ns, p.mailbox)));
-            w.end();
+            w.end().end();
         }
         w.end().end();
         w.finish_line()
@@ -189,8 +172,6 @@ pub(crate) struct TsRecorder {
     completed: u64,
     /// Registry state as of the last emitted boundary.
     last: MetricsSnapshot,
-    /// Per-proc busy as of the last emitted boundary.
-    last_busy: Vec<u64>,
     windows: VecDeque<TsWindow>,
     dropped: u64,
 }
@@ -203,7 +184,6 @@ impl TsRecorder {
             next_boundary: window_ns,
             completed: 0,
             last: MetricsSnapshot::default(),
-            last_busy: Vec::new(),
             windows: VecDeque::new(),
             dropped: 0,
         }
@@ -225,12 +205,7 @@ impl TsRecorder {
 
     /// Build the delta window `[self.next_boundary - window_ns,
     /// self.next_boundary)` against `self.last`, then advance the baseline.
-    fn emit(
-        &mut self,
-        end_ns: u64,
-        metrics: &MetricsSnapshot,
-        procs: &[(u64, u64)], // (busy_ns, mailbox)
-    ) {
+    fn emit(&mut self, end_ns: u64, metrics: &MetricsSnapshot) {
         let mut counters = BTreeMap::new();
         for (k, v) in metrics.counters() {
             let delta = v - self.last.counter(k);
@@ -257,55 +232,37 @@ impl TsRecorder {
                 );
             }
         }
-        let samples: Vec<ProcSample> = procs
-            .iter()
-            .enumerate()
-            .map(|(i, &(busy, mailbox))| ProcSample {
-                busy_ns: busy - self.last_busy.get(i).copied().unwrap_or(0),
-                mailbox,
-            })
-            .collect();
         self.push(TsWindow {
             index: self.completed,
             end_ns,
             counters,
             gauges,
             hists,
-            procs: samples,
         });
         self.last = metrics.clone();
-        self.last_busy = procs.iter().map(|&(b, _)| b).collect();
     }
 
     /// Emit every complete window up to virtual time `t`. The registry has
     /// not changed since the previous `roll`, so the first catch-up window
     /// carries the deltas and any further ones are empty repeats of the
     /// same state.
-    pub(crate) fn roll(&mut self, t: SimTime, metrics: &MetricsSnapshot, procs: &[(u64, u64)]) {
+    pub(crate) fn roll(&mut self, t: SimTime, metrics: &MetricsSnapshot) {
         let mut first = true;
         while self.next_boundary <= t.as_nanos() {
             if first {
-                self.emit(self.next_boundary, metrics, procs);
+                self.emit(self.next_boundary, metrics);
                 first = false;
             } else {
                 // Nothing moved between consecutive boundaries: an empty
-                // delta window with the same sampled gauges/mailboxes.
+                // delta window with the same sampled gauges.
                 let gauges: BTreeMap<String, i64> =
                     metrics.gauges().map(|(k, v)| (k.to_string(), v)).collect();
-                let samples: Vec<ProcSample> = procs
-                    .iter()
-                    .map(|&(_, mailbox)| ProcSample {
-                        busy_ns: 0,
-                        mailbox,
-                    })
-                    .collect();
                 let w = TsWindow {
                     index: self.completed,
                     end_ns: self.next_boundary,
                     counters: BTreeMap::new(),
                     gauges,
                     hists: BTreeMap::new(),
-                    procs: samples,
                 };
                 self.push(w);
             }
@@ -316,18 +273,13 @@ impl TsRecorder {
 
     /// Run-end flush: emit the complete windows below `t`, then the final
     /// partial window `[completed * window_ns, t]`, and hand the series out.
-    pub(crate) fn finish(
-        mut self,
-        t: SimTime,
-        metrics: &MetricsSnapshot,
-        procs: &[(u64, u64)],
-    ) -> TimeSeries {
-        self.roll(t, metrics, procs);
+    pub(crate) fn finish(mut self, t: SimTime, metrics: &MetricsSnapshot) -> TimeSeries {
+        self.roll(t, metrics);
         // The trailing partial window, if anything happened after the last
         // boundary (or nothing ever crossed one).
         let start = self.completed * self.window_ns;
         if t.as_nanos() > start || self.completed == 0 {
-            self.emit(t.as_nanos().max(start), metrics, procs);
+            self.emit(t.as_nanos().max(start), metrics);
         }
         TimeSeries {
             window_ns: self.window_ns,
@@ -355,37 +307,35 @@ mod tests {
         let m1 = snap(&[("a", 3)]);
         assert!(!r.due(SimTime::from_micros(900)));
         assert!(r.due(SimTime::from_millis(1)));
-        r.roll(SimTime::from_millis(1), &m1, &[(100, 0)]);
+        r.roll(SimTime::from_millis(1), &m1);
         let m2 = snap(&[("a", 8)]);
-        let ts = r.finish(SimTime::from_micros(2_500), &m2, &[(250, 2)]);
+        let ts = r.finish(SimTime::from_micros(2_500), &m2);
         assert_eq!(ts.windows.len(), 3); // two complete + the partial tail
         assert_eq!(ts.windows[0].counter("a"), 3);
-        assert_eq!(ts.windows[0].procs[0].busy_ns, 100);
         // Window 1 closes at 2 ms with the registry already at a=8.
         assert_eq!(ts.windows[1].counter("a"), 5);
-        assert_eq!(ts.windows[1].procs[0].busy_ns, 150);
         assert_eq!(ts.windows[2].index, 2);
         assert_eq!(ts.windows[2].end_ns, 2_500_000);
         assert_eq!(ts.windows[2].counter("a"), 0);
-        assert_eq!(ts.windows[2].procs[0].mailbox, 2);
     }
 
     #[test]
     fn idle_gaps_emit_empty_windows_and_ring_caps_them() {
         let mut r = TsRecorder::new(SimTime::from_millis(1));
-        let m = snap(&[("a", 1)]);
+        let mut m = snap(&[("a", 1)]);
+        m.gauge_set("g", 7);
         // Jump six windows past the capacity at once: the ring keeps the
         // newest `CAPACITY`.
         let end = SimTime::from_millis(CAPACITY as u64 + 6);
-        r.roll(end, &m, &[(7, 1)]);
-        let ts = r.finish(end, &m, &[(7, 1)]);
+        r.roll(end, &m);
+        let ts = r.finish(end, &m);
         assert_eq!(ts.windows.len(), CAPACITY);
         assert_eq!(ts.dropped_windows, 6);
         assert_eq!(ts.windows.first().unwrap().index, 6);
         // Only the first emitted window carried the delta; it was dropped,
-        // and the retained repeats are empty but keep the mailbox sample.
+        // and the retained repeats are empty but keep the gauge sample.
         assert_eq!(ts.windows[0].counter("a"), 0);
-        assert_eq!(ts.windows[0].procs[0].mailbox, 1);
+        assert_eq!(ts.windows[0].gauge("g"), Some(7));
     }
 
     #[test]
@@ -395,10 +345,10 @@ mod tests {
         m.gauge_set("g", 5);
         m.observe("h", SimTime(100));
         m.observe("h", SimTime(200));
-        r.roll(SimTime::from_millis(1), &m, &[]);
+        r.roll(SimTime::from_millis(1), &m);
         m.gauge_set("g", -2);
         m.observe("h", SimTime(50));
-        let ts = r.finish(SimTime::from_micros(1_500), &m, &[]);
+        let ts = r.finish(SimTime::from_micros(1_500), &m);
         assert_eq!(ts.windows[0].gauge("g"), Some(5));
         assert_eq!(
             ts.windows[0].hists["h"],
@@ -430,12 +380,12 @@ mod tests {
     fn json_is_stable_and_integer_only() {
         let mut r = TsRecorder::new(SimTime::from_millis(1));
         let m = snap(&[("a.b", 2)]);
-        r.roll(SimTime::from_millis(1), &m, &[(10, 1)]);
-        let ts = r.finish(SimTime::from_millis(1), &m, &[(10, 1)]);
+        r.roll(SimTime::from_millis(1), &m);
+        let ts = r.finish(SimTime::from_millis(1), &m);
         let j = ts.to_json();
         assert!(j.contains("\"window_ns\": 1000000"));
         assert!(j.contains("\"a.b\": 2"));
-        assert!(j.contains("[10, 1]"));
+        assert!(!j.contains("\"procs\""), "{j}");
         assert!(!j.contains('.') || j.contains("\"a.b\""), "{j}");
     }
 }

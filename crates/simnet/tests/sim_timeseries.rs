@@ -83,17 +83,6 @@ fn window_deltas_sum_to_final_counters() {
         .sum();
     assert_eq!(rtts, report.metrics.hist("cli.rtt").unwrap().count());
 
-    // Per-proc busy deltas add up the same way.
-    for (i, p) in report.procs.iter().enumerate() {
-        let windowed: u64 = ts
-            .windows
-            .iter()
-            .filter_map(|w| w.procs.get(i))
-            .map(|s| s.busy_ns)
-            .sum();
-        assert_eq!(windowed, p.busy.as_nanos(), "busy of proc {i} ({})", p.name);
-    }
-
     // Complete windows end on boundaries; the tail ends at the run's end.
     for w in &ts.windows[..ts.windows.len() - 1] {
         assert_eq!(w.end_ns, (w.index + 1) * ts.window_ns);

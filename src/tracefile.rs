@@ -528,7 +528,7 @@ mod tests {
          "target_ns": 1000, "budget_milli": 1}
       ],
       "alerts": [
-        {"kind": "watchdog.slo_burn", "at_ns": 2000000, "window": 1, "proc": -1,
+        {"kind": "watchdog.slo_burn", "at_ns": 2000000, "window": 1,
          "subject": "ps.pull.p999", "value_milli": 25000}
       ]
     }"#;

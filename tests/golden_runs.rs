@@ -209,10 +209,10 @@ fn mode_config(preset: &str, mode: ConsistencyMode, seed: u64) -> ModeConfig {
     cfg
 }
 
-/// The watchdog over `kddb-lr-ssp2`'s run scraped at 1 ms: every detector,
-/// plus the `kddb` preset SLOs and one unattainable 1 µs pull p999 that must
-/// burn. `alerts` is the alert count; each alert's fields are folded into
-/// the digest.
+/// The watchdog over `kddb-lr-ssp2`'s run scraped at 1 ms: the server-skew
+/// and stall detectors, plus the `kddb` preset SLOs and one unattainable
+/// 1 µs pull p999 that must burn. `alerts` is the alert count; each alert's
+/// fields are folded into the digest.
 #[test]
 fn alerts() {
     let seed = 1;
@@ -229,9 +229,8 @@ fn alerts() {
     alerts.extend(Watchdog::evaluate_slo(&report, &objectives));
     let mut tail = String::new();
     for a in &alerts {
-        let proc = a.proc.map_or(-1, |p| p as i64);
         tail += &format!(
-            "{} {} {} {proc} {} {}\n",
+            "{} {} {} {} {}\n",
             a.kind.label(),
             a.at.as_nanos(),
             a.window,
