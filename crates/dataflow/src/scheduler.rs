@@ -292,19 +292,6 @@ impl SparkContext {
         let _ = ctx.call_many(reqs);
     }
 
-    /// Broadcast with automatic wire sizing.
-    pub fn broadcast_t<T: Send + Sync + WireSize + 'static>(
-        &mut self,
-        ctx: &mut SimCtx,
-        value: T,
-    ) -> Broadcast<T> {
-        let bytes = {
-            let _prof = hostprof::scope(ProfScope::CodecEncode);
-            value.wire_size()
-        };
-        self.broadcast(ctx, value, bytes)
-    }
-
     // ---- job execution -------------------------------------------------------
 
     /// Run one task per partition of `rdd`; each task materializes its

@@ -124,7 +124,7 @@ fn uncached_source_recomputes_every_action() {
 #[test]
 fn broadcast_reaches_all_tasks() {
     let (got, _) = with_cluster(3, 1, |ctx, sc| {
-        let b = sc.broadcast_t(ctx, vec![1.0f64, 2.0, 3.0]);
+        let b = sc.broadcast(ctx, vec![1.0f64, 2.0, 3.0], 32);
         let rdd = sc.parallelize(ctx, vec![0usize, 1, 2, 0, 1, 2], 3);
         let picked = rdd.map_partitions(move |part, w| {
             let v = w.broadcast(&b);

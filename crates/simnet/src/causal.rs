@@ -64,7 +64,7 @@ impl PathCategory {
 }
 
 /// One attributed interval of the critical path, on one process.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PathSegment {
     /// Index of the process the interval is attributed to.
     pub proc: usize,
@@ -84,7 +84,7 @@ impl PathSegment {
 
 /// Per-process summary: how much of the critical path ran here, and how much
 /// slack the process had.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProcSummary {
     pub proc: usize,
     pub name: String,
@@ -709,7 +709,7 @@ impl CausalDag {
 }
 
 /// Result of the critical-path walk over one run's trace.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CausalAnalysis {
     /// The run's virtual makespan (latest non-daemon clock).
     pub makespan: SimTime,
@@ -807,6 +807,42 @@ impl CausalAnalysis {
                 secs(ps.busy.as_nanos()),
                 secs(ps.slack_ns)
             ));
+        }
+        out
+    }
+
+    /// Compare two runs' critical paths (`self` is the baseline): makespan,
+    /// per-category and per-op compute deltas, positive when `other` is
+    /// slower. Deltas only; it judges nothing.
+    pub fn render_diff(&self, other: &CausalAnalysis) -> String {
+        let secs = |ns: u64| ns as f64 / 1e9;
+        let row = |head: String, a: u64, b: u64| {
+            format!(
+                "{head} {:>12.6}s -> {:>12.6}s   delta {:+.6}s\n",
+                secs(a),
+                secs(b),
+                (b as f64 - a as f64) / 1e9
+            )
+        };
+        let (a, b) = (self.makespan.as_nanos(), other.makespan.as_nanos());
+        let mut out = row("makespan".into(), a, b);
+        out.push_str("critical-path categories:\n");
+        for ((name, a), (_, b)) in self.categories().into_iter().zip(other.categories()) {
+            out.push_str(&row(format!("  {name:<8}"), a, b));
+        }
+        let mut ops: Vec<&String> = self
+            .compute_by_label
+            .keys()
+            .chain(other.compute_by_label.keys())
+            .collect();
+        ops.sort_unstable();
+        ops.dedup();
+        if !ops.is_empty() {
+            out.push_str("critical-path compute by op:\n");
+            for op in ops {
+                let ns = |a: &CausalAnalysis| a.compute_by_label.get(op).copied().unwrap_or(0);
+                out.push_str(&row(format!("  {op:<24}"), ns(self), ns(other)));
+            }
         }
         out
     }

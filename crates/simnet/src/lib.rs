@@ -92,10 +92,13 @@ pub use fabric::{FabricPolicy, SlotRouter, StaticRoutes};
 pub use hostprof::{HostProfile, ScopeStat};
 pub use message::{payload_ref, Envelope, WireSize};
 pub use metrics::{MetricsSnapshot, OpRow, RunReport, VtHistogram};
-pub use perfetto::{export_trace, export_trace_full};
+pub use perfetto::export_trace_full;
 pub use probe::LivenessProbe;
 pub use report::{LabelId, ProcStats, SimReport, TraceEvent};
-pub use reqtrace::{slo_json, OpReqStats, ReqRecord, ReqSummary, ReqToken, EXEMPLAR_K};
+pub use reqtrace::{
+    render_slo, render_slo_diff, slo_from_json, slo_json, OpReqStats, ReqRecord, ReqSummary,
+    ReqToken, EXEMPLAR_K,
+};
 pub use runtime::{OutputSlot, Proc, ProcId, SimBuilder, SimError, SimRuntime, StepCtx};
 pub use time::SimTime;
 pub use timeseries::{HistDelta, TimeSeries, TsWindow};

@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 use std::fmt::{Display, Write as _};
 
-use crate::json::{JsonWriter, Style};
+use crate::json::{JsonValue, JsonWriter, Style};
 use crate::report::SimReport;
 use crate::time::SimTime;
 
@@ -214,6 +214,29 @@ impl VtHistogram {
             write_pairs(w, self.sparse_buckets());
         }
         w.end();
+    }
+
+    /// The inverse of [`VtHistogram::write_json`] with `buckets`, through
+    /// [`VtHistogram::from_parts`]: the count and the quantile fields are
+    /// derived, so they are recomputed rather than read.
+    pub(crate) fn read_json(v: &JsonValue) -> Result<VtHistogram, String> {
+        let pair = |p: &JsonValue| -> Option<(u32, u64)> {
+            let [k, c] = p.as_arr()? else {
+                return None;
+            };
+            Some((u32::try_from(k.as_u64()?).ok()?, c.as_u64()?))
+        };
+        let sparse = v
+            .arr_field("buckets")?
+            .iter()
+            .map(|p| pair(p).ok_or("bucket is not an [index, count] pair"))
+            .collect::<Result<Vec<_>, _>>()?;
+        VtHistogram::from_parts(
+            v.u64_field("sum_ns")?,
+            v.u64_field("min_ns")?,
+            v.u64_field("max_ns")?,
+            &sparse,
+        )
     }
 
     /// Fold another histogram into this one. Bucket counts add; `min`/`max`

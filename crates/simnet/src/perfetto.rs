@@ -8,10 +8,11 @@
 //! and finishes, and global-scope `i` instants (no `tid`) for watchdog
 //! alerts, which belong to the run rather than to one process. When a
 //! [`CausalAnalysis`] is supplied, an extra synthetic track (`tid` = process
-//! count) highlights the critical path, one slice per attributed segment,
-//! and the analysis itself is embedded under the top-level `"ps2"` key —
-//! trace viewers ignore unknown keys, but `ps2-trace` reads them back
-//! without re-walking the event graph.
+//! count) highlights the critical path, one slice per attributed segment.
+//! The top-level `"ps2"` key, which trace viewers ignore, carries the
+//! recordings `ps2-trace` reads back — the retained causal DAG and the SLO
+//! report — and no derived number: the critical path is recomputed from the
+//! DAG, so the file holds one copy of each fact.
 //!
 //! The output is built from integers and `BTreeMap` iteration only, so it is
 //! byte-identical across same-seed runs.
@@ -19,7 +20,7 @@
 use crate::causal::{CausalAnalysis, CausalDag};
 use crate::json::{JsonWriter, Quoted, Style};
 use crate::report::{SimReport, TraceEvent};
-use crate::watchdog::{write_alerts, Alert};
+use crate::watchdog::Alert;
 
 /// Nanoseconds → microsecond timestamp with three decimals, via integer
 /// math so formatting can never drift.
@@ -27,22 +28,16 @@ fn fmt_us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
-/// Render `report` (and optionally its causal analysis) as trace-event JSON.
-pub fn export_trace(report: &SimReport, analysis: Option<&CausalAnalysis>) -> String {
-    export_trace_full(report, analysis, &[], None, None)
-}
-
-/// [`export_trace`] plus watchdog alerts, an SLO sidecar and the retained
-/// causal DAG, all under the `"ps2"` section. `alerts` become an `"alerts"`
-/// array (the machine-readable form `ps2-trace` diffs) and, on the
-/// timeline, global-scope instants named by
-/// [`AlertKind::label`](crate::AlertKind::label). `slo` is a pre-rendered
-/// `ps2-slo-v1` JSON object (see [`crate::reqtrace::slo_json`]) embedded
-/// verbatim under `"ps2"."slo"`, so `ps2-trace slo` can read per-op request
-/// summaries and exemplars straight out of the trace file; `dag` is
-/// embedded as `"ps2"."dag"` (schema `ps2-dag-v1`, read back by
-/// [`CausalDag::from_json`]) so `ps2-trace whatif` can replay
-/// counterfactuals without the original report.
+/// Render `report` as trace-event JSON. `analysis` adds the critical-path
+/// track; `alerts` become global-scope instants on the timeline, named by
+/// [`AlertKind::label`](crate::AlertKind::label). The `"ps2"` section holds
+/// recordings only: `"drops_by_tag"` (dropped messages per protocol tag),
+/// `slo`, a pre-rendered `ps2-slo-v1` object (see
+/// [`crate::reqtrace::slo_json`], read back by
+/// [`crate::reqtrace::slo_from_json`]) embedded verbatim as `"slo"`, and
+/// `dag` as `"dag"` (schema `ps2-dag-v1`, read back by
+/// [`CausalDag::from_json`]). Every analysis of the file — critical path,
+/// what-if replay — is recomputed from the DAG.
 pub fn export_trace_full(
     report: &SimReport,
     analysis: Option<&CausalAnalysis>,
@@ -240,43 +235,24 @@ pub fn export_trace_full(
     }
     s.push_str("\n]");
 
-    if analysis.is_some() || !alerts.is_empty() || slo.is_some() || dag.is_some() {
-        s.push_str(",\n\"ps2\": ");
-        let mut w = JsonWriter::appending(s);
-        w.obj(Style::Block);
-        if let Some(a) = analysis {
-            w.key("makespan_ns").raw(a.makespan.as_nanos());
-            w.key("categories").counts(Style::Inline, a.categories());
-            w.key("compute_by_label")
-                .counts(Style::Inline, &a.compute_by_label);
-            w.key("segments").raw(a.segments.len());
-            w.key("procs").arr(Style::Block);
-            for p in &a.procs {
-                w.obj(Style::Inline).key("name").str(&p.name);
-                w.key("daemon").raw(p.daemon);
-                w.key("finished_ns").raw(p.finished_at.as_nanos());
-                w.key("busy_ns").raw(p.busy.as_nanos());
-                w.key("slack_ns").raw(p.slack_ns);
-                w.key("critical_ns").raw(p.critical_ns).end();
-            }
-            let drops = report
-                .metrics
-                .counters()
-                .filter_map(|(k, v)| Some((k.strip_prefix("net.dropped.tag.")?, v)));
-            w.end().key("drops_by_tag").counts(Style::Inline, drops);
-        }
-        w.key("alerts");
-        write_alerts(&mut w, alerts);
-        if let Some(sidecar) = slo {
-            w.key("slo").raw(sidecar);
-        }
-        if let Some(d) = dag {
-            w.key("dag");
-            d.write_json(&mut w);
-        }
-        w.end();
-        s = w.finish();
+    s.push_str(",\n\"ps2\": ");
+    let mut w = JsonWriter::appending(s);
+    let drops = report
+        .metrics
+        .counters()
+        .filter_map(|(k, v)| Some((k.strip_prefix("net.dropped.tag.")?, v)));
+    w.obj(Style::Block)
+        .key("drops_by_tag")
+        .counts(Style::Inline, drops);
+    if let Some(sidecar) = slo {
+        w.key("slo").raw(sidecar);
     }
+    if let Some(d) = dag {
+        w.key("dag");
+        d.write_json(&mut w);
+    }
+    w.end();
+    s = w.finish();
     s.push_str("\n}\n");
     s
 }

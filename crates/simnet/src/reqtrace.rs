@@ -31,15 +31,17 @@
 //! with their full stage breakdowns — a deterministic top-K (ordered by
 //! total latency descending, ties broken by the smaller request id, which is
 //! itself deterministic). Exemplars are exported in the SLO sidecar
-//! (`ps2-run --slo-json`), embedded in the Perfetto trace's `"ps2"."slo"`
-//! section, and rendered by `ps2-trace slo`.
+//! (`ps2-run --slo-json`, schema `ps2-slo-v1`), which is also embedded in
+//! the Perfetto trace's `"ps2"."slo"` section. [`slo_json`] writes it,
+//! [`slo_from_json`] reads it back into the same types, and [`render_slo`]
+//! is the one text report both `ps2-run` and `ps2-trace slo` print.
 
 use std::collections::BTreeMap;
 
-use crate::json::{JsonWriter, Style};
+use crate::json::{JsonValue, JsonWriter, Style};
 use crate::metrics::VtHistogram;
 use crate::time::SimTime;
-use crate::watchdog::{write_alerts, Alert, AlertKind, SloObjective};
+use crate::watchdog::{read_alerts, write_alerts, Alert, AlertKind, SloKind, SloObjective};
 
 /// How many slowest-request exemplars are retained per op.
 pub const EXEMPLAR_K: usize = 5;
@@ -85,21 +87,42 @@ impl ReqRecord {
         )
     }
 
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.obj(Style::Inline);
-        w.key("id").raw(self.id);
-        w.key("issued_at_ns").raw(self.issued_at_ns);
-        w.key("total_ns").raw(self.total_ns);
-        w.key("attempts").raw(self.attempts);
-        let stages = [
+    /// The six stages in request order, keyed by their JSON names.
+    fn stages(&self) -> [(&'static str, u64); 6] {
+        [
             ("client_issue_ns", self.client_issue_ns),
             ("net_request_ns", self.net_request_ns),
             ("server_queue_ns", self.server_queue_ns),
             ("service_ns", self.service_ns),
             ("net_reply_ns", self.net_reply_ns),
             ("client_recv_ns", self.client_recv_ns),
-        ];
-        w.key("stages").counts(Style::Inline, stages).end();
+        ]
+    }
+
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.obj(Style::Inline);
+        w.key("id").raw(self.id);
+        w.key("issued_at_ns").raw(self.issued_at_ns);
+        w.key("total_ns").raw(self.total_ns);
+        w.key("attempts").raw(self.attempts);
+        w.key("stages").counts(Style::Inline, self.stages()).end();
+    }
+
+    fn read_json(v: &JsonValue) -> Result<ReqRecord, String> {
+        let stages = v.field("stages")?;
+        let stage = |k: &str| stages.u64_field(k);
+        Ok(ReqRecord {
+            id: v.u64_field("id")?,
+            issued_at_ns: v.u64_field("issued_at_ns")?,
+            total_ns: v.u64_field("total_ns")?,
+            attempts: u32::try_from(v.u64_field("attempts")?).map_err(|e| e.to_string())?,
+            client_issue_ns: stage("client_issue_ns")?,
+            net_request_ns: stage("net_request_ns")?,
+            server_queue_ns: stage("server_queue_ns")?,
+            service_ns: stage("service_ns")?,
+            net_reply_ns: stage("net_reply_ns")?,
+            client_recv_ns: stage("client_recv_ns")?,
+        })
     }
 }
 
@@ -121,7 +144,7 @@ struct LiveReq {
 }
 
 /// Per-op aggregate of completed requests, with exemplars.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct OpReqStats {
     pub op: String,
     /// High-resolution histogram of total request latency.
@@ -138,7 +161,7 @@ pub struct OpReqStats {
 
 /// Request-level summary of a finished run, carried on
 /// [`SimReport::reqs`](crate::SimReport::reqs).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReqSummary {
     /// Per-op stats, ordered by op name.
     pub ops: Vec<OpReqStats>,
@@ -171,6 +194,27 @@ impl ReqSummary {
             w.end().end();
         }
         w.end();
+    }
+
+    /// The inverse of [`ReqSummary::write_json`].
+    fn read_json(ops: &[JsonValue]) -> Result<ReqSummary, String> {
+        let op = |o: &JsonValue| -> Result<OpReqStats, String> {
+            Ok(OpReqStats {
+                op: o.str_field("op")?.to_string(),
+                hist: VtHistogram::read_json(o.field("hist")?)?,
+                completed: o.u64_field("completed")?,
+                abandoned: o.u64_field("abandoned")?,
+                attempts: o.u64_field("attempts")?,
+                exemplars: o
+                    .arr_field("exemplars")?
+                    .iter()
+                    .map(ReqRecord::read_json)
+                    .collect::<Result<_, _>>()?,
+            })
+        };
+        Ok(ReqSummary {
+            ops: ops.iter().map(op).collect::<Result<_, _>>()?,
+        })
     }
 }
 
@@ -328,6 +372,158 @@ pub fn slo_json(reqs: &ReqSummary, objectives: &[SloObjective], alerts: &[Alert]
     w.finish_line()
 }
 
+/// Read a `ps2-slo-v1` object back into what [`slo_json`] was given: the
+/// request summary (histograms and exemplars exact), the objectives and the
+/// burn alerts.
+pub fn slo_from_json(
+    slo: &JsonValue,
+) -> Result<(ReqSummary, Vec<SloObjective>, Vec<Alert>), String> {
+    match slo.str_field("schema")? {
+        "ps2-slo-v1" => {}
+        other => return Err(format!("unsupported schema {other:?}")),
+    }
+    Ok((
+        ReqSummary::read_json(slo.arr_field("ops")?)?,
+        slo.arr_field("objectives")?
+            .iter()
+            .map(SloObjective::read_json)
+            .collect::<Result<_, _>>()?,
+        read_alerts(slo.arr_field("alerts")?)?,
+    ))
+}
+
+/// Request latencies live at µs scale; `SimTime`'s second-based `Display`
+/// would flatten them all to 0.000s.
+fn us(ns: u64) -> String {
+    format!("{}.{:03}us", ns / 1_000, ns % 1_000)
+}
+
+/// The SLO report as text, over the same arguments as [`slo_json`]: the
+/// per-op tail-latency table, each op's exemplar requests with their stage
+/// breakdowns, the declared objectives, and the burn alerts (other alert
+/// kinds are ignored). `ps2-run --slo-json` prints it from the live run,
+/// `ps2-trace slo` from the file, and the two agree byte for byte.
+pub fn render_slo(reqs: &ReqSummary, objectives: &[SloObjective], alerts: &[Alert]) -> String {
+    let mut out = String::new();
+    out.push_str(&format!(
+        "{:<14} {:>9} {:>6} {:>7} {:>13} {:>13} {:>13} {:>13}\n",
+        "op", "completed", "aband", "retries", "p50", "p99", "p999", "max"
+    ));
+    for o in &reqs.ops {
+        out.push_str(&format!(
+            "{:<14} {:>9} {:>6} {:>7} {:>13} {:>13} {:>13} {:>13}\n",
+            o.op,
+            o.completed,
+            o.abandoned,
+            o.attempts.saturating_sub(o.completed),
+            us(o.hist.quantile_ns(0.50)),
+            us(o.hist.quantile_ns(0.99)),
+            us(o.hist.quantile_ns(0.999)),
+            us(o.hist.max_ns()),
+        ));
+    }
+    for o in reqs.ops.iter().filter(|o| !o.exemplars.is_empty()) {
+        out.push_str(&format!("slowest {} requests:\n", o.op));
+        for e in &o.exemplars {
+            let stages: Vec<String> = e
+                .stages()
+                .iter()
+                .filter(|(_, ns)| *ns > 0)
+                .map(|(k, ns)| format!("{} {}", k.trim_end_matches("_ns"), us(*ns)))
+                .collect();
+            out.push_str(&format!(
+                "  #{:<6} total {:>13}  attempts {}  issued at {}  [{}]\n",
+                e.id,
+                us(e.total_ns),
+                e.attempts,
+                us(e.issued_at_ns),
+                stages.join(", "),
+            ));
+        }
+    }
+    if !objectives.is_empty() {
+        out.push_str("objectives:\n");
+        for o in objectives {
+            let desc = match &o.kind {
+                SloKind::Latency {
+                    hist,
+                    target_ns,
+                    budget_milli,
+                } => format!("latency({hist}) p999 < {target_ns} ns, budget {budget_milli}/1000"),
+                SloKind::ErrorRate {
+                    errors,
+                    total,
+                    budget_milli,
+                } => format!("errors({errors}) / total({total}) < {budget_milli}/1000"),
+            };
+            out.push_str(&format!("  {:<16} {desc}\n", o.name));
+        }
+    }
+    let burns: Vec<&Alert> = alerts
+        .iter()
+        .filter(|a| a.kind == AlertKind::SloBurn)
+        .collect();
+    if burns.is_empty() {
+        out.push_str("burn alerts: none\n");
+    } else {
+        out.push_str("burn alerts:\n");
+        for a in burns {
+            out.push_str(&format!(
+                "  {} at {}  (window {}, {}.{:03}x budget)\n",
+                a.subject,
+                us(a.at.as_nanos()),
+                a.window,
+                a.value_milli / 1000,
+                (a.value_milli % 1000).unsigned_abs(),
+            ));
+        }
+    }
+    out
+}
+
+/// Compare two runs' SLO reports op by op (`base` is the baseline; positive
+/// deltas mean the candidate's tail is slower), then their burn-alert
+/// counts.
+pub fn render_slo_diff(
+    base: &ReqSummary,
+    base_alerts: &[Alert],
+    cand: &ReqSummary,
+    cand_alerts: &[Alert],
+) -> String {
+    let mut out = String::from("per-op p999:\n");
+    let mut names: Vec<&str> = base
+        .ops
+        .iter()
+        .chain(&cand.ops)
+        .map(|o| o.op.as_str())
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    let p999 = |reqs: &ReqSummary, name: &str| {
+        reqs.op(name)
+            .map_or(0, |o| o.hist.quantile_ns(0.999) as i64)
+    };
+    for name in names {
+        let (a, b) = (p999(base, name), p999(cand, name));
+        out.push_str(&format!(
+            "  {name:<14} {a:>12} ns -> {b:>12} ns   delta {:+} ns\n",
+            b - a
+        ));
+    }
+    let burns = |alerts: &[Alert]| {
+        alerts
+            .iter()
+            .filter(|a| a.kind == AlertKind::SloBurn)
+            .count()
+    };
+    out.push_str(&format!(
+        "burn alerts: {} -> {}\n",
+        burns(base_alerts),
+        burns(cand_alerts)
+    ));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,6 +632,90 @@ mod tests {
         assert_eq!(op.completed, 1);
         assert_eq!(op.abandoned, 1);
         assert_eq!(op.exemplars.len(), 1);
+    }
+
+    #[test]
+    fn slo_json_reads_back_into_the_same_types() {
+        let mut rec = ReqRecorder::new();
+        complete_one(&mut rec, "pull", 0, 750);
+        complete_one(&mut rec, "push", 1_000, 300);
+        rec.begin_batch("pull", 1, SimTime(5_000)); // never completes
+        let reqs = rec.finish();
+        let objectives = vec![
+            SloObjective::latency_p999("pull.p999", "ps.client.op.pull.latency", SimTime(500)),
+            SloObjective::error_rate("timeouts", "ps.client.timeouts", "ps.client.envelopes", 10),
+        ];
+        let alert = |kind| Alert {
+            kind,
+            at: SimTime(2_000_000),
+            window: 1,
+            subject: "pull.p999".to_string(),
+            value_milli: 25_000,
+        };
+        let alerts = vec![alert(AlertKind::ServerSkew), alert(AlertKind::SloBurn)];
+        let doc = crate::json::parse_json(&slo_json(&reqs, &objectives, &alerts)).unwrap();
+        let (r, o, a) = slo_from_json(&doc).unwrap();
+        assert_eq!(r, reqs);
+        assert_eq!(o, objectives);
+        assert_eq!(a, alerts[1..], "only burns are part of the report");
+        assert_eq!(
+            render_slo(&r, &o, &a),
+            render_slo(&reqs, &objectives, &alerts)
+        );
+    }
+
+    /// Nine 100 ns pulls and one 400 ns pull, with that slowest request's
+    /// stages; the bucket indices are the log-linear histogram's, and the
+    /// quantile fields are what the writer would derive from them.
+    const SLO_DOC: &str = r#"{
+      "schema": "ps2-slo-v1",
+      "ops": [
+        {"op": "pull", "completed": 10, "abandoned": 1, "attempts": 12,
+         "hist": {"count": 10, "sum_ns": 1300, "min_ns": 100, "max_ns": 400,
+                  "p50_ns": 101, "p99_ns": 400, "p999_ns": 400,
+                  "buckets": [[82, 9], [146, 1]]},
+         "exemplars": [
+           {"id": 7, "issued_at_ns": 5, "total_ns": 400, "attempts": 2,
+            "stages": {"client_issue_ns": 10, "net_request_ns": 90,
+                       "server_queue_ns": 200, "service_ns": 50,
+                       "net_reply_ns": 40, "client_recv_ns": 10}}
+         ]}
+      ],
+      "objectives": [
+        {"name": "ps.pull.p999", "kind": "latency", "hist": "ps.client.op.pull.latency",
+         "target_ns": 1000, "budget_milli": 1}
+      ],
+      "alerts": [
+        {"kind": "watchdog.slo_burn", "at_ns": 2000000, "window": 1,
+         "subject": "ps.pull.p999", "value_milli": 25000}
+      ]
+    }"#;
+
+    #[test]
+    fn slo_reader_rebuilds_the_fixture() {
+        let doc = crate::json::parse_json(SLO_DOC).unwrap();
+        let (reqs, objectives, alerts) = slo_from_json(&doc).unwrap();
+        let pull = reqs.op("pull").expect("op read");
+        assert_eq!((pull.completed, pull.abandoned, pull.attempts), (10, 1, 12));
+        let h = &pull.hist;
+        assert_eq!(
+            (h.count(), h.sum_ns(), h.min_ns(), h.max_ns()),
+            (10, 1300, 100, 400)
+        );
+        for (q, ns) in [(0.5, 101), (0.99, 400), (0.999, 400)] {
+            assert_eq!(h.quantile_ns(q), ns, "q={q}");
+        }
+        let e = &pull.exemplars[0];
+        assert_eq!((e.id, e.attempts, e.server_queue_ns), (7, 2, 200));
+        assert_eq!(e.stages().iter().map(|(_, ns)| ns).sum::<u64>(), e.total_ns);
+        assert_eq!(objectives[0].name, "ps.pull.p999");
+        assert_eq!(alerts[0].kind, AlertKind::SloBurn);
+        assert_eq!(alerts[0].at, SimTime(2_000_000));
+
+        let mut bad = SLO_DOC.replace("ps2-slo-v1", "ps2-slo-v0");
+        assert!(slo_from_json(&crate::json::parse_json(&bad).unwrap()).is_err());
+        bad = SLO_DOC.replace("[[82, 9], [146, 1]]", "[[82]]");
+        assert!(slo_from_json(&crate::json::parse_json(&bad).unwrap()).is_err());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! critical path ([`crate::causal`]) and the what-if battery
 //! ([`crate::whatif::standard_battery`]) answer it exactly.
 
-use crate::json::{JsonWriter, Style};
+use crate::json::{JsonValue, JsonWriter, Style};
 use crate::report::SimReport;
 use crate::time::SimTime;
 use crate::timeseries::TsWindow;
@@ -129,6 +129,28 @@ impl SloObjective {
             }
         };
         w.key("budget_milli").raw(budget_milli).end();
+    }
+
+    /// The inverse of [`SloObjective::write_json`].
+    pub(crate) fn read_json(v: &JsonValue) -> Result<SloObjective, String> {
+        let budget_milli = v.u64_field("budget_milli")?;
+        let kind = match v.str_field("kind")? {
+            "latency" => SloKind::Latency {
+                hist: v.str_field("hist")?.to_string(),
+                target_ns: v.u64_field("target_ns")?,
+                budget_milli,
+            },
+            "error_rate" => SloKind::ErrorRate {
+                errors: v.str_field("errors")?.to_string(),
+                total: v.str_field("total")?.to_string(),
+                budget_milli,
+            },
+            other => return Err(format!("unknown objective kind {other:?}")),
+        };
+        Ok(SloObjective {
+            name: v.str_field("name")?.to_string(),
+            kind,
+        })
     }
 }
 
@@ -366,6 +388,31 @@ pub(crate) fn write_alerts<'a>(w: &mut JsonWriter, alerts: impl IntoIterator<Ite
         w.key("value_milli").raw(a.value_milli).end();
     }
     w.end();
+}
+
+/// The inverse of [`write_alerts`].
+pub(crate) fn read_alerts(alerts: &[JsonValue]) -> Result<Vec<Alert>, String> {
+    let kinds = [
+        AlertKind::ServerSkew,
+        AlertKind::ConvergenceStall,
+        AlertKind::SloBurn,
+    ];
+    alerts
+        .iter()
+        .map(|a| {
+            let label = a.str_field("kind")?;
+            Ok(Alert {
+                kind: *kinds
+                    .iter()
+                    .find(|k| k.label() == label)
+                    .ok_or_else(|| format!("unknown alert kind {label:?}"))?,
+                at: SimTime(a.u64_field("at_ns")?),
+                window: a.u64_field("window")?,
+                subject: a.str_field("subject")?.to_string(),
+                value_milli: a.i64_field("value_milli")?,
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]

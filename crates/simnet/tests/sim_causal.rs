@@ -1,9 +1,10 @@
 //! Tests for `simnet::causal` critical-path analysis and the Perfetto
 //! exporter.
 
+use ps2_simnet::json::parse_json;
 use ps2_simnet::{
-    export_trace, CausalAnalysis, CausalError, NetConfig, PathCategory, ProcId, SimBuilder,
-    SimReport, SimTime,
+    export_trace_full, CausalAnalysis, CausalDag, CausalError, NetConfig, PathCategory, ProcId,
+    SimBuilder, SimReport, SimTime,
 };
 
 fn quiet_net() -> NetConfig {
@@ -189,7 +190,19 @@ fn analysis_and_export_are_byte_identical_across_same_seed_runs() {
     let a2 = CausalAnalysis::from_report(&r2).unwrap();
     assert_partitions(&r1, &a1);
     assert_eq!(a1.render(), a2.render());
-    assert_eq!(export_trace(&r1, Some(&a1)), export_trace(&r2, Some(&a2)));
+    assert_eq!(export(&r1), export(&r2));
+}
+
+/// The full export: critical-path track plus the retained DAG.
+fn export(r: &SimReport) -> String {
+    let dag = CausalDag::from_report(r).unwrap();
+    export_trace_full(
+        r,
+        Some(&dag.critical_path().unwrap()),
+        &[],
+        None,
+        Some(&dag),
+    )
 }
 
 #[test]
@@ -205,7 +218,7 @@ fn different_seeds_still_partition_exactly() {
 fn perfetto_export_contains_tracks_flows_and_analysis() {
     let r = rpc_workload(7);
     let a = CausalAnalysis::from_report(&r).unwrap();
-    let json = export_trace(&r, Some(&a));
+    let json = export(&r);
     assert!(json.contains("\"traceEvents\""));
     assert!(json.contains("\"thread_name\""));
     assert!(json.contains("\"name\":\"server\""));
@@ -218,6 +231,8 @@ fn perfetto_export_contains_tracks_flows_and_analysis() {
     assert!(json.contains("\"payload\":4"));
     // Labeled compute slices.
     assert!(json.contains("\"name\":\"serve\""));
-    // The embedded analysis section round-trips the makespan.
-    assert!(json.contains(&format!("\"makespan_ns\": {}", r.virtual_time.as_nanos())));
+    // The embedded DAG section rebuilds the same critical path.
+    let doc = parse_json(&json).unwrap();
+    let dag = CausalDag::from_json(doc.get("ps2").and_then(|p| p.get("dag")).unwrap()).unwrap();
+    assert_eq!(dag.critical_path().unwrap().render(), a.render());
 }

@@ -41,9 +41,10 @@
 //!   --slo-json PATH    trace every PS request end to end (issue → retries →
 //!                      server queue → service → reply → receive), hold the
 //!                      run to the preset's SLOs with multi-window burn-rate
-//!                      alerting, and write the `ps2-slo-v1` sidecar (per-op
-//!                      p999 + the K slowest requests with stage breakdowns;
-//!                      inspect with `ps2-trace slo`). Request tracing is
+//!                      alerting, print the SLO report and write it as the
+//!                      `ps2-slo-v1` sidecar (per-op p999 + the K slowest
+//!                      requests with stage breakdowns; `ps2-trace slo`
+//!                      prints the same report from it). Request tracing is
 //!                      non-yielding: the run is bit-identical either way.
 //!   --whatif-json PATH run the what-if sensitivity battery over the run's
 //!                      retained causal DAG: replay counterfactual speedups
@@ -101,8 +102,8 @@ use ps2::ml::svm::{train_svm, SvmConfig};
 use ps2::ml::TrainingTrace;
 use ps2::ps::ConsistencyMode;
 use ps2::simnet::{
-    export_trace_full, hostprof, run_battery, slo_json, standard_battery, AlertKind,
-    CausalAnalysis, CausalDag, OpTails, SimTime, Watchdog,
+    export_trace_full, hostprof, render_slo, run_battery, slo_json, standard_battery, AlertKind,
+    CausalDag, OpTails, SimTime, Watchdog,
 };
 use ps2::slo::preset_slos;
 use ps2::{run_ps2_with, ClusterSpec, RunReport, SimBuilder};
@@ -529,8 +530,9 @@ fn main() {
             }
         };
 
-    // Retained for every traced run so the exported trace file carries the
-    // "ps2"."dag" section ps2-trace whatif replays offline.
+    // Retained for every traced run: the critical path is walked from it,
+    // and the exported trace file carries it as the "ps2"."dag" section
+    // every ps2-trace analysis of the file is recomputed from.
     let whatif_dag = if want_trace {
         Some(
             CausalDag::from_report(&report)
@@ -590,16 +592,18 @@ fn main() {
         println!("metrics written to {path}");
     }
     if let Some(path) = args.flags.get("trace-json") {
-        let analysis = CausalAnalysis::from_report(&report)
+        let dag = whatif_dag.as_ref().expect("tracing was enabled");
+        let analysis = dag
+            .critical_path()
             .unwrap_or_else(|e| die(&format!("critical-path analysis failed: {e}")));
         println!("\n{}", analysis.render());
         let slo = slo_sidecar.as_deref().map(str::trim_end);
         std::fs::write(
             path,
-            export_trace_full(&report, Some(&analysis), &alerts, slo, whatif_dag.as_ref()),
+            export_trace_full(&report, Some(&analysis), &alerts, slo, Some(dag)),
         )
         .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        println!("trace written to {path}  (open in ui.perfetto.dev, or: ps2-trace {path})");
+        println!("trace written to {path}  (open in ui.perfetto.dev, or: ps2-trace report {path})");
     }
     if let Some(path) = args.flags.get("timeseries-json") {
         let ts = report.timeseries.as_ref().expect("timeseries was enabled");
@@ -629,40 +633,7 @@ fn main() {
     }
     if let Some(path) = args.flags.get("slo-json") {
         let reqs = report.reqs.as_ref().expect("request tracing was enabled");
-        println!();
-        for o in &reqs.ops {
-            if o.completed == 0 {
-                continue;
-            }
-            // Request latencies live at µs scale; SimTime's second-based
-            // Display would flatten them all to 0.000s.
-            let us = |ns: u64| format!("{}.{:03}us", ns / 1_000, ns % 1_000);
-            println!(
-                "slo: op {:<12} n={:<8} p99 {}  p999 {}  max {}",
-                o.op,
-                o.completed,
-                us(o.hist.quantile_ns(0.99)),
-                us(o.hist.quantile_ns(0.999)),
-                us(o.hist.max_ns()),
-            );
-        }
-        let burns: Vec<_> = alerts
-            .iter()
-            .filter(|a| a.kind == AlertKind::SloBurn)
-            .collect();
-        if burns.is_empty() {
-            println!("slo: all {} objectives within budget", objectives.len());
-        } else {
-            for a in &burns {
-                println!(
-                    "slo: BURN {} at {} (window {}, {}x budget)",
-                    a.subject,
-                    a.at,
-                    a.window,
-                    a.value_milli / 1000,
-                );
-            }
-        }
+        println!("\n{}", render_slo(reqs, &objectives, &alerts));
         std::fs::write(path, slo_sidecar.as_deref().expect("reqtrace was enabled"))
             .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
         println!("slo report written to {path}  (inspect with: ps2-trace slo {path})");

@@ -2,8 +2,7 @@
 //! `ps2-run --trace-json`.
 //!
 //! ```text
-//! ps2-trace <FILE>           print the critical-path / category breakdown
-//! ps2-trace report <FILE>    same, explicit subcommand
+//! ps2-trace report <FILE>    print the critical-path / category breakdown
 //! ps2-trace diff <A> <B>     per-category critical-path deltas (A is the
 //!                            baseline; positive deltas mean B is slower)
 //! ps2-trace host <FILE>      print a hostprof sidecar (written by
@@ -30,17 +29,21 @@
 //! ```
 //!
 //! Trace input is a Chrome trace-event JSON file (loadable in
-//! <https://ui.perfetto.dev>); the analysis lives in its `"ps2"` top-level
-//! section, which Perfetto ignores. Host input is the hostprof sidecar
-//! ([`HostProfile::to_json`]). What-if input additionally needs the
-//! `"ps2"."dag"` section (schema `ps2-dag-v1`).
+//! <https://ui.perfetto.dev>) whose `"ps2"` top-level section, which
+//! Perfetto ignores, holds the recorded causal DAG (schema `ps2-dag-v1`) and
+//! the SLO report (schema `ps2-slo-v1`). `report`, `diff` and `whatif`
+//! recompute everything from the DAG; `report` and `slo` print the same
+//! renderers `ps2-run` prints, so their output equals the live run's. Host
+//! input is the hostprof sidecar ([`HostProfile::to_json`]).
 
 use std::process::exit;
 
-use ps2::simnet::{parse_spec, run_battery, standard_battery, HostProfile};
-use ps2::tracefile::{whatif_input, SloSummary, TraceSummary};
+use ps2::simnet::{
+    parse_spec, render_slo, render_slo_diff, run_battery, standard_battery, HostProfile,
+};
+use ps2::tracefile::{read_slo, whatif_input, TraceSummary};
 
-const USAGE: &str = "usage: ps2-trace <FILE> | ps2-trace report <FILE> | \
+const USAGE: &str = "usage: ps2-trace report <FILE> | \
      ps2-trace diff <A> <B> | \
      ps2-trace host <FILE> | \
      ps2-trace slo <FILE> | \
@@ -126,15 +129,6 @@ fn main() {
             println!("{USAGE}");
             exit(0);
         }
-        [file]
-            if file != "report"
-                && file != "diff"
-                && file != "host"
-                && file != "slo"
-                && file != "whatif" =>
-        {
-            print!("{}", load(file, TraceSummary::from_json).render());
-        }
         [cmd, rest @ ..] if cmd == "whatif" => {
             whatif_cmd(rest);
         }
@@ -143,21 +137,26 @@ fn main() {
             print!("{name}: {}", profile.render());
         }
         [cmd, file] if cmd == "slo" && file != "diff" => {
-            print!("{}", load(file, SloSummary::from_json).render());
+            let (reqs, objectives, alerts) = load(file, read_slo);
+            print!("{}", render_slo(&reqs, &objectives, &alerts));
         }
         [cmd, sub, a, b] if cmd == "slo" && sub == "diff" => {
-            let base = load(a, SloSummary::from_json);
-            let cand = load(b, SloSummary::from_json);
+            let (base, _, base_alerts) = load(a, read_slo);
+            let (cand, _, cand_alerts) = load(b, read_slo);
             println!("baseline:  {a}\ncandidate: {b}");
-            print!("{}", base.render_diff(&cand));
-        }
-        [cmd, file] if cmd == "report" => {
-            print!("{}", load(file, TraceSummary::from_json).render());
-        }
-        [cmd, a, b] if cmd == "diff" => {
             print!(
                 "{}",
-                load(a, TraceSummary::from_json).render_diff(&load(b, TraceSummary::from_json))
+                render_slo_diff(&base, &base_alerts, &cand, &cand_alerts)
+            );
+        }
+        [cmd, file] if cmd == "report" => {
+            print!("{}", load(file, TraceSummary::from_json).analysis.render());
+        }
+        [cmd, a, b] if cmd == "diff" => {
+            let base = load(a, TraceSummary::from_json).analysis;
+            print!(
+                "{}",
+                base.render_diff(&load(b, TraceSummary::from_json).analysis)
             );
         }
         _ => usage(),

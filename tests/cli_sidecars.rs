@@ -38,7 +38,7 @@ fn load(name: &str) -> JsonValue {
 
 #[test]
 fn every_sidecar_round_trips_through_the_cli() {
-    run(
+    let live = run(
         RUN,
         "lr --preset kddb --iters 3 --workers 4 --servers 4 \
          --metrics-json @metrics.json --trace-json @trace.json \
@@ -75,8 +75,7 @@ fn every_sidecar_round_trips_through_the_cli() {
     let counters = m.counts_field("counters").unwrap();
     assert!(counters.iter().any(|(k, _)| k.starts_with("ps.client.op.")));
 
-    // The trace: well-formed Chrome events, and an analysis that partitions
-    // the makespan.
+    // The trace: well-formed Chrome events.
     let t = load("trace.json");
     let mut phases = BTreeSet::new();
     for ev in t.arr_field("traceEvents").unwrap() {
@@ -90,13 +89,15 @@ fn every_sidecar_round_trips_through_the_cli() {
         phases.insert(ph);
     }
     assert!(phases.is_superset(&["M", "X", "s", "f", "i"].into()));
-    let ps2 = t.field("ps2").unwrap();
-    let makespan_ns = ps2.u64_field("makespan_ns").unwrap();
-    let categories = ps2.counts_field("categories").unwrap();
-    assert_eq!(
-        categories.iter().map(|(_, ns)| ns).sum::<u64>(),
-        makespan_ns
-    );
+    // The "ps2" section holds recordings only; every analysis is recomputed
+    // from the DAG.
+    let JsonValue::Obj(ps2) = t.field("ps2").unwrap() else {
+        panic!("\"ps2\" is not an object");
+    };
+    let keys: Vec<&str> = ps2.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["drops_by_tag", "slo", "dag"]);
+    let dag = &ps2[2].1;
+    let makespan_ns = dag.u64_field("makespan_ns").unwrap();
 
     // The windowed series: no window overruns its boundary.
     let ts = load("timeseries.json");
@@ -146,12 +147,16 @@ fn every_sidecar_round_trips_through_the_cli() {
         assert_eq!(replayed + delta, baseline as i64, "{e:?}");
     }
 
-    // ps2-trace reads all of it back.
-    assert!(run(TRACE, "report @trace.json").contains("critical path"));
+    // ps2-trace reads all of it back, and its reports are the ones the live
+    // run printed, byte for byte.
+    let report = run(TRACE, "report @trace.json");
+    assert!(report.starts_with("critical path"), "{report}");
+    assert!(live.contains(&report), "{report}\nnot in\n{live}");
     let diff = run(TRACE, "diff @trace.json @trace.json");
     assert!(diff.contains("delta +0.000000s"), "{diff}");
     let slo_report = run(TRACE, "slo @slo.json");
     assert!(slo_report.contains("slowest pull requests"), "{slo_report}");
+    assert!(live.contains(&slo_report), "{slo_report}\nnot in\n{live}");
     assert_eq!(run(TRACE, "slo @trace.json"), slo_report);
     let slo_diff = run(TRACE, "slo diff @slo.json @slo.json");
     assert!(slo_diff.contains("delta +0 ns"), "{slo_diff}");

@@ -6,7 +6,7 @@
 
 use ps2::ml::lr::{train_lr, LrBackend, LrConfig};
 use ps2::ml::optim::Optimizer;
-use ps2::simnet::{export_trace, CausalAnalysis, SimReport};
+use ps2::simnet::{export_trace_full, CausalAnalysis, CausalDag, SimReport};
 use ps2::tracefile::TraceSummary;
 use ps2::{run_ps2_with, ClusterSpec, SimBuilder};
 use ps2_data::SparseDatasetGen;
@@ -28,6 +28,15 @@ fn lr_run(seed: u64, trace: bool) -> SimReport {
         },
     );
     report
+}
+
+/// The live critical path and the trace file `ps2-run --trace-json` writes:
+/// the path's track plus the retained DAG.
+fn export(r: &SimReport) -> (CausalAnalysis, String) {
+    let dag = CausalDag::from_report(r).unwrap();
+    let a = dag.critical_path().unwrap();
+    let json = export_trace_full(r, Some(&a), &[], None, Some(&dag));
+    (a, json)
 }
 
 #[test]
@@ -59,24 +68,16 @@ fn critical_path_categories_partition_the_lr_makespan() {
 fn same_seed_runs_export_byte_identical_traces() {
     let r1 = lr_run(42, true);
     let r2 = lr_run(42, true);
-    let a1 = CausalAnalysis::from_report(&r1).unwrap();
-    let a2 = CausalAnalysis::from_report(&r2).unwrap();
+    let (a1, j1) = export(&r1);
+    let (a2, j2) = export(&r2);
     assert_eq!(a1.render(), a2.render());
-    let j1 = export_trace(&r1, Some(&a1));
-    let j2 = export_trace(&r2, Some(&a2));
     assert_eq!(j1, j2, "same-seed trace exports must be byte-identical");
-    // And the offline reader agrees with the in-process analysis.
+    // And the path rebuilt from the file's DAG is the in-process one, so the
+    // offline report renders what the live run printed.
     let summary = TraceSummary::from_json(&j1).unwrap();
     assert_eq!(summary.makespan_ns, a1.makespan.as_nanos());
-    let cats: std::collections::BTreeMap<&str, u64> = summary
-        .categories
-        .iter()
-        .map(|(k, v)| (k.as_str(), *v))
-        .collect();
-    assert_eq!(cats["compute"], a1.compute_ns);
-    assert_eq!(cats["network"], a1.network_ns);
-    assert_eq!(cats["queue"], a1.queue_ns);
-    assert_eq!(cats["idle"], a1.idle_ns);
+    assert_eq!(summary.analysis, a1);
+    assert_eq!(summary.analysis.render(), a1.render());
 }
 
 #[test]
@@ -104,18 +105,16 @@ fn tracing_does_not_perturb_timing() {
 fn different_seeds_diff_with_nonzero_category_deltas() {
     let r1 = lr_run(42, true);
     let r2 = lr_run(43, true);
-    let a1 = CausalAnalysis::from_report(&r1).unwrap();
-    let a2 = CausalAnalysis::from_report(&r2).unwrap();
-    let s1 = TraceSummary::from_json(&export_trace(&r1, Some(&a1))).unwrap();
-    let s2 = TraceSummary::from_json(&export_trace(&r2, Some(&a2))).unwrap();
+    let s1 = TraceSummary::from_json(&export(&r1).1).unwrap().analysis;
+    let s2 = TraceSummary::from_json(&export(&r2).1).unwrap().analysis;
     assert_ne!(
-        s1.makespan_ns, s2.makespan_ns,
+        s1.makespan, s2.makespan,
         "different seeds should not produce identical makespans"
     );
     let changed = s1
-        .categories
+        .categories()
         .iter()
-        .zip(&s2.categories)
+        .zip(&s2.categories())
         .filter(|((ka, va), (kb, vb))| {
             assert_eq!(ka, kb);
             va != vb
@@ -132,8 +131,7 @@ fn different_seeds_diff_with_nonzero_category_deltas() {
 #[test]
 fn diff_view_shows_synthetic_slowdown() {
     let r = lr_run(42, true);
-    let a = CausalAnalysis::from_report(&r).unwrap();
-    let s = TraceSummary::from_json(&export_trace(&r, Some(&a))).unwrap();
+    let s = TraceSummary::from_json(&export(&r).1).unwrap().analysis;
     let delta = |ns: u64| format!("delta {:+.6}s", ns as f64 / 1e9);
     // A trace diffed against itself shows no delta anywhere.
     let same = s.render_diff(&s);
@@ -142,14 +140,10 @@ fn diff_view_shows_synthetic_slowdown() {
         .all(|l| !l.contains("delta") || l.contains(&delta(0))));
     // Synthetic slowdown: +10% makespan and compute.
     let mut slow = s.clone();
-    slow.makespan_ns += s.makespan_ns / 10;
-    let mut compute = 0;
-    for (name, ns) in slow.categories.iter_mut() {
-        if name == "compute" {
-            compute = *ns / 10;
-            *ns += compute;
-        }
-    }
+    let makespan = s.makespan.as_nanos();
+    slow.makespan = ps2::SimTime(makespan + makespan / 10);
+    let compute = s.compute_ns / 10;
+    slow.compute_ns += compute;
     assert!(compute > 0, "an LR run computes on the critical path");
     let text = s.render_diff(&slow);
     let line = |prefix: &str| {
@@ -157,10 +151,7 @@ fn diff_view_shows_synthetic_slowdown() {
             .find(|l| l.trim_start().starts_with(prefix))
             .unwrap_or_else(|| panic!("no '{prefix}' line:\n{text}"))
     };
-    assert!(
-        line("makespan").contains(&delta(s.makespan_ns / 10)),
-        "{text}"
-    );
+    assert!(line("makespan").contains(&delta(makespan / 10)), "{text}");
     assert!(line("compute").contains(&delta(compute)), "{text}");
     assert!(line("network").contains(&delta(0)), "{text}");
 }
@@ -169,7 +160,8 @@ fn diff_view_shows_synthetic_slowdown() {
 fn alerts_in_the_export_do_not_break_the_offline_reader() {
     use ps2::simnet::{Alert, AlertKind, SimTime};
     let r = lr_run(42, true);
-    let a = CausalAnalysis::from_report(&r).unwrap();
+    let dag = CausalDag::from_report(&r).unwrap();
+    let a = dag.critical_path().unwrap();
     let alerts = vec![Alert {
         kind: AlertKind::SloBurn,
         at: SimTime::from_millis(100),
@@ -177,9 +169,12 @@ fn alerts_in_the_export_do_not_break_the_offline_reader() {
         subject: "pull_rows.p999".to_string(),
         value_milli: 25_000,
     }];
-    let json = ps2::simnet::export_trace_full(&r, Some(&a), &alerts, None, None);
+    let json = export_trace_full(&r, Some(&a), &alerts, None, Some(&dag));
     let s = TraceSummary::from_json(&json).unwrap();
     assert_eq!(s.makespan_ns, a.makespan.as_nanos());
+    // The timeline is the alert's only home in the file.
+    let doc = ps2::tracefile::parse_json(&json).unwrap();
+    assert!(doc.get("ps2").unwrap().get("alerts").is_none());
     // The alert belongs to the run, not to one process: a global-scope
     // instant with no thread.
     let instant = json

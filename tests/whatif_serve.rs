@@ -113,6 +113,11 @@ fn whatif_round_trips_through_the_trace_file() {
         !tails.is_empty(),
         "the slo section must yield per-op tails for estimation"
     );
+    assert_eq!(
+        tails,
+        OpTails::from_reqs(report.reqs.as_ref().unwrap()),
+        "the file's tails are the live run's"
+    );
 
     let in_proc = run_battery(
         &dag,
