@@ -330,10 +330,6 @@ pub fn train_lbfgs(ctx: &mut SimCtx, ps2: &mut Ps2Context, cfg: &LbfgsConfig) ->
 
         ctx.metric_add("ml.iterations", 1);
         ctx.metric_observe("ml.iteration", ctx.now() - it0);
-        ctx.metric_gauge_set(
-            "ml.loss_micro",
-            (loss_sum / n.max(1) as f64 * 1e6).round() as i64,
-        );
         trace.record(start, ctx.now(), loss_sum / n.max(1) as f64);
     }
     trace

@@ -301,12 +301,6 @@ fn train_spark_driver(
         breakdown.model_update += (t3 - t2).as_secs_f64();
         ctx.metric_add("ml.iterations", 1);
         ctx.metric_observe("ml.iteration", ctx.now() - t0);
-        // Micros-integer loss gauge: the watchdog's convergence-stall
-        // detector reads its windowed samples.
-        ctx.metric_gauge_set(
-            "ml.loss_micro",
-            (loss_sum / (n.max(1) as f64) * 1e6).round() as i64,
-        );
         trace.record(start, ctx.now(), loss_sum / (n.max(1) as f64));
     }
     let iters = cfg.iterations.max(1) as f64;
@@ -496,10 +490,6 @@ fn train_ps_family(
         }
         ctx.metric_add("ml.iterations", 1);
         ctx.metric_observe("ml.iteration", ctx.now() - it0);
-        ctx.metric_gauge_set(
-            "ml.loss_micro",
-            (loss_sum / (n.max(1) as f64) * 1e6).round() as i64,
-        );
         trace.record(start, ctx.now(), loss_sum / (n.max(1) as f64));
     }
     trace
@@ -579,10 +569,6 @@ pub fn train_lr_mllib_star(
             .fold((0.0, 0), |(l, c), (li, ci)| (l + li, c + ci));
         ctx.metric_add("ml.iterations", 1);
         ctx.metric_observe("ml.iteration", ctx.now() - it0);
-        ctx.metric_gauge_set(
-            "ml.loss_micro",
-            (loss_sum / n.max(1) as f64 * 1e6).round() as i64,
-        );
         trace.record(start, ctx.now(), loss_sum / n.max(1) as f64);
     }
     trace

@@ -17,11 +17,6 @@
 //! overlapping the push with the next compute. A worker still reads its own
 //! writes while its push is unsettled: push(t) is sent before pull(t+1), one
 //! link delivers in send order, and a server runs requests in arrival order.
-//!
-//! Each worker emits a per-mode loss gauge `ml.loss_micro.<mode>` (e.g.
-//! `ml.loss_micro.ssp2`) so the watchdog's convergence-stall detector can
-//! track runs of different modes separately, plus the usual
-//! `ml.iterations` counter and `ml.iteration` histogram.
 
 use std::sync::Arc;
 
@@ -208,11 +203,9 @@ pub fn run_mode_with(
         });
     }
 
-    let gauge = format!("ml.loss_micro.{}", cfg.mode.label());
     for w in 0..cfg.workers {
         let cfg = cfg.clone();
         let samples = Arc::clone(&samples);
-        let gauge = gauge.clone();
         sim.spawn(&format!("mode-worker-{w}"), move |ctx| {
             let h: MatrixHandle = ctx.recv().downcast::<MatrixHandle>();
             let clock = ClockClient::new(clock_proc, w);
@@ -256,7 +249,6 @@ pub fn run_mode_with(
                 }
                 ctx.metric_add("ml.iterations", 1);
                 ctx.metric_observe("ml.iteration", ctx.now() - it0);
-                ctx.metric_gauge_set(&gauge, (loss / cfg.mini_batch as f64 * 1e6).round() as i64);
                 samples.lock().push((
                     w,
                     t,

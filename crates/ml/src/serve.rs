@@ -8,7 +8,7 @@
 //! [`ServeClientAgent`]s, each standing in for a thousand users — drives
 //! pull traffic with NuPS-style Zipf row skew. The scenario reports pull
 //! tail latency (p99/p999 from the run's log2 histograms) and plugs into the
-//! same SLO/watchdog stack as training presets.
+//! same SLO burn evaluation as training presets.
 //!
 //! None of the serving procs holds an OS thread (the one thread proc is the
 //! coordinator that loads the model and spawns the population), which is

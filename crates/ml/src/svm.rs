@@ -114,10 +114,6 @@ pub fn train_svm(ctx: &mut SimCtx, ps2: &mut Ps2Context, cfg: &SvmConfig) -> Tra
             .fold((0.0, 0), |(l, c), (li, ci)| (l + li, c + ci));
         ctx.metric_add("ml.iterations", 1);
         ctx.metric_observe("ml.iteration", ctx.now() - it0);
-        ctx.metric_gauge_set(
-            "ml.loss_micro",
-            (loss_sum / n.max(1) as f64 * 1e6).round() as i64,
-        );
         trace.record(start, ctx.now(), loss_sum / n.max(1) as f64);
     }
     trace

@@ -23,7 +23,7 @@
 //! from it with its own rng — so its cost does not grow with the number of
 //! agents. Metrics land under the same `ps.client.*` names the training
 //! fabric uses (`ps.client.op.pull.latency` etc.), so the existing SLO
-//! objectives, watchdog burn-rate alerts, and report tables work unchanged.
+//! objectives, burn-rate alerts, and report tables work unchanged.
 
 use std::collections::HashMap;
 use std::sync::Arc;

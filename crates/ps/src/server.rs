@@ -288,8 +288,8 @@ impl PsServerAgent {
         };
         ctx.reply_boxed(&op.env, answer, bytes);
         ctx.op_label_clear();
-        // Per-server load counter: the windowed deltas of these feed the
-        // watchdog's Gini skew detector across the server fleet.
+        // Per-server load counter: the whole-run split of these across the
+        // fleet measures access skew exactly.
         if self.served_name.is_empty() {
             self.served_name = format!("ps.server.p{}.served", ctx.id().0);
         }

@@ -102,7 +102,7 @@ pub use reqtrace::{
 pub use runtime::{OutputSlot, Proc, ProcId, SimBuilder, SimError, SimRuntime, StepCtx};
 pub use time::SimTime;
 pub use timeseries::{HistDelta, TimeSeries, TsWindow};
-pub use watchdog::{Alert, AlertKind, SloKind, SloObjective, Watchdog};
+pub use watchdog::{evaluate_slo, Alert, SloKind, SloObjective};
 pub use whatif::{
     parse_spec, replay, run_battery, standard_battery, Edit, ExperimentResult, OpTails, Replay,
     TailEst, WhatifReport,

@@ -5,7 +5,7 @@
 //! all under `pid` 1), `X` slices for compute charges (named by op label),
 //! tiny slices plus `s`/`f` flow events for every delivered message (flow id
 //! = the message's run-unique `seq`), `i` instant events for marks, drops
-//! and finishes, and global-scope `i` instants (no `tid`) for watchdog
+//! and finishes, and global-scope `i` instants (no `tid`) for SLO burn
 //! alerts, which belong to the run rather than to one process. When a
 //! [`CausalAnalysis`] is supplied, an extra synthetic track (`tid` = process
 //! count) highlights the critical path, one slice per attributed segment.
@@ -30,7 +30,7 @@ fn fmt_us(ns: u64) -> String {
 
 /// Render `report` as trace-event JSON. `analysis` adds the critical-path
 /// track; `alerts` become global-scope instants on the timeline, named by
-/// [`AlertKind::label`](crate::AlertKind::label). The `"ps2"` section holds
+/// [`Alert::LABEL`](crate::Alert::LABEL). The `"ps2"` section holds
 /// recordings only: `"drops_by_tag"` (dropped messages per protocol tag),
 /// `slo`, a pre-rendered `ps2-slo-v1` object (see
 /// [`crate::reqtrace::slo_json`], read back by
@@ -205,7 +205,7 @@ pub fn export_trace_full(
                 "{{\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"ts\":{},\"name\":{},\
                  \"cat\":\"watchdog\",\"args\":{{\"window\":{},\"subject\":{}}}}}",
                 fmt_us(a.at.as_nanos()),
-                Quoted(a.kind.label()),
+                Quoted(Alert::LABEL),
                 a.window,
                 Quoted(&a.subject)
             ),

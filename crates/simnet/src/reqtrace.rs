@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 use crate::json::{JsonValue, JsonWriter, Style};
 use crate::metrics::VtHistogram;
 use crate::time::SimTime;
-use crate::watchdog::{read_alerts, write_alerts, Alert, AlertKind, SloKind, SloObjective};
+use crate::watchdog::{read_alerts, write_alerts, Alert, SloKind, SloObjective};
 
 /// How many slowest-request exemplars are retained per op.
 pub const EXEMPLAR_K: usize = 5;
@@ -352,9 +352,10 @@ impl ReqRecorder {
 }
 
 /// Render the full SLO sidecar (schema `ps2-slo-v1`): per-op request stats
-/// with exemplars, the declared objectives, and the SLO burn alerts the
-/// watchdog fired. The same object is embedded under `"ps2"."slo"` in the
-/// Perfetto export; `ps2-trace slo` reads either form.
+/// with exemplars, the declared objectives, and the SLO burn alerts
+/// [`evaluate_slo`](crate::watchdog::evaluate_slo) fired. The same object is
+/// embedded under `"ps2"."slo"` in the Perfetto export; `ps2-trace slo` reads
+/// either form.
 pub fn slo_json(reqs: &ReqSummary, objectives: &[SloObjective], alerts: &[Alert]) -> String {
     let mut w = JsonWriter::new();
     w.obj(Style::Block);
@@ -366,8 +367,7 @@ pub fn slo_json(reqs: &ReqSummary, objectives: &[SloObjective], alerts: &[Alert]
         o.write_json(&mut w);
     }
     w.end().key("alerts");
-    let burns = alerts.iter().filter(|a| a.kind == AlertKind::SloBurn);
-    write_alerts(&mut w, burns);
+    write_alerts(&mut w, alerts);
     w.end();
     w.finish_line()
 }
@@ -459,15 +459,11 @@ pub fn render_slo(reqs: &ReqSummary, objectives: &[SloObjective], alerts: &[Aler
             out.push_str(&format!("  {:<16} {desc}\n", o.name));
         }
     }
-    let burns: Vec<&Alert> = alerts
-        .iter()
-        .filter(|a| a.kind == AlertKind::SloBurn)
-        .collect();
-    if burns.is_empty() {
+    if alerts.is_empty() {
         out.push_str("burn alerts: none\n");
     } else {
         out.push_str("burn alerts:\n");
-        for a in burns {
+        for a in alerts {
             out.push_str(&format!(
                 "  {} at {}  (window {}, {}.{:03}x budget)\n",
                 a.subject,
@@ -510,16 +506,10 @@ pub fn render_slo_diff(
             b - a
         ));
     }
-    let burns = |alerts: &[Alert]| {
-        alerts
-            .iter()
-            .filter(|a| a.kind == AlertKind::SloBurn)
-            .count()
-    };
     out.push_str(&format!(
         "burn alerts: {} -> {}\n",
-        burns(base_alerts),
-        burns(cand_alerts)
+        base_alerts.len(),
+        cand_alerts.len()
     ));
     out
 }
@@ -645,19 +635,17 @@ mod tests {
             SloObjective::latency_p999("pull.p999", "ps.client.op.pull.latency", SimTime(500)),
             SloObjective::error_rate("timeouts", "ps.client.timeouts", "ps.client.envelopes", 10),
         ];
-        let alert = |kind| Alert {
-            kind,
+        let alerts = vec![Alert {
             at: SimTime(2_000_000),
             window: 1,
             subject: "pull.p999".to_string(),
             value_milli: 25_000,
-        };
-        let alerts = vec![alert(AlertKind::ServerSkew), alert(AlertKind::SloBurn)];
+        }];
         let doc = crate::json::parse_json(&slo_json(&reqs, &objectives, &alerts)).unwrap();
         let (r, o, a) = slo_from_json(&doc).unwrap();
         assert_eq!(r, reqs);
         assert_eq!(o, objectives);
-        assert_eq!(a, alerts[1..], "only burns are part of the report");
+        assert_eq!(a, alerts);
         assert_eq!(
             render_slo(&r, &o, &a),
             render_slo(&reqs, &objectives, &alerts)
@@ -709,12 +697,13 @@ mod tests {
         assert_eq!((e.id, e.attempts, e.server_queue_ns), (7, 2, 200));
         assert_eq!(e.stages().iter().map(|(_, ns)| ns).sum::<u64>(), e.total_ns);
         assert_eq!(objectives[0].name, "ps.pull.p999");
-        assert_eq!(alerts[0].kind, AlertKind::SloBurn);
         assert_eq!(alerts[0].at, SimTime(2_000_000));
 
         let mut bad = SLO_DOC.replace("ps2-slo-v1", "ps2-slo-v0");
         assert!(slo_from_json(&crate::json::parse_json(&bad).unwrap()).is_err());
         bad = SLO_DOC.replace("[[82, 9], [146, 1]]", "[[82]]");
+        assert!(slo_from_json(&crate::json::parse_json(&bad).unwrap()).is_err());
+        bad = SLO_DOC.replace("watchdog.slo_burn", "watchdog.stall");
         assert!(slo_from_json(&crate::json::parse_json(&bad).unwrap()).is_err());
     }
 

@@ -2,10 +2,8 @@
 //!
 //! The flight recorder ([`crate::metrics`]) answers *how much* — whole-run
 //! totals. This module answers *when*: the runtime snapshots the registry
-//! every `window` of virtual time into per-metric series, so phase-local
-//! pathologies (server-load skew in one training phase, a convergence stall
-//! forty iterations in, an SLO burn during recovery) stop being averaged
-//! away.
+//! every `window` of virtual time into per-metric series, so a phase-local
+//! pathology (an SLO burn during recovery) stops being averaged away.
 //!
 //! ## Determinism constraints (same invariant as the flight recorder)
 //!
@@ -47,8 +45,8 @@ pub struct HistDelta {
     /// Sum of the durations recorded within the window, in nanoseconds.
     pub sum_ns: u64,
     /// Sparse log-linear bucket deltas `(bucket index, count)` in index
-    /// order — the window's own sample distribution, so the watchdog's SLO
-    /// burn-rate detector can count each window's bad events.
+    /// order — the window's own sample distribution, so the SLO burn
+    /// evaluator can count each window's bad events.
     pub buckets: Vec<(u32, u64)>,
 }
 

@@ -1,90 +1,18 @@
-//! `ps2-run` — run any PS2 workload from the command line.
-//!
-//! ```text
-//! ps2-run <workload> [flags]
-//!
-//! workloads: lr | deepwalk | gbdt | lda | svm | lbfgs | fm | serve
-//!
-//! `serve` is the serving scenario: a trained model table on a fleet of
-//! steppable PS-server agents absorbing open-loop pull traffic from tens of
-//! thousands of endpoints (aggregate client agents, Zipf row skew). A
-//! `--preset serve-*` implies it, so `ps2-run --preset serve-kddb` works
-//! without the workload word.
-//!
-//! common flags:
-//!   --workers N        executors (default 20)
-//!   --servers N        PS-servers (default 20)
-//!   --seed N           simulation seed (default 42)
-//!   --iters N          training iterations (default 30)
-//!   --backend NAME     ps2 | ps | spark | petuum | distml | xgboost |
-//!                      glint | mllib-star      (default ps2)
-//!   --preset NAME      named dataset preset: kddb|kdd12|ctr|gender (sparse),
-//!                      pubmed|app (lda), graph1|graph2 (deepwalk),
-//!                      serve-kddb|serve-kdd12 (serving)
-//!   --mode NAME        consistency mode for lr/svm: bsp | ssp:<s> | async
-//!                      (mode-gated Spark-free loop instead of the dataflow
-//!                      backend; see also --mini-batch, --straggler-ms)
-//!   --csv PATH         also write the (seconds, loss) trace as CSV
-//!   --metrics-json PATH  write the flight-recorder run report as JSON and
-//!                        print the per-op breakdown table
-//!   --trace-json PATH  record the full event trace, print the critical-path
-//!                      breakdown, and write a Perfetto/Chrome trace-event
-//!                      JSON file (open in https://ui.perfetto.dev, or feed
-//!                      to `ps2-trace` for offline analysis); watchdog alerts
-//!                      show up as global instant events
-//!   --timeseries-json PATH  scrape the metrics registry every --window-ms of
-//!                           virtual time, run the server-skew and stall
-//!                           watchdog over the windows (alerts are printed),
-//!                           and write the windowed series; scraping never
-//!                           perturbs the run
-//!   --window-ms N      time-series window width in virtual ms (default 100)
-//!   --slo-json PATH    trace every PS request end to end (issue → retries →
-//!                      server queue → service → reply → receive), hold the
-//!                      run to the preset's SLOs with multi-window burn-rate
-//!                      alerting, print the SLO report and write it as the
-//!                      `ps2-slo-v1` sidecar (per-op p999 + the K slowest
-//!                      requests with stage breakdowns; `ps2-trace slo`
-//!                      prints the same report from it). Request tracing is
-//!                      non-yielding: the run is bit-identical either way.
-//!   --whatif-json PATH run the what-if sensitivity battery over the run's
-//!                      retained causal DAG: replay counterfactual speedups
-//!                      (network 2× faster, a server's queueing zeroed, the
-//!                      hottest op halved, …), rank them by estimated
-//!                      makespan/p999 improvement, annotate any watchdog
-//!                      alerts with the matching experiment's payoff, and
-//!                      write the `ps2-whatif-v1` sidecar (offline variant:
-//!                      `ps2-trace whatif <trace>`)
-//!   --host-prof-json PATH  turn on the host-side self-profiler (wall-clock
-//!                          timers + counting allocator), print the per-scope
-//!                          cost table, and write it as a hostprof sidecar
-//!                          (readable with `ps2-trace host`); the simulated
-//!                          run itself is bit-identical with or without this
-//!                          flag
-//!
-//! dataset flags (lr/svm/lbfgs/fm):
-//!   --rows N --dim N --nnz N   (defaults 20000 / 100000 / 20)
-//! lr flags:
-//!   --optimizer NAME   sgd | adam | adagrad | rmsprop | ftrl (default sgd)
-//!   --lr X             learning rate (default 1.0)
-//!   --fraction X       mini-batch fraction (default 0.01)
-//! deepwalk flags:
-//!   --vertices N --walks N --embedding-dim N
-//! gbdt flags:
-//!   --trees N --depth N --bins N
-//! lda flags:
-//!   --docs N --vocab N --topics N
-//! serving flags (serve):
-//!   --agents N --users-per-agent N --duration-ms N
-//!
-//! ps2-run --help | -h      print the usage text
-//! ```
+//! `ps2-run` — run any PS2 workload from the command line: LR, DeepWalk,
+//! GBDT, LDA, SVM, L-BFGS and FM on any backend, a consistency-mode run
+//! (`--mode`), or the serving scenario (`serve`, implied by a
+//! `--preset serve-*`), printing the loss curve and the cluster's virtual
+//! time, and writing whichever `--*-json` sidecars are asked for. A flag the
+//! chosen run does not read is an error, not a silent no-op.
+//! `ps2-run --help` prints every workload and flag.
 //!
 //! Example:
 //! ```text
 //! ps2-run lr --backend petuum --dim 500000 --iters 50 --csv /tmp/petuum.csv
 //! ```
 
-use std::collections::HashMap;
+use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::process::exit;
 
@@ -102,20 +30,21 @@ use ps2::ml::svm::{train_svm, SvmConfig};
 use ps2::ml::TrainingTrace;
 use ps2::ps::ConsistencyMode;
 use ps2::simnet::{
-    export_trace_full, hostprof, render_slo, run_battery, slo_json, standard_battery, AlertKind,
-    CausalDag, OpTails, SimTime, Watchdog,
+    evaluate_slo, export_trace_full, hostprof, render_slo, run_battery, slo_json, standard_battery,
+    Alert, CausalDag, OpTails, SimTime,
 };
-use ps2::slo::preset_slos;
-use ps2::{run_ps2_with, ClusterSpec, RunReport, SimBuilder};
+use ps2::slo::{preset_slos, SCRAPE_WINDOW};
+use ps2::{run_ps2_with, ClusterSpec, Ps2Context, RunReport, SimBuilder, SimCtx, SimReport};
 use ps2_data::{presets, CorpusGen, GraphGen, RandomWalks, SparseDatasetGen};
 
+/// The parsed `--name value` pairs, each with whether the run read it.
 struct Args {
-    flags: HashMap<String, String>,
+    flags: BTreeMap<String, (String, Cell<bool>)>,
 }
 
 impl Args {
     fn parse(argv: &[String]) -> Args {
-        let mut flags = HashMap::new();
+        let mut flags = BTreeMap::new();
         let mut i = 0;
         while i < argv.len() {
             let a = &argv[i];
@@ -123,7 +52,7 @@ impl Args {
                 let value = argv.get(i + 1).cloned().unwrap_or_else(|| {
                     die(&format!("flag --{name} needs a value"));
                 });
-                flags.insert(name.to_string(), value);
+                flags.insert(name.to_string(), (value, Cell::new(false)));
                 i += 2;
             } else {
                 die(&format!("unexpected argument '{a}'"));
@@ -132,8 +61,19 @@ impl Args {
         Args { flags }
     }
 
+    /// The flag's value, marking it read.
+    fn value(&self, name: &str) -> Option<&String> {
+        let (value, read) = self.flags.get(name)?;
+        read.set(true);
+        Some(value)
+    }
+
+    fn path(&self, name: &str) -> Option<String> {
+        self.value(name).cloned()
+    }
+
     fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        match self.flags.get(name) {
+        match self.value(name) {
             None => default,
             Some(v) => v
                 .parse()
@@ -142,10 +82,23 @@ impl Args {
     }
 
     fn get_str(&self, name: &str, default: &str) -> String {
-        self.flags
-            .get(name)
+        self.value(name)
             .cloned()
             .unwrap_or_else(|| default.to_string())
+    }
+
+    /// Exit 2 naming every flag the chosen run never read: a misspelt or
+    /// inapplicable flag must not be silently ignored.
+    fn reject_unread(&self) {
+        let unread: Vec<String> = self
+            .flags
+            .iter()
+            .filter(|(_, (_, read))| !read.get())
+            .map(|(name, _)| format!("--{name}"))
+            .collect();
+        if !unread.is_empty() {
+            die(&format!("this run does not read {}", unread.join(", ")));
+        }
     }
 }
 
@@ -183,16 +136,14 @@ outputs:
   --trace-json PATH      record the full event trace, print the critical-path
                          breakdown, and write a Perfetto/Chrome trace-event
                          JSON (open in ui.perfetto.dev or feed to ps2-trace);
-                         watchdog alerts appear as global instant events
-  --timeseries-json PATH scrape the metrics registry every --window-ms of
-                         virtual time, run the server-skew and stall watchdog
-                         over the windows, and write the windowed series as
-                         JSON
-  --window-ms N          time-series window width in virtual ms (default 100)
+                         SLO burn alerts appear as global instant events
+  --timeseries-json PATH scrape the metrics registry every 1 ms of virtual
+                         time and write the windowed series as JSON
   --slo-json PATH        trace every PS request end to end, evaluate the
-                         preset's SLOs with burn-rate alerting, and write the
-                         ps2-slo-v1 sidecar (see ps2-trace slo); the traced
-                         run is bit-identical to an untraced one
+                         preset's SLOs with burn-rate alerting over 1 ms
+                         windows, and write the ps2-slo-v1 sidecar (see
+                         ps2-trace slo); the traced run is bit-identical to an
+                         untraced one
   --whatif-json PATH     replay the run's causal DAG under counterfactual
                          speedups, print experiments ranked by estimated
                          makespan/p999 improvement (with alert payoffs), and
@@ -221,7 +172,9 @@ serving flags (serve; defaults come from the preset):
   --duration-ms N        open-loop generation window, virtual ms
   --servers N            PS-server fleet size
 
-ps2-run --help | -h      print this usage text";
+ps2-run --help | -h      print this usage text
+
+A flag the chosen run does not read exits 2.";
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -246,7 +199,7 @@ fn main() {
     // Host profiling must be armed before the sim is built so the run's
     // reset/collect cycle sees it. The flag implies full profiling (timers +
     // allocator).
-    let host_path = args.flags.get("host-prof-json").cloned();
+    let host_path = args.path("host-prof-json");
     if host_path.is_some() {
         hostprof::set_enabled(true);
         hostprof::set_alloc_counting(true);
@@ -258,40 +211,39 @@ fn main() {
     };
     let seed: u64 = args.get("seed", 42u64);
     let iters: usize = args.get("iters", 30usize);
-    let backend = args.get_str("backend", "ps2");
+    // Only the workloads with more than one backend read the flag.
+    let backend = || args.get_str("backend", "ps2");
+    let csv_path = args.path("csv");
+    let metrics_path = args.path("metrics-json");
+    let trace_path = args.path("trace-json");
+    let ts_path = args.path("timeseries-json");
+    let slo_path = args.path("slo-json");
+    let whatif_path = args.path("whatif-json");
     // Tracing is off unless a trace is actually wanted: recording is
     // timing-neutral but costs memory proportional to event count. What-if
     // replay needs the recorded event DAG, so --whatif-json implies it.
-    let want_whatif = args.flags.contains_key("whatif-json");
-    let want_trace = args.flags.contains_key("trace-json") || want_whatif;
-    let want_slo = args.flags.contains_key("slo-json");
+    let want_trace = trace_path.is_some() || whatif_path.is_some();
+    let want_slo = slo_path.is_some();
     // Request tracing rides along with any sink that can show it; like
     // event tracing it is non-yielding, so enabling it never moves a clock.
     // What-if tail estimates come from the reqtrace stage decomposition.
     let want_reqtrace = want_trace || want_slo;
-    // Time-series scraping is likewise opt-in; it is non-yielding, so the
-    // run itself is unaffected either way. SLO burn rates are evaluated
-    // over telemetry windows, so --slo-json without an explicit window
-    // still scrapes — at 1 ms, matching the gate presets' scale.
-    let ts_window = if args.flags.contains_key("timeseries-json") {
-        Some(SimTime::from_millis(args.get("window-ms", 100u64)))
-    } else if want_slo {
-        Some(SimTime::from_millis(args.get("window-ms", 1u64)))
-    } else {
-        None
-    };
+    // Time-series scraping is likewise non-yielding, so the run itself is
+    // unaffected either way. SLO burn rates are evaluated over its windows.
+    let scrape = ts_path.is_some() || want_slo;
     let mk_builder = move || {
         let b = SimBuilder::new()
             .seed(seed)
             .trace(want_trace)
             .reqtrace(want_reqtrace);
-        match ts_window {
-            Some(w) => b.timeseries(w),
-            None => b,
+        if scrape {
+            b.timeseries(SCRAPE_WINDOW)
+        } else {
+            b
         }
     };
 
-    let preset = args.flags.get("preset").cloned();
+    let preset = args.path("preset");
     let sparse_gen = |parts: usize| match preset.as_deref() {
         None => SparseDatasetGen::new(
             args.get("rows", 20_000u64),
@@ -312,10 +264,14 @@ fn main() {
     };
 
     let workers = spec.workers;
+    // Dispatch reads every flag the chosen run uses and hands back the run
+    // itself, so an unread flag is rejected before anything is simulated.
     // The consistency-mode path bypasses the dataflow engine entirely: a
     // Spark-free pull → gradient → push topology gated by the chosen mode
     // (BSP barrier, SSP staleness bound, or free-running async).
-    let (trace, mut report) =
+    type Run<'a> = Box<dyn FnOnce() -> (TrainingTrace, SimReport) + 'a>;
+    type Job = Box<dyn FnOnce(&mut SimCtx, &mut Ps2Context) -> TrainingTrace + Send>;
+    let run: Run =
         if workload == "serve" || preset.as_deref().is_some_and(|p| p.starts_with("serve-")) {
             // The serving scenario: geometry comes from the serve preset, with
             // load-shape flags as overrides. The training-trace slot carries
@@ -335,27 +291,29 @@ fn main() {
             sspec.servers = args.get("servers", sspec.servers);
             sspec.agents = args.get("agents", sspec.agents);
             sspec.users_per_agent = args.get("users-per-agent", sspec.users_per_agent);
-            if args.flags.contains_key("duration-ms") {
+            if args.value("duration-ms").is_some() {
                 sspec.duration = SimTime::from_millis(args.get("duration-ms", 0u64));
             }
-            let (summary, report) = run_serve(mk_builder(), &sspec);
-            let us = |ns: u64| format!("{}.{:03}us", ns / 1_000, ns % 1_000);
-            println!(
-                "serving {}: {} endpoints on {} servers — {} pulls completed of {} issued\n\
-             pull latency p99 {}  p999 {}",
-                sspec.name,
-                summary.endpoints,
-                sspec.servers,
-                summary.completed,
-                summary.issued,
-                us(summary.p99_ns),
-                us(summary.p999_ns),
-            );
-            (
-                TrainingTrace::new(format!("{} serving", sspec.name)),
-                report,
-            )
-        } else if let Some(spelling) = args.flags.get("mode").cloned() {
+            Box::new(move || {
+                let (summary, report) = run_serve(mk_builder(), &sspec);
+                let us = |ns: u64| format!("{}.{:03}us", ns / 1_000, ns % 1_000);
+                println!(
+                    "serving {}: {} endpoints on {} servers — {} pulls completed of {} issued\n\
+                 pull latency p99 {}  p999 {}",
+                    sspec.name,
+                    summary.endpoints,
+                    sspec.servers,
+                    summary.completed,
+                    summary.issued,
+                    us(summary.p99_ns),
+                    us(summary.p999_ns),
+                );
+                (
+                    TrainingTrace::new(format!("{} serving", sspec.name)),
+                    report,
+                )
+            })
+        } else if let Some(spelling) = args.path("mode") {
             let mode = ConsistencyMode::parse(&spelling).unwrap_or_else(|e| die(&e));
             let algo = match workload.as_str() {
                 "lr" => ModeAlgo::Lr,
@@ -368,9 +326,9 @@ fn main() {
             cfg.mini_batch = args.get("mini-batch", 64usize);
             cfg.straggler_slowdown = SimTime::from_millis(args.get("straggler-ms", 0u64));
             cfg.seed = seed;
-            run_mode_with(mk_builder(), &cfg, algo)
+            Box::new(move || run_mode_with(mk_builder(), &cfg, algo))
         } else {
-            match workload.as_str() {
+            let job: Job = match workload.as_str() {
                 "lr" => {
                     let optimizer = match args.get_str("optimizer", "sgd").as_str() {
                         "sgd" => Optimizer::Sgd,
@@ -380,7 +338,7 @@ fn main() {
                         "ftrl" => Optimizer::Ftrl,
                         other => die(&format!("unknown optimizer '{other}'")),
                     };
-                    let lr_backend = match backend.as_str() {
+                    let lr_backend = match backend().as_str() {
                         "ps2" => Some(LrBackend::Ps2Dcv),
                         "ps" => Some(LrBackend::PsPullPush),
                         "spark" => Some(LrBackend::SparkDriver),
@@ -392,7 +350,7 @@ fn main() {
                     let gen = sparse_gen(workers);
                     let lrate: f64 = args.get("lr", 1.0f64);
                     let fraction: f64 = args.get("fraction", 0.01f64);
-                    run_ps2_with(mk_builder(), spec, move |ctx, ps2| {
+                    Box::new(move |ctx, ps2| {
                         let mut cfg = LrConfig::new(gen, optimizer, iters);
                         cfg.hyper.learning_rate = lrate;
                         cfg.hyper.mini_batch_fraction = fraction;
@@ -403,7 +361,7 @@ fn main() {
                     })
                 }
                 "deepwalk" => {
-                    let dw_backend = match backend.as_str() {
+                    let dw_backend = match backend().as_str() {
                         "ps2" => DeepWalkBackend::Ps2Dcv,
                         "ps" => DeepWalkBackend::PsPullPush,
                         other => die(&format!("unknown DeepWalk backend '{other}'")),
@@ -430,7 +388,7 @@ fn main() {
                         )),
                     };
                     let dim: u64 = args.get("embedding-dim", 100u64);
-                    run_ps2_with(mk_builder(), spec, move |ctx, ps2| {
+                    Box::new(move |ctx, ps2| {
                         let g = graph_gen.generate();
                         let walks = RandomWalks::sample(&g, walks_n, presets::WALK_LEN, seed ^ 1);
                         let cfg = DeepWalkConfig {
@@ -444,7 +402,7 @@ fn main() {
                     })
                 }
                 "gbdt" => {
-                    let gb_backend = match backend.as_str() {
+                    let gb_backend = match backend().as_str() {
                         "ps2" => GbdtBackend::Ps2Dcv,
                         "xgboost" => GbdtBackend::XgboostStyle,
                         other => die(&format!("unknown GBDT backend '{other}'")),
@@ -462,7 +420,7 @@ fn main() {
                         max_depth: args.get("depth", 5usize),
                         histogram_bins: args.get("bins", 50usize),
                     };
-                    run_ps2_with(mk_builder(), spec, move |ctx, ps2| {
+                    Box::new(move |ctx, ps2| {
                         let cfg = GbdtConfig {
                             dataset: gen,
                             hyper,
@@ -471,7 +429,7 @@ fn main() {
                     })
                 }
                 "lda" => {
-                    let lda_backend = match backend.as_str() {
+                    let lda_backend = match backend().as_str() {
                         "ps2" => LdaBackend::Ps2Dcv,
                         "petuum" => LdaBackend::PetuumStyle,
                         "glint" => LdaBackend::GlintStyle,
@@ -494,7 +452,7 @@ fn main() {
                         )),
                     };
                     let topics: u32 = args.get("topics", 50u32);
-                    run_ps2_with(mk_builder(), spec, move |ctx, ps2| {
+                    Box::new(move |ctx, ps2| {
                         let cfg = LdaConfig {
                             corpus,
                             topics,
@@ -505,7 +463,7 @@ fn main() {
                 }
                 "svm" => {
                     let gen = sparse_gen(workers);
-                    run_ps2_with(mk_builder(), spec, move |ctx, ps2| {
+                    Box::new(move |ctx, ps2| {
                         let mut cfg = SvmConfig::new(gen, iters);
                         cfg.learning_rate = 1.0;
                         train_svm(ctx, ps2, &cfg)
@@ -513,22 +471,23 @@ fn main() {
                 }
                 "lbfgs" => {
                     let gen = sparse_gen(workers);
-                    run_ps2_with(mk_builder(), spec, move |ctx, ps2| {
-                        train_lbfgs(ctx, ps2, &LbfgsConfig::new(gen, iters))
-                    })
+                    Box::new(move |ctx, ps2| train_lbfgs(ctx, ps2, &LbfgsConfig::new(gen, iters)))
                 }
                 "fm" => {
                     let gen = sparse_gen(workers);
                     let factors: u32 = args.get("factors", 8u32);
-                    run_ps2_with(mk_builder(), spec, move |ctx, ps2| {
+                    Box::new(move |ctx, ps2| {
                         let mut cfg = FmConfig::new(gen, factors, iters);
                         cfg.learning_rate = 1.0;
                         train_fm(ctx, ps2, &cfg)
                     })
                 }
                 other => die(&format!("unknown workload '{other}'")),
-            }
+            };
+            Box::new(move || run_ps2_with(mk_builder(), spec, job))
         };
+    args.reject_unread();
+    let (trace, mut report) = run();
 
     // Retained for every traced run: the critical path is walked from it,
     // and the exported trace file carries it as the "ps2"."dag" section
@@ -542,18 +501,14 @@ fn main() {
         None
     };
 
-    // The watchdog is a pure pass over the windowed series; alerts land in
-    // the exported trace (as global instants) and in the console summary
-    // below. SLO objectives are evaluated in the same pass when --slo-json
-    // asked for them.
+    // SLO burns are a pure pass over the windowed series; they land in the
+    // SLO report and sidecar, and in the exported trace as global instants.
     let objectives = if want_slo {
         preset_slos(preset.as_deref())
     } else {
         Vec::new()
     };
-    // Both passes return nothing when the run was not scraped.
-    let mut alerts = Watchdog::evaluate(&report);
-    alerts.extend(Watchdog::evaluate_slo(&report, &objectives));
+    let alerts = evaluate_slo(&report, &objectives);
     // The machine-readable SLO sidecar: per-op request summaries with
     // exemplars, the objectives, and any burn alerts. Also embedded in the
     // event trace so one file carries everything.
@@ -573,7 +528,7 @@ fn main() {
         report.total_msgs,
         report.total_bytes as f64 / 1e6
     );
-    if let Some(path) = args.flags.get("csv") {
+    if let Some(path) = &csv_path {
         let mut f = std::fs::File::create(path)
             .unwrap_or_else(|e| die(&format!("cannot create {path}: {e}")));
         writeln!(f, "iteration,seconds,loss")
@@ -584,14 +539,14 @@ fn main() {
         }
         println!("trace written to {path}");
     }
-    if let Some(path) = args.flags.get("metrics-json") {
+    if let Some(path) = &metrics_path {
         let run = RunReport::from_sim(&report);
         println!("\n{}", run.render_table());
         std::fs::write(path, run.to_json())
             .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
         println!("metrics written to {path}");
     }
-    if let Some(path) = args.flags.get("trace-json") {
+    if let Some(path) = &trace_path {
         let dag = whatif_dag.as_ref().expect("tracing was enabled");
         let analysis = dag
             .critical_path()
@@ -605,7 +560,7 @@ fn main() {
         .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
         println!("trace written to {path}  (open in ui.perfetto.dev, or: ps2-trace report {path})");
     }
-    if let Some(path) = args.flags.get("timeseries-json") {
+    if let Some(path) = &ts_path {
         let ts = report.timeseries.as_ref().expect("timeseries was enabled");
         std::fs::write(path, ts.to_json())
             .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
@@ -615,55 +570,31 @@ fn main() {
             SimTime(ts.window_ns),
             ts.dropped_windows
         );
-        if alerts.is_empty() {
-            println!("watchdog: no alerts");
-        } else {
-            for a in &alerts {
-                println!(
-                    "watchdog: {} at {} (window {}, {}, value {}.{:03})",
-                    a.kind.label(),
-                    a.at,
-                    a.window,
-                    a.subject,
-                    a.value_milli / 1000,
-                    (a.value_milli % 1000).unsigned_abs(),
-                );
-            }
-        }
     }
-    if let Some(path) = args.flags.get("slo-json") {
+    if let Some(path) = &slo_path {
         let reqs = report.reqs.as_ref().expect("request tracing was enabled");
         println!("\n{}", render_slo(reqs, &objectives, &alerts));
         std::fs::write(path, slo_sidecar.as_deref().expect("reqtrace was enabled"))
             .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
         println!("slo report written to {path}  (inspect with: ps2-trace slo {path})");
     }
-    if let Some(path) = args.flags.get("whatif-json") {
+    if let Some(path) = &whatif_path {
         let dag = whatif_dag.as_ref().expect("tracing was enabled");
         let tails = report
             .reqs
             .as_ref()
             .map(OpTails::from_reqs)
             .unwrap_or_default();
-        // The battery already holds every alert's counterfactual, so each
-        // payoff line below cites a measured replay.
         let wr = run_battery(dag, &tails, &standard_battery(dag))
             .unwrap_or_else(|e| die(&format!("what-if replay failed: {e}")));
         println!("\n{}", wr.render());
+        // An SLO burn has no single counterfactual; each payoff line cites
+        // the battery's best measured replay.
         for a in &alerts {
-            let exp = match a.kind {
-                // Spread the load so no fabric message queues: the battery's
-                // `queue-free-fabric`.
-                AlertKind::ServerSkew => wr.experiments.iter().find(|e| e.spec == "queue=0"),
-                // An SLO burn has no single counterfactual; cite the best one.
-                AlertKind::SloBurn => wr.experiments.first(),
-                // A convergence stall is an algorithmic problem.
-                AlertKind::ConvergenceStall => None,
-            };
-            if let Some(e) = exp {
+            if let Some(e) = wr.experiments.first() {
                 println!(
                     "whatif: alert {} ({}) -> {} would save {:.6}s ({}.{}%)",
-                    a.kind.label(),
+                    Alert::LABEL,
                     a.subject,
                     e.name,
                     e.delta_ns as f64 / 1e9,

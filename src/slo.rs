@@ -1,5 +1,6 @@
 //! Service-level objectives: [`preset_slos`], the per-preset objectives
-//! `ps2-run --slo-json` holds a run to.
+//! `ps2-run --slo-json` holds a run to, and [`SCRAPE_WINDOW`], the one
+//! telemetry width they are evaluated over.
 //!
 //! Nothing here measures or gates anything: cross-commit exactness of
 //! *virtual-time* results is pinned by `tests/golden_runs.rs`, host time is
@@ -9,9 +10,15 @@
 use crate::simnet::SloObjective;
 use crate::SimTime;
 
+/// The telemetry window width every scraped run uses: `ps2-run` scrapes at it
+/// whenever `--timeseries-json` or `--slo-json` is given. The burn spans
+/// ([`SLO_SLOW_WINDOWS`](crate::simnet::watchdog::SLO_SLOW_WINDOWS) of them)
+/// are sized for it.
+pub const SCRAPE_WINDOW: SimTime = SimTime::from_millis(1);
+
 /// The service-level objectives a preset's PS traffic is held to, evaluated
-/// by [`Watchdog::evaluate_slo`](crate::simnet::Watchdog::evaluate_slo) over
-/// the run's telemetry windows.
+/// by [`evaluate_slo`](crate::simnet::evaluate_slo) over the run's
+/// [`SCRAPE_WINDOW`]-wide telemetry windows.
 ///
 /// Latency targets are calibrated from healthy seed-42 runs of each preset
 /// at gate scale (4 workers / 4 servers): the target sits ~2× above the
@@ -20,7 +27,7 @@ use crate::SimTime;
 /// presets (including ad-hoc `--rows/--dim` shapes) get the generic tier.
 pub fn preset_slos(preset: Option<&str>) -> Vec<SloObjective> {
     // Serving presets gate the pull path only (serving issues no pushes) and
-    // carry the preset name in the objective, so a watchdog burn alert says
+    // carry the preset name in the objective, so a burn alert says
     // *which* serving SLO is burning, not just "some pull somewhere".
     if let Some(p @ ("serve-kddb" | "serve-kdd12")) = preset {
         // ~2× above the healthy seed-1/2 pull p999 of each serve preset

@@ -93,9 +93,7 @@ pub fn whatif_input(text: &str) -> Result<(CausalDag, Vec<OpTails>), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ps2_simnet::{
-        render_slo_diff, slo_json, AlertKind, OpReqStats, ReqRecord, SimTime, VtHistogram,
-    };
+    use ps2_simnet::{render_slo_diff, slo_json, OpReqStats, ReqRecord, SimTime, VtHistogram};
 
     #[test]
     fn summary_requires_ps2_section() {
@@ -133,7 +131,6 @@ mod tests {
         let objective =
             SloObjective::latency_p999("ps.pull.p999", "ps.client.op.pull.latency", SimTime(1_000));
         let burn = Alert {
-            kind: AlertKind::SloBurn,
             at: SimTime(2_000_000),
             window: 1,
             subject: "ps.pull.p999".to_string(),

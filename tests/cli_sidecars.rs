@@ -4,7 +4,7 @@
 //! through `parse_json` and the typed field accessors, like any other reader.
 
 use std::collections::BTreeSet;
-use std::process::Command;
+use std::process::{Command, Output};
 
 use ps2::simnet::json::{parse_json, JsonValue};
 
@@ -15,13 +15,18 @@ fn tmp(name: &str) -> String {
     format!("{}/cli_sidecars.{name}", env!("CARGO_TARGET_TMPDIR"))
 }
 
-/// Run `bin` on the space-separated `args` — a word `@name` is this test's
-/// scratch file `name` — require exit 0, and hand back stdout.
-fn run(bin: &str, args: &str) -> String {
+/// Run `bin` on the space-separated `args`; a word `@name` is this test's
+/// scratch file `name`.
+fn spawn(bin: &str, args: &str) -> Output {
     let argv = args
         .split(' ')
         .map(|a| a.strip_prefix('@').map_or(a.to_string(), tmp));
-    let out = Command::new(bin).args(argv).output().expect("spawn");
+    Command::new(bin).args(argv).output().expect("spawn")
+}
+
+/// [`spawn`], requiring exit 0; hands back stdout.
+fn run(bin: &str, args: &str) -> String {
+    let out = spawn(bin, args);
     assert!(
         out.status.success(),
         "{bin} {args} exited {:?}\n{}",
@@ -99,12 +104,15 @@ fn every_sidecar_round_trips_through_the_cli() {
     let dag = &ps2[2].1;
     let makespan_ns = dag.u64_field("makespan_ns").unwrap();
 
-    // The windowed series: no window overruns its boundary.
+    // The windowed series: one scrape width (1 ms, with --slo-json given
+    // too), registry deltas only, no window overrunning its boundary.
     let ts = load("timeseries.json");
     let window_ns = ts.u64_field("window_ns").unwrap();
     let windows = ts.arr_field("windows").unwrap();
-    assert!(window_ns > 0 && !windows.is_empty());
+    assert_eq!(window_ns, 1_000_000);
+    assert!(!windows.is_empty());
     for w in windows {
+        assert!(w.get("procs").is_none(), "per-process samples in {w:?}");
         let (index, end_ns) = (
             w.u64_field("index").unwrap(),
             w.u64_field("end_ns").unwrap(),
@@ -177,21 +185,14 @@ fn both_binaries_print_usage_on_help() {
 }
 
 #[test]
-fn mode_run_exports_its_per_mode_loss_gauge() {
-    run(
-        RUN,
-        "lr --mode ssp:2 --preset kddb --workers 4 --servers 3 --iters 6 \
-         --straggler-ms 20 --timeseries-json @mode-timeseries.json",
-    );
-    let ts = load("mode-timeseries.json");
-    let gauge = |w: &JsonValue| {
-        w.field("gauges")
-            .unwrap()
-            .get("ml.loss_micro.ssp2")
-            .is_some()
-    };
-    let windows = ts.arr_field("windows").unwrap();
-    assert!(windows.iter().any(gauge));
-    // Windows carry registry deltas only, no per-process samples.
-    assert!(windows.iter().all(|w| w.get("procs").is_none()));
+fn flags_the_run_never_reads_exit_2() {
+    for flag in ["--metric-json @unread.json", "--window-ms 1"] {
+        let args = format!("lr --iters 1 --workers 2 --servers 2 {flag}");
+        let out = spawn(RUN, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let name = flag.split(' ').next().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
+        assert!(stderr.contains(name), "{args}: {stderr}");
+    }
+    assert!(!std::path::Path::new(&tmp("unread.json")).exists());
 }

@@ -8,7 +8,7 @@
 //! `digest` is FNV-1a-64 over the run report's JSON (`wall_ms` line dropped),
 //! i.e. every counter, gauge and histogram; mode rows extend it with the bits
 //! of every `(time, loss)` point of the convergence curve, and the `alerts`
-//! row then with every watchdog alert's fields. A row that differs
+//! row then with every SLO burn alert's fields. A row that differs
 //! in `digest` alone means a metric moved while the headline numbers held.
 //!
 //! Each test rewrites the fresh table under `CARGO_TARGET_TMPDIR`; a change
@@ -32,8 +32,8 @@ use ps2::ml::optim::Optimizer;
 use ps2::ml::serve::{run_serve, serve_spec};
 use ps2::ml::svm::{train_svm, SvmConfig};
 use ps2::ps::{deploy_ps, ConsistencyMode, MatrixHandle, PsMaster};
-use ps2::simnet::{ProcId, SloObjective, Watchdog};
-use ps2::slo::preset_slos;
+use ps2::simnet::{evaluate_slo, Alert, ProcId, SloObjective};
+use ps2::slo::{preset_slos, SCRAPE_WINDOW};
 use ps2::{
     run_ps2_with, ClusterSpec, InitKind, Partitioning, Ps2Context, SimBuilder, SimCtx, SimReport,
     SimTime,
@@ -209,15 +209,15 @@ fn mode_config(preset: &str, mode: ConsistencyMode, seed: u64) -> ModeConfig {
     cfg
 }
 
-/// The watchdog over `kddb-lr-ssp2`'s run scraped at 1 ms: the server-skew
-/// and stall detectors, plus the `kddb` preset SLOs and one unattainable
-/// 1 µs pull p999 that must burn. `alerts` is the alert count; each alert's
-/// fields are folded into the digest.
+/// SLO burn evaluation over `kddb-lr-ssp2`'s run scraped at
+/// [`SCRAPE_WINDOW`]: the `kddb` preset SLOs plus one unattainable 1 µs pull
+/// p999 that must burn. `alerts` is the burn count; each alert's fields are
+/// folded into the digest.
 #[test]
 fn alerts() {
     let seed = 1;
     let cfg = mode_config("kddb", ConsistencyMode::Ssp { bound: 2 }, seed);
-    let builder = SimBuilder::new().timeseries(SimTime::from_millis(1));
+    let builder = SimBuilder::new().timeseries(SCRAPE_WINDOW);
     let (trace, report) = run_mode_with(builder, &cfg, ModeAlgo::Lr);
     let mut objectives = preset_slos(Some("kddb"));
     objectives.push(SloObjective::latency_p999(
@@ -225,13 +225,12 @@ fn alerts() {
         "ps.client.op.pull.latency",
         SimTime::from_micros(1),
     ));
-    let mut alerts = Watchdog::evaluate(&report);
-    alerts.extend(Watchdog::evaluate_slo(&report, &objectives));
+    let alerts = evaluate_slo(&report, &objectives);
     let mut tail = String::new();
     for a in &alerts {
         tail += &format!(
             "{} {} {} {} {}\n",
-            a.kind.label(),
+            Alert::LABEL,
             a.at.as_nanos(),
             a.window,
             a.subject,

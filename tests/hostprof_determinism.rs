@@ -11,7 +11,8 @@
 use ps2::ml::lr::{train_lr, LrBackend, LrConfig};
 use ps2::ml::optim::Optimizer;
 use ps2::simnet::hostprof;
-use ps2::{run_ps2_with, ClusterSpec, SimBuilder, SimReport, SimTime};
+use ps2::slo::SCRAPE_WINDOW;
+use ps2::{run_ps2_with, ClusterSpec, SimBuilder, SimReport};
 use ps2_data::SparseDatasetGen;
 
 mod common;
@@ -28,11 +29,9 @@ fn run_once(profiled: bool) -> SimReport {
         workers: 4,
         servers: 3,
     };
-    // 1 ms windows: these mini-runs finish in a few virtual ms, and the
-    // scrape must actually roll for `scrape.roll` to show in the profile.
-    let builder = SimBuilder::new()
-        .seed(11)
-        .timeseries(SimTime::from_millis(1));
+    // These mini-runs finish in a few virtual ms, and the scrape must
+    // actually roll for `scrape.roll` to show in the profile.
+    let builder = SimBuilder::new().seed(11).timeseries(SCRAPE_WINDOW);
     let (_, report) = run_ps2_with(builder, spec, |ctx, ps2| {
         let gen = SparseDatasetGen::new(1_000, 20_000, 10, 4, 11);
         let cfg = LrConfig::new(gen, Optimizer::Sgd, 3);

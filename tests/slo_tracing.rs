@@ -3,13 +3,14 @@
 //! perturbs it. A traced run must be bit-identical to the same seeded run
 //! untraced — same virtual clock, same message counts, same metrics JSON.
 //! On top of that: exemplars carry complete stage breakdowns that partition
-//! each request's total exactly, and the SLO burn-rate detector fires at a
-//! window-aligned virtual timestamp.
+//! each request's total exactly, and an SLO burn fires at a window-aligned
+//! virtual timestamp.
 
 use ps2::ml::lr::{train_lr, LrBackend, LrConfig};
 use ps2::ml::optim::Optimizer;
 use ps2::simnet::watchdog::SLO_SLOW_WINDOWS;
-use ps2::simnet::{SloObjective, Watchdog, EXEMPLAR_K};
+use ps2::simnet::{evaluate_slo, SloObjective, EXEMPLAR_K};
+use ps2::slo::SCRAPE_WINDOW;
 use ps2::{run_ps2_with, ClusterSpec, SimBuilder, SimReport, SimTime};
 use ps2_data::SparseDatasetGen;
 
@@ -18,8 +19,8 @@ use common::virtual_json;
 
 /// One seeded LR run, with or without request tracing. Timeseries scraping
 /// is on in both (it is independently non-perturbing, and the SLO tests
-/// need the windows). Eight iterations take ≈ 14 ms, so the watchdog's
-/// 12-window slow burn span fills on complete 1 ms windows.
+/// need the windows). Eight iterations take ≈ 14 ms, so the 12-window slow
+/// burn span fills on complete [`SCRAPE_WINDOW`]s.
 fn run_once(traced: bool) -> SimReport {
     let spec = ClusterSpec {
         workers: 4,
@@ -27,7 +28,7 @@ fn run_once(traced: bool) -> SimReport {
     };
     let builder = SimBuilder::new()
         .seed(11)
-        .timeseries(SimTime::from_millis(1))
+        .timeseries(SCRAPE_WINDOW)
         .reqtrace(traced);
     let (_, report) = run_ps2_with(builder, spec, |ctx, ps2| {
         let gen = SparseDatasetGen::new(1_000, 20_000, 10, 4, 11);
@@ -121,7 +122,7 @@ fn exemplars_carry_complete_stage_breakdowns() {
 #[test]
 fn slo_burn_alert_fires_window_aligned() {
     let report = run_once(true);
-    let window_ns = 1_000_000u64; // the 1 ms scrape window configured above
+    let window_ns = SCRAPE_WINDOW.as_nanos();
 
     // A deliberately unattainable objective: p999 of pulls under 1 µs. The
     // healthy p999 of this run is hundreds of µs, so every window's pull
@@ -131,7 +132,7 @@ fn slo_burn_alert_fires_window_aligned() {
         "ps.client.op.pull.latency",
         SimTime::from_micros(1),
     )];
-    let alerts = Watchdog::evaluate_slo(&report, &objectives);
+    let alerts = evaluate_slo(&report, &objectives);
     assert!(
         !alerts.is_empty(),
         "tight objective must fire a burn alert on a healthy run"
@@ -168,5 +169,5 @@ fn slo_burn_alert_fires_window_aligned() {
         "ps.client.op.pull.latency",
         SimTime::from_millis(1),
     )];
-    assert!(Watchdog::evaluate_slo(&report, &healthy).is_empty());
+    assert!(evaluate_slo(&report, &healthy).is_empty());
 }

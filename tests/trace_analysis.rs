@@ -158,12 +158,11 @@ fn diff_view_shows_synthetic_slowdown() {
 
 #[test]
 fn alerts_in_the_export_do_not_break_the_offline_reader() {
-    use ps2::simnet::{Alert, AlertKind, SimTime};
+    use ps2::simnet::{Alert, SimTime};
     let r = lr_run(42, true);
     let dag = CausalDag::from_report(&r).unwrap();
     let a = dag.critical_path().unwrap();
     let alerts = vec![Alert {
-        kind: AlertKind::SloBurn,
         at: SimTime::from_millis(100),
         window: 0,
         subject: "pull_rows.p999".to_string(),
