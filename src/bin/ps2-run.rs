@@ -1,8 +1,9 @@
 //! `ps2-run` — run any PS2 workload from the command line: LR, DeepWalk,
 //! GBDT, LDA, SVM, L-BFGS and FM on any backend, a consistency-mode run
-//! (`--mode`), or the serving scenario (`serve`, implied by a
+//! (`--mode`), or the serving scenario (`serve`, implied by a leading
 //! `--preset serve-*`), printing the loss curve and the cluster's virtual
-//! time, and writing whichever `--*-json` sidecars are asked for. A flag the
+//! time, and writing whichever `--*-json` sidecars are asked for. Every flag
+//! but the seven outputs is parsed by [`RunSpec::from_args`], so a flag the
 //! chosen run does not read is an error, not a silent no-op.
 //! `ps2-run --help` prints every workload and flag.
 //!
@@ -11,96 +12,20 @@
 //! ps2-run lr --backend petuum --dim 500000 --iters 50 --csv /tmp/petuum.csv
 //! ```
 
-use std::cell::Cell;
-use std::collections::BTreeMap;
-use std::io::Write;
 use std::process::exit;
 
-use ps2::ml::deepwalk::{train_deepwalk, DeepWalkBackend, DeepWalkConfig};
-use ps2::ml::fm::{train_fm, FmConfig};
-use ps2::ml::gbdt::{train_gbdt, GbdtBackend, GbdtConfig};
-use ps2::ml::hyper::GbdtHyper;
-use ps2::ml::lbfgs::{train_lbfgs, LbfgsConfig};
-use ps2::ml::lda::{train_lda, LdaBackend, LdaConfig};
-use ps2::ml::lr::{train_lr, train_lr_mllib_star, LrBackend, LrConfig};
-use ps2::ml::modes::{run_mode_with, ModeAlgo, ModeConfig};
-use ps2::ml::optim::Optimizer;
-use ps2::ml::serve::{run_serve, serve_spec, SERVE_PRESETS};
-use ps2::ml::svm::{train_svm, SvmConfig};
 use ps2::ml::TrainingTrace;
-use ps2::ps::ConsistencyMode;
 use ps2::simnet::{
     evaluate_slo, export_trace_full, hostprof, render_slo, run_battery, slo_json, standard_battery,
     Alert, CausalDag, OpTails, SimTime,
 };
 use ps2::slo::{preset_slos, SCRAPE_WINDOW};
-use ps2::{run_ps2_with, ClusterSpec, Ps2Context, RunReport, SimBuilder, SimCtx, SimReport};
-use ps2_data::{presets, CorpusGen, GraphGen, RandomWalks, SparseDatasetGen};
+use ps2::{RunReport, RunSpec, SimBuilder};
 
-/// The parsed `--name value` pairs, each with whether the run read it.
-struct Args {
-    flags: BTreeMap<String, (String, Cell<bool>)>,
-}
-
-impl Args {
-    fn parse(argv: &[String]) -> Args {
-        let mut flags = BTreeMap::new();
-        let mut i = 0;
-        while i < argv.len() {
-            let a = &argv[i];
-            if let Some(name) = a.strip_prefix("--") {
-                let value = argv.get(i + 1).cloned().unwrap_or_else(|| {
-                    die(&format!("flag --{name} needs a value"));
-                });
-                flags.insert(name.to_string(), (value, Cell::new(false)));
-                i += 2;
-            } else {
-                die(&format!("unexpected argument '{a}'"));
-            }
-        }
-        Args { flags }
-    }
-
-    /// The flag's value, marking it read.
-    fn value(&self, name: &str) -> Option<&String> {
-        let (value, read) = self.flags.get(name)?;
-        read.set(true);
-        Some(value)
-    }
-
-    fn path(&self, name: &str) -> Option<String> {
-        self.value(name).cloned()
-    }
-
-    fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        match self.value(name) {
-            None => default,
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| die(&format!("bad value for --{name}: '{v}'"))),
-        }
-    }
-
-    fn get_str(&self, name: &str, default: &str) -> String {
-        self.value(name)
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
-    }
-
-    /// Exit 2 naming every flag the chosen run never read: a misspelt or
-    /// inapplicable flag must not be silently ignored.
-    fn reject_unread(&self) {
-        let unread: Vec<String> = self
-            .flags
-            .iter()
-            .filter(|(_, (_, read))| !read.get())
-            .map(|(name, _)| format!("--{name}"))
-            .collect();
-        if !unread.is_empty() {
-            die(&format!("this run does not read {}", unread.join(", ")));
-        }
-    }
-}
+/// The output flags: where a run's results go. Every other flag describes
+/// the run itself and is [`RunSpec`]'s to parse.
+const SINKS: &str =
+    "csv metrics-json trace-json timeseries-json slo-json whatif-json host-prof-json";
 
 fn die(msg: &str) -> ! {
     eprintln!("ps2-run: {msg}\nrun with no arguments for usage");
@@ -110,23 +35,31 @@ fn die(msg: &str) -> ! {
 const USAGE: &str = "\
 usage: ps2-run <lr|deepwalk|gbdt|lda|svm|lbfgs|fm|serve> [flags]
 
+Every flag but the outputs is the run's spec (ps2::RunSpec); a golden row keyed
+by one (tests/golden_runs.txt) reruns as a ps2-run command line.
+
 common flags:
-  --workers N            executors (default 20)
-  --servers N            PS-servers (default 20)
+  --workers N            executors (default 20; not serve)
+  --servers N            PS-servers (default 20; serve: the preset's)
   --seed N               simulation seed (default 42)
-  --iters N              training iterations (default 30)
-  --backend NAME         ps2|ps|spark|petuum|distml|xgboost|glint|mllib-star (default ps2)
+  --iters N              training iterations (default 30; not gbdt or serve)
+  --backend NAME         lr:       ps2|ps|spark|petuum|distml|mllib-star
+                         lda:      ps2|petuum|glint|spark
+                         gbdt:     ps2|xgboost
+                         deepwalk: ps2|ps                (default ps2)
   --preset NAME          named dataset preset (overrides the shape flags below):
                            lr/svm/lbfgs/fm: kddb|kdd12|ctr|gender
                            lda:             pubmed|app
                            deepwalk:        graph1|graph2
                            serve:           serve-kddb|serve-kdd12
-                                            (a serve-* preset implies the serve
-                                            workload, so the word is optional)
+                                            (with no workload word, the run
+                                            is serve)
+  --lr X                 learning rate for lr/svm/fm; the default is the
+                         library config's: lr 0.618, svm 0.1, fm 0.05,
+                         --mode runs 2.0
   --mode NAME            consistency mode for lr/svm: bsp|ssp:<s>|async;
                          runs the Spark-free mode-gated worker loop instead
                          of the dataflow backend
-  --mini-batch N         mode-path mini-batch rows per worker (default 64)
   --straggler-ms N       mode-path straggler slowdown for worker 0 (default 0)
 
 outputs:
@@ -156,21 +89,22 @@ dataset shape flags (lr/svm/lbfgs/fm):
   --rows N --dim N --nnz N   (defaults 20000 / 100000 / 20)
 lr flags:
   --optimizer NAME       sgd|adam|adagrad|rmsprop|ftrl (default sgd)
-  --lr X                 learning rate (default 1.0)
   --fraction X           mini-batch fraction (default 0.01)
+lbfgs flags:
+  --fraction X           gradient batch fraction (default 1, full batch)
 deepwalk flags:
-  --vertices N --walks N --embedding-dim N
+  --vertices N --walks N --embedding-dim N   (defaults 2000 / 4000 / 100)
 gbdt flags:
-  --trees N --depth N --bins N
+  --rows N --dim N --nnz N       (defaults 10000 / 500 / 20)
+  --trees N --depth N --bins N   (defaults 10 / 5 / 50)
 lda flags:
-  --docs N --vocab N --topics N
+  --docs N --vocab N --topics N  (defaults 4000 / 8000 / 50)
 fm flags:
   --factors N            latent factors (default 8)
 serving flags (serve; defaults come from the preset):
   --agents N             aggregate client agents (each models thousands of users)
   --users-per-agent N    simulated users per agent
   --duration-ms N        open-loop generation window, virtual ms
-  --servers N            PS-server fleet size
 
 ps2-run --help | -h      print this usage text
 
@@ -186,39 +120,31 @@ fn main() {
         println!("{USAGE}");
         exit(0);
     }
-    // `ps2-run --preset serve-kddb …` works without a workload word: when
-    // the first token is already a flag, serving is the implied workload
-    // (the only one whose preset names are self-identifying).
-    let (workload, rest): (String, &[String]) = if argv[0].starts_with("--") {
-        ("serve".to_string(), &argv[..])
-    } else {
-        (argv[0].clone(), &argv[1..])
-    };
-    let args = Args::parse(rest);
+    let mut sinks: [Option<String>; 7] = Default::default();
+    let mut run_args = Vec::new();
+    let mut args = argv.into_iter();
+    while let Some(arg) = args.next() {
+        match SINKS
+            .split(' ')
+            .position(|s| arg.strip_prefix("--") == Some(s))
+        {
+            Some(i) => {
+                let path = args.next();
+                sinks[i] = Some(path.unwrap_or_else(|| die(&format!("flag {arg} needs a value"))));
+            }
+            None => run_args.push(arg),
+        }
+    }
+    let spec = RunSpec::from_args(&run_args).unwrap_or_else(|e| die(&e));
+    let [csv_path, metrics_path, trace_path, ts_path, slo_path, whatif_path, host_path] = sinks;
 
     // Host profiling must be armed before the sim is built so the run's
     // reset/collect cycle sees it. The flag implies full profiling (timers +
     // allocator).
-    let host_path = args.path("host-prof-json");
     if host_path.is_some() {
         hostprof::set_enabled(true);
         hostprof::set_alloc_counting(true);
     }
-
-    let spec = ClusterSpec {
-        workers: args.get("workers", 20usize),
-        servers: args.get("servers", 20usize),
-    };
-    let seed: u64 = args.get("seed", 42u64);
-    let iters: usize = args.get("iters", 30usize);
-    // Only the workloads with more than one backend read the flag.
-    let backend = || args.get_str("backend", "ps2");
-    let csv_path = args.path("csv");
-    let metrics_path = args.path("metrics-json");
-    let trace_path = args.path("trace-json");
-    let ts_path = args.path("timeseries-json");
-    let slo_path = args.path("slo-json");
-    let whatif_path = args.path("whatif-json");
     // Tracing is off unless a trace is actually wanted: recording is
     // timing-neutral but costs memory proportional to event count. What-if
     // replay needs the recorded event DAG, so --whatif-json implies it.
@@ -227,284 +153,40 @@ fn main() {
     // Request tracing rides along with any sink that can show it; like
     // event tracing it is non-yielding, so enabling it never moves a clock.
     // What-if tail estimates come from the reqtrace stage decomposition.
-    let want_reqtrace = want_trace || want_slo;
+    let builder = SimBuilder::new()
+        .trace(want_trace)
+        .reqtrace(want_trace || want_slo);
     // Time-series scraping is likewise non-yielding, so the run itself is
     // unaffected either way. SLO burn rates are evaluated over its windows.
-    let scrape = ts_path.is_some() || want_slo;
-    let mk_builder = move || {
-        let b = SimBuilder::new()
-            .seed(seed)
-            .trace(want_trace)
-            .reqtrace(want_reqtrace);
-        if scrape {
-            b.timeseries(SCRAPE_WINDOW)
-        } else {
-            b
-        }
+    let builder = if ts_path.is_some() || want_slo {
+        builder.timeseries(SCRAPE_WINDOW)
+    } else {
+        builder
     };
-
-    let preset = args.path("preset");
-    let sparse_gen = |parts: usize| match preset.as_deref() {
-        None => SparseDatasetGen::new(
-            args.get("rows", 20_000u64),
-            args.get("dim", 100_000u64),
-            args.get("nnz", 20u32),
-            parts,
-            seed,
-        ),
-        Some("kddb") => presets::kddb(parts, seed).gen,
-        Some("kdd12") => presets::kdd12(parts, seed).gen,
-        Some("ctr") => presets::ctr(parts, seed).gen,
-        Some("gender") => presets::gender(parts, seed).gen,
-        Some(other) => die(&format!(
-            "unknown sparse preset '{other}' (want kddb|kdd12|ctr|gender; \
-             serving presets: {})",
-            SERVE_PRESETS.join("|")
-        )),
-    };
-
-    let workers = spec.workers;
-    // Dispatch reads every flag the chosen run uses and hands back the run
-    // itself, so an unread flag is rejected before anything is simulated.
-    // The consistency-mode path bypasses the dataflow engine entirely: a
-    // Spark-free pull → gradient → push topology gated by the chosen mode
-    // (BSP barrier, SSP staleness bound, or free-running async).
-    type Run<'a> = Box<dyn FnOnce() -> (TrainingTrace, SimReport) + 'a>;
-    type Job = Box<dyn FnOnce(&mut SimCtx, &mut Ps2Context) -> TrainingTrace + Send>;
-    let run: Run =
-        if workload == "serve" || preset.as_deref().is_some_and(|p| p.starts_with("serve-")) {
-            // The serving scenario: geometry comes from the serve preset, with
-            // load-shape flags as overrides. The training-trace slot carries
-            // only a label — serving has no loss curve.
-            let pname = preset.clone().unwrap_or_else(|| {
-                die(&format!(
-                    "serving needs --preset ({})",
-                    SERVE_PRESETS.join("|")
-                ))
-            });
-            let mut sspec = serve_spec(&pname).unwrap_or_else(|| {
-                die(&format!(
-                    "unknown serve preset '{pname}' (want {})",
-                    SERVE_PRESETS.join("|")
-                ))
-            });
-            sspec.servers = args.get("servers", sspec.servers);
-            sspec.agents = args.get("agents", sspec.agents);
-            sspec.users_per_agent = args.get("users-per-agent", sspec.users_per_agent);
-            if args.value("duration-ms").is_some() {
-                sspec.duration = SimTime::from_millis(args.get("duration-ms", 0u64));
-            }
-            Box::new(move || {
-                let (summary, report) = run_serve(mk_builder(), &sspec);
-                let us = |ns: u64| format!("{}.{:03}us", ns / 1_000, ns % 1_000);
-                println!(
-                    "serving {}: {} endpoints on {} servers — {} pulls completed of {} issued\n\
-                 pull latency p99 {}  p999 {}",
-                    sspec.name,
-                    summary.endpoints,
-                    sspec.servers,
-                    summary.completed,
-                    summary.issued,
-                    us(summary.p99_ns),
-                    us(summary.p999_ns),
-                );
-                (
-                    TrainingTrace::new(format!("{} serving", sspec.name)),
-                    report,
-                )
-            })
-        } else if let Some(spelling) = args.path("mode") {
-            let mode = ConsistencyMode::parse(&spelling).unwrap_or_else(|e| die(&e));
-            let algo = match workload.as_str() {
-                "lr" => ModeAlgo::Lr,
-                "svm" => ModeAlgo::Svm,
-                other => die(&format!("--mode supports lr|svm, not '{other}'")),
-            };
-            let mut cfg = ModeConfig::new(sparse_gen(workers), spec.workers, spec.servers, mode);
-            cfg.iterations = iters as u32;
-            cfg.learning_rate = args.get("lr", 1.0f64);
-            cfg.mini_batch = args.get("mini-batch", 64usize);
-            cfg.straggler_slowdown = SimTime::from_millis(args.get("straggler-ms", 0u64));
-            cfg.seed = seed;
-            Box::new(move || run_mode_with(mk_builder(), &cfg, algo))
-        } else {
-            let job: Job = match workload.as_str() {
-                "lr" => {
-                    let optimizer = match args.get_str("optimizer", "sgd").as_str() {
-                        "sgd" => Optimizer::Sgd,
-                        "adam" => Optimizer::Adam,
-                        "adagrad" => Optimizer::Adagrad,
-                        "rmsprop" => Optimizer::RmsProp,
-                        "ftrl" => Optimizer::Ftrl,
-                        other => die(&format!("unknown optimizer '{other}'")),
-                    };
-                    let lr_backend = match backend().as_str() {
-                        "ps2" => Some(LrBackend::Ps2Dcv),
-                        "ps" => Some(LrBackend::PsPullPush),
-                        "spark" => Some(LrBackend::SparkDriver),
-                        "petuum" => Some(LrBackend::PetuumStyle),
-                        "distml" => Some(LrBackend::DistmlStyle),
-                        "mllib-star" => None,
-                        other => die(&format!("unknown LR backend '{other}'")),
-                    };
-                    let gen = sparse_gen(workers);
-                    let lrate: f64 = args.get("lr", 1.0f64);
-                    let fraction: f64 = args.get("fraction", 0.01f64);
-                    Box::new(move |ctx, ps2| {
-                        let mut cfg = LrConfig::new(gen, optimizer, iters);
-                        cfg.hyper.learning_rate = lrate;
-                        cfg.hyper.mini_batch_fraction = fraction;
-                        match lr_backend {
-                            Some(b) => train_lr(ctx, ps2, &cfg, b),
-                            None => train_lr_mllib_star(ctx, ps2, &cfg),
-                        }
-                    })
-                }
-                "deepwalk" => {
-                    let dw_backend = match backend().as_str() {
-                        "ps2" => DeepWalkBackend::Ps2Dcv,
-                        "ps" => DeepWalkBackend::PsPullPush,
-                        other => die(&format!("unknown DeepWalk backend '{other}'")),
-                    };
-                    let (graph_gen, walks_n) = match preset.as_deref() {
-                        None => (
-                            GraphGen {
-                                vertices: args.get("vertices", 2_000u32),
-                                edges_per_vertex: 4,
-                                seed,
-                            },
-                            args.get("walks", 4_000usize),
-                        ),
-                        Some("graph1") => {
-                            let p = presets::graph1(seed);
-                            (p.gen, p.num_walks)
-                        }
-                        Some("graph2") => {
-                            let p = presets::graph2(seed);
-                            (p.gen, p.num_walks)
-                        }
-                        Some(other) => die(&format!(
-                            "unknown graph preset '{other}' (want graph1|graph2)"
-                        )),
-                    };
-                    let dim: u64 = args.get("embedding-dim", 100u64);
-                    Box::new(move |ctx, ps2| {
-                        let g = graph_gen.generate();
-                        let walks = RandomWalks::sample(&g, walks_n, presets::WALK_LEN, seed ^ 1);
-                        let cfg = DeepWalkConfig {
-                            vertices: graph_gen.vertices,
-                            embedding_dim: dim,
-                            batch_per_worker: 128,
-                            iterations: iters,
-                            seed,
-                        };
-                        train_deepwalk(ctx, ps2, &cfg, &walks, dw_backend)
-                    })
-                }
-                "gbdt" => {
-                    let gb_backend = match backend().as_str() {
-                        "ps2" => GbdtBackend::Ps2Dcv,
-                        "xgboost" => GbdtBackend::XgboostStyle,
-                        other => die(&format!("unknown GBDT backend '{other}'")),
-                    };
-                    let gen = SparseDatasetGen::new(
-                        args.get("rows", 10_000u64),
-                        args.get("dim", 500u64),
-                        args.get("nnz", 20u32),
-                        workers,
-                        seed,
-                    )
-                    .continuous();
-                    let hyper = GbdtHyper {
-                        num_trees: args.get("trees", 10usize),
-                        max_depth: args.get("depth", 5usize),
-                        histogram_bins: args.get("bins", 50usize),
-                    };
-                    Box::new(move |ctx, ps2| {
-                        let cfg = GbdtConfig {
-                            dataset: gen,
-                            hyper,
-                        };
-                        train_gbdt(ctx, ps2, &cfg, gb_backend).0
-                    })
-                }
-                "lda" => {
-                    let lda_backend = match backend().as_str() {
-                        "ps2" => LdaBackend::Ps2Dcv,
-                        "petuum" => LdaBackend::PetuumStyle,
-                        "glint" => LdaBackend::GlintStyle,
-                        "spark" => LdaBackend::SparkDriver,
-                        other => die(&format!("unknown LDA backend '{other}'")),
-                    };
-                    let corpus = match preset.as_deref() {
-                        None => CorpusGen::new(
-                            args.get("docs", 4_000u64),
-                            args.get("vocab", 8_000u32),
-                            16,
-                            60,
-                            workers,
-                            seed,
-                        ),
-                        Some("pubmed") => presets::pubmed(workers, seed).gen,
-                        Some("app") => presets::app(workers, seed).gen,
-                        Some(other) => die(&format!(
-                            "unknown corpus preset '{other}' (want pubmed|app)"
-                        )),
-                    };
-                    let topics: u32 = args.get("topics", 50u32);
-                    Box::new(move |ctx, ps2| {
-                        let cfg = LdaConfig {
-                            corpus,
-                            topics,
-                            iterations: iters,
-                        };
-                        train_lda(ctx, ps2, &cfg, lda_backend)
-                    })
-                }
-                "svm" => {
-                    let gen = sparse_gen(workers);
-                    Box::new(move |ctx, ps2| {
-                        let mut cfg = SvmConfig::new(gen, iters);
-                        cfg.learning_rate = 1.0;
-                        train_svm(ctx, ps2, &cfg)
-                    })
-                }
-                "lbfgs" => {
-                    let gen = sparse_gen(workers);
-                    Box::new(move |ctx, ps2| train_lbfgs(ctx, ps2, &LbfgsConfig::new(gen, iters)))
-                }
-                "fm" => {
-                    let gen = sparse_gen(workers);
-                    let factors: u32 = args.get("factors", 8u32);
-                    Box::new(move |ctx, ps2| {
-                        let mut cfg = FmConfig::new(gen, factors, iters);
-                        cfg.learning_rate = 1.0;
-                        train_fm(ctx, ps2, &cfg)
-                    })
-                }
-                other => die(&format!("unknown workload '{other}'")),
-            };
-            Box::new(move || run_ps2_with(mk_builder(), spec, job))
-        };
-    args.reject_unread();
-    let (trace, mut report) = run();
+    let out = spec.run(builder);
+    let (trace, mut report) = (out.trace, out.report);
+    if let Some(s) = out.serve {
+        let us = |ns: u64| format!("{}.{:03}us", ns / 1_000, ns % 1_000);
+        let (label, endpoints, issued) = (&trace.label, s.endpoints, s.issued);
+        println!(
+            "{label}: {endpoints} endpoints — {} pulls completed of {issued} issued",
+            s.completed
+        );
+        println!("pull latency p99 {}  p999 {}", us(s.p99_ns), us(s.p999_ns));
+    }
 
     // Retained for every traced run: the critical path is walked from it,
     // and the exported trace file carries it as the "ps2"."dag" section
     // every ps2-trace analysis of the file is recomputed from.
-    let whatif_dag = if want_trace {
-        Some(
-            CausalDag::from_report(&report)
-                .unwrap_or_else(|e| die(&format!("causal DAG retention failed: {e}"))),
-        )
-    } else {
-        None
-    };
+    let whatif_dag = want_trace.then(|| {
+        CausalDag::from_report(&report)
+            .unwrap_or_else(|e| die(&format!("causal DAG retention failed: {e}")))
+    });
 
     // SLO burns are a pure pass over the windowed series; they land in the
     // SLO report and sidecar, and in the exported trace as global instants.
     let objectives = if want_slo {
-        preset_slos(preset.as_deref())
+        preset_slos(spec.preset())
     } else {
         Vec::new()
     };
@@ -529,21 +211,17 @@ fn main() {
         report.total_bytes as f64 / 1e6
     );
     if let Some(path) = &csv_path {
-        let mut f = std::fs::File::create(path)
-            .unwrap_or_else(|e| die(&format!("cannot create {path}: {e}")));
-        writeln!(f, "iteration,seconds,loss")
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+        let mut csv = String::from("iteration,seconds,loss\n");
         for (i, (s, l)) in trace.points.iter().enumerate() {
-            writeln!(f, "{i},{s:.6},{l:.6}")
-                .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+            csv += &format!("{i},{s:.6},{l:.6}\n");
         }
+        write(path, csv);
         println!("trace written to {path}");
     }
     if let Some(path) = &metrics_path {
         let run = RunReport::from_sim(&report);
         println!("\n{}", run.render_table());
-        std::fs::write(path, run.to_json())
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+        write(path, run.to_json());
         println!("metrics written to {path}");
     }
     if let Some(path) = &trace_path {
@@ -553,17 +231,15 @@ fn main() {
             .unwrap_or_else(|e| die(&format!("critical-path analysis failed: {e}")));
         println!("\n{}", analysis.render());
         let slo = slo_sidecar.as_deref().map(str::trim_end);
-        std::fs::write(
+        write(
             path,
             export_trace_full(&report, Some(&analysis), &alerts, slo, Some(dag)),
-        )
-        .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+        );
         println!("trace written to {path}  (open in ui.perfetto.dev, or: ps2-trace report {path})");
     }
     if let Some(path) = &ts_path {
         let ts = report.timeseries.as_ref().expect("timeseries was enabled");
-        std::fs::write(path, ts.to_json())
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+        write(path, ts.to_json());
         println!(
             "\ntime series written to {path}  ({} windows of {}, {} evicted)",
             ts.windows.len(),
@@ -574,8 +250,7 @@ fn main() {
     if let Some(path) = &slo_path {
         let reqs = report.reqs.as_ref().expect("request tracing was enabled");
         println!("\n{}", render_slo(reqs, &objectives, &alerts));
-        std::fs::write(path, slo_sidecar.as_deref().expect("reqtrace was enabled"))
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+        write(path, slo_sidecar.as_deref().expect("reqtrace was enabled"));
         println!("slo report written to {path}  (inspect with: ps2-trace slo {path})");
     }
     if let Some(path) = &whatif_path {
@@ -603,8 +278,7 @@ fn main() {
                 );
             }
         }
-        std::fs::write(path, wr.to_json())
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+        write(path, wr.to_json());
         println!(
             "what-if report written to {path}  (replay offline with: ps2-trace whatif <trace>)"
         );
@@ -617,11 +291,14 @@ fn main() {
         profile.merge(&hostprof::take_profile(0));
         println!("\n{}", profile.render());
         if let Some(path) = host_path {
-            std::fs::write(&path, profile.to_json(&workload))
-                .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+            write(&path, profile.to_json(&spec.to_string()));
             println!("host profile written to {path}  (inspect with: ps2-trace host {path})");
         }
     }
+}
+
+fn write(path: &str, contents: impl AsRef<[u8]>) {
+    std::fs::write(path, contents).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
 }
 
 fn print_trace(trace: &TrainingTrace) {

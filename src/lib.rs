@@ -19,6 +19,8 @@
 //! * [`ml`] — LR, DeepWalk, GBDT, LDA, SVM and L-BFGS, each with
 //!   communication-faithful baseline backends (Spark MLlib, Petuum,
 //!   XGBoost, Glint, DistML).
+//! * [`RunSpec`] — one run as a value: `ps2-run`'s argument string and the
+//!   golden table's row key.
 //!
 //! ## Quickstart
 //!
@@ -37,6 +39,7 @@
 //! println!("simulated {} in {:?} wall", report.virtual_time, report.wall_time);
 //! ```
 
+pub mod runspec;
 pub mod slo;
 pub mod tracefile;
 
@@ -54,3 +57,4 @@ pub use ps2_core::{
     ZipSegs,
 };
 pub use ps2_ml::TrainingTrace;
+pub use runspec::{RunOutput, RunSpec};

@@ -7,6 +7,10 @@ use std::collections::BTreeSet;
 use std::process::{Command, Output};
 
 use ps2::simnet::json::{parse_json, JsonValue};
+use ps2::{RunSpec, SimBuilder};
+
+mod common;
+use common::virtual_json;
 
 const RUN: &str = env!("CARGO_BIN_EXE_ps2-run");
 const TRACE: &str = env!("CARGO_BIN_EXE_ps2-trace");
@@ -186,7 +190,11 @@ fn both_binaries_print_usage_on_help() {
 
 #[test]
 fn flags_the_run_never_reads_exit_2() {
-    for flag in ["--metric-json @unread.json", "--window-ms 1"] {
+    for flag in [
+        "--metric-json @unread.json",
+        "--window-ms 1",
+        "--mini-batch 64",
+    ] {
         let args = format!("lr --iters 1 --workers 2 --servers 2 {flag}");
         let out = spawn(RUN, &args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -195,4 +203,29 @@ fn flags_the_run_never_reads_exit_2() {
         assert!(stderr.contains(name), "{args}: {stderr}");
     }
     assert!(!std::path::Path::new(&tmp("unread.json")).exists());
+}
+
+/// `ps2-run` and the golden table run one program: on three golden keys (a
+/// dataflow L-BFGS cell, a consistency-mode cell and a serving preset) the
+/// CLI's `--metrics-json` minus `wall_ms` is the in-process run's report.
+#[test]
+fn golden_keys_run_the_same_through_the_cli() {
+    let golden = include_str!("golden_runs.txt");
+    for spec in [
+        "lbfgs --preset kdd12 --workers 4 --servers 4 --iters 4 --seed 1 --fraction 0.25",
+        "svm --preset kdd12 --mode async --straggler-ms 20 --workers 4 --servers 3 --iters 6 \
+         --seed 2 --lr 1",
+        "serve --preset serve-kddb --seed 1",
+    ] {
+        let spec: RunSpec = spec.parse().unwrap();
+        assert!(
+            golden.contains(&format!("\n{spec} | ")),
+            "{spec}: no golden row"
+        );
+        run(RUN, &format!("{spec} --metrics-json @golden.json"));
+        let cli = std::fs::read_to_string(tmp("golden.json")).unwrap();
+        let cli: Vec<&str> = cli.lines().filter(|l| !l.contains("\"wall_ms\"")).collect();
+        let in_process = virtual_json(&spec.run(SimBuilder::new()).report);
+        assert_eq!(cli.join("\n"), in_process, "{spec}");
+    }
 }

@@ -8,15 +8,12 @@
 //! is process-global, and sharing a process with unrelated tests would let
 //! their allocations leak into this run's profile.
 
-use ps2::ml::lr::{train_lr, LrBackend, LrConfig};
-use ps2::ml::optim::Optimizer;
 use ps2::simnet::hostprof;
 use ps2::slo::SCRAPE_WINDOW;
-use ps2::{run_ps2_with, ClusterSpec, SimBuilder, SimReport};
-use ps2_data::SparseDatasetGen;
+use ps2::{RunSpec, SimBuilder, SimReport};
 
 mod common;
-use common::virtual_json;
+use common::assert_same_virtual_run;
 
 /// One seeded LR run with timeseries scraping on (so the `scrape.roll`
 /// scope has something to record when profiled).
@@ -25,18 +22,11 @@ fn run_once(profiled: bool) -> SimReport {
         hostprof::set_enabled(true);
         hostprof::set_alloc_counting(true);
     }
-    let spec = ClusterSpec {
-        workers: 4,
-        servers: 3,
-    };
+    let spec = "lr --rows 1000 --dim 20000 --nnz 10 --workers 4 --servers 3 --iters 3 --seed 11";
     // These mini-runs finish in a few virtual ms, and the scrape must
     // actually roll for `scrape.roll` to show in the profile.
-    let builder = SimBuilder::new().seed(11).timeseries(SCRAPE_WINDOW);
-    let (_, report) = run_ps2_with(builder, spec, |ctx, ps2| {
-        let gen = SparseDatasetGen::new(1_000, 20_000, 10, 4, 11);
-        let cfg = LrConfig::new(gen, Optimizer::Sgd, 3);
-        train_lr(ctx, ps2, &cfg, LrBackend::Ps2Dcv)
-    });
+    let builder = SimBuilder::new().timeseries(SCRAPE_WINDOW);
+    let report = spec.parse::<RunSpec>().unwrap().run(builder).report;
     if profiled {
         hostprof::set_alloc_counting(false);
         hostprof::set_enabled(false);
@@ -49,22 +39,7 @@ fn profiling_never_perturbs_the_simulated_run() {
     let plain = run_once(false);
     let profiled = run_once(true);
 
-    // Every virtual-time observable is bit-identical.
-    assert_eq!(plain.virtual_time, profiled.virtual_time);
-    assert_eq!(plain.total_msgs, profiled.total_msgs);
-    assert_eq!(plain.total_bytes, profiled.total_bytes);
-    assert_eq!(plain.procs.len(), profiled.procs.len());
-    for (a, b) in plain.procs.iter().zip(&profiled.procs) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.msgs_sent, b.msgs_sent);
-        assert_eq!(a.msgs_recv, b.msgs_recv);
-        assert_eq!(a.bytes_sent, b.bytes_sent);
-        assert_eq!(a.busy, b.busy);
-        assert_eq!(a.finished_at, b.finished_at);
-    }
-    assert_eq!(virtual_json(&plain), virtual_json(&profiled));
-    let (ts_a, ts_b) = (plain.timeseries.unwrap(), profiled.timeseries.unwrap());
-    assert_eq!(ts_a.to_json(), ts_b.to_json());
+    assert_same_virtual_run(&plain, &profiled);
 
     // The unprofiled run carries no host section; the profiled one does,
     // with the scheduler scopes represented (every run parks and dispatches)

@@ -3,11 +3,17 @@
 
 use ps2::ml::lr::{train_lr, LrBackend, LrConfig};
 use ps2::ml::optim::Optimizer;
-use ps2::{run_ps2, ClusterSpec, ElemOp, RunReport, SimTime};
+use ps2::{run_ps2, ClusterSpec, ElemOp, RunOutput, RunReport, RunSpec, SimBuilder, SimTime};
 use ps2_data::{presets, SparseDatasetGen};
 
 mod common;
-use common::virtual_json;
+use common::{assert_same_virtual_run, virtual_json};
+
+/// The LR run three tests below repeat.
+fn lr_5x3() -> RunOutput {
+    let spec = "lr --rows 2000 --dim 5000 --nnz 10 --workers 5 --servers 3 --iters 10 --seed 7";
+    spec.parse::<RunSpec>().unwrap().run(SimBuilder::new())
+}
 
 fn spec(w: usize, s: usize) -> ClusterSpec {
     ClusterSpec {
@@ -55,37 +61,18 @@ fn full_lr_pipeline_learns_on_a_preset() {
 
 #[test]
 fn end_to_end_run_is_deterministic_across_processes_of_the_harness() {
-    let run = || {
-        let (trace, report) = run_ps2(spec(5, 3), 7, |ctx, ps2| {
-            let gen = SparseDatasetGen::new(2_000, 5_000, 10, 5, 7);
-            let cfg = LrConfig::new(gen, Optimizer::Sgd, 10);
-            train_lr(ctx, ps2, &cfg, LrBackend::Ps2Dcv)
-        });
-        (
-            trace.points.clone(),
-            report.virtual_time,
-            report.total_bytes,
-            report.total_msgs,
-        )
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(a.0, b.0, "loss curves must be bit-identical");
-    assert_eq!((a.1, a.2, a.3), (b.1, b.2, b.3));
+    let (a, b) = (lr_5x3(), lr_5x3());
+    assert_eq!(
+        a.trace.points, b.trace.points,
+        "loss curves must be bit-identical"
+    );
+    assert_same_virtual_run(&a.report, &b.report);
 }
 
 #[test]
 fn same_seed_runs_emit_byte_identical_metrics_json() {
-    let run = || {
-        run_ps2(spec(5, 3), 7, |ctx, ps2| {
-            let gen = SparseDatasetGen::new(2_000, 5_000, 10, 5, 7);
-            let cfg = LrConfig::new(gen, Optimizer::Sgd, 10);
-            train_lr(ctx, ps2, &cfg, LrBackend::Ps2Dcv)
-        })
-        .1
-    };
-    let a = run();
-    let b = run();
+    let a = lr_5x3().report;
+    let b = lr_5x3().report;
     // `wall_ms` is the report's one deliberate wall-clock field; everything
     // else must be byte-identical across same-seed runs.
     let json = RunReport::from_sim(&a).to_json();
@@ -103,12 +90,7 @@ fn same_seed_runs_emit_byte_identical_metrics_json() {
 
 #[test]
 fn per_op_shares_sum_to_virtual_time() {
-    let (_, report) = run_ps2(spec(5, 3), 7, |ctx, ps2| {
-        let gen = SparseDatasetGen::new(2_000, 5_000, 10, 5, 7);
-        let cfg = LrConfig::new(gen, Optimizer::Sgd, 10);
-        train_lr(ctx, ps2, &cfg, LrBackend::Ps2Dcv)
-    });
-    let run = RunReport::from_sim(&report);
+    let run = RunReport::from_sim(&lr_5x3().report);
     assert!(!run.ops.is_empty(), "an LR run must record client op spans");
     let share_sum: u64 = run.ops.iter().map(|o| o.share_ns).sum();
     let vt = run.virtual_time.as_nanos();

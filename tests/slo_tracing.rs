@@ -6,36 +6,22 @@
 //! each request's total exactly, and an SLO burn fires at a window-aligned
 //! virtual timestamp.
 
-use ps2::ml::lr::{train_lr, LrBackend, LrConfig};
-use ps2::ml::optim::Optimizer;
 use ps2::simnet::watchdog::SLO_SLOW_WINDOWS;
 use ps2::simnet::{evaluate_slo, SloObjective, EXEMPLAR_K};
 use ps2::slo::SCRAPE_WINDOW;
-use ps2::{run_ps2_with, ClusterSpec, SimBuilder, SimReport, SimTime};
-use ps2_data::SparseDatasetGen;
+use ps2::{RunSpec, SimBuilder, SimReport, SimTime};
 
 mod common;
-use common::virtual_json;
+use common::assert_same_virtual_run;
 
 /// One seeded LR run, with or without request tracing. Timeseries scraping
 /// is on in both (it is independently non-perturbing, and the SLO tests
 /// need the windows). Eight iterations take ≈ 14 ms, so the 12-window slow
 /// burn span fills on complete [`SCRAPE_WINDOW`]s.
 fn run_once(traced: bool) -> SimReport {
-    let spec = ClusterSpec {
-        workers: 4,
-        servers: 3,
-    };
-    let builder = SimBuilder::new()
-        .seed(11)
-        .timeseries(SCRAPE_WINDOW)
-        .reqtrace(traced);
-    let (_, report) = run_ps2_with(builder, spec, |ctx, ps2| {
-        let gen = SparseDatasetGen::new(1_000, 20_000, 10, 4, 11);
-        let cfg = LrConfig::new(gen, Optimizer::Sgd, 8);
-        train_lr(ctx, ps2, &cfg, LrBackend::Ps2Dcv)
-    });
-    report
+    let spec = "lr --rows 1000 --dim 20000 --nnz 10 --workers 4 --servers 3 --iters 8 --seed 11";
+    let builder = SimBuilder::new().timeseries(SCRAPE_WINDOW).reqtrace(traced);
+    spec.parse::<RunSpec>().unwrap().run(builder).report
 }
 
 #[test]
@@ -43,22 +29,7 @@ fn request_tracing_never_perturbs_the_simulated_run() {
     let plain = run_once(false);
     let traced = run_once(true);
 
-    // Every virtual-time observable is bit-identical.
-    assert_eq!(plain.virtual_time, traced.virtual_time);
-    assert_eq!(plain.total_msgs, traced.total_msgs);
-    assert_eq!(plain.total_bytes, traced.total_bytes);
-    assert_eq!(plain.procs.len(), traced.procs.len());
-    for (a, b) in plain.procs.iter().zip(&traced.procs) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.msgs_sent, b.msgs_sent);
-        assert_eq!(a.msgs_recv, b.msgs_recv);
-        assert_eq!(a.bytes_sent, b.bytes_sent);
-        assert_eq!(a.busy, b.busy);
-        assert_eq!(a.finished_at, b.finished_at);
-    }
-    assert_eq!(virtual_json(&plain), virtual_json(&traced));
-    let (ts_a, ts_b) = (plain.timeseries.unwrap(), traced.timeseries.unwrap());
-    assert_eq!(ts_a.to_json(), ts_b.to_json());
+    assert_same_virtual_run(&plain, &traced);
 
     // The untraced run carries no request summary; the traced one does.
     assert!(plain.reqs.is_none());

@@ -4,30 +4,19 @@
 //! runs, tracing never perturbs timing, and different seeds produce a
 //! non-trivial diff.
 
-use ps2::ml::lr::{train_lr, LrBackend, LrConfig};
-use ps2::ml::optim::Optimizer;
 use ps2::simnet::{export_trace_full, CausalAnalysis, CausalDag, SimReport};
 use ps2::tracefile::TraceSummary;
-use ps2::{run_ps2_with, ClusterSpec, SimBuilder};
-use ps2_data::SparseDatasetGen;
+use ps2::{RunSpec, SimBuilder};
 
-const WORKERS: usize = 4;
+mod common;
+use common::{assert_same_virtual_run, ALERTS_SPEC};
 
 fn lr_run(seed: u64, trace: bool) -> SimReport {
-    let spec = ClusterSpec {
-        workers: WORKERS,
-        servers: 4,
-    };
-    let gen = SparseDatasetGen::new(2_000, 10_000, 10, WORKERS, seed);
-    let (_, report) = run_ps2_with(
-        SimBuilder::new().seed(seed).trace(trace),
-        spec,
-        move |ctx, ps2| {
-            let cfg = LrConfig::new(gen, Optimizer::Sgd, 3);
-            train_lr(ctx, ps2, &cfg, LrBackend::Ps2Dcv)
-        },
+    let spec = format!(
+        "lr --rows 2000 --dim 10000 --nnz 10 --workers 4 --servers 4 --iters 3 --seed {seed}"
     );
-    report
+    let builder = SimBuilder::new().trace(trace);
+    spec.parse::<RunSpec>().unwrap().run(builder).report
 }
 
 /// The live critical path and the trace file `ps2-run --trace-json` writes:
@@ -84,20 +73,7 @@ fn same_seed_runs_export_byte_identical_traces() {
 fn tracing_does_not_perturb_timing() {
     let traced = lr_run(42, true);
     let untraced = lr_run(42, false);
-    assert_eq!(traced.virtual_time, untraced.virtual_time);
-    assert_eq!(traced.total_msgs, untraced.total_msgs);
-    assert_eq!(traced.total_bytes, untraced.total_bytes);
-    let timings = |r: &SimReport| -> Vec<(String, u64, u64)> {
-        r.procs
-            .iter()
-            .map(|p| (p.name.clone(), p.finished_at.as_nanos(), p.busy.as_nanos()))
-            .collect()
-    };
-    assert_eq!(
-        timings(&traced),
-        timings(&untraced),
-        "recording a trace must not move any process's clock"
-    );
+    assert_same_virtual_run(&traced, &untraced);
     assert!(!traced.trace.is_empty() && untraced.trace.is_empty());
 }
 
@@ -185,24 +161,16 @@ fn alerts_in_the_export_do_not_break_the_offline_reader() {
     assert!(instant.contains("\"ts\":100000.000"), "{instant}");
 }
 
-/// The straggler question, answered exactly. On the golden `alerts` config
-/// (`ps2-run lr --mode ssp:2 --preset kddb --workers 4 --servers 3 --iters 6
-/// --straggler-ms 20 --seed 1`) the standard what-if battery alone, with no
-/// experiment derived from an alert, values speeding up the slowed worker
-/// and values speeding up any PS server at nothing.
+/// The straggler question, answered exactly. On the golden `alerts` run
+/// ([`ALERTS_SPEC`]) the standard what-if battery alone, with no experiment
+/// derived from an alert, values speeding up the slowed worker and values
+/// speeding up any PS server at nothing.
 #[test]
 fn the_battery_alone_names_the_straggler() {
-    use ps2::ml::modes::{run_mode_with, ModeAlgo, ModeConfig};
-    use ps2::ps::ConsistencyMode;
-    use ps2::simnet::{run_battery, standard_battery, CausalDag, SimTime};
+    use ps2::simnet::{run_battery, standard_battery};
 
-    let gen = ps2_data::presets::kddb(4, 1).gen;
-    let mut cfg = ModeConfig::new(gen, 4, 3, ConsistencyMode::Ssp { bound: 2 });
-    cfg.iterations = 6;
-    cfg.learning_rate = 1.0;
-    cfg.seed = 1;
-    cfg.straggler_slowdown = SimTime::from_millis(20);
-    let (_, report) = run_mode_with(SimBuilder::new().trace(true), &cfg, ModeAlgo::Lr);
+    let spec: RunSpec = ALERTS_SPEC.parse().unwrap();
+    let report = spec.run(SimBuilder::new().trace(true)).report;
     let dag = CausalDag::from_report(&report).unwrap();
     let wr = run_battery(&dag, &[], &standard_battery(&dag)).unwrap();
 
