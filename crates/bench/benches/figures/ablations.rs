@@ -1,15 +1,9 @@
 //! Ablations: one mechanism of PS2 switched off at a time.
 
-use ps2_bench::{banner, paper_says, Table, SERVERS, WORKERS};
-use ps2_core::{run_ps2, ClusterSpec};
-use ps2_data::SparseDatasetGen;
-use ps2_ml::lr::{train_lr, train_lr_mllib_star, LrBackend, LrConfig};
-use ps2_ml::modes::{run_mode, ModeAlgo, ModeConfig};
-use ps2_ml::optim::Optimizer;
-use ps2_ps::{
-    deploy_ps, ConsistencyMode, InitKind, MatrixHandle, Partitioning, PsMaster, DISK_BYTES_PER_SEC,
-};
-use ps2_simnet::{ProcId, SimBuilder, SimTime};
+use ps2::ps::{deploy_ps, MatrixHandle, PsMaster, DISK_BYTES_PER_SEC};
+use ps2::simnet::ProcId;
+use ps2::{run_ps2, ClusterSpec, InitKind, Partitioning, SimBuilder, SimTime};
+use ps2_bench::{banner, paper_says, run, Table, SERVERS};
 
 /// Two workers on the full server fleet: the shape of the single-op
 /// ablations.
@@ -213,24 +207,17 @@ pub fn ablation_mllib_star() {
         "features,mllib_s,mllib_star_s,ps2_s",
     );
     for dim in [50_000u64, 500_000, 5_000_000] {
-        let run = |which: u8| {
-            let spec = ClusterSpec {
-                workers: WORKERS,
-                servers: WORKERS,
-            };
-            let (trace, _) = run_ps2(spec, 3, move |ctx, ps2| {
-                let gen = SparseDatasetGen::new(20_000, dim, 25, WORKERS, 7);
-                let mut cfg = LrConfig::new(gen, Optimizer::Sgd, 10);
-                cfg.hyper.mini_batch_fraction = 0.01;
-                match which {
-                    0 => train_lr(ctx, ps2, &cfg, LrBackend::SparkDriver),
-                    1 => train_lr_mllib_star(ctx, ps2, &cfg),
-                    _ => train_lr(ctx, ps2, &cfg, LrBackend::Ps2Dcv),
-                }
-            });
-            format!("{:.4}", trace.total_time())
+        let secs = |b: &str| {
+            let spec =
+                format!("lr --rows 20000 --dim {dim} --nnz 25 --backend {b} --iters 10 --seed 7");
+            format!("{:.4}", run(&spec).trace.total_time())
         };
-        t.row(&[dim.to_string(), run(0), run(1), run(2)]);
+        t.row(&[
+            dim.to_string(),
+            secs("spark"),
+            secs("mllib-star"),
+            secs("ps2"),
+        ]);
     }
     println!("\n  AllReduce removes the driver bottleneck, but still moves 2x the");
     println!("  dense model per worker per iteration; PS2's sparse working-set");
@@ -252,18 +239,11 @@ pub fn ablation_ssp() {
     println!("\n  8 workers, worker 0 slowed 40ms/iter, 25 iterations");
     let mut t = Table::new("ablation_ssp.csv", "staleness,mean_iter_time_s,final_loss");
     for staleness in [0u32, 1, 2, 4, 8] {
-        let cfg = ModeConfig {
-            dataset: SparseDatasetGen::new(8_000, 20_000, 15, 8, 7),
-            workers: 8,
-            servers: 8,
-            mode: ConsistencyMode::Ssp { bound: staleness },
-            iterations: 25,
-            learning_rate: 2.0,
-            mini_batch: 64,
-            straggler_slowdown: SimTime::from_millis(40),
-            seed: 11,
-        };
-        let (trace, _) = run_mode(&cfg, ModeAlgo::Lr);
+        let trace = run(&format!(
+            "lr --rows 8000 --dim 20000 --nnz 15 --mode ssp:{staleness} --straggler-ms 40 \
+             --workers 8 --servers 8 --iters 25 --seed 7"
+        ))
+        .trace;
         let mean_iter = trace.total_time() / trace.points.len().max(1) as f64;
         t.row(&[
             staleness.to_string(),

@@ -1,18 +1,16 @@
 //! Figures 1 and 9–13: MLlib's bottleneck, the DCV abstraction, the
 //! end-to-end comparisons, and scalability / fault tolerance.
 
+use ps2::core::ComputeConfig;
+use ps2::data::{presets, RandomWalks};
+use ps2::ml::deepwalk::{train_deepwalk, DeepWalkBackend, DeepWalkConfig};
+use ps2::ml::lr::{train_lr, LrBackend, LrConfig};
+use ps2::ml::optim::Optimizer;
+use ps2::{run_ps2, run_ps2_with, ClusterSpec, SimBuilder, SimTime, TrainingTrace};
 use ps2_bench::{
-    banner, common_target, paper_says, print_time_to_loss, print_traces, Table, SERVERS, WORKERS,
+    banner, common_target, paper_says, print_time_to_loss, print_traces, run, Table, SERVERS,
+    WORKERS,
 };
-use ps2_core::{run_ps2, run_ps2_with, ClusterSpec, ComputeConfig, SimBuilder, SimTime};
-use ps2_data::{presets, SparseDatasetGen};
-use ps2_ml::deepwalk::{train_deepwalk, DeepWalkBackend, DeepWalkConfig};
-use ps2_ml::gbdt::{train_gbdt, GbdtBackend, GbdtConfig};
-use ps2_ml::hyper::GbdtHyper;
-use ps2_ml::lda::{train_lda, LdaBackend, LdaConfig};
-use ps2_ml::lr::{train_lr, LrBackend, LrConfig};
-use ps2_ml::optim::Optimizer;
-use ps2_ml::TrainingTrace;
 
 const FULL: ClusterSpec = ClusterSpec {
     workers: WORKERS,
@@ -39,24 +37,13 @@ pub fn fig1_mllib_analysis() {
     );
     let mut per_iters = Vec::new();
     let mut last_breakdown = None;
-    // Paper dims ÷10 so the largest model stays laptop-sized.
+    // Paper dims ÷10 so the largest model stays laptop-sized; MLlib uses no
+    // parameter servers.
     for dim in [4_000u64, 300_000, 3_000_000, 6_000_000] {
-        let (trace, _) = run_ps2(
-            ClusterSpec {
-                workers: WORKERS,
-                servers: 1, // MLlib uses no parameter servers
-            },
-            1,
-            move |ctx, ps2| {
-                let mut cfg = LrConfig::new(
-                    SparseDatasetGen::new(20_000, dim, 30, WORKERS, 7),
-                    Optimizer::Sgd,
-                    5,
-                );
-                cfg.hyper.mini_batch_fraction = 0.01;
-                train_lr(ctx, ps2, &cfg, LrBackend::SparkDriver)
-            },
+        let spec = format!(
+            "lr --rows 20000 --dim {dim} --nnz 30 --backend spark --servers 1 --iters 5 --seed 7"
         );
+        let trace = run(&spec).trace;
         let per_iter = trace.time_per_iteration();
         let b = trace.breakdown.expect("MLlib backend records a breakdown");
         t.row(&[
@@ -77,30 +64,19 @@ pub fn fig1_mllib_analysis() {
     println!("  aggregation share at largest dim: {:.0}%", frac * 100.0);
 }
 
-/// One LR loss-curve panel: train `preset` on each backend at the full
-/// cluster width, persist the traces as `{fig}.csv` and report the time
-/// each takes to a loss every backend reaches.
-fn lr_panel(
-    fig: &str,
-    preset: presets::SparsePreset,
-    seed: u64,
-    optimizer: Optimizer,
-    learning_rate: f64,
-    iterations: usize,
-    backends: &[LrBackend],
-) {
-    let traces: Vec<TrainingTrace> = backends
+/// The loss curves of `spec` run on each of `backends`, in order.
+fn traces(spec: &str, backends: &[&str]) -> Vec<TrainingTrace> {
+    backends
         .iter()
-        .map(|&backend| {
-            let gen = preset.gen.clone();
-            let (trace, _) = run_ps2(FULL, seed, move |ctx, ps2| {
-                let mut cfg = LrConfig::new(gen, optimizer, iterations);
-                cfg.hyper.learning_rate = learning_rate;
-                train_lr(ctx, ps2, &cfg, backend)
-            });
-            trace
-        })
-        .collect();
+        .map(|b| run(&format!("{spec} --backend {b}")).trace)
+        .collect()
+}
+
+/// One loss-curve panel: run `spec` on each backend, persist the traces as
+/// `{fig}.csv` and report the time each takes to a loss every backend
+/// reaches.
+fn panel(fig: &str, spec: &str, backends: &[&str]) {
+    let traces = traces(spec, backends);
     let refs: Vec<&TrainingTrace> = traces.iter().collect();
     print_traces(fig, &refs);
     print_time_to_loss(&refs, common_target(&refs));
@@ -118,7 +94,7 @@ fn deepwalk_panel(fig: &str, preset: presets::GraphPreset, servers: usize, itera
             13,
             move |ctx, ps2| {
                 let g = p.gen.generate();
-                let walks = ps2_data::RandomWalks::sample(&g, p.num_walks, presets::WALK_LEN, 6);
+                let walks = RandomWalks::sample(&g, p.num_walks, presets::WALK_LEN, 6);
                 let cfg = DeepWalkConfig {
                     vertices: p.gen.vertices,
                     embedding_dim: 100,
@@ -149,20 +125,16 @@ fn deepwalk_panel(fig: &str, preset: presets::GraphPreset, servers: usize, itera
 /// (c) DeepWalk on Graph1, 20 servers→paper used few: PS2 5× vs PS.
 /// (d) DeepWalk on Graph2 with 30 servers: speedup shrinks to 1.4×.
 pub fn fig9_dcv() {
-    let backends = [
-        LrBackend::Ps2Dcv,
-        LrBackend::PsPullPush,
-        LrBackend::SparkDriver,
-    ];
+    let backends = ["ps2", "ps", "spark"];
     banner("Figure 9(a)", "Adam-LR on KDDB: Spark- vs PS- vs PS2-");
     paper_says("to 0.3 loss: PS2 59s, PS 277s (4.7x), Spark 926s (15.7x)");
-    let kddb = presets::kddb(WORKERS, 1);
-    lr_panel("fig9a", kddb, 9, Optimizer::Adam, 0.01, 60, &backends);
+    let kddb = "lr --preset kddb --optimizer adam --iters 60 --seed 1 --lr 0.01";
+    panel("fig9a", kddb, &backends);
 
     banner("Figure 9(b)", "Adam-LR on CTR (wide model)");
     paper_says("PS2 5x faster than PS-Adam, 55.6x faster than Spark-Adam");
-    let ctr = presets::ctr(WORKERS, 2);
-    lr_panel("fig9b", ctr, 9, Optimizer::Adam, 0.01, 20, &backends);
+    let ctr = "lr --preset ctr --optimizer adam --iters 20 --seed 2 --lr 0.01";
+    panel("fig9b", ctr, &backends);
 
     banner("Figure 9(c)", "DeepWalk on Graph1 (few servers)");
     paper_says("PS2-DeepWalk 5x faster than PS-DeepWalk");
@@ -186,24 +158,19 @@ pub fn fig9_dcv() {
 /// (5.0) keeps per-iteration progress comparable (fraction stays at the
 /// paper's 0.01).
 pub fn fig10_lr_endtoend() {
-    let backends = [
-        LrBackend::Ps2Dcv,
-        LrBackend::PetuumStyle,
-        LrBackend::DistmlStyle,
-        LrBackend::SparkDriver,
-    ];
+    let backends = ["ps2", "petuum", "distml", "spark"];
     banner(
         "Figure 10(a)",
         "LR-SGD on KDDB: PS2 vs Petuum vs DistML vs MLlib",
     );
     paper_says("PS2 fastest (1.6x over Petuum); MLlib slowest; DistML not robust");
-    let kddb = presets::kddb(WORKERS, 1);
-    lr_panel("fig10a", kddb, 11, Optimizer::Sgd, 5.0, 150, &backends);
+    let kddb = "lr --preset kddb --iters 150 --seed 1 --lr 5";
+    panel("fig10a", kddb, &backends);
 
     banner("Figure 10(b)", "LR-SGD on KDD12");
     paper_says("PS2 2.3x over Petuum");
-    let kdd12 = presets::kdd12(WORKERS, 2);
-    lr_panel("fig10b", kdd12, 11, Optimizer::Sgd, 5.0, 150, &backends);
+    let kdd12 = "lr --preset kdd12 --iters 150 --seed 2 --lr 5";
+    panel("fig10b", kdd12, &backends);
 }
 
 /// Figure 11 — GBDT on the Gender dataset: PS2 vs XGBoost (paper §6.3.2).
@@ -219,28 +186,10 @@ pub fn fig11_gbdt() {
     banner("Figure 11", "GBDT on Gender: PS2 vs XGBoost (AllReduce)");
     paper_says("100 trees: PS2 2435s vs XGBoost 7942s (3.3x)");
 
-    let hyper = GbdtHyper {
-        num_trees: 10,
-        max_depth: 5,
-        histogram_bins: 50,
-    };
-    let mut traces: Vec<TrainingTrace> = Vec::new();
-    for backend in [GbdtBackend::Ps2Dcv, GbdtBackend::XgboostStyle] {
-        let mut preset = presets::gender(WORKERS, 5);
-        // Keep the histogram table laptop-sized: fewer features, same shape.
-        preset.gen.dim = 800;
-        preset.gen.rows = 16_000;
-        let gen = preset.gen.clone();
-        let ((trace, trees), _) = run_ps2(FULL, 21, move |ctx, ps2| {
-            let cfg = GbdtConfig {
-                dataset: gen,
-                hyper,
-            };
-            train_gbdt(ctx, ps2, &cfg, backend)
-        });
-        assert_eq!(trees.len(), hyper.num_trees);
-        traces.push(trace);
-    }
+    // Gender's 100 nnz per row, with the histogram table kept laptop-sized:
+    // fewer features, same shape. The tree shape is `gbdt`'s default.
+    let gender = "gbdt --rows 16000 --dim 800 --nnz 100 --seed 5";
+    let traces = traces(gender, &["ps2", "xgboost"]);
     let refs: Vec<&TrainingTrace> = traces.iter().collect();
     print_traces("fig11", &refs);
 
@@ -259,23 +208,6 @@ pub fn fig11_gbdt() {
     );
 }
 
-fn lda_run(
-    corpus: ps2_data::CorpusGen,
-    topics: u32,
-    iterations: usize,
-    backend: LdaBackend,
-) -> TrainingTrace {
-    let (trace, _) = run_ps2(FULL, 31, move |ctx, ps2| {
-        let cfg = LdaConfig {
-            corpus,
-            topics, // α = 0.5, β = 0.01 (Table 4)
-            iterations,
-        };
-        train_lda(ctx, ps2, &cfg, backend)
-    });
-    trace
-}
-
 /// Figure 12 — LDA comparison (paper §6.3.3).
 ///
 /// (a) PubMED, K=1000 (scaled to 100): PS2 vs Petuum vs Glint.
@@ -289,36 +221,20 @@ pub fn fig12_lda() {
         "LDA on PubMED (large K): PS2 vs Petuum vs Glint",
     );
     paper_says("converge: PS2 386s, Petuum 1440s (3.7x), Glint 3500s (9x)");
-    let pubmed = presets::pubmed(WORKERS, 1);
-    let traces: Vec<TrainingTrace> = [
-        LdaBackend::Ps2Dcv,
-        LdaBackend::PetuumStyle,
-        LdaBackend::GlintStyle,
-    ]
-    .into_iter()
-    .map(|b| lda_run(pubmed.gen.clone(), 100, 10, b))
-    .collect();
-    let refs: Vec<&TrainingTrace> = traces.iter().collect();
-    print_traces("fig12a", &refs);
-    print_time_to_loss(&refs, common_target(&refs));
+    let pubmed = "lda --preset pubmed --topics 100 --iters 10 --seed 1";
+    panel("fig12a", pubmed, &["ps2", "petuum", "glint"]);
 
     banner(
         "Figure 12(b)",
         "LDA on PubMED (small K): PS2 vs Spark MLlib",
     );
     paper_says("MLlib needs 6894s to converge; PS2 is 17x faster");
-    let traces: Vec<TrainingTrace> = [LdaBackend::Ps2Dcv, LdaBackend::SparkDriver]
-        .into_iter()
-        .map(|b| lda_run(pubmed.gen.clone(), 20, 10, b))
-        .collect();
-    let refs: Vec<&TrainingTrace> = traces.iter().collect();
-    print_traces("fig12b", &refs);
-    print_time_to_loss(&refs, common_target(&refs));
+    let pubmed = "lda --preset pubmed --topics 20 --iters 10 --seed 1";
+    panel("fig12b", pubmed, &["ps2", "spark"]);
 
     banner("Figure 12(c)", "LDA on App — the corpus only PS2 handles");
     paper_says("PS2 trains LDA on billions of documents");
-    let app = presets::app(WORKERS, 2);
-    let trace = lda_run(app.gen.clone(), 100, 6, LdaBackend::Ps2Dcv);
+    let trace = run("lda --preset app --topics 100 --iters 6 --seed 2").trace;
     print_traces("fig12c", &[&trace]);
 }
 
@@ -391,23 +307,13 @@ fn fig13b() {
     let mut t = Table::new("fig13b.csv", "features,ps2_sec_per_iter,mllib_sec_per_iter");
     let mut rows = Vec::new();
     for dim in [4_000u64, 300_000, 3_000_000, 6_000_000] {
-        let per_iter = |backend| {
-            let (trace, _) = run_ps2(FULL, 43, move |ctx, ps2| {
-                let mut cfg = LrConfig::new(
-                    SparseDatasetGen::new(20_000, dim, 30, WORKERS, 7),
-                    Optimizer::Adam,
-                    5,
-                );
-                cfg.hyper.mini_batch_fraction = 0.01;
-                cfg.hyper.learning_rate = 0.01;
-                train_lr(ctx, ps2, &cfg, backend)
-            });
-            trace.time_per_iteration()
+        let per_iter = |b: &str| {
+            let spec = format!(
+                "lr --rows 20000 --dim {dim} --nnz 30 --backend {b} --optimizer adam --iters 5 --seed 7 --lr 0.01"
+            );
+            run(&spec).trace.time_per_iteration()
         };
-        let (ps2, mllib) = (
-            per_iter(LrBackend::Ps2Dcv),
-            per_iter(LrBackend::SparkDriver),
-        );
+        let (ps2, mllib) = (per_iter("ps2"), per_iter("spark"));
         t.row(&[dim.to_string(), format!("{ps2:.6}"), format!("{mllib:.6}")]);
         rows.push((ps2, mllib));
     }

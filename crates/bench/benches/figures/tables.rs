@@ -1,8 +1,8 @@
 //! Tables 2 and 3: the datasets and which system runs which algorithm.
 
+use ps2::data::presets;
+use ps2::ml::capabilities::{supports, Algorithm, System};
 use ps2_bench::{banner, Table};
-use ps2_data::presets;
-use ps2_ml::capabilities::{supports, Algorithm, System};
 
 /// Table 2 — dataset statistics: the paper's originals next to the scaled
 /// synthetic stand-ins this reproduction trains on.

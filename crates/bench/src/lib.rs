@@ -8,6 +8,10 @@
 //! `… --bench figures -- fig9_dcv ablation_ssp` runs only those. Each entry's
 //! rows also land as CSV under `target/ps2-results/`.
 //!
+//! Every run an existing [`RunSpec`] key can express is its `ps2-run`
+//! argument string, run through [`run`]; the rest build their simulation by
+//! hand.
+//!
 //! Absolute times differ from the paper (its testbed was a 2700-machine
 //! production cluster; ours is a deterministic simulator driving scaled
 //! datasets) — the claims under reproduction are the *shapes*: who wins, by
@@ -18,12 +22,22 @@ use std::fs::{self, File};
 use std::io::Write;
 use std::path::PathBuf;
 
-use ps2_ml::TrainingTrace;
+use ps2::{RunOutput, RunSpec, SimBuilder, TrainingTrace};
 
 /// Standard cluster width used by most figures (paper: "the number of
 /// executors/servers are 20").
 pub const WORKERS: usize = 20;
 pub const SERVERS: usize = 20;
+
+/// Run one `ps2-run` argument string through [`RunSpec`]'s parser, so
+/// `ps2-run <spec>` reproduces the point. A spec that does not parse is a
+/// bug in the entry: panic naming it.
+pub fn run(spec: &str) -> RunOutput {
+    let parsed: RunSpec = spec
+        .parse()
+        .unwrap_or_else(|e| panic!("figure spec `{spec}`: {e}"));
+    parsed.run(SimBuilder::new())
+}
 
 /// One result table: a CSV under `target/ps2-results/` and the same cells
 /// on stdout, each cell formatted once by the caller.

@@ -21,23 +21,14 @@ impl Default for LrHyper {
     }
 }
 
-/// GBDT tree shape: `number_of_trees = 100`, `max_depth = 7`,
-/// `size_of_histogram = 100`.
+/// GBDT tree shape. Table 4 sets `number_of_trees = 100`, `max_depth = 7`,
+/// `size_of_histogram = 100`; the scaled runs default to 10 trees of depth 5
+/// with 50 bins, the one source of which is `ps2::RunSpec`'s `gbdt` workload.
 #[derive(Clone, Copy, Debug)]
 pub struct GbdtHyper {
     pub num_trees: usize,
     pub max_depth: usize,
     pub histogram_bins: usize,
-}
-
-impl Default for GbdtHyper {
-    fn default() -> Self {
-        GbdtHyper {
-            num_trees: 100,
-            max_depth: 7,
-            histogram_bins: 100,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -55,8 +46,6 @@ mod tests {
         assert_eq!((WINDOW_SIZE, NEGATIVE_SAMPLES), (4, 5));
         assert_eq!(ps2_data::presets::WALK_LEN, 8);
         assert_eq!(LEARNING_RATE, 0.01);
-        let g = GbdtHyper::default();
-        assert_eq!((g.num_trees, g.max_depth, g.histogram_bins), (100, 7, 100));
         assert_eq!(crate::gbdt::LEARNING_RATE, 0.1);
         assert_eq!((crate::lda::ALPHA, crate::lda::BETA), (0.5, 0.01));
     }

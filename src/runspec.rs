@@ -418,9 +418,9 @@ mod tests {
     fn every_golden_spec_round_trips_byte_for_byte() {
         let golden = include_str!("../tests/golden_runs.txt").lines();
         let keys = golden.filter_map(|l| Some(l.split_once(" | ")?.0));
-        // 60 rows: the `alerts` row and six protocol probes are keyed by name.
+        // 62 rows: the `alerts` row and six protocol probes are keyed by name.
         let specs: Vec<&str> = keys.filter(|key| key.contains(" --")).collect();
-        assert_eq!(specs.len(), 53);
+        assert_eq!(specs.len(), 55);
         for s in specs {
             let spec: RunSpec = s.parse().unwrap_or_else(|e| panic!("{s}: {e}"));
             assert_eq!(spec.to_string(), s);

@@ -234,9 +234,10 @@ fn serve_kdd12() {
 }
 
 /// The PS paths no other group runs, each on a tiny shape at seed 1 on the
-/// 4 × 4 cluster: the LR baselines' dense row access, the stateful
-/// optimizers' server-side zips, GBDT's `zip_map` / `zip_argmax`, LDA's block
-/// and per-key access, FM's blocks and DeepWalk's batched envelopes. Then
+/// 4 × 4 cluster: the LR baselines' dense row access, the MLlib\* ring
+/// AllReduce (no PS), the stateful optimizers' server-side zips, GBDT's
+/// `zip_map` / `zip_argmax`, LDA's block and per-key access and its MLlib
+/// driver gather, FM's blocks and DeepWalk's batched envelopes. Then
 /// the probes no spec expresses: the MLlib baseline's driver-side gradient
 /// aggregation with more partitions than executors (`lr-mllib`, no PS),
 /// misaligned DCV ops and row-plan pulls. `envelopes`
@@ -252,6 +253,7 @@ fn backends() {
         format!("{lr} --backend petuum"),
         format!("{lr} --backend ps"),
         format!("{lr} --backend distml"),
+        format!("{lr} --backend mllib-star"),
         format!("{lr} --optimizer adagrad"),
         format!("{lr} --optimizer rmsprop"),
         format!("{lr} --optimizer ftrl"),
@@ -260,6 +262,7 @@ fn backends() {
         lda.clone(),
         format!("{lda} --backend petuum"),
         format!("{lda} --backend glint"),
+        format!("{lda} --backend spark"),
         format!("fm --rows 1000 --dim 2000 --nnz 10 --factors 4 --iters 2 {tiny}"),
         dw.clone(),
         format!("{dw} --backend ps"),
