@@ -615,3 +615,75 @@ fn scheduling_keys_follow_kills_spawns_timers_deadlines_and_drops() {
     assert_eq!(report.procs[probe.0].finished_at, ms(4));
     assert_eq!(report.dropped_msgs, 1, "the send to the dead probe");
 }
+
+/// Hand-off stress: `RING` thread procs pass tokens round a ring, working
+/// between hops, while a killer removes every 8th member at fixed virtual
+/// times. Every hop and every work charge passes the turn between threads
+/// and every kill wakes a parked victim, so a wake-up the scheduler loses
+/// parks the run forever — which `run_bounded` turns into a failure.
+/// Returns the report and how many tokens came back to the killer.
+fn run_ring() -> (SimReport, u64) {
+    const RING: usize = 48;
+    const HOPS: u64 = 200;
+    let killer = ProcId(RING);
+    let mut sim = SimBuilder::new().seed(3).network(net(10.0, 20)).build();
+    for i in 0..RING {
+        let id = sim.spawn_daemon(&format!("ring-{i}"), move |ctx| loop {
+            let env = ctx.recv();
+            let hops = *env.downcast_ref::<u64>();
+            ctx.advance(SimTime::from_micros(3 + (5 * i as u64 + hops) % 11));
+            if hops == HOPS {
+                ctx.send(killer, 0, hops, 8);
+                continue;
+            }
+            let next = (1..RING)
+                .map(|d| ProcId((i + d) % RING))
+                .find(|&p| ctx.is_alive(p))
+                .expect("a live successor");
+            ctx.send(next, 0, hops + 1, 64);
+        });
+        assert_eq!(id, ProcId(i));
+    }
+    let out = sim.spawn_collect("killer", move |ctx| {
+        for start in [0, 12, 24, 36] {
+            ctx.send(ProcId(start), 0, 0u64, 64);
+        }
+        for (n, victim) in (0..RING).step_by(8).enumerate() {
+            let at = SimTime::from_micros(400 * (n as u64 + 1));
+            ctx.advance(at.saturating_sub(ctx.now()));
+            ctx.kill(ProcId(victim));
+            // Dropped: the victim is dead.
+            ctx.send(ProcId(victim), 0, 0u64, 64);
+            // A fresh token, in case the victim held one.
+            ctx.send(ProcId(victim + 1), 0, 0u64, 64);
+        }
+        let mut back = 0;
+        while ctx.recv_timeout(SimTime::from_millis(5)).is_some() {
+            back += 1;
+        }
+        back
+    });
+    assert_eq!(ProcId(RING), killer);
+    let report = run_bounded(sim).unwrap();
+    (report, out.take())
+}
+
+#[test]
+fn ring_handoff_under_kills_is_deterministic() {
+    let (a, back_a) = run_ring();
+    let (b, back_b) = run_ring();
+    assert_eq!(a.virtual_time, b.virtual_time);
+    assert_eq!(a.total_msgs, b.total_msgs);
+    assert_eq!(a.dropped_msgs, b.dropped_msgs);
+    assert_eq!(back_a, back_b);
+    assert_eq!(
+        (
+            a.virtual_time.as_nanos(),
+            a.total_msgs,
+            a.dropped_msgs,
+            back_a
+        ),
+        (13_064_308, 1882, 6, 9),
+        "one of the ten tokens dies with a victim"
+    );
+}
