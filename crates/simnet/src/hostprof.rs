@@ -25,8 +25,8 @@
 //! - **Nesting-safe self/children split.** A guard's elapsed time includes
 //!   everything beneath it; on drop the child time already attributed to
 //!   inner scopes is subtracted, so `self_ns` sums tell the truth. The
-//!   dedicated [`Scope::SchedPark`] scope keeps condvar-parked wall time
-//!   (when *other* procs run) out of every enclosing scope's self time.
+//!   dedicated [`Scope::SchedPark`] scope keeps parked wall time (when
+//!   *other* procs run) out of every enclosing scope's self time.
 //!
 //! ## Allocation counting
 //!
@@ -49,9 +49,10 @@ use crate::json::{parse_json, JsonWriter, Style};
 /// [`Scope::name`] — everything else (tables, JSON, rendering) follows.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scope {
-    /// Ready-process selection + handoff notify in the scheduler.
+    /// Ready-process selection and the hand-off under the state lock.
     SchedDispatch,
-    /// Condvar-parked wall time while *other* procs hold the turn.
+    /// The hand-off's unpark of the next proc, then parked wall time while
+    /// *other* procs hold the turn.
     SchedPark,
     /// `send_env`: NIC accounting, mailbox insert, trace push.
     SchedSend,

@@ -4,8 +4,9 @@
 //! scheduling rule:
 //!
 //! * **Thread procs** — direct-style closures. Each owns an OS thread; only
-//!   one runs at a time, handing over at every simulator call by signalling
-//!   the one condvar the next proc parks on. Natural for straight-line code.
+//!   one runs at a time, handing over at every simulator call by releasing
+//!   the state lock, unparking the next proc's thread and parking its own.
+//!   Natural for straight-line code.
 //! * **Steppable agents** — explicit state machines implementing [`Proc`].
 //!   They own *no* thread: whichever OS thread currently drives the
 //!   scheduler steps them inline (one message, timer expiry or queued send
@@ -25,10 +26,10 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{self, JoinHandle, Thread};
 use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -230,9 +231,9 @@ pub(crate) fn proc_rng(seed: u64, id: usize) -> StdRng {
 }
 
 enum Engine {
-    /// Direct-style closure on its own OS thread, which parks on this condvar
-    /// (paired with the one state lock) until it is handed the turn.
-    Thread(Arc<Condvar>),
+    /// Direct-style closure on its own OS thread, which parks until it is
+    /// handed the turn; the handle is what the hand-off unparks.
+    Thread(Thread),
     /// Steppable agent driven inline by the scheduler.
     Agent(Box<AgentState>),
 }
@@ -263,12 +264,13 @@ impl ProcState {
         }
     }
 
-    /// Signal this proc's parked thread, if it has one (agents never park).
-    /// Callers hold the state lock, so the wake-up cannot slip between the
-    /// thread's check of `running`/`killed`/`shutdown` and its wait.
+    /// Unpark this proc's thread, if it has one (agents never park). The
+    /// thread re-checks `running`/`killed`/`shutdown` under the state lock
+    /// before it parks again, and an unpark that lands before its `park`
+    /// leaves the token that park returns on, so no wake-up is lost.
     fn wake(&self) {
-        if let Engine::Thread(turn) = &self.engine {
-            turn.notify_all();
+        if let Engine::Thread(thread) = &self.engine {
+            thread.unpark();
         }
     }
 
@@ -671,8 +673,6 @@ fn describe_blocked(st: &State) -> String {
 pub(crate) struct Shared {
     pub(crate) cfg: SimConfig,
     state: Mutex<State>,
-    /// Parks the `run()` thread only; signalled on shutdown.
-    cv: Condvar,
 }
 
 impl Shared {
@@ -682,17 +682,15 @@ impl Shared {
         }
     }
 
-    /// Park until it is `me`'s turn (or shutdown/kill unwinds us).
-    fn wait_for_turn(&self, st: &mut MutexGuard<'_, State>, me: usize) {
+    /// Unpark `next` (the thread [`Shared::hand_to`] gave the turn), then
+    /// park until it is `me`'s turn (or shutdown/kill unwinds us). The lock
+    /// is released first, so `next` never wakes into a lock still held.
+    fn wait_for_turn(&self, st: &mut MutexGuard<'_, State>, me: usize, mut next: Option<Thread>) {
         // Parked wall time is the time *other* procs spend running; giving
         // it a dedicated hostprof scope keeps it out of every enclosing
         // scope's self time (the guard also records during Interrupt
         // unwinds, so killed procs account their final park).
         let _prof = hostprof::scope(ProfScope::SchedPark);
-        let Engine::Thread(turn) = &st.procs[me].engine else {
-            unreachable!("agents own no thread to park")
-        };
-        let turn = Arc::clone(turn);
         loop {
             if st.shutdown || st.procs[me].killed {
                 panic::panic_any(Interrupt);
@@ -700,7 +698,12 @@ impl Shared {
             if st.running == Some(me) {
                 return;
             }
-            turn.wait(st);
+            MutexGuard::unlocked(st, || {
+                if let Some(next) = next.take() {
+                    next.unpark();
+                }
+                thread::park();
+            });
             #[cfg(test)]
             if !(st.shutdown || st.procs[me].killed || st.running == Some(me)) {
                 st.stale_wakes += 1;
@@ -708,19 +711,22 @@ impl Shared {
         }
     }
 
-    /// Give the turn to thread proc `next` and wake it — and only it.
-    fn hand_to(&self, st: &mut State, next: usize) {
+    /// Give the turn to thread proc `next` and return its thread, which the
+    /// caller unparks — it alone — once the state lock is released.
+    fn hand_to(&self, st: &mut State, next: usize) -> Thread {
         st.running = Some(next);
-        st.procs[next].wake();
+        match &st.procs[next].engine {
+            Engine::Thread(thread) => thread.clone(),
+            Engine::Agent(_) => unreachable!("agents are stepped, not handed the turn"),
+        }
     }
 
-    /// Wake every parked thread proc and the `run()` thread. Only for state
-    /// changes all of them must see: shutdown, failure, end of run.
+    /// Wake every parked thread proc. Only for state changes all of them
+    /// must see: shutdown and failure.
     fn wake_all(&self, st: &State) {
         for p in &st.procs {
             p.wake();
         }
-        self.cv.notify_all();
     }
 
     /// After any operation that may have advanced `me`'s clock: hand off to
@@ -729,7 +735,7 @@ impl Shared {
     /// here — `me`'s OS thread is the scheduler while it holds the lock.
     fn reschedule(&self, st: &mut MutexGuard<'_, State>, me: usize) {
         st.touched.push(me);
-        {
+        let next = {
             let _prof = hostprof::scope(ProfScope::SchedDispatch);
             loop {
                 let next = match pick(st) {
@@ -750,11 +756,10 @@ impl Shared {
                     self.interrupt_check(st, me);
                     continue;
                 }
-                self.hand_to(st, next);
-                break;
+                break self.hand_to(st, next);
             }
-        }
-        self.wait_for_turn(st, me);
+        };
+        self.wait_for_turn(st, me, Some(next));
     }
 
     fn fail(&self, st: &mut MutexGuard<'_, State>, err: SimError) {
@@ -845,8 +850,8 @@ impl Shared {
                     self.step_agent(&mut st, next);
                 }
                 Some(next) => {
-                    self.hand_to(&mut st, next);
-                    self.wait_for_turn(&mut st, me);
+                    let next = self.hand_to(&mut st, next);
+                    self.wait_for_turn(&mut st, me, Some(next));
                     // Loop re-checks the mailbox.
                 }
                 None => {
@@ -880,7 +885,7 @@ impl Shared {
         if !matches!(st.procs[target.0].status, Status::Finished) {
             st.procs[target.0].killed = true;
             st.touched.push(target.0);
-            // A parked victim wakes on this signal, sees `killed`, and
+            // A parked victim wakes on this unpark, sees `killed`, and
             // unwinds; an agent victim is retired at its next turn.
             st.procs[target.0].wake();
         }
@@ -1049,13 +1054,16 @@ impl Shared {
         f: Box<dyn FnOnce(&mut SimCtx) + Send>,
     ) -> ProcId {
         let mut st = self.state.lock();
-        let engine = Engine::Thread(Arc::new(Condvar::new()));
-        let id = st.add_proc(name, daemon, start_clock, engine);
+        let id = st.procs.len();
         let shared = Arc::clone(self);
-        let handle = std::thread::Builder::new()
+        // The thread's first act is to take the lock held here, so it finds
+        // itself registered.
+        let handle = thread::Builder::new()
             .name(format!("sim-{name}"))
             .spawn(move || proc_main(shared, id, f))
             .expect("failed to spawn simulation thread");
+        let engine = Engine::Thread(handle.thread().clone());
+        assert_eq!(st.add_proc(name, daemon, start_clock, engine), id);
         st.handles.push(handle);
         ProcId(id)
     }
@@ -1075,34 +1083,30 @@ impl Shared {
             }
         }
         self.retire(&mut st, me);
-        if st.shutdown {
+        if st.shutdown || st.running != Some(me) {
             return;
         }
-        if st.running == Some(me) {
-            loop {
-                if st.shutdown {
-                    st.running = None;
-                    self.wake_all(&st);
-                    break;
+        let next = loop {
+            if st.shutdown {
+                st.running = None;
+                self.wake_all(&st);
+                return;
+            }
+            match pick(&mut st) {
+                Some(next) if st.procs[next].is_agent() => {
+                    // The exiting thread keeps driving the schedule while
+                    // agents are next in line.
+                    self.step_agent(&mut st, next);
                 }
-                match pick(&mut st) {
-                    Some(next) if st.procs[next].is_agent() => {
-                        // The exiting thread keeps driving the schedule while
-                        // agents are next in line.
-                        self.step_agent(&mut st, next);
-                    }
-                    Some(next) => {
-                        self.hand_to(&mut st, next);
-                        break;
-                    }
-                    None => {
-                        let desc = describe_blocked(&st);
-                        self.fail(&mut st, SimError::Deadlock(desc));
-                        break;
-                    }
+                Some(next) => break self.hand_to(&mut st, next),
+                None => {
+                    let desc = describe_blocked(&st);
+                    return self.fail(&mut st, SimError::Deadlock(desc));
                 }
             }
-        }
+        };
+        drop(st);
+        next.unpark();
     }
 }
 
@@ -1324,7 +1328,7 @@ fn proc_main(shared: Arc<Shared>, me: usize, f: Box<dyn FnOnce(&mut SimCtx) + Se
     let result = panic::catch_unwind(AssertUnwindSafe(|| {
         {
             let mut st = shared.state.lock();
-            shared.wait_for_turn(&mut st, me);
+            shared.wait_for_turn(&mut st, me, None);
         }
         let mut ctx = SimCtx::new(Arc::clone(&shared), ProcId(me));
         f(&mut ctx);
@@ -1456,7 +1460,6 @@ impl SimBuilder {
                     #[cfg(test)]
                     stale_wakes: 0,
                 }),
-                cv: Condvar::new(),
             }),
         }
     }
@@ -1529,22 +1532,19 @@ impl SimRuntime {
             // post-run export scopes) so this report is self-contained.
             hostprof::reset();
         }
-        {
+        let first = {
             let mut st = self.shared.state.lock();
             // The run() thread drives the schedule until a thread proc takes
             // over (or the whole sim is agents and completes right here).
             loop {
                 if st.shutdown {
-                    break;
+                    break None;
                 }
                 match pick(&mut st) {
                     Some(next) if st.procs[next].is_agent() => {
                         self.shared.step_agent(&mut st, next);
                     }
-                    Some(next) => {
-                        self.shared.hand_to(&mut st, next);
-                        break;
-                    }
+                    Some(next) => break Some(self.shared.hand_to(&mut st, next)),
                     None => {
                         if st.live > 0 {
                             let desc = describe_blocked(&st);
@@ -1552,17 +1552,16 @@ impl SimRuntime {
                         }
                         st.shutdown = true;
                         self.shared.wake_all(&st);
-                        break;
+                        break None;
                     }
                 }
             }
-            while !st.shutdown {
-                self.shared.cv.wait(&mut st);
-            }
-            st.running = None;
-            self.shared.wake_all(&st);
+        };
+        if let Some(first) = first {
+            first.unpark();
         }
-        // All threads unwind on shutdown; join them before reading stats.
+        // Whoever sets `shutdown` wakes every proc to unwind, so joining all
+        // threads is how this one waits for the end of the run.
         loop {
             let handles: Vec<JoinHandle<()>> = {
                 let mut st = self.shared.state.lock();
@@ -1666,7 +1665,8 @@ mod tests {
             .expect("simulation did not finish within 30 s")
             .unwrap();
         let st = shared.state.lock();
-        // The OS may wake a condvar waiter spuriously; allow one per proc.
+        // `park` may return spuriously, and a proc handed the turn before it
+        // first parked keeps the token for its next park; allow one per proc.
         assert!(
             st.stale_wakes <= st.procs.len() as u64,
             "{} stale wake-ups across {} procs",

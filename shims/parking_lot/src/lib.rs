@@ -9,11 +9,12 @@
 //!   **poisoning is ignored**: the simulator unwinds processes on purpose
 //!   (kill/shutdown interrupts) while locks are held, which must not wedge
 //!   every other thread.
-//! - `Condvar::wait` takes `&mut MutexGuard` rather than consuming it.
+//! - `MutexGuard::unlocked` releases the lock while a closure runs and
+//!   takes it back afterwards, also when the closure panics.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync;
+use std::sync::{self, PoisonError};
 
 // ---- Mutex -----------------------------------------------------------------
 
@@ -38,21 +39,23 @@ impl<T> Mutex<T> {
 
 impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let guard = match self.inner.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        MutexGuard { inner: Some(guard) }
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        MutexGuard {
+            mutex: &self.inner,
+            inner: Some(inner),
+        }
     }
 
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                inner: Some(p.into_inner()),
-            }),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
+        let guard = match self.inner.try_lock() {
+            Ok(g) => g,
+            Err(sync::TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(sync::TryLockError::WouldBlock) => return None,
+        };
+        Some(MutexGuard {
+            mutex: &self.inner,
+            inner: Some(guard),
+        })
     }
 
     pub fn get_mut(&mut self) -> &mut T {
@@ -78,10 +81,31 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
     }
 }
 
-/// Guard holding the inner std guard in an `Option` so `Condvar::wait` can
-/// temporarily take ownership (std's wait consumes the guard).
+/// Guard holding the inner std guard in an `Option` so
+/// [`MutexGuard::unlocked`] can release it and take the lock back.
 pub struct MutexGuard<'a, T: ?Sized> {
+    mutex: &'a sync::Mutex<T>,
     inner: Option<sync::MutexGuard<'a, T>>,
+}
+
+impl<T: ?Sized> MutexGuard<'_, T> {
+    /// Release the lock, run `f`, and lock again before returning — also
+    /// when `f` panics, and whether or not the mutex was poisoned meanwhile.
+    pub fn unlocked<F, U>(s: &mut Self, f: F) -> U
+    where
+        F: FnOnce() -> U,
+    {
+        struct Relock<'g, 'a, T: ?Sized>(&'g mut MutexGuard<'a, T>);
+        impl<T: ?Sized> Drop for Relock<'_, '_, T> {
+            fn drop(&mut self) {
+                let inner = self.0.mutex.lock();
+                self.0.inner = Some(inner.unwrap_or_else(PoisonError::into_inner));
+            }
+        }
+        drop(s.inner.take().expect("guard taken"));
+        let _relock = Relock(s);
+        f()
+    }
 }
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
@@ -94,40 +118,6 @@ impl<T: ?Sized> Deref for MutexGuard<'_, T> {
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         self.inner.as_mut().expect("guard taken")
-    }
-}
-
-// ---- Condvar ---------------------------------------------------------------
-
-#[derive(Default)]
-pub struct Condvar {
-    inner: sync::Condvar,
-}
-
-impl Condvar {
-    pub const fn new() -> Condvar {
-        Condvar {
-            inner: sync::Condvar::new(),
-        }
-    }
-
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.inner.take().expect("guard taken");
-        let inner = match self.inner.wait(inner) {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        guard.inner = Some(inner);
-    }
-
-    pub fn notify_one(&self) -> bool {
-        self.inner.notify_one();
-        true
-    }
-
-    pub fn notify_all(&self) -> usize {
-        self.inner.notify_all();
-        0
     }
 }
 
@@ -231,22 +221,27 @@ mod tests {
     }
 
     #[test]
-    fn condvar_roundtrip() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut done = m.lock();
-            while !*done {
-                cv.wait(&mut done);
-            }
+    fn unlocked_lets_others_in_and_relocks() {
+        let m = Arc::new(Mutex::new(1u32));
+        let mut g = m.lock();
+        MutexGuard::unlocked(&mut g, || {
+            let m2 = Arc::clone(&m);
+            std::thread::spawn(move || *m2.lock() += 1).join().unwrap();
         });
-        {
-            let (m, cv) = &*pair;
-            *m.lock() = true;
-            cv.notify_all();
-        }
-        t.join().unwrap();
+        *g += 1;
+        assert_eq!(*g, 3);
+        // Poisoned while released: the guard takes the lock back anyway.
+        MutexGuard::unlocked(&mut g, || {
+            let m2 = Arc::clone(&m);
+            let _ = std::thread::spawn(move || {
+                let _g = m2.lock();
+                panic!("on purpose");
+            })
+            .join();
+        });
+        *g += 1;
+        drop(g);
+        assert_eq!(*m.lock(), 4);
     }
 
     #[test]
