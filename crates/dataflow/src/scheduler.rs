@@ -360,8 +360,8 @@ impl SparkContext {
         for part in 0..n {
             run.dispatch(self, ctx, part);
         }
-        // In-flight depth, sampled per scheduler step: the windowed
-        // telemetry turns this into a per-window task-backlog series.
+        // In-flight depth, sampled per scheduler step; the run report keeps
+        // the last sample.
         ctx.metric_gauge_set("spark.tasks_inflight", run.net.outstanding() as i64);
 
         let mut fruitless_polls = 0u32;

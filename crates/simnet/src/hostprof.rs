@@ -66,8 +66,10 @@ pub enum Scope {
     FabricCall,
     /// Metrics registry mutation (counters/gauges/histograms).
     MetricsRecord,
-    /// Windowed-telemetry scrape (`ts_roll` window boundaries).
-    ScrapeRoll,
+    /// SLO burn judging as windows close (`slo_roll`). Its name,
+    /// `scrape.roll`, is the one the benchmark's `hostprof.scrape.roll.*`
+    /// rows read.
+    SloRoll,
     /// End-of-run trace sort and Perfetto/JSON export.
     TraceExport,
     /// Inline stepping of event-driven agents (`Proc` callbacks plus the
@@ -87,7 +89,7 @@ impl Scope {
         Scope::CodecDecode,
         Scope::FabricCall,
         Scope::MetricsRecord,
-        Scope::ScrapeRoll,
+        Scope::SloRoll,
         Scope::TraceExport,
         Scope::SchedStep,
     ];
@@ -102,7 +104,7 @@ impl Scope {
             Scope::CodecDecode => "codec.decode",
             Scope::FabricCall => "fabric.call",
             Scope::MetricsRecord => "metrics.record",
-            Scope::ScrapeRoll => "scrape.roll",
+            Scope::SloRoll => "scrape.roll",
             Scope::TraceExport => "trace.export",
             Scope::SchedStep => "sched.step",
         }
@@ -681,7 +683,7 @@ mod tests {
         reset();
         reset_thread();
         {
-            let _g = scope(Scope::ScrapeRoll);
+            let _g = scope(Scope::SloRoll);
         }
         set_enabled(false);
         flush_thread();

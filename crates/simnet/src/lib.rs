@@ -78,7 +78,6 @@ mod report;
 pub mod reqtrace;
 mod runtime;
 mod time;
-pub mod timeseries;
 pub mod watchdog;
 pub mod whatif;
 
@@ -101,8 +100,7 @@ pub use reqtrace::{
 };
 pub use runtime::{OutputSlot, Proc, ProcId, SimBuilder, SimError, SimRuntime, StepCtx};
 pub use time::SimTime;
-pub use timeseries::{HistDelta, TimeSeries, TsWindow};
-pub use watchdog::{evaluate_slo, Alert, SloKind, SloObjective};
+pub use watchdog::{Alert, SloKind, SloObjective};
 pub use whatif::{
     parse_spec, replay, run_battery, standard_battery, Edit, ExperimentResult, OpTails, Replay,
     TailEst, WhatifReport,

@@ -120,6 +120,13 @@ impl VtHistogram {
         self.max_ns
     }
 
+    /// Observations strictly above `target_ns`'s bucket: a latency SLO's
+    /// bad events. Samples inside the target's own bucket count as good
+    /// (one-bucket blur, ≤ 3.1%).
+    pub fn count_over(&self, target_ns: u64) -> u64 {
+        self.buckets.iter().skip(bucket_of(target_ns) + 1).sum()
+    }
+
     pub fn min_ns(&self) -> u64 {
         if self.count == 0 {
             0
@@ -146,9 +153,8 @@ impl VtHistogram {
         self.max_ns
     }
 
-    /// The non-empty buckets as ascending `(index, count)` pairs — the
-    /// mergeable wire form used by the SLO sidecar and the timeseries
-    /// scraper's per-window deltas.
+    /// The non-empty buckets as ascending `(index, count)` pairs: the
+    /// mergeable wire form of the SLO sidecar.
     pub fn sparse_buckets(&self) -> Vec<(u32, u64)> {
         self.buckets
             .iter()

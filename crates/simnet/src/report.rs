@@ -145,9 +145,10 @@ pub struct SimReport {
     /// The network model the run used — needed by `simnet::causal` to split
     /// observed message waits into ideal transit vs. queueing.
     pub net: NetConfig,
-    /// Windowed metric time-series (None unless enabled via
-    /// [`crate::SimBuilder::timeseries`]).
-    pub timeseries: Option<crate::timeseries::TimeSeries>,
+    /// SLO burn alerts in `(at, subject)` order, judged as each window
+    /// closed (empty unless objectives were given via
+    /// [`crate::SimBuilder::slo`]).
+    pub alerts: Vec<crate::watchdog::Alert>,
     /// Request-scoped trace summary: per-op request-latency histograms and
     /// slowest-request stage-breakdown exemplars (None unless enabled via
     /// [`crate::SimBuilder::reqtrace`]).

@@ -16,7 +16,7 @@
 //!
 //! The six stages partition the total exactly.
 //!
-//! ## Determinism (same discipline as metrics / timeseries / hostprof)
+//! ## Determinism (same discipline as metrics / SLO judge / hostprof)
 //!
 //! Recording is **not** a yield point: every hook runs inside the runtime's
 //! existing lock, moves no clock, consumes no sequence or correlation
@@ -219,7 +219,7 @@ impl ReqSummary {
 }
 
 /// The in-run recorder. Lives inside the runtime's shared state (like the
-/// timeseries scraper); exists only when request tracing was enabled on the
+/// SLO burn judge); exists only when request tracing was enabled on the
 /// builder, so disabled runs pay a single `Option` check per hook site.
 #[derive(Debug, Default)]
 pub(crate) struct ReqRecorder {
@@ -352,8 +352,8 @@ impl ReqRecorder {
 }
 
 /// Render the full SLO sidecar (schema `ps2-slo-v1`): per-op request stats
-/// with exemplars, the declared objectives, and the SLO burn alerts
-/// [`evaluate_slo`](crate::watchdog::evaluate_slo) fired. The same object is
+/// with exemplars, the declared objectives, and the SLO burn alerts the run
+/// raised ([`SimReport::alerts`](crate::SimReport::alerts)). The same object is
 /// embedded under `"ps2"."slo"` in the Perfetto export; `ps2-trace slo` reads
 /// either form.
 pub fn slo_json(reqs: &ReqSummary, objectives: &[SloObjective], alerts: &[Alert]) -> String {

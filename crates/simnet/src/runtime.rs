@@ -41,7 +41,7 @@ use crate::metrics::MetricsSnapshot;
 use crate::report::{ProcStats, SimReport};
 use crate::reqtrace::{ReqRecorder, ReqToken};
 use crate::time::SimTime;
-use crate::timeseries::TsRecorder;
+use crate::watchdog::{SloJudge, SloObjective};
 
 /// Identifier of a logical process (one process == one machine/NIC).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -341,8 +341,9 @@ pub(crate) struct State {
     labels: Vec<&'static str>,
     /// Per-process current op label applied to `Compute` events.
     op_labels: Vec<Option<crate::report::LabelId>>,
-    /// Windowed-telemetry scraper (None unless enabled on the builder).
-    ts: Option<TsRecorder>,
+    /// SLO burn judge (None unless the builder was given both a window
+    /// width and objectives).
+    slo: Option<SloJudge>,
     /// Request-scoped trace recorder (None unless enabled on the builder).
     /// All its hooks run inside this lock and are non-yielding, so traced
     /// runs stay byte-identical to untraced same-seed runs.
@@ -354,19 +355,19 @@ pub(crate) struct State {
 }
 
 impl State {
-    /// Advance the windowed-telemetry scraper to virtual time `t`, emitting
-    /// any window boundaries crossed since the last mutation. Called
-    /// immediately *before* each registry/clock mutation so that "registry
-    /// state at a boundary" is exactly the state left by the prior
-    /// mutation. Not a yield point: no clock moves, no process wakes —
-    /// scraped runs keep the exact timing of unscraped ones.
-    fn ts_roll(&mut self, t: SimTime) {
-        let Some(ts) = &mut self.ts else { return };
-        if !ts.due(t) {
+    /// Advance the SLO burn judge to virtual time `t`, judging every window
+    /// that closed since the last mutation. Called immediately *before* each
+    /// registry/clock mutation so that "registry state at a boundary" is
+    /// exactly the state left by the prior mutation. Not a yield point: no
+    /// clock moves, no process wakes — judged runs keep the exact timing of
+    /// unjudged ones.
+    fn slo_roll(&mut self, t: SimTime) {
+        let Some(judge) = &mut self.slo else { return };
+        if !judge.due(t) {
             return;
         }
-        let _prof = hostprof::scope(ProfScope::ScrapeRoll);
-        ts.roll(t, &self.metrics);
+        let _prof = hostprof::scope(ProfScope::SloRoll);
+        judge.roll(t, &self.metrics);
     }
 
     /// Intern a label, returning its stable id. First-use order, so the
@@ -392,7 +393,7 @@ impl State {
     /// thread procs (`Shared::block_recv`) and agent steps.
     fn receive(&mut self, me: usize, key: (u64, u64)) -> Envelope {
         let at = self.procs[me].clock.max(SimTime(key.0));
-        self.ts_roll(at);
+        self.slo_roll(at);
         let p = &mut self.procs[me];
         let env = p.mailbox.remove(&key).expect("mail vanished");
         p.clock = at;
@@ -427,7 +428,7 @@ impl State {
             req,
         } = out;
         let pre = self.procs[me].clock;
-        self.ts_roll(pre);
+        self.slo_roll(pre);
         let net = &cfg.net;
         // Every send consumes a run-unique sequence number — dropped or not —
         // so traces carry explicit Send/Recv causal edges keyed by `seq`.
@@ -538,7 +539,7 @@ impl State {
     /// engines.
     pub(crate) fn charge(&mut self, me: usize, dt: SimTime) {
         let at = self.procs[me].clock;
-        self.ts_roll(at);
+        self.slo_roll(at);
         if self.tracing && dt > SimTime::ZERO {
             let label = self.op_labels[me];
             self.trace.push(crate::report::TraceEvent::Compute {
@@ -567,19 +568,19 @@ impl State {
 
     pub(crate) fn metric_add(&mut self, me: usize, name: &str, delta: u64) {
         let _prof = hostprof::scope(ProfScope::MetricsRecord);
-        self.ts_roll(self.procs[me].clock);
+        self.slo_roll(self.procs[me].clock);
         self.metrics.add(name, delta);
     }
 
     pub(crate) fn metric_gauge_set(&mut self, me: usize, name: &str, value: i64) {
         let _prof = hostprof::scope(ProfScope::MetricsRecord);
-        self.ts_roll(self.procs[me].clock);
+        self.slo_roll(self.procs[me].clock);
         self.metrics.gauge_set(name, value);
     }
 
     pub(crate) fn metric_observe(&mut self, me: usize, name: &str, dt: SimTime) {
         let _prof = hostprof::scope(ProfScope::MetricsRecord);
-        self.ts_roll(self.procs[me].clock);
+        self.slo_roll(self.procs[me].clock);
         self.metrics.observe(name, dt);
     }
 
@@ -837,7 +838,7 @@ impl Shared {
                     // have been consumed above).
                     let d = deadline.expect("self-ready without mail or deadline");
                     let eff = st.procs[me].clock.max(d);
-                    st.ts_roll(eff);
+                    st.slo_roll(eff);
                     let p = &mut st.procs[me];
                     p.clock = p.clock.max(d);
                     p.status = Status::Runnable;
@@ -949,7 +950,7 @@ impl Shared {
                 let timers = &mut st.agent_mut(idx).timers;
                 let ((fire, tok), ()) = timers.pop_first().expect("agent picked with no event");
                 let at = st.procs[idx].clock.max(SimTime(fire));
-                st.ts_roll(at);
+                st.slo_roll(at);
                 st.procs[idx].clock = at;
                 hooks.on_timer(&mut self.step_ctx(st, idx), tok);
             }
@@ -1375,7 +1376,8 @@ impl<T> OutputSlot<T> {
 pub struct SimBuilder {
     cfg: SimConfig,
     tracing: bool,
-    ts: Option<SimTime>,
+    window: Option<SimTime>,
+    slo: Vec<SloObjective>,
     reqtrace: bool,
 }
 
@@ -1407,14 +1409,20 @@ impl SimBuilder {
         self
     }
 
-    /// Scrape the metrics registry into windowed time-series every `window`
-    /// of virtual time. Once more than [`crate::timeseries::CAPACITY`]
-    /// windows complete, the oldest are evicted (counted in
-    /// [`crate::timeseries::TimeSeries::dropped_windows`]). Scraping is
-    /// non-yielding: a scraped run is byte-identical to an unscraped
-    /// same-seed run.
+    /// The width of the virtual-time windows [`SimBuilder::slo`]'s
+    /// objectives are judged over. Without objectives it does nothing.
     pub fn timeseries(mut self, window: SimTime) -> SimBuilder {
-        self.ts = Some(window);
+        self.window = Some(window);
+        self
+    }
+
+    /// Judge `objectives` with multi-window burn-rate alerting as each
+    /// [`SimBuilder::timeseries`] window closes, whatever the run's length;
+    /// the alerts land on [`SimReport::alerts`](crate::SimReport::alerts).
+    /// Judging needs both calls. It is non-yielding: a judged run is
+    /// byte-identical to an unjudged same-seed run.
+    pub fn slo(mut self, objectives: Vec<SloObjective>) -> SimBuilder {
+        self.slo = objectives;
         self
     }
 
@@ -1455,7 +1463,10 @@ impl SimBuilder {
                     metrics: MetricsSnapshot::default(),
                     labels: Vec::new(),
                     op_labels: Vec::new(),
-                    ts: self.ts.map(TsRecorder::new),
+                    slo: self
+                        .window
+                        .filter(|_| !self.slo.is_empty())
+                        .map(|w| SloJudge::new(w, self.slo)),
                     req: self.reqtrace.then(ReqRecorder::new),
                     #[cfg(test)]
                     stale_wakes: 0,
@@ -1593,7 +1604,10 @@ impl SimRuntime {
             .max()
             .unwrap_or(SimTime::ZERO);
         let reqs = st.req.take().map(ReqRecorder::finish);
-        let timeseries = st.ts.take().map(|ts| ts.finish(virtual_time, &st.metrics));
+        let alerts = match st.slo.take() {
+            Some(judge) => judge.finish(virtual_time, &st.metrics),
+            None => Vec::new(),
+        };
         let trace = {
             let _prof = hostprof::scope(ProfScope::TraceExport);
             // The state is being discarded, so take the trace instead of
@@ -1622,7 +1636,7 @@ impl SimRuntime {
             metrics: st.metrics.clone(),
             labels: st.labels.clone(),
             net: self.shared.cfg.net.clone(),
-            timeseries,
+            alerts,
             reqs,
             host,
         })

@@ -1,13 +1,15 @@
-//! The SLO burn evaluator: [`evaluate_slo`] holds a run's windowed
-//! telemetry ([`TimeSeries`](crate::TimeSeries)) to declared service-level
-//! objectives with multi-window burn-rate alerting.
+//! The SLO burn judge: holds a run to declared service-level objectives
+//! with multi-window burn-rate alerting, as each telemetry window closes.
 //!
-//! It is a pure post-processing pass: it reads `SimReport::timeseries`,
-//! never the live simulation, so it cannot perturb determinism. Evaluating
-//! window-by-window in index order is equivalent to evaluating online (each
-//! window is closed before the next opens), which is why alerts carry
-//! *exact* virtual timestamps — the window-end boundary at which the burn
-//! held.
+//! Objectives and the window width are given at build time
+//! ([`SimBuilder::slo`](crate::SimBuilder::slo) and
+//! [`SimBuilder::timeseries`](crate::SimBuilder::timeseries)). The runtime
+//! judges inside its own lock and never yields, so a judged run is
+//! byte-identical to an unjudged one. Each objective keeps only its trailing
+//! [`SLO_SLOW_WINDOWS`] windows, so a run of any length is judged whole in
+//! O(objectives × 12) memory. Alerts carry *exact* virtual timestamps (the
+//! window-end boundary at which the burn held) and land on
+//! [`SimReport::alerts`](crate::SimReport::alerts).
 //!
 //! Which process or queue slows a run is not an alert's question: the
 //! critical path ([`crate::causal`]) and the what-if battery
@@ -15,8 +17,10 @@
 //! servers is a whole-run property that the per-server `served` counters
 //! measure exactly, and a loss plateau shows in the run's loss curve.
 
+use std::collections::VecDeque;
+
 use crate::json::{JsonValue, JsonWriter, Style};
-use crate::report::SimReport;
+use crate::metrics::MetricsSnapshot;
 use crate::time::SimTime;
 
 /// What an SLO objective measures.
@@ -40,8 +44,8 @@ pub enum SloKind {
     },
 }
 
-/// One declared service-level objective, evaluated over timeseries windows
-/// by [`evaluate_slo`].
+/// One declared service-level objective, judged as each telemetry window
+/// closes (see [`SimBuilder::slo`](crate::SimBuilder::slo)).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SloObjective {
     /// Human-readable name, e.g. `pull_rows.p999`. Becomes the alert
@@ -156,81 +160,181 @@ pub const SLO_SLOW_WINDOWS: usize = 12;
 /// budget 10× too fast.
 const SLO_BURN_MILLI: u64 = 10_000;
 
-/// Evaluate declared SLO objectives over `report.timeseries` with
-/// multi-window burn-rate alerting. Per window and objective the
-/// bad-event fraction is computed over the trailing 3-window fast span
-/// and [`SLO_SLOW_WINDOWS`] slow span; an alert fires — at the exact
-/// window-end virtual timestamp — only when **both** spans burn the
-/// objective's error budget at least 10× too fast. After firing, the
-/// spans reset so one sustained violation raises one alert per episode,
-/// not one per window. `value_milli` is the fast span's burn rate ×1000.
-pub fn evaluate_slo(report: &SimReport, objectives: &[SloObjective]) -> Vec<Alert> {
-    let Some(ts) = &report.timeseries else {
-        return Vec::new();
-    };
-    let mut alerts = Vec::new();
-    // Short runs shrink the slow span to the whole run instead of
-    // never accumulating enough evidence to alert at all.
-    let slow_span = SLO_SLOW_WINDOWS.min(ts.windows.len().max(1));
-    for obj in objectives {
-        let budget_milli = match &obj.kind {
-            SloKind::Latency { budget_milli, .. } => (*budget_milli).max(1),
-            SloKind::ErrorRate { budget_milli, .. } => (*budget_milli).max(1),
+/// The online burn judge, in the runtime's shared state when the builder was
+/// given both a window width and objectives. The runtime calls
+/// [`SloJudge::due`] (one comparison) before every registry or clock
+/// mutation and [`SloJudge::roll`] only when a window boundary has been
+/// crossed. Between two mutations the registry is constant, so the registry
+/// at a boundary is exactly the one the prior mutation left.
+///
+/// Per window and objective the bad-event fraction is computed over the
+/// trailing 3-window fast span and [`SLO_SLOW_WINDOWS`] slow span. An alert
+/// fires at the window's end only when **both** spans burn the objective's
+/// error budget at least 10× too fast. After firing, the spans reset, so one
+/// sustained violation raises one alert per episode, not one per window.
+/// `value_milli` is the fast span's burn rate ×1000. A run that closes fewer
+/// than [`SLO_SLOW_WINDOWS`] windows is judged once, at its last window, over
+/// all of them.
+#[derive(Debug)]
+pub(crate) struct SloJudge {
+    window_ns: u64,
+    /// Windows closed so far (== index of the open one).
+    closed: u64,
+    /// End of the open window: `(closed + 1) * window_ns`.
+    next_boundary: u64,
+    burns: Vec<Burn>,
+    alerts: Vec<Alert>,
+}
+
+/// One objective's judging state.
+#[derive(Debug)]
+struct Burn {
+    objective: SloObjective,
+    /// Cumulative `(bad, total)` as of the last closed window.
+    last: (u64, u64),
+    /// Trailing per-window `(bad, total)` pairs, newest last.
+    span: VecDeque<(u64, u64)>,
+}
+
+impl Burn {
+    /// `(bad, total)` of the window closing now: the registry's cumulative
+    /// counts less those at the previous close.
+    fn delta(&mut self, metrics: &MetricsSnapshot) -> (u64, u64) {
+        let now = match &self.objective.kind {
+            SloKind::Latency {
+                hist, target_ns, ..
+            } => metrics
+                .hist(hist)
+                .map_or((0, 0), |h| (h.count_over(*target_ns), h.count())),
+            SloKind::ErrorRate { errors, total, .. } => {
+                (metrics.counter(errors), metrics.counter(total))
+            }
         };
-        // Trailing (bad, total) pairs, newest last, slow-span length.
-        let mut ring: std::collections::VecDeque<(u64, u64)> = std::collections::VecDeque::new();
-        for w in &ts.windows {
-            let (bad, total) = match &obj.kind {
-                SloKind::Latency {
-                    hist, target_ns, ..
-                } => w
-                    .hists
-                    .get(hist)
-                    .map(|h| (h.over_target(*target_ns), h.count))
-                    .unwrap_or((0, 0)),
-                SloKind::ErrorRate { errors, total, .. } => (w.counter(errors), w.counter(total)),
-            };
-            ring.push_back((bad, total));
-            if ring.len() > slow_span {
-                ring.pop_front();
+        let (bad, total) = std::mem::replace(&mut self.last, now);
+        (now.0 - bad, now.1 - total)
+    }
+
+    fn push(&mut self, window: (u64, u64)) {
+        if self.span.len() == SLO_SLOW_WINDOWS {
+            self.span.pop_front();
+        }
+        self.span.push_back(window);
+    }
+
+    /// The fast span's burn rate ×1000 when both it and the trailing `slow`
+    /// windows burn at the threshold; firing resets the spans. Fewer than
+    /// `slow` windows since the start or the last alert is not enough
+    /// evidence: a sustained violation must refill the slow span before it
+    /// can page again.
+    fn judge(&mut self, slow: usize) -> Option<u64> {
+        if self.span.len() < slow {
+            return None;
+        }
+        let budget_milli = match &self.objective.kind {
+            SloKind::Latency { budget_milli, .. } | SloKind::ErrorRate { budget_milli, .. } => {
+                (*budget_milli).max(1)
             }
-            if ring.len() < slow_span {
-                // Not enough trailing evidence yet — either the run just
-                // started or an alert fired and reset the spans. This is
-                // the episode-suppression mechanism: a sustained
-                // violation must refill the slow span before it can
-                // page again.
-                continue;
-            }
-            let span_burn = |span: usize| -> Option<u64> {
-                let (b, t) = ring
-                    .iter()
-                    .rev()
-                    .take(span)
-                    .fold((0u64, 0u64), |(b, t), &(wb, wt)| (b + wb, t + wt));
-                // burn ×1000 = (bad/total) / (budget_milli/1000) × 1000
-                (t > 0).then(|| b.saturating_mul(1_000_000) / (t * budget_milli))
-            };
-            let fast = span_burn(SLO_FAST_WINDOWS);
-            let slow = span_burn(slow_span);
-            if let (Some(f), Some(s)) = (fast, slow) {
-                if f >= SLO_BURN_MILLI && s >= SLO_BURN_MILLI {
-                    alerts.push(Alert {
-                        at: SimTime(w.end_ns),
-                        window: w.index,
-                        subject: obj.name.clone(),
-                        value_milli: f.min(i64::MAX as u64) as i64,
-                    });
-                    ring.clear();
-                }
+        };
+        let span_burn = |span: usize| -> Option<u64> {
+            let (b, t) = self
+                .span
+                .iter()
+                .rev()
+                .take(span)
+                .fold((0u64, 0u64), |(b, t), &(wb, wt)| (b + wb, t + wt));
+            // burn ×1000 = (bad/total) / (budget_milli/1000) × 1000
+            (t > 0).then(|| b.saturating_mul(1_000_000) / (t * budget_milli))
+        };
+        let fast = span_burn(SLO_FAST_WINDOWS)?;
+        let burning = fast >= SLO_BURN_MILLI && span_burn(slow)? >= SLO_BURN_MILLI;
+        burning.then(|| {
+            self.span.clear();
+            fast
+        })
+    }
+}
+
+impl SloJudge {
+    pub(crate) fn new(window: SimTime, objectives: Vec<SloObjective>) -> SloJudge {
+        let window_ns = window.as_nanos().max(1);
+        SloJudge {
+            window_ns,
+            closed: 0,
+            next_boundary: window_ns,
+            burns: objectives
+                .into_iter()
+                .map(|objective| Burn {
+                    objective,
+                    last: (0, 0),
+                    span: VecDeque::with_capacity(SLO_SLOW_WINDOWS),
+                })
+                .collect(),
+            alerts: Vec::new(),
+        }
+    }
+
+    /// Has virtual time `t` crossed the open window's end?
+    #[inline]
+    pub(crate) fn due(&self, t: SimTime) -> bool {
+        t.as_nanos() >= self.next_boundary
+    }
+
+    /// Close every window that ends at or before `t`. The registry has not
+    /// changed since the previous roll, so the first window closed carries
+    /// its counts and any further catch-up windows are empty.
+    pub(crate) fn roll(&mut self, t: SimTime, metrics: &MetricsSnapshot) {
+        let mut metrics = Some(metrics);
+        while self.next_boundary <= t.as_nanos() {
+            self.close(self.next_boundary, metrics.take(), SLO_SLOW_WINDOWS);
+        }
+    }
+
+    /// Close the open window at `end_ns` with its counts read from
+    /// `metrics` (a catch-up window, `None`, is empty) and judge it over
+    /// `slow` trailing windows.
+    fn close(&mut self, end_ns: u64, metrics: Option<&MetricsSnapshot>, slow: usize) {
+        for b in &mut self.burns {
+            let window = metrics.map_or((0, 0), |m| b.delta(m));
+            b.push(window);
+        }
+        self.judge(self.closed, end_ns, slow);
+        self.closed += 1;
+        self.next_boundary = (self.closed + 1) * self.window_ns;
+    }
+
+    fn judge(&mut self, window: u64, end_ns: u64, slow: usize) {
+        for b in &mut self.burns {
+            if let Some(burn) = b.judge(slow) {
+                self.alerts.push(Alert {
+                    at: SimTime(end_ns),
+                    window,
+                    subject: b.objective.name.clone(),
+                    value_milli: burn.min(i64::MAX as u64) as i64,
+                });
             }
         }
     }
-    // Objectives are evaluated one at a time; restore global window
-    // order (ties by subject) so the list is deterministic and reads
-    // like a timeline.
-    alerts.sort_by(|a, b| a.at.cmp(&b.at).then_with(|| a.subject.cmp(&b.subject)));
-    alerts
+
+    /// Run end at `t`: close the complete windows, then the trailing partial
+    /// window `[closed * window_ns, t]` if anything happened after the last
+    /// boundary (or none was crossed). A run of fewer than
+    /// [`SLO_SLOW_WINDOWS`] windows is judged at its last one over all of
+    /// them. Alerts come out in `(at, subject)` order, a timeline.
+    pub(crate) fn finish(mut self, t: SimTime, metrics: &MetricsSnapshot) -> Vec<Alert> {
+        self.roll(t, metrics);
+        let start = self.closed * self.window_ns;
+        if t.as_nanos() > start || self.closed == 0 {
+            let slow = SLO_SLOW_WINDOWS.min(self.closed as usize + 1);
+            self.close(t.as_nanos().max(start), Some(metrics), slow);
+        } else if self.closed < SLO_SLOW_WINDOWS as u64 {
+            // The run ended on a boundary: `roll` closed its last window
+            // against the full slow span, which it could not fill.
+            self.judge(self.closed - 1, start, self.closed as usize);
+        }
+        self.alerts
+            .sort_by(|a, b| a.at.cmp(&b.at).then_with(|| a.subject.cmp(&b.subject)));
+        self.alerts
+    }
 }
 
 /// An alert list, one `Inline` object per line (integers and fixed key order
@@ -269,112 +373,117 @@ pub(crate) fn read_alerts(alerts: &[JsonValue]) -> Result<Vec<Alert>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timeseries::{HistDelta, TimeSeries, TsWindow};
-    use std::collections::BTreeMap;
 
-    fn window(index: u64, end_ns: u64) -> TsWindow {
-        TsWindow {
-            index,
-            end_ns,
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            hists: BTreeMap::new(),
+    /// Judge `objectives` over 1 ms windows until the run ends at `end`.
+    /// Window `i` records `windows[i] = (bad, total)` as `bad` slow (1 ms)
+    /// and `total - bad` fast (100 ns) `pull.latency` samples, and as `bad`
+    /// `timeouts` of `total` `reqs`. An empty window records nothing, so
+    /// the judge closes it as a catch-up window.
+    fn judge(objectives: Vec<SloObjective>, windows: &[(u64, u64)], end: SimTime) -> Vec<Alert> {
+        let mut judge = SloJudge::new(SimTime::from_millis(1), objectives);
+        let mut m = MetricsSnapshot::default();
+        for (i, &(bad, total)) in windows.iter().enumerate() {
+            if total == 0 {
+                continue;
+            }
+            judge.roll(SimTime::from_millis(i as u64), &m);
+            for k in 0..total {
+                let ns = if k < bad { 1_000_000 } else { 100 };
+                m.observe("pull.latency", SimTime(ns));
+            }
+            m.add("timeouts", bad);
+            m.add("reqs", total);
         }
+        judge.finish(end, &m)
     }
 
-    fn report_with(windows: Vec<TsWindow>) -> SimReport {
-        SimReport {
-            virtual_time: SimTime(windows.last().map(|w| w.end_ns).unwrap_or(0)),
-            wall_time: std::time::Duration::ZERO,
-            total_msgs: 0,
-            total_bytes: 0,
-            dropped_msgs: 0,
-            procs: Vec::new(),
-            trace: Vec::new(),
-            metrics: crate::metrics::MetricsSnapshot::default(),
-            labels: Vec::new(),
-            net: crate::config::NetConfig::default(),
-            timeseries: Some(TimeSeries {
-                window_ns: 1_000_000,
-                windows,
-                dropped_windows: 0,
-            }),
-            reqs: None,
-            host: None,
-        }
+    /// Each alert's `(window, at, subject)`.
+    fn fired(alerts: &[Alert]) -> Vec<(u64, SimTime, &str)> {
+        alerts
+            .iter()
+            .map(|a| (a.window, a.at, a.subject.as_str()))
+            .collect()
     }
 
-    /// A window of the `pull.latency` histogram with `good` fast samples
-    /// (~100 ns) and `bad` slow ones (~1 ms) against a 1 µs target.
-    fn slo_window(index: u64, bad: u64, good: u64) -> TsWindow {
-        let mut w = window(index, (index + 1) * 1_000_000);
-        let mut buckets = Vec::new();
-        if good > 0 {
-            buckets.push((crate::metrics::bucket_of(100) as u32, good));
-        }
-        if bad > 0 {
-            buckets.push((crate::metrics::bucket_of(1_000_000) as u32, bad));
-        }
-        w.hists.insert(
-            "pull.latency".to_string(),
-            HistDelta {
-                count: bad + good,
-                sum_ns: 0,
-                buckets,
-            },
-        );
-        w
+    fn ms(ms: u64) -> SimTime {
+        SimTime::from_millis(ms)
     }
 
     fn p999_objective() -> SloObjective {
         SloObjective::latency_p999("pull.p999", "pull.latency", SimTime(1_000))
     }
 
+    fn errors_objective() -> SloObjective {
+        SloObjective::error_rate("pull.errors", "timeouts", "reqs", 10)
+    }
+
     #[test]
     fn slo_burn_needs_both_fast_and_slow_spans() {
         // Eleven clean windows, one brief spike, then a sustained burn.
-        let mut windows: Vec<TsWindow> = (0..11).map(|i| slo_window(i, 0, 100)).collect();
-        windows.push(slo_window(11, 1, 99)); // spike: fast span stays under
-        windows.push(slo_window(12, 10, 90));
-        windows.push(slo_window(13, 10, 90));
-        windows.push(slo_window(14, 10, 90));
-        let report = report_with(windows);
-        let alerts = evaluate_slo(&report, &[p999_objective()]);
-        assert_eq!(alerts.len(), 1, "{alerts:?}");
-        let a = &alerts[0];
-        assert_eq!(a.subject, "pull.p999");
+        let mut windows = vec![(0, 100); 11];
+        windows.push((1, 100)); // spike: fast span stays under
+        windows.extend([(10, 100); 3]);
+        let alerts = judge(vec![p999_objective()], &windows, ms(15));
         // Window 13 is where the slow span finally confirms the burn the
-        // fast span saw at 12 — and the timestamp is window-aligned.
-        assert_eq!(a.window, 13);
-        assert_eq!(a.at, SimTime(14 * 1_000_000));
-        assert_eq!(a.at.as_nanos() % 1_000_000, 0);
-        assert!(a.value_milli >= 10_000, "{}", a.value_milli);
+        // fast span saw at 12, and the timestamp is its end. The fast span
+        // (windows 11–13) holds 21 bad of 300: 70× the 0.1% budget.
+        let want = Alert {
+            at: ms(14),
+            window: 13,
+            subject: "pull.p999".to_string(),
+            value_milli: 70_000,
+        };
+        assert_eq!(alerts, [want]);
     }
 
     #[test]
     fn slo_quiet_when_tail_is_within_budget() {
-        // 0.05% of requests are slow — half the p999 budget.
-        let windows: Vec<TsWindow> = (0..20).map(|i| slo_window(i, 1, 1999)).collect();
-        let report = report_with(windows);
-        let alerts = evaluate_slo(&report, &[p999_objective()]);
+        // 0.05% of requests are slow: half the p999 budget.
+        let alerts = judge(vec![p999_objective()], &[(1, 2000); 20], ms(20));
         assert!(alerts.is_empty(), "{alerts:?}");
     }
 
     #[test]
-    fn slo_error_rate_objective_counts_counters() {
-        let obj = SloObjective::error_rate("pull.errors", "timeouts", "reqs", 10);
-        let mut windows = Vec::new();
-        for i in 0..4u64 {
-            let mut w = window(i, (i + 1) * 1_000_000);
-            w.counters.insert("reqs".to_string(), 100);
-            // 20% timeout rate vs a 1% budget: burn 20×.
-            w.counters.insert("timeouts".to_string(), 20);
-            windows.push(w);
-        }
-        let report = report_with(windows);
-        let alerts = evaluate_slo(&report, &[obj]);
-        assert!(!alerts.is_empty());
-        assert_eq!(alerts[0].subject, "pull.errors");
+    fn a_short_run_is_judged_once_at_its_end() {
+        // 20% timeouts against a 1% budget for 4 windows: the slow span
+        // shrinks to the whole run, which is judged as its last window
+        // closes, whether the run ends on a boundary or inside a window.
+        let at_end = judge(vec![errors_objective()], &[(20, 100); 4], ms(4));
+        assert_eq!(fired(&at_end), [(3, ms(4), "pull.errors")]);
+        let end = SimTime::from_micros(3_500);
+        let partial = judge(vec![errors_objective()], &[(20, 100); 4], end);
+        assert_eq!(fired(&partial), [(3, end, "pull.errors")]);
+    }
+
+    #[test]
+    fn idle_windows_count_toward_the_slow_span() {
+        // Windows 9 and 10 record nothing and close as catch-ups while
+        // window 11 opens; they still fill the slow span, so the burn is
+        // confirmed at window 11.
+        let mut windows = vec![(5, 5); 9];
+        windows.extend([(0, 0), (0, 0), (5, 5)]);
+        let alerts = judge(vec![p999_objective()], &windows, ms(12));
+        assert_eq!(fired(&alerts), [(11, ms(12), "pull.p999")]);
+    }
+
+    #[test]
+    fn a_burn_refills_the_slow_span_before_it_pages_again() {
+        let alerts = judge(vec![p999_objective()], &[(10, 100); 30], ms(30));
+        let windows: Vec<u64> = alerts.iter().map(|a| a.window).collect();
+        assert_eq!(windows, [11, 23]);
+    }
+
+    #[test]
+    fn burns_in_one_window_come_out_in_subject_order() {
+        // Declared latency first, errors second; both burn at window 11.
+        // 10% bad is 100× the p999 budget and 10× the 1% error budget.
+        let objectives = vec![
+            SloObjective::latency_p999("b.pull.p999", "pull.latency", SimTime(1_000)),
+            SloObjective::error_rate("a.errors", "timeouts", "reqs", 10),
+        ];
+        let alerts = judge(objectives, &[(10, 100); 12], ms(12));
+        let want = [(11, ms(12), "a.errors"), (11, ms(12), "b.pull.p999")];
+        assert_eq!(fired(&alerts), want);
     }
 
     #[test]

@@ -364,9 +364,8 @@ fn hist_of(values: &[u64]) -> VtHistogram {
 
 // Properties of the mergeable log-linear latency histogram: the quantile
 // estimator is monotone in `q`, and merging two histograms (the wire form
-// used by per-window timeseries deltas and cross-proc op summaries) never
-// produces a quantile outside the interval spanned by the inputs' own
-// quantiles at the same `q`.
+// used by cross-proc op summaries) never produces a quantile outside the
+// interval spanned by the inputs' own quantiles at the same `q`.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -3,7 +3,7 @@
 //! (`--mode`), or the serving scenario (`serve`, implied by a leading
 //! `--preset serve-*`), printing the loss curve and the cluster's virtual
 //! time, and writing whichever `--*-json` sidecars are asked for. Every flag
-//! but the seven outputs is parsed by [`RunSpec::from_args`], so a flag the
+//! but the six outputs is parsed by [`RunSpec::from_args`], so a flag the
 //! chosen run does not read is an error, not a silent no-op.
 //! `ps2-run --help` prints every workload and flag.
 //!
@@ -16,16 +16,15 @@ use std::process::exit;
 
 use ps2::ml::TrainingTrace;
 use ps2::simnet::{
-    evaluate_slo, export_trace_full, hostprof, render_slo, run_battery, slo_json, standard_battery,
-    Alert, CausalDag, OpTails, SimTime,
+    export_trace_full, hostprof, render_slo, run_battery, slo_json, standard_battery, Alert,
+    CausalDag, OpTails,
 };
-use ps2::slo::{preset_slos, SCRAPE_WINDOW};
+use ps2::slo::{preset_slos, SLO_WINDOW};
 use ps2::{RunReport, RunSpec, SimBuilder};
 
 /// The output flags: where a run's results go. Every other flag describes
 /// the run itself and is [`RunSpec`]'s to parse.
-const SINKS: &str =
-    "csv metrics-json trace-json timeseries-json slo-json whatif-json host-prof-json";
+const SINKS: &str = "csv metrics-json trace-json slo-json whatif-json host-prof-json";
 
 fn die(msg: &str) -> ! {
     eprintln!("ps2-run: {msg}\nrun with no arguments for usage");
@@ -70,13 +69,11 @@ outputs:
                          breakdown, and write a Perfetto/Chrome trace-event
                          JSON (open in ui.perfetto.dev or feed to ps2-trace);
                          SLO burn alerts appear as global instant events
-  --timeseries-json PATH scrape the metrics registry every 1 ms of virtual
-                         time and write the windowed series as JSON
-  --slo-json PATH        trace every PS request end to end, evaluate the
-                         preset's SLOs with burn-rate alerting over 1 ms
-                         windows, and write the ps2-slo-v1 sidecar (see
-                         ps2-trace slo); the traced run is bit-identical to an
-                         untraced one
+  --slo-json PATH        trace every PS request end to end, judge the
+                         preset's SLOs with burn-rate alerting as each 1 ms
+                         window of virtual time closes, and write the
+                         ps2-slo-v1 sidecar (see ps2-trace slo); the traced
+                         run is bit-identical to an untraced one
   --whatif-json PATH     replay the run's causal DAG under counterfactual
                          speedups, print experiments ranked by estimated
                          makespan/p999 improvement (with alert payoffs), and
@@ -120,7 +117,7 @@ fn main() {
         println!("{USAGE}");
         exit(0);
     }
-    let mut sinks: [Option<String>; 7] = Default::default();
+    let mut sinks: [Option<String>; 6] = Default::default();
     let mut run_args = Vec::new();
     let mut args = argv.into_iter();
     while let Some(arg) = args.next() {
@@ -136,7 +133,7 @@ fn main() {
         }
     }
     let spec = RunSpec::from_args(&run_args).unwrap_or_else(|e| die(&e));
-    let [csv_path, metrics_path, trace_path, ts_path, slo_path, whatif_path, host_path] = sinks;
+    let [csv_path, metrics_path, trace_path, slo_path, whatif_path, host_path] = sinks;
 
     // Host profiling must be armed before the sim is built so the run's
     // reset/collect cycle sees it. The flag implies full profiling (timers +
@@ -156,13 +153,15 @@ fn main() {
     let builder = SimBuilder::new()
         .trace(want_trace)
         .reqtrace(want_trace || want_slo);
-    // Time-series scraping is likewise non-yielding, so the run itself is
-    // unaffected either way. SLO burn rates are evaluated over its windows.
-    let builder = if ts_path.is_some() || want_slo {
-        builder.timeseries(SCRAPE_WINDOW)
+    // SLO judging is likewise non-yielding, so the run itself is unaffected
+    // either way. Its alerts land in the SLO report and sidecar, and in the
+    // exported trace as global instants.
+    let objectives = if want_slo {
+        preset_slos(spec.preset())
     } else {
-        builder
+        Vec::new()
     };
+    let builder = builder.timeseries(SLO_WINDOW).slo(objectives.clone());
     let out = spec.run(builder);
     let (trace, mut report) = (out.trace, out.report);
     if let Some(s) = out.serve {
@@ -183,14 +182,7 @@ fn main() {
             .unwrap_or_else(|e| die(&format!("causal DAG retention failed: {e}")))
     });
 
-    // SLO burns are a pure pass over the windowed series; they land in the
-    // SLO report and sidecar, and in the exported trace as global instants.
-    let objectives = if want_slo {
-        preset_slos(spec.preset())
-    } else {
-        Vec::new()
-    };
-    let alerts = evaluate_slo(&report, &objectives);
+    let alerts = std::mem::take(&mut report.alerts);
     // The machine-readable SLO sidecar: per-op request summaries with
     // exemplars, the objectives, and any burn alerts. Also embedded in the
     // event trace so one file carries everything.
@@ -236,16 +228,6 @@ fn main() {
             export_trace_full(&report, Some(&analysis), &alerts, slo, Some(dag)),
         );
         println!("trace written to {path}  (open in ui.perfetto.dev, or: ps2-trace report {path})");
-    }
-    if let Some(path) = &ts_path {
-        let ts = report.timeseries.as_ref().expect("timeseries was enabled");
-        write(path, ts.to_json());
-        println!(
-            "\ntime series written to {path}  ({} windows of {}, {} evicted)",
-            ts.windows.len(),
-            SimTime(ts.window_ns),
-            ts.dropped_windows
-        );
     }
     if let Some(path) = &slo_path {
         let reqs = report.reqs.as_ref().expect("request tracing was enabled");

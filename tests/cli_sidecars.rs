@@ -50,8 +50,7 @@ fn every_sidecar_round_trips_through_the_cli() {
     let live = run(
         RUN,
         "lr --preset kddb --iters 3 --workers 4 --servers 4 \
-         --metrics-json @metrics.json --trace-json @trace.json \
-         --timeseries-json @timeseries.json --slo-json @slo.json \
+         --metrics-json @metrics.json --trace-json @trace.json --slo-json @slo.json \
          --whatif-json @whatif.json --host-prof-json @host.json",
     );
 
@@ -107,22 +106,6 @@ fn every_sidecar_round_trips_through_the_cli() {
     assert_eq!(keys, ["drops_by_tag", "slo", "dag"]);
     let dag = &ps2[2].1;
     let makespan_ns = dag.u64_field("makespan_ns").unwrap();
-
-    // The windowed series: one scrape width (1 ms, with --slo-json given
-    // too), registry deltas only, no window overrunning its boundary.
-    let ts = load("timeseries.json");
-    let window_ns = ts.u64_field("window_ns").unwrap();
-    let windows = ts.arr_field("windows").unwrap();
-    assert_eq!(window_ns, 1_000_000);
-    assert!(!windows.is_empty());
-    for w in windows {
-        assert!(w.get("procs").is_none(), "per-process samples in {w:?}");
-        let (index, end_ns) = (
-            w.u64_field("index").unwrap(),
-            w.u64_field("end_ns").unwrap(),
-        );
-        assert!(end_ns <= (index + 1) * window_ns, "window {index} overruns");
-    }
 
     // The SLO sidecar: tails and exemplars whose stages partition the total.
     let s = load("slo.json");
@@ -192,6 +175,7 @@ fn both_binaries_print_usage_on_help() {
 fn flags_the_run_never_reads_exit_2() {
     for flag in [
         "--metric-json @unread.json",
+        "--timeseries-json @unread.json",
         "--window-ms 1",
         "--mini-batch 64",
     ] {

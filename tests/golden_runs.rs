@@ -27,8 +27,8 @@ use ps2::dataflow::{deploy_executors, deploy_shuffle_services, SparkContext};
 use ps2::ml::lr::{train_lr, LrBackend, LrConfig};
 use ps2::ml::optim::Optimizer;
 use ps2::ps::{deploy_ps, MatrixHandle, PsMaster};
-use ps2::simnet::{evaluate_slo, Alert, ProcId, SloObjective};
-use ps2::slo::{preset_slos, SCRAPE_WINDOW};
+use ps2::simnet::{Alert, ProcId, SloObjective};
+use ps2::slo::{preset_slos, SLO_WINDOW};
 use ps2::{
     run_ps2_with, ClusterSpec, InitKind, Partitioning, Ps2Context, RunOutput, RunSpec, SimBuilder,
     SimCtx, SimReport, SimTime,
@@ -177,23 +177,23 @@ fn mode_grid() {
     check(rows);
 }
 
-/// SLO burn evaluation over [`ALERTS_SPEC`]'s run scraped at
-/// [`SCRAPE_WINDOW`]: the `kddb` preset SLOs plus one unattainable 1 µs pull
-/// p999 that must burn. `alerts` is the burn count; each alert's fields are
-/// folded into the digest.
+/// SLO burns judged over [`ALERTS_SPEC`]'s run in [`SLO_WINDOW`]s: the
+/// `kddb` preset SLOs plus one unattainable 1 µs pull p999 that must burn.
+/// `alerts` is the burn count; each alert's fields are folded into the
+/// digest.
 #[test]
 fn alerts() {
     let spec: RunSpec = ALERTS_SPEC.parse().expect("the alerts spec parses");
-    let out = spec.run(SimBuilder::new().timeseries(SCRAPE_WINDOW));
     let mut objectives = preset_slos(spec.preset());
     objectives.push(SloObjective::latency_p999(
         "unattainable.pull.p999",
         "ps.client.op.pull.latency",
         SimTime::from_micros(1),
     ));
-    let alerts = evaluate_slo(&out.report, &objectives);
+    let out = spec.run(SimBuilder::new().timeseries(SLO_WINDOW).slo(objectives));
+    let alerts = &out.report.alerts;
     let mut tail = String::new();
-    for a in &alerts {
+    for a in alerts {
         let (at, window, subject, value) = (a.at.as_nanos(), a.window, &a.subject, a.value_milli);
         tail += &format!("{} {at} {window} {subject} {value}\n", Alert::LABEL);
     }

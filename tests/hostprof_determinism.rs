@@ -9,13 +9,13 @@
 //! their allocations leak into this run's profile.
 
 use ps2::simnet::hostprof;
-use ps2::slo::SCRAPE_WINDOW;
+use ps2::slo::{preset_slos, SLO_WINDOW};
 use ps2::{RunSpec, SimBuilder, SimReport};
 
 mod common;
 use common::assert_same_virtual_run;
 
-/// One seeded LR run with timeseries scraping on (so the `scrape.roll`
+/// One seeded LR run with the generic SLOs judged (so the `scrape.roll`
 /// scope has something to record when profiled).
 fn run_once(profiled: bool) -> SimReport {
     if profiled {
@@ -23,9 +23,11 @@ fn run_once(profiled: bool) -> SimReport {
         hostprof::set_alloc_counting(true);
     }
     let spec = "lr --rows 1000 --dim 20000 --nnz 10 --workers 4 --servers 3 --iters 3 --seed 11";
-    // These mini-runs finish in a few virtual ms, and the scrape must
-    // actually roll for `scrape.roll` to show in the profile.
-    let builder = SimBuilder::new().timeseries(SCRAPE_WINDOW);
+    // These mini-runs finish in a few virtual ms, and windows must actually
+    // close for `scrape.roll` to show in the profile.
+    let builder = SimBuilder::new()
+        .timeseries(SLO_WINDOW)
+        .slo(preset_slos(None));
     let report = spec.parse::<RunSpec>().unwrap().run(builder).report;
     if profiled {
         hostprof::set_alloc_counting(false);

@@ -7,21 +7,37 @@
 //! virtual timestamp.
 
 use ps2::simnet::watchdog::SLO_SLOW_WINDOWS;
-use ps2::simnet::{evaluate_slo, SloObjective, EXEMPLAR_K};
-use ps2::slo::SCRAPE_WINDOW;
+use ps2::simnet::{SloObjective, EXEMPLAR_K};
+use ps2::slo::SLO_WINDOW;
 use ps2::{RunSpec, SimBuilder, SimReport, SimTime};
 
 mod common;
 use common::assert_same_virtual_run;
 
-/// One seeded LR run, with or without request tracing. Timeseries scraping
-/// is on in both (it is independently non-perturbing, and the SLO tests
-/// need the windows). Eight iterations take ≈ 14 ms, so the 12-window slow
-/// burn span fills on complete [`SCRAPE_WINDOW`]s.
+/// One seeded LR run, with or without request tracing. SLO judging is on in
+/// both (it is independently non-perturbing). Eight iterations take
+/// ≈ 14 ms, so the 12-window slow burn span fills on complete
+/// [`SLO_WINDOW`]s.
 fn run_once(traced: bool) -> SimReport {
     let spec = "lr --rows 1000 --dim 20000 --nnz 10 --workers 4 --servers 3 --iters 8 --seed 11";
-    let builder = SimBuilder::new().timeseries(SCRAPE_WINDOW).reqtrace(traced);
+    let builder = SimBuilder::new()
+        .timeseries(SLO_WINDOW)
+        .slo(objectives())
+        .reqtrace(traced);
     spec.parse::<RunSpec>().unwrap().run(builder).report
+}
+
+/// A deliberately unattainable objective, p999 of pulls under 1 µs, beside
+/// the sane 1 ms one the presets use. The healthy p999 of this run is
+/// hundreds of µs, so every window's pull samples are bad events for the
+/// first and both burn spans saturate.
+fn objectives() -> Vec<SloObjective> {
+    let pull_p999 =
+        |name, target| SloObjective::latency_p999(name, "ps.client.op.pull.latency", target);
+    vec![
+        pull_p999("ps.pull.p999", SimTime::from_micros(1)),
+        pull_p999("healthy.pull.p999", SimTime::from_millis(1)),
+    ]
 }
 
 #[test]
@@ -93,17 +109,8 @@ fn exemplars_carry_complete_stage_breakdowns() {
 #[test]
 fn slo_burn_alert_fires_window_aligned() {
     let report = run_once(true);
-    let window_ns = SCRAPE_WINDOW.as_nanos();
-
-    // A deliberately unattainable objective: p999 of pulls under 1 µs. The
-    // healthy p999 of this run is hundreds of µs, so every window's pull
-    // samples are "bad events" and both burn spans saturate.
-    let objectives = vec![SloObjective::latency_p999(
-        "ps.pull.p999",
-        "ps.client.op.pull.latency",
-        SimTime::from_micros(1),
-    )];
-    let alerts = evaluate_slo(&report, &objectives);
+    let window_ns = SLO_WINDOW.as_nanos();
+    let alerts = &report.alerts;
     assert!(
         !alerts.is_empty(),
         "tight objective must fire a burn alert on a healthy run"
@@ -135,10 +142,8 @@ fn slo_burn_alert_fires_window_aligned() {
     );
 
     // And the sane objective used by the presets stays quiet on this run.
-    let healthy = vec![SloObjective::latency_p999(
-        "ps.pull.p999",
-        "ps.client.op.pull.latency",
-        SimTime::from_millis(1),
-    )];
-    assert!(evaluate_slo(&report, &healthy).is_empty());
+    assert!(
+        alerts.iter().all(|a| a.subject == "ps.pull.p999"),
+        "{alerts:?}"
+    );
 }
