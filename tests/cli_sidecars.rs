@@ -156,9 +156,13 @@ fn every_sidecar_round_trips_through_the_cli() {
     let slo_diff = run(TRACE, "slo diff @slo.json @slo.json");
     assert!(slo_diff.contains("delta +0 ns"), "{slo_diff}");
     assert!(run(TRACE, "host @host.json").contains("sched."));
+    // Both stay: serve-kddb online 3.0 s; offline a 2.1 s run, 217 MB trace, 8.4 s replay.
     run(TRACE, "whatif @trace.json --json @whatif-offline.json");
-    let offline = load("whatif-offline.json");
-    assert_eq!(offline.u64_field("baseline_makespan_ns"), Ok(baseline));
+    let read = |name| std::fs::read(tmp(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert!(
+        read("whatif.json") == read("whatif-offline.json"),
+        "what-if files differ"
+    );
 }
 
 #[test]
