@@ -31,8 +31,7 @@ fn fmt_us(ns: u64) -> String {
 /// Render `report` as trace-event JSON. `analysis` adds the critical-path
 /// track; `alerts` become global-scope instants on the timeline, named by
 /// [`Alert::LABEL`](crate::Alert::LABEL). The `"ps2"` section holds
-/// recordings only: `"drops_by_tag"` (dropped messages per protocol tag),
-/// `slo`, a pre-rendered `ps2-slo-v1` object (see
+/// recordings only: `slo`, a pre-rendered `ps2-slo-v1` object (see
 /// [`crate::reqtrace::slo_json`], read back by
 /// [`crate::reqtrace::slo_from_json`]) embedded verbatim as `"slo"`, and
 /// `dag` as `"dag"` (schema `ps2-dag-v1`, read back by
@@ -237,13 +236,7 @@ pub fn export_trace_full(
 
     s.push_str(",\n\"ps2\": ");
     let mut w = JsonWriter::appending(s);
-    let drops = report
-        .metrics
-        .counters()
-        .filter_map(|(k, v)| Some((k.strip_prefix("net.dropped.tag.")?, v)));
-    w.obj(Style::Block)
-        .key("drops_by_tag")
-        .counts(Style::Inline, drops);
+    w.obj(Style::Block);
     if let Some(sidecar) = slo {
         w.key("slo").raw(sidecar);
     }

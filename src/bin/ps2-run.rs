@@ -3,7 +3,7 @@
 //! (`--mode`), or the serving scenario (`serve`, implied by a leading
 //! `--preset serve-*`), printing the loss curve and the cluster's virtual
 //! time, and writing whichever `--*-json` sidecars are asked for. Every flag
-//! but the six outputs is parsed by [`RunSpec::from_args`], so a flag the
+//! but the five outputs is parsed by [`RunSpec::from_args`], so a flag the
 //! chosen run does not read is an error, not a silent no-op.
 //! `ps2-run --help` prints every workload and flag.
 //!
@@ -16,15 +16,15 @@ use std::process::exit;
 
 use ps2::ml::TrainingTrace;
 use ps2::simnet::{
-    export_trace_full, hostprof, render_slo, run_battery, slo_json, standard_battery, Alert,
-    CausalDag, OpTails,
+    export_trace_full, render_slo, run_battery, slo_json, standard_battery, Alert, CausalDag,
+    OpTails,
 };
 use ps2::slo::{preset_slos, SLO_WINDOW};
 use ps2::{RunReport, RunSpec, SimBuilder};
 
 /// The output flags: where a run's results go. Every other flag describes
 /// the run itself and is [`RunSpec`]'s to parse.
-const SINKS: &str = "csv metrics-json trace-json slo-json whatif-json host-prof-json";
+const SINKS: &str = "csv metrics-json trace-json slo-json whatif-json";
 
 fn die(msg: &str) -> ! {
     eprintln!("ps2-run: {msg}\nrun with no arguments for usage");
@@ -78,9 +78,6 @@ outputs:
                          speedups, print experiments ranked by estimated
                          makespan/p999 improvement (with alert payoffs), and
                          write the ps2-whatif-v1 sidecar
-  --host-prof-json PATH  profile the host cost (wall-clock + allocations) of
-                         running the simulator itself and write the sidecar
-                         (never changes the simulated run; see ps2-trace host)
 
 dataset shape flags (lr/svm/lbfgs/fm):
   --rows N --dim N --nnz N   (defaults 20000 / 100000 / 20)
@@ -117,7 +114,7 @@ fn main() {
         println!("{USAGE}");
         exit(0);
     }
-    let mut sinks: [Option<String>; 6] = Default::default();
+    let mut sinks: [Option<String>; 5] = Default::default();
     let mut run_args = Vec::new();
     let mut args = argv.into_iter();
     while let Some(arg) = args.next() {
@@ -133,15 +130,8 @@ fn main() {
         }
     }
     let spec = RunSpec::from_args(&run_args).unwrap_or_else(|e| die(&e));
-    let [csv_path, metrics_path, trace_path, slo_path, whatif_path, host_path] = sinks;
+    let [csv_path, metrics_path, trace_path, slo_path, whatif_path] = sinks;
 
-    // Host profiling must be armed before the sim is built so the run's
-    // reset/collect cycle sees it. The flag implies full profiling (timers +
-    // allocator).
-    if host_path.is_some() {
-        hostprof::set_enabled(true);
-        hostprof::set_alloc_counting(true);
-    }
     // Tracing is off unless a trace is actually wanted: recording is
     // timing-neutral but costs memory proportional to event count. What-if
     // replay needs the recorded event DAG, so --whatif-json implies it.
@@ -264,18 +254,6 @@ fn main() {
         println!(
             "what-if report written to {path}  (replay offline with: ps2-trace whatif <trace>)"
         );
-    }
-    // Last, after every export above, so post-run work done on this thread
-    // (perfetto rendering, metrics serialization) is folded into the profile
-    // rather than lost between run-end and process exit.
-    if let Some(mut profile) = report.host.take() {
-        hostprof::flush_thread();
-        profile.merge(&hostprof::take_profile(0));
-        println!("\n{}", profile.render());
-        if let Some(path) = host_path {
-            write(&path, profile.to_json(&spec.to_string()));
-            println!("host profile written to {path}  (inspect with: ps2-trace host {path})");
-        }
     }
 }
 

@@ -5,9 +5,6 @@
 //! ps2-trace report <FILE>    print the critical-path / category breakdown
 //! ps2-trace diff <A> <B>     per-category critical-path deltas (A is the
 //!                            baseline; positive deltas mean B is slower)
-//! ps2-trace host <FILE>      print a hostprof sidecar (written by
-//!                            `ps2-run --host-prof-json`): the run's name,
-//!                            wall time and the per-scope cost table
 //! ps2-trace slo <FILE>       print the request-tail report from a ps2-slo-v1
 //!                            sidecar (`ps2-run --slo-json`) or a trace file
 //!                            embedding one: per-op p50/p99/p999/max, the K
@@ -33,19 +30,15 @@
 //! Perfetto ignores, holds the recorded causal DAG (schema `ps2-dag-v1`) and
 //! the SLO report (schema `ps2-slo-v1`). `report`, `diff` and `whatif`
 //! recompute everything from the DAG; `report` and `slo` print the same
-//! renderers `ps2-run` prints, so their output equals the live run's. Host
-//! input is the hostprof sidecar ([`HostProfile::to_json`]).
+//! renderers `ps2-run` prints, so their output equals the live run's.
 
 use std::process::exit;
 
-use ps2::simnet::{
-    parse_spec, render_slo, render_slo_diff, run_battery, standard_battery, HostProfile,
-};
+use ps2::simnet::{parse_spec, render_slo, render_slo_diff, run_battery, standard_battery};
 use ps2::tracefile::{read_slo, whatif_input, TraceSummary};
 
 const USAGE: &str = "usage: ps2-trace report <FILE> | \
      ps2-trace diff <A> <B> | \
-     ps2-trace host <FILE> | \
      ps2-trace slo <FILE> | \
      ps2-trace slo diff <BASE> <CAND> | \
      ps2-trace whatif <FILE> [--experiment SPEC] [--json OUT] | \
@@ -131,10 +124,6 @@ fn main() {
         }
         [cmd, rest @ ..] if cmd == "whatif" => {
             whatif_cmd(rest);
-        }
-        [cmd, file] if cmd == "host" => {
-            let (name, profile) = load(file, HostProfile::from_json);
-            print!("{name}: {}", profile.render());
         }
         [cmd, file] if cmd == "slo" && file != "diff" => {
             let (reqs, objectives, alerts) = load(file, read_slo);

@@ -3,9 +3,8 @@
 //! width they are judged over.
 //!
 //! Nothing here measures or gates anything: cross-commit exactness of
-//! *virtual-time* results is pinned by `tests/golden_runs.rs`, host time is
-//! measured by `benchmark/`, and the host-cost sidecar is
-//! [`HostProfile::to_json`](crate::simnet::HostProfile::to_json).
+//! *virtual-time* results is pinned by `tests/golden_runs.rs`, and host time
+//! is measured by `benchmark/`.
 
 use crate::simnet::SloObjective;
 use crate::SimTime;

@@ -51,7 +51,7 @@ fn every_sidecar_round_trips_through_the_cli() {
         RUN,
         "lr --preset kddb --iters 3 --workers 4 --servers 4 \
          --metrics-json @metrics.json --trace-json @trace.json --slo-json @slo.json \
-         --whatif-json @whatif.json --host-prof-json @host.json",
+         --whatif-json @whatif.json",
     );
 
     // The run report: every top-level key, a non-empty per-op breakdown.
@@ -103,8 +103,8 @@ fn every_sidecar_round_trips_through_the_cli() {
         panic!("\"ps2\" is not an object");
     };
     let keys: Vec<&str> = ps2.iter().map(|(k, _)| k.as_str()).collect();
-    assert_eq!(keys, ["drops_by_tag", "slo", "dag"]);
-    let dag = &ps2[2].1;
+    assert_eq!(keys, ["slo", "dag"]);
+    let dag = &ps2[1].1;
     let makespan_ns = dag.u64_field("makespan_ns").unwrap();
 
     // The SLO sidecar: tails and exemplars whose stages partition the total.
@@ -155,7 +155,6 @@ fn every_sidecar_round_trips_through_the_cli() {
     assert_eq!(run(TRACE, "slo @trace.json"), slo_report);
     let slo_diff = run(TRACE, "slo diff @slo.json @slo.json");
     assert!(slo_diff.contains("delta +0 ns"), "{slo_diff}");
-    assert!(run(TRACE, "host @host.json").contains("sched."));
     // Both stay: serve-kddb online 3.0 s; offline a 2.1 s run, 217 MB trace, 8.4 s replay.
     run(TRACE, "whatif @trace.json --json @whatif-offline.json");
     let read = |name| std::fs::read(tmp(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -173,6 +172,12 @@ fn both_binaries_print_usage_on_help() {
             assert!(usage.starts_with("usage: "), "{bin} {flag}: {usage}");
         }
     }
+    // A retired subcommand is a usage error.
+    let out = spawn(TRACE, "host @host.json");
+    assert!(
+        out.status.code() == Some(2) && out.stderr.starts_with(b"usage: "),
+        "{out:?}"
+    );
 }
 
 #[test]
@@ -180,6 +185,7 @@ fn flags_the_run_never_reads_exit_2() {
     for flag in [
         "--metric-json @unread.json",
         "--timeseries-json @unread.json",
+        "--host-prof-json @unread.json",
         "--window-ms 1",
         "--mini-batch 64",
     ] {
