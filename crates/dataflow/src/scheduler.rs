@@ -360,9 +360,6 @@ impl SparkContext {
         for part in 0..n {
             run.dispatch(self, ctx, part);
         }
-        // In-flight depth, sampled per scheduler step; the run report keeps
-        // the last sample.
-        ctx.metric_gauge_set("spark.tasks_inflight", run.net.outstanding() as i64);
 
         let mut fruitless_polls = 0u32;
         while !run.net.is_empty() {
@@ -374,14 +371,10 @@ impl SparkContext {
                     match env.downcast::<TaskResult>() {
                         TaskResult::Ok(value) => {
                             ctx.trace_mark_with("spark.task.finish", part as u64);
-                            let inflight = run.net.outstanding() as i64;
-                            ctx.metric_gauge_set("spark.tasks_inflight", inflight);
                             results[part] = Some(value);
                         }
                         TaskResult::Forwarded => {
                             ctx.trace_mark_with("spark.task.finish", part as u64);
-                            let inflight = run.net.outstanding() as i64;
-                            ctx.metric_gauge_set("spark.tasks_inflight", inflight);
                             let leader = part % groups;
                             let current = self.executors[leader % self.executors.len()];
                             if results[leader].is_none() && run.told[part] != Some(current) {

@@ -271,11 +271,6 @@ impl SimCtx {
         self.shared.lock().metric_add(self.me.0, name, delta);
     }
 
-    /// Set a named gauge to an absolute value. Not a yield point.
-    pub fn metric_gauge_set(&mut self, name: &str, value: i64) {
-        self.shared.lock().metric_gauge_set(self.me.0, name, value);
-    }
-
     /// Record a virtual-time duration into a named histogram. Not a yield
     /// point.
     pub fn metric_observe(&mut self, name: &str, dt: SimTime) {

@@ -62,7 +62,7 @@ pub enum Scope {
     CodecDecode,
     /// Fabric reliable-RPC pipeline (scatter/gather, dispatcher waits).
     FabricCall,
-    /// Metrics registry mutation (counters/gauges/histograms).
+    /// Metrics registry mutation (counters and histograms).
     MetricsRecord,
     /// SLO burn judging as windows close (`slo_roll`). Its name,
     /// `scrape.roll`, is the one the benchmark's `hostprof.scrape.roll.*`

@@ -1,4 +1,4 @@
-//! The flight recorder: a deterministic registry of counters, gauges and
+//! The flight recorder: a deterministic registry of counters and
 //! virtual-time histograms, plus the [`RunReport`] aggregation that turns a
 //! finished [`SimReport`] into a per-op breakdown table
 //! and a machine-readable JSON document.
@@ -275,7 +275,6 @@ impl VtHistogram {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, i64>,
     hists: BTreeMap<String, VtHistogram>,
 }
 
@@ -285,14 +284,6 @@ impl MetricsSnapshot {
             *v += delta;
         } else {
             self.counters.insert(name.to_string(), delta);
-        }
-    }
-
-    pub(crate) fn gauge_set(&mut self, name: &str, value: i64) {
-        if let Some(v) = self.gauges.get_mut(name) {
-            *v = value;
-        } else {
-            self.gauges.insert(name.to_string(), value);
         }
     }
 
@@ -311,11 +302,6 @@ impl MetricsSnapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Gauge value, if ever set.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
-    }
-
     /// Histogram by name.
     pub fn hist(&self, name: &str) -> Option<&VtHistogram> {
         self.hists.get(name)
@@ -324,11 +310,6 @@ impl MetricsSnapshot {
     /// All counters, in key order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// All gauges, in key order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, i64)> {
-        self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
     /// All histograms, in key order.
@@ -384,10 +365,6 @@ pub struct RunReport {
     pub comm_ns: u64,
     /// Per-op rows, sorted by descending `sum_ns` (ties by op name).
     pub ops: Vec<OpRow>,
-    /// Dropped messages broken down by protocol tag (from the
-    /// `net.dropped.tag.<tag>` counters), in ascending tag-key order. Sums
-    /// to `dropped_msgs`.
-    pub drops_by_tag: Vec<(String, u64)>,
     /// The full metric snapshot the rows were derived from.
     pub metrics: MetricsSnapshot,
 }
@@ -429,14 +406,6 @@ impl RunReport {
         }
         ops.sort_by(|a, b| b.sum_ns.cmp(&a.sum_ns).then_with(|| a.op.cmp(&b.op)));
 
-        let drops_by_tag: Vec<(String, u64)> = m
-            .counters()
-            .filter_map(|(k, v)| {
-                k.strip_prefix(DROP_TAG_PREFIX)
-                    .map(|tag| (tag.to_string(), v))
-            })
-            .collect();
-
         RunReport {
             virtual_time: report.virtual_time,
             wall: report.wall_time,
@@ -446,7 +415,6 @@ impl RunReport {
             compute_ns,
             comm_ns,
             ops,
-            drops_by_tag,
             metrics: m.clone(),
         }
     }
@@ -480,9 +448,16 @@ impl RunReport {
             self.comm_ns as f64 / 1e9,
             100.0 * (1.0 - self.compute_share()),
         );
-        if !self.drops_by_tag.is_empty() {
+        // Dropped sends per protocol tag, from the `net.dropped.tag.<tag>`
+        // counters in tag order; they sum to `dropped_msgs`.
+        let mut drops = self
+            .metrics
+            .counters()
+            .filter_map(|(k, n)| Some((k.strip_prefix(DROP_TAG_PREFIX)?, n)))
+            .peekable();
+        if drops.peek().is_some() {
             let _ = write!(s, "dropped by tag:");
-            for (tag, n) in &self.drops_by_tag {
+            for (tag, n) in drops {
                 let _ = write!(s, "  {tag}={n}");
             }
             let _ = writeln!(s);
@@ -528,39 +503,28 @@ impl RunReport {
         w.key("total_msgs").raw(self.total_msgs);
         w.key("total_bytes").raw(self.total_bytes);
         w.key("dropped_msgs").raw(self.dropped_msgs);
-        let drops = self.drops_by_tag.iter().map(|(tag, n)| (tag, n));
-        w.key("drops_by_tag").counts(Style::Block, drops);
         w.key("compute_ns").raw(self.compute_ns);
         w.key("comm_ns").raw(self.comm_ns);
-        w.key("ops");
-        if self.ops.is_empty() {
-            // The one empty container that is not `[]`: a run with no PS ops
-            // (every Spark-backend golden row) has always written it this
-            // way, and the golden digests cover the bytes.
-            w.raw("[\n  ]");
-        } else {
-            w.arr(Style::Block);
-            for o in &self.ops {
-                w.obj(Style::Inline).key("op").str(&o.op);
-                for (k, v) in [
-                    ("count", o.count),
-                    ("bytes", o.bytes),
-                    ("rows", o.rows),
-                    ("sum_ns", o.sum_ns),
-                    ("p50_ns", o.p50_ns),
-                    ("p99_ns", o.p99_ns),
-                    ("p999_ns", o.p999_ns),
-                    ("share_ns", o.share_ns),
-                ] {
-                    w.key(k).raw(v);
-                }
-                w.end();
+        w.key("ops").arr(Style::Block);
+        for o in &self.ops {
+            w.obj(Style::Inline).key("op").str(&o.op);
+            for (k, v) in [
+                ("count", o.count),
+                ("bytes", o.bytes),
+                ("rows", o.rows),
+                ("sum_ns", o.sum_ns),
+                ("p50_ns", o.p50_ns),
+                ("p99_ns", o.p99_ns),
+                ("p999_ns", o.p999_ns),
+                ("share_ns", o.share_ns),
+            ] {
+                w.key(k).raw(v);
             }
             w.end();
         }
+        w.end();
         w.key("counters")
             .counts(Style::Block, self.metrics.counters());
-        w.key("gauges").counts(Style::Block, self.metrics.gauges());
         w.key("hists").obj(Style::Block);
         for (k, h) in self.metrics.hists() {
             w.key(k);
@@ -701,16 +665,14 @@ mod tests {
     }
 
     #[test]
-    fn registry_counters_gauges_hists() {
+    fn registry_counters_and_hists() {
         let mut m = MetricsSnapshot::default();
         m.add("a.x", 2);
         m.add("a.x", 3);
         m.add("a.y", 1);
-        m.gauge_set("g", -4);
         m.observe("h", SimTime(100));
         assert_eq!(m.counter("a.x"), 5);
         assert_eq!(m.counter("missing"), 0);
-        assert_eq!(m.gauge("g"), Some(-4));
         assert_eq!(m.hist("h").unwrap().count(), 1);
         // Key order is sorted, not insertion order.
         let keys: Vec<&str> = m.counters().map(|(k, _)| k).collect();

@@ -136,7 +136,7 @@ pub struct SimReport {
     /// Recorded events, in virtual-time order (empty unless tracing was
     /// enabled on the builder).
     pub trace: Vec<TraceEvent>,
-    /// Final snapshot of the run's metrics registry (counters, gauges,
+    /// Final snapshot of the run's metrics registry (counters and
     /// virtual-time histograms recorded via `SimCtx::metric_*`).
     pub metrics: MetricsSnapshot,
     /// Interned trace labels, indexed by [`LabelId`]. Populated in first-use

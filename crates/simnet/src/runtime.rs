@@ -572,12 +572,6 @@ impl State {
         self.metrics.add(name, delta);
     }
 
-    pub(crate) fn metric_gauge_set(&mut self, me: usize, name: &str, value: i64) {
-        let _prof = hostprof::scope(ProfScope::MetricsRecord);
-        self.slo_roll(self.procs[me].clock);
-        self.metrics.gauge_set(name, value);
-    }
-
     pub(crate) fn metric_observe(&mut self, me: usize, name: &str, dt: SimTime) {
         let _prof = hostprof::scope(ProfScope::MetricsRecord);
         self.slo_roll(self.procs[me].clock);
@@ -1269,11 +1263,6 @@ impl StepCtx<'_> {
     /// Increment a named counter in the run's metrics registry.
     pub fn metric_add(&mut self, name: &str, delta: u64) {
         self.st.metric_add(self.me, name, delta);
-    }
-
-    /// Set a named gauge to an absolute value.
-    pub fn metric_gauge_set(&mut self, name: &str, value: i64) {
-        self.st.metric_gauge_set(self.me, name, value);
     }
 
     /// Record a virtual-time duration into a named histogram.

@@ -69,12 +69,11 @@ fn workload(judged: bool) -> SimReport {
     });
     for c in 0..4 {
         sim.spawn(&format!("client-{c}"), move |ctx| {
-            for i in 0..20i64 {
+            for i in 0..20u64 {
                 let t0 = ctx.now();
                 ctx.advance(SimTime::from_micros(100 + 37 * c));
-                let _ = ctx.call(server, 1, i as u64, 256);
+                let _ = ctx.call(server, 1, i, 256);
                 ctx.metric_add("cli.calls", 1);
-                ctx.metric_gauge_set("cli.last_iter", i);
                 ctx.metric_observe("cli.rtt", ctx.now() - t0);
             }
         });

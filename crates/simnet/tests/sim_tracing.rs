@@ -195,13 +195,11 @@ fn metrics_registry_is_captured_in_report() {
     sim.spawn("p", |ctx| {
         ctx.metric_add("test.counter", 2);
         ctx.metric_add("test.counter", 3);
-        ctx.metric_gauge_set("test.gauge", -7);
         ctx.advance(SimTime::from_millis(1));
         ctx.metric_observe("test.hist", SimTime::from_micros(50));
     });
     let report = sim.run().unwrap();
     assert_eq!(report.metrics.counter("test.counter"), 5);
-    assert_eq!(report.metrics.gauge("test.gauge"), Some(-7));
     let h = report.metrics.hist("test.hist").unwrap();
     assert_eq!(h.count(), 1);
     assert_eq!(h.sum_ns(), 50_000);

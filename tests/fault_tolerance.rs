@@ -214,18 +214,29 @@ fn server_killed_mid_iteration_training_completes_via_in_job_recovery() {
     // Messages addressed to the killed server are dropped, and the runtime
     // attributes every drop to its protocol tag — the faulty run's breakdown
     // table must name the tags and account for every dropped message.
+    let drops_per_tag = |r: &RunReport| -> Vec<u64> {
+        r.metrics
+            .counters()
+            .filter_map(|(k, n)| k.starts_with("net.dropped.tag.").then_some(n))
+            .collect()
+    };
+    let by_tag = drops_per_tag(&faulty.run_report);
     assert!(
-        !faulty.run_report.drops_by_tag.is_empty(),
+        !by_tag.is_empty(),
         "faulty run must attribute its dropped messages to protocol tags"
     );
-    let by_tag: u64 = faulty.run_report.drops_by_tag.iter().map(|(_, n)| n).sum();
     assert_eq!(
-        by_tag, faulty.run_report.dropped_msgs,
+        by_tag.iter().sum::<u64>(),
+        faulty.run_report.dropped_msgs,
         "per-tag drop counts must sum to the total drop count"
     );
     assert!(
-        clean.run_report.drops_by_tag.is_empty(),
+        drops_per_tag(&clean.run_report).is_empty(),
         "clean run must drop nothing"
+    );
+    assert!(
+        faulty.run_report.render_table().contains("dropped by tag:"),
+        "the breakdown table names the dropped tags"
     );
     // The recovery stall is idle time on the critical path: the extra
     // makespan the kill costs is the path waiting out the dead server's

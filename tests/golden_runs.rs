@@ -10,7 +10,7 @@
 //! protocol probes no spec expresses are keyed `name seed` and built by hand.
 //!
 //! `digest` is FNV-1a-64 over the run report's JSON (`wall_ms` line dropped),
-//! i.e. every counter, gauge and histogram, extended with the bits of every
+//! i.e. every counter and histogram, extended with the bits of every
 //! `(time, loss)` point of the run's loss curve, and on the `alerts` row then
 //! with every SLO burn alert's fields. A row that differs in `digest` alone
 //! means a metric or a loss moved while the headline numbers held.
@@ -73,7 +73,7 @@ fn check(rows: Vec<String>) {
     assert!(
         diff.is_empty(),
         "virtual-time results moved against tests/golden_runs.txt:\n{diff}\
-         Only `digest` differs? A counter, gauge, histogram or loss changed: \
+         Only `digest` differs? A counter, histogram or loss changed: \
          diff `ps2-run <key> --metrics-json` output across the two commits.\n\
          If the change is intended, run the whole of `cargo test --test golden_runs` and bless:\n  \
          cp {FRESH_PATH} {GOLDEN_PATH}\n"
