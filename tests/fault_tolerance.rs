@@ -206,6 +206,11 @@ fn server_killed_mid_iteration_training_completes_via_in_job_recovery() {
         "registry recovery count must match the master's own count"
     );
     assert_eq!(
+        faulty.metrics.counter("spark.liveness_polls"),
+        0,
+        "the request path alone recovers the server: no task waits out a liveness poll"
+    );
+    assert_eq!(
         clean.metrics.counter("ps.client.retries"),
         0,
         "clean run must not record retries"
