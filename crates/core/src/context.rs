@@ -54,14 +54,10 @@ pub struct Ps2Context {
 
 impl Ps2Context {
     pub fn new(deployment: Deployment) -> Ps2Context {
-        let mut spark = SparkContext::new(deployment.executors);
-        let ps = PsMaster::new(deployment.servers, deployment.storage);
-        // Bridge the two applications' failure handling: when a job's tasks
-        // stall, the scheduler heartbeats the PS fleet and triggers
-        // dead-server recovery mid-run instead of deadlocking on workers
-        // blocked against a dead server.
-        spark.register_probe(ps.fleet());
-        Ps2Context { spark, ps }
+        Ps2Context {
+            spark: SparkContext::new(deployment.executors),
+            ps: PsMaster::new(deployment.servers, deployment.storage),
+        }
     }
 
     /// `DCV.dense(dim, k)` (paper Figure 3, line 4): allocate a raw

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use ps2_simnet::fabric::{Dispatcher, FabricPolicy};
 use ps2_simnet::hostprof::{self, Scope as ProfScope};
-use ps2_simnet::{LivenessProbe, ProcId, SimCtx, SimTime, WireSize};
+use ps2_simnet::{ProcId, SimCtx, SimTime, WireSize};
 
 use crate::broadcast::{Broadcast, BroadcastValue};
 use crate::executor::{executor_main, tags, Combine, Sink, TaskJob, TaskResult, TaskSpec, WorkCtx};
@@ -16,11 +16,13 @@ use crate::rdd::{materialize_any, Rdd};
 /// liveness (executor-loss detection).
 const LIVENESS_POLL: SimTime = SimTime::from_millis(30_000);
 /// Consecutive liveness polls that find nothing to fix (no reply, no dead
-/// executor, no probe recovery) before the job aborts. Tasks can be stuck on
-/// a *non-executor* dependency — a dead process none of the registered
-/// probes owns — and without this bound the timeout branch would re-poll
-/// forever (a driver livelock rather than a simulator deadlock, since the
-/// deadline keeps the driver runnable).
+/// executor) before the job aborts. Tasks can be stuck on a *non-executor*
+/// dependency — a process that is alive but never answers, which the
+/// scheduler cannot replace — and without this bound the timeout branch
+/// would re-poll forever (a driver livelock rather than a simulator
+/// deadlock, since the deadline keeps the driver runnable). A dead PS-server
+/// is not such a dependency: the PS client's own request timeout recovers
+/// it long before the first poll.
 pub const MAX_FRUITLESS_POLLS: u32 = 32;
 /// Declared wire size of a serialized task closure.
 const TASK_BYTES: u64 = 2048;
@@ -86,10 +88,10 @@ impl Default for FailureConfig {
 pub enum JobError {
     /// Some task exhausted its retry budget.
     TaskRetriesExhausted { partition: usize, attempts: u32 },
-    /// Outstanding tasks made no progress across the configured number of
-    /// liveness polls: every tracked executor is alive and no registered
-    /// probe found anything to recover, yet no reply arrives. The tasks are
-    /// stuck on an unrecoverable dependency.
+    /// Outstanding tasks made no progress across [`MAX_FRUITLESS_POLLS`]
+    /// consecutive liveness polls: every tracked executor is alive, yet no
+    /// reply arrives. The tasks are stuck on a dependency the scheduler
+    /// cannot recover.
     LivenessTimeout {
         outstanding: usize,
         fruitless_polls: u32,
@@ -112,8 +114,7 @@ impl std::fmt::Display for JobError {
             } => write!(
                 f,
                 "{outstanding} task(s) made no progress across {fruitless_polls} liveness \
-                 polls with all executors alive and nothing for probes to recover; \
-                 aborting job instead of polling forever"
+                 polls with all executors alive; aborting job instead of polling forever"
             ),
         }
     }
@@ -137,12 +138,6 @@ pub struct SparkContext {
     /// Jobs run so far — doubles as the job id carried on the
     /// `spark.job.*` trace marks.
     jobs_submitted: u64,
-    respawn_counter: u64,
-    /// Liveness probes consulted by the scheduler's timeout branch: each
-    /// checks one non-executor dependency (e.g. the PS-server fleet) and
-    /// recovers it when dead, so a job stuck on it resumes *mid-run*
-    /// instead of waiting for the driver code between jobs to notice.
-    probes: Vec<Arc<dyn LivenessProbe>>,
 }
 
 impl SparkContext {
@@ -156,15 +151,7 @@ impl SparkContext {
             executors_replaced: 0,
             task_retries: 0,
             jobs_submitted: 0,
-            respawn_counter: 0,
-            probes: Vec::new(),
         }
-    }
-
-    /// Register a [`LivenessProbe`] the scheduler runs whenever a liveness
-    /// poll times out — in addition to its own executor checks.
-    pub fn register_probe(&mut self, probe: Arc<dyn LivenessProbe>) {
-        self.probes.push(probe);
     }
 
     pub fn num_executors(&self) -> usize {
@@ -322,7 +309,7 @@ impl SparkContext {
     ///
     /// Correlation bookkeeping and deadline waits live in the fabric's
     /// streaming [`Dispatcher`] (metrics under `spark.fabric.*`); retry
-    /// *policy* — attempt budgets, liveness probing, executor replacement —
+    /// *policy* — attempt budgets, liveness polls, executor replacement —
     /// stays here, because unlike a PS request a task is re-plannable: a
     /// failed attempt may move to a different executor.
     fn run_tasks(
@@ -403,22 +390,10 @@ impl SparkContext {
                     }
                 }
                 None => {
-                    // Timed out. Tasks can be stuck on the executor itself
-                    // *or* on a dependency the executor is blocked against
-                    // (a worker mid-PS-request never replies to the driver),
-                    // so run the registered dependency probes first — they
-                    // recover what they own and report whether they did.
+                    // Timed out. Reclaim tasks whose executor died and
+                    // resend — all but children of a group whose leader has
+                    // replied, whose partials are in.
                     ctx.metric_add("spark.liveness_polls", 1);
-                    let mut recovered = 0u64;
-                    for probe in &self.probes {
-                        ctx.metric_add("spark.probe_firings", 1);
-                        ctx.trace_mark("spark.probe.fire");
-                        recovered += probe.probe(ctx);
-                    }
-                    ctx.metric_add("spark.probe_recoveries", recovered);
-                    // Then reclaim tasks whose executor died and resend —
-                    // all but children of a group whose leader has replied,
-                    // whose partials are in.
                     let dead = run.net.take_dead(|proc| ctx.is_alive(ProcId(proc)));
                     let redispatched = !dead.is_empty();
                     for sent in dead {
@@ -431,7 +406,7 @@ impl SparkContext {
                     // A poll that fixed nothing is fruitless; too many in a
                     // row means the stuck dependency is outside anything we
                     // can recover, and re-polling forever would livelock.
-                    if recovered > 0 || redispatched {
+                    if redispatched {
                         fruitless_polls = 0;
                     } else {
                         fruitless_polls += 1;
@@ -459,9 +434,8 @@ impl SparkContext {
     fn executor_for(&mut self, ctx: &mut SimCtx, part: usize) -> ProcId {
         let exec_idx = part % self.executors.len();
         if !ctx.is_alive(self.executors[exec_idx]) {
-            self.respawn_counter += 1;
             self.executors_replaced += 1;
-            let name = format!("executor-{exec_idx}r{}", self.respawn_counter);
+            let name = format!("executor-{exec_idx}r{}", self.executors_replaced);
             let id = ctx.spawn_daemon(&name, executor_main);
             self.executors[exec_idx] = id;
             for bv in &self.broadcasts {

@@ -271,9 +271,9 @@ fn executor_loss_mid_job_is_detected_by_liveness_poll() {
 #[test]
 fn stuck_non_executor_dependency_aborts_instead_of_livelocking() {
     // A task blocks against a process that is alive but never answers — not
-    // an executor, so the timeout branch's executor checks find nothing to
-    // redispatch, and no probe owns the dependency. The scheduler used to
-    // re-poll that state forever (driver livelock); now it errors out after
+    // an executor, so the timeout branch finds nothing to redispatch, and the
+    // scheduler cannot recover anything else. It used to re-poll that state
+    // forever (driver livelock); now it errors out after
     // `MAX_FRUITLESS_POLLS`.
     use ps2_dataflow::{JobError, MAX_FRUITLESS_POLLS};
     let mut sim = SimBuilder::new().seed(17).build();

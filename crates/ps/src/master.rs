@@ -5,17 +5,12 @@ use std::any::Any;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use ps2_simnet::{fabric, LivenessProbe, ProcId, SimCtx, SimTime, WireSize};
+use ps2_simnet::{fabric, ProcId, SimCtx, WireSize};
 
 use crate::client::{ps_policy, MatrixHandle, PsRouter};
 use crate::plan::{MatrixId, PartitionPlan, Partitioning, RouteTable};
 use crate::protocol::{tags, CheckpointReq, CreateReq, FreeReq, InitKind, RestoreReq, HDR};
 use crate::server::PsServerAgent;
-
-/// How long a liveness ping waits before a server is suspected dead.
-fn ping_timeout() -> SimTime {
-    SimTime::from_secs_f64(5.0)
-}
 
 #[derive(Clone, Copy, Default)]
 struct FleetStats {
@@ -27,11 +22,11 @@ struct FleetStats {
 /// Shared, recovery-capable view of the PS-server fleet.
 ///
 /// Extracted from [`PsMaster`] so that *any* process noticing a dead server
-/// can replace it: the driver (from the scheduler's timeout branch, via
-/// [`LivenessProbe`]) and every PS-client holding a [`MatrixHandle`] (from a
-/// timed-out request). Recovery is single-flight: whoever wins the
-/// `in_recovery` try-lock performs it; everyone else backs off and retries
-/// their request once the [`RouteTable`] epoch advances.
+/// can replace it: every PS-client holding a [`MatrixHandle`] (from a
+/// timed-out request) and the driver (through
+/// [`PsMaster::recover_dead_servers`]). Recovery is single-flight: whoever
+/// wins the `in_recovery` try-lock performs it; everyone else backs off and
+/// retries their request once the [`RouteTable`] epoch advances.
 ///
 /// Lock discipline: `matrices` and `stats` are held only for non-yielding
 /// metadata reads/writes. `in_recovery` *is* held across simulator yield
@@ -70,38 +65,6 @@ impl PsFleet {
     /// parameters — the failure mode `recover_dead_servers` used to swallow.
     pub fn silent_reinits(&self) -> u64 {
         self.stats.lock().silent_reinits
-    }
-
-    /// Heartbeat every slot (protocol tag `PING`) and return the slots that
-    /// did not answer within the ping timeout: dead servers, or servers
-    /// stuck long enough to deserve a closer look.
-    ///
-    /// Deliberately *not* routed through the request fabric: the fabric
-    /// retries and recovers on timeout, but this ping IS the detector that
-    /// recovery consults — a single raw deadline-bounded scatter whose
-    /// misses are the answer, not a failure to mask.
-    pub fn ping_all(&self, ctx: &mut SimCtx) -> Vec<usize> {
-        let slots: Vec<usize> = (0..self.route.n_slots()).collect();
-        let reqs: Vec<_> = slots
-            .iter()
-            .map(|&slot| {
-                (
-                    self.route.resolve(slot),
-                    tags::PING,
-                    Box::new(()) as Box<dyn Any + Send>,
-                    8u64,
-                    None,
-                )
-            })
-            .collect();
-        let deadline = ctx.now() + ping_timeout();
-        let replies = ctx.call_many_deadline(reqs, deadline);
-        slots
-            .into_iter()
-            .zip(replies)
-            .filter(|(_, r)| r.is_none())
-            .map(|(slot, _)| slot)
-            .collect()
     }
 
     /// Detect dead servers and replace each with a fresh process whose state
@@ -162,17 +125,6 @@ impl PsFleet {
     }
 }
 
-impl LivenessProbe for PsFleet {
-    /// Scheduler hook: heartbeat the fleet, and when any slot misses the
-    /// ping deadline, run dead-server recovery. Counts replaced servers.
-    fn probe(&self, ctx: &mut SimCtx) -> u64 {
-        if self.ping_all(ctx).is_empty() {
-            return 0;
-        }
-        self.recover_dead_servers(ctx).len() as u64
-    }
-}
-
 /// Coordinator-side manager of the parameter-server fleet.
 pub struct PsMaster {
     fleet: Arc<PsFleet>,
@@ -190,11 +142,6 @@ impl PsMaster {
 
     pub fn route(&self) -> Arc<RouteTable> {
         self.fleet.route()
-    }
-
-    /// The shared fleet view (register it as a scheduler liveness probe).
-    pub fn fleet(&self) -> Arc<PsFleet> {
-        Arc::clone(&self.fleet)
     }
 
     /// Servers replaced after failures.

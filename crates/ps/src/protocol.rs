@@ -34,9 +34,9 @@ pub(crate) mod tags {
     pub const ZIP_ARGMAX: u32 = 29;
     // 30..=33 were the ad-hoc batched psFuncs (DOT_BATCH, ZIP_BATCH,
     // PULL_ROWS, PUSH_ROWS), superseded by the generic ENVELOPE container;
-    // the numbers stay reserved so old traces read unambiguously.
-    /// Liveness heartbeat: servers answer immediately with `()`.
-    pub const PING: u32 = 34;
+    // 34 was the scheduler's liveness PING, superseded by the fabric's
+    // timeout-triggered recovery. The numbers stay reserved so old traces
+    // read unambiguously.
     /// Per-server coalescing container: many sub-requests, one message.
     pub const ENVELOPE: u32 = 35;
     pub const STORE_PUT: u32 = 40;
@@ -67,7 +67,6 @@ pub(crate) mod tags {
             CHECKPOINT => "checkpoint",
             RESTORE => "restore",
             ZIP_ARGMAX => "zip_argmax",
-            PING => "ping",
             ENVELOPE => "envelope",
             STORE_PUT => "store_put",
             STORE_GET => "store_get",

@@ -711,12 +711,6 @@ fn execute(
             ctx.charge_mem(n * 8);
             (Box::new(values), 16 + n * req.value_bytes)
         }
-        tags::PING => {
-            // Liveness heartbeat: answer immediately. A server stuck in a
-            // long op answers late, which the prober treats the same as any
-            // slow reply; only a dead server never answers.
-            (Box::new(()), 8)
-        }
         other => panic!("ps-server: unknown tag {other}"),
     }
 }

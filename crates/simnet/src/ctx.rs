@@ -10,10 +10,6 @@ use crate::reqtrace::ReqToken;
 use crate::runtime::{proc_rng, MatchSpec, Outgoing, ProcId, Shared};
 use crate::time::SimTime;
 
-/// One outbound request of a scatter-gather batch:
-/// `(dst, tag, payload, wire bytes, request-trace token)`.
-pub type TracedRequest = (ProcId, u32, Box<dyn Any + Send>, u64, Option<ReqToken>);
-
 /// Per-process simulator handle: messaging, virtual time, RNG, spawning.
 ///
 /// Obtained as the argument of the closure passed to
@@ -132,54 +128,17 @@ impl SimCtx {
         &mut self,
         requests: Vec<(ProcId, u32, Box<dyn Any + Send>, u64)>,
     ) -> Vec<Envelope> {
-        let requests = requests
-            .into_iter()
-            .map(|(dst, tag, payload, bytes)| (dst, tag, payload, bytes, None))
-            .collect();
-        self.scatter_gather(requests, None)
-            .into_iter()
-            .map(|e| e.expect("missing reply"))
-            .collect()
-    }
-
-    /// Deadline-aware scatter-gather: like [`SimCtx::call_many`], but gives
-    /// up waiting once the virtual clock reaches `deadline`. Slot `i` of the
-    /// result is `None` when request `i`'s reply had not arrived by then —
-    /// either the peer is dead (mail to dead processes is dropped, so the
-    /// reply will never come) or merely slow. A late reply stays queued
-    /// under its own correlation id and can never be mistaken for another
-    /// call's; receive loops using [`SimCtx::recv`] should skip stray
-    /// replies via [`Envelope::is_reply`]. Each request may carry a
-    /// request-trace token (minted with [`SimCtx::req_begin_batch`]); its
-    /// reply carries the token back.
-    pub fn call_many_deadline(
-        &mut self,
-        requests: Vec<TracedRequest>,
-        deadline: SimTime,
-    ) -> Vec<Option<Envelope>> {
-        self.scatter_gather(requests, Some(deadline))
-    }
-
-    /// Send every request, then gather replies until all are in or the
-    /// clock reaches `deadline`; slot `i` holds request `i`'s reply.
-    fn scatter_gather(
-        &mut self,
-        requests: Vec<TracedRequest>,
-        deadline: Option<SimTime>,
-    ) -> Vec<Option<Envelope>> {
         let corr_order: Vec<u64> = requests
             .into_iter()
-            .map(|(dst, tag, payload, bytes, req)| self.request(dst, tag, payload, bytes, req))
+            .map(|(dst, tag, payload, bytes)| self.request(dst, tag, payload, bytes, None))
             .collect();
         let mut pending = corr_order.clone();
         let mut replies: Vec<Option<Envelope>> = corr_order.iter().map(|_| None).collect();
         while !pending.is_empty() {
-            let Some(env) =
-                self.shared
-                    .block_recv(self.me.0, MatchSpec::Replies(pending.clone()), deadline)
-            else {
-                break;
-            };
+            let env = self
+                .shared
+                .block_recv(self.me.0, MatchSpec::Replies(pending.clone()), None)
+                .expect("missing reply");
             let idx = corr_order
                 .iter()
                 .position(|&c| c == env.corr)
@@ -187,7 +146,7 @@ impl SimCtx {
             pending.retain(|&c| c != env.corr);
             replies[idx] = Some(env);
         }
-        replies
+        replies.into_iter().map(Option::unwrap).collect()
     }
 
     /// Low-level request send: like [`SimCtx::call`] but non-blocking;
@@ -294,8 +253,8 @@ impl SimCtx {
     }
 
     /// Mint request-trace tokens for one fabric op issued by this process:
-    /// one token per request in the batch, to be attached via
-    /// [`SimCtx::call_many_deadline`]. Returns an empty vec when request
+    /// one token per request in the batch, to be attached by
+    /// [`crate::fabric::begin`]. Returns an empty vec when request
     /// tracing is off ([`crate::SimBuilder::reqtrace`]). Not a yield point
     /// — ids come from the trace recorder's own counter, so traced runs keep
     /// the exact timing of untraced ones.

@@ -73,7 +73,6 @@ pub mod json;
 mod message;
 pub mod metrics;
 pub mod perfetto;
-mod probe;
 mod report;
 pub mod reqtrace;
 mod runtime;
@@ -92,7 +91,6 @@ pub use hostprof::{HostProfile, ScopeStat};
 pub use message::{payload_ref, Envelope, WireSize};
 pub use metrics::{MetricsSnapshot, OpRow, RunReport, VtHistogram};
 pub use perfetto::export_trace_full;
-pub use probe::LivenessProbe;
 pub use report::{LabelId, ProcStats, SimReport, TraceEvent};
 pub use reqtrace::{
     render_slo, render_slo_diff, slo_from_json, slo_json, OpReqStats, ReqRecord, ReqSummary,

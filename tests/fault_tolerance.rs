@@ -257,3 +257,44 @@ fn server_killed_mid_iteration_training_completes_via_in_job_recovery() {
         faulty.critical.categories()
     );
 }
+
+#[test]
+fn long_task_waits_out_liveness_polls_without_touching_the_servers() {
+    // One task computes for 95 s of virtual time, past three 30 s liveness
+    // polls. Nothing is dead and no matrix exists, so each poll finds nothing
+    // to redispatch and the PS fleet hears nothing from the driver.
+    let spec = ClusterSpec {
+        workers: 2,
+        servers: 3,
+    };
+    let mut sim = SimBuilder::new().seed(SEED).build();
+    let deployment = deploy(&mut sim, &spec);
+    let out = sim.spawn_collect("coordinator", move |ctx| {
+        let mut ps2 = Ps2Context::new(deployment);
+        let rdd = ps2.spark.source(1, |_p, w| {
+            w.sim.advance(SimTime::from_millis(95_000));
+            vec![7u64]
+        });
+        ps2.spark.run_job(ctx, &rdd, |p, _| p[0], |_| 8)
+    });
+    let report = sim.run().expect("simulation must complete");
+    let values = out
+        .take()
+        .expect("a long healthy task is not a liveness failure");
+    assert_eq!(values, vec![7]);
+    assert_eq!(report.metrics.counter("spark.liveness_polls"), 3);
+    assert_eq!(report.metrics.counter("spark.task_redispatches"), 0);
+    let servers: Vec<_> = report
+        .procs
+        .iter()
+        .filter(|p| p.name.starts_with("ps-server-"))
+        .collect();
+    assert_eq!(servers.len(), spec.servers);
+    for p in servers {
+        assert_eq!(
+            p.msgs_recv, 0,
+            "{} received {} messages",
+            p.name, p.msgs_recv
+        );
+    }
+}
