@@ -355,6 +355,29 @@ fn lbfgs_converges_faster_per_iteration_than_sgd() {
         assert!(m.counters().all(|(n, _)| n != name), "{name} present");
     }
     assert!(lbfgs_trace.is_sane());
+    // The loss curve, bit for bit. Ten iterations wrap the m = 5 history
+    // ring, which no golden row reaches, so this pins the step zip and the
+    // Gram dots over a full, recycled ring.
+    let curve: Vec<u64> = lbfgs_trace
+        .points
+        .iter()
+        .map(|&(_, l)| l.to_bits())
+        .collect();
+    assert_eq!(
+        curve,
+        [
+            0x3fe62e42fefa39fd,
+            0x3fe61e6d1a4169d4,
+            0x3fe31b2737b42789,
+            0x3fe180802cedecb8,
+            0x3fe10588f7da2523,
+            0x3fdf4efc612e1e83,
+            0x3fdd312938cec493,
+            0x3fdbb6f6069761f7,
+            0x3fda72c793dae97b,
+            0x3fd9fcdf1a481c19,
+        ]
+    );
     let first = lbfgs_trace.points[0].1;
     let last = lbfgs_trace.final_loss();
     assert!(
