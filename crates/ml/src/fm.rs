@@ -20,7 +20,7 @@ use ps2_core::{Ps2Context, WorkCtx};
 use ps2_data::{Example, SparseDatasetGen};
 use ps2_simnet::SimCtx;
 
-use crate::lr::{distinct_cols, log_loss, sigmoid};
+use crate::lr::{distinct_cols, log_loss, sigmoid, ColIndex};
 use crate::metrics::TrainingTrace;
 
 /// L2 on the factors.
@@ -131,13 +131,11 @@ pub fn train_fm(ctx: &mut SimCtx, ps2: &mut Ps2Context, cfg: &FmConfig) -> Train
                     let kk = rows_c.len() - 1;
                     let mut grad: Vec<Vec<f64>> = vec![vec![0.0; kk + 1]; cols.len()];
                     let mut loss = 0.0;
+                    let index = ColIndex::new(&cols);
                     for ex in examples {
                         // Gather this example's aligned working set.
-                        let idx: Vec<usize> = ex
-                            .features
-                            .iter()
-                            .map(|&(j, _)| cols.binary_search(&j).expect("col missing"))
-                            .collect();
+                        let idx: Vec<usize> =
+                            ex.features.iter().map(|&(j, _)| index.pos(j)).collect();
                         let w_al: Vec<f64> = idx.iter().map(|&p| block[p][0]).collect();
                         let v_al: Vec<Vec<f64>> = (0..kk)
                             .map(|f| idx.iter().map(|&p| block[p][f + 1]).collect())

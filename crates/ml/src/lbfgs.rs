@@ -34,6 +34,9 @@ const HISTORY: usize = 5;
 /// Fixed step size (no line search — full-batch gradients are stable enough
 /// on this objective).
 const STEP: f64 = 0.5;
+/// Columns per block of the step zip: its `q` stays in L1 across the
+/// terms.
+const STEP_BLOCK: usize = 1024;
 /// Curvature floor: a pair with `s·y` at or below it is skipped (Nocedal &
 /// Wright §7.2), and so is the γ scaling when `y·y` is.
 const CURVATURE_EPS: f64 = 1e-12;
@@ -268,8 +271,11 @@ pub fn train_lbfgs(ctx: &mut SimCtx, ps2: &mut Ps2Context, cfg: &LbfgsConfig) ->
                 ctx,
                 &mut trip,
                 Arc::new(|zs: &mut ZipSegs<'_>| {
-                    for e in 0..zs.segs[0].len() {
-                        zs.segs[0][e] = zs.segs[1][e] - zs.segs[2][e];
+                    let [y, g, prev_g] = &mut zs.segs[..] else {
+                        unreachable!("the y zip reads three rows")
+                    };
+                    for (y, (g, prev_g)) in y.iter_mut().zip(g.iter().zip(prev_g.iter())) {
+                        *y = g - prev_g;
                     }
                 }),
                 1,
@@ -294,14 +300,14 @@ pub fn train_lbfgs(ctx: &mut SimCtx, ps2: &mut Ps2Context, cfg: &LbfgsConfig) ->
 
         // Round trip 2: form q per element and take the step.
         let dir = two_loop(&gram, &order);
-        let (dg, cur) = (dir.g, 3 + cursor);
+        let dg = dir.g;
         let terms: Vec<(usize, f64)> = dir
             .s
             .iter()
             .chain(&dir.y)
+            .copied()
             .enumerate()
-            .filter(|&(_, &c)| c != 0.0)
-            .map(|(k, &c)| (3 + k, c))
+            .filter(|&(_, c)| c != 0.0)
             .collect();
         let flops_per_elem = 2 * (1 + terms.len() as u64) + 3;
         let rows: Vec<&Dcv> = [&g, &prev_g]
@@ -312,15 +318,35 @@ pub fn train_lbfgs(ctx: &mut SimCtx, ps2: &mut Ps2Context, cfg: &LbfgsConfig) ->
         w_dcv.zip(&rows).map_partitions(
             ctx,
             Arc::new(move |zs: &mut ZipSegs<'_>| {
-                for e in 0..zs.segs[0].len() {
-                    let mut q = dg * zs.segs[1][e];
-                    for &(k, c) in &terms {
-                        q += c * zs.segs[k][e];
+                let (fixed, hist) = zs.segs.split_at_mut(3);
+                let [w, g, prev_g] = fixed else {
+                    unreachable!("the step zip reads w, g and prev_g first")
+                };
+                let mut q = [0.0; STEP_BLOCK];
+                for lo in (0..w.len()).step_by(STEP_BLOCK) {
+                    let cols = lo..(lo + STEP_BLOCK).min(w.len());
+                    let q = &mut q[..cols.len()];
+                    // Column-major within the block: q = dg·g, then each
+                    // term in order, so every element sums exactly as a
+                    // per-element loop would.
+                    for (q, g) in q.iter_mut().zip(&g[cols.clone()]) {
+                        *q = dg * g;
                     }
-                    zs.segs[0][e] -= STEP * q;
-                    zs.segs[cur][e] = -STEP * q;
-                    zs.segs[2][e] = zs.segs[1][e];
-                    zs.segs[1][e] = 0.0;
+                    for &(k, c) in &terms {
+                        for (q, x) in q.iter_mut().zip(&hist[k][cols.clone()]) {
+                            *q += c * x;
+                        }
+                    }
+                    let steps = w[cols.clone()]
+                        .iter_mut()
+                        .zip(&mut hist[cursor][cols.clone()]);
+                    let grads = prev_g[cols.clone()].iter_mut().zip(&mut g[cols.clone()]);
+                    for (((w, s), (prev_g, g)), q) in steps.zip(grads).zip(q.iter()) {
+                        *w -= STEP * q;
+                        *s = -STEP * q;
+                        *prev_g = *g;
+                        *g = 0.0;
+                    }
                 }
             }),
             flops_per_elem,

@@ -5,7 +5,7 @@ use ps2_core::{Ps2Context, WorkCtx};
 use ps2_data::{Example, SparseDatasetGen};
 use ps2_simnet::SimCtx;
 
-use crate::lr::distinct_cols;
+use crate::lr::{distinct_cols, ColIndex};
 use crate::metrics::TrainingTrace;
 use crate::sort_merge_pairs;
 
@@ -34,20 +34,22 @@ impl SvmConfig {
 
 /// Hinge-loss subgradient over a batch, aligned with `cols`.
 pub(crate) fn hinge_grad(batch: &[Example], cols: &[u64], w: &[f64]) -> (Vec<f64>, f64) {
+    let index = ColIndex::new(cols);
     let mut grad = vec![0.0; cols.len()];
     let mut loss = 0.0;
+    let mut pos = Vec::new();
     for ex in batch {
+        pos.clear();
+        pos.extend(ex.features.iter().map(|&(j, _)| index.pos(j)));
         let mut margin = 0.0;
-        for &(j, v) in ex.features.iter() {
-            let pos = cols.binary_search(&j).expect("col missing");
-            margin += w[pos] * v;
+        for (&p, &(_, v)) in pos.iter().zip(ex.features.iter()) {
+            margin += w[p] * v;
         }
         let ym = ex.label * margin;
         if ym < 1.0 {
             loss += 1.0 - ym;
-            for &(j, v) in ex.features.iter() {
-                let pos = cols.binary_search(&j).expect("col missing");
-                grad[pos] -= ex.label * v;
+            for (&p, &(_, v)) in pos.iter().zip(ex.features.iter()) {
+                grad[p] -= ex.label * v;
             }
         }
     }
