@@ -536,6 +536,154 @@ fn await_reply_holds_unrelated_mail_until_the_reply() {
     assert_eq!(log[3].1, log[1].1);
 }
 
+/// Mail is taken in `(arrival, seq)` order whatever order it was queued in:
+/// a loopback send that arrives before network mail already queued goes
+/// first, and mail that ties on arrival — two senders', then a loopback's —
+/// goes in send order.
+#[test]
+fn mail_is_taken_in_arrival_then_send_order() {
+    let mut sim = SimBuilder::new().network(net(8.0, 1000)).build();
+    let rx = sim.spawn_collect("rx", |ctx| {
+        // The three senders go at 0; their mail arrives at 1, 1 and 2 ms.
+        ctx.advance(SimTime::from_micros(10));
+        let me = ctx.id();
+        // Arrives at 11 µs, ahead of everything queued.
+        ctx.send(me, 0, (), 8);
+        ctx.advance(SimTime::from_micros(989));
+        // Arrives at 1 ms, tied with the first two senders' mail.
+        ctx.send(me, 0, (), 8);
+        (0..5)
+            .map(|_| {
+                let env = ctx.recv();
+                (env.src, env.arrival, env.seq)
+            })
+            .collect::<Vec<_>>()
+    });
+    for (name, bytes) in [("a", 0), ("b", 0), ("c", 1_000_000)] {
+        sim.spawn(name, move |ctx| ctx.send(ProcId(0), 0, (), bytes));
+    }
+    run_bounded(sim).unwrap();
+    let got = rx.take();
+    let us = SimTime::from_micros;
+    let srcs: Vec<usize> = got.iter().map(|(src, _, _)| src.0).collect();
+    assert_eq!(srcs, [0, 1, 2, 0, 3]);
+    let arrivals: Vec<SimTime> = got.iter().map(|&(_, at, _)| at).collect();
+    assert_eq!(arrivals, [us(11), us(1000), us(1000), us(1000), us(2000)]);
+    let keys: Vec<(SimTime, u64)> = got.iter().map(|&(_, at, seq)| (at, seq)).collect();
+    assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+}
+
+/// Agent that calls a slow echo server and, until the reply, holds back
+/// the mail that queues behind it; logs the reply and the payload of every
+/// other message in the order they are handed to it.
+struct Backlogged {
+    server: ProcId,
+    expect: usize,
+    log: Arc<Mutex<Vec<Option<u64>>>>,
+}
+
+impl Proc for Backlogged {
+    fn on_start(&mut self, ctx: &mut StepCtx<'_>) {
+        let corr = ctx.send_request(self.server, 9, (), 8);
+        ctx.await_reply(corr);
+    }
+
+    fn on_message(&mut self, ctx: &mut StepCtx<'_>, env: Envelope) {
+        let mut log = self.log.lock().unwrap();
+        log.push((!env.is_reply()).then(|| *env.downcast_ref::<u64>()));
+        if log.len() == self.expect {
+            ctx.finish();
+        }
+    }
+}
+
+/// An agent parked on `await_reply` takes its reply from behind more than a
+/// hundred queued requests, then drains them in arrival order.
+#[test]
+fn await_reply_takes_its_reply_from_behind_a_long_backlog() {
+    const BACKLOG: u64 = 150;
+    let mut sim = SimBuilder::new().network(net(8.0, 1000)).build();
+    let server = sim.spawn_daemon("slow-echo", |ctx| loop {
+        let env = ctx.recv();
+        ctx.advance(SimTime::from_millis(10));
+        ctx.reply(&env, (), 8);
+    });
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let agent = Backlogged {
+        server,
+        expect: BACKLOG as usize + 1,
+        log: Arc::clone(&log),
+    };
+    let agent = sim.spawn_agent("backlogged", agent);
+    sim.spawn("flood", move |ctx| {
+        for i in 0..BACKLOG {
+            ctx.send(agent, 1, i, 64);
+            ctx.advance(SimTime::from_micros(20));
+        }
+    });
+    let report = run_bounded(sim).unwrap();
+    let log = log.lock().unwrap();
+    assert_eq!(log[0], None, "the reply first");
+    let drained: Vec<u64> = log[1..].iter().map(|p| p.expect("a request")).collect();
+    assert_eq!(drained, (0..BACKLOG).collect::<Vec<_>>());
+    assert_eq!(report.procs[agent.0].msgs_recv, BACKLOG + 1);
+}
+
+/// Agent that arms timers out of order — two pairs tie on their fire time —
+/// and one more from the first to fire, tied with two already armed; logs
+/// each firing's token and clock.
+struct Alarms {
+    log: Arc<Mutex<Vec<(u64, SimTime)>>>,
+}
+
+impl Proc for Alarms {
+    fn on_start(&mut self, ctx: &mut StepCtx<'_>) {
+        for ms in [5, 2, 5, 1, 2] {
+            ctx.set_timer(SimTime::from_millis(ms));
+        }
+    }
+
+    fn on_message(&mut self, _ctx: &mut StepCtx<'_>, _env: Envelope) {}
+
+    fn on_timer(&mut self, ctx: &mut StepCtx<'_>, timer: u64) {
+        let mut log = self.log.lock().unwrap();
+        log.push((timer, ctx.now()));
+        if timer == 3 {
+            ctx.set_timer(SimTime::from_millis(1));
+        }
+        if log.len() == 6 {
+            ctx.finish();
+        }
+    }
+}
+
+/// Timers fire in `(fire time, token)` order: ties in the order they were
+/// armed, a timer armed later behind earlier ones it ties with.
+#[test]
+fn timers_fire_in_fire_time_then_token_order() {
+    let mut sim = SimBuilder::new().build();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    sim.spawn_agent(
+        "alarms",
+        Alarms {
+            log: Arc::clone(&log),
+        },
+    );
+    run_bounded(sim).unwrap();
+    let ms = SimTime::from_millis;
+    assert_eq!(
+        *log.lock().unwrap(),
+        [
+            (3, ms(1)),
+            (1, ms(2)),
+            (4, ms(2)),
+            (5, ms(2)),
+            (0, ms(5)),
+            (2, ms(5)),
+        ]
+    );
+}
+
 /// Agent that calls a server which never answers, so it stays parked on
 /// `await_reply`, and logs a timer it re-arms from `on_timer` every 2 ms.
 struct Probe {
