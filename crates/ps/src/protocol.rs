@@ -440,10 +440,10 @@ bodies! {
 
 // ---- storage process payloads ----------------------------------------------
 
-/// A server's snapshot: every shard's segments, one per row held. Stored by
-/// the storage process as an opaque value.
+/// A server's snapshot: every shard's buffer, its rows back to back. Stored
+/// by the storage process as an opaque value.
 pub(crate) struct Snapshot {
-    pub shards: Vec<(MatrixId, Vec<Vec<f64>>)>,
+    pub shards: Vec<(MatrixId, Vec<f64>)>,
     pub bytes: u64,
 }
 

@@ -22,7 +22,8 @@
 //! an agent's next timer — has passed.
 
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
@@ -133,8 +134,9 @@ struct AgentState {
     /// Taken out while a step is in flight, so callbacks can borrow the
     /// scheduler state mutably through [`StepCtx`].
     agent: Option<Box<dyn Proc>>,
-    /// Pending timers ordered by (fire ns, token).
-    timers: BTreeMap<(u64, u64), ()>,
+    /// Pending timers, a min-heap on (fire ns, token). Tokens are unique,
+    /// so the heap pops in exactly that order.
+    timers: BinaryHeap<Reverse<(u64, u64)>>,
     next_timer: u64,
     /// Same per-proc seeding discipline as `SimCtx`.
     rng: StdRng,
@@ -245,8 +247,9 @@ struct ProcState {
     clock: SimTime,
     status: Status,
     engine: Engine,
-    /// Pending mail ordered by (arrival ns, global sequence).
-    mailbox: BTreeMap<(u64, u64), Envelope>,
+    /// Pending mail sorted by (arrival, global sequence); the sequence is
+    /// unique, so the order is total. See [`State::deliver`] for the insert.
+    mailbox: VecDeque<Envelope>,
     stats: ProcStats,
 }
 
@@ -260,7 +263,7 @@ impl ProcState {
             clock,
             status: Status::Runnable,
             engine,
-            mailbox: BTreeMap::new(),
+            mailbox: VecDeque::new(),
         }
     }
 
@@ -278,12 +281,12 @@ impl ProcState {
         matches!(self.engine, Engine::Agent(_))
     }
 
-    /// Mailbox key of the earliest mail `spec` accepts.
-    fn first_match(&self, spec: &MatchSpec) -> Option<(u64, u64)> {
+    /// Mailbox index and arrival of the earliest mail `spec` accepts.
+    fn first_match(&self, spec: &MatchSpec) -> Option<(usize, SimTime)> {
         self.mailbox
             .iter()
-            .find(|(_, env)| spec.matches(env))
-            .map(|(key, _)| *key)
+            .position(|env| spec.matches(env))
+            .map(|i| (i, self.mailbox[i].arrival))
     }
 
     /// Virtual time at which this process could next run, or `None` if it
@@ -296,7 +299,7 @@ impl ProcState {
             // Includes an agent not yet started or with sends still queued.
             Status::Runnable => Some(self.clock),
             Status::Blocked { spec, deadline } => {
-                let mail = self.first_match(spec).map(|(arrival, _)| SimTime(arrival));
+                let mail = self.first_match(spec).map(|(_, arrival)| arrival);
                 // Ready at whichever comes first, the matching mail or the
                 // deadline (an agent's is its next timer), but never before
                 // the proc's own clock.
@@ -388,14 +391,14 @@ impl State {
         }
     }
 
-    /// Take mail `key` out of `me`'s mailbox: sync the clock to its arrival,
-    /// record stats, trace and request trace. The receive core shared by
-    /// thread procs (`Shared::block_recv`) and agent steps.
-    fn receive(&mut self, me: usize, key: (u64, u64)) -> Envelope {
-        let at = self.procs[me].clock.max(SimTime(key.0));
+    /// Take the mail at index `i` of `me`'s mailbox: sync the clock to its
+    /// arrival, record stats, trace and request trace. The receive core
+    /// shared by thread procs (`Shared::block_recv`) and agent steps.
+    fn receive(&mut self, me: usize, i: usize) -> Envelope {
+        let at = self.procs[me].clock.max(self.procs[me].mailbox[i].arrival);
         self.slo_roll(at);
         let p = &mut self.procs[me];
-        let env = p.mailbox.remove(&key).expect("mail vanished");
+        let env = p.mailbox.remove(i).expect("mail vanished");
         p.clock = at;
         p.stats.msgs_recv += 1;
         p.stats.bytes_recv += env.bytes;
@@ -436,18 +439,19 @@ impl State {
         let seq = self.seq;
         self.procs[me].clock += net.per_msg_overhead;
         let now = self.procs[me].clock;
-        let arrival = if dst.0 == me {
-            now + net.loopback
-        } else {
+        // Loopback is shared memory: no wire time, no NIC.
+        let wire = (dst.0 != me).then(|| net.wire_time(bytes));
+        let arrival = if let Some(wire) = wire {
             // Pipelined store-and-forward: receiving can begin once the first
             // bytes have crossed the link and the in-NIC is free.
-            let wire = net.wire_time(bytes);
             let out_start = now.max(self.nic_out_free[me]);
             self.nic_out_free[me] = out_start + wire;
             let in_start = (out_start + net.latency).max(self.nic_in_free[dst.0]);
             let in_done = in_start + wire;
             self.nic_in_free[dst.0] = in_done;
             in_done
+        } else {
+            now + net.loopback
         };
         if self.tracing {
             self.trace.push(crate::report::TraceEvent::Send {
@@ -467,13 +471,11 @@ impl State {
         self.procs[me].stats.bytes_sent += bytes;
         self.total_msgs += 1;
         self.total_bytes += bytes;
-        if dst.0 != me {
-            // Account virtual wire time as communication cost (loopback is
-            // shared-memory, not the network).
-            self.metrics
-                .add("net.wire_ns", net.wire_time(bytes).as_nanos());
-        } else {
-            self.metrics.add("net.loopback_ns", net.loopback.as_nanos());
+        // Virtual wire time is the communication cost; loopback is not the
+        // network and is counted apart.
+        match wire {
+            Some(wire) => self.metrics.add("net.wire_ns", wire.as_nanos()),
+            None => self.metrics.add("net.loopback_ns", net.loopback.as_nanos()),
         }
         let dead = self.procs[dst.0].killed || matches!(self.procs[dst.0].status, Status::Finished);
         if dead {
@@ -491,10 +493,20 @@ impl State {
                 });
             }
         } else {
-            let key = (arrival.as_nanos(), seq);
             self.touched.push(dst.0);
-            self.procs[dst.0].mailbox.insert(
-                key,
+            let mailbox = &mut self.procs[dst.0].mailbox;
+            // `seq` is the largest yet, so the mail goes behind every queued
+            // one arriving no later. The in-NIC serialises a proc's network
+            // arrivals, so that is almost always the back; only loopback mail
+            // lands earlier.
+            let at = match mailbox.back() {
+                Some(last) if last.arrival > arrival => {
+                    mailbox.partition_point(|env| env.arrival <= arrival)
+                }
+                _ => mailbox.len(),
+            };
+            mailbox.insert(
+                at,
                 Envelope {
                     src: ProcId(me),
                     dst,
@@ -807,9 +819,9 @@ impl Shared {
             // against an agent's timer.
             let clock = st.procs[me].clock;
             let in_time =
-                |key: &(u64, u64)| deadline.is_none_or(|d| SimTime(key.0) <= clock.max(d));
-            if let Some(key) = st.procs[me].first_match(&spec).filter(in_time) {
-                let env = st.receive(me, key);
+                |&(_, arrival): &(usize, SimTime)| deadline.is_none_or(|d| arrival <= clock.max(d));
+            if let Some((i, _)) = st.procs[me].first_match(&spec).filter(in_time) {
+                let env = st.receive(me, i);
                 st.procs[me].status = Status::Runnable;
                 self.reschedule(&mut st, me);
                 return Some(env);
@@ -915,7 +927,7 @@ impl Shared {
         }
         enum Ev {
             Start,
-            Mail((u64, u64)),
+            Mail(usize),
             Timer,
         }
         let p = &st.procs[idx];
@@ -925,8 +937,8 @@ impl Shared {
                 let due = |t: SimTime| p.clock.max(t);
                 let mail = p
                     .first_match(spec)
-                    .filter(|key| deadline.is_none_or(|d| due(SimTime(key.0)) <= due(d)));
-                mail.map_or(Ev::Timer, Ev::Mail)
+                    .filter(|&(_, arrival)| deadline.is_none_or(|d| due(arrival) <= due(d)));
+                mail.map_or(Ev::Timer, |(i, _)| Ev::Mail(i))
             }
             Status::Finished => unreachable!("finished agent picked"),
         };
@@ -934,15 +946,15 @@ impl Shared {
         let hooks = agent.as_mut().expect("agent stepped reentrantly");
         match ev {
             Ev::Start => hooks.on_start(&mut self.step_ctx(st, idx)),
-            Ev::Mail(key) => {
-                let env = st.receive(idx, key);
+            Ev::Mail(i) => {
+                let env = st.receive(idx, i);
                 // Whatever was awaited has come; the hook may await anew.
                 st.agent_mut(idx).wait = MatchSpec::Any;
                 hooks.on_message(&mut self.step_ctx(st, idx), env);
             }
             Ev::Timer => {
                 let timers = &mut st.agent_mut(idx).timers;
-                let ((fire, tok), ()) = timers.pop_first().expect("agent picked with no event");
+                let Reverse((fire, tok)) = timers.pop().expect("agent picked with no event");
                 let at = st.procs[idx].clock.max(SimTime(fire));
                 st.slo_roll(at);
                 st.procs[idx].clock = at;
@@ -978,7 +990,7 @@ impl Shared {
         } else {
             p.status = Status::Blocked {
                 spec: ag.wait.clone(),
-                deadline: ag.timers.keys().next().map(|(fire, _)| SimTime(*fire)),
+                deadline: ag.timers.peek().map(|Reverse((fire, _))| SimTime(*fire)),
             };
         }
     }
@@ -1030,7 +1042,7 @@ impl Shared {
         let mut st = self.state.lock();
         let engine = Engine::Agent(Box::new(AgentState {
             agent: Some(agent),
-            timers: BTreeMap::new(),
+            timers: BinaryHeap::new(),
             next_timer: 0,
             rng: proc_rng(self.cfg.seed, st.procs.len()),
             finish: false,
@@ -1242,7 +1254,7 @@ impl StepCtx<'_> {
         let ag = self.st.agent_mut(self.me);
         let tok = ag.next_timer;
         ag.next_timer += 1;
-        ag.timers.insert((fire, tok), ());
+        ag.timers.push(Reverse((fire, tok)));
         tok
     }
 
