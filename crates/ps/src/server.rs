@@ -5,7 +5,9 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
 
-use ps2_simnet::{payload_ref, Envelope, Proc, ProcId, SimRuntime, SimTime, StepCtx, WireSize};
+use ps2_simnet::{
+    payload_ref, Counter, Envelope, Hist, Proc, ProcId, SimRuntime, SimTime, StepCtx, WireSize,
+};
 
 use crate::plan::{MatrixId, PartitionPlan, PlanKind};
 use crate::protocol::{
@@ -283,11 +285,11 @@ pub struct PsServerAgent {
     shards: HashMap<MatrixId, Shard>,
     oplog: OpLog,
     parked: Option<Parked>,
-    /// Metric names, built on first use (the proc id is not known at
+    /// Metric handles, resolved on first use (the proc id is not known at
     /// `new()`): this server's load counter and, per request tag, the
     /// `(queue, service)` histogram pair.
-    served_name: String,
-    op_names: HashMap<u32, (String, String)>,
+    served: Option<Counter>,
+    op_hists: Vec<(u32, Hist, Hist)>,
 }
 
 /// A request being served, kept across its RPCs.
@@ -322,8 +324,8 @@ impl PsServerAgent {
             shards: HashMap::new(),
             oplog: OpLog::new(),
             parked: None,
-            served_name: String::new(),
-            op_names: HashMap::new(),
+            served: None,
+            op_hists: Vec::new(),
         }
     }
 
@@ -363,18 +365,22 @@ impl PsServerAgent {
         ctx.op_label_clear();
         // Per-server load counter: the whole-run split of these across the
         // fleet measures access skew exactly.
-        if self.served_name.is_empty() {
-            self.served_name = format!("ps.server.p{}.served", ctx.id().0);
-        }
-        let (queue, service) = self.op_names.entry(op.env.tag).or_insert_with(|| {
-            (
-                format!("ps.server.{name}.queue"),
-                format!("ps.server.{name}.service"),
-            )
-        });
-        ctx.metric_add(&self.served_name, 1);
-        ctx.metric_observe(queue, op.queue);
-        ctx.metric_observe(service, ctx.now() - op.t0);
+        let served = *self
+            .served
+            .get_or_insert_with(|| ctx.counter(&format!("ps.server.p{}.served", ctx.id().0)));
+        let tag = op.env.tag;
+        let (queue, service) = match self.op_hists.iter().find(|&&(t, ..)| t == tag) {
+            Some(&(_, queue, service)) => (queue, service),
+            None => {
+                let queue = ctx.hist(&format!("ps.server.{name}.queue"));
+                let service = ctx.hist(&format!("ps.server.{name}.service"));
+                self.op_hists.push((tag, queue, service));
+                (queue, service)
+            }
+        };
+        ctx.add(served, 1);
+        ctx.observe(queue, op.queue);
+        ctx.observe(service, ctx.now() - op.t0);
     }
 }
 

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 
 use crate::message::Envelope;
+use crate::metrics::{Counter, Hist};
 use crate::reqtrace::ReqToken;
 use crate::runtime::{proc_rng, MatchSpec, Outgoing, ProcId, Shared};
 use crate::time::SimTime;
@@ -15,18 +16,26 @@ use crate::time::SimTime;
 /// Obtained as the argument of the closure passed to
 /// [`crate::SimRuntime::spawn`]. Sends, receives, compute charges, spawns
 /// and kills are *yield points*: the scheduler may run other processes
-/// before the call returns. The recorders (`metric_*`, `trace_mark*`,
-/// `req_*`, `op_label*`) and `is_alive` are not.
+/// before the call returns. The recorders (`counter`, `hist`, `add`,
+/// `observe`, `metric_*`, `trace_mark*`, `req_*`, `op_label*`) and
+/// `is_alive` are not.
 pub struct SimCtx {
     shared: Arc<Shared>,
     me: ProcId,
     rng: StdRng,
+    /// The fabric metric handles this proc has resolved.
+    pub(crate) fabric: crate::fabric::Handles,
 }
 
 impl SimCtx {
     pub(crate) fn new(shared: Arc<Shared>, me: ProcId) -> SimCtx {
         let rng = proc_rng(shared.cfg.seed, me.0);
-        SimCtx { shared, me, rng }
+        SimCtx {
+            shared,
+            me,
+            rng,
+            fabric: Default::default(),
+        }
     }
 
     /// This process's id.
@@ -221,17 +230,41 @@ impl SimCtx {
 
     // ---- flight recorder ---------------------------------------------------
 
-    /// Increment a named counter in the run's metrics registry.
+    /// Resolve counter `name` in the run's metrics registry to a handle
+    /// for [`SimCtx::add`]. A hot recorder resolves each name once; the
+    /// name is reported only once something is added to it.
+    pub fn counter(&mut self, name: &str) -> Counter {
+        self.shared.lock().counter(name)
+    }
+
+    /// Resolve histogram `name` to a handle for [`SimCtx::observe`].
+    pub fn hist(&mut self, name: &str) -> Hist {
+        self.shared.lock().hist(name)
+    }
+
+    /// Increment a counter by handle.
     ///
     /// Unlike a send or a receive this is **not** a yield point: no clock
     /// moves and no other process runs, so instrumented code keeps the
     /// exact timing of uninstrumented code.
+    pub fn add(&mut self, c: Counter, delta: u64) {
+        self.shared.lock().add(self.me.0, c, delta);
+    }
+
+    /// Record a virtual-time duration into a histogram by handle. Not a
+    /// yield point.
+    pub fn observe(&mut self, h: Hist, dt: SimTime) {
+        self.shared.lock().observe(self.me.0, h, dt);
+    }
+
+    /// Increment a named counter: [`SimCtx::add`] of [`SimCtx::counter`],
+    /// for cold sites. Not a yield point.
     pub fn metric_add(&mut self, name: &str, delta: u64) {
         self.shared.lock().metric_add(self.me.0, name, delta);
     }
 
-    /// Record a virtual-time duration into a named histogram. Not a yield
-    /// point.
+    /// Record into a named histogram: [`SimCtx::observe`] of
+    /// [`SimCtx::hist`], for cold sites. Not a yield point.
     pub fn metric_observe(&mut self, name: &str, dt: SimTime) {
         self.shared.lock().metric_observe(self.me.0, name, dt);
     }

@@ -31,7 +31,9 @@
 //! spans `{scope}.op.{op}.{count,reqs,bytes,rows,latency}`, recovery
 //! counters `{scope}.{timeouts,retries,reresolutions}`, and a flat
 //! `{scope}.envelopes` counter of request messages put on the wire — the
-//! number that per-server coalescing exists to shrink.
+//! number that per-server coalescing exists to shrink. Each proc resolves
+//! a scope's counters and an op's span metrics to registry handles once
+//! and keeps them, so recording them builds no name.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -40,6 +42,7 @@ use std::sync::Arc;
 use crate::ctx::SimCtx;
 use crate::hostprof::{self, Scope as ProfScope};
 use crate::message::Envelope;
+use crate::metrics::{Counter, Hist};
 use crate::reqtrace::ReqToken;
 use crate::runtime::ProcId;
 use crate::time::SimTime;
@@ -72,6 +75,69 @@ impl SlotRouter for StaticRoutes {
     fn resolve(&self, slot: usize) -> ProcId {
         self.0[slot]
     }
+}
+
+/// The recovery and envelope counters of one [`FabricPolicy::scope`].
+#[derive(Clone, Copy)]
+struct ScopeCounters {
+    envelopes: Counter,
+    timeouts: Counter,
+    retries: Counter,
+    reresolutions: Counter,
+}
+
+/// The span metrics `{scope}.op.{op}.*` of one op.
+#[derive(Clone, Copy)]
+struct OpSpan {
+    count: Counter,
+    reqs: Counter,
+    bytes: Counter,
+    rows: Counter,
+    latency: Hist,
+}
+
+/// The fabric metric handles one proc has resolved: its [`SimCtx`] keeps
+/// them, per scope and per `(scope, op)`, for the rest of the run.
+#[derive(Default)]
+pub(crate) struct Handles {
+    scopes: Vec<(&'static str, ScopeCounters)>,
+    ops: Vec<(&'static str, String, OpSpan)>,
+}
+
+/// `scope`'s counters, resolved on this proc's first use.
+fn scope_counters(ctx: &mut SimCtx, scope: &'static str) -> ScopeCounters {
+    if let Some(&(_, c)) = ctx.fabric.scopes.iter().find(|(s, _)| *s == scope) {
+        return c;
+    }
+    let c = ScopeCounters {
+        envelopes: ctx.counter(&format!("{scope}.envelopes")),
+        timeouts: ctx.counter(&format!("{scope}.timeouts")),
+        retries: ctx.counter(&format!("{scope}.retries")),
+        reresolutions: ctx.counter(&format!("{scope}.reresolutions")),
+    };
+    ctx.fabric.scopes.push((scope, c));
+    c
+}
+
+/// `op`'s span metrics under `scope`, resolved on this proc's first use.
+fn op_span(ctx: &mut SimCtx, scope: &'static str, op: &str) -> OpSpan {
+    let cached = ctx
+        .fabric
+        .ops
+        .iter()
+        .find(|(s, o, _)| *s == scope && o == op);
+    if let Some(&(_, _, span)) = cached {
+        return span;
+    }
+    let span = OpSpan {
+        count: ctx.counter(&format!("{scope}.op.{op}.count")),
+        reqs: ctx.counter(&format!("{scope}.op.{op}.reqs")),
+        bytes: ctx.counter(&format!("{scope}.op.{op}.bytes")),
+        rows: ctx.counter(&format!("{scope}.op.{op}.rows")),
+        latency: ctx.hist(&format!("{scope}.op.{op}.latency")),
+    };
+    ctx.fabric.ops.push((scope, op.to_string(), span));
+    span
 }
 
 /// Per-layer tuning of the shared pipeline.
@@ -125,6 +191,8 @@ pub struct InFlight<'a, P: ?Sized> {
     corrs: Vec<u64>,
     /// Route epoch the latest attempt was resolved under.
     epoch: u64,
+    counters: ScopeCounters,
+    span: OpSpan,
     started: SimTime,
     /// Requests issued and request bytes sent, over every attempt.
     issued: u64,
@@ -137,10 +205,9 @@ impl<P: ?Sized + Send + Sync + 'static> InFlight<'_, P> {
         &mut self,
         ctx: &mut SimCtx,
         router: &dyn SlotRouter,
-        scope: &str,
         idx: impl ExactSizeIterator<Item = usize>,
     ) {
-        ctx.metric_add(&format!("{scope}.envelopes"), idx.len() as u64);
+        ctx.add(self.counters.envelopes, idx.len() as u64);
         self.issued += idx.len() as u64;
         for i in idx {
             let (slot, payload, bytes) = &self.reqs[i];
@@ -174,12 +241,14 @@ pub fn begin<'a, P: ?Sized + Send + Sync + 'static>(
         started: ctx.now(),
         tokens: ctx.req_begin_batch(op, n),
         epoch: router.epoch(),
+        counters: scope_counters(ctx, policy.scope),
+        span: op_span(ctx, policy.scope, op),
         reqs,
         corrs: vec![0; n],
         issued: 0,
         bytes: 0,
     };
-    inflight.send(ctx, router, policy.scope, 0..n);
+    inflight.send(ctx, router, 0..n);
     inflight
 }
 
@@ -200,7 +269,7 @@ pub fn settle<P: ?Sized + Send + Sync + 'static>(
     // parked time attribute to nested scopes.
     let _prof = hostprof::scope(ProfScope::FabricCall);
     let scope = policy.scope;
-    let (op, tag) = (inflight.op, inflight.tag);
+    let (op, tag, counters) = (inflight.op, inflight.tag, inflight.counters);
     let mut replies: Vec<Option<Envelope>> = inflight.reqs.iter().map(|_| None).collect();
     let mut stale_attempts = 0u32;
     let mut deadline = ctx.now() + policy.attempt_timeout;
@@ -222,8 +291,8 @@ pub fn settle<P: ?Sized + Send + Sync + 'static>(
         if holes.is_empty() {
             break;
         }
-        ctx.metric_add(&format!("{scope}.timeouts"), holes.len() as u64);
-        ctx.metric_add(&format!("{scope}.retries"), 1);
+        ctx.add(counters.timeouts, holes.len() as u64);
+        ctx.add(counters.retries, 1);
         // No route movement since we sent: the destination may be dead, not
         // merely slow. Give the router a chance to replace it.
         if router.epoch() == inflight.epoch {
@@ -239,24 +308,22 @@ pub fn settle<P: ?Sized + Send + Sync + 'static>(
                  could not replace it"
             );
         } else {
-            ctx.metric_add(&format!("{scope}.reresolutions"), 1);
+            ctx.add(counters.reresolutions, 1);
             stale_attempts = 0;
             inflight.epoch = now_epoch;
         }
         // Resend exactly the identical payloads of the holes.
         deadline = ctx.now() + policy.attempt_timeout;
-        inflight.send(ctx, router, scope, holes.into_iter());
+        inflight.send(ctx, router, holes.into_iter());
     }
     let replies: Vec<Envelope> = replies.into_iter().flatten().collect();
     let bytes = inflight.bytes + replies.iter().map(|e| e.bytes).sum::<u64>();
-    ctx.metric_add(&format!("{scope}.op.{op}.count"), 1);
-    ctx.metric_add(&format!("{scope}.op.{op}.reqs"), inflight.issued);
-    ctx.metric_add(&format!("{scope}.op.{op}.bytes"), bytes);
-    ctx.metric_add(&format!("{scope}.op.{op}.rows"), inflight.items);
-    ctx.metric_observe(
-        &format!("{scope}.op.{op}.latency"),
-        ctx.now() - inflight.started,
-    );
+    let span = inflight.span;
+    ctx.add(span.count, 1);
+    ctx.add(span.reqs, inflight.issued);
+    ctx.add(span.bytes, bytes);
+    ctx.add(span.rows, inflight.items);
+    ctx.observe(span.latency, ctx.now() - inflight.started);
     replies
 }
 
@@ -330,7 +397,8 @@ impl Dispatcher {
         slot: usize,
     ) {
         let _prof = hostprof::scope(ProfScope::FabricCall);
-        ctx.metric_add(&format!("{}.envelopes", self.policy.scope), 1);
+        let envelopes = scope_counters(ctx, self.policy.scope).envelopes;
+        ctx.add(envelopes, 1);
         let corr = ctx.send_request(dst, tag, payload, bytes);
         self.pending.insert(
             corr,
@@ -366,7 +434,8 @@ impl Dispatcher {
                 Some((entry, env))
             }
             None => {
-                ctx.metric_add(&format!("{}.timeouts", self.policy.scope), 1);
+                let timeouts = scope_counters(ctx, self.policy.scope).timeouts;
+                ctx.add(timeouts, 1);
                 None
             }
         }

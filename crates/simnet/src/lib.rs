@@ -89,7 +89,7 @@ pub use ctx::SimCtx;
 pub use fabric::{FabricPolicy, SlotRouter, StaticRoutes};
 pub use hostprof::{HostProfile, ScopeStat};
 pub use message::{payload_ref, Envelope, WireSize};
-pub use metrics::{MetricsSnapshot, OpRow, RunReport, VtHistogram};
+pub use metrics::{Counter, Hist, MetricsSnapshot, OpRow, RunReport, VtHistogram};
 pub use perfetto::export_trace_full;
 pub use report::{LabelId, ProcStats, SimReport, TraceEvent};
 pub use reqtrace::{

@@ -38,7 +38,7 @@ use crate::config::SimConfig;
 use crate::ctx::SimCtx;
 use crate::hostprof::{self, Scope as ProfScope};
 use crate::message::Envelope;
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{Counter, Hist, Registry};
 use crate::report::{ProcStats, SimReport};
 use crate::reqtrace::{ReqRecorder, ReqToken};
 use crate::time::SimTime;
@@ -338,7 +338,10 @@ pub(crate) struct State {
     handles: Vec<JoinHandle<()>>,
     tracing: bool,
     trace: Vec<crate::report::TraceEvent>,
-    metrics: MetricsSnapshot,
+    metrics: Registry,
+    /// `net.wire_ns` and `net.loopback_ns`, recorded on every send.
+    wire_ns: Counter,
+    loopback_ns: Counter,
     /// Interned trace labels in first-use order (only populated while
     /// tracing, so untraced runs pay nothing).
     labels: Vec<&'static str>,
@@ -474,14 +477,15 @@ impl State {
         // Virtual wire time is the communication cost; loopback is not the
         // network and is counted apart.
         match wire {
-            Some(wire) => self.metrics.add("net.wire_ns", wire.as_nanos()),
-            None => self.metrics.add("net.loopback_ns", net.loopback.as_nanos()),
+            Some(wire) => self.metrics.add(self.wire_ns, wire.as_nanos()),
+            None => self.metrics.add(self.loopback_ns, net.loopback.as_nanos()),
         }
         let dead = self.procs[dst.0].killed || matches!(self.procs[dst.0].status, Status::Finished);
         if dead {
             self.dropped_msgs += 1;
             self.procs[me].stats.msgs_dropped += 1;
-            self.metrics.add(&format!("net.dropped.tag.{tag}"), 1);
+            let dropped = self.metrics.counter(&format!("net.dropped.tag.{tag}"));
+            self.metrics.add(dropped, 1);
             if self.tracing {
                 self.trace.push(crate::report::TraceEvent::Drop {
                     at: now,
@@ -578,16 +582,43 @@ impl State {
         !p.killed && !matches!(p.status, Status::Finished)
     }
 
+    /// The handle of counter `name`, interned on first use. Records
+    /// nothing: a counter never added to is not in the report.
+    pub(crate) fn counter(&mut self, name: &str) -> Counter {
+        self.metrics.counter(name)
+    }
+
+    /// The handle of histogram `name`, interned on first use.
+    pub(crate) fn hist(&mut self, name: &str) -> Hist {
+        self.metrics.hist(name)
+    }
+
+    pub(crate) fn add(&mut self, me: usize, c: Counter, delta: u64) {
+        let _prof = hostprof::scope(ProfScope::MetricsRecord);
+        self.slo_roll(self.procs[me].clock);
+        self.metrics.add(c, delta);
+    }
+
+    pub(crate) fn observe(&mut self, me: usize, h: Hist, dt: SimTime) {
+        let _prof = hostprof::scope(ProfScope::MetricsRecord);
+        self.slo_roll(self.procs[me].clock);
+        self.metrics.observe(h, dt);
+    }
+
+    /// [`State::add`] by name; the lookup counts as recording.
     pub(crate) fn metric_add(&mut self, me: usize, name: &str, delta: u64) {
         let _prof = hostprof::scope(ProfScope::MetricsRecord);
         self.slo_roll(self.procs[me].clock);
-        self.metrics.add(name, delta);
+        let c = self.metrics.counter(name);
+        self.metrics.add(c, delta);
     }
 
+    /// [`State::observe`] by name; the lookup counts as recording.
     pub(crate) fn metric_observe(&mut self, me: usize, name: &str, dt: SimTime) {
         let _prof = hostprof::scope(ProfScope::MetricsRecord);
         self.slo_roll(self.procs[me].clock);
-        self.metrics.observe(name, dt);
+        let h = self.metrics.hist(name);
+        self.metrics.observe(h, dt);
     }
 
     /// Request-trace tokens for one op of `me` (empty when request tracing
@@ -1272,12 +1303,35 @@ impl StepCtx<'_> {
 
     // ---- flight recorder (same non-yielding discipline as SimCtx) --------
 
-    /// Increment a named counter in the run's metrics registry.
+    /// Resolve counter `name` to a handle for [`StepCtx::add`]. See
+    /// [`SimCtx::counter`](crate::SimCtx::counter).
+    pub fn counter(&mut self, name: &str) -> Counter {
+        self.st.counter(name)
+    }
+
+    /// Resolve histogram `name` to a handle for [`StepCtx::observe`].
+    pub fn hist(&mut self, name: &str) -> Hist {
+        self.st.hist(name)
+    }
+
+    /// Increment a counter by handle.
+    pub fn add(&mut self, c: Counter, delta: u64) {
+        self.st.add(self.me, c, delta);
+    }
+
+    /// Record a virtual-time duration into a histogram by handle.
+    pub fn observe(&mut self, h: Hist, dt: SimTime) {
+        self.st.observe(self.me, h, dt);
+    }
+
+    /// Increment a named counter: [`StepCtx::add`] of
+    /// [`StepCtx::counter`], for cold sites.
     pub fn metric_add(&mut self, name: &str, delta: u64) {
         self.st.metric_add(self.me, name, delta);
     }
 
-    /// Record a virtual-time duration into a named histogram.
+    /// Record into a named histogram: [`StepCtx::observe`] of
+    /// [`StepCtx::hist`], for cold sites.
     pub fn metric_observe(&mut self, name: &str, dt: SimTime) {
         self.st.metric_observe(self.me, name, dt);
     }
@@ -1440,6 +1494,13 @@ impl SimBuilder {
 
     pub fn build(self) -> SimRuntime {
         install_quiet_hook();
+        let mut metrics = Registry::default();
+        let wire_ns = metrics.counter("net.wire_ns");
+        let loopback_ns = metrics.counter("net.loopback_ns");
+        let slo = self
+            .window
+            .filter(|_| !self.slo.is_empty())
+            .map(|w| SloJudge::new(w, self.slo, &mut metrics));
         SimRuntime {
             shared: Arc::new(Shared {
                 cfg: self.cfg,
@@ -1461,13 +1522,12 @@ impl SimBuilder {
                     handles: Vec::new(),
                     tracing: self.tracing,
                     trace: Vec::new(),
-                    metrics: MetricsSnapshot::default(),
+                    metrics,
+                    wire_ns,
+                    loopback_ns,
                     labels: Vec::new(),
                     op_labels: Vec::new(),
-                    slo: self
-                        .window
-                        .filter(|_| !self.slo.is_empty())
-                        .map(|w| SloJudge::new(w, self.slo)),
+                    slo,
                     req: self.reqtrace.then(ReqRecorder::new),
                     #[cfg(test)]
                     stale_wakes: 0,
@@ -1634,7 +1694,7 @@ impl SimRuntime {
             dropped_msgs: st.dropped_msgs,
             procs: st.procs.iter().map(|p| p.stats.clone()).collect(),
             trace,
-            metrics: st.metrics.clone(),
+            metrics: st.metrics.snapshot(),
             labels: st.labels.clone(),
             net: self.shared.cfg.net.clone(),
             alerts,

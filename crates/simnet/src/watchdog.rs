@@ -20,7 +20,7 @@
 use std::collections::VecDeque;
 
 use crate::json::{JsonValue, JsonWriter, Style};
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{Counter, Hist, Registry};
 use crate::time::SimTime;
 
 /// What an SLO objective measures.
@@ -190,24 +190,54 @@ pub(crate) struct SloJudge {
 #[derive(Debug)]
 struct Burn {
     objective: SloObjective,
+    /// The registry slots the objective reads, resolved when the judge is
+    /// built.
+    source: Source,
     /// Cumulative `(bad, total)` as of the last closed window.
     last: (u64, u64),
     /// Trailing per-window `(bad, total)` pairs, newest last.
     span: VecDeque<(u64, u64)>,
 }
 
+/// An objective's metric names, as registry handles.
+#[derive(Debug)]
+enum Source {
+    Latency { hist: Hist, target_ns: u64 },
+    ErrorRate { errors: Counter, total: Counter },
+}
+
 impl Burn {
-    /// `(bad, total)` of the window closing now: the registry's cumulative
-    /// counts less those at the previous close.
-    fn delta(&mut self, metrics: &MetricsSnapshot) -> (u64, u64) {
-        let now = match &self.objective.kind {
+    fn new(objective: SloObjective, metrics: &mut Registry) -> Burn {
+        let source = match &objective.kind {
             SloKind::Latency {
                 hist, target_ns, ..
-            } => metrics
-                .hist(hist)
-                .map_or((0, 0), |h| (h.count_over(*target_ns), h.count())),
-            SloKind::ErrorRate { errors, total, .. } => {
-                (metrics.counter(errors), metrics.counter(total))
+            } => Source::Latency {
+                hist: metrics.hist(hist),
+                target_ns: *target_ns,
+            },
+            SloKind::ErrorRate { errors, total, .. } => Source::ErrorRate {
+                errors: metrics.counter(errors),
+                total: metrics.counter(total),
+            },
+        };
+        Burn {
+            objective,
+            source,
+            last: (0, 0),
+            span: VecDeque::with_capacity(SLO_SLOW_WINDOWS),
+        }
+    }
+
+    /// `(bad, total)` of the window closing now: the registry's cumulative
+    /// counts less those at the previous close.
+    fn delta(&mut self, metrics: &Registry) -> (u64, u64) {
+        let now = match self.source {
+            Source::Latency { hist, target_ns } => {
+                let h = metrics.hist_value(hist);
+                (h.count_over(target_ns), h.count())
+            }
+            Source::ErrorRate { errors, total } => {
+                (metrics.counter_value(errors), metrics.counter_value(total))
             }
         };
         let (bad, total) = std::mem::replace(&mut self.last, now);
@@ -255,7 +285,13 @@ impl Burn {
 }
 
 impl SloJudge {
-    pub(crate) fn new(window: SimTime, objectives: Vec<SloObjective>) -> SloJudge {
+    /// A judge of `objectives` over `window`-wide windows, reading the
+    /// objectives' metrics from `metrics`.
+    pub(crate) fn new(
+        window: SimTime,
+        objectives: Vec<SloObjective>,
+        metrics: &mut Registry,
+    ) -> SloJudge {
         let window_ns = window.as_nanos().max(1);
         SloJudge {
             window_ns,
@@ -263,11 +299,7 @@ impl SloJudge {
             next_boundary: window_ns,
             burns: objectives
                 .into_iter()
-                .map(|objective| Burn {
-                    objective,
-                    last: (0, 0),
-                    span: VecDeque::with_capacity(SLO_SLOW_WINDOWS),
-                })
+                .map(|objective| Burn::new(objective, metrics))
                 .collect(),
             alerts: Vec::new(),
         }
@@ -282,7 +314,7 @@ impl SloJudge {
     /// Close every window that ends at or before `t`. The registry has not
     /// changed since the previous roll, so the first window closed carries
     /// its counts and any further catch-up windows are empty.
-    pub(crate) fn roll(&mut self, t: SimTime, metrics: &MetricsSnapshot) {
+    pub(crate) fn roll(&mut self, t: SimTime, metrics: &Registry) {
         let mut metrics = Some(metrics);
         while self.next_boundary <= t.as_nanos() {
             self.close(self.next_boundary, metrics.take(), SLO_SLOW_WINDOWS);
@@ -292,7 +324,7 @@ impl SloJudge {
     /// Close the open window at `end_ns` with its counts read from
     /// `metrics` (a catch-up window, `None`, is empty) and judge it over
     /// `slow` trailing windows.
-    fn close(&mut self, end_ns: u64, metrics: Option<&MetricsSnapshot>, slow: usize) {
+    fn close(&mut self, end_ns: u64, metrics: Option<&Registry>, slow: usize) {
         for b in &mut self.burns {
             let window = metrics.map_or((0, 0), |m| b.delta(m));
             b.push(window);
@@ -320,7 +352,7 @@ impl SloJudge {
     /// boundary (or none was crossed). A run of fewer than
     /// [`SLO_SLOW_WINDOWS`] windows is judged at its last one over all of
     /// them. Alerts come out in `(at, subject)` order, a timeline.
-    pub(crate) fn finish(mut self, t: SimTime, metrics: &MetricsSnapshot) -> Vec<Alert> {
+    pub(crate) fn finish(mut self, t: SimTime, metrics: &Registry) -> Vec<Alert> {
         self.roll(t, metrics);
         let start = self.closed * self.window_ns;
         if t.as_nanos() > start || self.closed == 0 {
@@ -380,8 +412,13 @@ mod tests {
     /// `timeouts` of `total` `reqs`. An empty window records nothing, so
     /// the judge closes it as a catch-up window.
     fn judge(objectives: Vec<SloObjective>, windows: &[(u64, u64)], end: SimTime) -> Vec<Alert> {
-        let mut judge = SloJudge::new(SimTime::from_millis(1), objectives);
-        let mut m = MetricsSnapshot::default();
+        let mut m = Registry::default();
+        let mut judge = SloJudge::new(SimTime::from_millis(1), objectives, &mut m);
+        let (latency, timeouts, reqs) = (
+            m.hist("pull.latency"),
+            m.counter("timeouts"),
+            m.counter("reqs"),
+        );
         for (i, &(bad, total)) in windows.iter().enumerate() {
             if total == 0 {
                 continue;
@@ -389,10 +426,10 @@ mod tests {
             judge.roll(SimTime::from_millis(i as u64), &m);
             for k in 0..total {
                 let ns = if k < bad { 1_000_000 } else { 100 };
-                m.observe("pull.latency", SimTime(ns));
+                m.observe(latency, SimTime(ns));
             }
-            m.add("timeouts", bad);
-            m.add("reqs", total);
+            m.add(timeouts, bad);
+            m.add(reqs, total);
         }
         judge.finish(end, &m)
     }
