@@ -306,6 +306,40 @@ fn daemons_do_not_keep_simulation_alive() {
 }
 
 #[test]
+fn a_daemon_never_given_a_turn_still_drops_its_closure() {
+    let mut sim = SimBuilder::new().build();
+    let exited = Arc::new(AtomicUsize::new(0));
+    // The lower id finishes at t = 0 without yielding, which ends the run
+    // before the daemon is ever picked.
+    sim.spawn("quick", |_ctx| {});
+    let guard = Exited(Arc::clone(&exited));
+    sim.spawn_daemon("never", move |_ctx| {
+        let _guard = guard;
+        panic!("the daemon was given a turn");
+    });
+    let report = run_bounded(sim).unwrap();
+    assert_eq!(report.virtual_time, SimTime::ZERO);
+    assert_eq!(exited.load(Ordering::SeqCst), 1, "the closure was dropped");
+}
+
+#[test]
+fn a_proc_killed_before_its_first_turn_still_drops_its_closure() {
+    let mut sim = SimBuilder::new().build();
+    let exited = Arc::new(AtomicUsize::new(0));
+    let victim = ProcId(1);
+    sim.spawn("killer", move |ctx| ctx.kill(victim));
+    let guard = Exited(Arc::clone(&exited));
+    let id = sim.spawn("victim", move |_ctx| {
+        let _guard = guard;
+        panic!("the victim was given a turn");
+    });
+    assert_eq!(id, victim);
+    let report = run_bounded(sim).unwrap();
+    assert_eq!(report.procs[victim.0].finished_at, SimTime::ZERO);
+    assert_eq!(exited.load(Ordering::SeqCst), 1, "the closure was dropped");
+}
+
+#[test]
 fn dynamic_spawn_inherits_clock() {
     let mut sim = SimBuilder::new().build();
     // Bystanders parked in `recv`: the child's first turn must be handed to
