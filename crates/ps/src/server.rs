@@ -1,7 +1,7 @@
 //! PS-server and checkpoint-storage agents.
 
 use std::any::Any;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -282,7 +282,9 @@ fn mutation_key(tag: u32, payload: &dyn Any) -> Option<(MatrixId, u64)> {
 /// waits in the mailbox meanwhile, so a suspended op occupies the server for
 /// as long as it takes and whatever queues behind it reports the wait.
 pub struct PsServerAgent {
-    shards: HashMap<MatrixId, Shard>,
+    /// By id: a run holds one to a handful of matrices, and a checkpoint
+    /// snapshots them in id order.
+    shards: BTreeMap<MatrixId, Shard>,
     oplog: OpLog,
     parked: Option<Parked>,
     /// Metric handles, resolved on first use (the proc id is not known at
@@ -321,7 +323,7 @@ impl Default for PsServerAgent {
 impl PsServerAgent {
     pub fn new() -> PsServerAgent {
         PsServerAgent {
-            shards: HashMap::new(),
+            shards: BTreeMap::new(),
             oplog: OpLog::new(),
             parked: None,
             served: None,
@@ -420,7 +422,7 @@ enum Cross<'a> {
 /// waiting for.
 fn cross(
     ctx: &mut StepCtx<'_>,
-    shards: &mut HashMap<MatrixId, Shard>,
+    shards: &mut BTreeMap<MatrixId, Shard>,
     oplog: &mut OpLog,
     op: &mut Parked,
     mut fetched: Option<Envelope>,
@@ -486,7 +488,7 @@ fn cross(
 /// completes the checkpoint.
 fn checkpoint(
     ctx: &mut StepCtx<'_>,
-    shards: &HashMap<MatrixId, Shard>,
+    shards: &BTreeMap<MatrixId, Shard>,
     req: &CheckpointReq,
 ) -> Step {
     let mut total = 0u64;
@@ -511,7 +513,7 @@ fn checkpoint(
 }
 
 /// Load what storage answered a `STORE_GET` with; false when it had nothing.
-fn restore(shards: &mut HashMap<MatrixId, Shard>, found: StoreGetResp) -> bool {
+fn restore(shards: &mut BTreeMap<MatrixId, Shard>, found: StoreGetResp) -> bool {
     match found {
         StoreGetResp::Found(snapshot) => {
             for (id, data) in &snapshot.shards {
@@ -528,7 +530,7 @@ fn restore(shards: &mut HashMap<MatrixId, Shard>, found: StoreGetResp) -> bool {
 /// Answer one request that needs no RPC of its own.
 fn handle(
     ctx: &mut StepCtx<'_>,
-    shards: &mut HashMap<MatrixId, Shard>,
+    shards: &mut BTreeMap<MatrixId, Shard>,
     oplog: &mut OpLog,
     env: &Envelope,
 ) -> Step {
@@ -574,7 +576,7 @@ fn handle(
 /// Dedup-then-execute for one request, bare or enveloped.
 fn dispatch_one(
     ctx: &mut StepCtx<'_>,
-    shards: &mut HashMap<MatrixId, Shard>,
+    shards: &mut BTreeMap<MatrixId, Shard>,
     oplog: &mut OpLog,
     tag: u32,
     payload: &dyn Any,
@@ -599,7 +601,7 @@ fn cast<T: 'static>(tag: u32, payload: &dyn Any) -> &T {
 /// message).
 fn execute(
     ctx: &mut StepCtx<'_>,
-    shards: &mut HashMap<MatrixId, Shard>,
+    shards: &mut BTreeMap<MatrixId, Shard>,
     tag: u32,
     payload: &dyn Any,
 ) -> (Box<dyn Any + Send>, u64) {
@@ -609,7 +611,7 @@ fn execute(
             // Idempotent: fleet recovery replays creates into a replacement
             // server, and the fabric may then re-deliver the original
             // request — rebuilding here would wipe the restored values.
-            if let std::collections::hash_map::Entry::Vacant(e) = shards.entry(req.id) {
+            if let std::collections::btree_map::Entry::Vacant(e) = shards.entry(req.id) {
                 let shard = Shard::build(req.slot, Arc::clone(&req.plan), &req.init);
                 // Materializing the shard touches every owned element.
                 ctx.charge_mem(shard.data.len() as u64 * 8);
@@ -842,7 +844,7 @@ const DOT_LANES: usize = 4;
 /// columns in order, exactly the sequential sum; the dots of a lane group
 /// advance side by side, so one dot's adds never wait on another's.
 /// Consecutive dots over rows of one length share the lane groups.
-fn dots(shards: &HashMap<MatrixId, Shard>, reqs: &[&DotReq]) -> Vec<(f64, u64)> {
+fn dots(shards: &BTreeMap<MatrixId, Shard>, reqs: &[&DotReq]) -> Vec<(f64, u64)> {
     let pairs: Vec<(&[f64], &[f64])> = reqs
         .iter()
         .map(|req| {
@@ -895,13 +897,13 @@ fn dot_block<const K: usize>(
     *acc = sum;
 }
 
-fn shard_of(shards: &HashMap<MatrixId, Shard>, id: MatrixId) -> &Shard {
+fn shard_of(shards: &BTreeMap<MatrixId, Shard>, id: MatrixId) -> &Shard {
     shards
         .get(&id)
         .unwrap_or_else(|| panic!("matrix {id:?} not present on this server"))
 }
 
-fn shard_mut(shards: &mut HashMap<MatrixId, Shard>, id: MatrixId) -> &mut Shard {
+fn shard_mut(shards: &mut BTreeMap<MatrixId, Shard>, id: MatrixId) -> &mut Shard {
     shards
         .get_mut(&id)
         .unwrap_or_else(|| panic!("matrix {id:?} not present on this server"))
