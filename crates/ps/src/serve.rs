@@ -206,7 +206,7 @@ impl ServeClientAgent {
             };
             let dst = self.cfg.servers[self.cfg.plan.row_owner(row)];
             let req_bytes = HDR + req.wire_size();
-            let token = ctx.req_begin_batch("pull", 1).first().copied();
+            let token = ctx.req_begin("pull");
             ctx.add(m.envelopes, 1);
             // Each send of the batch leaves one per-message overhead after
             // the one before: latency counts from this pull's own issue.

@@ -247,30 +247,26 @@ impl ReqRecorder {
         id
     }
 
-    /// Mint `n` tokens for one fabric op issued at clock `now`.
-    pub(crate) fn begin_batch(&mut self, op: &str, n: usize, now: SimTime) -> Vec<ReqToken> {
+    /// Mint the token of one request of op `op`, issued at clock `now`.
+    pub(crate) fn begin(&mut self, op: &str, now: SimTime) -> ReqToken {
         let op = self.op_id(op);
-        (0..n)
-            .map(|_| {
-                self.next_id += 1;
-                let id = self.next_id;
-                self.live.insert(
-                    id,
-                    LiveReq {
-                        op,
-                        issued_at: now.as_nanos(),
-                        attempts: 0,
-                        first_send: 0,
-                        last_sent: 0,
-                        req_arrival: 0,
-                        dequeued: 0,
-                        service_end: 0,
-                        reply_arrival: 0,
-                    },
-                );
-                ReqToken { id }
-            })
-            .collect()
+        self.next_id += 1;
+        let id = self.next_id;
+        self.live.insert(
+            id,
+            LiveReq {
+                op,
+                issued_at: now.as_nanos(),
+                attempts: 0,
+                first_send: 0,
+                last_sent: 0,
+                req_arrival: 0,
+                dequeued: 0,
+                service_end: 0,
+                reply_arrival: 0,
+            },
+        );
+        ReqToken { id }
     }
 
     /// An envelope carrying `tok` went on the wire. Requests bump the
@@ -519,8 +515,7 @@ mod tests {
     use super::*;
 
     fn complete_one(rec: &mut ReqRecorder, op: &str, base: u64, dur: u64) -> u64 {
-        let toks = rec.begin_batch(op, 1, SimTime(base));
-        let t = toks[0];
+        let t = rec.begin(op, SimTime(base));
         rec.on_send(t, SimTime(base + 10), SimTime(base + 20), false);
         rec.on_dequeue(t, SimTime(base + 30), false);
         rec.on_send(t, SimTime(base + 40), SimTime(base + dur), true);
@@ -531,8 +526,7 @@ mod tests {
     #[test]
     fn stages_partition_the_total() {
         let mut rec = ReqRecorder::new();
-        let toks = rec.begin_batch("pull", 1, SimTime(100));
-        let t = toks[0];
+        let t = rec.begin("pull", SimTime(100));
         rec.on_send(t, SimTime(110), SimTime(150), false); // issue 10, net_req 40
         rec.on_dequeue(t, SimTime(155), false); // queue 5
         rec.on_send(t, SimTime(175), SimTime(200), true); // service 20, net_reply 25
@@ -593,7 +587,7 @@ mod tests {
     #[test]
     fn retry_counts_attempts_and_keeps_the_winning_stage_clocks() {
         let mut rec = ReqRecorder::new();
-        let t = rec.begin_batch("pull", 1, SimTime(0))[0];
+        let t = rec.begin("pull", SimTime(0));
         rec.on_send(t, SimTime(5), SimTime(50), false);
         // Attempt 1 times out; attempt 2 lands.
         rec.on_send(t, SimTime(1_000), SimTime(1_040), false);
@@ -615,7 +609,7 @@ mod tests {
     fn abandoned_requests_are_counted_not_recorded() {
         let mut rec = ReqRecorder::new();
         complete_one(&mut rec, "pull", 0, 500);
-        let t = rec.begin_batch("pull", 1, SimTime(10_000))[0];
+        let t = rec.begin("pull", SimTime(10_000));
         rec.on_send(t, SimTime(10_005), SimTime(10_050), false);
         let sum = rec.finish();
         let op = sum.op("pull").expect("op");
@@ -629,7 +623,7 @@ mod tests {
         let mut rec = ReqRecorder::new();
         complete_one(&mut rec, "pull", 0, 750);
         complete_one(&mut rec, "push", 1_000, 300);
-        rec.begin_batch("pull", 1, SimTime(5_000)); // never completes
+        rec.begin("pull", SimTime(5_000)); // never completes
         let reqs = rec.finish();
         let objectives = vec![
             SloObjective::latency_p999("pull.p999", "ps.client.op.pull.latency", SimTime(500)),
