@@ -18,15 +18,19 @@
 //!   `SimTime`, wakes a process, or consumes a sequence number. Enabling the
 //!   profiler must leave the simulated run bit-for-bit identical (a test in
 //!   `tests/hostprof_determinism.rs` holds this line).
-//! - **Per-OS-thread accumulation.** Each sim proc is an OS thread; guards
-//!   record into plain thread-local counters (no atomics, no locks on the
-//!   hot path) which merge into a global table when the thread exits or on
-//!   an explicit [`flush_thread`].
+//! - **Per-proc frames, per-thread totals.** Guards record into plain
+//!   thread-local counters (no atomics, no locks on the hot path) which
+//!   merge into a global table when the thread exits or on an explicit
+//!   [`flush_thread`]. Every thread proc of a run is a fiber on the OS
+//!   thread in `SimRuntime::run`, so the open frames and the two
+//!   allocation cells belong to whichever proc holds the turn: the
+//!   scheduler swaps them (`ProcProf`) at every fiber switch, and a scope
+//!   held open across a switch is charged only its own proc's allocations.
 //! - **Nesting-safe self/children split.** A guard's elapsed time includes
 //!   everything beneath it; on drop the child time already attributed to
 //!   inner scopes is subtracted, so `self_ns` sums tell the truth. The
-//!   dedicated [`Scope::SchedPark`] scope keeps parked wall time (when
-//!   *other* procs run) out of every enclosing scope's self time.
+//!   dedicated [`Scope::SchedPark`] scope keeps the wall time *other* procs
+//!   hold the turn out of every enclosing scope's self time.
 //!
 //! ## Allocation counting
 //!
@@ -49,8 +53,8 @@ use std::time::Instant;
 pub enum Scope {
     /// Ready-process selection and the hand-off under the state lock.
     SchedDispatch,
-    /// The hand-off's unpark of the next proc, then parked wall time while
-    /// *other* procs hold the turn.
+    /// The hand-off's switch to the next proc, then the wall time *other*
+    /// procs hold the turn.
     SchedPark,
     /// `send_env`: NIC accounting, mailbox insert, trace push.
     SchedSend,
@@ -223,7 +227,8 @@ fn alloc_paused<R>(f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// This thread's raw (allocs, bytes) counters.
+/// This thread's raw (allocs, bytes) counters: those of the proc that holds
+/// the turn, during a run.
 pub fn thread_alloc_counters() -> (u64, u64) {
     (TL_ALLOCS.get(), TL_ALLOC_BYTES.get())
 }
@@ -318,6 +323,25 @@ thread_local! {
     static PROF: RefCell<ThreadProf> = const { RefCell::new(ThreadProf::new()) };
 }
 
+/// A thread proc's profiler state while it does not hold the turn: its open
+/// frames and its allocation counters. The running proc's live in this
+/// thread's cells; [`swap`] trades them at a fiber switch.
+#[derive(Default)]
+pub(crate) struct ProcProf {
+    stack: Vec<Frame>,
+    allocs: u64,
+    bytes: u64,
+}
+
+/// Exchange this thread's open frames and allocation counters with `saved`.
+/// The scheduler calls it twice per fiber switch: once to store the leaving
+/// proc's state, once to load the arriving proc's.
+pub(crate) fn swap(saved: &mut ProcProf) {
+    PROF.with(|p| std::mem::swap(&mut p.borrow_mut().stack, &mut saved.stack));
+    saved.allocs = TL_ALLOCS.replace(saved.allocs);
+    saved.bytes = TL_ALLOC_BYTES.replace(saved.bytes);
+}
+
 /// RAII scope timer. Obtain via [`scope`]; cost is recorded on drop.
 pub struct ScopeGuard {
     active: bool,
@@ -382,9 +406,10 @@ impl Drop for ScopeGuard {
 
 // ---- lifecycle --------------------------------------------------------------
 
-/// Merge this thread's accumulated totals into the global table. Sim-proc
-/// threads do this implicitly on exit; long-lived threads (the one calling
-/// `SimRuntime::run`, test threads) call it before [`take_profile`].
+/// Merge this thread's accumulated totals into the global table. Threads do
+/// this implicitly on exit; long-lived ones (the one calling
+/// `SimRuntime::run`, whose fibers all record here, and test threads) call
+/// it before [`take_profile`].
 pub fn flush_thread() {
     PROF.with(|p| p.borrow_mut().merge_into_global());
 }

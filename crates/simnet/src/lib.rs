@@ -15,12 +15,14 @@
 //! exactly. There are two ways to write a process under it, and a run
 //! reports the same events at the same clocks whichever is used:
 //!
-//! * **Thread procs** ([`SimRuntime::spawn`]) hold one OS thread each and are
-//!   written in direct style (plain loops, blocking `recv`/`call`). At each
-//!   simulator call the running process yields and the scheduler picks next.
-//!   Right for straight-line code on at most hundreds of procs.
+//! * **Thread procs** ([`SimRuntime::spawn`]) are written in direct style
+//!   (plain loops, blocking `recv`/`call`). Each runs on a fiber: a 2 MiB
+//!   stack of its own, on the one OS thread that called
+//!   [`SimRuntime::run`]. At each simulator call the running process yields,
+//!   the scheduler picks next, and the hand-off is a stack switch of tens of
+//!   nanoseconds. Right for straight-line code; each proc costs a stack.
 //! * **Steppable agents** ([`SimRuntime::spawn_agent`], the [`Proc`] trait)
-//!   hold **no thread**: the scheduler steps them inline on message delivery
+//!   hold **no stack**: the scheduler steps them inline on message delivery
 //!   and timer expiry, each step runs atomically via a non-blocking
 //!   [`StepCtx`], and what a step sends goes out in later turns, each at its
 //!   own clock. Right for services and for very large populations (the PS
@@ -63,11 +65,18 @@
 //! actually performed; the cost model converts work to virtual nanoseconds.
 //! The arithmetic itself runs for real, so losses and models are genuine —
 //! only the clock is simulated.
+//!
+//! ## Platform
+//!
+//! The fiber switch is x86-64 assembly and the stacks are Linux mappings, so
+//! the crate builds for x86-64 Linux only; any other target stops at a
+//! `compile_error!` naming the two functions to port.
 
 pub mod causal;
 mod config;
 mod ctx;
 pub mod fabric;
+mod fiber;
 pub mod hostprof;
 pub mod json;
 mod message;
